@@ -23,6 +23,11 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
 
+# the names of verify.BENCHMARKS; listed here because importing verify
+# imports numpy, which must wait until the thread cap is set
+VERIFY_BENCHMARKS = ("kgd", "stabilization", "terzaghi", "thermal_consolidation",
+                     "thermal_trend")
+
 
 def _setup_logging():
     level = _LOG_LEVELS.get(os.environ.get("THMFRAC_LOG", "error").lower(), logging.ERROR)
@@ -188,8 +193,7 @@ def main(argv=None) -> int:
                        help="coarse variant for presets that support it")
 
     p_ver = sub.add_parser("verify", help="run a verification benchmark")
-    p_ver.add_argument("benchmark",
-                       choices=["terzaghi", "kgd", "thermal_consolidation"])
+    p_ver.add_argument("benchmark", choices=VERIFY_BENCHMARKS)
     p_ver.add_argument("--fast", action="store_true")
     p_ver.add_argument("--out", help="write the JSON report here")
 

@@ -104,14 +104,10 @@ class MaterialParams:
 class QPState:
     """Derived quadrature-point quantities (fields broadcast together)."""
 
-    strain: np.ndarray          # (..., 3) Voigt total strain
-    strain_elastic: np.ndarray  # (..., 3) strain - alpha_s*dT on normal comps
-    eps1: np.ndarray            # max principal of the total strain
     crack_normal: np.ndarray    # (..., 2) unit e1
     width: np.ndarray           # [m]
     porosity: np.ndarray
     perm: np.ndarray            # (..., 2, 2) [m^2]
-    psi_plus: np.ndarray        # [J/m^3]
     tr_sign: np.ndarray         # H(Tr eps_e)
     alpha: np.ndarray = field(default=None)  # effective Biot coefficient
 
@@ -430,13 +426,10 @@ def qp_state(eps, dT, h_e, v, params: MaterialParams,
     eps_e = elastic_strain(eps, dT, params.alpha_s)
     ezz = -params.alpha_s * np.asarray(dT, dtype=float)
     tr_sign = heaviside(trace2(eps_e) + ezz)
-    e1, _ = principal_strains(eps)
     normal = crack_normal(eps)
     width = fracture_width(eps, h_e, width_variant)
     phi = porosity(eps, params, porosity_variant, v=v, tr_sign=tr_sign)
     perm = permeability(v, width, normal, params)
-    psi_plus, _ = energy_split_vd(eps_e, params.K_m, params.mu_shear, eps_zz=ezz)
     alpha = biot_coefficient(v, tr_sign, params)
-    return QPState(strain=eps, strain_elastic=eps_e, eps1=e1,
-                   crack_normal=normal, width=width, porosity=phi,
-                   perm=perm, psi_plus=psi_plus, tr_sign=tr_sign, alpha=alpha)
+    return QPState(crack_normal=normal, width=width, porosity=phi,
+                   perm=perm, tr_sign=tr_sign, alpha=alpha)

@@ -1,17 +1,19 @@
 """Q4 finite-element machinery: shape functions, quadrature, assembly, solves.
 
-Element matrices are produced in bulk as (n_elems, nd, nd) arrays and
-scattered through precomputed COO index maps, which keeps assembly
-vectorized and deterministic. Linear solves go through SuperLU with a
-small content-addressed factorization cache so repeated operators (linear
-benchmarks, frozen staggered branches) only pay for back-substitution.
+Element matrices are produced in bulk as (n_elems, nd, nd) arrays. Each
+field (scalar or vector) has one CSR sparsity pattern per mesh, built on
+first assembly together with a gather table from element entries to CSR
+slots, so assembly only fills the ``data`` array. Static Dirichlet
+constraints are resolved once against that pattern into slot masks.
+Linear solves go through SuperLU on the Jacobi-scaled operator; a caller
+that owns a ``Factorization`` keeps the factor between solves and
+invalidates it when its operator changes.
 """
 
 from __future__ import annotations
 
-import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,9 +43,70 @@ def gauss_2x2() -> tuple[np.ndarray, np.ndarray]:
     return pts, np.ones(4)
 
 
+@dataclass(frozen=True)
+class CSRPattern:
+    """Fixed CSR structure of one field and the map that fills its data.
+
+    Slot ``k`` starts its sum with flat element entry ``first[k]``; each
+    ``(slots, entries)`` pair of ``extra`` then adds the next duplicate of
+    those slots. The order reproduces ``coo_matrix(...).tocsr()`` bit for
+    bit: entries are bucketed by row in input order, ordered within a row
+    by scipy's own ``sort_indices`` and summed left to right. ``diag``
+    holds the slot of every diagonal entry.
+    """
+
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    first: np.ndarray
+    extra: tuple[tuple[np.ndarray, np.ndarray], ...]
+    diag: np.ndarray
+
+    def matrix(self, KE: np.ndarray) -> sp.csr_matrix:
+        """Sum the element matrices (E, nd, nd) into a CSR matrix on this pattern."""
+        flat = KE.reshape(-1)
+        data = flat[self.first]
+        for slots, entries in self.extra:
+            data[slots] += flat[entries]
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+
+def csr_pattern(dofs: np.ndarray, n: int) -> CSRPattern:
+    """Pattern of the (n, n) operator whose element e couples ``dofs[e]``."""
+    nd = dofs.shape[1]
+    rows = np.repeat(dofs, nd, axis=1).ravel()
+    cols = np.tile(dofs, (1, nd)).ravel()
+    # bucket entry ids by row (stable), then let scipy order each row
+    order = np.argsort(rows, kind="stable")
+    bucket_ptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=bucket_ptr[1:])
+    ids = sp.csr_matrix((order.astype(float), cols[order].astype(np.int32), bucket_ptr),
+                        shape=(n, n))
+    ids.sort_indices()
+    entry = ids.data.astype(np.int64)
+    col = ids.indices
+    row = rows[entry]
+    new = np.ones(entry.size, dtype=bool)
+    new[1:] = (col[1:] != col[:-1]) | (row[1:] != row[:-1])
+    slot = np.cumsum(new) - 1
+    rank = np.arange(entry.size) - np.flatnonzero(new)[slot]
+    extra = tuple((slot[rank == k], entry[rank == k]) for k in range(1, rank.max() + 1))
+    indices = col[new]
+    slot_row = row[new]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(slot_row, minlength=n), out=indptr[1:])
+    diag = np.flatnonzero(indices == slot_row)
+    if diag.size != n:
+        raise ValueError("every dof needs a diagonal entry in the pattern")
+    for a in (indptr, indices):
+        a.flags.writeable = False   # shared by every matrix assembled on it
+    return CSRPattern(shape=(n, n), indptr=indptr, indices=indices,
+                      first=entry[new], extra=extra, diag=diag)
+
+
 @dataclass
 class ElementTables:
-    """Per-mesh precomputed quadrature data and scatter index maps."""
+    """Per-mesh precomputed quadrature data, dof maps and sparsity patterns."""
 
     mesh: Mesh
     N: np.ndarray        # (4 qp, 4 nodes) shape values
@@ -52,10 +115,6 @@ class ElementTables:
     B: np.ndarray        # (E, 4 qp, 3, 8) strain-displacement matrices
     conn: np.ndarray     # (E, 4) node ids
     dofs_vec: np.ndarray  # (E, 8) interleaved (ux, uy) dofs
-    rows_s: np.ndarray   # COO scatter indices, scalar fields
-    cols_s: np.ndarray
-    rows_v: np.ndarray   # COO scatter indices, vector field
-    cols_v: np.ndarray
     h_e_qp: np.ndarray   # (E, 4) element size replicated per qp
 
     @property
@@ -65,6 +124,16 @@ class ElementTables:
     @property
     def n_elems(self) -> int:
         return self.mesh.n_elems
+
+    # built on first assembly, not with the tables, so that setting up a
+    # simulation stays cheap
+    @cached_property
+    def scalar_pattern(self) -> CSRPattern:
+        return csr_pattern(self.conn, self.n_nodes)
+
+    @cached_property
+    def vector_pattern(self) -> CSRPattern:
+        return csr_pattern(self.dofs_vec, 2 * self.n_nodes)
 
 
 def build_tables(mesh: Mesh) -> ElementTables:
@@ -101,16 +170,9 @@ def build_tables(mesh: Mesh) -> ElementTables:
     dofs_vec[:, 0::2] = 2 * conn
     dofs_vec[:, 1::2] = 2 * conn + 1
 
-    rows_s = np.repeat(conn, 4, axis=1).ravel()
-    cols_s = np.tile(conn, (1, 4)).ravel()
-    rows_v = np.repeat(dofs_vec, 8, axis=1).ravel()
-    cols_v = np.tile(dofs_vec, (1, 8)).ravel()
-
     h_e_qp = np.repeat(mesh.h_e[:, None], 4, axis=1)
     return ElementTables(mesh=mesh, N=Nq, dNdx=dNdx, detJw=detJw, B=B,
-                         conn=conn, dofs_vec=dofs_vec,
-                         rows_s=rows_s, cols_s=cols_s,
-                         rows_v=rows_v, cols_v=cols_v, h_e_qp=h_e_qp)
+                         conn=conn, dofs_vec=dofs_vec, h_e_qp=h_e_qp)
 
 
 # ---------------------------------------------------------------------------
@@ -165,19 +227,10 @@ def assemble(mesh: Mesh, element_kernel, ndof_per_node: int = 1) -> SparseSystem
 
 def assemble_batched(tables: ElementTables, KE: np.ndarray, FE: np.ndarray,
                      vector: bool = False) -> SparseSystem:
-    """Scatter precomputed element matrices/vectors into a global system."""
-    if vector:
-        n = 2 * tables.n_nodes
-        rows, cols = tables.rows_v, tables.cols_v
-        dofs = tables.dofs_vec
-    else:
-        n = tables.n_nodes
-        rows, cols = tables.rows_s, tables.cols_s
-        dofs = tables.conn
-    A = sp.coo_matrix((KE.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    b = np.zeros(n)
-    np.add.at(b, dofs.ravel(), FE.ravel())
-    return SparseSystem(matrix=A, rhs=b, ndof_per_node=2 if vector else 1)
+    """Sum precomputed element matrices/vectors into a global system."""
+    pattern = tables.vector_pattern if vector else tables.scalar_pattern
+    return SparseSystem(matrix=pattern.matrix(KE), rhs=scatter_vector(tables, FE, vector),
+                        ndof_per_node=2 if vector else 1)
 
 
 def scatter_vector(tables: ElementTables, FE: np.ndarray, vector: bool = False) -> np.ndarray:
@@ -188,85 +241,112 @@ def scatter_vector(tables: ElementTables, FE: np.ndarray, vector: bool = False) 
     return out
 
 
-def apply_dirichlet(system: SparseSystem, dofs: np.ndarray, values: np.ndarray) -> SparseSystem:
-    """Row/column elimination preserving symmetry.
+@dataclass(frozen=True)
+class Dirichlet:
+    """Static Dirichlet constraints of one field, resolved against its pattern.
 
-    Constrained rows/columns are reduced to the identity with the
-    prescribed value on the right-hand side; the rhs of free dofs absorbs
-    A[:, c] * g.
+    Row/column elimination preserving symmetry: the slots of constrained
+    rows and columns are zeroed, constrained diagonals become 1 and the
+    rhs of free dofs absorbs -A[:, c] g. Explicit zeros are then pruned,
+    so the eliminated matrix holds exactly the nonzeros of the
+    identity-patched operator. Matrices passed in must be assembled on the
+    pattern the constraints were resolved against.
     """
-    dofs = np.asarray(dofs, dtype=np.int64)
-    values = np.broadcast_to(np.asarray(values, dtype=float), dofs.shape)
-    n = system.matrix.shape[0]
-    if dofs.size == 0:
-        return system
-    g = np.zeros(n)
-    g[dofs] = values
-    rhs = system.rhs - system.matrix @ g
-    keep = np.ones(n)
-    keep[dofs] = 0.0
-    A = system.matrix.tocsr(copy=True)
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    A.data = A.data * (keep[rows] * keep[A.indices])
-    A = (A + sp.diags(1.0 - keep)).tocsr()
-    rhs = rhs * keep
-    rhs[dofs] = values
-    return SparseSystem(matrix=A, rhs=rhs, ndof_per_node=system.ndof_per_node)
+
+    dofs: np.ndarray
+    values: np.ndarray
+    lift: np.ndarray        # (n,) prescribed values, zero on free dofs
+    keep: np.ndarray        # (n,) 1 on free dofs, 0 on constrained ones
+    zero_slots: np.ndarray  # data slots in constrained rows or columns
+    diag_slots: np.ndarray  # data slots of the constrained diagonals
+
+    @classmethod
+    def on(cls, pattern: CSRPattern, dofs, values) -> "Dirichlet":
+        dofs = np.asarray(dofs, dtype=np.int64)
+        values = np.broadcast_to(np.asarray(values, dtype=float), dofs.shape).copy()
+        n = pattern.shape[0]
+        lift = np.zeros(n)
+        lift[dofs] = values
+        keep = np.ones(n)
+        keep[dofs] = 0.0
+        fixed = keep == 0.0
+        rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
+        zero_slots = np.flatnonzero(fixed[rows] | fixed[pattern.indices])
+        return cls(dofs=dofs, values=values, lift=lift, keep=keep,
+                   zero_slots=zero_slots, diag_slots=pattern.diag[dofs])
+
+    def matrix(self, A: sp.csr_matrix) -> sp.csr_matrix:
+        if self.dofs.size == 0:
+            return A
+        data = A.data.copy()
+        data[self.zero_slots] = 0.0
+        data[self.diag_slots] = 1.0
+        out = sp.csr_matrix((data, A.indices.copy(), A.indptr.copy()), shape=A.shape)
+        out.eliminate_zeros()
+        return out
+
+    def rhs(self, A: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
+        if self.dofs.size == 0:
+            return b
+        out = (b - A @ self.lift) * self.keep
+        out[self.dofs] = self.values
+        return out
+
+
+def apply_dirichlet(system: SparseSystem, bc: Dirichlet) -> SparseSystem:
+    """The system with ``bc`` eliminated (see ``Dirichlet``)."""
+    return SparseSystem(matrix=bc.matrix(system.matrix),
+                        rhs=bc.rhs(system.matrix, system.rhs),
+                        ndof_per_node=system.ndof_per_node)
 
 
 # ---------------------------------------------------------------------------
-# linear solve with factorization reuse
+# linear solve
 # ---------------------------------------------------------------------------
 
-class _LUCache:
-    def __init__(self, maxsize: int = 8):
-        self.maxsize = maxsize
-        self._store: OrderedDict[bytes, object] = OrderedDict()
+class Factorization:
+    """SuperLU factor of a Jacobi-scaled operator, kept by its owner.
 
-    def key(self, A: sp.csr_matrix) -> bytes:
-        hsh = hashlib.blake2b(digest_size=16)
-        hsh.update(np.asarray(A.shape, dtype=np.int64).tobytes())
-        hsh.update(A.indptr.tobytes())
-        hsh.update(A.indices.tobytes())
-        hsh.update(A.data.tobytes())
-        return hsh.digest()
+    ``solve_linear`` fills an empty one and solves with a filled one
+    without looking at the operator again; the owner calls ``invalidate``
+    whenever the operator changes.
+    """
 
-    def factorize(self, A: sp.csr_matrix):
-        k = self.key(A)
-        lu = self._store.get(k)
-        if lu is None:
-            lu = spla.splu(A.tocsc())
-            self._store[k] = lu
-            if len(self._store) > self.maxsize:
-                self._store.popitem(last=False)
-        else:
-            self._store.move_to_end(k)
-        return lu
+    def __init__(self):
+        self.lu = None
+        self.scale: np.ndarray | None = None
+
+    def invalidate(self):
+        self.lu = None
+        self.scale = None
 
 
-_lu_cache = _LUCache()
-
-
-def solve_linear(system: SparseSystem, reuse_factorization: bool = True) -> np.ndarray:
+def solve_linear(system: SparseSystem, factor: Factorization | None = None) -> np.ndarray:
     """Direct sparse solve with a relative residual gate of 1e-10.
 
     The operator is symmetrically Jacobi-scaled before factorization (the
     mobility contrast between broken and intact cells reaches 1e8+) and a
     few iterative-refinement sweeps against the unscaled residual recover
-    full accuracy.
+    full accuracy. A filled ``factor`` is reused; an empty one receives
+    the new factor.
     """
     A, b = system.matrix, system.rhs
     n = A.shape[0]
-    d = A.diagonal()
-    if np.all(d > 0.0) and np.all(np.isfinite(d)):
-        s = 1.0 / np.sqrt(d)
-    else:
-        s = np.ones(n)
-    As = A.tocsr(copy=True)
-    rows = np.repeat(np.arange(n), np.diff(As.indptr))
-    As.data = As.data * (s[rows] * s[As.indices])
     try:
-        lu = _lu_cache.factorize(As) if reuse_factorization else spla.splu(As.tocsc())
+        if factor is not None and factor.lu is not None:
+            s, lu = factor.scale, factor.lu
+        else:
+            d = A.diagonal()
+            if np.all(d > 0.0) and np.all(np.isfinite(d)):
+                s = 1.0 / np.sqrt(d)
+            else:
+                s = np.ones(n)
+            As = A.tocsr(copy=True)
+            rows = np.repeat(np.arange(n), np.diff(As.indptr))
+            As.data *= s[rows] * s[As.indices]
+            lu = spla.splu(As.tocsc())
+            if factor is not None:
+                factor.lu, factor.scale = lu, s
         x = s * lu.solve(s * b)
     except RuntimeError as exc:  # SuperLU signals singularity this way
         raise SolverFailure(f"sparse LU factorization failed: {exc}",

@@ -11,7 +11,9 @@ operators are linear once the lagged staggered quantities are frozen):
   relaxation terms (pressure and thermal) and the lagged volumetric
   strain increment on the right-hand side;
 * mechanics    — degraded effective stress with pressure and thermal
-  contributions moved to the right-hand side.
+  contributions moved to the right-hand side. Its operator depends only
+  on (v, branch flags) and is built apart from the right-hand side, so a
+  caller can keep it while those stay fixed.
 
 All quadrature-point fields are evaluated in bulk as (n_elems, 4) arrays.
 """
@@ -19,8 +21,10 @@ All quadrature-point fields are evaluated in bulk as (n_elems, 4) arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import constitutive as law
 from .constitutive import MaterialParams
@@ -43,11 +47,17 @@ class FieldState:
         return FieldState(self.u.copy(), self.p.copy(), self.T.copy(), self.v.copy())
 
 
-def zero_state(n_nodes: int, p0: float = 0.0, T0: float = 293.15) -> FieldState:
-    return FieldState(u=np.zeros(2 * n_nodes),
-                      p=np.full(n_nodes, p0),
-                      T=np.full(n_nodes, T0),
-                      v=np.ones(n_nodes))
+@lru_cache(maxsize=256)
+def _einsum_path(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> list:
+    # the greedy search reads only the operand shapes
+    views = [np.broadcast_to(0.0, shape) for shape in shapes]
+    return np.einsum_path(subscripts, *views, optimize=True)[0]
+
+
+def _contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    """``np.einsum(..., optimize=True)`` with the path planned once per shapes."""
+    path = _einsum_path(subscripts, tuple(op.shape for op in operands))
+    return np.einsum(subscripts, *operands, optimize=path)
 
 
 # ---------------------------------------------------------------------------
@@ -104,14 +114,12 @@ def _lumped_diag(tables: ElementTables, coeff: np.ndarray) -> np.ndarray:
 
 def _laplacian(tables: ElementTables, coeff: np.ndarray) -> np.ndarray:
     """Scalar-coefficient stiffness for a (E, 4) conductivity field."""
-    return np.einsum("eq,eqad,eqbd->eab", coeff * tables.detJw,
-                     tables.dNdx, tables.dNdx, optimize=True)
+    return _contract("eq,eqad,eqbd->eab", coeff * tables.detJw, tables.dNdx, tables.dNdx)
 
 
 def _laplacian_tensor(tables: ElementTables, K: np.ndarray) -> np.ndarray:
     """Tensor-coefficient stiffness for a (E, 4, 2, 2) field."""
-    return np.einsum("eqac,eqcd,eq,eqbd->eab", tables.dNdx, K,
-                     tables.detJw, tables.dNdx, optimize=True)
+    return _contract("eqac,eqcd,eq,eqbd->eab", tables.dNdx, K, tables.detJw, tables.dNdx)
 
 
 def _load(tables: ElementTables, source: np.ndarray) -> np.ndarray:
@@ -137,36 +145,52 @@ def mechanics_branch_flags(tables: ElementTables, params: MaterialParams,
     return law.heaviside(law.elastic_trace(strain_qp(tables, u), dT, params.alpha_s))
 
 
+@dataclass
+class MechanicsOperator:
+    """Stiffness at a frozen (v, branch flags) pair and the quadrature-point
+    coefficients the right-hand side of that state reuses."""
+
+    v: np.ndarray
+    tr_sign: np.ndarray
+    matrix: sp.csr_matrix
+    alpha: np.ndarray      # (E, 4) Biot coefficient
+    K_eff: np.ndarray      # (E, 4) effective bulk modulus
+
+    def matches(self, v: np.ndarray, tr_sign: np.ndarray) -> bool:
+        return np.array_equal(v, self.v) and np.array_equal(tr_sign, self.tr_sign)
+
+
 def build_mechanics_system(tables: ElementTables, params: MaterialParams,
-                           v: np.ndarray, p: np.ndarray, T: np.ndarray,
-                           u_ref: np.ndarray, f_ext: np.ndarray,
-                           tr_sign: np.ndarray | None = None) -> SparseSystem:
-    """Equilibrium system K u = f with pressure/thermal terms on the rhs.
+                           v: np.ndarray, tr_sign: np.ndarray) -> MechanicsOperator:
+    """Equilibrium operator K of K u = f at phase field ``v``.
 
-    The opening/closing branch of the stiffness is frozen at the strain of
-    ``u_ref`` (the previous staggered iterate) unless explicit ``tr_sign``
-    flags are supplied; broken cells otherwise chatter between the stiff
-    closed and compliant open branch from one iterate to the next.
+    The opening/closing branch of the stiffness is frozen at the given
+    ``tr_sign`` flags (``mechanics_branch_flags`` of an earlier iterate);
+    broken cells otherwise chatter between the stiff closed and compliant
+    open branch from one iterate to the next. ``mechanics_rhs`` builds f.
     """
-    v_qp, p_qp, dT_qp = _mech_point_fields(tables, params, v, p, T)
-    if tr_sign is None:
-        eps_ref = strain_qp(tables, u_ref)
-        h = law.heaviside(law.elastic_trace(eps_ref, dT_qp, params.alpha_s))
-    else:
-        h = tr_sign
-    C = law.effective_stiffness(v_qp, h, params)
+    v_qp = scalar_qp(tables, v)
+    C = law.effective_stiffness(v_qp, tr_sign, params)
     W = C * tables.detJw[..., None, None]
-    KE = np.einsum("eqsa,eqst,eqtb->eab", tables.B, W, tables.B, optimize=True)
+    KE = _contract("eqsa,eqst,eqtb->eab", tables.B, W, tables.B)
+    return MechanicsOperator(v=v.copy(), tr_sign=tr_sign.copy(),
+                             matrix=tables.vector_pattern.matrix(KE),
+                             alpha=law.biot_coefficient(v_qp, tr_sign, params),
+                             K_eff=law.effective_bulk(v_qp, tr_sign, params))
 
-    alpha = law.biot_coefficient(v_qp, h, params)
-    K_eff = law.effective_bulk(v_qp, h, params)
+
+def mechanics_rhs(tables: ElementTables, params: MaterialParams, op: MechanicsOperator,
+                  p: np.ndarray, T: np.ndarray, f_ext: np.ndarray) -> np.ndarray:
+    """Right-hand side f of ``op``: pressure and thermal terms plus loads."""
+    p_qp = scalar_qp(tables, p)
+    dT_qp = scalar_qp(tables, T) - params.T0
     # rhs integrand in Voigt form: alpha p I + 3 K_eff alpha_s dT I
-    s = alpha * p_qp + 3.0 * K_eff * params.alpha_s * dT_qp
+    s = op.alpha * p_qp + 3.0 * op.K_eff * params.alpha_s * dT_qp
     sig = s[..., None] * _VOIGT_ID
-    FE = np.einsum("eqsa,eqs,eq->ea", tables.B, sig, tables.detJw, optimize=True)
-    system = assemble_batched(tables, KE, FE, vector=True)
-    system.rhs += f_ext
-    return system
+    FE = _contract("eqsa,eqs,eq->ea", tables.B, sig, tables.detJw)
+    rhs = scatter_vector(tables, FE, vector=True)
+    rhs += f_ext
+    return rhs
 
 
 def mechanics_residual(tables: ElementTables, params: MaterialParams,
@@ -181,7 +205,7 @@ def mechanics_residual(tables: ElementTables, params: MaterialParams,
     sig = law.effective_stress(eps_e, v_qp, h, params, eps_zz=ezz)
     alpha = law.biot_coefficient(v_qp, h, params)
     sig = sig - (alpha * p_qp)[..., None] * _VOIGT_ID
-    FE = np.einsum("eqsa,eqs,eq->ea", tables.B, sig, tables.detJw, optimize=True)
+    FE = _contract("eqsa,eqs,eq->ea", tables.B, sig, tables.detJw)
     return scatter_vector(tables, FE, vector=True) - f_ext
 
 
@@ -270,8 +294,8 @@ def build_heat_system(tables: ElementTables, params: MaterialParams,
     KE = _laplacian(tables, lam_total)
     adv = params.rho_f * params.c_pf
     if adv != 0.0:
-        KE += np.einsum("eq,qa,eqd,eqbd->eab", adv * tables.detJw, tables.N,
-                        q_f, tables.dNdx, optimize=True)
+        KE += _contract("eq,qa,eqd,eqbd->eab", adv * tables.detJw, tables.N,
+                        q_f, tables.dNdx)
     idx = np.arange(4)
     KE[:, idx, idx] += diag
     FE = diag * T_prev[tables.conn]

@@ -13,16 +13,18 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .constitutive import MaterialParams
 from .errors import NonConvergence
-from .fem import ElementTables, apply_dirichlet, solve_bound_constrained, solve_linear
+from .fem import (Dirichlet, ElementTables, Factorization, SparseSystem, apply_dirichlet,
+                  solve_bound_constrained, solve_linear)
 from .mesh import Mesh
-from .physics import (FieldState, build_flow_system, build_heat_system,
+from .physics import (FieldState, MechanicsOperator, build_flow_system, build_heat_system,
                       build_mechanics_system, build_phasefield_system,
-                      mechanics_branch_flags)
+                      mechanics_branch_flags, mechanics_rhs)
 
 log = logging.getLogger("thmfrac")
 
@@ -93,6 +95,12 @@ class _AndersonMixer:
 
     def mix(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         f = g - x
+        if not np.any(f):
+            # a zero residual column carries no secant information; kept,
+            # it makes the next least-squares step cancel the update
+            # (a column loaded from rest returns p = 0 first)
+            self.reset()
+            return g
         self._F.append(f)
         self._G.append(g)
         if len(self._F) > self.window + 1:
@@ -113,7 +121,19 @@ class _AndersonMixer:
 
 @dataclass
 class Simulation:
-    """A fully assembled problem: mesh, material, couplings, BCs, sources."""
+    """A fully assembled problem: mesh, material, couplings, BCs, sources.
+
+    The simulation owns the linear-algebra state of its sub-solves:
+
+    * the Dirichlet masks of T, p and u, resolved against the field
+      patterns on the first solve (boundary conditions are static from
+      then on);
+    * the mechanics operator, rebuilt only when v or the frozen branch
+      flags differ from its last build;
+    * one SuperLU factor per field. The heat and flow factors are
+      invalidated before every solve, since their operators follow the
+      lagged iterates; the mechanics factor lives as long as the operator.
+    """
 
     mesh: Mesh
     tables: ElementTables
@@ -143,6 +163,16 @@ class Simulation:
             self.q_heat = np.zeros(n)
         self.gc_elem = np.broadcast_to(np.asarray(self.gc_elem, dtype=float),
                                        (self.mesh.n_elems,)).copy()
+        self._factors = {name: Factorization() for name in ("T", "p", "u")}
+        self._mech: MechanicsOperator | None = None
+        self._mech_matrix = None            # the operator with bc_u eliminated
+
+    @cached_property
+    def _dirichlet(self) -> dict[str, Dirichlet]:
+        scalar, vector = self.tables.scalar_pattern, self.tables.vector_pattern
+        return {"T": Dirichlet.on(scalar, *self.bc_T),
+                "p": Dirichlet.on(scalar, *self.bc_p),
+                "u": Dirichlet.on(vector, *self.bc_u)}
 
     def initial_state(self) -> FieldState:
         n = self.mesh.n_nodes
@@ -161,14 +191,19 @@ class Simulation:
         init = np.clip(it.v, lower, upper)
         return solve_bound_constrained(system, lower, upper, init)
 
+    def _solve_fresh(self, name: str, system: SparseSystem) -> np.ndarray:
+        system = apply_dirichlet(system, self._dirichlet[name])
+        factor = self._factors[name]
+        factor.invalidate()
+        return solve_linear(system, factor)
+
     def _solve_T(self, v, it: FieldState, prev: FieldState, dt: float) -> np.ndarray:
         system = build_heat_system(self.tables, self.params, v, it.u, it.p,
                                    prev.T, dt, stabilization=self.stabilization,
                                    source=self.q_heat,
                                    porosity_variant=self.porosity_variant,
                                    width_variant=self.width_variant)
-        system = apply_dirichlet(system, *self.bc_T)
-        return solve_linear(system)
+        return self._solve_fresh("T", system)
 
     def _solve_p(self, v, it: FieldState, T_new, prev: FieldState, dt: float) -> np.ndarray:
         system = build_flow_system(self.tables, self.params, v, it.u, it.p,
@@ -176,15 +211,18 @@ class Simulation:
                                    source=self.q_flow,
                                    porosity_variant=self.porosity_variant,
                                    width_variant=self.width_variant)
-        system = apply_dirichlet(system, *self.bc_p)
-        return solve_linear(system)
+        return self._solve_fresh("p", system)
 
-    def _solve_u(self, v, p_new, T_new, it: FieldState, tr_sign=None) -> np.ndarray:
-        system = build_mechanics_system(self.tables, self.params, v, p_new,
-                                        T_new, u_ref=it.u, f_ext=self.f_ext,
-                                        tr_sign=tr_sign)
-        system = apply_dirichlet(system, *self.bc_u)
-        return solve_linear(system)
+    def _solve_u(self, v, p_new, T_new, tr_sign) -> np.ndarray:
+        bc = self._dirichlet["u"]
+        op = self._mech
+        if op is None or not op.matches(v, tr_sign):
+            op = self._mech = build_mechanics_system(self.tables, self.params, v, tr_sign)
+            self._mech_matrix = bc.matrix(op.matrix)
+            self._factors["u"].invalidate()
+        rhs = mechanics_rhs(self.tables, self.params, op, p_new, T_new, self.f_ext)
+        system = SparseSystem(self._mech_matrix, bc.rhs(op.matrix, rhs), ndof_per_node=2)
+        return solve_linear(system, self._factors["u"])
 
     # -- one time step -----------------------------------------------------
 
@@ -220,7 +258,7 @@ class Simulation:
                 T_new = self._solve_T(v_new, it, prev, dt) if self.solve_thermal else it.T
                 p_raw = self._solve_p(v_new, it, T_new, prev, dt)
                 p_new = mixer.mix(it.p, p_raw)
-                u_new = self._solve_u(v_new, p_new, T_new, it, tr_sign=h_mech)
+                u_new = self._solve_u(v_new, p_new, T_new, h_mech)
                 inc = (_rel(T_new, it.T), _rel(p_new, it.p), _rel(u_new, it.u))
                 it = FieldState(u=u_new, p=p_new, T=T_new, v=v_new)
                 tpu_incs.append(inc)

@@ -126,3 +126,13 @@ class TestCLIHelpers:
         # an override that breaks the config must exit 2
         assert main(["run", "terzaghi", "--override", "materials.E=-5",
                      "--out", str(tmp_path)]) == 2
+
+
+def test_verify_registry_names_the_five_paper_checks():
+    from thmfrac import cli, verify
+
+    assert set(verify.BENCHMARKS) == {"terzaghi", "kgd", "thermal_consolidation",
+                                      "stabilization", "thermal_trend"}
+    assert sorted(cli.VERIFY_BENCHMARKS) == sorted(verify.BENCHMARKS)
+    with pytest.raises(KeyError):
+        verify.run_verification("nope")

@@ -3,12 +3,13 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from thmfrac.errors import SolverFailure
-from thmfrac.fem import (SparseSystem, apply_dirichlet, assemble,
+from thmfrac.fem import (Dirichlet, Factorization, SparseSystem, apply_dirichlet, assemble,
                          assemble_batched, build_tables, gauss_2x2, shape_q4,
                          solve_bound_constrained, solve_linear)
-from thmfrac.mesh import generate_rect_mesh
+from thmfrac.mesh import RefineBand, generate_rect_mesh
 
 
 class TestShapeFunctions:
@@ -101,7 +102,92 @@ class TestAssembly:
         assert np.allclose(sys_b.rhs, sys_l.rhs)
 
 
+def _graded_tables():
+    mesh = generate_rect_mesh(2.0, 1.0, 9, 5,
+                              [RefineBand(axis="x", lo=0.5, hi=1.0, h=0.05, ratio=1.3),
+                               RefineBand(axis="y", lo=0.4, hi=0.6, h=0.05, ratio=1.3)])
+    return mesh, build_tables(mesh)
+
+
+def _coo_reference(dofs, KE, n):
+    nd = dofs.shape[1]
+    rows = np.repeat(dofs, nd, axis=1).ravel()
+    cols = np.tile(dofs, (1, nd)).ravel()
+    return sp.coo_matrix((KE.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def _same_csr(A, B):
+    return (np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices)
+            and A.data.tobytes() == B.data.tobytes())
+
+
+class TestPattern:
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_bitwise_equal_to_coo_tocsr_on_graded_mesh(self, rng, vector):
+        mesh, tb = _graded_tables()
+        dofs = tb.dofs_vec if vector else tb.conn
+        nd = dofs.shape[1]
+        # entries spanning many decades make the summation order visible
+        KE = (rng.normal(size=(mesh.n_elems, nd, nd))
+              * 10.0 ** rng.integers(-8, 9, size=(mesh.n_elems, nd, nd)))
+        pattern = tb.vector_pattern if vector else tb.scalar_pattern
+        ref = _coo_reference(dofs, KE, pattern.shape[0])
+        assert _same_csr(pattern.matrix(KE), ref)
+        assert np.array_equal(pattern.indices[pattern.diag],
+                              np.arange(pattern.shape[0]))
+
+    def test_pattern_is_built_once_and_shared(self, rng):
+        _, tb = _graded_tables()
+        KE = rng.normal(size=(tb.n_elems, 4, 4))
+        A = assemble_batched(tb, KE, np.zeros((tb.n_elems, 4))).matrix
+        B = assemble_batched(tb, 2.0 * KE, np.zeros((tb.n_elems, 4))).matrix
+        assert tb.scalar_pattern is tb.scalar_pattern
+        assert np.shares_memory(A.indices, B.indices)
+        assert not tb.scalar_pattern.indices.flags.writeable
+
+
+def _rebuilt_elimination(system, dofs, values):
+    """Row/column elimination by rebuilding the matrix: A * mask + diag."""
+    n = system.matrix.shape[0]
+    g = np.zeros(n)
+    g[dofs] = values
+    rhs = system.rhs - system.matrix @ g
+    keep = np.ones(n)
+    keep[dofs] = 0.0
+    A = system.matrix.tocsr(copy=True)
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    A.data = A.data * (keep[rows] * keep[A.indices])
+    A = (A + sp.diags(1.0 - keep)).tocsr()
+    rhs = rhs * keep
+    rhs[dofs] = values
+    return A, rhs
+
+
 class TestDirichlet:
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_mask_equals_rebuilt_elimination(self, rng, vector):
+        mesh, tb = _graded_tables()
+        nd = 8 if vector else 4
+        KE = rng.normal(size=(mesh.n_elems, nd, nd))
+        KE[:, 0, 1] = 0.0          # explicit zeros in the assembled operator
+        sys_ = assemble_batched(tb, KE, rng.normal(size=(mesh.n_elems, nd)), vector=vector)
+        pattern = tb.vector_pattern if vector else tb.scalar_pattern
+        dofs = np.unique(rng.choice(pattern.shape[0], 12, replace=False))
+        vals = rng.normal(size=dofs.size)
+        fixed = apply_dirichlet(sys_, Dirichlet.on(pattern, dofs, vals))
+        A_ref, rhs_ref = _rebuilt_elimination(sys_, dofs, vals)
+        assert _same_csr(fixed.matrix, A_ref)
+        assert fixed.rhs.tobytes() == rhs_ref.tobytes()
+        assert np.all(fixed.matrix.data != 0.0)
+
+    def test_no_constraints_leave_the_system_alone(self, rng):
+        _, tb = _graded_tables()
+        sys_ = assemble_batched(tb, rng.normal(size=(tb.n_elems, 4, 4)),
+                                rng.normal(size=(tb.n_elems, 4)))
+        bc = Dirichlet.on(tb.scalar_pattern, np.empty(0, dtype=np.int64), np.empty(0))
+        fixed = apply_dirichlet(sys_, bc)
+        assert fixed.matrix is sys_.matrix and fixed.rhs is sys_.rhs
+
     def test_rows_and_columns_reduced_to_identity(self, rng):
         m = generate_rect_mesh(1.0, 1.0, 2, 2)
         tb = build_tables(m)
@@ -110,7 +196,7 @@ class TestDirichlet:
         sys_ = assemble_batched(tb, KE, rng.normal(size=(m.n_elems, 4)))
         dofs = np.array([0, 4])
         vals = np.array([2.0, -1.0])
-        fixed = apply_dirichlet(sys_, dofs, vals)
+        fixed = apply_dirichlet(sys_, Dirichlet.on(tb.scalar_pattern, dofs, vals))
         A = fixed.matrix.toarray()
         for d, g in zip(dofs, vals):
             assert np.allclose(A[d], np.eye(9)[d])
@@ -133,6 +219,20 @@ class TestSolveLinear:
         x = solve_linear(sys_)
         assert np.allclose(x, np.linalg.solve(A, b), rtol=1e-12)
         assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    def test_filled_factor_is_reused_until_invalidated(self, monkeypatch):
+        calls = []
+        splu = spla.splu
+        monkeypatch.setattr(spla, "splu", lambda A: calls.append(1) or splu(A))
+        A = sp.csr_matrix(np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]))
+        factor = Factorization()
+        x1 = solve_linear(SparseSystem(A, np.array([1.0, 0.0, 0.0])), factor)
+        x2 = solve_linear(SparseSystem(A, np.array([0.0, 1.0, 0.0])), factor)
+        assert len(calls) == 1
+        assert np.allclose(A @ x1, [1.0, 0.0, 0.0]) and np.allclose(A @ x2, [0.0, 1.0, 0.0])
+        factor.invalidate()
+        solve_linear(SparseSystem(2.0 * A, np.ones(3)), factor)
+        assert len(calls) == 2
 
     def test_singular_matrix_fails_with_diagnostics(self):
         A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))

@@ -3,11 +3,13 @@ import pytest
 
 from thmfrac import constitutive as law
 from thmfrac.constitutive import MaterialParams
-from thmfrac.fem import apply_dirichlet, build_tables, gauss_2x2, shape_q4, solve_linear
+from thmfrac.fem import (Dirichlet, apply_dirichlet, build_tables, gauss_2x2, shape_q4,
+                         solve_linear)
 from thmfrac.mesh import generate_rect_mesh
 from thmfrac.physics import (build_flow_system, build_heat_system,
                              build_mechanics_system, build_phasefield_system,
-                             mechanics_residual, scalar_qp, strain_qp)
+                             mechanics_branch_flags, mechanics_residual, scalar_qp,
+                             strain_qp)
 
 # ---------------------------------------------------------------------------
 # dense reference assemblies (independent loop-based implementations)
@@ -126,10 +128,10 @@ class TestMechanics:
     def test_intact_stiffness_matches_dense_assembly(self, small_setup):
         mesh, tb, mp = small_setup
         u, p, T, v = _uniform_state(mesh, mp)
-        system = build_mechanics_system(tb, mp, v, p, T, u, np.zeros(2 * mesh.n_nodes))
+        op = build_mechanics_system(tb, mp, v, mechanics_branch_flags(tb, mp, u, T))
         ref = dense_elastic_stiffness(mesh, plane_strain_C(mp))
         scale = np.abs(ref).max()
-        assert np.allclose(system.matrix.toarray(), ref, atol=1e-12 * scale)
+        assert np.allclose(op.matrix.toarray(), ref, atol=1e-12 * scale)
 
     def test_jacobian_matches_finite_differences(self, small_setup, rng):
         mesh, tb, mp = small_setup
@@ -139,7 +141,7 @@ class TestMechanics:
         T = np.full(n, mp.T0) + rng.uniform(0, 5, n)
         v = rng.uniform(0.3, 1.0, n)
         f_ext = np.zeros(2 * n)
-        J = build_mechanics_system(tb, mp, v, p, T, u, f_ext).matrix.toarray()
+        J = build_mechanics_system(tb, mp, v, mechanics_branch_flags(tb, mp, u, T)).matrix.toarray()
         h = 1e-8
         fd = np.empty_like(J)
         for i in range(2 * n):
@@ -329,7 +331,7 @@ class TestHeat:
         right = mesh.boundary_nodes["right"]
         dofs = np.concatenate([left, right])
         vals = np.concatenate([np.full(left.size, 301.0), np.full(right.size, 300.0)])
-        fixed = apply_dirichlet(system, dofs, vals)
+        fixed = apply_dirichlet(system, Dirichlet.on(tb.scalar_pattern, dofs, vals))
         Tsol = solve_linear(fixed)
         row = mesh.boundary_nodes["bottom"]
         prof = Tsol[row]

@@ -2,14 +2,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from thmfrac import analytic
 from thmfrac.constitutive import MaterialParams
 from thmfrac.errors import NonConvergence
-from thmfrac.fem import build_tables
+from thmfrac.fem import Dirichlet, SparseSystem, build_tables, solve_linear
 from thmfrac.mesh import generate_rect_mesh, nodes_on_segment
+from thmfrac.physics import build_mechanics_system, mechanics_branch_flags, mechanics_rhs
 from thmfrac.presets import terzaghi
 from thmfrac.scenario import build_simulation
-from thmfrac.staggered import SolverControls, Simulation, run
+from thmfrac.staggered import SolverControls, Simulation, _AndersonMixer, run
 
 
 def make_cracked_strip(Gc=10.0, load=0.0, k_res=1e-6, solve_thermal=False):
@@ -149,3 +152,69 @@ class TestConvergenceControl:
     def test_schedule_step_counts(self):
         controls = SolverControls(dt_schedule=[(0.1, 0.01), (3.9, 0.1)])
         assert controls.n_steps() == 49
+
+
+class TestTerzaghiFromRest:
+    def test_column_consolidates_against_series(self):
+        # a column loaded from rest returns p = 0 on its first inner pass;
+        # on this draw Anderson mixing used to cancel the next update and
+        # the step converged to p = 0 everywhere (relative error 1.0)
+        cfg = terzaghi()
+        cfg.nx = 20
+        cfg.controls = dataclasses.replace(cfg.controls, dt_schedule=[(10.0, 2.0)])
+        sim = build_simulation(cfg)
+        result = run(sim, cfg.controls)
+        row = sim.mesh.boundary_nodes["bottom"]
+        xs = sim.mesh.nodes[row, 0]
+        load = cfg.bcs_mech[0].traction[0]
+        coeffs = analytic.terzaghi_coeffs(cfg.materials, cfg.domain[0])
+        p_ref = analytic.terzaghi_pressure(xs, result.times[-1], load, cfg.domain[0], coeffs)
+        err = np.linalg.norm(result.states[-1].p[row] - p_ref) / np.linalg.norm(p_ref)
+        assert err <= 0.02
+
+    def test_mixer_passes_a_zero_residual_through(self):
+        mixer = _AndersonMixer()
+        x0 = np.zeros(3)
+        assert np.array_equal(mixer.mix(x0, x0), x0)
+        g1 = np.array([1.0, 2.0, 3.0])
+        # the zero column was dropped: the next call is a plain first step
+        assert np.array_equal(mixer.mix(x0, g1), g1)
+
+
+def _fresh_mechanics_solve(sim, v, p, T, h):
+    op = build_mechanics_system(sim.tables, sim.params, v, h)
+    bc = Dirichlet.on(sim.tables.vector_pattern, *sim.bc_u)
+    rhs = mechanics_rhs(sim.tables, sim.params, op, p, T, sim.f_ext)
+    return solve_linear(SparseSystem(bc.matrix(op.matrix), bc.rhs(op.matrix, rhs)))
+
+
+class TestMechanicsOperatorLifetime:
+    def _inputs(self, rng):
+        sim = make_cracked_strip(load=1e4)
+        n = sim.mesh.n_nodes
+        state = sim.initial_state()
+        h = mechanics_branch_flags(sim.tables, sim.params, state.u, state.T)
+        return sim, state, h, rng.uniform(0.0, 1e4, n)
+
+    def test_unchanged_operator_takes_no_new_factorization(self, rng, monkeypatch):
+        calls = []
+        splu = spla.splu
+        monkeypatch.setattr(spla, "splu", lambda A: calls.append(1) or splu(A))
+        sim, state, h, p = self._inputs(rng)
+        u1 = sim._solve_u(state.v, state.p, state.T, h)
+        u2 = sim._solve_u(state.v.copy(), p, state.T, h.copy())
+        assert len(calls) == 1
+        assert not np.array_equal(u1, u2)
+        assert np.array_equal(u2, _fresh_mechanics_solve(sim, state.v, p, state.T, h))
+
+    def test_solve_after_a_change_in_v_equals_a_fresh_solve(self, rng, monkeypatch):
+        sim, state, h, p = self._inputs(rng)
+        sim._solve_u(state.v, p, state.T, h)
+        v = state.v.copy()
+        v[rng.choice(v.size, 10, replace=False)] = 0.3
+        calls = []
+        splu = spla.splu
+        monkeypatch.setattr(spla, "splu", lambda A: calls.append(1) or splu(A))
+        u = sim._solve_u(v, p, state.T, h)
+        assert len(calls) == 1
+        assert np.array_equal(u, _fresh_mechanics_solve(sim, v, p, state.T, h))
