@@ -47,7 +47,6 @@ class ScenarioRunner:
         name = f"snapshot_{self._step:06d}.vtk"
         mesh = self.sim.mesh
         cell = element_cell_data(self.sim.tables, self.sim.params, state,
-                                 width_variant=self.cfg.width_variant,
                                  porosity_variant=self.cfg.porosity_variant)
         write_vtk(self.out_dir / name, mesh,
                   point_data={"p": state.p, "T": state.T, "v": state.v},

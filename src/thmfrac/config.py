@@ -65,7 +65,6 @@ class ScenarioConfig:
     solve_phasefield: bool = True
     stabilization: bool = True
     porosity_variant: str = "phi1"
-    width_variant: str = "eps1"
     bcs_mech: list[MechBC] = field(default_factory=list)
     bcs_flow: list[ScalarBC] = field(default_factory=list)
     bcs_heat: list[ScalarBC] = field(default_factory=list)
@@ -263,14 +262,12 @@ def config_from_dict(raw: dict, name_hint: str = "scenario") -> ScenarioConfig:
 
     phys = ck.section(raw, "physics", "physics")
     ck.unknown(phys, {"solve_thermal", "solve_phasefield", "stabilization",
-                      "porosity_variant", "width_variant"}, "physics")
+                      "porosity_variant"}, "physics")
     solve_thermal = ck.boolean(phys, "solve_thermal", "physics", True)
     solve_phasefield = ck.boolean(phys, "solve_phasefield", "physics", True)
     stabilization = ck.boolean(phys, "stabilization", "physics", True)
     porosity_variant = ck.choice(phys, "porosity_variant", "physics",
                                  ("phi1", "phi0"), "phi1")
-    width_variant = ck.choice(phys, "width_variant", "physics",
-                              ("eps1", "vol"), "eps1")
 
     bcs = ck.section(raw, "bcs", "bcs")
     ck.unknown(bcs, {"mechanics", "flow", "heat"}, "bcs")
@@ -417,7 +414,7 @@ def config_from_dict(raw: dict, name_hint: str = "scenario") -> ScenarioConfig:
         controls=controls, refine_bands=bands, cracks=cracks,
         weak_interfaces=interfaces, solve_thermal=solve_thermal,
         solve_phasefield=solve_phasefield, stabilization=stabilization,
-        porosity_variant=porosity_variant, width_variant=width_variant,
+        porosity_variant=porosity_variant,
         bcs_mech=bcs_mech, bcs_flow=bcs_flow, bcs_heat=bcs_heat,
         injection=injection, p_init=p_init, probes=probes,
         snapshot_every=snapshot_every)
@@ -448,7 +445,6 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
             "solve_phasefield": cfg.solve_phasefield,
             "stabilization": cfg.stabilization,
             "porosity_variant": cfg.porosity_variant,
-            "width_variant": cfg.width_variant,
         },
         "bcs": {"mechanics": [], "flow": [], "heat": []},
         "initial": {"pressure": cfg.p_init},

@@ -7,14 +7,15 @@ All functions broadcast over leading array dimensions, so the same code
 serves scalar unit tests and batched quadrature-point evaluation.
 
 Phase field convention: v = 1 intact, v = 0 fully broken. The Heaviside
-flag ``tr_sign`` is H(Tr eps_e) (1 for opening, 0 for closing), shared by
-the stiffness, Biot coefficient and storage derivatives.
+flag ``tr_sign`` is H(Tr eps_e) (1 for opening, 0 for closing), formed by
+``thermoelastic_split`` only and shared by the stiffness, Biot coefficient
+and storage derivatives.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,12 +105,11 @@ class MaterialParams:
 class QPState:
     """Derived quadrature-point quantities (fields broadcast together)."""
 
-    crack_normal: np.ndarray    # (..., 2) unit e1
     width: np.ndarray           # [m]
     porosity: np.ndarray
     perm: np.ndarray            # (..., 2, 2) [m^2]
     tr_sign: np.ndarray         # H(Tr eps_e)
-    alpha: np.ndarray = field(default=None)  # effective Biot coefficient
+    alpha: np.ndarray           # effective Biot coefficient
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +123,6 @@ def degradation(v, k_res: float):
         raise ValueError("phase field outside [0, 1] beyond tolerance")
     v = np.clip(v, 0.0, 1.0)
     return (1.0 - k_res) * v * v + k_res
-
-
-def degradation_dv(v, k_res: float):
-    """dg/dv = 2 (1 - k) v."""
-    v = np.clip(np.asarray(v, dtype=float), 0.0, 1.0)
-    return 2.0 * (1.0 - k_res) * v
 
 
 def trace2(eps):
@@ -214,25 +208,23 @@ def biot_coefficient(v, tr_sign, params: MaterialParams):
     return 1.0 - (g * h + (1.0 - h)) * (1.0 - params.alpha_m)
 
 
-def elastic_strain(eps, dT, alpha_s: float) -> np.ndarray:
-    """In-plane part of eps_e = eps - alpha_s dT I (shear unchanged).
+def thermoelastic_split(eps, dT, alpha_s: float):
+    """Elastic strain eps_e = eps - alpha_s dT I and its energy-split flag.
 
-    The thermal strain is isotropic in 3D, so under plane strain the
-    elastic strain also carries an out-of-plane component
-    eps_zz,e = -alpha_s dT (the total strain has eps_zz = 0); pass it as
-    ``eps_zz`` to the trace/energy/stress helpers.
+    Returns ``(eps_e, ezz, tr_e, tr_sign)``: the in-plane Voigt part of
+    eps_e (shear unchanged), its out-of-plane component ezz = -alpha_s dT
+    (the thermal strain is isotropic in 3D while the total strain has
+    eps_zz = 0 under plane strain), Tr eps_e = trace2(eps_e) + ezz and
+    H(Tr eps_e). Pass ``ezz`` as ``eps_zz`` to the energy/stress helpers.
     """
     eps = np.asarray(eps, dtype=float)
     dT = np.asarray(dT, dtype=float)
-    out = eps.copy()
-    out[..., 0] -= alpha_s * dT
-    out[..., 1] -= alpha_s * dT
-    return out
-
-
-def elastic_trace(eps, dT, alpha_s: float):
-    """Tr(eps_e) = Tr(eps) - 3 alpha_s dT under plane strain."""
-    return trace2(eps) - 3.0 * alpha_s * np.asarray(dT, dtype=float)
+    eps_e = eps.copy()
+    eps_e[..., 0] -= alpha_s * dT
+    eps_e[..., 1] -= alpha_s * dT
+    ezz = -alpha_s * dT
+    tr_e = trace2(eps_e) + ezz
+    return eps_e, ezz, tr_e, heaviside(tr_e)
 
 
 def total_stress(eps, v, p, T, params: MaterialParams) -> np.ndarray:
@@ -243,9 +235,7 @@ def total_stress(eps, v, p, T, params: MaterialParams) -> np.ndarray:
     -3 alpha_s K_eff dT I thermal stress.
     """
     dT = np.asarray(T, dtype=float) - params.T0
-    eps_e = elastic_strain(eps, dT, params.alpha_s)
-    ezz = -params.alpha_s * dT
-    h = heaviside(trace2(eps_e) + ezz)
+    eps_e, ezz, _, h = thermoelastic_split(eps, dT, params.alpha_s)
     s = effective_stress(eps_e, v, h, params, eps_zz=ezz)
     a = biot_coefficient(v, h, params)
     p = np.asarray(p, dtype=float)
@@ -273,15 +263,15 @@ def principal_strains(eps):
     return c + r, c - r
 
 
-def crack_normal(eps, degenerate_tol: float = 1e-12) -> np.ndarray:
+def crack_normal(eps, e1, e2, degenerate_tol: float = 1e-12) -> np.ndarray:
     """Unit eigenvector of the largest principal strain, shape (..., 2).
 
-    Deterministic sign (first nonzero component positive); degenerate
-    (isotropic) states return (1, 0).
+    ``e1, e2`` are the ``principal_strains`` of ``eps``. Deterministic sign
+    (first nonzero component positive); degenerate (isotropic) states
+    return (1, 0).
     """
     eps = np.asarray(eps, dtype=float)
     exx, eyy, exy = eps[..., 0], eps[..., 1], 0.5 * eps[..., 2]
-    e1, e2 = principal_strains(eps)
     degen = (e1 - e2) <= degenerate_tol
     # two candidate (unnormalized) eigenvectors; pick the better conditioned
     vx_a, vy_a = e1 - eyy, exy
@@ -301,27 +291,21 @@ def crack_normal(eps, degenerate_tol: float = 1e-12) -> np.ndarray:
     return np.stack([vx, vy], axis=-1)
 
 
-def fracture_width(eps, h_e, variant: str = "eps1"):
-    """Smeared aperture w = h_e <e1>+ ("eps1") or h_e <tr eps>+ ("vol")."""
-    if variant == "eps1":
-        e, _ = principal_strains(eps)
-    elif variant == "vol":
-        e = trace2(eps)
-    else:
-        raise ValueError(f"unknown width variant {variant!r}")
-    return np.asarray(h_e, dtype=float) * np.maximum(e, 0.0)
+def fracture_width(e1, h_e):
+    """Smeared aperture w = h_e <e1>+ from the largest principal strain."""
+    return np.asarray(h_e, dtype=float) * np.maximum(e1, 0.0)
 
 
-def porosity(eps, params: MaterialParams, variant: str = "phi1",
+def porosity(e1, params: MaterialParams, variant: str = "phi1",
              v=None, tr_sign=None):
     """Porosity update, clamped to [phi_m, 1].
 
-    "phi1": phi_m + <eps1>+ of the total strain; independent of the phase
-    field and of the regularization length by construction.
+    "phi1": phi_m + <e1>+, with e1 the largest principal total strain;
+    independent of the phase field and of the regularization length by
+    construction.
     "phi0": damage-driven 1 - [g(v) H(+) + H(-)](1 - phi_m).
     """
     if variant == "phi1":
-        e1, _ = principal_strains(eps)
         phi = params.phi_m + np.maximum(e1, 0.0)
     elif variant == "phi0":
         if v is None or tr_sign is None:
@@ -402,16 +386,16 @@ def stabilization_conductivity(q_norm, h_e, params: MaterialParams):
     return stabilization_diffusivity(q_norm, h_e, params.s_stab) * params.rho_f * params.c_pf
 
 
-def biot_modulus_pressure_drive(eps_vol, p, v, tr_sign, params: MaterialParams):
-    """Damage driving term p^2/2 * d(1/M_p)/dv, in product form.
+def biot_modulus_pressure_drive(eps_vol, p, tr_sign, params: MaterialParams):
+    """Coefficient of v in the damage driving term p^2/2 * d(1/M_p)/dv.
 
-    Equals p * eps_vol * v (1-k) H(Tr eps_e) (1 - alpha_m); finite for all
-    p, unlike the raw derivative (2 eps_vol / p) v (1-k) H (1 - alpha_m).
+    The term is linear in v, v * p eps_vol (1-k) H(Tr eps_e) (1 - alpha_m),
+    in product form; finite for all p, unlike the raw derivative
+    (2 eps_vol / p) v (1-k) H (1 - alpha_m).
     """
-    v = np.clip(np.asarray(v, dtype=float), 0.0, 1.0)
     h = np.asarray(tr_sign, dtype=float)
     return (np.asarray(p, dtype=float) * np.asarray(eps_vol, dtype=float)
-            * v * (1.0 - params.k_res) * h * (1.0 - params.alpha_m))
+            * (1.0 - params.k_res) * h * (1.0 - params.alpha_m))
 
 
 # ---------------------------------------------------------------------------
@@ -419,17 +403,13 @@ def biot_modulus_pressure_drive(eps_vol, p, v, tr_sign, params: MaterialParams):
 # ---------------------------------------------------------------------------
 
 def qp_state(eps, dT, h_e, v, params: MaterialParams,
-             width_variant: str = "eps1",
              porosity_variant: str = "phi1") -> QPState:
     """Evaluate all derived quadrature-point quantities at once."""
     eps = np.asarray(eps, dtype=float)
-    eps_e = elastic_strain(eps, dT, params.alpha_s)
-    ezz = -params.alpha_s * np.asarray(dT, dtype=float)
-    tr_sign = heaviside(trace2(eps_e) + ezz)
-    normal = crack_normal(eps)
-    width = fracture_width(eps, h_e, width_variant)
-    phi = porosity(eps, params, porosity_variant, v=v, tr_sign=tr_sign)
-    perm = permeability(v, width, normal, params)
+    tr_sign = thermoelastic_split(eps, dT, params.alpha_s)[3]
+    e1, e2 = principal_strains(eps)
+    width = fracture_width(e1, h_e)
+    phi = porosity(e1, params, porosity_variant, v=v, tr_sign=tr_sign)
+    perm = permeability(v, width, crack_normal(eps, e1, e2), params)
     alpha = biot_coefficient(v, tr_sign, params)
-    return QPState(crack_normal=normal, width=width, porosity=phi,
-                   perm=perm, tr_sign=tr_sign, alpha=alpha)
+    return QPState(width=width, porosity=phi, perm=perm, tr_sign=tr_sign, alpha=alpha)

@@ -181,11 +181,10 @@ def build_tables(mesh: Mesh) -> ElementTables:
 
 @dataclass
 class SparseSystem:
-    """Assembled linear system A x = b with its node-to-dof convention."""
+    """Assembled linear system A x = b."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    ndof_per_node: int = 1
 
 
 def assemble(mesh: Mesh, element_kernel, ndof_per_node: int = 1) -> SparseSystem:
@@ -222,15 +221,14 @@ def assemble(mesh: Mesh, element_kernel, ndof_per_node: int = 1) -> SparseSystem
     A = sp.coo_matrix((KE.ravel(), (rows, cols)), shape=(n_dofs, n_dofs)).tocsr()
     b = np.zeros(n_dofs)
     np.add.at(b, dofs.ravel(), FE.ravel())
-    return SparseSystem(matrix=A, rhs=b, ndof_per_node=ndof_per_node)
+    return SparseSystem(matrix=A, rhs=b)
 
 
 def assemble_batched(tables: ElementTables, KE: np.ndarray, FE: np.ndarray,
                      vector: bool = False) -> SparseSystem:
     """Sum precomputed element matrices/vectors into a global system."""
     pattern = tables.vector_pattern if vector else tables.scalar_pattern
-    return SparseSystem(matrix=pattern.matrix(KE), rhs=scatter_vector(tables, FE, vector),
-                        ndof_per_node=2 if vector else 1)
+    return SparseSystem(matrix=pattern.matrix(KE), rhs=scatter_vector(tables, FE, vector))
 
 
 def scatter_vector(tables: ElementTables, FE: np.ndarray, vector: bool = False) -> np.ndarray:
@@ -296,8 +294,7 @@ class Dirichlet:
 def apply_dirichlet(system: SparseSystem, bc: Dirichlet) -> SparseSystem:
     """The system with ``bc`` eliminated (see ``Dirichlet``)."""
     return SparseSystem(matrix=bc.matrix(system.matrix),
-                        rhs=bc.rhs(system.matrix, system.rhs),
-                        ndof_per_node=system.ndof_per_node)
+                        rhs=bc.rhs(system.matrix, system.rhs))
 
 
 # ---------------------------------------------------------------------------

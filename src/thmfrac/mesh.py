@@ -53,8 +53,6 @@ class Mesh:
     ys: np.ndarray  # grid lines along y
     boundary_nodes: dict[str, np.ndarray] = field(default_factory=dict)
     boundary_edges: dict[str, np.ndarray] = field(default_factory=dict)
-    region_elems: dict[str, np.ndarray] = field(default_factory=dict)
-    node_sets: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def n_nodes(self) -> int:

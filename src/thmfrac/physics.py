@@ -8,8 +8,9 @@ operators are linear once the lagged staggered quantities are frozen):
 * heat         — lumped storage + advection with the lagged Darcy flux +
   conduction with the isotropic balancing dissipation;
 * flow         — backward-Euler mass balance with the fixed-stress
-  relaxation terms (pressure and thermal) and the lagged volumetric
-  strain increment on the right-hand side;
+  relaxation terms and the lagged volumetric strain increment on the
+  right-hand side. The thermal relaxation term is currently zero, because
+  heat is solved before flow within an iterate (ROADMAP open item 1);
 * mechanics    — degraded effective stress with pressure and thermal
   contributions moved to the right-hand side. Its operator depends only
   on (v, branch flags) and is built apart from the right-hand side, so a
@@ -87,14 +88,12 @@ def darcy_flux_qp(tables: ElementTables, params: MaterialParams,
 
 
 def qp_state(tables: ElementTables, params: MaterialParams, u: np.ndarray,
-             T: np.ndarray, v: np.ndarray, width_variant: str = "eps1",
-             porosity_variant: str = "phi1") -> law.QPState:
+             T: np.ndarray, v: np.ndarray, porosity_variant: str = "phi1") -> law.QPState:
     """Constitutive state on all quadrature points for given nodal fields."""
     eps = strain_qp(tables, u)
     dT = scalar_qp(tables, T) - params.T0
     v_qp = scalar_qp(tables, v)
     return law.qp_state(eps, dT, tables.h_e_qp, v_qp, params,
-                        width_variant=width_variant,
                         porosity_variant=porosity_variant)
 
 
@@ -131,18 +130,11 @@ def _load(tables: ElementTables, source: np.ndarray) -> np.ndarray:
 # mechanics
 # ---------------------------------------------------------------------------
 
-def _mech_point_fields(tables, params, v, p, T):
-    v_qp = scalar_qp(tables, v)
-    p_qp = scalar_qp(tables, p)
-    dT_qp = scalar_qp(tables, T) - params.T0
-    return v_qp, p_qp, dT_qp
-
-
 def mechanics_branch_flags(tables: ElementTables, params: MaterialParams,
                            u: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Opening/closing Heaviside flags H(Tr eps_e) at quadrature points."""
     dT = scalar_qp(tables, T) - params.T0
-    return law.heaviside(law.elastic_trace(strain_qp(tables, u), dT, params.alpha_s))
+    return law.thermoelastic_split(strain_qp(tables, u), dT, params.alpha_s)[3]
 
 
 @dataclass
@@ -197,11 +189,10 @@ def mechanics_residual(tables: ElementTables, params: MaterialParams,
                        u: np.ndarray, v: np.ndarray, p: np.ndarray,
                        T: np.ndarray, f_ext: np.ndarray) -> np.ndarray:
     """Internal force of the evaluated stress state minus external loads."""
-    v_qp, p_qp, dT_qp = _mech_point_fields(tables, params, v, p, T)
-    eps = strain_qp(tables, u)
-    eps_e = law.elastic_strain(eps, dT_qp, params.alpha_s)
-    ezz = -params.alpha_s * dT_qp
-    h = law.heaviside(law.trace2(eps_e) + ezz)
+    v_qp = scalar_qp(tables, v)
+    p_qp = scalar_qp(tables, p)
+    dT_qp = scalar_qp(tables, T) - params.T0
+    eps_e, ezz, _, h = law.thermoelastic_split(strain_qp(tables, u), dT_qp, params.alpha_s)
     sig = law.effective_stress(eps_e, v_qp, h, params, eps_zz=ezz)
     alpha = law.biot_coefficient(v_qp, h, params)
     sig = sig - (alpha * p_qp)[..., None] * _VOIGT_ID
@@ -218,17 +209,18 @@ def build_flow_system(tables: ElementTables, params: MaterialParams,
                       T_new: np.ndarray, u_prev: np.ndarray,
                       p_prev: np.ndarray, T_prev: np.ndarray, dt: float,
                       source: np.ndarray | None = None,
-                      porosity_variant: str = "phi1",
-                      width_variant: str = "eps1") -> SparseSystem:
+                      porosity_variant: str = "phi1") -> SparseSystem:
     """Pressure system of the fixed-stress step.
 
     Left-hand side: (1/M_p + alpha^2/K_eff)/dt storage + Darcy stiffness.
     Right-hand side: previous-step storage, thermal coupling against M_T,
     the fixed-stress relaxation history, the lagged volumetric-strain
-    increment and nodal sources.
+    increment and nodal sources. Of the relaxation history only the
+    pressure term acts: the thermal term 3 alpha alpha_s (T_new - T_it)/dt
+    is zero, because heat is solved before flow within an iterate and
+    T_it = T_new (ROADMAP open item 1).
     """
-    st = qp_state(tables, params, u_it, T_new, v,
-                  width_variant=width_variant, porosity_variant=porosity_variant)
+    st = qp_state(tables, params, u_it, T_new, v, porosity_variant=porosity_variant)
     v_qp = scalar_qp(tables, v)
     K_eff = law.effective_bulk(v_qp, st.tr_sign, params)
     if np.any(K_eff <= 0.0) or not np.all(np.isfinite(K_eff)):
@@ -270,8 +262,7 @@ def build_heat_system(tables: ElementTables, params: MaterialParams,
                       T_prev: np.ndarray, dt: float,
                       stabilization: bool = True,
                       source: np.ndarray | None = None,
-                      porosity_variant: str = "phi1",
-                      width_variant: str = "eps1") -> SparseSystem:
+                      porosity_variant: str = "phi1") -> SparseSystem:
     """Temperature system with the lagged Darcy flux q_f^(m-1).
 
     The operator is linear in T: storage is row-sum lumped (keeps the
@@ -279,8 +270,7 @@ def build_heat_system(tables: ElementTables, params: MaterialParams,
     rho_f c_pf q_f . grad T, and conduction carries lambda_eff plus the
     balancing dissipation 1/2 s ||q_f|| h_e scaled by rho_f c_pf.
     """
-    st = qp_state(tables, params, u_it, T_prev, v,
-                  width_variant=width_variant, porosity_variant=porosity_variant)
+    st = qp_state(tables, params, u_it, T_prev, v, porosity_variant=porosity_variant)
     rhoc = law.heat_capacity_eff(st.porosity, params)
     lam = law.conductivity_eff(st.porosity, params)
     q_f = darcy_flux_qp(tables, params, st.perm, p_it)
@@ -321,16 +311,11 @@ def build_phasefield_system(tables: ElementTables, params: MaterialParams,
     contributes the gradient stiffness for both variants, and for n = 2 an
     extra mass term plus constant source; for n = 1 only a constant source.
     """
-    eps = strain_qp(tables, u_it)
     dT_qp = scalar_qp(tables, T_it) - params.T0
-    eps_e = law.elastic_strain(eps, dT_qp, params.alpha_s)
-    ezz = -params.alpha_s * dT_qp
-    tr_e = law.trace2(eps_e) + ezz
-    h = law.heaviside(tr_e)
+    eps_e, ezz, tr_e, h = law.thermoelastic_split(strain_qp(tables, u_it), dT_qp,
+                                                  params.alpha_s)
     psi_plus, _ = law.energy_split_vd(eps_e, params.K_m, params.mu_shear, eps_zz=ezz)
-    p_qp = scalar_qp(tables, p_it)
-    # coefficient of v in p^2/2 d(1/Mp)/dv (product form)
-    drive_p = p_qp * tr_e * (1.0 - params.k_res) * h * (1.0 - params.alpha_m)
+    drive_p = law.biot_modulus_pressure_drive(tr_e, scalar_qp(tables, p_it), h, params)
 
     gamma = (gc_elem / (4.0 * params.c_n))[:, None] * np.ones((1, 4))
     ell = params.ell

@@ -9,7 +9,7 @@ from .constitutive import MaterialParams
 from .errors import PointNotFound
 from .fem import ElementTables
 from .mesh import Mesh, locate_point
-from .physics import FieldState, scalar_qp, strain_qp
+from .physics import FieldState, qp_state
 
 _FIELDS = ("p", "T", "v", "ux", "uy")
 
@@ -48,8 +48,7 @@ def probe(mesh: Mesh, state: FieldState, field: str, point) -> float:
     return float(interpolate(mesh, nodal, np.asarray(point, dtype=float))[0])
 
 
-def width_at(tables: ElementTables, state: FieldState, point,
-             variant: str = "eps1") -> float:
+def width_at(tables: ElementTables, state: FieldState, point) -> float:
     """Smeared fracture width h_e <eps1>+ at the nearest quadrature point."""
     mesh = tables.mesh
     eid, _ = locate_point(mesh, *np.asarray(point, dtype=float))
@@ -57,8 +56,8 @@ def width_at(tables: ElementTables, state: FieldState, point,
     qp_xy = tables.N @ mesh.nodes[mesh.elems[eid]]          # (4, 2)
     d2 = np.sum((qp_xy - np.asarray(point, dtype=float)) ** 2, axis=1)
     q = int(np.argmin(d2))
-    w = law.fracture_width(eps[q], mesh.h_e[eid], variant)
-    return float(w)
+    e1, _ = law.principal_strains(eps[q])
+    return float(law.fracture_width(e1, mesh.h_e[eid]))
 
 
 def fracture_length(mesh: Mesh, v: np.ndarray, path: np.ndarray,
@@ -113,14 +112,9 @@ def fracture_length(mesh: Mesh, v: np.ndarray, path: np.ndarray,
 
 
 def element_cell_data(tables: ElementTables, params: MaterialParams,
-                      state: FieldState, width_variant: str = "eps1",
-                      porosity_variant: str = "phi1") -> dict[str, np.ndarray]:
+                      state: FieldState, porosity_variant: str = "phi1") -> dict[str, np.ndarray]:
     """Element-averaged derived quantities for snapshot output."""
-    eps = strain_qp(tables, state.u)
-    dT = scalar_qp(tables, state.T) - params.T0
-    v_qp = scalar_qp(tables, state.v)
-    st = law.qp_state(eps, dT, tables.h_e_qp, v_qp, params,
-                      width_variant=width_variant, porosity_variant=porosity_variant)
+    st = qp_state(tables, params, state.u, state.T, state.v, porosity_variant=porosity_variant)
     return {
         "width": st.width.mean(axis=1),
         "porosity": st.porosity.mean(axis=1),

@@ -59,8 +59,6 @@ def build_simulation(cfg: ScenarioConfig) -> Simulation:
         crack_nodes.append(found)
     cracks = (np.unique(np.concatenate(crack_nodes)) if crack_nodes
               else np.empty(0, dtype=np.int64))
-    if cracks.size:
-        mesh.node_sets["crack"] = cracks
 
     f_ext = np.zeros(2 * mesh.n_nodes)
     mech_entries: list[tuple[np.ndarray, float]] = []
@@ -91,7 +89,7 @@ def build_simulation(cfg: ScenarioConfig) -> Simulation:
         mesh=mesh, tables=tables, params=mp, gc_elem=gc_elem,
         solve_thermal=cfg.solve_thermal, solve_phasefield=cfg.solve_phasefield,
         stabilization=cfg.stabilization, porosity_variant=cfg.porosity_variant,
-        width_variant=cfg.width_variant, bc_u=bc_u, bc_p=bc_p, bc_T=bc_T,
+        bc_u=bc_u, bc_p=bc_p, bc_T=bc_T,
         f_ext=f_ext, q_flow=q_flow, crack_nodes=cracks, p_init=cfg.p_init)
 
 
@@ -103,8 +101,7 @@ def evaluate_probes(cfg: ScenarioConfig, sim: Simulation,
         if spec.kind == "field":
             out[spec.name] = probe(sim.mesh, state, spec.field, spec.point)
         elif spec.kind == "width":
-            out[spec.name] = width_at(sim.tables, state, spec.point,
-                                      variant=cfg.width_variant)
+            out[spec.name] = width_at(sim.tables, state, spec.point)
         else:
             out[spec.name] = fracture_length(sim.mesh, state.v,
                                              np.asarray(spec.path, dtype=float),

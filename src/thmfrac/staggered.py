@@ -130,9 +130,9 @@ class Simulation:
       then on);
     * the mechanics operator, rebuilt only when v or the frozen branch
       flags differ from its last build;
-    * one SuperLU factor per field. The heat and flow factors are
-      invalidated before every solve, since their operators follow the
-      lagged iterates; the mechanics factor lives as long as the operator.
+    * the SuperLU factor of the mechanics operator, which lives as long
+      as the operator. Heat and flow factorize on every solve, since their
+      operators follow the lagged iterates.
     """
 
     mesh: Mesh
@@ -143,7 +143,6 @@ class Simulation:
     solve_phasefield: bool = True
     stabilization: bool = True
     porosity_variant: str = "phi1"
-    width_variant: str = "eps1"
     bc_u: tuple[np.ndarray, np.ndarray] = _EMPTY
     bc_p: tuple[np.ndarray, np.ndarray] = _EMPTY
     bc_T: tuple[np.ndarray, np.ndarray] = _EMPTY
@@ -163,7 +162,7 @@ class Simulation:
             self.q_heat = np.zeros(n)
         self.gc_elem = np.broadcast_to(np.asarray(self.gc_elem, dtype=float),
                                        (self.mesh.n_elems,)).copy()
-        self._factors = {name: Factorization() for name in ("T", "p", "u")}
+        self._mech_factor = Factorization()
         self._mech: MechanicsOperator | None = None
         self._mech_matrix = None            # the operator with bc_u eliminated
 
@@ -191,27 +190,19 @@ class Simulation:
         init = np.clip(it.v, lower, upper)
         return solve_bound_constrained(system, lower, upper, init)
 
-    def _solve_fresh(self, name: str, system: SparseSystem) -> np.ndarray:
-        system = apply_dirichlet(system, self._dirichlet[name])
-        factor = self._factors[name]
-        factor.invalidate()
-        return solve_linear(system, factor)
-
     def _solve_T(self, v, it: FieldState, prev: FieldState, dt: float) -> np.ndarray:
         system = build_heat_system(self.tables, self.params, v, it.u, it.p,
                                    prev.T, dt, stabilization=self.stabilization,
                                    source=self.q_heat,
-                                   porosity_variant=self.porosity_variant,
-                                   width_variant=self.width_variant)
-        return self._solve_fresh("T", system)
+                                   porosity_variant=self.porosity_variant)
+        return solve_linear(apply_dirichlet(system, self._dirichlet["T"]))
 
     def _solve_p(self, v, it: FieldState, T_new, prev: FieldState, dt: float) -> np.ndarray:
         system = build_flow_system(self.tables, self.params, v, it.u, it.p,
                                    T_new, prev.u, prev.p, prev.T, dt,
                                    source=self.q_flow,
-                                   porosity_variant=self.porosity_variant,
-                                   width_variant=self.width_variant)
-        return self._solve_fresh("p", system)
+                                   porosity_variant=self.porosity_variant)
+        return solve_linear(apply_dirichlet(system, self._dirichlet["p"]))
 
     def _solve_u(self, v, p_new, T_new, tr_sign) -> np.ndarray:
         bc = self._dirichlet["u"]
@@ -219,10 +210,10 @@ class Simulation:
         if op is None or not op.matches(v, tr_sign):
             op = self._mech = build_mechanics_system(self.tables, self.params, v, tr_sign)
             self._mech_matrix = bc.matrix(op.matrix)
-            self._factors["u"].invalidate()
+            self._mech_factor.invalidate()
         rhs = mechanics_rhs(self.tables, self.params, op, p_new, T_new, self.f_ext)
-        system = SparseSystem(self._mech_matrix, bc.rhs(op.matrix, rhs), ndof_per_node=2)
-        return solve_linear(system, self._factors["u"])
+        system = SparseSystem(self._mech_matrix, bc.rhs(op.matrix, rhs))
+        return solve_linear(system, self._mech_factor)
 
     # -- one time step -----------------------------------------------------
 

@@ -49,6 +49,13 @@ class TestParseConfig:
         assert "bogus_section" in msgs
         assert len(exc.value.errors) >= 4
 
+    def test_width_variant_key_rejected(self):
+        raw = config_to_dict(kgd())
+        raw["physics"]["width_variant"] = "eps1"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(raw))
+        assert "physics.width_variant: unknown key" in exc.value.errors
+
     def test_unknown_probe_kind_rejected(self):
         raw = config_to_dict(kgd())
         raw["outputs"]["probes"][0]["kind"] = "wavelet"

@@ -65,15 +65,9 @@ class TestDegradation:
         with pytest.raises(ValueError):
             law.degradation(1.1, 0.0)
 
-    def test_monotone_and_derivative_matches_fd(self, rng):
-        k = 1e-6
+    def test_monotone_in_v(self, rng):
         v = np.sort(rng.uniform(0.0, 1.0, 64))
-        g = law.degradation(v, k)
-        assert np.all(np.diff(g) >= 0.0)
-        h = 1e-6
-        inner = v[(v > h) & (v < 1.0 - h)]
-        fd = (law.degradation(inner + h, k) - law.degradation(inner - h, k)) / (2 * h)
-        assert np.allclose(law.degradation_dv(inner, k), fd, rtol=1e-6)
+        assert np.all(np.diff(law.degradation(v, 1e-6)) >= 0.0)
 
 
 class TestEnergySplit:
@@ -167,24 +161,32 @@ class TestBiotCoefficient:
             assert np.all(a <= 1.0 + 1e-12)
 
 
+def normal_of(eps):
+    return law.crack_normal(eps, *law.principal_strains(eps))
+
+
+def e1_of(eps):
+    return law.principal_strains(eps)[0]
+
+
 class TestCrackNormal:
     def test_axis_aligned(self):
-        assert np.allclose(law.crack_normal(np.array([0.01, 0.0, 0.0])), [1.0, 0.0])
-        assert np.allclose(law.crack_normal(np.array([0.0, 0.01, 0.0])), [0.0, 1.0])
+        assert np.allclose(normal_of(np.array([0.01, 0.0, 0.0])), [1.0, 0.0])
+        assert np.allclose(normal_of(np.array([0.0, 0.01, 0.0])), [0.0, 1.0])
 
     def test_pure_shear(self):
-        n = law.crack_normal(np.array([0.0, 0.0, 0.02]))
+        n = normal_of(np.array([0.0, 0.0, 0.02]))
         assert np.allclose(n, [1 / np.sqrt(2), 1 / np.sqrt(2)], rtol=1e-12)
 
     def test_degenerate_returns_x_axis(self):
-        assert np.allclose(law.crack_normal(np.array([1e-3, 1e-3, 0.0])), [1.0, 0.0])
+        assert np.allclose(normal_of(np.array([1e-3, 1e-3, 0.0])), [1.0, 0.0])
 
     def test_matches_eigendecomposition(self, rng):
         for eps in random_strain(rng, n=128):
             e1, e2 = law.principal_strains(eps)
             if e1 - e2 < 1e-9:
                 continue
-            n = law.crack_normal(eps)
+            n = law.crack_normal(eps, e1, e2)
             mat = np.array([[eps[0], eps[2] / 2], [eps[2] / 2, eps[1]]])
             w, vecs = np.linalg.eigh(mat)
             assert e1 == pytest.approx(w[1], rel=1e-10, abs=1e-15)
@@ -196,32 +198,28 @@ class TestCrackNormal:
 
 class TestWidthAndPorosity:
     def test_width_values(self):
-        assert law.fracture_width(np.array([0.0, 0.0, 0.0]), 0.05) == 0.0
-        assert law.fracture_width(np.array([2e-3, 0.0, 0.0]), 0.05) == pytest.approx(1e-4)
-        assert law.fracture_width(np.array([-1e-3, -2e-3, 0.0]), 0.05) == 0.0
-
-    def test_width_vol_variant(self):
-        eps = np.array([2e-3, 1e-3, 5e-3])
-        assert law.fracture_width(eps, 0.1, "vol") == pytest.approx(0.1 * 3e-3)
+        assert law.fracture_width(e1_of(np.array([0.0, 0.0, 0.0])), 0.05) == 0.0
+        assert law.fracture_width(e1_of(np.array([2e-3, 0.0, 0.0])), 0.05) == pytest.approx(1e-4)
+        assert law.fracture_width(e1_of(np.array([-1e-3, -2e-3, 0.0])), 0.05) == 0.0
 
     def test_porosity_phi1(self, generic_params):
         mp = MaterialParams(E=1e9, nu=0.2, alpha_m=0.6, phi_m=0.3)
-        assert law.porosity(np.zeros(3), mp) == pytest.approx(0.3)
-        assert law.porosity(np.array([0.05, 0.0, 0.0]), mp) == pytest.approx(0.35)
+        assert law.porosity(e1_of(np.zeros(3)), mp) == pytest.approx(0.3)
+        assert law.porosity(e1_of(np.array([0.05, 0.0, 0.0])), mp) == pytest.approx(0.35)
 
     def test_porosity_phi0_fully_damaged_tension(self):
         mp = MaterialParams(E=1e9, nu=0.2, alpha_m=0.6, phi_m=0.3, k_res=1e-15)
-        phi = law.porosity(np.zeros(3), mp, "phi0", v=0.0, tr_sign=1.0)
+        phi = law.porosity(e1_of(np.zeros(3)), mp, "phi0", v=0.0, tr_sign=1.0)
         assert phi == pytest.approx(1.0, abs=1e-12)
 
     def test_phi1_independent_of_v_and_ell(self, rng):
-        eps = random_strain(rng, n=16)
+        e1 = e1_of(random_strain(rng, n=16))
         base = MaterialParams(E=1e9, nu=0.2, alpha_m=0.6, phi_m=0.2, ell=0.1)
         other = MaterialParams(E=1e9, nu=0.2, alpha_m=0.6, phi_m=0.2, ell=3.7)
-        ref = law.porosity(eps, base, "phi1", v=1.0, tr_sign=1.0)
+        ref = law.porosity(e1, base, "phi1", v=1.0, tr_sign=1.0)
         for v in (0.0, 0.3, 1.0):
-            assert np.array_equal(law.porosity(eps, base, "phi1", v=v, tr_sign=0.0), ref)
-        assert np.array_equal(law.porosity(eps, other, "phi1"), ref)
+            assert np.array_equal(law.porosity(e1, base, "phi1", v=v, tr_sign=0.0), ref)
+        assert np.array_equal(law.porosity(e1, other, "phi1"), ref)
 
 
 class TestPermeability:
@@ -242,8 +240,7 @@ class TestPermeability:
 
     def test_spd_with_floor_at_matrix_permeability(self, rng, generic_params):
         for _ in range(64):
-            eps = random_strain(rng)
-            n = law.crack_normal(eps)
+            n = normal_of(random_strain(rng))
             K = law.permeability(rng.uniform(0, 1), rng.uniform(0, 1e-3), n,
                                  generic_params)
             ev = np.linalg.eigvalsh(K)
@@ -294,14 +291,14 @@ class TestStorageAndThermal:
 class TestPressureDrive:
     def test_closed_or_stiff_grain_vanishes(self):
         mp = MaterialParams(E=1e9, nu=0.2, alpha_m=0.6)
-        assert law.biot_modulus_pressure_drive(1e-3, 1e6, 0.5, 0.0, mp) == 0.0
+        assert law.biot_modulus_pressure_drive(1e-3, 1e6, 0.0, mp) == 0.0
         mp1 = MaterialParams(E=1e9, nu=0.2, alpha_m=1.0)
-        assert law.biot_modulus_pressure_drive(1e-3, 1e6, 0.5, 1.0, mp1) == 0.0
+        assert law.biot_modulus_pressure_drive(1e-3, 1e6, 1.0, mp1) == 0.0
 
     def test_product_form_value(self):
         mp = MaterialParams(E=1e9, nu=0.2, alpha_m=0.6, k_res=1e-15)
-        val = law.biot_modulus_pressure_drive(1e-3, 1e6, 0.5, 1.0, mp)
-        assert val == pytest.approx(200.0, rel=1e-9)
+        val = law.biot_modulus_pressure_drive(1e-3, 1e6, 1.0, mp)
+        assert val == pytest.approx(400.0, rel=1e-9)
 
     def test_matches_raw_derivative_times_half_p_squared(self, rng):
         mp = MaterialParams(E=1e9, nu=0.2, alpha_m=0.6, k_res=1e-6)
@@ -310,7 +307,7 @@ class TestPressureDrive:
             p = rng.uniform(1e3, 1e7)
             v = rng.uniform(0.0, 1.0)
             raw = (2.0 * eps_vol / p) * v * (1 - mp.k_res) * (1 - mp.alpha_m)
-            assert law.biot_modulus_pressure_drive(eps_vol, p, v, 1.0, mp) == \
+            assert v * law.biot_modulus_pressure_drive(eps_vol, p, 1.0, mp) == \
                 pytest.approx(0.5 * p * p * raw, rel=1e-12)
 
 

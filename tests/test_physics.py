@@ -3,13 +3,13 @@ import pytest
 
 from thmfrac import constitutive as law
 from thmfrac.constitutive import MaterialParams
-from thmfrac.fem import (Dirichlet, apply_dirichlet, build_tables, gauss_2x2, shape_q4,
-                         solve_linear)
+from thmfrac.fem import (Dirichlet, apply_dirichlet, assemble, build_tables, gauss_2x2,
+                         shape_q4, solve_linear)
 from thmfrac.mesh import generate_rect_mesh
 from thmfrac.physics import (build_flow_system, build_heat_system,
                              build_mechanics_system, build_phasefield_system,
-                             mechanics_branch_flags, mechanics_residual, scalar_qp,
-                             strain_qp)
+                             mechanics_branch_flags, mechanics_residual, qp_state,
+                             scalar_qp, strain_qp)
 
 # ---------------------------------------------------------------------------
 # dense reference assemblies (independent loop-based implementations)
@@ -83,6 +83,50 @@ def small_setup(generic_params):
 def _uniform_state(mesh, mp, p=0.0, dT=0.0):
     n = mesh.n_nodes
     return (np.zeros(2 * n), np.full(n, p), np.full(n, mp.T0 + dT), np.ones(n))
+
+
+def _random_state(mesh, mp, rng):
+    """Strains and temperature changes of similar size, so that Tr eps_e
+    takes both signs when alpha_s != 0."""
+    n = mesh.n_nodes
+    return (rng.normal(scale=1e-4, size=2 * n), rng.uniform(1e5, 1e6, n),
+            mp.T0 + rng.uniform(-10.0, 10.0, n), rng.uniform(0.2, 1.0, n))
+
+
+# ---------------------------------------------------------------------------
+# quadrature-point state
+# ---------------------------------------------------------------------------
+
+class TestQPState:
+    @pytest.fixture
+    def setup(self, generic_params):
+        mesh = generate_rect_mesh(1.0, 1.0, 4, 4)
+        return mesh, build_tables(mesh), generic_params
+
+    def test_branch_flags_are_qp_state_tr_sign(self, setup, rng):
+        mesh, tb, mp = setup
+        assert mp.alpha_s != 0.0
+        u, _, T, v = _random_state(mesh, mp, rng)
+        flags = mechanics_branch_flags(tb, mp, u, T)
+        assert np.array_equal(flags, qp_state(tb, mp, u, T, v).tr_sign)
+        assert 0.0 < flags.mean() < 1.0
+
+    @pytest.mark.parametrize("variant", ["phi1", "phi0"])
+    def test_width_porosity_permeability_are_the_standalone_laws(self, setup, rng, variant):
+        mesh, tb, mp = setup
+        u, _, T, v = _random_state(mesh, mp, rng)
+        st = qp_state(tb, mp, u, T, v, porosity_variant=variant)
+        eps = strain_qp(tb, u)
+        v_qp = scalar_qp(tb, v)
+        e1, e2 = law.principal_strains(eps)
+        width = law.fracture_width(e1, tb.h_e_qp)
+        phi = law.porosity(e1, mp, variant, v=v_qp, tr_sign=st.tr_sign)
+        perm = law.permeability(v_qp, width, law.crack_normal(eps, e1, e2), mp)
+        assert np.any(width > 0.0)
+        assert np.array_equal(st.width, width)
+        assert np.array_equal(st.porosity, phi)
+        assert np.array_equal(st.perm, perm)
+        assert np.array_equal(st.alpha, law.biot_coefficient(v_qp, st.tr_sign, mp))
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +434,25 @@ class TestPhaseField:
         sys_p = build_phasefield_system(tb, mp, gc, u, np.full(n, 5e6), T)
         sys_0 = build_phasefield_system(tb, mp, gc, u, np.zeros(n), T)
         assert np.allclose(sys_p.matrix.toarray(), sys_0.matrix.toarray())
+
+    def test_pressure_drive_is_the_law_coefficient(self, generic_params, rng):
+        mp = generic_params
+        assert mp.alpha_m < 1.0 and mp.alpha_s != 0.0
+        mesh = generate_rect_mesh(1.0, 1.0, 3, 3)
+        tb = build_tables(mesh)
+        u, p, T, _ = _random_state(mesh, mp, rng)
+        gc = np.full(mesh.n_elems, mp.Gc)
+        sys_p = build_phasefield_system(tb, mp, gc, u, p, T)
+        sys_0 = build_phasefield_system(tb, mp, gc, u, np.zeros_like(p), T)
+        _, _, tr_e, h = law.thermoelastic_split(strain_qp(tb, u), scalar_qp(tb, T) - mp.T0,
+                                                mp.alpha_s)
+        drive = law.biot_modulus_pressure_drive(tr_e, scalar_qp(tb, p), h, mp)
+        assert np.any(drive != 0.0)
+        ME = np.einsum("eq,qa,qb->eab", drive * tb.detJw, tb.N, tb.N)
+        ref = assemble(mesh, lambda e: (ME[e], np.zeros(4))).matrix.toarray()
+        diff = (sys_p.matrix - sys_0.matrix).toarray()
+        assert np.allclose(diff, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
+        assert np.array_equal(sys_p.rhs, sys_0.rhs)
 
     def test_at1_source_is_constant(self, generic_params):
         import dataclasses
