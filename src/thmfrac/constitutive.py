@@ -110,6 +110,7 @@ class QPState:
     perm: np.ndarray            # (..., 2, 2) [m^2]
     tr_sign: np.ndarray         # H(Tr eps_e)
     alpha: np.ndarray           # effective Biot coefficient
+    eps_vol: np.ndarray         # in-plane volumetric strain Tr eps
 
 
 # ---------------------------------------------------------------------------
@@ -412,4 +413,5 @@ def qp_state(eps, dT, h_e, v, params: MaterialParams,
     phi = porosity(e1, params, porosity_variant, v=v, tr_sign=tr_sign)
     perm = permeability(v, width, crack_normal(eps, e1, e2), params)
     alpha = biot_coefficient(v, tr_sign, params)
-    return QPState(width=width, porosity=phi, perm=perm, tr_sign=tr_sign, alpha=alpha)
+    return QPState(width=width, porosity=phi, perm=perm, tr_sign=tr_sign, alpha=alpha,
+                   eps_vol=trace2(eps))

@@ -8,6 +8,15 @@ constraints are resolved once against that pattern into slot masks.
 Linear solves go through SuperLU on the Jacobi-scaled operator; a caller
 that owns a ``Factorization`` keeps the factor between solves and
 invalidates it when its operator changes.
+
+Every factorization, including the free block of the phase-field solve,
+uses one set of SuperLU options: a multiple-minimum-degree column ordering
+on the pattern of A^T + A with symmetric mode, since every Q4 operator is
+structurally symmetric (heat, flow and mechanics after the symmetric
+Dirichlet elimination, and the phase-field free block). It fills less
+than the default COLAMD ordering, which targets unsymmetric patterns.
+Threshold partial pivoting at 0.1 stays on, because advection makes the
+heat operator nonsymmetric in its values.
 """
 
 from __future__ import annotations
@@ -304,6 +313,7 @@ def apply_dirichlet(system: SparseSystem, bc: Dirichlet) -> SparseSystem:
 class Factorization:
     """SuperLU factor of a Jacobi-scaled operator, kept by its owner.
 
+    ``factorize`` fills it and ``solve`` solves with the unscaled operator.
     ``solve_linear`` fills an empty one and solves with a filled one
     without looking at the operator again; the owner calls ``invalidate``
     whenever the operator changes.
@@ -317,6 +327,31 @@ class Factorization:
         self.lu = None
         self.scale = None
 
+    def factorize(self, A: sp.spmatrix) -> "Factorization":
+        """Factor diag(s) A diag(s) with the SuperLU options of this module.
+
+        s = diag(A)^-1/2 when that diagonal is positive and finite, else
+        all ones; ``A`` itself is left unchanged. A singular matrix raises
+        ``RuntimeError``.
+        """
+        n = A.shape[0]
+        d = A.diagonal()
+        if np.all(d > 0.0) and np.all(np.isfinite(d)):
+            s = 1.0 / np.sqrt(d)
+        else:
+            s = np.ones(n)
+        As = A.tocsc(copy=True)
+        cols = np.repeat(np.arange(n), np.diff(As.indptr))
+        As.data *= s[As.indices] * s[cols]
+        # looked up at call time, so that a wrapper on spla.splu sees every call
+        self.lu = spla.splu(As, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                            options=dict(SymmetricMode=True))
+        self.scale = s
+        return self
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return self.scale * self.lu.solve(self.scale * b)
+
 
 def solve_linear(system: SparseSystem, factor: Factorization | None = None) -> np.ndarray:
     """Direct sparse solve with a relative residual gate of 1e-10.
@@ -324,27 +359,20 @@ def solve_linear(system: SparseSystem, factor: Factorization | None = None) -> n
     The operator is symmetrically Jacobi-scaled before factorization (the
     mobility contrast between broken and intact cells reaches 1e8+) and a
     few iterative-refinement sweeps against the unscaled residual recover
-    full accuracy. A filled ``factor`` is reused; an empty one receives
-    the new factor.
+    full accuracy. SuperLU orders the columns by minimum degree on
+    A^T + A, which suits the structurally symmetric Q4 operators, and
+    keeps threshold pivoting (0.1) for the heat operator, which advection
+    makes nonsymmetric. A filled ``factor`` is reused; an empty one
+    receives the new factor.
     """
     A, b = system.matrix, system.rhs
     n = A.shape[0]
+    if factor is None:
+        factor = Factorization()
     try:
-        if factor is not None and factor.lu is not None:
-            s, lu = factor.scale, factor.lu
-        else:
-            d = A.diagonal()
-            if np.all(d > 0.0) and np.all(np.isfinite(d)):
-                s = 1.0 / np.sqrt(d)
-            else:
-                s = np.ones(n)
-            As = A.tocsr(copy=True)
-            rows = np.repeat(np.arange(n), np.diff(As.indptr))
-            As.data *= s[rows] * s[As.indices]
-            lu = spla.splu(As.tocsc())
-            if factor is not None:
-                factor.lu, factor.scale = lu, s
-        x = s * lu.solve(s * b)
+        if factor.lu is None:
+            factor.factorize(A)
+        x = factor.solve(b)
     except RuntimeError as exc:  # SuperLU signals singularity this way
         raise SolverFailure(f"sparse LU factorization failed: {exc}",
                             diagnostics={"n": n}) from exc
@@ -359,7 +387,7 @@ def solve_linear(system: SparseSystem, factor: Factorization | None = None) -> n
     for _ in range(5):
         if np.linalg.norm(resid) <= gate:
             return x
-        x = x + s * lu.solve(s * resid)
+        x = x + factor.solve(resid)
         resid = b - A @ x
     # With strong cancellation (||b|| << |A||x|, e.g. source-driven flow in a
     # high-contrast crack) no float64 vector can reach 1e-10*||b||; accept the
@@ -413,10 +441,11 @@ def solve_bound_constrained(system: SparseSystem, lower: np.ndarray,
         free = ~active
         if np.any(free):
             fidx = np.nonzero(free)[0]
-            Aff = A[fidx][:, fidx].tocsc()
-            rhs_f = b[fidx] - A[fidx][:, np.nonzero(active)[0]] @ x[np.nonzero(active)[0]]
+            aidx = np.nonzero(active)[0]
+            Af = A[fidx]
+            rhs_f = b[fidx] - Af[:, aidx] @ x[aidx]
             try:
-                xf = spla.splu(Aff).solve(rhs_f)
+                xf = Factorization().factorize(Af[:, fidx]).solve(rhs_f)
             except RuntimeError as exc:
                 raise SolverFailure(
                     f"bound-constrained solve: free-block factorization failed: {exc}",

@@ -80,6 +80,11 @@ def strain_qp(tables: ElementTables, u: np.ndarray) -> np.ndarray:
     return np.einsum("eqsa,ea->eqs", tables.B, u[tables.dofs_vec])
 
 
+def volumetric_strain_qp(tables: ElementTables, u: np.ndarray) -> np.ndarray:
+    """Nodal displacement -> (E, 4) in-plane volumetric strains."""
+    return law.trace2(strain_qp(tables, u))
+
+
 def darcy_flux_qp(tables: ElementTables, params: MaterialParams,
                   perm: np.ndarray, p: np.ndarray) -> np.ndarray:
     """q_f = -(K/mu) grad p at quadrature points, shape (E, 4, 2)."""
@@ -209,7 +214,8 @@ def build_flow_system(tables: ElementTables, params: MaterialParams,
                       T_new: np.ndarray, u_prev: np.ndarray,
                       p_prev: np.ndarray, T_prev: np.ndarray, dt: float,
                       source: np.ndarray | None = None,
-                      porosity_variant: str = "phi1") -> SparseSystem:
+                      porosity_variant: str = "phi1",
+                      evol_prev: np.ndarray | None = None) -> SparseSystem:
     """Pressure system of the fixed-stress step.
 
     Left-hand side: (1/M_p + alpha^2/K_eff)/dt storage + Darcy stiffness.
@@ -219,6 +225,10 @@ def build_flow_system(tables: ElementTables, params: MaterialParams,
     pressure term acts: the thermal term 3 alpha alpha_s (T_new - T_it)/dt
     is zero, because heat is solved before flow within an iterate and
     T_it = T_new (ROADMAP open item 1).
+
+    ``evol_prev`` is ``volumetric_strain_qp(tables, u_prev)``; a time step
+    passes it in, because it is fixed over the step's inner passes, and it
+    is evaluated from ``u_prev`` when omitted.
     """
     st = qp_state(tables, params, u_it, T_new, v, porosity_variant=porosity_variant)
     v_qp = scalar_qp(tables, v)
@@ -237,14 +247,14 @@ def build_flow_system(tables: ElementTables, params: MaterialParams,
     T_new_qp = scalar_qp(tables, T_new)
     T_prev_qp = scalar_qp(tables, T_prev)
     T_it_qp = T_new_qp  # heat is solved before flow within an iterate
-    evol_it = law.trace2(strain_qp(tables, u_it))
-    evol_prev = law.trace2(strain_qp(tables, u_prev))
+    if evol_prev is None:
+        evol_prev = volumetric_strain_qp(tables, u_prev)
 
     rhs_qp = (inv_Mp / dt) * p_prev_qp
     rhs_qp += (alpha * alpha / (K_eff * dt)) * p_it_qp
     rhs_qp += (inv_MT / dt) * (T_new_qp - T_prev_qp)
     rhs_qp -= (3.0 * alpha * params.alpha_s / dt) * (T_new_qp - T_it_qp)
-    rhs_qp -= alpha * (evol_it - evol_prev) / dt
+    rhs_qp -= alpha * (st.eps_vol - evol_prev) / dt
     FE = _load(tables, rhs_qp)
 
     system = assemble_batched(tables, KE, FE, vector=False)

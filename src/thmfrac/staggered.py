@@ -24,7 +24,7 @@ from .fem import (Dirichlet, ElementTables, Factorization, SparseSystem, apply_d
 from .mesh import Mesh
 from .physics import (FieldState, MechanicsOperator, build_flow_system, build_heat_system,
                       build_mechanics_system, build_phasefield_system,
-                      mechanics_branch_flags, mechanics_rhs)
+                      mechanics_branch_flags, mechanics_rhs, volumetric_strain_qp)
 
 log = logging.getLogger("thmfrac")
 
@@ -197,11 +197,13 @@ class Simulation:
                                    porosity_variant=self.porosity_variant)
         return solve_linear(apply_dirichlet(system, self._dirichlet["T"]))
 
-    def _solve_p(self, v, it: FieldState, T_new, prev: FieldState, dt: float) -> np.ndarray:
+    def _solve_p(self, v, it: FieldState, T_new, prev: FieldState, evol_prev,
+                 dt: float) -> np.ndarray:
         system = build_flow_system(self.tables, self.params, v, it.u, it.p,
                                    T_new, prev.u, prev.p, prev.T, dt,
                                    source=self.q_flow,
-                                   porosity_variant=self.porosity_variant)
+                                   porosity_variant=self.porosity_variant,
+                                   evol_prev=evol_prev)
         return solve_linear(apply_dirichlet(system, self._dirichlet["p"]))
 
     def _solve_u(self, v, p_new, T_new, tr_sign) -> np.ndarray:
@@ -228,6 +230,7 @@ class Simulation:
 
         it = prev.copy()
         v_cur = prev.v
+        evol_prev = volumetric_strain_qp(self.tables, prev.u)
         v_incs: list[float] = []
         inner_counts: list[int] = []
         tpu_incs: list[tuple[float, float, float]] = []
@@ -247,7 +250,7 @@ class Simulation:
             inner_done = 0
             for j in range(1, controls.max_inner + 1):
                 T_new = self._solve_T(v_new, it, prev, dt) if self.solve_thermal else it.T
-                p_raw = self._solve_p(v_new, it, T_new, prev, dt)
+                p_raw = self._solve_p(v_new, it, T_new, prev, evol_prev, dt)
                 p_new = mixer.mix(it.p, p_raw)
                 u_new = self._solve_u(v_new, p_new, T_new, h_mech)
                 inc = (_rel(T_new, it.T), _rel(p_new, it.p), _rel(u_new, it.u))

@@ -223,7 +223,8 @@ class TestSolveLinear:
     def test_filled_factor_is_reused_until_invalidated(self, monkeypatch):
         calls = []
         splu = spla.splu
-        monkeypatch.setattr(spla, "splu", lambda A: calls.append(1) or splu(A))
+        monkeypatch.setattr(spla, "splu",
+                            lambda *args, **kwargs: calls.append(1) or splu(*args, **kwargs))
         A = sp.csr_matrix(np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]))
         factor = Factorization()
         x1 = solve_linear(SparseSystem(A, np.array([1.0, 0.0, 0.0])), factor)
@@ -238,6 +239,31 @@ class TestSolveLinear:
         A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(SolverFailure):
             solve_linear(SparseSystem(A, np.array([1.0, 0.0])))
+
+
+def _laplacian_2d(m):
+    """5-point Laplacian on an m x m grid of nodes, as CSR."""
+    T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
+    return (sp.kron(sp.eye(m), T) + sp.kron(T, sp.eye(m))).tocsr()
+
+
+class TestFactorization:
+    def test_min_degree_fills_less_than_colamd_on_a_laplacian(self, rng):
+        A = _laplacian_2d(30)
+        lu = Factorization().factorize(A).lu
+        colamd = spla.splu(A.tocsc())
+        assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+        b = rng.normal(size=A.shape[0])
+        x = solve_linear(SparseSystem(A, b))
+        assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    def test_operator_is_left_unscaled(self):
+        A = sp.csc_matrix(np.array([[4.0, 1.0], [1.0, 9.0]]))
+        before = A.toarray()
+        factor = Factorization().factorize(A)
+        assert np.array_equal(A.toarray(), before)
+        assert np.allclose(factor.scale, [0.5, 1.0 / 3.0])
+        assert np.allclose(A @ factor.solve(np.array([1.0, 2.0])), [1.0, 2.0], rtol=1e-14)
 
 
 def _brute_force_box_qp(A, b, lo, hi):

@@ -3,8 +3,8 @@ import pytest
 
 from thmfrac import constitutive as law
 from thmfrac.constitutive import MaterialParams
-from thmfrac.fem import (Dirichlet, apply_dirichlet, assemble, build_tables, gauss_2x2,
-                         shape_q4, solve_linear)
+from thmfrac.fem import (Dirichlet, Factorization, apply_dirichlet, assemble, build_tables,
+                         gauss_2x2, shape_q4, solve_bound_constrained, solve_linear)
 from thmfrac.mesh import generate_rect_mesh
 from thmfrac.physics import (build_flow_system, build_heat_system,
                              build_mechanics_system, build_phasefield_system,
@@ -382,6 +382,32 @@ class TestHeat:
         assert np.all(np.diff(prof) <= 1e-10)
         assert prof.min() >= 300.0 - 1e-9 and prof.max() <= 301.0 + 1e-9
 
+    def test_advection_dominated_operator_solves_to_the_gate(self):
+        # unstabilized advection with a cell Peclet number far above 1: the
+        # operator is far from symmetric and from diagonal dominance, and a
+        # single factor solve meets the gate only with pivoting
+        mp = MaterialParams(E=1e9, nu=0.2, alpha_m=0.6, phi_m=0.1,
+                            perm_m=1e-12, mu_f=1e-3, lambda_s=0.5, lambda_f=0.5,
+                            c_ps=800.0, c_pf=4200.0, rho_s=2600.0, rho_f=1000.0,
+                            T0=300.0)
+        mesh = generate_rect_mesh(1.0, 0.2, 30, 6)
+        tb = build_tables(mesh)
+        n = mesh.n_nodes
+        x, y = mesh.nodes.T
+        p = 2e8 * (1.0 - x) * (1.0 + 0.3 * y)
+        system = build_heat_system(tb, mp, np.ones(n), np.zeros(2 * n), p,
+                                   np.full(n, 300.0), dt=1e12, stabilization=False)
+        left = mesh.boundary_nodes["left"]
+        right = mesh.boundary_nodes["right"]
+        dofs = np.concatenate([left, right])
+        vals = np.concatenate([np.full(left.size, 301.0), np.full(right.size, 300.0)])
+        fixed = apply_dirichlet(system, Dirichlet.on(tb.scalar_pattern, dofs, vals))
+        A, b = fixed.matrix, fixed.rhs
+        assert abs(A - A.T).max() > abs(A).max()
+        gate = 1e-10 * np.linalg.norm(b)
+        assert np.linalg.norm(A @ Factorization().factorize(A).solve(b) - b) <= gate
+        assert np.linalg.norm(A @ solve_linear(fixed) - b) <= gate
+
 
 # ---------------------------------------------------------------------------
 # phase-field kernel
@@ -453,6 +479,24 @@ class TestPhaseField:
         diff = (sys_p.matrix - sys_0.matrix).toarray()
         assert np.allclose(diff, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
         assert np.array_equal(sys_p.rhs, sys_0.rhs)
+
+    def test_free_block_solve_matches_a_dense_solve(self, generic_params, rng):
+        mp = generic_params
+        mesh = generate_rect_mesh(1.0, 1.0, 6, 6)
+        tb = build_tables(mesh)
+        n = mesh.n_nodes
+        u, p, T, _ = _random_state(mesh, mp, rng)
+        system = build_phasefield_system(tb, mp, np.full(mesh.n_elems, mp.Gc), u, p, T)
+        lower, upper = np.zeros(n), np.ones(n)
+        upper[mesh.boundary_nodes["left"]] = 0.0
+        x = solve_bound_constrained(system, lower, upper, np.full(n, 0.5))
+        free = (x > lower) & (x < upper)
+        act = ~free
+        assert free.sum() > n // 2 and act.any()
+        A = system.matrix.toarray()
+        ref = np.linalg.solve(A[np.ix_(free, free)],
+                              system.rhs[free] - A[np.ix_(free, act)] @ x[act])
+        assert np.allclose(x[free], ref, rtol=1e-10, atol=0.0)
 
     def test_at1_source_is_constant(self, generic_params):
         import dataclasses

@@ -199,7 +199,8 @@ class TestMechanicsOperatorLifetime:
     def test_unchanged_operator_takes_no_new_factorization(self, rng, monkeypatch):
         calls = []
         splu = spla.splu
-        monkeypatch.setattr(spla, "splu", lambda A: calls.append(1) or splu(A))
+        monkeypatch.setattr(spla, "splu",
+                            lambda *args, **kwargs: calls.append(1) or splu(*args, **kwargs))
         sim, state, h, p = self._inputs(rng)
         u1 = sim._solve_u(state.v, state.p, state.T, h)
         u2 = sim._solve_u(state.v.copy(), p, state.T, h.copy())
@@ -214,7 +215,8 @@ class TestMechanicsOperatorLifetime:
         v[rng.choice(v.size, 10, replace=False)] = 0.3
         calls = []
         splu = spla.splu
-        monkeypatch.setattr(spla, "splu", lambda A: calls.append(1) or splu(A))
+        monkeypatch.setattr(spla, "splu",
+                            lambda *args, **kwargs: calls.append(1) or splu(*args, **kwargs))
         u = sim._solve_u(v, p, state.T, h)
         assert len(calls) == 1
         assert np.array_equal(u, _fresh_mechanics_solve(sim, v, p, state.T, h))
