@@ -46,8 +46,7 @@ class ScenarioRunner:
     def _snapshot(self, t: float, state: FieldState):
         name = f"snapshot_{self._step:06d}.vtk"
         mesh = self.sim.mesh
-        cell = element_cell_data(self.sim.tables, self.sim.params, state,
-                                 porosity_variant=self.cfg.porosity_variant)
+        cell = element_cell_data(self.sim.tables, self.sim.params, state)
         write_vtk(self.out_dir / name, mesh,
                   point_data={"p": state.p, "T": state.T, "v": state.v},
                   point_vectors={"u": state.u},

@@ -63,8 +63,6 @@ class ScenarioConfig:
     weak_interfaces: list[tuple[list[tuple[float, float]], float]] = field(default_factory=list)
     solve_thermal: bool = True
     solve_phasefield: bool = True
-    stabilization: bool = True
-    porosity_variant: str = "phi1"
     bcs_mech: list[MechBC] = field(default_factory=list)
     bcs_flow: list[ScalarBC] = field(default_factory=list)
     bcs_heat: list[ScalarBC] = field(default_factory=list)
@@ -164,6 +162,21 @@ class _Check:
             return None
         return [p0, p1]
 
+    def scalar_bcs(self, bcs: dict, kind: str, value_key: str) -> list[ScalarBC]:
+        """Entries ``{"set": ..., value_key: ...}`` of the list ``bcs.<kind>``."""
+        out = []
+        for i, b in enumerate(bcs.get(kind, [])):
+            path = f"bcs.{kind}[{i}]"
+            if not isinstance(b, dict):
+                self.err(path, "expected an object")
+                continue
+            self.unknown(b, {"set", value_key}, path)
+            bset = self.choice(b, "set", path, _BOUNDARY_SETS)
+            val = self.num(b, value_key, path, required=True)
+            if bset and val is not None:
+                out.append(ScalarBC(set=bset, value=val))
+        return out
+
 
 _MATERIAL_KEYS = {f.name for f in dc_fields(MaterialParams)}
 
@@ -245,6 +258,11 @@ def config_from_dict(raw: dict, name_hint: str = "scenario") -> ScenarioConfig:
             iv = ck.integer(mat, k, "materials")
             if iv is not None:
                 mat_vals[k] = iv
+        elif k == "porosity_variant":
+            if isinstance(v, str):
+                mat_vals[k] = v
+            else:
+                ck.err(f"materials.{k}", f"expected a string, got {v!r}")
         else:
             nv = ck.num(mat, k, "materials")
             if nv is not None:
@@ -261,13 +279,9 @@ def config_from_dict(raw: dict, name_hint: str = "scenario") -> ScenarioConfig:
             ck.err("materials", str(exc))
 
     phys = ck.section(raw, "physics", "physics")
-    ck.unknown(phys, {"solve_thermal", "solve_phasefield", "stabilization",
-                      "porosity_variant"}, "physics")
+    ck.unknown(phys, {"solve_thermal", "solve_phasefield"}, "physics")
     solve_thermal = ck.boolean(phys, "solve_thermal", "physics", True)
     solve_phasefield = ck.boolean(phys, "solve_phasefield", "physics", True)
-    stabilization = ck.boolean(phys, "stabilization", "physics", True)
-    porosity_variant = ck.choice(phys, "porosity_variant", "physics",
-                                 ("phi1", "phi0"), "phi1")
 
     bcs = ck.section(raw, "bcs", "bcs")
     ck.unknown(bcs, {"mechanics", "flow", "heat"}, "bcs")
@@ -288,28 +302,8 @@ def config_from_dict(raw: dict, name_hint: str = "scenario") -> ScenarioConfig:
             val = ck.num(b, "value", path, default=0.0)
             if bset and comp:
                 bcs_mech.append(MechBC(set=bset, component=comp, value=val))
-    bcs_flow = []
-    for i, b in enumerate(bcs.get("flow", [])):
-        path = f"bcs.flow[{i}]"
-        if not isinstance(b, dict):
-            ck.err(path, "expected an object")
-            continue
-        ck.unknown(b, {"set", "pressure"}, path)
-        bset = ck.choice(b, "set", path, _BOUNDARY_SETS)
-        val = ck.num(b, "pressure", path, required=True)
-        if bset and val is not None:
-            bcs_flow.append(ScalarBC(set=bset, value=val))
-    bcs_heat = []
-    for i, b in enumerate(bcs.get("heat", [])):
-        path = f"bcs.heat[{i}]"
-        if not isinstance(b, dict):
-            ck.err(path, "expected an object")
-            continue
-        ck.unknown(b, {"set", "temperature"}, path)
-        bset = ck.choice(b, "set", path, _BOUNDARY_SETS)
-        val = ck.num(b, "temperature", path, required=True)
-        if bset and val is not None:
-            bcs_heat.append(ScalarBC(set=bset, value=val))
+    bcs_flow = ck.scalar_bcs(bcs, "flow", "pressure")
+    bcs_heat = ck.scalar_bcs(bcs, "heat", "temperature")
 
     src = ck.section(raw, "sources", "sources")
     ck.unknown(src, {"injection"}, "sources")
@@ -413,8 +407,7 @@ def config_from_dict(raw: dict, name_hint: str = "scenario") -> ScenarioConfig:
         name=name, domain=domain, nx=nx, ny=ny, materials=materials,
         controls=controls, refine_bands=bands, cracks=cracks,
         weak_interfaces=interfaces, solve_thermal=solve_thermal,
-        solve_phasefield=solve_phasefield, stabilization=stabilization,
-        porosity_variant=porosity_variant,
+        solve_phasefield=solve_phasefield,
         bcs_mech=bcs_mech, bcs_flow=bcs_flow, bcs_heat=bcs_heat,
         injection=injection, p_init=p_init, probes=probes,
         snapshot_every=snapshot_every)
@@ -443,8 +436,6 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
         "physics": {
             "solve_thermal": cfg.solve_thermal,
             "solve_phasefield": cfg.solve_phasefield,
-            "stabilization": cfg.stabilization,
-            "porosity_variant": cfg.porosity_variant,
         },
         "bcs": {"mechanics": [], "flow": [], "heat": []},
         "initial": {"pressure": cfg.p_init},

@@ -24,11 +24,16 @@ from .errors import InvariantViolation
 
 @dataclass(frozen=True)
 class MaterialParams:
-    """Constitutive constants (SI units).
+    """Constitutive constants (SI units) and the choice of law variants.
+
+    ``porosity_variant`` selects the porosity update ("phi1" strain-driven,
+    "phi0" damage-driven) and ``n_at`` the surface-energy variant (AT1 or
+    AT2). ``s_stab`` scales the balancing dissipation of the heat equation;
+    ``s_stab = 0`` turns it off.
 
     ``K_m``, ``mu_shear``, ``K_s`` and ``c_n`` are derived: K_m from
     (E, nu), K_s from the Biot consistency K_m/K_s = 1 - alpha_m (infinite
-    for alpha_m = 1), c_n from the surface-energy variant n_at.
+    for alpha_m = 1), c_n from n_at.
     """
 
     E: float
@@ -50,11 +55,10 @@ class MaterialParams:
     ell: float = 0.1
     k_res: float = 1e-6
     n_at: int = 2                 # 1: linear local term, 2: quadratic
+    porosity_variant: str = "phi1"
     xi: float = 1.0
     s_stab: float = 0.15
-    v_ir: float = 0.05
     T0: float = 293.15
-    T_ref: float = 293.15         # enters only the (cancelling) thermal energy
 
     def __post_init__(self):
         errs = []
@@ -72,6 +76,9 @@ class MaterialParams:
             errs.append(f"k_res must lie in (0, 1), got {self.k_res}")
         if self.n_at not in (1, 2):
             errs.append(f"n_at must be 1 or 2, got {self.n_at}")
+        if self.porosity_variant not in ("phi1", "phi0"):
+            errs.append(f"porosity_variant must be 'phi1' or 'phi0', "
+                        f"got {self.porosity_variant!r}")
         if self.xi < 1.0:
             errs.append(f"xi must be >= 1, got {self.xi}")
         if not 0.0 <= self.s_stab <= 1.0:
@@ -228,29 +235,6 @@ def thermoelastic_split(eps, dT, alpha_s: float):
     return eps_e, ezz, tr_e, heaviside(tr_e)
 
 
-def total_stress(eps, v, p, T, params: MaterialParams) -> np.ndarray:
-    """Total Cauchy stress (2x2, tension positive).
-
-    sigma = C_eff(v) : eps_e - alpha(v) p I, with the thermal contraction
-    entering through eps_e = eps - alpha_s (T - T0) I; equivalently the
-    -3 alpha_s K_eff dT I thermal stress.
-    """
-    dT = np.asarray(T, dtype=float) - params.T0
-    eps_e, ezz, _, h = thermoelastic_split(eps, dT, params.alpha_s)
-    s = effective_stress(eps_e, v, h, params, eps_zz=ezz)
-    a = biot_coefficient(v, h, params)
-    p = np.asarray(p, dtype=float)
-    sxx = s[..., 0] - a * p
-    syy = s[..., 1] - a * p
-    sxy = s[..., 2]
-    out = np.empty(np.asarray(sxx).shape + (2, 2))
-    out[..., 0, 0] = sxx
-    out[..., 1, 1] = syy
-    out[..., 0, 1] = sxy
-    out[..., 1, 0] = sxy
-    return out
-
-
 # ---------------------------------------------------------------------------
 # principal strain, crack geometry, transport properties
 # ---------------------------------------------------------------------------
@@ -297,25 +281,22 @@ def fracture_width(e1, h_e):
     return np.asarray(h_e, dtype=float) * np.maximum(e1, 0.0)
 
 
-def porosity(e1, params: MaterialParams, variant: str = "phi1",
-             v=None, tr_sign=None):
-    """Porosity update, clamped to [phi_m, 1].
+def porosity(e1, params: MaterialParams, v=None, tr_sign=None):
+    """Porosity update of ``params.porosity_variant``, clamped to [phi_m, 1].
 
     "phi1": phi_m + <e1>+, with e1 the largest principal total strain;
     independent of the phase field and of the regularization length by
     construction.
     "phi0": damage-driven 1 - [g(v) H(+) + H(-)](1 - phi_m).
     """
-    if variant == "phi1":
+    if params.porosity_variant == "phi1":
         phi = params.phi_m + np.maximum(e1, 0.0)
-    elif variant == "phi0":
+    else:
         if v is None or tr_sign is None:
             raise ValueError("phi0 variant needs v and tr_sign")
         g = degradation(v, params.k_res)
         h = np.asarray(tr_sign, dtype=float)
         phi = 1.0 - (g * h + (1.0 - h)) * (1.0 - params.phi_m)
-    else:
-        raise ValueError(f"unknown porosity variant {variant!r}")
     return np.clip(phi, params.phi_m, 1.0)
 
 
@@ -403,14 +384,13 @@ def biot_modulus_pressure_drive(eps_vol, p, tr_sign, params: MaterialParams):
 # bundled evaluation
 # ---------------------------------------------------------------------------
 
-def qp_state(eps, dT, h_e, v, params: MaterialParams,
-             porosity_variant: str = "phi1") -> QPState:
+def qp_state(eps, dT, h_e, v, params: MaterialParams) -> QPState:
     """Evaluate all derived quadrature-point quantities at once."""
     eps = np.asarray(eps, dtype=float)
     tr_sign = thermoelastic_split(eps, dT, params.alpha_s)[3]
     e1, e2 = principal_strains(eps)
     width = fracture_width(e1, h_e)
-    phi = porosity(e1, params, porosity_variant, v=v, tr_sign=tr_sign)
+    phi = porosity(e1, params, v=v, tr_sign=tr_sign)
     perm = permeability(v, width, crack_normal(eps, e1, e2), params)
     alpha = biot_coefficient(v, tr_sign, params)
     return QPState(width=width, porosity=phi, perm=perm, tr_sign=tr_sign, alpha=alpha,

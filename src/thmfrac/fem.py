@@ -130,10 +130,6 @@ class ElementTables:
     def n_nodes(self) -> int:
         return self.mesh.n_nodes
 
-    @property
-    def n_elems(self) -> int:
-        return self.mesh.n_elems
-
     # built on first assembly, not with the tables, so that setting up a
     # simulation stays cheap
     @cached_property

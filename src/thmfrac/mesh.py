@@ -70,17 +70,6 @@ class Mesh:
     def height(self) -> float:
         return float(self.ys[-1] - self.ys[0])
 
-    def element_areas(self) -> np.ndarray:
-        dx = np.diff(self.xs)
-        dy = np.diff(self.ys)
-        return np.outer(dy, dx).ravel()
-
-    def element_centers(self) -> np.ndarray:
-        xc = 0.5 * (self.xs[:-1] + self.xs[1:])
-        yc = 0.5 * (self.ys[:-1] + self.ys[1:])
-        gx, gy = np.meshgrid(xc, yc)
-        return np.column_stack([gx.ravel(), gy.ravel()])
-
 
 def _graded_sizes(span: float, h0: float, ratio: float) -> np.ndarray:
     """Geometric cell sizes filling ``span`` outward from a band edge."""

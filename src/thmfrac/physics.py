@@ -6,7 +6,8 @@ operators are linear once the lagged staggered quantities are frozen):
 * phase field  — bound-constrained quadratic in v, driven by the stored
   tensile energy and the pressure term p^2/2 d(1/M_p)/dv in product form;
 * heat         — lumped storage + advection with the lagged Darcy flux +
-  conduction with the isotropic balancing dissipation;
+  conduction with the isotropic balancing dissipation 1/2 s ||q|| h_e
+  (always added; ``MaterialParams.s_stab = 0`` turns it off);
 * flow         — backward-Euler mass balance with the fixed-stress
   relaxation terms and the lagged volumetric strain increment on the
   right-hand side. The thermal relaxation term is currently zero, because
@@ -93,13 +94,12 @@ def darcy_flux_qp(tables: ElementTables, params: MaterialParams,
 
 
 def qp_state(tables: ElementTables, params: MaterialParams, u: np.ndarray,
-             T: np.ndarray, v: np.ndarray, porosity_variant: str = "phi1") -> law.QPState:
+             T: np.ndarray, v: np.ndarray) -> law.QPState:
     """Constitutive state on all quadrature points for given nodal fields."""
     eps = strain_qp(tables, u)
     dT = scalar_qp(tables, T) - params.T0
     v_qp = scalar_qp(tables, v)
-    return law.qp_state(eps, dT, tables.h_e_qp, v_qp, params,
-                        porosity_variant=porosity_variant)
+    return law.qp_state(eps, dT, tables.h_e_qp, v_qp, params)
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +211,9 @@ def mechanics_residual(tables: ElementTables, params: MaterialParams,
 
 def build_flow_system(tables: ElementTables, params: MaterialParams,
                       v: np.ndarray, u_it: np.ndarray, p_it: np.ndarray,
-                      T_new: np.ndarray, u_prev: np.ndarray,
+                      T_new: np.ndarray, evol_prev: np.ndarray,
                       p_prev: np.ndarray, T_prev: np.ndarray, dt: float,
-                      source: np.ndarray | None = None,
-                      porosity_variant: str = "phi1",
-                      evol_prev: np.ndarray | None = None) -> SparseSystem:
+                      source: np.ndarray | None = None) -> SparseSystem:
     """Pressure system of the fixed-stress step.
 
     Left-hand side: (1/M_p + alpha^2/K_eff)/dt storage + Darcy stiffness.
@@ -226,11 +224,11 @@ def build_flow_system(tables: ElementTables, params: MaterialParams,
     is zero, because heat is solved before flow within an iterate and
     T_it = T_new (ROADMAP open item 1).
 
-    ``evol_prev`` is ``volumetric_strain_qp(tables, u_prev)``; a time step
-    passes it in, because it is fixed over the step's inner passes, and it
-    is evaluated from ``u_prev`` when omitted.
+    ``evol_prev`` is ``volumetric_strain_qp`` of the previous step's
+    displacement; a time step evaluates it once, because it is fixed over
+    the step's inner passes.
     """
-    st = qp_state(tables, params, u_it, T_new, v, porosity_variant=porosity_variant)
+    st = qp_state(tables, params, u_it, T_new, v)
     v_qp = scalar_qp(tables, v)
     K_eff = law.effective_bulk(v_qp, st.tr_sign, params)
     if np.any(K_eff <= 0.0) or not np.all(np.isfinite(K_eff)):
@@ -247,8 +245,6 @@ def build_flow_system(tables: ElementTables, params: MaterialParams,
     T_new_qp = scalar_qp(tables, T_new)
     T_prev_qp = scalar_qp(tables, T_prev)
     T_it_qp = T_new_qp  # heat is solved before flow within an iterate
-    if evol_prev is None:
-        evol_prev = volumetric_strain_qp(tables, u_prev)
 
     rhs_qp = (inv_Mp / dt) * p_prev_qp
     rhs_qp += (alpha * alpha / (K_eff * dt)) * p_it_qp
@@ -269,27 +265,23 @@ def build_flow_system(tables: ElementTables, params: MaterialParams,
 
 def build_heat_system(tables: ElementTables, params: MaterialParams,
                       v: np.ndarray, u_it: np.ndarray, p_it: np.ndarray,
-                      T_prev: np.ndarray, dt: float,
-                      stabilization: bool = True,
-                      source: np.ndarray | None = None,
-                      porosity_variant: str = "phi1") -> SparseSystem:
+                      T_prev: np.ndarray, dt: float) -> SparseSystem:
     """Temperature system with the lagged Darcy flux q_f^(m-1).
 
     The operator is linear in T: storage is row-sum lumped (keeps the
     backward-Euler operator an M-matrix on rectangles), advection uses
     rho_f c_pf q_f . grad T, and conduction carries lambda_eff plus the
-    balancing dissipation 1/2 s ||q_f|| h_e scaled by rho_f c_pf.
+    balancing dissipation 1/2 s ||q_f|| h_e scaled by rho_f c_pf, which
+    ``params.s_stab = 0`` turns off.
     """
-    st = qp_state(tables, params, u_it, T_prev, v, porosity_variant=porosity_variant)
+    st = qp_state(tables, params, u_it, T_prev, v)
     rhoc = law.heat_capacity_eff(st.porosity, params)
     lam = law.conductivity_eff(st.porosity, params)
     q_f = darcy_flux_qp(tables, params, st.perm, p_it)
 
     diag = _lumped_diag(tables, rhoc / dt)
-    lam_total = lam
-    if stabilization:
-        q_norm = np.hypot(q_f[..., 0], q_f[..., 1])
-        lam_total = lam + law.stabilization_conductivity(q_norm, tables.h_e_qp, params)
+    q_norm = np.hypot(q_f[..., 0], q_f[..., 1])
+    lam_total = lam + law.stabilization_conductivity(q_norm, tables.h_e_qp, params)
 
     KE = _laplacian(tables, lam_total)
     adv = params.rho_f * params.c_pf
@@ -299,11 +291,7 @@ def build_heat_system(tables: ElementTables, params: MaterialParams,
     idx = np.arange(4)
     KE[:, idx, idx] += diag
     FE = diag * T_prev[tables.conn]
-
-    system = assemble_batched(tables, KE, FE, vector=False)
-    if source is not None:
-        system.rhs += source
-    return system
+    return assemble_batched(tables, KE, FE, vector=False)
 
 
 # ---------------------------------------------------------------------------

@@ -112,9 +112,9 @@ def fracture_length(mesh: Mesh, v: np.ndarray, path: np.ndarray,
 
 
 def element_cell_data(tables: ElementTables, params: MaterialParams,
-                      state: FieldState, porosity_variant: str = "phi1") -> dict[str, np.ndarray]:
+                      state: FieldState) -> dict[str, np.ndarray]:
     """Element-averaged derived quantities for snapshot output."""
-    st = qp_state(tables, params, state.u, state.T, state.v, porosity_variant=porosity_variant)
+    st = qp_state(tables, params, state.u, state.T, state.v)
     return {
         "width": st.width.mean(axis=1),
         "porosity": st.porosity.mean(axis=1),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .config import Injection, MechBC, ProbeSpec, ScalarBC, ScenarioConfig
 from .constitutive import MaterialParams
 from .mesh import RefineBand
@@ -82,7 +84,7 @@ def _kgd_materials(thermal: bool, fast: bool) -> MaterialParams:
     h = 0.1 if fast else 0.05
     kw = dict(E=17e9, nu=0.2, alpha_m=0.0, phi_m=0.0, c_f=0.0,
               mu_f=1e-8, perm_m=1e-18, Gc=300.0, ell=4.0 * h,
-              n_at=1, k_res=1e-6, xi=1.0, s_stab=0.15, v_ir=0.05)
+              n_at=1, k_res=1e-6, xi=1.0, s_stab=0.15)
     if thermal:
         kw.update(lambda_s=3.0, lambda_f=0.5, c_ps=800.0, c_pf=4200.0,
                   rho_s=2600.0, rho_f=1000.0, alpha_s=8e-6,
@@ -110,10 +112,10 @@ def kgd(fast: bool = True, porosity_variant: str = "phi1",
             RefineBand(axis="y", lo=30.0 - 1.6, hi=30.0 + 1.6, h=h, ratio=1.15),
         ],
         cracks=[[(0.0, 30.0), (2.0, 30.0)]],
-        materials=_kgd_materials(thermal=False, fast=fast),
+        materials=replace(_kgd_materials(thermal=False, fast=fast),
+                          porosity_variant=porosity_variant),
         controls=SolverControls(dt_schedule=schedule),
         solve_thermal=False,
-        porosity_variant=porosity_variant,
         bcs_mech=[
             MechBC(set="left", component="x", value=0.0),
             MechBC(set="right", component="both", value=0.0),
@@ -136,12 +138,13 @@ def kgd(fast: bool = True, porosity_variant: str = "phi1",
 
 def kgd_cold(stabilization: bool = True, dT: float = 30.0, fast: bool = True,
              t_end: float = 2.0) -> ScenarioConfig:
-    """Cold-fluid KGD variant used for the advection stabilization study."""
+    """Cold-fluid KGD variant used for the advection stabilization study;
+    ``stabilization=False`` sets ``s_stab = 0``."""
     cfg = kgd(fast=fast, t_end=t_end)
     cfg.name = "kgd_cold"
-    cfg.materials = _kgd_materials(thermal=True, fast=fast)
+    materials = _kgd_materials(thermal=True, fast=fast)
+    cfg.materials = materials if stabilization else replace(materials, s_stab=0.0)
     cfg.solve_thermal = True
-    cfg.stabilization = stabilization
     cfg.injection = Injection(point=(0.0, 30.0), rate=2e-3,
                               temperature=cfg.materials.T0 - dT)
     cfg.probes = cfg.probes + [

@@ -88,7 +88,6 @@ def build_simulation(cfg: ScenarioConfig) -> Simulation:
     return Simulation(
         mesh=mesh, tables=tables, params=mp, gc_elem=gc_elem,
         solve_thermal=cfg.solve_thermal, solve_phasefield=cfg.solve_phasefield,
-        stabilization=cfg.stabilization, porosity_variant=cfg.porosity_variant,
         bc_u=bc_u, bc_p=bc_p, bc_T=bc_T,
         f_ext=f_ext, q_flow=q_flow, crack_nodes=cracks, p_init=cfg.p_init)
 

@@ -63,7 +63,6 @@ class StepReport:
     inner_iters: list[int]
     v_increments: list[float]
     tpu_increments: list[tuple[float, float, float]]
-    converged: bool
 
 
 def _rel(new: np.ndarray, old: np.ndarray) -> float:
@@ -141,14 +140,11 @@ class Simulation:
     gc_elem: np.ndarray                 # per-element Gc (interface overrides applied)
     solve_thermal: bool = True
     solve_phasefield: bool = True
-    stabilization: bool = True
-    porosity_variant: str = "phi1"
     bc_u: tuple[np.ndarray, np.ndarray] = _EMPTY
     bc_p: tuple[np.ndarray, np.ndarray] = _EMPTY
     bc_T: tuple[np.ndarray, np.ndarray] = _EMPTY
     f_ext: np.ndarray | None = None     # (2 n_nodes,) mechanical loads
     q_flow: np.ndarray | None = None    # (n_nodes,) nodal fluid sources [m^2/s]
-    q_heat: np.ndarray | None = None    # (n_nodes,) nodal heat sources [W/m]
     crack_nodes: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     p_init: float = 0.0
 
@@ -158,8 +154,6 @@ class Simulation:
             self.f_ext = np.zeros(2 * n)
         if self.q_flow is None:
             self.q_flow = np.zeros(n)
-        if self.q_heat is None:
-            self.q_heat = np.zeros(n)
         self.gc_elem = np.broadcast_to(np.asarray(self.gc_elem, dtype=float),
                                        (self.mesh.n_elems,)).copy()
         self._mech_factor = Factorization()
@@ -192,18 +186,14 @@ class Simulation:
 
     def _solve_T(self, v, it: FieldState, prev: FieldState, dt: float) -> np.ndarray:
         system = build_heat_system(self.tables, self.params, v, it.u, it.p,
-                                   prev.T, dt, stabilization=self.stabilization,
-                                   source=self.q_heat,
-                                   porosity_variant=self.porosity_variant)
+                                   prev.T, dt)
         return solve_linear(apply_dirichlet(system, self._dirichlet["T"]))
 
     def _solve_p(self, v, it: FieldState, T_new, prev: FieldState, evol_prev,
                  dt: float) -> np.ndarray:
         system = build_flow_system(self.tables, self.params, v, it.u, it.p,
-                                   T_new, prev.u, prev.p, prev.T, dt,
-                                   source=self.q_flow,
-                                   porosity_variant=self.porosity_variant,
-                                   evol_prev=evol_prev)
+                                   T_new, evol_prev, prev.p, prev.T, dt,
+                                   source=self.q_flow)
         return solve_linear(apply_dirichlet(system, self._dirichlet["p"]))
 
     def _solve_u(self, v, p_new, T_new, tr_sign) -> np.ndarray:
@@ -270,8 +260,7 @@ class Simulation:
             v_cur = v_new
             if not self.solve_phasefield or dv < controls.tol_stag:
                 report = StepReport(outer_iters=m, inner_iters=inner_counts,
-                                    v_increments=v_incs, tpu_increments=tpu_incs,
-                                    converged=True)
+                                    v_increments=v_incs, tpu_increments=tpu_incs)
                 return it, report
 
         raise NonConvergence(

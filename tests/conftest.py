@@ -16,7 +16,7 @@ def generic_params():
         E=17e9, nu=0.2, alpha_m=0.6, phi_m=0.1, c_f=4.5e-10, mu_f=1e-4,
         perm_m=1e-16, alpha_s=8e-6, alpha_f=4e-4, lambda_s=3.0, lambda_f=0.5,
         c_ps=800.0, c_pf=4200.0, rho_s=2600.0, rho_f=1000.0, Gc=100.0,
-        ell=0.02, k_res=1e-6, n_at=2, xi=1.0, s_stab=0.15, v_ir=0.05,
+        ell=0.02, k_res=1e-6, n_at=2, xi=1.0, s_stab=0.15,
         T0=383.15)
 
 

@@ -5,7 +5,7 @@ import pytest
 from thmfrac.cli import _parse_dt_schedule, main
 from thmfrac.config import config_from_dict, config_to_dict, parse_config
 from thmfrac.errors import ConfigError
-from thmfrac.presets import (PRESETS, get_preset, kgd, single_fracture,
+from thmfrac.presets import (PRESETS, get_preset, kgd, kgd_cold, single_fracture,
                              terzaghi, thermal_consolidation)
 
 
@@ -21,11 +21,12 @@ class TestParseConfig:
         assert any("line 2" in e for e in exc.value.errors)
 
     def test_preset_round_trips_through_json(self):
-        for name in ("terzaghi", "thermal_consolidation", "kgd"):
-            cfg = get_preset(name)
+        cfgs = [get_preset(name) for name in PRESETS]
+        cfgs += [kgd(porosity_variant="phi0"), kgd_cold(stabilization=False)]
+        for cfg in cfgs:
             text = json.dumps(config_to_dict(cfg))
             parsed = parse_config(text)
-            assert parsed == cfg
+            assert parsed == cfg, cfg.name
 
     def test_negative_porosity_names_the_field(self):
         raw = config_to_dict(terzaghi())
@@ -55,6 +56,33 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as exc:
             parse_config(json.dumps(raw))
         assert "physics.width_variant: unknown key" in exc.value.errors
+
+    @pytest.mark.parametrize("section, key, value", [("physics", "stabilization", False),
+                                                     ("physics", "porosity_variant", "phi0"),
+                                                     ("materials", "v_ir", 0.05),
+                                                     ("materials", "T_ref", 293.15)])
+    def test_removed_key_rejected(self, section, key, value):
+        raw = config_to_dict(kgd())
+        raw[section][key] = value
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(raw))
+        assert exc.value.errors == [f"{section}.{key}: unknown key"]
+
+    def test_unknown_porosity_variant_reported_under_materials(self):
+        raw = config_to_dict(kgd())
+        raw["materials"]["porosity_variant"] = "phi2"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(raw))
+        assert len(exc.value.errors) == 1
+        assert exc.value.errors[0].startswith("materials: ")
+        assert "porosity_variant" in exc.value.errors[0]
+
+    def test_non_string_porosity_variant_rejected(self):
+        raw = config_to_dict(kgd())
+        raw["materials"]["porosity_variant"] = 1
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(raw))
+        assert "materials.porosity_variant: expected a string, got 1" in exc.value.errors
 
     def test_unknown_probe_kind_rejected(self):
         raw = config_to_dict(kgd())
@@ -133,6 +161,14 @@ class TestCLIHelpers:
         # an override that breaks the config must exit 2
         assert main(["run", "terzaghi", "--override", "materials.E=-5",
                      "--out", str(tmp_path)]) == 2
+
+    def test_removed_stabilization_switch_exits_with_config_error(self, tmp_path, capsys):
+        # the switch is materials.s_stab = 0; the old key fails validation
+        # before anything is built or run
+        assert main(["run", "kgd_cold", "--override", "physics.stabilization=false",
+                     "--out", str(tmp_path)]) == 2
+        assert "physics.stabilization: unknown key" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 def test_verify_registry_names_the_five_paper_checks():

@@ -208,18 +208,19 @@ class TestWidthAndPorosity:
         assert law.porosity(e1_of(np.array([0.05, 0.0, 0.0])), mp) == pytest.approx(0.35)
 
     def test_porosity_phi0_fully_damaged_tension(self):
-        mp = MaterialParams(E=1e9, nu=0.2, alpha_m=0.6, phi_m=0.3, k_res=1e-15)
-        phi = law.porosity(e1_of(np.zeros(3)), mp, "phi0", v=0.0, tr_sign=1.0)
+        mp = MaterialParams(E=1e9, nu=0.2, alpha_m=0.6, phi_m=0.3, k_res=1e-15,
+                            porosity_variant="phi0")
+        phi = law.porosity(e1_of(np.zeros(3)), mp, v=0.0, tr_sign=1.0)
         assert phi == pytest.approx(1.0, abs=1e-12)
 
     def test_phi1_independent_of_v_and_ell(self, rng):
         e1 = e1_of(random_strain(rng, n=16))
         base = MaterialParams(E=1e9, nu=0.2, alpha_m=0.6, phi_m=0.2, ell=0.1)
         other = MaterialParams(E=1e9, nu=0.2, alpha_m=0.6, phi_m=0.2, ell=3.7)
-        ref = law.porosity(e1, base, "phi1", v=1.0, tr_sign=1.0)
+        ref = law.porosity(e1, base, v=1.0, tr_sign=1.0)
         for v in (0.0, 0.3, 1.0):
-            assert np.array_equal(law.porosity(e1, base, "phi1", v=v, tr_sign=0.0), ref)
-        assert np.array_equal(law.porosity(e1, other, "phi1"), ref)
+            assert np.array_equal(law.porosity(e1, base, v=v, tr_sign=0.0), ref)
+        assert np.array_equal(law.porosity(e1, other), ref)
 
 
 class TestPermeability:
@@ -309,40 +310,6 @@ class TestPressureDrive:
             raw = (2.0 * eps_vol / p) * v * (1 - mp.k_res) * (1 - mp.alpha_m)
             assert v * law.biot_modulus_pressure_drive(eps_vol, p, 1.0, mp) == \
                 pytest.approx(0.5 * p * p * raw, rel=1e-12)
-
-
-class TestTotalStress:
-    def test_zero_state(self, generic_params):
-        s = law.total_stress(np.zeros(3), 1.0, 0.0, generic_params.T0, generic_params)
-        assert np.allclose(s, 0.0)
-
-    def test_pressure_contribution(self):
-        mp = MaterialParams(E=1e9, nu=0.2, alpha_m=0.6)
-        s = law.total_stress(np.zeros(3), 1.0, 1e6, mp.T0, mp)
-        assert np.allclose(s, -0.6e6 * np.eye(2), rtol=1e-6)
-
-    def test_thermal_prestress(self):
-        mp = MaterialParams(E=1e9, nu=0.2, alpha_m=0.6, alpha_s=8e-6)
-        s = law.total_stress(np.zeros(3), 1.0, 0.0, mp.T0 + 10.0, mp)
-        assert np.allclose(s, -30.0 * mp.alpha_s * mp.K_m * np.eye(2), rtol=1e-9)
-
-    def test_linear_in_p_and_dT(self, rng, generic_params):
-        mp = generic_params
-        eps = random_strain(rng)
-        v = 0.7
-        for _ in range(8):
-            p1, p2 = rng.uniform(0, 1e6, 2)
-            s1 = law.total_stress(eps, v, p1, mp.T0, mp)
-            s2 = law.total_stress(eps, v, p2, mp.T0, mp)
-            s15 = law.total_stress(eps, v, 0.5 * (p1 + p2), mp.T0, mp)
-            assert np.allclose(0.5 * (s1 + s2), s15, rtol=1e-12, atol=1e-6)
-        # linearity in dT at fixed opening branch (small dT keeps the sign)
-        base = np.array([2e-3, 1e-3, 0.0])
-        t1, t2 = mp.T0 + 1.0, mp.T0 + 2.0
-        s1 = law.total_stress(base, v, 0.0, t1, mp)
-        s2 = law.total_stress(base, v, 0.0, t2, mp)
-        s15 = law.total_stress(base, v, 0.0, 0.5 * (t1 + t2), mp)
-        assert np.allclose(0.5 * (s1 + s2), s15, rtol=1e-12)
 
 
 def test_biot_modulus_negative_storage_raises():

@@ -138,9 +138,9 @@ class TestPattern:
 
     def test_pattern_is_built_once_and_shared(self, rng):
         _, tb = _graded_tables()
-        KE = rng.normal(size=(tb.n_elems, 4, 4))
-        A = assemble_batched(tb, KE, np.zeros((tb.n_elems, 4))).matrix
-        B = assemble_batched(tb, 2.0 * KE, np.zeros((tb.n_elems, 4))).matrix
+        KE = rng.normal(size=(tb.mesh.n_elems, 4, 4))
+        A = assemble_batched(tb, KE, np.zeros((tb.mesh.n_elems, 4))).matrix
+        B = assemble_batched(tb, 2.0 * KE, np.zeros((tb.mesh.n_elems, 4))).matrix
         assert tb.scalar_pattern is tb.scalar_pattern
         assert np.shares_memory(A.indices, B.indices)
         assert not tb.scalar_pattern.indices.flags.writeable
@@ -182,8 +182,8 @@ class TestDirichlet:
 
     def test_no_constraints_leave_the_system_alone(self, rng):
         _, tb = _graded_tables()
-        sys_ = assemble_batched(tb, rng.normal(size=(tb.n_elems, 4, 4)),
-                                rng.normal(size=(tb.n_elems, 4)))
+        sys_ = assemble_batched(tb, rng.normal(size=(tb.mesh.n_elems, 4, 4)),
+                                rng.normal(size=(tb.mesh.n_elems, 4)))
         bc = Dirichlet.on(tb.scalar_pattern, np.empty(0, dtype=np.int64), np.empty(0))
         fixed = apply_dirichlet(sys_, bc)
         assert fixed.matrix is sys_.matrix and fixed.rhs is sys_.rhs

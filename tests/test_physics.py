@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from thmfrac.mesh import generate_rect_mesh
 from thmfrac.physics import (build_flow_system, build_heat_system,
                              build_mechanics_system, build_phasefield_system,
                              mechanics_branch_flags, mechanics_residual, qp_state,
-                             scalar_qp, strain_qp)
+                             scalar_qp, strain_qp, volumetric_strain_qp)
 
 # ---------------------------------------------------------------------------
 # dense reference assemblies (independent loop-based implementations)
@@ -114,13 +116,14 @@ class TestQPState:
     @pytest.mark.parametrize("variant", ["phi1", "phi0"])
     def test_width_porosity_permeability_are_the_standalone_laws(self, setup, rng, variant):
         mesh, tb, mp = setup
+        mp = replace(mp, porosity_variant=variant)
         u, _, T, v = _random_state(mesh, mp, rng)
-        st = qp_state(tb, mp, u, T, v, porosity_variant=variant)
+        st = qp_state(tb, mp, u, T, v)
         eps = strain_qp(tb, u)
         v_qp = scalar_qp(tb, v)
         e1, e2 = law.principal_strains(eps)
         width = law.fracture_width(e1, tb.h_e_qp)
-        phi = law.porosity(e1, mp, variant, v=v_qp, tr_sign=st.tr_sign)
+        phi = law.porosity(e1, mp, v=v_qp, tr_sign=st.tr_sign)
         perm = law.permeability(v_qp, width, law.crack_normal(eps, e1, e2), mp)
         assert np.any(width > 0.0)
         assert np.array_equal(st.width, width)
@@ -206,7 +209,8 @@ class TestFlow:
         mesh, tb, mp = small_setup
         n = mesh.n_nodes
         u, p, T, v = _uniform_state(mesh, mp, p=2e5)
-        system = build_flow_system(tb, mp, v, u, p, T, u, p, T, dt=1.0)
+        system = build_flow_system(tb, mp, v, u, p, T, volumetric_strain_qp(tb, u), p, T,
+                                   dt=1.0)
         assert np.allclose(system.matrix @ p - system.rhs, 0.0,
                            atol=1e-12 * np.abs(system.rhs).max())
 
@@ -232,8 +236,9 @@ class TestFlow:
         M_p = 1.0 / (phi * mp.c_f)
         expect = 1e4 + Q * dt * M_p           # element volume is 1
         p = p_prev.copy()
+        evol = volumetric_strain_qp(tb, uvec)
         for _ in range(30):                   # iterate lagged terms to the fixed point
-            system = build_flow_system(tb, mp, v, uvec, p, T, uvec, p_prev, T,
+            system = build_flow_system(tb, mp, v, uvec, p, T, evol, p_prev, T,
                                        dt, source=source)
             p = solve_linear(system)
         assert np.allclose(p, expect, rtol=1e-10)
@@ -252,7 +257,8 @@ class TestFlow:
         v = np.ones(n)
         p_prev = rng.uniform(0, 1e5, n)
         dt = 3.0
-        system = build_flow_system(tb, mp, v, uvec, p_prev, T, uvec, p_prev, T, dt)
+        system = build_flow_system(tb, mp, v, uvec, p_prev, T, volumetric_strain_qp(tb, uvec),
+                                   p_prev, T, dt)
         phi = eps1
         dense = (dense_scalar_mass(mesh, phi * mp.c_f / dt)
                  + dense_scalar_laplacian(mesh, mp.perm_m / mp.mu_f))
@@ -264,7 +270,8 @@ class TestFlow:
     def test_large_dt_reduces_to_steady_darcy(self, small_setup):
         mesh, tb, mp = small_setup
         u, p, T, v = _uniform_state(mesh, mp)
-        system = build_flow_system(tb, mp, v, u, p, T, u, p, T, dt=1e30)
+        system = build_flow_system(tb, mp, v, u, p, T, volumetric_strain_qp(tb, u), p, T,
+                                   dt=1e30)
         dense = dense_scalar_laplacian(mesh, mp.perm_m / mp.mu_f)
         assert np.allclose(system.matrix.toarray(), dense,
                            atol=1e-10 * np.abs(dense).max())
@@ -278,7 +285,8 @@ class TestFlow:
         T = np.full(n, mp.T0) + rng.uniform(-3, 3, n)
         T_prev = np.full(n, mp.T0)
         v = rng.uniform(0.2, 1.0, n)
-        system = build_flow_system(tb, mp, v, u, p_it, T, u * 0.5, p_prev, T_prev, 0.5)
+        system = build_flow_system(tb, mp, v, u, p_it, T, volumetric_strain_qp(tb, u * 0.5),
+                                   p_prev, T_prev, 0.5)
         J = system.matrix.toarray()
 
         def residual(p):
@@ -303,7 +311,7 @@ class TestHeat:
         n = mesh.n_nodes
         u, p, T, v = _uniform_state(mesh, mp)  # uniform p: q_f = 0
         dt = 2.0
-        system = build_heat_system(tb, mp, v, u, p, T, dt, stabilization=True)
+        system = build_heat_system(tb, mp, v, u, p, T, dt)
         phi = mp.phi_m
         lam = law.conductivity_eff(phi, mp)
         rhoc = law.heat_capacity_eff(phi, mp)
@@ -331,8 +339,9 @@ class TestHeat:
         p = 1e9 * mesh.nodes[:, 0]  # constant Darcy flux
         T = np.full(n, mp.T0)
         v = np.ones(n)
-        on = build_heat_system(tb, mp, v, u, p, T, 1.0, stabilization=True)
-        off = build_heat_system(tb, mp, v, u, p, T, 1.0, stabilization=False)
+        assert mp.s_stab > 0.0
+        on = build_heat_system(tb, mp, v, u, p, T, 1.0)
+        off = build_heat_system(tb, replace(mp, s_stab=0.0), v, u, p, T, 1.0)
         q = mp.perm_m / mp.mu_f * 1e9
         lam_add = 0.5 * mp.s_stab * q * mesh.h_e[0] * mp.rho_f * mp.c_pf
         dense = dense_scalar_laplacian(mesh, lam_add)
@@ -370,7 +379,7 @@ class TestHeat:
         q = mp.perm_m / mp.mu_f * 2e7
         peclet = mp.rho_f * mp.c_pf * q * 0.05 / (2 * 0.5)
         assert peclet > 5.0
-        system = build_heat_system(tb, mp, v, u, p, T, dt=1e12, stabilization=True)
+        system = build_heat_system(tb, mp, v, u, p, T, dt=1e12)
         left = mesh.boundary_nodes["left"]
         right = mesh.boundary_nodes["right"]
         dofs = np.concatenate([left, right])
@@ -389,14 +398,14 @@ class TestHeat:
         mp = MaterialParams(E=1e9, nu=0.2, alpha_m=0.6, phi_m=0.1,
                             perm_m=1e-12, mu_f=1e-3, lambda_s=0.5, lambda_f=0.5,
                             c_ps=800.0, c_pf=4200.0, rho_s=2600.0, rho_f=1000.0,
-                            T0=300.0)
+                            s_stab=0.0, T0=300.0)
         mesh = generate_rect_mesh(1.0, 0.2, 30, 6)
         tb = build_tables(mesh)
         n = mesh.n_nodes
         x, y = mesh.nodes.T
         p = 2e8 * (1.0 - x) * (1.0 + 0.3 * y)
         system = build_heat_system(tb, mp, np.ones(n), np.zeros(2 * n), p,
-                                   np.full(n, 300.0), dt=1e12, stabilization=False)
+                                   np.full(n, 300.0), dt=1e12)
         left = mesh.boundary_nodes["left"]
         right = mesh.boundary_nodes["right"]
         dofs = np.concatenate([left, right])
