@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Subcommands: ``run`` (preset name or config file), ``verify`` (benchmark
-harness) and ``mesh-dump`` (VTK of a preset's mesh). Exit codes: 0 success,
-2 config error, 3 solver failure, 4 verification failure. The THMFRAC_LOG
+harness) and ``mesh-dump`` (VTK of a preset's mesh). ``run --override``
+sets any config value, such as ``controls.dt_schedule=[[0.1,0.01],[3.9,0.1]]``
+(0.1 s at dt = 0.01 s, then 3.9 s at 0.1 s). Exit codes: 0 success, 2 config
+error, 3 solver failure, 4 verification failure. The THMFRAC_LOG
 environment variable ({error, info, debug}) controls verbosity.
 """
 
@@ -39,27 +41,6 @@ def _pin_threads(n: int):
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
         os.environ.setdefault(var, str(n))
-
-
-def _parse_dt_schedule(text: str, total_time: float) -> list[tuple[float, float]]:
-    """Parse "10x0.01,then 0.1" style schedules; "then" fills the remainder."""
-    schedule: list[tuple[float, float]] = []
-    elapsed = 0.0
-    for part in (p.strip() for p in text.split(",")):
-        if part.startswith("then "):
-            dt = float(part[5:])
-            remaining = max(total_time - elapsed, 0.0)
-            schedule.append((remaining, dt))
-            elapsed += remaining
-        elif "x" in part:
-            n_str, dt_str = part.split("x", 1)
-            n, dt = int(n_str), float(dt_str)
-            schedule.append((n * dt, dt))
-            elapsed += n * dt
-        else:
-            raise ValueError(f"cannot parse dt schedule segment {part!r} "
-                             "(expected 'NxDT' or 'then DT')")
-    return schedule
 
 
 def _apply_overrides(raw: dict, overrides: list[str]) -> dict:
@@ -104,10 +85,6 @@ def _load_config(args):
         raw = json.loads(path.read_text())
     if getattr(args, "override", None):
         raw = _apply_overrides(raw, args.override)
-    if getattr(args, "dt_schedule", None):
-        total = sum(d for d, _ in raw["controls"]["dt_schedule"])
-        raw["controls"]["dt_schedule"] = [
-            list(e) for e in _parse_dt_schedule(args.dt_schedule, total)]
     return config_from_dict(raw, name_hint=name)
 
 
@@ -186,8 +163,9 @@ def main(argv=None) -> int:
     p_run.add_argument("scenario")
     p_run.add_argument("--out", help="output directory (default out/<name>)")
     p_run.add_argument("--override", action="append", default=[],
-                       metavar="KEY.PATH=VALUE")
-    p_run.add_argument("--dt-schedule", help='e.g. "10x0.01,then 0.1"')
+                       metavar="KEY.PATH=VALUE",
+                       help="set one config value (JSON, else a string), "
+                            "e.g. controls.dt_schedule=[[0.1,0.01],[3.9,0.1]]")
     p_run.add_argument("--dT", type=float, help="injection temperature drop [K]")
     p_run.add_argument("--fast", action="store_true",
                        help="coarse variant for presets that support it")

@@ -117,6 +117,7 @@ class QPState:
     perm: np.ndarray            # (..., 2, 2) [m^2]
     tr_sign: np.ndarray         # H(Tr eps_e)
     alpha: np.ndarray           # effective Biot coefficient
+    K_eff: np.ndarray           # effective bulk modulus [Pa]
     eps_vol: np.ndarray         # in-plane volumetric strain Tr eps
 
 
@@ -176,11 +177,16 @@ def energy_split_vd(eps_e, K_m: float, mu_shear: float, eps_zz=0.0):
 # effective stiffness and stresses
 # ---------------------------------------------------------------------------
 
+def bulk_fraction(v, tr_sign, k_res: float):
+    """K_eff / K_m = g(v) H(+) + H(-); Biot's coefficient and the
+    damage-driven porosity follow from this one fraction."""
+    h = np.asarray(tr_sign, dtype=float)
+    return degradation(v, k_res) * h + (1.0 - h)
+
+
 def effective_bulk(v, tr_sign, params: MaterialParams):
     """K_eff = [g(v) H(+) + H(-)] K_m."""
-    g = degradation(v, params.k_res)
-    h = np.asarray(tr_sign, dtype=float)
-    return (g * h + (1.0 - h)) * params.K_m
+    return bulk_fraction(v, tr_sign, params.k_res) * params.K_m
 
 
 def effective_stiffness(v, tr_sign, params: MaterialParams) -> np.ndarray:
@@ -210,10 +216,8 @@ def effective_stress(eps_e, v, tr_sign, params: MaterialParams, eps_zz=0.0) -> n
 
 
 def biot_coefficient(v, tr_sign, params: MaterialParams):
-    """alpha(v) = 1 - [g(v) H(+) + H(-)] (1 - alpha_m), in [alpha_m, 1]."""
-    g = degradation(v, params.k_res)
-    h = np.asarray(tr_sign, dtype=float)
-    return 1.0 - (g * h + (1.0 - h)) * (1.0 - params.alpha_m)
+    """alpha(v) = 1 - K_eff / K_s = 1 - [g(v) H(+) + H(-)] (1 - alpha_m), in [alpha_m, 1]."""
+    return 1.0 - bulk_fraction(v, tr_sign, params.k_res) * (1.0 - params.alpha_m)
 
 
 def thermoelastic_split(eps, dT, alpha_s: float):
@@ -248,16 +252,16 @@ def principal_strains(eps):
     return c + r, c - r
 
 
-def crack_normal(eps, e1, e2, degenerate_tol: float = 1e-12) -> np.ndarray:
+def crack_normal(eps, e1, e2) -> np.ndarray:
     """Unit eigenvector of the largest principal strain, shape (..., 2).
 
     ``e1, e2`` are the ``principal_strains`` of ``eps``. Deterministic sign
-    (first nonzero component positive); degenerate (isotropic) states
-    return (1, 0).
+    (first nonzero component positive); degenerate (isotropic) states,
+    e1 - e2 <= 1e-12, return (1, 0).
     """
     eps = np.asarray(eps, dtype=float)
     exx, eyy, exy = eps[..., 0], eps[..., 1], 0.5 * eps[..., 2]
-    degen = (e1 - e2) <= degenerate_tol
+    degen = (e1 - e2) <= 1e-12
     # two candidate (unnormalized) eigenvectors; pick the better conditioned
     vx_a, vy_a = e1 - eyy, exy
     vx_b, vy_b = exy, e1 - exx
@@ -294,9 +298,7 @@ def porosity(e1, params: MaterialParams, v=None, tr_sign=None):
     else:
         if v is None or tr_sign is None:
             raise ValueError("phi0 variant needs v and tr_sign")
-        g = degradation(v, params.k_res)
-        h = np.asarray(tr_sign, dtype=float)
-        phi = 1.0 - (g * h + (1.0 - h)) * (1.0 - params.phi_m)
+        phi = 1.0 - bulk_fraction(v, tr_sign, params.k_res) * (1.0 - params.phi_m)
     return np.clip(phi, params.phi_m, 1.0)
 
 
@@ -392,6 +394,6 @@ def qp_state(eps, dT, h_e, v, params: MaterialParams) -> QPState:
     width = fracture_width(e1, h_e)
     phi = porosity(e1, params, v=v, tr_sign=tr_sign)
     perm = permeability(v, width, crack_normal(eps, e1, e2), params)
-    alpha = biot_coefficient(v, tr_sign, params)
-    return QPState(width=width, porosity=phi, perm=perm, tr_sign=tr_sign, alpha=alpha,
-                   eps_vol=trace2(eps))
+    return QPState(width=width, porosity=phi, perm=perm, tr_sign=tr_sign,
+                   alpha=biot_coefficient(v, tr_sign, params),
+                   K_eff=effective_bulk(v, tr_sign, params), eps_vol=trace2(eps))

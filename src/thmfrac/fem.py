@@ -5,9 +5,11 @@ field (scalar or vector) has one CSR sparsity pattern per mesh, built on
 first assembly together with a gather table from element entries to CSR
 slots, so assembly only fills the ``data`` array. Static Dirichlet
 constraints are resolved once against that pattern into slot masks.
-Linear solves go through SuperLU on the Jacobi-scaled operator; a caller
-that owns a ``Factorization`` keeps the factor between solves and
-invalidates it when its operator changes.
+Every linear solve, the phase-field free block included, passes
+``solve_linear`` and its gate (a non-finite solution or a residual above
+1e-10 ||b|| raises ``SolverFailure``). A caller that owns a
+``Factorization`` keeps the factor between solves and takes a fresh one
+when its operator changes.
 
 Every factorization, including the free block of the phase-field solve,
 uses one set of SuperLU options: a multiple-minimum-degree column ordering
@@ -32,6 +34,8 @@ from .errors import SolverFailure
 from .mesh import Mesh
 
 _Q4_LOCAL = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+_BOX_KKT_TOL = 1e-8     # KKT multiplier tolerance, relative to max(|b|, |diag A|)
+_BOX_MAX_ITER = 200     # active-set iterations of solve_bound_constrained
 
 
 def shape_q4(xi: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -192,40 +196,31 @@ class SparseSystem:
     rhs: np.ndarray
 
 
-def assemble(mesh: Mesh, element_kernel, ndof_per_node: int = 1) -> SparseSystem:
-    """Assemble a global system from a per-element kernel.
+def assemble(mesh: Mesh, element_kernel) -> SparseSystem:
+    """Assemble a global scalar-field system from a per-element kernel.
 
-    ``element_kernel(eid) -> (ke, fe)`` must return an (nd, nd) matrix and
-    an (nd,) vector with nd = 4 * ndof_per_node, ordered by local node
-    (components interleaved for vector fields).
+    ``element_kernel(eid) -> (ke, fe)`` must return a (4, 4) matrix and a
+    (4,) vector ordered by local node. This element loop is the reference
+    that the batched assembly is tested against.
     """
-    nd = 4 * ndof_per_node
-    n_dofs = mesh.n_nodes * ndof_per_node
-    KE = np.empty((mesh.n_elems, nd, nd))
-    FE = np.empty((mesh.n_elems, nd))
+    n = mesh.n_nodes
+    KE = np.empty((mesh.n_elems, 4, 4))
+    FE = np.empty((mesh.n_elems, 4))
     for e in range(mesh.n_elems):
         ke, fe = element_kernel(e)
         ke = np.asarray(ke, dtype=float)
         fe = np.asarray(fe, dtype=float)
-        if ke.shape != (nd, nd) or fe.shape != (nd,):
+        if ke.shape != (4, 4) or fe.shape != (4,):
             raise ValueError(
                 f"element kernel size mismatch on element {e}: "
-                f"got {ke.shape}/{fe.shape}, expected {(nd, nd)}/{(nd,)}")
+                f"got {ke.shape}/{fe.shape}, expected (4, 4)/(4,)")
         KE[e] = ke
         FE[e] = fe
-    if ndof_per_node == 1:
-        dofs = mesh.elems
-        rows = np.repeat(dofs, nd, axis=1).ravel()
-        cols = np.tile(dofs, (1, nd)).ravel()
-    else:
-        dofs = np.empty((mesh.n_elems, nd), dtype=np.int64)
-        for c in range(ndof_per_node):
-            dofs[:, c::ndof_per_node] = ndof_per_node * mesh.elems + c
-        rows = np.repeat(dofs, nd, axis=1).ravel()
-        cols = np.tile(dofs, (1, nd)).ravel()
-    A = sp.coo_matrix((KE.ravel(), (rows, cols)), shape=(n_dofs, n_dofs)).tocsr()
-    b = np.zeros(n_dofs)
-    np.add.at(b, dofs.ravel(), FE.ravel())
+    rows = np.repeat(mesh.elems, 4, axis=1).ravel()
+    cols = np.tile(mesh.elems, (1, 4)).ravel()
+    A = sp.coo_matrix((KE.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    b = np.zeros(n)
+    np.add.at(b, mesh.elems.ravel(), FE.ravel())
     return SparseSystem(matrix=A, rhs=b)
 
 
@@ -311,17 +306,13 @@ class Factorization:
 
     ``factorize`` fills it and ``solve`` solves with the unscaled operator.
     ``solve_linear`` fills an empty one and solves with a filled one
-    without looking at the operator again; the owner calls ``invalidate``
-    whenever the operator changes.
+    without looking at the operator again, so the owner takes a fresh
+    ``Factorization()`` whenever the operator changes.
     """
 
     def __init__(self):
         self.lu = None
         self.scale: np.ndarray | None = None
-
-    def invalidate(self):
-        self.lu = None
-        self.scale = None
 
     def factorize(self, A: sp.spmatrix) -> "Factorization":
         """Factor diag(s) A diag(s) with the SuperLU options of this module.
@@ -405,15 +396,15 @@ def solve_linear(system: SparseSystem, factor: Factorization | None = None) -> n
 # ---------------------------------------------------------------------------
 
 def solve_bound_constrained(system: SparseSystem, lower: np.ndarray,
-                            upper: np.ndarray, init: np.ndarray,
-                            rel_tol: float = 1e-8,
-                            max_iter: int = 200) -> np.ndarray:
+                            upper: np.ndarray, init: np.ndarray) -> np.ndarray:
     """Minimize 1/2 x'Ax - b'x subject to lower <= x <= upper.
 
     Active-set iteration on the symmetric system: solve the free block,
     clamp violating components, release actives whose KKT multiplier has
     the wrong sign. At the solution the gradient r = Ax - b vanishes on
     free components, is >= 0 at lower bounds and <= 0 at upper bounds.
+    Each free block is solved by ``solve_linear``, with its residual gate,
+    refinement and non-finite check.
     """
     A = system.matrix.tocsr()
     b = system.rhs
@@ -430,9 +421,9 @@ def solve_bound_constrained(system: SparseSystem, lower: np.ndarray,
     at_up = (x >= upper - 1e-15) & ~pinned
 
     scale = max(np.abs(b).max(initial=0.0), np.abs(A.diagonal()).max(initial=0.0), 1e-300)
-    tol = rel_tol * scale
+    tol = _BOX_KKT_TOL * scale
 
-    for _ in range(max_iter):
+    for _ in range(_BOX_MAX_ITER):
         active = pinned | at_lo | at_up
         free = ~active
         if np.any(free):
@@ -440,13 +431,7 @@ def solve_bound_constrained(system: SparseSystem, lower: np.ndarray,
             aidx = np.nonzero(active)[0]
             Af = A[fidx]
             rhs_f = b[fidx] - Af[:, aidx] @ x[aidx]
-            try:
-                xf = Factorization().factorize(Af[:, fidx]).solve(rhs_f)
-            except RuntimeError as exc:
-                raise SolverFailure(
-                    f"bound-constrained solve: free-block factorization failed: {exc}",
-                    diagnostics={"free_dofs": int(free.sum())}) from exc
-            x[fidx] = xf
+            x[fidx] = solve_linear(SparseSystem(Af[:, fidx], rhs_f))
             viol_lo = free & (x < lower - 1e-15)
             viol_up = free & (x > upper + 1e-15)
             if np.any(viol_lo) or np.any(viol_up):
@@ -466,6 +451,6 @@ def solve_bound_constrained(system: SparseSystem, lower: np.ndarray,
     r = A @ x - b
     kkt = float(np.max(np.abs(np.where(pinned | at_lo | at_up, 0.0, r))))
     raise SolverFailure(
-        f"bound-constrained solve did not satisfy KKT in {max_iter} iterations "
+        f"bound-constrained solve did not satisfy KKT in {_BOX_MAX_ITER} iterations "
         f"(free-gradient norm {kkt:.3e})",
         diagnostics={"last_iterate": x, "kkt_violation": kkt})

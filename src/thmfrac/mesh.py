@@ -3,6 +3,9 @@
 Meshes are tensor products of two monotone coordinate arrays, optionally
 graded around refinement bands (fine uniform core, geometric coarsening
 outward). Element size ``h_e`` is defined as sqrt(element area).
+
+``locate_points`` is the one point locator (grid-line search); probes,
+interpolation and widths all go through it.
 """
 
 from __future__ import annotations
@@ -12,9 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PointNotFound
-
-_EDGE_NAMES = ("left", "right", "bottom", "top")
-
 
 @dataclass(frozen=True)
 class RefineBand:
@@ -174,28 +174,27 @@ def generate_rect_mesh(
                 boundary_nodes=boundary_nodes, boundary_edges=boundary_edges)
 
 
-def _cell_index(breaks: np.ndarray, coord: float, tol: float) -> int:
-    if coord < breaks[0] - tol or coord > breaks[-1] + tol:
-        raise PointNotFound(f"coordinate {coord} outside [{breaks[0]}, {breaks[-1]}]")
-    k = int(np.searchsorted(breaks, coord, side="right")) - 1
-    return min(max(k, 0), len(breaks) - 2)
+def locate_points(mesh: Mesh, pts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Element ids and local coords (xi, eta) of the cells containing pts (k, 2).
 
-
-def locate_point(mesh: Mesh, x: float, y: float) -> tuple[int, tuple[float, float]]:
-    """Return (element id, local coords (xi, eta)) containing (x, y).
-
-    Raises PointNotFound when the point lies outside the domain. Points on
+    Raises PointNotFound when a point lies outside the domain. Points on
     element boundaries resolve to one incident element with |xi|,|eta| <= 1.
     """
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    x, y = pts[:, 0], pts[:, 1]
+    xs, ys = mesh.xs, mesh.ys
     tol = 1e-12 * max(mesh.width, mesh.height, 1.0)
-    i = _cell_index(mesh.xs, x, tol)
-    j = _cell_index(mesh.ys, y, tol)
-    eid = j * (len(mesh.xs) - 1) + i
-    hx = mesh.xs[i + 1] - mesh.xs[i]
-    hy = mesh.ys[j + 1] - mesh.ys[j]
-    xi = 2.0 * (x - mesh.xs[i]) / hx - 1.0
-    eta = 2.0 * (y - mesh.ys[j]) / hy - 1.0
-    return eid, (float(np.clip(xi, -1.0, 1.0)), float(np.clip(eta, -1.0, 1.0)))
+    outside = ((x < xs[0] - tol) | (x > xs[-1] + tol)
+               | (y < ys[0] - tol) | (y > ys[-1] + tol))
+    if np.any(outside):
+        k = np.flatnonzero(outside)[0]
+        raise PointNotFound(f"point ({x[k]}, {y[k]}) outside "
+                            f"[{xs[0]}, {xs[-1]}] x [{ys[0]}, {ys[-1]}]")
+    i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
+    j = np.clip(np.searchsorted(ys, y, side="right") - 1, 0, len(ys) - 2)
+    xi = np.clip(2.0 * (x - xs[i]) / (xs[i + 1] - xs[i]) - 1.0, -1.0, 1.0)
+    eta = np.clip(2.0 * (y - ys[j]) / (ys[j + 1] - ys[j]) - 1.0, -1.0, 1.0)
+    return j * (len(xs) - 1) + i, xi, eta
 
 
 def nodes_on_segment(mesh: Mesh, p0, p1, tol: float | None = None) -> np.ndarray:
@@ -216,40 +215,31 @@ def nodes_on_segment(mesh: Mesh, p0, p1, tol: float | None = None) -> np.ndarray
 
 
 def elems_intersecting_segment(mesh: Mesh, p0, p1) -> np.ndarray:
-    """Element ids whose rectangle is crossed or touched by the segment p0-p1."""
+    """Element ids whose rectangle is crossed or touched by the segment p0-p1.
+
+    Liang-Barsky clipping against all cells at once: the cells are a tensor
+    product, so each axis gives one parameter interval per column (row),
+    and a cell is hit when its column and row intervals meet inside [0, 1].
+    """
     p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    mx = len(mesh.xs) - 1
-    my = len(mesh.ys) - 1
-    hit = []
+    d = np.asarray(p1, dtype=float) - p0
     tol = 1e-12 * max(mesh.width, mesh.height)
-    for j in range(my):
-        for i in range(mx):
-            x0, x1 = mesh.xs[i], mesh.xs[i + 1]
-            y0, y1 = mesh.ys[j], mesh.ys[j + 1]
-            if _segment_hits_rect(p0, p1, x0 - tol, x1 + tol, y0 - tol, y1 + tol):
-                hit.append(j * mx + i)
-    return np.asarray(hit, dtype=np.int64)
+    tx0, tx1 = _clip_axis(p0[0], d[0], mesh.xs[:-1] - tol, mesh.xs[1:] + tol)
+    ty0, ty1 = _clip_axis(p0[1], d[1], mesh.ys[:-1] - tol, mesh.ys[1:] + tol)
+    t0 = np.maximum(np.maximum.outer(ty0, tx0), 0.0)
+    t1 = np.minimum(np.minimum.outer(ty1, tx1), 1.0)
+    return np.flatnonzero(t0 <= t1)
 
 
-def _segment_hits_rect(p0, p1, x0, x1, y0, y1) -> bool:
-    # Liang-Barsky clipping.
-    d = p1 - p0
-    t0, t1 = 0.0, 1.0
-    for p, q in ((-d[0], p0[0] - x0), (d[0], x1 - p0[0]),
-                 (-d[1], p0[1] - y0), (d[1], y1 - p0[1])):
-        if p == 0.0:
-            if q < 0.0:
-                return False
-        else:
-            r = q / p
-            if p < 0.0:
-                t0 = max(t0, r)
-            else:
-                t1 = min(t1, r)
-            if t0 > t1:
-                return False
-    return True
+def _clip_axis(c0: float, dc: float, lo: np.ndarray, hi: np.ndarray):
+    """Parameter intervals (t0, t1) of c0 + t dc inside the slabs [lo, hi];
+    empty (t0 > t1) where a segment parallel to the slabs runs outside."""
+    q_lo, q_hi = c0 - lo, hi - c0
+    if dc == 0.0:
+        inside = (q_lo >= 0.0) & (q_hi >= 0.0)
+        return np.where(inside, -np.inf, np.inf), np.where(inside, np.inf, -np.inf)
+    r_lo, r_hi = q_lo / -dc, q_hi / dc
+    return (r_lo, r_hi) if dc > 0.0 else (r_hi, r_lo)
 
 
 def nearest_node(mesh: Mesh, x: float, y: float) -> int:

@@ -111,11 +111,6 @@ def _mass(tables: ElementTables, coeff: np.ndarray) -> np.ndarray:
     return np.einsum("eq,qa,qb->eab", coeff * tables.detJw, tables.N, tables.N)
 
 
-def _lumped_diag(tables: ElementTables, coeff: np.ndarray) -> np.ndarray:
-    """Row-sum lumped mass diagonals (E, 4); exact via partition of unity."""
-    return np.einsum("eq,qa->ea", coeff * tables.detJw, tables.N)
-
-
 def _laplacian(tables: ElementTables, coeff: np.ndarray) -> np.ndarray:
     """Scalar-coefficient stiffness for a (E, 4) conductivity field."""
     return _contract("eq,eqad,eqbd->eab", coeff * tables.detJw, tables.dNdx, tables.dNdx)
@@ -229,8 +224,7 @@ def build_flow_system(tables: ElementTables, params: MaterialParams,
     the step's inner passes.
     """
     st = qp_state(tables, params, u_it, T_new, v)
-    v_qp = scalar_qp(tables, v)
-    K_eff = law.effective_bulk(v_qp, st.tr_sign, params)
+    K_eff = st.K_eff
     if np.any(K_eff <= 0.0) or not np.all(np.isfinite(K_eff)):
         raise InvariantViolation("non-positive effective bulk modulus in flow kernel")
     alpha = st.alpha
@@ -279,7 +273,9 @@ def build_heat_system(tables: ElementTables, params: MaterialParams,
     lam = law.conductivity_eff(st.porosity, params)
     q_f = darcy_flux_qp(tables, params, st.perm, p_it)
 
-    diag = _lumped_diag(tables, rhoc / dt)
+    # row sums of the consistent mass: by partition of unity they equal
+    # the load vector of the coefficient
+    diag = _load(tables, rhoc / dt)
     q_norm = np.hypot(q_f[..., 0], q_f[..., 1])
     lam_total = lam + law.stabilization_conductivity(q_norm, tables.h_e_qp, params)
 

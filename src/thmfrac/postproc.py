@@ -6,9 +6,8 @@ import numpy as np
 
 from . import constitutive as law
 from .constitutive import MaterialParams
-from .errors import PointNotFound
 from .fem import ElementTables
-from .mesh import Mesh, locate_point
+from .mesh import Mesh, locate_points
 from .physics import FieldState, qp_state
 
 _FIELDS = ("p", "T", "v", "ux", "uy")
@@ -16,19 +15,7 @@ _FIELDS = ("p", "T", "v", "ux", "uy")
 
 def interpolate(mesh: Mesh, nodal: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Bilinear interpolation of a nodal field at points (k, 2); exact at nodes."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    x, y = pts[:, 0], pts[:, 1]
-    tol = 1e-12 * max(mesh.width, mesh.height, 1.0)
-    if (np.any(x < mesh.xs[0] - tol) or np.any(x > mesh.xs[-1] + tol)
-            or np.any(y < mesh.ys[0] - tol) or np.any(y > mesh.ys[-1] + tol)):
-        raise PointNotFound("interpolation point outside the domain")
-    i = np.clip(np.searchsorted(mesh.xs, x, side="right") - 1, 0, len(mesh.xs) - 2)
-    j = np.clip(np.searchsorted(mesh.ys, y, side="right") - 1, 0, len(mesh.ys) - 2)
-    hx = mesh.xs[i + 1] - mesh.xs[i]
-    hy = mesh.ys[j + 1] - mesh.ys[j]
-    xi = np.clip(2.0 * (x - mesh.xs[i]) / hx - 1.0, -1.0, 1.0)
-    eta = np.clip(2.0 * (y - mesh.ys[j]) / hy - 1.0, -1.0, 1.0)
-    eid = j * (len(mesh.xs) - 1) + i
+    eid, xi, eta = locate_points(mesh, pts)
     conn = mesh.elems[eid]
     N = np.stack([(1 - xi) * (1 - eta), (1 + xi) * (1 - eta),
                   (1 + xi) * (1 + eta), (1 - xi) * (1 + eta)], axis=-1) * 0.25
@@ -51,7 +38,7 @@ def probe(mesh: Mesh, state: FieldState, field: str, point) -> float:
 def width_at(tables: ElementTables, state: FieldState, point) -> float:
     """Smeared fracture width h_e <eps1>+ at the nearest quadrature point."""
     mesh = tables.mesh
-    eid, _ = locate_point(mesh, *np.asarray(point, dtype=float))
+    eid = int(locate_points(mesh, point)[0][0])
     eps = np.einsum("qsa,a->qs", tables.B[eid], state.u[tables.dofs_vec[eid]])
     qp_xy = tables.N @ mesh.nodes[mesh.elems[eid]]          # (4, 2)
     d2 = np.sum((qp_xy - np.asarray(point, dtype=float)) ** 2, axis=1)

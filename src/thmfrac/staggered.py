@@ -29,6 +29,7 @@ from .physics import (FieldState, MechanicsOperator, build_flow_system, build_he
 log = logging.getLogger("thmfrac")
 
 _EMPTY = (np.empty(0, dtype=np.int64), np.empty(0))
+_ANDERSON_WINDOW = 4    # secant pairs of the inner pressure mixing
 
 
 @dataclass
@@ -84,8 +85,7 @@ class _AndersonMixer:
     adds differences of admissible iterates.
     """
 
-    def __init__(self, window: int = 4):
-        self.window = window
+    def __init__(self):
         self.reset()
 
     def reset(self):
@@ -102,7 +102,7 @@ class _AndersonMixer:
             return g
         self._F.append(f)
         self._G.append(g)
-        if len(self._F) > self.window + 1:
+        if len(self._F) > _ANDERSON_WINDOW + 1:
             self._F.pop(0)
             self._G.pop(0)
         m = len(self._F) - 1
@@ -202,7 +202,7 @@ class Simulation:
         if op is None or not op.matches(v, tr_sign):
             op = self._mech = build_mechanics_system(self.tables, self.params, v, tr_sign)
             self._mech_matrix = bc.matrix(op.matrix)
-            self._mech_factor.invalidate()
+            self._mech_factor = Factorization()
         rhs = mechanics_rhs(self.tables, self.params, op, p_new, T_new, self.f_ext)
         system = SparseSystem(self._mech_matrix, bc.rhs(op.matrix, rhs))
         return solve_linear(system, self._mech_factor)

@@ -59,8 +59,8 @@ def test_snapshot_cadence(tmp_path, short_terzaghi):
 def test_cli_run_roundtrip(tmp_path):
     out = tmp_path / "run"
     code = main(["run", "terzaghi", "--out", str(out),
-                 "--dt-schedule", "3x1.0", "--override",
-                 "outputs.snapshot_every=0"])
+                 "--override", "controls.dt_schedule=[[3.0,1.0]]",
+                 "--override", "outputs.snapshot_every=0"])
     assert code == 0
     assert (out / "series.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())

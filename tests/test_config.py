@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from thmfrac.cli import _parse_dt_schedule, main
+from thmfrac.cli import _load_config, main
 from thmfrac.config import config_from_dict, config_to_dict, parse_config
 from thmfrac.errors import ConfigError
 from thmfrac.presets import (PRESETS, get_preset, kgd, kgd_cold, single_fracture,
@@ -134,14 +135,10 @@ class TestPresets:
 
 
 class TestCLIHelpers:
-    def test_dt_schedule_parser(self):
-        sched = _parse_dt_schedule("10x0.01,then 0.1", total_time=4.0)
-        assert sched[0] == (pytest.approx(0.1), 0.01)
-        assert sched[1] == (pytest.approx(3.9), 0.1)
-
-    def test_dt_schedule_parser_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            _parse_dt_schedule("whenever", total_time=1.0)
+    def test_list_override_sets_the_dt_schedule(self):
+        args = argparse.Namespace(
+            scenario="terzaghi", override=["controls.dt_schedule=[[0.1,0.01],[3.9,0.1]]"])
+        assert _load_config(args).controls.dt_schedule == [(0.1, 0.01), (3.9, 0.1)]
 
     def test_unknown_scenario_exits_with_config_error(self, capsys):
         assert main(["run", "definitely_not_a_preset"]) == 2

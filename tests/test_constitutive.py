@@ -160,6 +160,20 @@ class TestBiotCoefficient:
             assert np.all(a >= mp.alpha_m - 1e-12)
             assert np.all(a <= 1.0 + 1e-12)
 
+    @pytest.mark.parametrize("h", [0.0, 1.0])
+    def test_micromechanics_identities(self, rng, h):
+        # alpha and the damage-driven porosity follow from K_eff alone
+        mp = MaterialParams(E=1e9, nu=0.2, alpha_m=0.6, phi_m=0.1, porosity_variant="phi0")
+        v = rng.uniform(0.0, 1.0, 64)
+        K_eff = law.effective_bulk(v, h, mp)
+        assert np.allclose(law.biot_coefficient(v, h, mp), 1.0 - K_eff / mp.K_s,
+                           rtol=1e-12, atol=0.0)
+        phi = law.porosity(np.zeros_like(v), mp, v=v, tr_sign=h)
+        assert np.allclose(phi, 1.0 - (K_eff / mp.K_m) * (1.0 - mp.phi_m),
+                           rtol=1e-12, atol=0.0)
+        if h == 0.0:
+            assert np.allclose(K_eff, mp.K_m, rtol=1e-15)
+
 
 def normal_of(eps):
     return law.crack_normal(eps, *law.principal_strains(eps))

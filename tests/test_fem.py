@@ -220,7 +220,7 @@ class TestSolveLinear:
         assert np.allclose(x, np.linalg.solve(A, b), rtol=1e-12)
         assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
-    def test_filled_factor_is_reused_until_invalidated(self, monkeypatch):
+    def test_fresh_factor_takes_a_new_factorization(self, monkeypatch):
         calls = []
         splu = spla.splu
         monkeypatch.setattr(spla, "splu",
@@ -231,9 +231,9 @@ class TestSolveLinear:
         x2 = solve_linear(SparseSystem(A, np.array([0.0, 1.0, 0.0])), factor)
         assert len(calls) == 1
         assert np.allclose(A @ x1, [1.0, 0.0, 0.0]) and np.allclose(A @ x2, [0.0, 1.0, 0.0])
-        factor.invalidate()
-        solve_linear(SparseSystem(2.0 * A, np.ones(3)), factor)
+        x3 = solve_linear(SparseSystem(2.0 * A, np.ones(3)), Factorization())
         assert len(calls) == 2
+        assert np.allclose(2.0 * A @ x3, np.ones(3), rtol=1e-12)
 
     def test_singular_matrix_fails_with_diagnostics(self):
         A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
@@ -354,6 +354,14 @@ class TestBoundConstrained:
         x = solve_bound_constrained(SparseSystem(A, b), lo, hi, lo)
         assert x[1] == pytest.approx(0.3)
         assert x[0] == pytest.approx(1.0)
+
+    def test_non_finite_free_block_solution_raises(self):
+        # the free block goes through solve_linear's non-finite check
+        A = sp.csr_matrix(np.diag([2.0, 3.0, 4.0]))
+        b = np.array([0.5, np.nan, 0.4])
+        with pytest.raises(SolverFailure):
+            solve_bound_constrained(SparseSystem(A, b), np.zeros(3), np.ones(3),
+                                    np.full(3, 0.5))
 
     def test_inconsistent_bounds_rejected(self):
         A = sp.eye(2, format="csr")

@@ -4,7 +4,7 @@ import pytest
 from thmfrac.errors import PointNotFound
 from thmfrac.fem import build_tables, shape_q4
 from thmfrac.mesh import (RefineBand, elems_intersecting_segment,
-                          generate_rect_mesh, locate_point, nearest_node,
+                          generate_rect_mesh, locate_points, nearest_node,
                           nodes_on_segment)
 
 
@@ -57,7 +57,7 @@ def test_positive_jacobians_everywhere():
 
 def test_locate_center_of_unit_square():
     m = generate_rect_mesh(1.0, 1.0, 1, 1)
-    eid, (xi, eta) = locate_point(m, 0.5, 0.5)
+    (eid,), (xi,), (eta,) = locate_points(m, (0.5, 0.5))
     assert eid == 0
     assert xi == pytest.approx(0.0, abs=1e-14)
     assert eta == pytest.approx(0.0, abs=1e-14)
@@ -65,7 +65,7 @@ def test_locate_center_of_unit_square():
 
 def test_locate_node_coincident_point_is_a_corner():
     m = generate_rect_mesh(1.0, 1.0, 2, 2)
-    eid, (xi, eta) = locate_point(m, 0.5, 0.5)
+    (eid,), (xi,), (eta,) = locate_points(m, (0.5, 0.5))
     assert abs(xi) == pytest.approx(1.0)
     assert abs(eta) == pytest.approx(1.0)
     assert max(abs(xi), abs(eta)) <= 1.0 + 1e-12
@@ -74,15 +74,14 @@ def test_locate_node_coincident_point_is_a_corner():
 def test_locate_outside_raises():
     m = generate_rect_mesh(1.0, 1.0, 1, 1)
     with pytest.raises(PointNotFound):
-        locate_point(m, 2.0, 2.0)
+        locate_points(m, [(0.5, 0.5), (2.0, 2.0)])
 
 
 def test_locate_roundtrip_through_isoparametric_map(rng):
     m = generate_rect_mesh(3.0, 2.0, 7, 5,
                            RefineBand(axis="x", lo=1.0, hi=2.0, h=0.05))
     pts = np.column_stack([rng.uniform(0, 3.0, 50), rng.uniform(0, 2.0, 50)])
-    for x, y in pts:
-        eid, (xi, eta) = locate_point(m, x, y)
+    for (x, y), eid, xi, eta in zip(pts, *locate_points(m, pts)):
         N, _ = shape_q4(xi, eta)
         mapped = N @ m.nodes[m.elems[eid]]
         assert np.hypot(mapped[0] - x, mapped[1] - y) < 1e-10
@@ -101,6 +100,57 @@ def test_elems_intersecting_segment_vertical_line():
     centers = m.nodes[m.elems[ids]].mean(axis=1)
     assert len(ids) > 0
     assert np.all(np.abs(centers[:, 0] - 0.25) <= 0.05 + 1e-12)
+
+
+# on the 3 x 3 unit-cell mesh, cell (column i, row j) has id 3 j + i
+@pytest.mark.parametrize("p0, p1, expected", [
+    ((0.5, 0.5), (2.5, 1.5), [0, 1, 4, 5]),            # diagonal, crossing edges
+    ((0.0, 0.0), (3.0, 3.0), [0, 1, 3, 4, 5, 7, 8]),   # diagonal through corners
+    ((0.5, 1.0), (2.5, 1.0), [0, 1, 2, 3, 4, 5]),      # on the grid line y = 1
+    ((1.5, 2.5), (1.5, 2.5), [7]),                     # zero length, inside a cell
+    ((1.0, 1.0), (1.0, 1.0), [0, 1, 3, 4]),            # zero length, on a node
+])
+def test_elems_intersecting_segment_on_a_3x3_mesh(p0, p1, expected):
+    m = generate_rect_mesh(3.0, 3.0, 3, 3)
+    assert elems_intersecting_segment(m, p0, p1).tolist() == expected
+
+
+def _segment_hits_cell(p0, p1, x0, x1, y0, y1) -> bool:
+    """Liang-Barsky clipping of one segment against one rectangle."""
+    d = p1 - p0
+    t0, t1 = 0.0, 1.0
+    for p, q in ((-d[0], p0[0] - x0), (d[0], x1 - p0[0]),
+                 (-d[1], p0[1] - y0), (d[1], y1 - p0[1])):
+        if p == 0.0:
+            if q < 0.0:
+                return False
+        else:
+            r = q / p
+            if p < 0.0:
+                t0 = max(t0, r)
+            else:
+                t1 = min(t1, r)
+            if t0 > t1:
+                return False
+    return True
+
+
+def test_elems_intersecting_segment_matches_a_cell_by_cell_clip(rng):
+    m = generate_rect_mesh(3.0, 2.0, 7, 5,
+                           RefineBand(axis="x", lo=1.0, hi=2.0, h=0.1))
+    tol = 1e-12 * max(m.width, m.height)
+    mx = len(m.xs) - 1
+    ends = np.column_stack([rng.uniform(0, 3.0, 60), rng.uniform(0, 2.0, 60)])
+    grid = np.column_stack([rng.choice(m.xs, 60), rng.choice(m.ys, 60)])
+    segments = list(zip(ends[:30], ends[30:])) + list(zip(grid[:30], grid[30:]))
+    segments += [(grid[0], grid[0]), (ends[0], ends[0]),
+                 (grid[1], (grid[1][0], grid[2][1])), (grid[3], (grid[4][0], grid[3][1]))]
+    for p0, p1 in segments:
+        p0, p1 = np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)
+        ref = [j * mx + i for j in range(len(m.ys) - 1) for i in range(mx)
+               if _segment_hits_cell(p0, p1, m.xs[i] - tol, m.xs[i + 1] + tol,
+                                     m.ys[j] - tol, m.ys[j + 1] + tol)]
+        assert elems_intersecting_segment(m, p0, p1).tolist() == ref
 
 
 def test_nearest_node():

@@ -130,6 +130,7 @@ class TestQPState:
         assert np.array_equal(st.porosity, phi)
         assert np.array_equal(st.perm, perm)
         assert np.array_equal(st.alpha, law.biot_coefficient(v_qp, st.tr_sign, mp))
+        assert np.array_equal(st.K_eff, law.effective_bulk(v_qp, st.tr_sign, mp))
 
 
 # ---------------------------------------------------------------------------
