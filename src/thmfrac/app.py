@@ -19,7 +19,7 @@ from .errors import SolverFailure
 from .io_vtk import write_vtk
 from .physics import FieldState
 from .postproc import element_cell_data
-from .scenario import build_simulation, evaluate_probes
+from .scenario import build_simulation, evaluate_probes, locate_probes
 from .staggered import RunResult, Simulation, run
 
 log = logging.getLogger("thmfrac")
@@ -33,6 +33,7 @@ class ScenarioRunner:
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.sim: Simulation = build_simulation(cfg)
+        self.probes = locate_probes(cfg.probes, self.sim.mesh)
         self.files: list[str] = []
         self._rows: list[list[float]] = []
         self._step = 0
@@ -40,7 +41,7 @@ class ScenarioRunner:
     # -- output helpers ----------------------------------------------------
 
     def _record(self, t: float, state: FieldState):
-        values = evaluate_probes(self.cfg, self.sim, state)
+        values = evaluate_probes(self.probes, self.sim, state)
         self._rows.append([t] + [values[p.name] for p in self.cfg.probes])
 
     def _snapshot(self, t: float, state: FieldState):

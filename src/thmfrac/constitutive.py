@@ -109,15 +109,20 @@ class MaterialParams:
 
 
 @dataclass
-class QPState:
-    """Derived quadrature-point quantities (fields broadcast together)."""
+class StrainState:
+    """Quadrature-point quantities fixed by the total strain and the phase
+    field (fields broadcast together).
 
+    Temperature enters the derived laws only through the branch flag
+    H(Tr eps_e); ``branch_porosity`` adds it, and the porosity it selects,
+    at a given temperature.
+    """
+
+    eps: np.ndarray             # (..., 3) Voigt total strain
+    v: np.ndarray               # phase field at the same points
+    e1: np.ndarray              # largest principal strain
     width: np.ndarray           # [m]
-    porosity: np.ndarray
     perm: np.ndarray            # (..., 2, 2) [m^2]
-    tr_sign: np.ndarray         # H(Tr eps_e)
-    alpha: np.ndarray           # effective Biot coefficient
-    K_eff: np.ndarray           # effective bulk modulus [Pa]
     eps_vol: np.ndarray         # in-plane volumetric strain Tr eps
 
 
@@ -386,14 +391,17 @@ def biot_modulus_pressure_drive(eps_vol, p, tr_sign, params: MaterialParams):
 # bundled evaluation
 # ---------------------------------------------------------------------------
 
-def qp_state(eps, dT, h_e, v, params: MaterialParams) -> QPState:
-    """Evaluate all derived quadrature-point quantities at once."""
+def strain_state(eps, h_e, v, params: MaterialParams) -> StrainState:
+    """Evaluate the temperature-independent quadrature-point quantities at once."""
     eps = np.asarray(eps, dtype=float)
-    tr_sign = thermoelastic_split(eps, dT, params.alpha_s)[3]
     e1, e2 = principal_strains(eps)
     width = fracture_width(e1, h_e)
-    phi = porosity(e1, params, v=v, tr_sign=tr_sign)
     perm = permeability(v, width, crack_normal(eps, e1, e2), params)
-    return QPState(width=width, porosity=phi, perm=perm, tr_sign=tr_sign,
-                   alpha=biot_coefficient(v, tr_sign, params),
-                   K_eff=effective_bulk(v, tr_sign, params), eps_vol=trace2(eps))
+    return StrainState(eps=eps, v=v, e1=e1, width=width, perm=perm, eps_vol=trace2(eps))
+
+
+def branch_porosity(st: StrainState, dT, params: MaterialParams):
+    """H(Tr eps_e) of ``st`` at temperature offset ``dT`` and the porosity of
+    ``params.porosity_variant`` at that flag."""
+    tr_sign = thermoelastic_split(st.eps, dT, params.alpha_s)[3]
+    return tr_sign, porosity(st.e1, params, v=st.v, tr_sign=tr_sign)

@@ -1,10 +1,12 @@
 """Q4 finite-element machinery: shape functions, quadrature, assembly, solves.
 
-Element matrices are produced in bulk as (n_elems, nd, nd) arrays. Each
-field (scalar or vector) has one CSR sparsity pattern per mesh, built on
-first assembly together with a gather table from element entries to CSR
-slots, so assembly only fills the ``data`` array. Static Dirichlet
-constraints are resolved once against that pattern into slot masks.
+Element matrices are produced in bulk as (n_elems, nd, nd) arrays, each
+element term as one batched matmul against a per-mesh operator table of
+``ElementTables`` (built on first use). Each field (scalar or vector) has
+one CSR sparsity pattern per mesh, built on first assembly together with
+a gather table from element entries to CSR slots, so assembly only fills
+the ``data`` array. Static Dirichlet constraints are resolved once
+against that pattern into slot masks.
 Every linear solve, the phase-field free block included, passes
 ``solve_linear`` and its gate (a non-finite solution or a residual above
 1e-10 ||b|| raises ``SolverFailure``). A caller that owns a
@@ -119,7 +121,16 @@ def csr_pattern(dofs: np.ndarray, n: int) -> CSRPattern:
 
 @dataclass
 class ElementTables:
-    """Per-mesh precomputed quadrature data, dof maps and sparsity patterns."""
+    """Per-mesh precomputed quadrature data, dof maps and sparsity patterns.
+
+    The operator tables below fold the quadrature weights and the shape
+    function products of one element term into a small matrix, so that a
+    kernel forms all element matrices of that term as one batched matmul
+    of its (E, k) quadrature-point coefficients against the table. Like the
+    patterns they are built on first use, not by ``build_tables``, and
+    only for the terms a simulation assembles; none holds more than 256
+    doubles per element.
+    """
 
     mesh: Mesh
     N: np.ndarray        # (4 qp, 4 nodes) shape values
@@ -143,6 +154,41 @@ class ElementTables:
     @cached_property
     def vector_pattern(self) -> CSRPattern:
         return csr_pattern(self.dofs_vec, 2 * self.n_nodes)
+
+    @cached_property
+    def mass_table(self) -> np.ndarray:
+        """(4 q, 16 ab): N_a N_b at each quadrature point."""
+        return (self.N[:, :, None] * self.N[:, None, :]).reshape(4, 16)
+
+    @cached_property
+    def laplacian_table(self) -> np.ndarray:
+        """(E, 4 q, 16 ab): detJw grad N_a . grad N_b."""
+        E = self.detJw.shape[0]
+        dNdNt = np.matmul(self.dNdx, self.dNdx.transpose(0, 1, 3, 2))
+        return (dNdNt * self.detJw[..., None, None]).reshape(E, 4, 16)
+
+    @cached_property
+    def tensor_laplacian_table(self) -> np.ndarray:
+        """(E, 16 qcd, 16 ab): detJw dN_a/dx_c dN_b/dx_d."""
+        E = self.detJw.shape[0]
+        dN = self.dNdx.transpose(0, 1, 3, 2)                  # (E, q, c, a)
+        t = (dN[:, :, :, None, :, None] * dN[:, :, None, :, None, :]
+             * self.detJw[:, :, None, None, None, None])      # (E, q, c, d, a, b)
+        return t.reshape(E, 16, 16)
+
+    @cached_property
+    def advection_table(self) -> np.ndarray:
+        """(E, 8 qd, 16 ab): detJw N_a dN_b/dx_d."""
+        E = self.detJw.shape[0]
+        dN = self.dNdx.transpose(0, 1, 3, 2)                  # (E, q, d, b)
+        t = (self.N[None, :, None, :, None] * dN[:, :, :, None, :]
+             * self.detJw[:, :, None, None, None])            # (E, q, d, a, b)
+        return t.reshape(E, 8, 16)
+
+    @cached_property
+    def divergence_table(self) -> np.ndarray:
+        """(E, 4 q, 8 a): detJw (B_xx + B_yy), the virtual work of an isotropic stress."""
+        return (self.B[:, :, 0, :] + self.B[:, :, 1, :]) * self.detJw[..., None]
 
 
 def build_tables(mesh: Mesh) -> ElementTables:
@@ -234,9 +280,8 @@ def assemble_batched(tables: ElementTables, KE: np.ndarray, FE: np.ndarray,
 def scatter_vector(tables: ElementTables, FE: np.ndarray, vector: bool = False) -> np.ndarray:
     n = 2 * tables.n_nodes if vector else tables.n_nodes
     dofs = tables.dofs_vec if vector else tables.conn
-    out = np.zeros(n)
-    np.add.at(out, dofs.ravel(), FE.ravel())
-    return out
+    # bincount sums in input order, exactly as np.add.at does
+    return np.bincount(dofs.ravel(), weights=FE.ravel(), minlength=n)
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,17 @@ operators are linear once the lagged staggered quantities are frozen):
   caller can keep it while those stay fixed.
 
 All quadrature-point fields are evaluated in bulk as (n_elems, 4) arrays.
+Each element term is one batched matmul of its quadrature-point
+coefficients against an operator table of ``ElementTables`` (built on
+first use), so no kernel plans an einsum contraction per call. Heat and
+flow read the temperature-independent quadrature-point state of an inner
+pass (``strain_state``) from one evaluation, and each adds the branch flag
+and porosity at its own temperature.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,31 +54,18 @@ class FieldState:
         return FieldState(self.u.copy(), self.p.copy(), self.T.copy(), self.v.copy())
 
 
-@lru_cache(maxsize=256)
-def _einsum_path(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> list:
-    # the greedy search reads only the operand shapes
-    views = [np.broadcast_to(0.0, shape) for shape in shapes]
-    return np.einsum_path(subscripts, *views, optimize=True)[0]
-
-
-def _contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
-    """``np.einsum(..., optimize=True)`` with the path planned once per shapes."""
-    path = _einsum_path(subscripts, tuple(op.shape for op in operands))
-    return np.einsum(subscripts, *operands, optimize=path)
-
-
 # ---------------------------------------------------------------------------
 # quadrature-point interpolation
 # ---------------------------------------------------------------------------
 
 def scalar_qp(tables: ElementTables, f: np.ndarray) -> np.ndarray:
     """Nodal scalar -> (E, 4) quadrature-point values."""
-    return np.einsum("qi,ei->eq", tables.N, f[tables.conn])
+    return f[tables.conn] @ tables.N.T
 
 
 def grad_qp(tables: ElementTables, f: np.ndarray) -> np.ndarray:
     """Nodal scalar -> (E, 4, 2) quadrature-point gradients."""
-    return np.einsum("eqid,ei->eqd", tables.dNdx, f[tables.conn])
+    return np.matmul(f[tables.conn][:, None, None, :], tables.dNdx)[:, :, 0, :]
 
 
 def strain_qp(tables: ElementTables, u: np.ndarray) -> np.ndarray:
@@ -90,40 +82,60 @@ def darcy_flux_qp(tables: ElementTables, params: MaterialParams,
                   perm: np.ndarray, p: np.ndarray) -> np.ndarray:
     """q_f = -(K/mu) grad p at quadrature points, shape (E, 4, 2)."""
     gp = grad_qp(tables, p)
-    return -np.einsum("eqcd,eqd->eqc", perm, gp) / params.mu_f
+    return -np.matmul(perm, gp[..., None])[..., 0] / params.mu_f
 
 
-def qp_state(tables: ElementTables, params: MaterialParams, u: np.ndarray,
-             T: np.ndarray, v: np.ndarray) -> law.QPState:
-    """Constitutive state on all quadrature points for given nodal fields."""
-    eps = strain_qp(tables, u)
-    dT = scalar_qp(tables, T) - params.T0
-    v_qp = scalar_qp(tables, v)
-    return law.qp_state(eps, dT, tables.h_e_qp, v_qp, params)
+def strain_state(tables: ElementTables, params: MaterialParams, u: np.ndarray,
+                 v: np.ndarray) -> law.StrainState:
+    """Temperature-independent quadrature-point state of nodal (u, v).
+
+    Heat and flow evaluate their kernels on the same (u, v) iterate of an
+    inner pass, so a time step forms this once per pass for both.
+    """
+    return law.strain_state(strain_qp(tables, u), tables.h_e_qp, scalar_qp(tables, v), params)
 
 
 # ---------------------------------------------------------------------------
 # element matrix building blocks
 # ---------------------------------------------------------------------------
 
+def _apply(table: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """(E, k) coefficients times a per-element (E, k, m) table -> (E, m)."""
+    return np.matmul(coeff[:, None, :], table)[:, 0, :]
+
+
 def _mass(tables: ElementTables, coeff: np.ndarray) -> np.ndarray:
     """Consistent mass element matrices for a (E, 4) coefficient field."""
-    return np.einsum("eq,qa,qb->eab", coeff * tables.detJw, tables.N, tables.N)
+    return ((coeff * tables.detJw) @ tables.mass_table).reshape(-1, 4, 4)
 
 
 def _laplacian(tables: ElementTables, coeff: np.ndarray) -> np.ndarray:
     """Scalar-coefficient stiffness for a (E, 4) conductivity field."""
-    return _contract("eq,eqad,eqbd->eab", coeff * tables.detJw, tables.dNdx, tables.dNdx)
+    return _apply(tables.laplacian_table, coeff).reshape(-1, 4, 4)
 
 
 def _laplacian_tensor(tables: ElementTables, K: np.ndarray) -> np.ndarray:
     """Tensor-coefficient stiffness for a (E, 4, 2, 2) field."""
-    return _contract("eqac,eqcd,eq,eqbd->eab", tables.dNdx, K, tables.detJw, tables.dNdx)
+    return _apply(tables.tensor_laplacian_table, K.reshape(-1, 16)).reshape(-1, 4, 4)
+
+
+def _advection(tables: ElementTables, q: np.ndarray) -> np.ndarray:
+    """Advection matrices int N_a q . grad N_b for a (E, 4, 2) velocity field."""
+    return _apply(tables.advection_table, q.reshape(-1, 8)).reshape(-1, 4, 4)
 
 
 def _load(tables: ElementTables, source: np.ndarray) -> np.ndarray:
     """Element load vectors for a (E, 4) quadrature-point source density."""
-    return np.einsum("eq,qa->ea", source * tables.detJw, tables.N)
+    return (source * tables.detJw) @ tables.N
+
+
+def _stiffness(tables: ElementTables, C: np.ndarray) -> np.ndarray:
+    """Element stiffness sum_q B^T C B detJw for a (E, 4, 3, 3) Voigt tangent."""
+    B = tables.B
+    E = B.shape[0]
+    BtW = np.matmul(B.transpose(0, 1, 3, 2), C * tables.detJw[..., None, None])
+    # (E, 8, q s) @ (E, q s, 8) sums over the quadrature points and Voigt rows
+    return np.matmul(BtW.transpose(0, 2, 1, 3).reshape(E, 8, 12), B.reshape(E, 12, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +174,7 @@ def build_mechanics_system(tables: ElementTables, params: MaterialParams,
     open branch from one iterate to the next. ``mechanics_rhs`` builds f.
     """
     v_qp = scalar_qp(tables, v)
-    C = law.effective_stiffness(v_qp, tr_sign, params)
-    W = C * tables.detJw[..., None, None]
-    KE = _contract("eqsa,eqst,eqtb->eab", tables.B, W, tables.B)
+    KE = _stiffness(tables, law.effective_stiffness(v_qp, tr_sign, params))
     return MechanicsOperator(v=v.copy(), tr_sign=tr_sign.copy(),
                              matrix=tables.vector_pattern.matrix(KE),
                              alpha=law.biot_coefficient(v_qp, tr_sign, params),
@@ -176,11 +186,9 @@ def mechanics_rhs(tables: ElementTables, params: MaterialParams, op: MechanicsOp
     """Right-hand side f of ``op``: pressure and thermal terms plus loads."""
     p_qp = scalar_qp(tables, p)
     dT_qp = scalar_qp(tables, T) - params.T0
-    # rhs integrand in Voigt form: alpha p I + 3 K_eff alpha_s dT I
+    # the rhs stress is isotropic: (alpha p + 3 K_eff alpha_s dT) I
     s = op.alpha * p_qp + 3.0 * op.K_eff * params.alpha_s * dT_qp
-    sig = s[..., None] * _VOIGT_ID
-    FE = _contract("eqsa,eqs,eq->ea", tables.B, sig, tables.detJw)
-    rhs = scatter_vector(tables, FE, vector=True)
+    rhs = scatter_vector(tables, _apply(tables.divergence_table, s), vector=True)
     rhs += f_ext
     return rhs
 
@@ -196,7 +204,7 @@ def mechanics_residual(tables: ElementTables, params: MaterialParams,
     sig = law.effective_stress(eps_e, v_qp, h, params, eps_zz=ezz)
     alpha = law.biot_coefficient(v_qp, h, params)
     sig = sig - (alpha * p_qp)[..., None] * _VOIGT_ID
-    FE = _contract("eqsa,eqs,eq->ea", tables.B, sig, tables.detJw)
+    FE = np.einsum("eqsa,eqs->ea", tables.B, sig * tables.detJw[..., None])
     return scatter_vector(tables, FE, vector=True) - f_ext
 
 
@@ -205,7 +213,7 @@ def mechanics_residual(tables: ElementTables, params: MaterialParams,
 # ---------------------------------------------------------------------------
 
 def build_flow_system(tables: ElementTables, params: MaterialParams,
-                      v: np.ndarray, u_it: np.ndarray, p_it: np.ndarray,
+                      st: law.StrainState, p_it: np.ndarray,
                       T_new: np.ndarray, evol_prev: np.ndarray,
                       p_prev: np.ndarray, T_prev: np.ndarray, dt: float,
                       source: np.ndarray | None = None) -> SparseSystem:
@@ -219,24 +227,25 @@ def build_flow_system(tables: ElementTables, params: MaterialParams,
     is zero, because heat is solved before flow within an iterate and
     T_it = T_new (ROADMAP open item 1).
 
-    ``evol_prev`` is ``volumetric_strain_qp`` of the previous step's
+    ``st`` is the ``strain_state`` of the (u, v) iterate, evaluated here at
+    T_new. ``evol_prev`` is ``volumetric_strain_qp`` of the previous step's
     displacement; a time step evaluates it once, because it is fixed over
     the step's inner passes.
     """
-    st = qp_state(tables, params, u_it, T_new, v)
-    K_eff = st.K_eff
+    T_new_qp = scalar_qp(tables, T_new)
+    tr_sign, phi = law.branch_porosity(st, T_new_qp - params.T0, params)
+    K_eff = law.effective_bulk(st.v, tr_sign, params)
     if np.any(K_eff <= 0.0) or not np.all(np.isfinite(K_eff)):
         raise InvariantViolation("non-positive effective bulk modulus in flow kernel")
-    alpha = st.alpha
-    inv_Mp = law.biot_modulus_inv(st.porosity, alpha, params)
-    inv_MT = law.thermal_storage_inv(st.porosity, alpha, params)
+    alpha = law.biot_coefficient(st.v, tr_sign, params)
+    inv_Mp = law.biot_modulus_inv(phi, alpha, params)
+    inv_MT = law.thermal_storage_inv(phi, alpha, params)
 
     KE = _mass(tables, (inv_Mp + alpha * alpha / K_eff) / dt)
     KE += _laplacian_tensor(tables, st.perm / params.mu_f)
 
     p_prev_qp = scalar_qp(tables, p_prev)
     p_it_qp = scalar_qp(tables, p_it)
-    T_new_qp = scalar_qp(tables, T_new)
     T_prev_qp = scalar_qp(tables, T_prev)
     T_it_qp = T_new_qp  # heat is solved before flow within an iterate
 
@@ -258,7 +267,7 @@ def build_flow_system(tables: ElementTables, params: MaterialParams,
 # ---------------------------------------------------------------------------
 
 def build_heat_system(tables: ElementTables, params: MaterialParams,
-                      v: np.ndarray, u_it: np.ndarray, p_it: np.ndarray,
+                      st: law.StrainState, p_it: np.ndarray,
                       T_prev: np.ndarray, dt: float) -> SparseSystem:
     """Temperature system with the lagged Darcy flux q_f^(m-1).
 
@@ -266,11 +275,12 @@ def build_heat_system(tables: ElementTables, params: MaterialParams,
     backward-Euler operator an M-matrix on rectangles), advection uses
     rho_f c_pf q_f . grad T, and conduction carries lambda_eff plus the
     balancing dissipation 1/2 s ||q_f|| h_e scaled by rho_f c_pf, which
-    ``params.s_stab = 0`` turns off.
+    ``params.s_stab = 0`` turns off. ``st`` is the ``strain_state`` of the
+    (u, v) iterate; the porosity is taken at T_prev.
     """
-    st = qp_state(tables, params, u_it, T_prev, v)
-    rhoc = law.heat_capacity_eff(st.porosity, params)
-    lam = law.conductivity_eff(st.porosity, params)
+    phi = law.branch_porosity(st, scalar_qp(tables, T_prev) - params.T0, params)[1]
+    rhoc = law.heat_capacity_eff(phi, params)
+    lam = law.conductivity_eff(phi, params)
     q_f = darcy_flux_qp(tables, params, st.perm, p_it)
 
     # row sums of the consistent mass: by partition of unity they equal
@@ -282,8 +292,7 @@ def build_heat_system(tables: ElementTables, params: MaterialParams,
     KE = _laplacian(tables, lam_total)
     adv = params.rho_f * params.c_pf
     if adv != 0.0:
-        KE += _contract("eq,qa,eqd,eqbd->eab", adv * tables.detJw, tables.N,
-                        q_f, tables.dNdx)
+        KE += _advection(tables, adv * q_f)
     idx = np.arange(4)
     KE[:, idx, idx] += diag
     FE = diag * T_prev[tables.conn]

@@ -8,31 +8,39 @@ from . import constitutive as law
 from .constitutive import MaterialParams
 from .fem import ElementTables
 from .mesh import Mesh, locate_points
-from .physics import FieldState, qp_state
+from .physics import FieldState, scalar_qp, strain_state
 
 _FIELDS = ("p", "T", "v", "ux", "uy")
 
 
-def interpolate(mesh: Mesh, nodal: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of a nodal field at points (k, 2); exact at nodes."""
+def locate(mesh: Mesh, pts) -> tuple[np.ndarray, np.ndarray]:
+    """Cell nodes (k, 4) and bilinear weights (k, 4) of the points (k, 2)."""
     eid, xi, eta = locate_points(mesh, pts)
-    conn = mesh.elems[eid]
     N = np.stack([(1 - xi) * (1 - eta), (1 + xi) * (1 - eta),
                   (1 + xi) * (1 + eta), (1 - xi) * (1 + eta)], axis=-1) * 0.25
-    return np.einsum("ka,ka->k", N, nodal[conn])
+    return mesh.elems[eid], N
 
 
-def probe(mesh: Mesh, state: FieldState, field: str, point) -> float:
-    """Point value of one of {p, T, v, ux, uy} at ``point``."""
+def bilinear(N: np.ndarray, cell_values: np.ndarray) -> np.ndarray:
+    """Values at located points from the (k, 4) nodal values of their cells."""
+    return np.einsum("ka,ka->k", N, cell_values)
+
+
+def interpolate(mesh: Mesh, nodal: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation of a nodal field at points (k, 2); exact at nodes."""
+    conn, N = locate(mesh, pts)
+    return bilinear(N, nodal[conn])
+
+
+def nodal_field(state: FieldState, field: str) -> np.ndarray:
+    """Nodal values of one of {p, T, v, ux, uy}."""
     if field not in _FIELDS:
         raise ValueError(f"unknown probe field {field!r}, expected one of {_FIELDS}")
     if field == "ux":
-        nodal = state.u[0::2]
-    elif field == "uy":
-        nodal = state.u[1::2]
-    else:
-        nodal = getattr(state, field)
-    return float(interpolate(mesh, nodal, np.asarray(point, dtype=float))[0])
+        return state.u[0::2]
+    if field == "uy":
+        return state.u[1::2]
+    return getattr(state, field)
 
 
 def width_at(tables: ElementTables, state: FieldState, point) -> float:
@@ -101,10 +109,11 @@ def fracture_length(mesh: Mesh, v: np.ndarray, path: np.ndarray,
 def element_cell_data(tables: ElementTables, params: MaterialParams,
                       state: FieldState) -> dict[str, np.ndarray]:
     """Element-averaged derived quantities for snapshot output."""
-    st = qp_state(tables, params, state.u, state.T, state.v)
+    st = strain_state(tables, params, state.u, state.v)
+    phi = law.branch_porosity(st, scalar_qp(tables, state.T) - params.T0, params)[1]
     return {
         "width": st.width.mean(axis=1),
-        "porosity": st.porosity.mean(axis=1),
+        "porosity": phi.mean(axis=1),
         "permeability_xx": st.perm[..., 0, 0].mean(axis=1),
         "permeability_yy": st.perm[..., 1, 1].mean(axis=1),
         "permeability_xy": st.perm[..., 0, 1].mean(axis=1),

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .config import ScenarioConfig
+from .config import ProbeSpec, ScenarioConfig
 from .fem import build_tables
 from .mesh import (Mesh, elems_intersecting_segment, generate_rect_mesh,
                    nearest_node, nodes_on_segment)
 from .physics import FieldState
-from .postproc import fracture_length, probe, width_at
+from .postproc import bilinear, fracture_length, locate, nodal_field, width_at
 from .staggered import Simulation
 
 
@@ -92,16 +94,49 @@ def build_simulation(cfg: ScenarioConfig) -> Simulation:
         f_ext=f_ext, q_flow=q_flow, crack_nodes=cracks, p_init=cfg.p_init)
 
 
-def evaluate_probes(cfg: ScenarioConfig, sim: Simulation,
-                    state: FieldState) -> dict[str, float]:
-    """Evaluate every configured probe on a field snapshot."""
+@dataclass(frozen=True)
+class Probes:
+    """The probes of a configuration with its field-probe points located once.
+
+    Field probe ``k`` reads nodal field ``fields[row[k]]`` through the cell
+    nodes ``conn[k]`` and bilinear weights ``N[k]`` of its point.
+    """
+
+    specs: tuple[ProbeSpec, ...]
+    names: tuple[str, ...]      # field probes, in configuration order
+    fields: tuple[str, ...]     # the nodal fields they read
+    row: np.ndarray             # (k,) index into ``fields``
+    conn: np.ndarray            # (k, 4)
+    N: np.ndarray               # (k, 4)
+
+
+def locate_probes(specs: list[ProbeSpec], mesh: Mesh) -> Probes:
+    """Locate the points of the field probes among ``specs`` once.
+
+    A point outside the mesh raises ``PointNotFound``; an unknown field
+    raises ``ValueError`` when the probes are evaluated.
+    """
+    field_specs = [spec for spec in specs if spec.kind == "field"]
+    fields = tuple(dict.fromkeys(spec.field for spec in field_specs))
+    pts = np.array([spec.point for spec in field_specs], dtype=float).reshape(-1, 2)
+    conn, N = locate(mesh, pts)
+    return Probes(specs=tuple(specs), names=tuple(spec.name for spec in field_specs),
+                  fields=fields,
+                  row=np.array([fields.index(spec.field) for spec in field_specs], dtype=int),
+                  conn=conn, N=N)
+
+
+def evaluate_probes(probes: Probes, sim: Simulation, state: FieldState) -> dict[str, float]:
+    """Evaluate every probe on a field snapshot, all field probes in one call."""
     out: dict[str, float] = {}
-    for spec in cfg.probes:
-        if spec.kind == "field":
-            out[spec.name] = probe(sim.mesh, state, spec.field, spec.point)
-        elif spec.kind == "width":
+    if probes.names:
+        nodal = np.stack([nodal_field(state, f) for f in probes.fields])
+        values = bilinear(probes.N, nodal[probes.row[:, None], probes.conn])
+        out.update(zip(probes.names, values.tolist()))
+    for spec in probes.specs:
+        if spec.kind == "width":
             out[spec.name] = width_at(sim.tables, state, spec.point)
-        else:
+        elif spec.kind != "field":
             out[spec.name] = fracture_length(sim.mesh, state.v,
                                              np.asarray(spec.path, dtype=float),
                                              v_threshold=spec.threshold)

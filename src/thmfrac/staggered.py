@@ -24,7 +24,8 @@ from .fem import (Dirichlet, ElementTables, Factorization, SparseSystem, apply_d
 from .mesh import Mesh
 from .physics import (FieldState, MechanicsOperator, build_flow_system, build_heat_system,
                       build_mechanics_system, build_phasefield_system,
-                      mechanics_branch_flags, mechanics_rhs, volumetric_strain_qp)
+                      mechanics_branch_flags, mechanics_rhs, strain_state,
+                      volumetric_strain_qp)
 
 log = logging.getLogger("thmfrac")
 
@@ -184,14 +185,13 @@ class Simulation:
         init = np.clip(it.v, lower, upper)
         return solve_bound_constrained(system, lower, upper, init)
 
-    def _solve_T(self, v, it: FieldState, prev: FieldState, dt: float) -> np.ndarray:
-        system = build_heat_system(self.tables, self.params, v, it.u, it.p,
-                                   prev.T, dt)
+    def _solve_T(self, st, it: FieldState, prev: FieldState, dt: float) -> np.ndarray:
+        system = build_heat_system(self.tables, self.params, st, it.p, prev.T, dt)
         return solve_linear(apply_dirichlet(system, self._dirichlet["T"]))
 
-    def _solve_p(self, v, it: FieldState, T_new, prev: FieldState, evol_prev,
+    def _solve_p(self, st, it: FieldState, T_new, prev: FieldState, evol_prev,
                  dt: float) -> np.ndarray:
-        system = build_flow_system(self.tables, self.params, v, it.u, it.p,
+        system = build_flow_system(self.tables, self.params, st, it.p,
                                    T_new, evol_prev, prev.p, prev.T, dt,
                                    source=self.q_flow)
         return solve_linear(apply_dirichlet(system, self._dirichlet["p"]))
@@ -239,8 +239,10 @@ class Simulation:
             h_mech = mechanics_branch_flags(self.tables, self.params, it.u, it.T)
             inner_done = 0
             for j in range(1, controls.max_inner + 1):
-                T_new = self._solve_T(v_new, it, prev, dt) if self.solve_thermal else it.T
-                p_raw = self._solve_p(v_new, it, T_new, prev, evol_prev, dt)
+                # heat and flow share the strain-derived state of the iterate
+                st = strain_state(self.tables, self.params, it.u, v_new)
+                T_new = self._solve_T(st, it, prev, dt) if self.solve_thermal else it.T
+                p_raw = self._solve_p(st, it, T_new, prev, evol_prev, dt)
                 p_new = mixer.mix(it.p, p_raw)
                 u_new = self._solve_u(v_new, p_new, T_new, h_mech)
                 inc = (_rel(T_new, it.T), _rel(p_new, it.p), _rel(u_new, it.u))

@@ -20,7 +20,7 @@ from .config import ScenarioConfig
 from .physics import FieldState
 from .postproc import interpolate
 from .presets import kgd, kgd_cold, single_fracture, terzaghi, thermal_consolidation
-from .scenario import build_simulation, evaluate_probes
+from .scenario import build_simulation, evaluate_probes, locate_probes
 from .staggered import RunResult, Simulation, run
 
 log = logging.getLogger("thmfrac")
@@ -49,9 +49,10 @@ def _run_series(cfg: ScenarioConfig) -> tuple[Simulation, RunResult, dict[str, n
     sim = build_simulation(cfg)
     result = run(sim, cfg.controls)
     names = [p.name for p in cfg.probes]
+    probes = locate_probes(cfg.probes, sim.mesh)
     series: dict[str, list[float]] = {n: [] for n in names}
     for state in result.states:
-        vals = evaluate_probes(cfg, sim, state)
+        vals = evaluate_probes(probes, sim, state)
         for n in names:
             series[n].append(vals[n])
     return sim, result, {n: np.asarray(v) for n, v in series.items()}

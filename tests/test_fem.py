@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 
 from thmfrac.errors import SolverFailure
 from thmfrac.fem import (Dirichlet, Factorization, SparseSystem, apply_dirichlet, assemble,
-                         assemble_batched, build_tables, gauss_2x2, shape_q4,
+                         assemble_batched, build_tables, gauss_2x2, scatter_vector, shape_q4,
                          solve_bound_constrained, solve_linear)
 from thmfrac.mesh import RefineBand, generate_rect_mesh
 
@@ -144,6 +144,27 @@ class TestPattern:
         assert tb.scalar_pattern is tb.scalar_pattern
         assert np.shares_memory(A.indices, B.indices)
         assert not tb.scalar_pattern.indices.flags.writeable
+
+
+class TestTables:
+    LAZY = ("scalar_pattern", "vector_pattern", "mass_table", "laplacian_table",
+            "tensor_laplacian_table", "advection_table", "divergence_table")
+
+    def test_build_tables_builds_no_pattern_or_operator_table(self):
+        _, tb = _graded_tables()
+        assert not set(self.LAZY) & set(vars(tb))
+        assert tb.laplacian_table is tb.laplacian_table
+        assert set(vars(tb)) & set(self.LAZY) == {"laplacian_table"}
+
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_scatter_is_bitwise_add_at(self, rng, vector):
+        _, tb = _graded_tables()
+        dofs = tb.dofs_vec if vector else tb.conn
+        FE = (rng.normal(size=dofs.shape)
+              * 10.0 ** rng.integers(-8, 9, size=dofs.shape))
+        ref = np.zeros(2 * tb.n_nodes if vector else tb.n_nodes)
+        np.add.at(ref, dofs.ravel(), FE.ravel())
+        assert scatter_vector(tb, FE, vector).tobytes() == ref.tobytes()
 
 
 def _rebuilt_elimination(system, dofs, values):

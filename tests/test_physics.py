@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from thmfrac import constitutive as law
+from thmfrac import physics
 from thmfrac.constitutive import MaterialParams
 from thmfrac.fem import (Dirichlet, Factorization, apply_dirichlet, assemble, build_tables,
                          gauss_2x2, shape_q4, solve_bound_constrained, solve_linear)
-from thmfrac.mesh import generate_rect_mesh
+from thmfrac.mesh import RefineBand, generate_rect_mesh
 from thmfrac.physics import (build_flow_system, build_heat_system,
                              build_mechanics_system, build_phasefield_system,
-                             mechanics_branch_flags, mechanics_residual, qp_state,
-                             scalar_qp, strain_qp, volumetric_strain_qp)
+                             mechanics_branch_flags, mechanics_residual, scalar_qp,
+                             strain_qp, strain_state, volumetric_strain_qp)
 
 # ---------------------------------------------------------------------------
 # dense reference assemblies (independent loop-based implementations)
@@ -96,6 +97,88 @@ def _random_state(mesh, mp, rng):
 
 
 # ---------------------------------------------------------------------------
+# element kernels against their einsum expressions
+# ---------------------------------------------------------------------------
+
+def _kernel_meshes():
+    graded = generate_rect_mesh(2.0, 1.0, 9, 5,
+                                [RefineBand(axis="x", lo=0.5, hi=1.0, h=0.05, ratio=1.3),
+                                 RefineBand(axis="y", lo=0.4, hi=0.6, h=0.05, ratio=1.3)])
+    band = generate_rect_mesh(10.0, 60.0, 9, 12,
+                              [RefineBand(axis="x", lo=0.0, hi=5.0, h=0.5, ratio=1.2),
+                               RefineBand(axis="y", lo=28.0, hi=32.0, h=0.5, ratio=1.2)])
+    return {"graded": graded, "band": band}
+
+
+class TestTableKernels:
+    """Each kernel is one matmul against an ``ElementTables`` operator table;
+    the einsum expression it replaced is kept here as the reference."""
+
+    RTOL = 1e-13
+
+    @pytest.fixture(params=["graded", "band"])
+    def tb(self, request):
+        return build_tables(_kernel_meshes()[request.param])
+
+    def _close(self, got, ref):
+        # summation order differs, so an entry that cancels is measured
+        # against the largest entry of its element
+        assert got.shape == ref.shape
+        err = np.abs(got - ref).reshape(len(ref), -1).max(axis=1)
+        scale = np.abs(ref).reshape(len(ref), -1).max(axis=1)
+        assert np.all(err <= self.RTOL * scale), (err / scale).max()
+
+    def test_mass(self, tb, rng):
+        c = rng.uniform(0.5, 2.0, tb.detJw.shape)
+        ref = np.einsum("eq,qa,qb->eab", c * tb.detJw, tb.N, tb.N)
+        self._close(physics._mass(tb, c), ref)
+
+    def test_laplacian(self, tb, rng):
+        c = rng.uniform(0.5, 2.0, tb.detJw.shape)
+        ref = np.einsum("eq,eqad,eqbd->eab", c * tb.detJw, tb.dNdx, tb.dNdx)
+        self._close(physics._laplacian(tb, c), ref)
+
+    def test_tensor_laplacian(self, tb, rng):
+        A = rng.normal(size=tb.detJw.shape + (2, 2))
+        K = np.matmul(A, A.transpose(0, 1, 3, 2)) + 0.1 * np.eye(2)
+        ref = np.einsum("eqac,eqcd,eq,eqbd->eab", tb.dNdx, K, tb.detJw, tb.dNdx)
+        self._close(physics._laplacian_tensor(tb, K), ref)
+
+    def test_advection(self, tb, rng):
+        q = rng.normal(size=tb.detJw.shape + (2,))
+        ref = np.einsum("eq,qa,eqd,eqbd->eab", tb.detJw, tb.N, q, tb.dNdx)
+        self._close(physics._advection(tb, q), ref)
+
+    def test_load(self, tb, rng):
+        src = rng.uniform(0.5, 2.0, tb.detJw.shape)
+        ref = np.einsum("eq,qa->ea", src * tb.detJw, tb.N)
+        self._close(physics._load(tb, src), ref)
+
+    def test_mechanics_stiffness(self, tb, rng, generic_params):
+        shape = tb.detJw.shape
+        C = law.effective_stiffness(rng.uniform(0.0, 1.0, shape),
+                                    rng.integers(0, 2, shape).astype(float), generic_params)
+        ref = np.einsum("eqsa,eqst,eqtb->eab", tb.B, C * tb.detJw[..., None, None], tb.B)
+        self._close(physics._stiffness(tb, C), ref)
+
+    def test_mechanics_rhs(self, tb, rng):
+        s = rng.uniform(0.5, 2.0, tb.detJw.shape)
+        sig = s[..., None] * np.array([1.0, 1.0, 0.0])
+        ref = np.einsum("eqsa,eqs,eq->ea", tb.B, sig, tb.detJw)
+        self._close(physics._apply(tb.divergence_table, s), ref)
+
+    def test_quadrature_point_interpolation(self, tb, rng):
+        f = rng.normal(size=tb.n_nodes)
+        perm = rng.normal(size=tb.detJw.shape + (2, 2))
+        self._close(scalar_qp(tb, f), np.einsum("qi,ei->eq", tb.N, f[tb.conn]))
+        grad = np.einsum("eqid,ei->eqd", tb.dNdx, f[tb.conn])
+        self._close(physics.grad_qp(tb, f), grad)
+        mp = MaterialParams(E=1e9, nu=0.2, mu_f=2e-3)
+        self._close(physics.darcy_flux_qp(tb, mp, perm, f),
+                    -np.einsum("eqcd,eqd->eqc", perm, grad) / mp.mu_f)
+
+
+# ---------------------------------------------------------------------------
 # quadrature-point state
 # ---------------------------------------------------------------------------
 
@@ -105,12 +188,14 @@ class TestQPState:
         mesh = generate_rect_mesh(1.0, 1.0, 4, 4)
         return mesh, build_tables(mesh), generic_params
 
-    def test_branch_flags_are_qp_state_tr_sign(self, setup, rng):
+    def test_branch_flags_are_branch_porosity_tr_sign(self, setup, rng):
         mesh, tb, mp = setup
         assert mp.alpha_s != 0.0
         u, _, T, v = _random_state(mesh, mp, rng)
         flags = mechanics_branch_flags(tb, mp, u, T)
-        assert np.array_equal(flags, qp_state(tb, mp, u, T, v).tr_sign)
+        st = strain_state(tb, mp, u, v)
+        tr_sign, _ = law.branch_porosity(st, scalar_qp(tb, T) - mp.T0, mp)
+        assert np.array_equal(flags, tr_sign)
         assert 0.0 < flags.mean() < 1.0
 
     @pytest.mark.parametrize("variant", ["phi1", "phi0"])
@@ -118,19 +203,19 @@ class TestQPState:
         mesh, tb, mp = setup
         mp = replace(mp, porosity_variant=variant)
         u, _, T, v = _random_state(mesh, mp, rng)
-        st = qp_state(tb, mp, u, T, v)
+        st = strain_state(tb, mp, u, v)
+        tr_sign, porosity = law.branch_porosity(st, scalar_qp(tb, T) - mp.T0, mp)
         eps = strain_qp(tb, u)
         v_qp = scalar_qp(tb, v)
         e1, e2 = law.principal_strains(eps)
         width = law.fracture_width(e1, tb.h_e_qp)
-        phi = law.porosity(e1, mp, v=v_qp, tr_sign=st.tr_sign)
+        phi = law.porosity(e1, mp, v=v_qp, tr_sign=tr_sign)
         perm = law.permeability(v_qp, width, law.crack_normal(eps, e1, e2), mp)
         assert np.any(width > 0.0)
         assert np.array_equal(st.width, width)
-        assert np.array_equal(st.porosity, phi)
+        assert np.array_equal(porosity, phi)
         assert np.array_equal(st.perm, perm)
-        assert np.array_equal(st.alpha, law.biot_coefficient(v_qp, st.tr_sign, mp))
-        assert np.array_equal(st.K_eff, law.effective_bulk(v_qp, st.tr_sign, mp))
+        assert np.array_equal(st.eps_vol, law.trace2(eps))
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +295,8 @@ class TestFlow:
         mesh, tb, mp = small_setup
         n = mesh.n_nodes
         u, p, T, v = _uniform_state(mesh, mp, p=2e5)
-        system = build_flow_system(tb, mp, v, u, p, T, volumetric_strain_qp(tb, u), p, T,
-                                   dt=1.0)
+        system = build_flow_system(tb, mp, strain_state(tb, mp, u, v), p, T,
+                                   volumetric_strain_qp(tb, u), p, T, dt=1.0)
         assert np.allclose(system.matrix @ p - system.rhs, 0.0,
                            atol=1e-12 * np.abs(system.rhs).max())
 
@@ -239,8 +324,8 @@ class TestFlow:
         p = p_prev.copy()
         evol = volumetric_strain_qp(tb, uvec)
         for _ in range(30):                   # iterate lagged terms to the fixed point
-            system = build_flow_system(tb, mp, v, uvec, p, T, evol, p_prev, T,
-                                       dt, source=source)
+            system = build_flow_system(tb, mp, strain_state(tb, mp, uvec, v), p, T, evol,
+                                       p_prev, T, dt, source=source)
             p = solve_linear(system)
         assert np.allclose(p, expect, rtol=1e-10)
 
@@ -258,8 +343,8 @@ class TestFlow:
         v = np.ones(n)
         p_prev = rng.uniform(0, 1e5, n)
         dt = 3.0
-        system = build_flow_system(tb, mp, v, uvec, p_prev, T, volumetric_strain_qp(tb, uvec),
-                                   p_prev, T, dt)
+        system = build_flow_system(tb, mp, strain_state(tb, mp, uvec, v), p_prev, T,
+                                   volumetric_strain_qp(tb, uvec), p_prev, T, dt)
         phi = eps1
         dense = (dense_scalar_mass(mesh, phi * mp.c_f / dt)
                  + dense_scalar_laplacian(mesh, mp.perm_m / mp.mu_f))
@@ -271,8 +356,8 @@ class TestFlow:
     def test_large_dt_reduces_to_steady_darcy(self, small_setup):
         mesh, tb, mp = small_setup
         u, p, T, v = _uniform_state(mesh, mp)
-        system = build_flow_system(tb, mp, v, u, p, T, volumetric_strain_qp(tb, u), p, T,
-                                   dt=1e30)
+        system = build_flow_system(tb, mp, strain_state(tb, mp, u, v), p, T,
+                                   volumetric_strain_qp(tb, u), p, T, dt=1e30)
         dense = dense_scalar_laplacian(mesh, mp.perm_m / mp.mu_f)
         assert np.allclose(system.matrix.toarray(), dense,
                            atol=1e-10 * np.abs(dense).max())
@@ -286,8 +371,8 @@ class TestFlow:
         T = np.full(n, mp.T0) + rng.uniform(-3, 3, n)
         T_prev = np.full(n, mp.T0)
         v = rng.uniform(0.2, 1.0, n)
-        system = build_flow_system(tb, mp, v, u, p_it, T, volumetric_strain_qp(tb, u * 0.5),
-                                   p_prev, T_prev, 0.5)
+        system = build_flow_system(tb, mp, strain_state(tb, mp, u, v), p_it, T,
+                                   volumetric_strain_qp(tb, u * 0.5), p_prev, T_prev, 0.5)
         J = system.matrix.toarray()
 
         def residual(p):
@@ -312,7 +397,7 @@ class TestHeat:
         n = mesh.n_nodes
         u, p, T, v = _uniform_state(mesh, mp)  # uniform p: q_f = 0
         dt = 2.0
-        system = build_heat_system(tb, mp, v, u, p, T, dt)
+        system = build_heat_system(tb, mp, strain_state(tb, mp, u, v), p, T, dt)
         phi = mp.phi_m
         lam = law.conductivity_eff(phi, mp)
         rhoc = law.heat_capacity_eff(phi, mp)
@@ -329,7 +414,7 @@ class TestHeat:
         p = 1e6 * mesh.nodes[:, 0]  # linear p: constant q_f
         T = np.full(n, mp.T0 + 25.0)
         v = np.ones(n)
-        system = build_heat_system(tb, mp, v, u, p, T, dt=1.0)
+        system = build_heat_system(tb, mp, strain_state(tb, mp, u, v), p, T, dt=1.0)
         r = system.matrix @ T - system.rhs
         assert np.abs(r).max() <= 1e-12 * np.abs(system.rhs).max()
 
@@ -341,8 +426,9 @@ class TestHeat:
         T = np.full(n, mp.T0)
         v = np.ones(n)
         assert mp.s_stab > 0.0
-        on = build_heat_system(tb, mp, v, u, p, T, 1.0)
-        off = build_heat_system(tb, replace(mp, s_stab=0.0), v, u, p, T, 1.0)
+        on = build_heat_system(tb, mp, strain_state(tb, mp, u, v), p, T, 1.0)
+        off = build_heat_system(tb, replace(mp, s_stab=0.0), strain_state(tb, mp, u, v),
+                                p, T, 1.0)
         q = mp.perm_m / mp.mu_f * 1e9
         lam_add = 0.5 * mp.s_stab * q * mesh.h_e[0] * mp.rho_f * mp.c_pf
         dense = dense_scalar_laplacian(mesh, lam_add)
@@ -357,7 +443,7 @@ class TestHeat:
         tb = build_tables(mesh)
         n = mesh.n_nodes
         u, p, T, v = _uniform_state(mesh, mp)
-        system = build_heat_system(tb, mp, v, u, p, T, dt=10.0)
+        system = build_heat_system(tb, mp, strain_state(tb, mp, u, v), p, T, dt=10.0)
         A = system.matrix.toarray()
         off = A - np.diag(np.diag(A))
         assert off.max() <= 1e-12 * np.abs(A).max()
@@ -380,7 +466,7 @@ class TestHeat:
         q = mp.perm_m / mp.mu_f * 2e7
         peclet = mp.rho_f * mp.c_pf * q * 0.05 / (2 * 0.5)
         assert peclet > 5.0
-        system = build_heat_system(tb, mp, v, u, p, T, dt=1e12)
+        system = build_heat_system(tb, mp, strain_state(tb, mp, u, v), p, T, dt=1e12)
         left = mesh.boundary_nodes["left"]
         right = mesh.boundary_nodes["right"]
         dofs = np.concatenate([left, right])
@@ -405,8 +491,8 @@ class TestHeat:
         n = mesh.n_nodes
         x, y = mesh.nodes.T
         p = 2e8 * (1.0 - x) * (1.0 + 0.3 * y)
-        system = build_heat_system(tb, mp, np.ones(n), np.zeros(2 * n), p,
-                                   np.full(n, 300.0), dt=1e12)
+        st = strain_state(tb, mp, np.zeros(2 * n), np.ones(n))
+        system = build_heat_system(tb, mp, st, p, np.full(n, 300.0), dt=1e12)
         left = mesh.boundary_nodes["left"]
         right = mesh.boundary_nodes["right"]
         dofs = np.concatenate([left, right])
@@ -554,7 +640,7 @@ class TestPhaseField:
         p = rng.uniform(0, 1e6, n)
         T_prev = np.full(n, mp.T0) + rng.uniform(-5, 5, n)
         v = rng.uniform(0.2, 1.0, n)
-        system = build_heat_system(tb, mp, v, u, p, T_prev, dt=0.7)
+        system = build_heat_system(tb, mp, strain_state(tb, mp, u, v), p, T_prev, dt=0.7)
         J = system.matrix.toarray()
         T0 = np.full(n, mp.T0)
         h = 1e-4

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from thmfrac.config import ProbeSpec
 from thmfrac.errors import PointNotFound
 from thmfrac.fem import build_tables
 from thmfrac.mesh import generate_rect_mesh
 from thmfrac.physics import FieldState
-from thmfrac.postproc import fracture_length, interpolate, probe, width_at
+from thmfrac.postproc import fracture_length, interpolate, width_at
+from thmfrac.scenario import evaluate_probes, locate_probes
 
 
 def make_state(mesh, p=None, T=None, v=None, u=None):
@@ -15,6 +17,12 @@ def make_state(mesh, p=None, T=None, v=None, u=None):
         p=np.zeros(n) if p is None else p,
         T=np.full(n, 293.15) if T is None else T,
         v=np.ones(n) if v is None else v)
+
+
+def probe(mesh, state, field, point):
+    """One field probe through the located, batched path of a run."""
+    probes = locate_probes([ProbeSpec(name="probe", field=field, point=point)], mesh)
+    return evaluate_probes(probes, None, state)["probe"]
 
 
 class TestProbe:
@@ -67,6 +75,20 @@ class TestProbe:
                                  (1 + xi) * (1 + eta), (1 - xi) * (1 + eta)])
             assert probe(mesh, state, "p", (x, y)) == pytest.approx(N @ p[conn],
                                                                     rel=1e-12)
+
+    def test_one_batched_call_equals_one_interpolation_per_probe(self, rng):
+        mesh = generate_rect_mesh(3.0, 2.0, 6, 4)
+        n = mesh.n_nodes
+        state = make_state(mesh, p=rng.normal(size=n), T=rng.normal(size=n),
+                           v=rng.uniform(size=n), u=rng.normal(size=2 * n))
+        nodal = {"p": state.p, "T": state.T, "v": state.v,
+                 "ux": state.u[0::2], "uy": state.u[1::2]}
+        specs = [ProbeSpec(name=f"{f}{k}", field=f, point=tuple(rng.uniform(0.0, 2.0, 2)))
+                 for k in range(3) for f in ("T", "ux", "p", "uy", "v")]
+        got = evaluate_probes(locate_probes(specs, mesh), None, state)
+        for spec in specs:
+            one = interpolate(mesh, nodal[spec.field], np.asarray(spec.point))[0]
+            assert got[spec.name] == one
 
 
 class TestWidthAt:

@@ -1,18 +1,21 @@
 import dataclasses
 
 import numpy as np
+import numpy._core.einsumfunc as einsumfunc
 import pytest
 import scipy.sparse.linalg as spla
 
-from thmfrac import analytic
+from thmfrac import analytic, physics, staggered
 from thmfrac.constitutive import MaterialParams
 from thmfrac.errors import NonConvergence
 from thmfrac.fem import Dirichlet, SparseSystem, build_tables, solve_linear
 from thmfrac.mesh import generate_rect_mesh, nodes_on_segment
 from thmfrac.physics import build_mechanics_system, mechanics_branch_flags, mechanics_rhs
-from thmfrac.presets import terzaghi
+from thmfrac.presets import terzaghi, thermal_consolidation
 from thmfrac.scenario import build_simulation
 from thmfrac.staggered import SolverControls, Simulation, _AndersonMixer, run
+
+from test_kgd import small_kgd
 
 
 def make_cracked_strip(Gc=10.0, load=0.0, k_res=1e-6, solve_thermal=False):
@@ -219,3 +222,57 @@ class TestMechanicsOperatorLifetime:
         u = sim._solve_u(v, p, state.T, h)
         assert len(calls) == 1
         assert np.array_equal(u, _fresh_mechanics_solve(sim, v, p, state.T, h))
+
+
+def _thermal_column():
+    cfg = thermal_consolidation()
+    cfg.nx = 20
+    return cfg, build_simulation(cfg), 1e3
+
+
+def _small_kgd():
+    cfg = small_kgd()
+    return cfg, build_simulation(cfg), 0.01
+
+
+def _recording(build, log):
+    def wrapped(tables, params, st, *args, **kwargs):
+        log.append(st)
+        return build(tables, params, st, *args, **kwargs)
+    return wrapped
+
+
+class TestSharedStrainState:
+    def test_heat_and_flow_share_one_strain_evaluation_per_inner_pass(self, monkeypatch):
+        cfg, sim, dt = _thermal_column()
+        calls = []
+        strain_qp = physics.strain_qp
+        monkeypatch.setattr(physics, "strain_qp",
+                            lambda *args: calls.append(1) or strain_qp(*args))
+        heat, flow = [], []
+        monkeypatch.setattr(staggered, "build_heat_system",
+                            _recording(staggered.build_heat_system, heat))
+        monkeypatch.setattr(staggered, "build_flow_system",
+                            _recording(staggered.build_flow_system, flow))
+        _, report = sim.time_step(sim.initial_state(), dt, cfg.controls)
+        n_inner = sum(report.inner_iters)
+        assert n_inner > 1 and len(heat) == len(flow) == n_inner
+        assert all(h is f for h, f in zip(heat, flow))
+        # one per inner pass, one for the branch flags of each outer pass
+        # and one for the previous step's volumetric strain
+        assert len(calls) == n_inner + report.outer_iters + 1
+
+
+class TestNoEinsumPlanning:
+    @pytest.mark.parametrize("setup", [_thermal_column, _small_kgd],
+                             ids=["thermal_column", "small_kgd"])
+    def test_time_step_plans_no_einsum_path(self, setup, monkeypatch):
+        def planned(*args, **kwargs):
+            raise AssertionError("an einsum contraction path was planned")
+
+        # np.einsum(..., optimize=...) reaches the planner through its own module
+        monkeypatch.setattr(np, "einsum_path", planned)
+        monkeypatch.setattr(einsumfunc, "einsum_path", planned)
+        cfg, sim, dt = setup()
+        _, report = sim.time_step(sim.initial_state(), dt, cfg.controls)
+        assert sum(report.inner_iters) > 1
