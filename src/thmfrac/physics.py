@@ -143,10 +143,11 @@ def _stiffness(tables: ElementTables, C: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def mechanics_branch_flags(tables: ElementTables, params: MaterialParams,
-                           u: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Opening/closing Heaviside flags H(Tr eps_e) at quadrature points."""
+                           st: law.StrainState, T: np.ndarray) -> np.ndarray:
+    """Opening/closing Heaviside flags H(Tr eps_e) at quadrature points of
+    the strain state ``st`` and nodal temperature ``T``."""
     dT = scalar_qp(tables, T) - params.T0
-    return law.thermoelastic_split(strain_qp(tables, u), dT, params.alpha_s)[3]
+    return law.thermoelastic_split(st.eps, dT, params.alpha_s)[3]
 
 
 @dataclass

@@ -6,7 +6,7 @@ import numpy as np
 
 from . import constitutive as law
 from .constitutive import MaterialParams
-from .fem import ElementTables
+from .fem import ElementTables, shape_q4
 from .mesh import Mesh, locate_points
 from .physics import FieldState, scalar_qp, strain_state
 
@@ -16,9 +16,7 @@ _FIELDS = ("p", "T", "v", "ux", "uy")
 def locate(mesh: Mesh, pts) -> tuple[np.ndarray, np.ndarray]:
     """Cell nodes (k, 4) and bilinear weights (k, 4) of the points (k, 2)."""
     eid, xi, eta = locate_points(mesh, pts)
-    N = np.stack([(1 - xi) * (1 - eta), (1 + xi) * (1 - eta),
-                  (1 + xi) * (1 + eta), (1 - xi) * (1 + eta)], axis=-1) * 0.25
-    return mesh.elems[eid], N
+    return mesh.elems[eid], shape_q4(xi, eta)[0]
 
 
 def bilinear(N: np.ndarray, cell_values: np.ndarray) -> np.ndarray:

@@ -125,9 +125,9 @@ class Simulation:
 
     The simulation owns the linear-algebra state of its sub-solves:
 
-    * the Dirichlet masks of T, p and u, resolved against the field
-      patterns on the first solve (boundary conditions are static from
-      then on);
+    * the Dirichlet constraints of T, p and u, resolved on the first solve
+      into the fixed structure of each constrained operator (boundary
+      conditions are static from then on);
     * the mechanics operator, rebuilt only when v or the frozen branch
       flags differ from its last build;
     * the SuperLU factor of the mechanics operator, which lives as long
@@ -233,14 +233,15 @@ class Simulation:
                 v_new = v_cur
 
             mixer.reset()
-            # stiffness branch flags frozen across the inner loop; refreshing
-            # them per (T, p, u) pass lets broken cells flip between the open
-            # and closed branch and the displacement iterate cycles
-            h_mech = mechanics_branch_flags(self.tables, self.params, it.u, it.T)
+            # heat and flow share the strain-derived state of the iterate;
+            # the first pass's state also gives the stiffness branch flags,
+            # frozen across the inner loop: refreshing them per (T, p, u)
+            # pass lets broken cells flip between the open and closed branch
+            # and the displacement iterate cycles
+            st = strain_state(self.tables, self.params, it.u, v_new)
+            h_mech = mechanics_branch_flags(self.tables, self.params, st, it.T)
             inner_done = 0
             for j in range(1, controls.max_inner + 1):
-                # heat and flow share the strain-derived state of the iterate
-                st = strain_state(self.tables, self.params, it.u, v_new)
                 T_new = self._solve_T(st, it, prev, dt) if self.solve_thermal else it.T
                 p_raw = self._solve_p(st, it, T_new, prev, evol_prev, dt)
                 p_new = mixer.mix(it.p, p_raw)
@@ -251,6 +252,7 @@ class Simulation:
                 inner_done = j
                 if max(inc) < controls.tol_tpu:
                     break
+                st = strain_state(self.tables, self.params, it.u, v_new)
             else:
                 raise NonConvergence(
                     f"inner (T-p-u) loop exceeded {controls.max_inner} iterations "

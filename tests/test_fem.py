@@ -123,7 +123,7 @@ def _same_csr(A, B):
 
 class TestPattern:
     @pytest.mark.parametrize("vector", [False, True])
-    def test_bitwise_equal_to_coo_tocsr_on_graded_mesh(self, rng, vector):
+    def test_sums_each_entry_in_element_order(self, rng, vector):
         mesh, tb = _graded_tables()
         dofs = tb.dofs_vec if vector else tb.conn
         nd = dofs.shape[1]
@@ -131,10 +131,20 @@ class TestPattern:
         KE = (rng.normal(size=(mesh.n_elems, nd, nd))
               * 10.0 ** rng.integers(-8, 9, size=(mesh.n_elems, nd, nd)))
         pattern = tb.vector_pattern if vector else tb.scalar_pattern
-        ref = _coo_reference(dofs, KE, pattern.shape[0])
-        assert _same_csr(pattern.matrix(KE), ref)
-        assert np.array_equal(pattern.indices[pattern.diag],
-                              np.arange(pattern.shape[0]))
+        n = pattern.shape[0]
+        dense = np.zeros((n, n))
+        np.add.at(dense, (np.repeat(dofs, nd, axis=1).ravel(), np.tile(dofs, (1, nd)).ravel()),
+                  KE.ravel())
+        A = pattern.matrix(KE)
+        assert A.toarray().tobytes() == dense.tobytes()
+        ref = _coo_reference(dofs, KE, n)
+        assert np.array_equal(A.indptr, ref.indptr) and np.array_equal(A.indices, ref.indices)
+        if not vector:
+            # coo.tocsr() orders each row with scipy's unstable index sort;
+            # on the scalar field's short rows (at most 16 entries) the
+            # duplicates keep their element order, so the sums match bitwise
+            assert _same_csr(A, ref)
+        assert np.array_equal(pattern.indices[pattern.diag], np.arange(n))
 
     def test_pattern_is_built_once_and_shared(self, rng):
         _, tb = _graded_tables()
@@ -184,6 +194,12 @@ def _rebuilt_elimination(system, dofs, values):
     return A, rhs
 
 
+def _stored(A):
+    """Dense mask of the stored entries of a CSR structure."""
+    ones = np.ones(A.indices.size)
+    return sp.csr_matrix((ones, A.indices, A.indptr), shape=A.shape).toarray() > 0.0
+
+
 class TestDirichlet:
     @pytest.mark.parametrize("vector", [False, True])
     def test_mask_equals_rebuilt_elimination(self, rng, vector):
@@ -193,13 +209,29 @@ class TestDirichlet:
         KE[:, 0, 1] = 0.0          # explicit zeros in the assembled operator
         sys_ = assemble_batched(tb, KE, rng.normal(size=(mesh.n_elems, nd)), vector=vector)
         pattern = tb.vector_pattern if vector else tb.scalar_pattern
-        dofs = np.unique(rng.choice(pattern.shape[0], 12, replace=False))
+        n = pattern.shape[0]
+        # dofs 0 and 1 stay free: the vector field's only planted zero
+        # couples them, at the corner node that one element holds
+        dofs = np.unique(rng.choice(np.arange(2, n), 12, replace=False))
         vals = rng.normal(size=dofs.size)
-        fixed = apply_dirichlet(sys_, Dirichlet.on(pattern, dofs, vals))
+        bc = Dirichlet.on(pattern, dofs, vals)
+        fixed = apply_dirichlet(sys_, bc)
         A_ref, rhs_ref = _rebuilt_elimination(sys_, dofs, vals)
-        assert _same_csr(fixed.matrix, A_ref)
+        assert fixed.matrix.toarray().tobytes() == A_ref.toarray().tobytes()
         assert fixed.rhs.tobytes() == rhs_ref.tobytes()
-        assert np.all(fixed.matrix.data != 0.0)
+        # the pattern minus the off-diagonal slots of constrained rows and columns
+        constrained = np.zeros(n, dtype=bool)
+        constrained[dofs] = True
+        dropped = (constrained[:, None] | constrained[None, :]) & ~np.eye(n, dtype=bool)
+        structure = _stored(pattern) & ~dropped
+        assert np.array_equal(_stored(fixed.matrix), structure)
+        assert fixed.matrix.nnz == np.count_nonzero(structure)
+        planted = structure & (sys_.matrix.toarray() == 0.0)
+        assert np.count_nonzero(fixed.matrix.data == 0.0) == np.count_nonzero(planted) > 0
+        # a second operator is eliminated into the same index arrays
+        other = apply_dirichlet(assemble_batched(tb, 2.0 * KE, np.zeros((mesh.n_elems, nd)),
+                                                 vector=vector), bc)
+        assert np.shares_memory(fixed.matrix.indices, other.matrix.indices)
 
     def test_no_constraints_leave_the_system_alone(self, rng):
         _, tb = _graded_tables()

@@ -192,8 +192,8 @@ class TestQPState:
         mesh, tb, mp = setup
         assert mp.alpha_s != 0.0
         u, _, T, v = _random_state(mesh, mp, rng)
-        flags = mechanics_branch_flags(tb, mp, u, T)
         st = strain_state(tb, mp, u, v)
+        flags = mechanics_branch_flags(tb, mp, st, T)
         tr_sign, _ = law.branch_porosity(st, scalar_qp(tb, T) - mp.T0, mp)
         assert np.array_equal(flags, tr_sign)
         assert 0.0 < flags.mean() < 1.0
@@ -261,7 +261,8 @@ class TestMechanics:
     def test_intact_stiffness_matches_dense_assembly(self, small_setup):
         mesh, tb, mp = small_setup
         u, p, T, v = _uniform_state(mesh, mp)
-        op = build_mechanics_system(tb, mp, v, mechanics_branch_flags(tb, mp, u, T))
+        flags = mechanics_branch_flags(tb, mp, strain_state(tb, mp, u, v), T)
+        op = build_mechanics_system(tb, mp, v, flags)
         ref = dense_elastic_stiffness(mesh, plane_strain_C(mp))
         scale = np.abs(ref).max()
         assert np.allclose(op.matrix.toarray(), ref, atol=1e-12 * scale)
@@ -274,7 +275,8 @@ class TestMechanics:
         T = np.full(n, mp.T0) + rng.uniform(0, 5, n)
         v = rng.uniform(0.3, 1.0, n)
         f_ext = np.zeros(2 * n)
-        J = build_mechanics_system(tb, mp, v, mechanics_branch_flags(tb, mp, u, T)).matrix.toarray()
+        flags = mechanics_branch_flags(tb, mp, strain_state(tb, mp, u, v), T)
+        J = build_mechanics_system(tb, mp, v, flags).matrix.toarray()
         h = 1e-8
         fd = np.empty_like(J)
         for i in range(2 * n):
