@@ -1,22 +1,32 @@
 """Scenario configuration: JSON schema, validation and round-tripping.
 
-``parse_config`` validates exhaustively and reports every problem at once
-(field paths like ``materials.E``), rather than failing on the first.
+An object's JSON keys are the fields of its dataclass, and the dataclass
+checks their values in ``__post_init__``. The reader type-checks each value
+against its field's annotation, builds the object and reports its
+``ValueError`` under the object's path. Only the sections of
+``ScenarioConfig`` and the ``pressure``/``temperature`` key of ``ScalarBC``
+are mapped by hand. Every problem is reported at once, with field paths
+like ``materials.E``, rather than only the first.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields as dc_fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from .constitutive import MaterialParams
 from .errors import ConfigError
 from .mesh import RefineBand
+from .postproc import FIELDS
 from .staggered import SolverControls
 
 _BOUNDARY_SETS = ("left", "right", "top", "bottom")
 _PROBE_KINDS = ("field", "fracture_length", "width")
-_PROBE_FIELDS = ("p", "T", "v", "ux", "uy")
+
+
+def _check_set(name: str):
+    if name not in _BOUNDARY_SETS:
+        raise ValueError(f"set must be one of {_BOUNDARY_SETS}, got {name!r}")
 
 
 @dataclass
@@ -26,11 +36,20 @@ class MechBC:
     value: float = 0.0
     traction: tuple[float, float] | None = None
 
+    def __post_init__(self):
+        _check_set(self.set)
+        if self.traction is None and self.component not in ("x", "y", "both"):
+            raise ValueError("component must be one of ('x', 'y', 'both') unless a "
+                             f"traction is given, got {self.component!r}")
+
 
 @dataclass
 class ScalarBC:
     set: str
     value: float
+
+    def __post_init__(self):
+        _check_set(self.set)
 
 
 @dataclass
@@ -39,15 +58,38 @@ class Injection:
     rate: float                    # [m^2/s], 2D line rate
     temperature: float | None = None
 
+    def __post_init__(self):
+        if self.rate < 0.0:
+            raise ValueError(f"rate must be non-negative, got {self.rate}")
+
 
 @dataclass
 class ProbeSpec:
+    """A named series: a nodal field or the fracture width at a point
+    (``field``, ``width``), or the fracture length along a polyline whose
+    phase field drops below ``threshold`` (``fracture_length``)."""
+
     name: str
     kind: str = "field"
     field: str | None = None
     point: tuple[float, float] | None = None
     path: list[tuple[float, float]] | None = None
     threshold: float = 0.1
+
+    def __post_init__(self):
+        if not self.name:
+            raise ValueError("name must not be empty")
+        if self.kind not in _PROBE_KINDS:
+            raise ValueError(f"kind must be one of {_PROBE_KINDS}, got {self.kind!r}")
+        if self.kind == "field" and self.field not in FIELDS:
+            raise ValueError(f"field must be one of {FIELDS}, got {self.field!r}")
+        if self.kind == "fracture_length":
+            if self.path is None or len(self.path) < 2:
+                raise ValueError("a fracture_length probe needs a path of >= 2 points")
+            if not self.threshold > 0.0:
+                raise ValueError(f"threshold must be positive, got {self.threshold}")
+        elif self.point is None:
+            raise ValueError(f"a {self.kind} probe needs a point")
 
 
 @dataclass
@@ -72,345 +114,199 @@ class ScenarioConfig:
     snapshot_every: int = 0
 
 
-class _Check:
-    """Error collector with dotted-path diagnostics."""
+# The reader. A value whose type is its key's type is taken as is; any other
+# value goes through the key's conversion, which raises if it is not of its kind.
 
-    def __init__(self):
-        self.errors: list[str] = []
-
-    def err(self, path: str, msg: str):
-        self.errors.append(f"{path}: {msg}")
-
-    def section(self, d: dict, key: str, path: str, required: bool = False) -> dict:
-        val = d.get(key)
-        if val is None:
-            if required:
-                self.err(path, "missing required section")
-            return {}
-        if not isinstance(val, dict):
-            self.err(path, f"expected an object, got {type(val).__name__}")
-            return {}
-        return val
-
-    def unknown(self, d: dict, known, path: str):
-        for k in d:
-            if k not in known:
-                self.err(f"{path}.{k}" if path else k, "unknown key")
-
-    def num(self, d: dict, key: str, path: str, default=None, required=False,
-            positive=False, nonneg=False):
-        if key not in d:
-            if required:
-                self.err(f"{path}.{key}", "missing required value")
-            return default
-        v = d[key]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            self.err(f"{path}.{key}", f"expected a number, got {v!r}")
-            return default
-        v = float(v)
-        if positive and not v > 0.0:
-            self.err(f"{path}.{key}", f"must be positive, got {v}")
-            return default
-        if nonneg and v < 0.0:
-            self.err(f"{path}.{key}", f"must be non-negative, got {v}")
-            return default
-        return v
-
-    def integer(self, d: dict, key: str, path: str, default=None, required=False,
-                minimum=None):
-        if key not in d:
-            if required:
-                self.err(f"{path}.{key}", "missing required value")
-            return default
-        v = d[key]
-        if isinstance(v, bool) or not isinstance(v, int):
-            self.err(f"{path}.{key}", f"expected an integer, got {v!r}")
-            return default
-        if minimum is not None and v < minimum:
-            self.err(f"{path}.{key}", f"must be >= {minimum}, got {v}")
-            return default
-        return v
-
-    def boolean(self, d: dict, key: str, path: str, default=False):
-        v = d.get(key, default)
-        if not isinstance(v, bool):
-            self.err(f"{path}.{key}", f"expected true/false, got {v!r}")
-            return default
-        return v
-
-    def choice(self, d: dict, key: str, path: str, options, default=None):
-        v = d.get(key, default)
-        if v not in options:
-            self.err(f"{path}.{key}", f"must be one of {options}, got {v!r}")
-            return default
-        return v
-
-    def point(self, v, path: str):
-        if (not isinstance(v, (list, tuple)) or len(v) != 2
-                or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in v)):
-            self.err(path, f"expected [x, y], got {v!r}")
-            return None
-        return (float(v[0]), float(v[1]))
-
-    def segment(self, v, path: str):
-        if not isinstance(v, (list, tuple)) or len(v) != 2:
-            self.err(path, f"expected [[x0, y0], [x1, y1]], got {v!r}")
-            return None
-        p0 = self.point(v[0], f"{path}[0]")
-        p1 = self.point(v[1], f"{path}[1]")
-        if p0 is None or p1 is None:
-            return None
-        return [p0, p1]
-
-    def scalar_bcs(self, bcs: dict, kind: str, value_key: str) -> list[ScalarBC]:
-        """Entries ``{"set": ..., value_key: ...}`` of the list ``bcs.<kind>``."""
-        out = []
-        for i, b in enumerate(bcs.get(kind, [])):
-            path = f"bcs.{kind}[{i}]"
-            if not isinstance(b, dict):
-                self.err(path, "expected an object")
-                continue
-            self.unknown(b, {"set", value_key}, path)
-            bset = self.choice(b, "set", path, _BOUNDARY_SETS)
-            val = self.num(b, value_key, path, required=True)
-            if bset and val is not None:
-                out.append(ScalarBC(set=bset, value=val))
-        return out
+def _reject(v):
+    raise TypeError
 
 
-_MATERIAL_KEYS = {f.name for f in dc_fields(MaterialParams)}
+def _number(v):
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError
+    return float(v)             # OverflowError for an int beyond float range
+
+
+def _point(v):
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
+        raise TypeError
+    x, y = v
+    if type(x) is float and type(y) is float:
+        return (x, y)
+    return (_number(x), _number(y))
+
+
+def _points(v, n: int | None = None):
+    if not isinstance(v, (list, tuple)) or not v or (n and len(v) != n):
+        raise TypeError
+    return [_point(p) for p in v]
+
+
+def _segments(v):
+    if not isinstance(v, list):
+        raise TypeError
+    return [_points(s, 2) for s in v]
+
+
+def _object(v):
+    if v is not None:           # a null section counts as an empty one
+        raise TypeError
+    return {}
+
+
+# kind -> (type taken as is, conversion of other values, what it expects);
+# the kind of a dataclass field is its annotation
+_KINDS = {
+    "float": (float, _number, "a number"),
+    "int": (int, _reject, "an integer"),
+    "str": (str, _reject, "a string"),
+    "bool": (bool, _reject, "true/false"),
+    "tuple[float, float]": (None, _point, "[x, y]"),
+    "list[tuple[float, float]]": (None, _points, "a non-empty list of [x, y]"),
+    "segment": (None, lambda v: _points(v, 2), "[[x0, y0], [x1, y1]]"),
+    "segments": (None, _segments, "a list of [[x0, y0], [x1, y1]]"),
+    "list": (list, _reject, "a list"),
+    "object": (dict, _object, "an object"),
+}
+
+
+def _schema(required=(), rename=(), **kinds):
+    """The keys of a JSON object: the type taken as is by each key named as
+    its field, the (field name, conversion, what it expects) of every key,
+    and the required keys."""
+    rename = dict(rename)
+    return ({k: _KINDS[kind][0] for k, kind in kinds.items() if k not in rename},
+            {k: (rename.get(k, k), *_KINDS[kind][1:]) for k, kind in kinds.items()},
+            dict.fromkeys(required).keys())
+
+
+def _dataclass_schema(cls):
+    return _schema(
+        required=[f.name for f in fields(cls)
+                  if f.default is MISSING and f.default_factory is MISSING],
+        **{f.name: f.type.removesuffix(" | None") for f in fields(cls)})
+
+
+_SCHEMAS = {cls: _dataclass_schema(cls) for cls in (
+    MaterialParams, SolverControls, RefineBand, MechBC, Injection, ProbeSpec)}
+_SCALAR_BCS = {kind: _schema(("set", key), {key: "value"}, set="str", **{key: "float"})
+               for kind, key in (("flow", "pressure"), ("heat", "temperature"))}
+_SCENARIO = _schema(("geometry", "materials", "controls"), name="str",
+                    geometry="object", materials="object", physics="object",
+                    bcs="object", sources="object", initial="object",
+                    controls="object", outputs="object")
+_GEOMETRY = _schema(("domain", "mesh"), domain="tuple[float, float]", mesh="object",
+                    refine_bands="list", cracks="segments", weak_interfaces="list")
+_MESH = _schema(("nx", "ny"), nx="int", ny="int")
+_INTERFACE = _schema(("segment", "gc_ratio"), segment="segment", gc_ratio="float")
+_PHYSICS = _schema(solve_thermal="bool", solve_phasefield="bool")
+_BCS = _schema(mechanics="list", flow="list", heat="list")
+_SOURCES = _schema(injection="object")
+_INITIAL = _schema(pressure="float")
+_OUTPUTS = _schema(probes="list", snapshot_every="int")
+
+
+def _at(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _fields(d, schema, path: str, errors: list[str]) -> dict:
+    """Type-checked values of JSON object ``d`` by field name; every unknown
+    key, wrong type and missing required key goes to ``errors``."""
+    if not isinstance(d, dict):
+        errors.append(f"{path}: expected an object, got {d!r}")
+        return {}
+    types, kinds, required = schema
+    out = {}
+    for k, v in d.items():
+        if type(v) is types.get(k):
+            out[k] = v
+            continue
+        kind = kinds.get(k)
+        if kind is None:
+            errors.append(f"{_at(path, k)}: unknown key")
+            continue
+        try:
+            out[kind[0]] = kind[1](v)
+        except (TypeError, ValueError, OverflowError):
+            errors.append(f"{_at(path, k)}: expected {kind[2]}, got {v!r}")
+    if not d.keys() >= required:
+        errors.extend(f"{_at(path, k)}: missing required value" for k in required if k not in d)
+    return out
+
+
+def _read(cls, d, path: str, errors: list[str], schema=None):
+    """The ``cls`` object of JSON object ``d``, or None after recording why not."""
+    n = len(errors)
+    kw = _fields(d, schema or _SCHEMAS[cls], path, errors)
+    if len(errors) > n:
+        return None
+    try:
+        return cls(**kw)
+    except ValueError as exc:
+        errors.append(f"{path}: {exc}")
+        return None
+
+
+def _read_all(cls, items: list, path: str, errors: list[str], schema=None) -> list:
+    return [_read(cls, d, f"{path}[{i}]", errors, schema) for i, d in enumerate(items)]
 
 
 def config_from_dict(raw: dict, name_hint: str = "scenario") -> ScenarioConfig:
     """Validate a raw dict and build the scenario; raises ConfigError with
     the full error list on any problem."""
-    ck = _Check()
     if not isinstance(raw, dict):
         raise ConfigError(["top level: expected a JSON object"])
-    ck.unknown(raw, {"name", "geometry", "materials", "physics", "bcs",
-                     "sources", "initial", "controls", "outputs"}, "")
+    errors: list[str] = []
+    top = _fields(raw, _SCENARIO, "", errors)
+    geo = _fields(top.get("geometry", {}), _GEOMETRY, "geometry", errors)
+    mesh = _fields(geo.get("mesh", {}), _MESH, "geometry.mesh", errors)
+    phys = _fields(top.get("physics", {}), _PHYSICS, "physics", errors)
+    bcs = _fields(top.get("bcs", {}), _BCS, "bcs", errors)
+    src = _fields(top.get("sources", {}), _SOURCES, "sources", errors)
+    init = _fields(top.get("initial", {}), _INITIAL, "initial", errors)
+    out = _fields(top.get("outputs", {}), _OUTPUTS, "outputs", errors)
 
-    name = raw.get("name", name_hint)
-    if not isinstance(name, str):
-        ck.err("name", f"expected a string, got {name!r}")
-        name = name_hint
-
-    geo = ck.section(raw, "geometry", "geometry", required=True)
-    ck.unknown(geo, {"domain", "mesh", "refine_bands", "cracks", "weak_interfaces"},
-               "geometry")
-    domain = (1.0, 1.0)
-    dom = geo.get("domain")
-    pt = ck.point(dom, "geometry.domain") if dom is not None else None
-    if dom is None:
-        ck.err("geometry.domain", "missing required value")
-    elif pt is not None:
-        if pt[0] <= 0.0 or pt[1] <= 0.0:
-            ck.err("geometry.domain", f"dimensions must be positive, got {pt}")
-        else:
-            domain = pt
-    msh = ck.section(geo, "mesh", "geometry.mesh", required=True)
-    ck.unknown(msh, {"nx", "ny"}, "geometry.mesh")
-    nx = ck.integer(msh, "nx", "geometry.mesh", default=1, required=True, minimum=1)
-    ny = ck.integer(msh, "ny", "geometry.mesh", default=1, required=True, minimum=1)
-
-    bands = []
-    for i, b in enumerate(geo.get("refine_bands", [])):
-        path = f"geometry.refine_bands[{i}]"
-        if not isinstance(b, dict):
-            ck.err(path, "expected an object")
-            continue
-        ck.unknown(b, {"axis", "lo", "hi", "h", "ratio"}, path)
-        axis = ck.choice(b, "axis", path, ("x", "y"))
-        lo = ck.num(b, "lo", path, required=True, nonneg=True)
-        hi = ck.num(b, "hi", path, required=True, positive=True)
-        h = ck.num(b, "h", path, required=True, positive=True)
-        ratio = ck.num(b, "ratio", path, default=1.15, positive=True)
-        if None not in (axis, lo, hi, h, ratio):
-            try:
-                bands.append(RefineBand(axis=axis, lo=lo, hi=hi, h=h, ratio=ratio))
-            except ValueError as exc:
-                ck.err(path, str(exc))
-
-    cracks = []
-    for i, seg in enumerate(geo.get("cracks", [])):
-        s = ck.segment(seg, f"geometry.cracks[{i}]")
-        if s is not None:
-            cracks.append(s)
+    domain = geo.get("domain", (1.0, 1.0))
+    if domain[0] <= 0.0 or domain[1] <= 0.0:
+        errors.append(f"geometry.domain: dimensions must be positive, got {domain}")
+    for k in ("nx", "ny"):
+        if mesh.get(k, 1) < 1:
+            errors.append(f"geometry.mesh.{k}: must be >= 1, got {mesh[k]}")
+    snapshot_every = out.get("snapshot_every", 0)
+    if snapshot_every < 0:
+        errors.append(f"outputs.snapshot_every: must be >= 0, got {snapshot_every}")
     interfaces = []
     for i, w in enumerate(geo.get("weak_interfaces", [])):
         path = f"geometry.weak_interfaces[{i}]"
-        if not isinstance(w, dict):
-            ck.err(path, "expected an object")
-            continue
-        ck.unknown(w, {"segment", "gc_ratio"}, path)
-        s = ck.segment(w.get("segment"), f"{path}.segment")
-        r = ck.num(w, "gc_ratio", path, required=True, positive=True)
-        if s is not None and r is not None:
-            interfaces.append((s, r))
+        w = _fields(w, _INTERFACE, path, errors)
+        if not w.get("gc_ratio", 1.0) > 0.0:
+            errors.append(f"{path}.gc_ratio: must be positive, got {w['gc_ratio']}")
+        interfaces.append((w.get("segment"), w.get("gc_ratio")))
 
-    mat = ck.section(raw, "materials", "materials", required=True)
-    ck.unknown(mat, _MATERIAL_KEYS, "materials")
-    mat_vals = {}
-    for k, v in mat.items():
-        if k not in _MATERIAL_KEYS:
-            continue
-        if k == "n_at":
-            iv = ck.integer(mat, k, "materials")
-            if iv is not None:
-                mat_vals[k] = iv
-        elif k == "porosity_variant":
-            if isinstance(v, str):
-                mat_vals[k] = v
-            else:
-                ck.err(f"materials.{k}", f"expected a string, got {v!r}")
-        else:
-            nv = ck.num(mat, k, "materials")
-            if nv is not None:
-                mat_vals[k] = nv
-    if "E" not in mat:
-        ck.err("materials.E", "missing required value")
-    if "nu" not in mat:
-        ck.err("materials.nu", "missing required value")
-    materials = None
-    if not ck.errors or ("E" in mat_vals and "nu" in mat_vals):
-        try:
-            materials = MaterialParams(**mat_vals)
-        except (ValueError, TypeError) as exc:
-            ck.err("materials", str(exc))
-
-    phys = ck.section(raw, "physics", "physics")
-    ck.unknown(phys, {"solve_thermal", "solve_phasefield"}, "physics")
-    solve_thermal = ck.boolean(phys, "solve_thermal", "physics", True)
-    solve_phasefield = ck.boolean(phys, "solve_phasefield", "physics", True)
-
-    bcs = ck.section(raw, "bcs", "bcs")
-    ck.unknown(bcs, {"mechanics", "flow", "heat"}, "bcs")
-    bcs_mech = []
-    for i, b in enumerate(bcs.get("mechanics", [])):
-        path = f"bcs.mechanics[{i}]"
-        if not isinstance(b, dict):
-            ck.err(path, "expected an object")
-            continue
-        ck.unknown(b, {"set", "component", "value", "traction"}, path)
-        bset = ck.choice(b, "set", path, _BOUNDARY_SETS)
-        if "traction" in b:
-            tr = ck.point(b["traction"], f"{path}.traction")
-            if bset and tr:
-                bcs_mech.append(MechBC(set=bset, traction=tr))
-        else:
-            comp = ck.choice(b, "component", path, ("x", "y", "both"))
-            val = ck.num(b, "value", path, default=0.0)
-            if bset and comp:
-                bcs_mech.append(MechBC(set=bset, component=comp, value=val))
-    bcs_flow = ck.scalar_bcs(bcs, "flow", "pressure")
-    bcs_heat = ck.scalar_bcs(bcs, "heat", "temperature")
-
-    src = ck.section(raw, "sources", "sources")
-    ck.unknown(src, {"injection"}, "sources")
-    injection = None
-    if "injection" in src:
-        inj = ck.section(src, "injection", "sources.injection")
-        ck.unknown(inj, {"point", "rate", "temperature"}, "sources.injection")
-        point = ck.point(inj.get("point"), "sources.injection.point")
-        rate = ck.num(inj, "rate", "sources.injection", required=True, nonneg=True)
-        temp = ck.num(inj, "temperature", "sources.injection")
-        if point is not None and rate is not None:
-            injection = Injection(point=point, rate=rate, temperature=temp)
-
-    init = ck.section(raw, "initial", "initial")
-    ck.unknown(init, {"pressure"}, "initial")
-    p_init = ck.num(init, "pressure", "initial", default=0.0)
-
-    ctr = ck.section(raw, "controls", "controls", required=True)
-    ck.unknown(ctr, {"tol_stag", "tol_tpu", "max_outer", "max_inner",
-                     "v_ir", "dt_schedule"}, "controls")
-    schedule = []
-    sched_raw = ctr.get("dt_schedule")
-    if sched_raw is None:
-        ck.err("controls.dt_schedule", "missing required value")
-    elif not isinstance(sched_raw, list) or not sched_raw:
-        ck.err("controls.dt_schedule", "expected a non-empty list of [duration, dt]")
-    else:
-        for i, entry in enumerate(sched_raw):
-            pt = ck.point(entry, f"controls.dt_schedule[{i}]")
-            if pt is not None:
-                if pt[1] <= 0.0 or pt[0] < 0.0:
-                    ck.err(f"controls.dt_schedule[{i}]",
-                           f"need duration >= 0 and dt > 0, got {pt}")
-                else:
-                    schedule.append(pt)
-    controls = None
-    kw = {}
-    for key in ("tol_stag", "tol_tpu"):
-        v = ck.num(ctr, key, "controls", positive=True)
-        if v is not None:
-            kw[key] = v
-    for key in ("max_outer", "max_inner"):
-        v = ck.integer(ctr, key, "controls", minimum=1)
-        if v is not None:
-            kw[key] = v
-    v_ir = ck.num(ctr, "v_ir", "controls", nonneg=True)
-    if v_ir is not None:
-        kw["v_ir"] = v_ir
-    if schedule:
-        try:
-            controls = SolverControls(dt_schedule=schedule, **kw)
-        except ValueError as exc:
-            ck.err("controls", str(exc))
-
-    out = ck.section(raw, "outputs", "outputs")
-    ck.unknown(out, {"probes", "snapshot_every"}, "outputs")
-    snapshot_every = ck.integer(out, "snapshot_every", "outputs", default=0, minimum=0)
-    probes = []
-    for i, p in enumerate(out.get("probes", [])):
-        path = f"outputs.probes[{i}]"
-        if not isinstance(p, dict):
-            ck.err(path, "expected an object")
-            continue
-        ck.unknown(p, {"name", "kind", "field", "point", "path", "threshold"}, path)
-        pname = p.get("name")
-        if not isinstance(pname, str) or not pname:
-            ck.err(f"{path}.name", "missing or not a string")
-            continue
-        kind = ck.choice(p, "kind", path, _PROBE_KINDS, "field")
-        spec = ProbeSpec(name=pname, kind=kind or "field")
-        if kind == "field":
-            spec.field = ck.choice(p, "field", path, _PROBE_FIELDS)
-            spec.point = ck.point(p.get("point"), f"{path}.point")
-            if spec.field is None or spec.point is None:
-                continue
-        elif kind == "width":
-            spec.point = ck.point(p.get("point"), f"{path}.point")
-            if spec.point is None:
-                continue
-        elif kind == "fracture_length":
-            pp = p.get("path")
-            if not isinstance(pp, list) or len(pp) < 2:
-                ck.err(f"{path}.path", "expected a polyline with >= 2 points")
-                continue
-            pts = [ck.point(q, f"{path}.path[{k}]") for k, q in enumerate(pp)]
-            if any(q is None for q in pts):
-                continue
-            spec.path = pts
-            thr = ck.num(p, "threshold", path, default=0.1, positive=True)
-            spec.threshold = thr if thr is not None else 0.1
-        probes.append(spec)
-
-    if ck.errors or materials is None or controls is None:
-        if materials is None and not any(e.startswith("materials") for e in ck.errors):
-            ck.err("materials", "section could not be constructed")
-        if controls is None and not any(e.startswith("controls") for e in ck.errors):
-            ck.err("controls", "section could not be constructed")
-        raise ConfigError(ck.errors)
-
-    return ScenarioConfig(
-        name=name, domain=domain, nx=nx, ny=ny, materials=materials,
-        controls=controls, refine_bands=bands, cracks=cracks,
-        weak_interfaces=interfaces, solve_thermal=solve_thermal,
-        solve_phasefield=solve_phasefield,
-        bcs_mech=bcs_mech, bcs_flow=bcs_flow, bcs_heat=bcs_heat,
-        injection=injection, p_init=p_init, probes=probes,
+    injection = src.get("injection")
+    cfg = dict(
+        name=top.get("name", name_hint), domain=domain, nx=mesh.get("nx"), ny=mesh.get("ny"),
+        materials=_read(MaterialParams, top.get("materials", {}), "materials", errors),
+        controls=_read(SolverControls, top.get("controls", {}), "controls", errors),
+        refine_bands=_read_all(RefineBand, geo.get("refine_bands", []),
+                               "geometry.refine_bands", errors),
+        cracks=geo.get("cracks", []), weak_interfaces=interfaces,
+        solve_thermal=phys.get("solve_thermal", True),
+        solve_phasefield=phys.get("solve_phasefield", True),
+        bcs_mech=_read_all(MechBC, bcs.get("mechanics", []), "bcs.mechanics", errors),
+        bcs_flow=_read_all(ScalarBC, bcs.get("flow", []), "bcs.flow", errors,
+                           _SCALAR_BCS["flow"]),
+        bcs_heat=_read_all(ScalarBC, bcs.get("heat", []), "bcs.heat", errors,
+                           _SCALAR_BCS["heat"]),
+        injection=(None if injection is None
+                   else _read(Injection, injection, "sources.injection", errors)),
+        p_init=init.get("pressure", 0.0),
+        probes=_read_all(ProbeSpec, out.get("probes", []), "outputs.probes", errors),
         snapshot_every=snapshot_every)
+    if errors:
+        raise ConfigError(errors)
+    return ScenarioConfig(**cfg)
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -424,65 +320,35 @@ def parse_config(text: str) -> ScenarioConfig:
     return config_from_dict(raw)
 
 
+def _plain(value):
+    """``value`` as JSON data: dataclasses without unset (None) fields, tuples as lists."""
+    if is_dataclass(value):
+        return {f.name: _plain(v) for f in fields(value)
+                if (v := getattr(value, f.name)) is not None}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
 def config_to_dict(cfg: ScenarioConfig) -> dict:
     """Serialize a scenario back to its JSON schema (parse round-trips)."""
-    d = {
-        "name": cfg.name,
-        "geometry": {
-            "domain": list(cfg.domain),
-            "mesh": {"nx": cfg.nx, "ny": cfg.ny},
+    c = _plain(cfg)
+    return {
+        "name": c["name"],
+        "geometry": {"domain": c["domain"], "mesh": {"nx": c["nx"], "ny": c["ny"]},
+                     "refine_bands": c["refine_bands"], "cracks": c["cracks"],
+                     "weak_interfaces": [{"segment": s, "gc_ratio": r}
+                                         for s, r in c["weak_interfaces"]]},
+        "materials": c["materials"],
+        "physics": {"solve_thermal": c["solve_thermal"],
+                    "solve_phasefield": c["solve_phasefield"]},
+        "bcs": {
+            "mechanics": c["bcs_mech"],
+            "flow": [{"set": b["set"], "pressure": b["value"]} for b in c["bcs_flow"]],
+            "heat": [{"set": b["set"], "temperature": b["value"]} for b in c["bcs_heat"]],
         },
-        "materials": asdict(cfg.materials),
-        "physics": {
-            "solve_thermal": cfg.solve_thermal,
-            "solve_phasefield": cfg.solve_phasefield,
-        },
-        "bcs": {"mechanics": [], "flow": [], "heat": []},
-        "initial": {"pressure": cfg.p_init},
-        "controls": {
-            "tol_stag": cfg.controls.tol_stag,
-            "tol_tpu": cfg.controls.tol_tpu,
-            "max_outer": cfg.controls.max_outer,
-            "max_inner": cfg.controls.max_inner,
-            "v_ir": cfg.controls.v_ir,
-            "dt_schedule": [list(e) for e in cfg.controls.dt_schedule],
-        },
-        "outputs": {"snapshot_every": cfg.snapshot_every, "probes": []},
+        "sources": {"injection": c["injection"]} if "injection" in c else {},
+        "initial": {"pressure": c["p_init"]},
+        "controls": c["controls"],
+        "outputs": {"probes": c["probes"], "snapshot_every": c["snapshot_every"]},
     }
-    if cfg.refine_bands:
-        d["geometry"]["refine_bands"] = [
-            {"axis": b.axis, "lo": b.lo, "hi": b.hi, "h": b.h, "ratio": b.ratio}
-            for b in cfg.refine_bands]
-    if cfg.cracks:
-        d["geometry"]["cracks"] = [[list(p) for p in seg] for seg in cfg.cracks]
-    if cfg.weak_interfaces:
-        d["geometry"]["weak_interfaces"] = [
-            {"segment": [list(p) for p in seg], "gc_ratio": r}
-            for seg, r in cfg.weak_interfaces]
-    for b in cfg.bcs_mech:
-        if b.traction is not None:
-            d["bcs"]["mechanics"].append({"set": b.set, "traction": list(b.traction)})
-        else:
-            d["bcs"]["mechanics"].append(
-                {"set": b.set, "component": b.component, "value": b.value})
-    for b in cfg.bcs_flow:
-        d["bcs"]["flow"].append({"set": b.set, "pressure": b.value})
-    for b in cfg.bcs_heat:
-        d["bcs"]["heat"].append({"set": b.set, "temperature": b.value})
-    if cfg.injection is not None:
-        inj = {"point": list(cfg.injection.point), "rate": cfg.injection.rate}
-        if cfg.injection.temperature is not None:
-            inj["temperature"] = cfg.injection.temperature
-        d["sources"] = {"injection": inj}
-    for p in cfg.probes:
-        e = {"name": p.name, "kind": p.kind}
-        if p.kind == "field":
-            e["field"] = p.field
-            e["point"] = list(p.point)
-        elif p.kind == "width":
-            e["point"] = list(p.point)
-        else:
-            e["path"] = [list(q) for q in p.path]
-            e["threshold"] = p.threshold
-        d["outputs"]["probes"].append(e)
-    return d

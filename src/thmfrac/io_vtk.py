@@ -9,8 +9,9 @@ import numpy as np
 from .mesh import Mesh
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _rows(line: str, table: np.ndarray) -> str:
+    """The rows of ``table`` one per text line, all through one %-format call."""
+    return "\n".join([line] * len(table)) % tuple(table.ravel().tolist())
 
 
 def write_vtk(path: str | Path, mesh: Mesh,
@@ -25,11 +26,9 @@ def write_vtk(path: str | Path, mesh: Mesh,
     path = Path(path)
     lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID"]
     lines.append(f"POINTS {mesh.n_nodes} double")
-    for x, y in mesh.nodes:
-        lines.append(f"{_fmt(x)} {_fmt(y)} 0")
+    lines.append(_rows("%.17g %.17g 0", mesh.nodes))
     lines.append(f"CELLS {mesh.n_elems} {5 * mesh.n_elems}")
-    for quad in mesh.elems:
-        lines.append("4 " + " ".join(str(int(n)) for n in quad))
+    lines.append(_rows("4 %d %d %d %d", mesh.elems))
     lines.append(f"CELL_TYPES {mesh.n_elems}")
     lines.extend(["9"] * mesh.n_elems)
 
@@ -38,18 +37,18 @@ def write_vtk(path: str | Path, mesh: Mesh,
         for name, vals in (point_data or {}).items():
             lines.append(f"SCALARS {name} double 1")
             lines.append("LOOKUP_TABLE default")
-            lines.extend(_fmt(v) for v in np.asarray(vals, dtype=float))
+            lines.append(_rows("%.17g", np.asarray(vals, dtype=float)))
         for name, vec in (point_vectors or {}).items():
             vec = np.asarray(vec, dtype=float).reshape(mesh.n_nodes, 2)
             lines.append(f"VECTORS {name} double")
-            lines.extend(f"{_fmt(vx)} {_fmt(vy)} 0" for vx, vy in vec)
+            lines.append(_rows("%.17g %.17g 0", vec))
 
     if cell_data:
         lines.append(f"CELL_DATA {mesh.n_elems}")
         for name, vals in cell_data.items():
             lines.append(f"SCALARS {name} double 1")
             lines.append("LOOKUP_TABLE default")
-            lines.extend(_fmt(v) for v in np.asarray(vals, dtype=float))
+            lines.append(_rows("%.17g", np.asarray(vals, dtype=float)))
 
     path.write_text("\n".join(lines) + "\n")
     return path

@@ -33,8 +33,8 @@ class RefineBand:
     def __post_init__(self):
         if self.axis not in ("x", "y"):
             raise ValueError(f"refine band axis must be 'x' or 'y', got {self.axis!r}")
-        if not (self.h > 0.0 and self.hi > self.lo and self.ratio > 1.0):
-            raise ValueError("refine band requires h > 0, hi > lo and ratio > 1")
+        if not (self.lo >= 0.0 and self.h > 0.0 and self.hi > self.lo and self.ratio > 1.0):
+            raise ValueError("refine band requires lo >= 0, h > 0, hi > lo and ratio > 1")
 
 
 @dataclass

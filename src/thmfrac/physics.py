@@ -223,10 +223,10 @@ def build_flow_system(tables: ElementTables, params: MaterialParams,
     Left-hand side: (1/M_p + alpha^2/K_eff)/dt storage + Darcy stiffness.
     Right-hand side: previous-step storage, thermal coupling against M_T,
     the fixed-stress relaxation history, the lagged volumetric-strain
-    increment and nodal sources. Of the relaxation history only the
-    pressure term acts: the thermal term 3 alpha alpha_s (T_new - T_it)/dt
-    is zero, because heat is solved before flow within an iterate and
-    T_it = T_new (ROADMAP open item 1).
+    increment and nodal sources. The relaxation history has a pressure
+    term only: its thermal term 3 alpha alpha_s (T_new - T_it)/dt is zero
+    and is left out, because heat is solved before flow within an iterate
+    and T_it = T_new (ROADMAP open item 1).
 
     ``st`` is the ``strain_state`` of the (u, v) iterate, evaluated here at
     T_new. ``evol_prev`` is ``volumetric_strain_qp`` of the previous step's
@@ -248,12 +248,10 @@ def build_flow_system(tables: ElementTables, params: MaterialParams,
     p_prev_qp = scalar_qp(tables, p_prev)
     p_it_qp = scalar_qp(tables, p_it)
     T_prev_qp = scalar_qp(tables, T_prev)
-    T_it_qp = T_new_qp  # heat is solved before flow within an iterate
 
     rhs_qp = (inv_Mp / dt) * p_prev_qp
     rhs_qp += (alpha * alpha / (K_eff * dt)) * p_it_qp
     rhs_qp += (inv_MT / dt) * (T_new_qp - T_prev_qp)
-    rhs_qp -= (3.0 * alpha * params.alpha_s / dt) * (T_new_qp - T_it_qp)
     rhs_qp -= alpha * (st.eps_vol - evol_prev) / dt
     FE = _load(tables, rhs_qp)
 

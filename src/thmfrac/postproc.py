@@ -10,7 +10,7 @@ from .fem import ElementTables, shape_q4
 from .mesh import Mesh, locate_points
 from .physics import FieldState, scalar_qp, strain_state
 
-_FIELDS = ("p", "T", "v", "ux", "uy")
+FIELDS = ("p", "T", "v", "ux", "uy")
 
 
 def locate(mesh: Mesh, pts) -> tuple[np.ndarray, np.ndarray]:
@@ -32,8 +32,8 @@ def interpolate(mesh: Mesh, nodal: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 def nodal_field(state: FieldState, field: str) -> np.ndarray:
     """Nodal values of one of {p, T, v, ux, uy}."""
-    if field not in _FIELDS:
-        raise ValueError(f"unknown probe field {field!r}, expected one of {_FIELDS}")
+    if field not in FIELDS:
+        raise ValueError(f"unknown probe field {field!r}, expected one of {FIELDS}")
     if field == "ux":
         return state.u[0::2]
     if field == "uy":

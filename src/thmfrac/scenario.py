@@ -136,7 +136,7 @@ def evaluate_probes(probes: Probes, sim: Simulation, state: FieldState) -> dict[
     for spec in probes.specs:
         if spec.kind == "width":
             out[spec.name] = width_at(sim.tables, state, spec.point)
-        elif spec.kind != "field":
+        elif spec.kind == "fracture_length":
             out[spec.name] = fracture_length(sim.mesh, state.v,
                                              np.asarray(spec.path, dtype=float),
                                              v_threshold=spec.threshold)

@@ -35,26 +35,26 @@ _ANDERSON_WINDOW = 4    # secant pairs of the inner pressure mixing
 
 @dataclass
 class SolverControls:
-    """Iteration tolerances, caps and the time-step schedule."""
+    """The time-step schedule of (duration, dt) segments, iteration
+    tolerances and caps, and the irreversibility threshold ``v_ir``."""
 
+    dt_schedule: list[tuple[float, float]]
     tol_stag: float = 1e-4
     tol_tpu: float = 1e-5        # kept below tol_stag so the phase-field
     max_outer: int = 150         # increment is not dominated by inner noise
     max_inner: int = 300
     v_ir: float = 0.05
-    dt_schedule: list[tuple[float, float]] = field(default_factory=lambda: [(1.0, 1.0)])
 
     def __post_init__(self):
-        if self.tol_stag <= 0.0 or self.tol_tpu <= 0.0:
+        if not (self.tol_stag > 0.0 and self.tol_tpu > 0.0):
             raise ValueError("tolerances must be positive")
         if self.max_outer < 1 or self.max_inner < 1:
             raise ValueError("iteration caps must be >= 1")
+        if self.v_ir < 0.0:
+            raise ValueError(f"v_ir must be non-negative, got {self.v_ir}")
         for duration, dt in self.dt_schedule:
             if dt <= 0.0 or duration < 0.0:
                 raise ValueError("dt_schedule entries need dt > 0 and duration >= 0")
-
-    def n_steps(self) -> int:
-        return sum(int(round(duration / dt)) for duration, dt in self.dt_schedule)
 
 
 @dataclass

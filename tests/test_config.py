@@ -4,10 +4,45 @@ import json
 import pytest
 
 from thmfrac.cli import _load_config, main
-from thmfrac.config import config_from_dict, config_to_dict, parse_config
+from thmfrac.config import (Injection, MechBC, ProbeSpec, ScalarBC, config_from_dict,
+                            config_to_dict, parse_config)
 from thmfrac.errors import ConfigError
+from thmfrac.mesh import RefineBand
 from thmfrac.presets import (PRESETS, get_preset, kgd, kgd_cold, single_fracture,
                              terzaghi, thermal_consolidation)
+from thmfrac.staggered import SolverControls
+
+# kgd() as config_to_dict wrote it while it left out empty lists, unset
+# sources and the unread value of each object
+KGD_EARLIER_LAYOUT = """{"name": "kgd", "geometry": {"domain": [45.0, 60.0],
+ "mesh": {"nx": 45, "ny": 60}, "refine_bands": [
+  {"axis": "x", "lo": 0.0, "hi": 14.0, "h": 0.1, "ratio": 1.15},
+  {"axis": "y", "lo": 28.4, "hi": 31.6, "h": 0.1, "ratio": 1.15}],
+ "cracks": [[[0.0, 30.0], [2.0, 30.0]]]},
+ "materials": {"E": 17000000000.0, "nu": 0.2, "alpha_m": 0.0, "phi_m": 0.0,
+  "c_f": 0.0, "mu_f": 1e-08, "perm_m": 1e-18, "alpha_s": 0.0, "alpha_f": 0.0,
+  "lambda_s": 0.0, "lambda_f": 0.0, "c_ps": 0.0, "c_pf": 0.0, "rho_s": 0.0,
+  "rho_f": 0.0, "Gc": 300.0, "ell": 0.4, "k_res": 1e-06, "n_at": 1,
+  "porosity_variant": "phi1", "xi": 1.0, "s_stab": 0.15, "T0": 293.15},
+ "physics": {"solve_thermal": false, "solve_phasefield": true},
+ "bcs": {"mechanics": [{"set": "left", "component": "x", "value": 0.0},
+  {"set": "right", "component": "both", "value": 0.0},
+  {"set": "top", "component": "both", "value": 0.0},
+  {"set": "bottom", "component": "both", "value": 0.0}],
+  "flow": [{"set": "right", "pressure": 0.0}, {"set": "top", "pressure": 0.0},
+   {"set": "bottom", "pressure": 0.0}], "heat": []},
+ "initial": {"pressure": 0.0},
+ "controls": {"tol_stag": 0.0001, "tol_tpu": 1e-05, "max_outer": 150, "max_inner": 300,
+  "v_ir": 0.05, "dt_schedule": [[0.1, 0.01], [3.9, 0.1]]},
+ "outputs": {"snapshot_every": 0, "probes": [
+  {"name": "p_inj", "kind": "field", "field": "p", "point": [0.0, 30.0]},
+  {"name": "length", "kind": "fracture_length", "path": [[0.0, 30.0], [45.0, 30.0]],
+   "threshold": 0.1},
+  {"name": "w_inj", "kind": "width", "point": [0.0, 30.0]}]},
+ "sources": {"injection": {"point": [0.0, 30.0], "rate": 0.002}}}"""
+
+LIST_KEYS = ["geometry.refine_bands", "geometry.cracks", "geometry.weak_interfaces",
+             "bcs.mechanics", "bcs.flow", "bcs.heat", "outputs.probes"]
 
 
 class TestParseConfig:
@@ -97,6 +132,46 @@ class TestParseConfig:
         raw["bcs"]["flow"][0]["set"] = "north"
         with pytest.raises(ConfigError):
             config_from_dict(raw)
+
+    def test_earlier_manifest_layout_parses_to_the_preset(self):
+        assert parse_config(KGD_EARLIER_LAYOUT) == kgd()
+
+    @pytest.mark.parametrize("key", LIST_KEYS)
+    def test_non_list_value_of_a_list_key_is_a_config_error(self, key, tmp_path, capsys):
+        section, name = key.split(".")
+        raw = config_to_dict(kgd())
+        raw[section][name] = 5
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(raw)
+        assert any(e.startswith(f"{key}: expected a list") for e in exc.value.errors)
+        assert main(["run", "terzaghi", "--override", f"{key}=5",
+                     "--out", str(tmp_path)]) == 2
+        assert f"{key}: expected a list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MechBC(set="north", component="x"),
+    lambda: MechBC(set="left"),
+    lambda: ScalarBC(set="north", value=0.0),
+    lambda: Injection(point=(0.0, 0.0), rate=-1.0),
+    lambda: ProbeSpec(name="", field="p", point=(0.0, 0.0)),
+    lambda: ProbeSpec(name="w", kind="wavelet", point=(0.0, 0.0)),
+    lambda: ProbeSpec(name="q", field="q", point=(0.0, 0.0)),
+    lambda: ProbeSpec(name="p", field="p"),
+    lambda: ProbeSpec(name="w", kind="width"),
+    lambda: ProbeSpec(name="L", kind="fracture_length", path=[(0.0, 0.0)]),
+    lambda: ProbeSpec(name="L", kind="fracture_length", path=[(0.0, 0.0), (1.0, 0.0)],
+                      threshold=0.0),
+    lambda: SolverControls(dt_schedule=[(1.0, 1.0)], v_ir=-0.1),
+    lambda: SolverControls(dt_schedule=[(1.0, 0.0)]),
+    lambda: RefineBand(axis="x", lo=-1.0, hi=1.0, h=0.1),
+], ids=["mech-set", "mech-component", "scalar-set", "injection-rate", "probe-name",
+        "probe-kind", "probe-field", "probe-point", "width-point", "probe-path",
+        "probe-threshold", "controls-v_ir", "controls-dt", "band-lo"])
+def test_each_dataclass_checks_its_own_values(build):
+    # the rules hold for objects built in Python, not only for parsed JSON
+    with pytest.raises(ValueError):
+        build()
 
 
 class TestPresets:

@@ -153,10 +153,6 @@ class TestConvergenceControl:
         assert len(result.states) == 1
         assert result.reports == []
 
-    def test_schedule_step_counts(self):
-        controls = SolverControls(dt_schedule=[(0.1, 0.01), (3.9, 0.1)])
-        assert controls.n_steps() == 49
-
 
 class TestTerzaghiFromRest:
     def test_column_consolidates_against_series(self):
