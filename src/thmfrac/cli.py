@@ -43,7 +43,9 @@ def _pin_threads(n: int):
         os.environ.setdefault(var, str(n))
 
 
-def _apply_overrides(raw: dict, overrides: list[str]) -> dict:
+def _apply_overrides(raw, overrides: list[str]) -> dict:
+    if not isinstance(raw, dict):
+        raise ValueError("top level: expected a JSON object")
     for item in overrides:
         if "=" not in item:
             raise ValueError(f"override {item!r} is not of the form key.path=value")

@@ -15,14 +15,18 @@ Every linear solve, the phase-field free block included, passes
 ``Factorization`` keeps the factor between solves and takes a fresh one
 when its operator changes.
 
-Every factorization, including the free block of the phase-field solve,
-uses one set of SuperLU options: a multiple-minimum-degree column ordering
-on the pattern of A^T + A with symmetric mode, since every Q4 operator is
-structurally symmetric (heat, flow and mechanics after the symmetric
-Dirichlet elimination, and the phase-field free block). It fills less
-than the default COLAMD ordering, which targets unsymmetric patterns.
-Threshold partial pivoting at 0.1 stays on, because advection makes the
-heat operator nonsymmetric in its values.
+Every factorization is a dense banded LAPACK factorization in a reverse
+Cuthill-McKee ordering. Each field resolves one ``BandLayout`` on its
+first solve: the ordering, the bandwidth and the band-storage position of
+every CSR slot. A Dirichlet-constrained operator reuses its field's
+layout through its kept slots, and so does every active-set iteration of
+the phase-field solve, which eliminates its active set on the full
+pattern. A Q4 operator on a strip-like mesh has a small bandwidth in that
+ordering (at most 6 on a column two cells wide), so a factorization is a
+few flops per entry and no per-call symbolic analysis. Symmetric
+operators (flow, mechanics, phase field) take a Cholesky factorization;
+the heat operator, which advection makes nonsymmetric, and any operator
+that is not positive definite take LU with partial pivoting.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import SolverFailure
 from .mesh import Mesh
@@ -103,6 +108,66 @@ def csr_pattern(dofs: np.ndarray, n: int) -> CSRPattern:
     return CSRPattern(shape=(n, n), indptr=indptr, indices=indices, slot=slot, diag=diag)
 
 
+@dataclass(frozen=True)
+class BandLayout:
+    """Reverse Cuthill-McKee band layout of one CSR structure.
+
+    Band position ``i`` holds dof ``perm[i]``, and in that ordering every
+    entry lies at most ``width`` off the diagonal. Slot ``k`` of a matrix
+    on the structure sits in row ``rows[k]`` and goes to flat position
+    ``lu[k]`` of the column-major (3 width + 1, n) band storage of LAPACK
+    ``gbtrf``; the slots ``tril`` of the lower triangle go to positions
+    ``chol`` of the (width + 1, n) lower band storage of ``pbtrf``.
+    ``diag`` holds the slots of the diagonal entries, in row order.
+    ``mirror`` holds the slot of the transposed entry of each ``tril``
+    slot, or is None when the structure is not symmetric.
+    """
+
+    perm: np.ndarray
+    width: int
+    rows: np.ndarray
+    lu: np.ndarray
+    tril: np.ndarray
+    chol: np.ndarray
+    diag: np.ndarray
+    mirror: np.ndarray | None
+
+
+def _canonical_csr(A: sp.spmatrix) -> sp.csr_matrix:
+    """``A`` as CSR with sorted indices and no duplicates; shared when it is one."""
+    A = sp.csr_matrix(A)
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
+    return A
+
+
+def band_layout(structure) -> BandLayout:
+    """Resolve the band layout of a CSR structure with sorted indices and
+    no duplicates (a ``CSRPattern`` or a canonical ``csr_matrix``)."""
+    n = structure.shape[0]
+    indptr, cols = structure.indptr, structure.indices
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    graph = sp.csr_matrix((np.ones(cols.size), cols, indptr), shape=(n, n))
+    perm = reverse_cuthill_mckee(graph)     # ordered on the pattern of A + A^T
+    rank = np.empty(n, dtype=np.int64)
+    rank[perm] = np.arange(n)
+    i, j = rank[rows], rank[cols]
+    off = i - j
+    k = int(np.abs(off).max(initial=0))
+    tril = np.flatnonzero(off >= 0)
+    diag = np.flatnonzero(off == 0)
+    keys = rows * n + cols                  # ascending in a canonical structure
+    transposed = cols[tril] * n + rows[tril]
+    mirror = np.minimum(np.searchsorted(keys, transposed), keys.size - 1)
+    # symmetric: every lower slot has its transpose, and nothing else is above
+    symmetric = (np.array_equal(keys[mirror], transposed)
+                 and 2 * tril.size - diag.size == keys.size)
+    return BandLayout(perm=perm, width=k, rows=rows, lu=2 * k + off + j * (3 * k + 1),
+                      tril=tril, chol=off[tril] + j[tril] * (k + 1), diag=diag,
+                      mirror=mirror if symmetric else None)
+
+
 @dataclass
 class ElementTables:
     """Per-mesh precomputed quadrature data, dof maps and sparsity patterns.
@@ -138,6 +203,15 @@ class ElementTables:
     @cached_property
     def vector_pattern(self) -> CSRPattern:
         return csr_pattern(self.dofs_vec, 2 * self.n_nodes)
+
+    # resolved on a field's first solve
+    @cached_property
+    def scalar_layout(self) -> BandLayout:
+        return band_layout(self.scalar_pattern)
+
+    @cached_property
+    def vector_layout(self) -> BandLayout:
+        return band_layout(self.vector_pattern)
 
     @cached_property
     def mass_table(self) -> np.ndarray:
@@ -223,34 +297,6 @@ class SparseSystem:
     rhs: np.ndarray
 
 
-def assemble(mesh: Mesh, element_kernel) -> SparseSystem:
-    """Assemble a global scalar-field system from a per-element kernel.
-
-    ``element_kernel(eid) -> (ke, fe)`` must return a (4, 4) matrix and a
-    (4,) vector ordered by local node. This element loop is the reference
-    that the batched assembly is tested against.
-    """
-    n = mesh.n_nodes
-    KE = np.empty((mesh.n_elems, 4, 4))
-    FE = np.empty((mesh.n_elems, 4))
-    for e in range(mesh.n_elems):
-        ke, fe = element_kernel(e)
-        ke = np.asarray(ke, dtype=float)
-        fe = np.asarray(fe, dtype=float)
-        if ke.shape != (4, 4) or fe.shape != (4,):
-            raise ValueError(
-                f"element kernel size mismatch on element {e}: "
-                f"got {ke.shape}/{fe.shape}, expected (4, 4)/(4,)")
-        KE[e] = ke
-        FE[e] = fe
-    rows = np.repeat(mesh.elems, 4, axis=1).ravel()
-    cols = np.tile(mesh.elems, (1, 4)).ravel()
-    A = sp.coo_matrix((KE.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    b = np.zeros(n)
-    np.add.at(b, mesh.elems.ravel(), FE.ravel())
-    return SparseSystem(matrix=A, rhs=b)
-
-
 def assemble_batched(tables: ElementTables, KE: np.ndarray, FE: np.ndarray,
                      vector: bool = False) -> SparseSystem:
     """Sum precomputed element matrices/vectors into a global system."""
@@ -274,13 +320,10 @@ class Dirichlet:
     rhs of free dofs absorbs -A[:, c] g. The constrained structure (the
     free-free entries plus every diagonal) is resolved once, so each
     elimination only gathers values into it and entries that are
-    numerically zero stay as explicit zeros. SuperLU's minimum-degree
-    ordering then sees the same graph on every call, and it fills less: on
-    the benchmark's seed-1 ``kgd_growth`` request, whose mechanics
-    operators hold about 800 such zeros each, the LU fill of the 24
-    mechanics factorizations fell from 8,995,617 (zeros pruned) to
-    8,227,779. Matrices passed in must be assembled on the pattern the
-    constraints were resolved against.
+    numerically zero stay as explicit zeros. It is factorized in its
+    field's band layout through ``slots`` (see ``Factorization``). Matrices
+    passed in must be assembled on the pattern the constraints were
+    resolved against.
     """
 
     dofs: np.ndarray
@@ -340,67 +383,103 @@ def apply_dirichlet(system: SparseSystem, bc: Dirichlet) -> SparseSystem:
 # ---------------------------------------------------------------------------
 
 class Factorization:
-    """SuperLU factor of a Jacobi-scaled operator, kept by its owner.
+    """Banded factor of a Jacobi-scaled operator, kept by its owner.
 
     ``factorize`` fills it and ``solve`` solves with the unscaled operator.
-    ``solve_linear`` fills an empty one and solves with a filled one
-    without looking at the operator again, so the owner takes a fresh
-    ``Factorization()`` whenever the operator changes.
+    The operator's data are scattered into LAPACK band storage in the
+    order of ``layout``; without one, ``factorize`` resolves a layout from
+    the operator's own structure. An operator that holds only some slots
+    of the layout's structure, such as a ``Dirichlet``'s constrained
+    operator, names them in ``slots``. ``solve_linear`` fills an empty
+    factor and solves with a filled one without looking at the operator
+    again, so the owner takes a fresh ``Factorization`` whenever the
+    operator changes.
     """
 
-    def __init__(self):
-        self.lu = None
+    def __init__(self, layout: BandLayout | None = None, slots: np.ndarray | None = None):
+        self.layout = layout
+        self.slots = slots
+        self.band: np.ndarray | None = None    # the factor in band storage
+        self.ipiv: np.ndarray | None = None    # LU pivots; None for Cholesky
         self.scale: np.ndarray | None = None
 
     def factorize(self, A: sp.spmatrix) -> "Factorization":
-        """Factor diag(s) A diag(s) with the SuperLU options of this module.
+        """Factor diag(s) A diag(s) in the band layout.
 
         s = diag(A)^-1/2 when that diagonal is positive and finite, else
-        all ones; ``A`` itself is left unchanged. A singular matrix raises
-        ``RuntimeError``.
+        all ones; ``A`` itself is left unchanged. Cholesky (``pbtrf``) is
+        tried when the scaled operator is symmetric: each entry of its
+        lower triangle equals its transpose to 1e-12 of the largest of
+        them. LU with partial pivoting (``gbtrf``) is used when it is not,
+        or when Cholesky meets a non-positive pivot. An exactly singular
+        matrix raises ``SolverFailure``.
         """
+        if self.layout is None:
+            A = _canonical_csr(A)
+            self.layout = band_layout(A)
+        lay = self.layout
         n = A.shape[0]
         d = A.diagonal()
         if np.all(d > 0.0) and np.all(np.isfinite(d)):
             s = 1.0 / np.sqrt(d)
         else:
             s = np.ones(n)
-        As = A.tocsc(copy=True)
-        cols = np.repeat(np.arange(n), np.diff(As.indptr))
-        As.data *= s[As.indices] * s[cols]
-        # looked up at call time, so that a wrapper on spla.splu sees every call
-        self.lu = spla.splu(As, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
-                            options=dict(SymmetricMode=True))
         self.scale = s
+        rows = lay.rows if self.slots is None else lay.rows[self.slots]
+        data = A.data * (s[rows] * s[A.indices])
+        if self.slots is not None:
+            data, held = np.zeros(lay.rows.size), data
+            data[self.slots] = held
+        low = data[lay.tril]
+        k = lay.width
+        if (lay.mirror is not None and np.abs(low - data[lay.mirror]).max(initial=0.0)
+                <= 1e-12 * np.abs(low).max(initial=0.0)):
+            ab = np.zeros((k + 1) * n)
+            ab[lay.chol] = low
+            band, info = lapack.dpbtrf(ab.reshape(k + 1, n, order="F"), lower=1,
+                                       overwrite_ab=1)
+            if info == 0:
+                self.band, self.ipiv = band, None
+                return self
+        ab = np.zeros((3 * k + 1) * n)
+        ab[lay.lu] = data
+        band, ipiv, info = lapack.dgbtrf(ab.reshape(3 * k + 1, n, order="F"), k, k,
+                                         overwrite_ab=1)
+        if info > 0:
+            raise SolverFailure(f"banded LU factorization met an exactly zero pivot "
+                                f"at band position {info - 1}", diagnostics={"n": n})
+        self.band, self.ipiv = band, ipiv
         return self
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return self.scale * self.lu.solve(self.scale * b)
+        lay = self.layout
+        y = (self.scale * b)[lay.perm]
+        if self.ipiv is None:
+            y, _ = lapack.dpbtrs(self.band, y, lower=1, overwrite_b=1)
+        else:
+            y, _ = lapack.dgbtrs(self.band, lay.width, lay.width, y, self.ipiv, overwrite_b=1)
+        x = np.empty_like(y)
+        x[lay.perm] = y
+        return self.scale * x
 
 
 def solve_linear(system: SparseSystem, factor: Factorization | None = None) -> np.ndarray:
-    """Direct sparse solve with a relative residual gate of 1e-10.
+    """Direct banded solve with a relative residual gate of 1e-10.
 
     The operator is symmetrically Jacobi-scaled before factorization (the
     mobility contrast between broken and intact cells reaches 1e8+) and a
     few iterative-refinement sweeps against the unscaled residual recover
-    full accuracy. SuperLU orders the columns by minimum degree on
-    A^T + A, which suits the structurally symmetric Q4 operators, and
-    keeps threshold pivoting (0.1) for the heat operator, which advection
-    makes nonsymmetric. A filled ``factor`` is reused; an empty one
-    receives the new factor.
+    full accuracy. The factorization is banded Cholesky or banded LU in
+    the factor's reverse Cuthill-McKee layout (see ``Factorization``). A
+    filled ``factor`` is reused; an empty one receives the new factor.
     """
     A, b = system.matrix, system.rhs
     n = A.shape[0]
     if factor is None:
         factor = Factorization()
-    try:
-        if factor.lu is None:
-            factor.factorize(A)
-        x = factor.solve(b)
-    except RuntimeError as exc:  # SuperLU signals singularity this way
-        raise SolverFailure(f"sparse LU factorization failed: {exc}",
-                            diagnostics={"n": n}) from exc
+    if factor.band is None:
+        factor.factorize(A)
+    x = factor.solve(b)
     if not np.all(np.isfinite(x)):
         raise SolverFailure("linear solve produced non-finite values",
                             diagnostics={"n": n})
@@ -434,17 +513,22 @@ def solve_linear(system: SparseSystem, factor: Factorization | None = None) -> n
 # ---------------------------------------------------------------------------
 
 def solve_bound_constrained(system: SparseSystem, lower: np.ndarray,
-                            upper: np.ndarray, init: np.ndarray) -> np.ndarray:
+                            upper: np.ndarray, init: np.ndarray,
+                            layout: BandLayout | None = None) -> np.ndarray:
     """Minimize 1/2 x'Ax - b'x subject to lower <= x <= upper.
 
     Active-set iteration on the symmetric system: solve the free block,
     clamp violating components, release actives whose KKT multiplier has
     the wrong sign. At the solution the gradient r = Ax - b vanishes on
     free components, is >= 0 at lower bounds and <= 0 at upper bounds.
-    Each free block is solved by ``solve_linear``, with its residual gate,
-    refinement and non-finite check.
+    The free block is solved on the full structure of A, with the active
+    rows and columns zeroed, their diagonal set to 1 and their right-hand
+    side to 0, so every active-set iteration factorizes in the same
+    ``layout`` (A's structure, which needs every diagonal; resolved from
+    A when not given). Each free-block solve passes ``solve_linear``, with
+    its residual gate on the free block, refinement and non-finite check.
     """
-    A = system.matrix.tocsr()
+    A = _canonical_csr(system.matrix)
     b = system.rhs
     n = A.shape[0]
     lower = np.broadcast_to(np.asarray(lower, dtype=float), (n,)).copy()
@@ -452,6 +536,11 @@ def solve_bound_constrained(system: SparseSystem, lower: np.ndarray,
     if np.any(lower > upper + 1e-15):
         raise ValueError("lower bound exceeds upper bound")
     x = np.clip(np.asarray(init, dtype=float).copy(), lower, upper)
+    if layout is None:
+        layout = band_layout(A)
+    diag = layout.diag
+    if diag.size != n:
+        raise ValueError("every dof needs a diagonal entry in the structure of A")
 
     pinned = lower >= upper - 1e-15          # equality-constrained dofs
     x[pinned] = lower[pinned]
@@ -465,11 +554,13 @@ def solve_bound_constrained(system: SparseSystem, lower: np.ndarray,
         active = pinned | at_lo | at_up
         free = ~active
         if np.any(free):
-            fidx = np.nonzero(free)[0]
-            aidx = np.nonzero(active)[0]
-            Af = A[fidx]
-            rhs_f = b[fidx] - Af[:, aidx] @ x[aidx]
-            x[fidx] = solve_linear(SparseSystem(Af[:, fidx], rhs_f))
+            keep = free.astype(float)
+            data = A.data * (keep[layout.rows] * keep[A.indices])
+            data[diag[active]] = 1.0
+            Af = sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
+            rhs_f = (b - A @ np.where(active, x, 0.0)) * keep
+            x_f = solve_linear(SparseSystem(Af, rhs_f), Factorization(layout))
+            x[free] = x_f[free]
             viol_lo = free & (x < lower - 1e-15)
             viol_up = free & (x > upper + 1e-15)
             if np.any(viol_lo) or np.any(viol_up):

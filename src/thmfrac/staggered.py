@@ -128,11 +128,16 @@ class Simulation:
     * the Dirichlet constraints of T, p and u, resolved on the first solve
       into the fixed structure of each constrained operator (boundary
       conditions are static from then on);
+    * the factors of the constrained operators, each in the reverse
+      Cuthill-McKee band layout of its field (one per field, held by
+      ``tables``) through the constraints' kept slots; the phase-field
+      solve uses the scalar field's layout as it is;
     * the mechanics operator, rebuilt only when v or the frozen branch
       flags differ from its last build;
-    * the SuperLU factor of the mechanics operator, which lives as long
-      as the operator. Heat and flow factorize on every solve, since their
-      operators follow the lagged iterates.
+    * the banded factor of the mechanics operator, which lives as long
+      as the operator, but not through a phase-field solve. Heat and flow
+      factorize on every solve, since their operators follow the lagged
+      iterates.
     """
 
     mesh: Mesh
@@ -157,7 +162,7 @@ class Simulation:
             self.q_flow = np.zeros(n)
         self.gc_elem = np.broadcast_to(np.asarray(self.gc_elem, dtype=float),
                                        (self.mesh.n_elems,)).copy()
-        self._mech_factor = Factorization()
+        self._mech_factor: Factorization | None = None
         self._mech: MechanicsOperator | None = None
         self._mech_matrix = None            # the operator with bc_u eliminated
 
@@ -167,6 +172,12 @@ class Simulation:
         return {"T": Dirichlet.on(scalar, *self.bc_T),
                 "p": Dirichlet.on(scalar, *self.bc_p),
                 "u": Dirichlet.on(vector, *self.bc_u)}
+
+    def _factor(self, field: str) -> Factorization:
+        """An empty factor of the field's constrained operator, in its
+        field's band layout."""
+        layout = self.tables.vector_layout if field == "u" else self.tables.scalar_layout
+        return Factorization(layout, self._dirichlet[field].slots)
 
     def initial_state(self) -> FieldState:
         n = self.mesh.n_nodes
@@ -183,26 +194,32 @@ class Simulation:
         system = build_phasefield_system(self.tables, self.params, self.gc_elem,
                                          it.u, it.p, it.T)
         init = np.clip(it.v, lower, upper)
-        return solve_bound_constrained(system, lower, upper, init)
+        # v changes in nearly every outer iteration, so the mechanics factor
+        # is about to be replaced: drop it before this solve, where a step
+        # peaks in memory
+        self._mech_factor = None
+        return solve_bound_constrained(system, lower, upper, init, self.tables.scalar_layout)
 
     def _solve_T(self, st, it: FieldState, prev: FieldState, dt: float) -> np.ndarray:
         system = build_heat_system(self.tables, self.params, st, it.p, prev.T, dt)
-        return solve_linear(apply_dirichlet(system, self._dirichlet["T"]))
+        return solve_linear(apply_dirichlet(system, self._dirichlet["T"]), self._factor("T"))
 
     def _solve_p(self, st, it: FieldState, T_new, prev: FieldState, evol_prev,
                  dt: float) -> np.ndarray:
         system = build_flow_system(self.tables, self.params, st, it.p,
                                    T_new, evol_prev, prev.p, prev.T, dt,
                                    source=self.q_flow)
-        return solve_linear(apply_dirichlet(system, self._dirichlet["p"]))
+        return solve_linear(apply_dirichlet(system, self._dirichlet["p"]), self._factor("p"))
 
     def _solve_u(self, v, p_new, T_new, tr_sign) -> np.ndarray:
         bc = self._dirichlet["u"]
         op = self._mech
         if op is None or not op.matches(v, tr_sign):
+            self._mech = self._mech_matrix = self._mech_factor = None   # freed before the build
             op = self._mech = build_mechanics_system(self.tables, self.params, v, tr_sign)
             self._mech_matrix = bc.matrix(op.matrix)
-            self._mech_factor = Factorization()
+        if self._mech_factor is None:
+            self._mech_factor = self._factor("u")
         rhs = mechanics_rhs(self.tables, self.params, op, p_new, T_new, self.f_ext)
         system = SparseSystem(self._mech_matrix, bc.rhs(op.matrix, rhs))
         return solve_linear(system, self._mech_factor)

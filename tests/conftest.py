@@ -1,12 +1,28 @@
 import numpy as np
 import pytest
 
+from thmfrac import fem
 from thmfrac.constitutive import MaterialParams
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """The shapes of the operators factorized from here on, one per
+    ``fem.Factorization.factorize`` call."""
+    calls = []
+    factorize = fem.Factorization.factorize
+
+    def counted(self, A):
+        calls.append(A.shape)
+        return factorize(self, A)
+
+    monkeypatch.setattr(fem.Factorization, "factorize", counted)
+    return calls
 
 
 @pytest.fixture

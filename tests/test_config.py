@@ -234,6 +234,16 @@ class TestCLIHelpers:
         assert main(["run", "terzaghi", "--override", "materials.E=-5",
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("top", [[1, 2], 3, "x", None])
+    def test_override_on_a_non_object_file_exits_with_config_error(self, tmp_path, capsys, top):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps(top))
+        assert main(["run", str(path), "--override", "name=x",
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: top level: expected a JSON object" in err
+        assert not (tmp_path / "out").exists()
+
     def test_removed_stabilization_switch_exits_with_config_error(self, tmp_path, capsys):
         # the switch is materials.s_stab = 0; the old key fails validation
         # before anything is built or run

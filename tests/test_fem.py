@@ -3,13 +3,14 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from thmfrac.errors import SolverFailure
-from thmfrac.fem import (Dirichlet, Factorization, SparseSystem, apply_dirichlet, assemble,
+from thmfrac.fem import (Dirichlet, Factorization, SparseSystem, apply_dirichlet,
                          assemble_batched, build_tables, gauss_2x2, scatter_vector, shape_q4,
                          solve_bound_constrained, solve_linear)
 from thmfrac.mesh import RefineBand, generate_rect_mesh
+
+from element_loop import assemble
 
 
 class TestShapeFunctions:
@@ -157,8 +158,8 @@ class TestPattern:
 
 
 class TestTables:
-    LAZY = ("scalar_pattern", "vector_pattern", "mass_table", "laplacian_table",
-            "tensor_laplacian_table", "advection_table", "divergence_table")
+    LAZY = ("scalar_pattern", "vector_pattern", "scalar_layout", "vector_layout", "mass_table",
+            "laplacian_table", "tensor_laplacian_table", "advection_table", "divergence_table")
 
     def test_build_tables_builds_no_pattern_or_operator_table(self):
         _, tb = _graded_tables()
@@ -273,19 +274,15 @@ class TestSolveLinear:
         assert np.allclose(x, np.linalg.solve(A, b), rtol=1e-12)
         assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
-    def test_fresh_factor_takes_a_new_factorization(self, monkeypatch):
-        calls = []
-        splu = spla.splu
-        monkeypatch.setattr(spla, "splu",
-                            lambda *args, **kwargs: calls.append(1) or splu(*args, **kwargs))
+    def test_fresh_factor_takes_a_new_factorization(self, factorizations):
         A = sp.csr_matrix(np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]))
         factor = Factorization()
         x1 = solve_linear(SparseSystem(A, np.array([1.0, 0.0, 0.0])), factor)
         x2 = solve_linear(SparseSystem(A, np.array([0.0, 1.0, 0.0])), factor)
-        assert len(calls) == 1
+        assert len(factorizations) == 1
         assert np.allclose(A @ x1, [1.0, 0.0, 0.0]) and np.allclose(A @ x2, [0.0, 1.0, 0.0])
         x3 = solve_linear(SparseSystem(2.0 * A, np.ones(3)), Factorization())
-        assert len(calls) == 2
+        assert len(factorizations) == 2
         assert np.allclose(2.0 * A @ x3, np.ones(3), rtol=1e-12)
 
     def test_singular_matrix_fails_with_diagnostics(self):
@@ -300,15 +297,74 @@ def _laplacian_2d(m):
     return (sp.kron(sp.eye(m), T) + sp.kron(T, sp.eye(m))).tocsr()
 
 
+def _band_dense(layout, A):
+    """Dense A in the layout's ordering, read back from its LU and
+    Cholesky band storage."""
+    n, k = A.shape[0], layout.width
+    lu = np.zeros((3 * k + 1) * n)
+    lu[layout.lu] = A.data
+    lu = lu.reshape(3 * k + 1, n, order="F")
+    chol = np.zeros((k + 1) * n)
+    chol[layout.chol] = A.data[layout.tril]
+    chol = chol.reshape(k + 1, n, order="F")
+    full, lower = np.zeros((n, n)), np.zeros((n, n))
+    for i, j in itertools.product(range(n), range(n)):
+        if abs(i - j) <= k:
+            full[i, j] = lu[2 * k + i - j, j]
+            if i >= j:
+                lower[i, j] = chol[i - j, j]
+    return full, lower
+
+
 class TestFactorization:
-    def test_min_degree_fills_less_than_colamd_on_a_laplacian(self, rng):
-        A = _laplacian_2d(30)
-        lu = Factorization().factorize(A).lu
-        colamd = spla.splu(A.tocsc())
-        assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+    def test_reverse_cuthill_mckee_narrows_a_scrambled_laplacian(self, rng):
+        m = 30
+        perm = rng.permutation(m * m)
+        A = _laplacian_2d(m)[perm][:, perm].tocsr()
+        rows = np.repeat(np.arange(m * m), np.diff(A.indptr))
+        assert np.abs(rows - A.indices).max() > 10 * m
+        factor = Factorization().factorize(A)
+        assert factor.layout.width <= m + 1
+        assert factor.ipiv is None          # SPD: Cholesky
         b = rng.normal(size=A.shape[0])
         x = solve_linear(SparseSystem(A, b))
         assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_band_storage_holds_every_entry_in_the_layout_order(self, rng, vector):
+        _, tb = _graded_tables()
+        pattern = tb.vector_pattern if vector else tb.scalar_pattern
+        layout = tb.vector_layout if vector else tb.scalar_layout
+        n, nd = pattern.shape[0], (8 if vector else 4)
+        R = rng.normal(size=(tb.mesh.n_elems, nd, nd))
+        A = pattern.matrix(R @ R.transpose(0, 2, 1) + nd * np.eye(nd))
+        dense = A.toarray()[np.ix_(layout.perm, layout.perm)]
+        full, lower = _band_dense(layout, A)
+        assert np.array_equal(full, dense)
+        assert np.array_equal(lower, np.tril(dense))
+        assert np.array_equal(layout.rows[layout.diag], np.arange(n))
+        assert np.array_equal(A.indices[layout.mirror], layout.rows[layout.tril])
+        assert np.array_equal(layout.rows[layout.mirror], A.indices[layout.tril])
+        # a constrained operator is factorized through the slots it keeps
+        dofs = rng.choice(n, n // 5, replace=False)
+        bc = Dirichlet.on(pattern, dofs, np.zeros(dofs.size))
+        fixed = bc.matrix(A)
+        factor = Factorization(layout, bc.slots).factorize(fixed)
+        assert factor.ipiv is None
+        b = rng.normal(size=n)
+        assert np.allclose(factor.solve(b), np.linalg.solve(fixed.toarray(), b), rtol=1e-10)
+
+    def test_nonsymmetric_structure_takes_lu(self):
+        A = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [0.0, 3.0, 0.0], [0.0, 1.0, 4.0]]))
+        factor = Factorization().factorize(A)
+        assert factor.layout.mirror is None and factor.ipiv is not None
+        assert np.allclose(A @ factor.solve(np.ones(3)), np.ones(3), rtol=1e-14)
+
+    def test_indefinite_symmetric_operator_falls_back_to_lu(self):
+        A = sp.csr_matrix(np.array([[2.0, 3.0], [3.0, 2.0]]))
+        factor = Factorization().factorize(A)
+        assert factor.ipiv is not None
+        assert np.allclose(A @ factor.solve(np.array([1.0, -1.0])), [1.0, -1.0], rtol=1e-14)
 
     def test_operator_is_left_unscaled(self):
         A = sp.csc_matrix(np.array([[4.0, 1.0], [1.0, 9.0]]))

@@ -6,13 +6,15 @@ import pytest
 from thmfrac import constitutive as law
 from thmfrac import physics
 from thmfrac.constitutive import MaterialParams
-from thmfrac.fem import (Dirichlet, Factorization, apply_dirichlet, assemble, build_tables,
-                         gauss_2x2, shape_q4, solve_bound_constrained, solve_linear)
+from thmfrac.fem import (Dirichlet, Factorization, apply_dirichlet, build_tables, gauss_2x2,
+                         shape_q4, solve_bound_constrained, solve_linear)
 from thmfrac.mesh import RefineBand, generate_rect_mesh
 from thmfrac.physics import (build_flow_system, build_heat_system,
                              build_mechanics_system, build_phasefield_system,
                              mechanics_branch_flags, mechanics_residual, scalar_qp,
                              strain_qp, strain_state, volumetric_strain_qp)
+
+from element_loop import assemble
 
 # ---------------------------------------------------------------------------
 # dense reference assemblies (independent loop-based implementations)

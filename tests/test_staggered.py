@@ -4,12 +4,11 @@ import numpy as np
 import numpy._core.einsumfunc as einsumfunc
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from thmfrac import analytic, fem, physics, staggered
 from thmfrac.constitutive import MaterialParams
 from thmfrac.errors import NonConvergence
-from thmfrac.fem import Dirichlet, SparseSystem, build_tables, solve_linear
+from thmfrac.fem import Dirichlet, Factorization, SparseSystem, build_tables, solve_linear
 from thmfrac.mesh import generate_rect_mesh, nodes_on_segment
 from thmfrac.physics import (build_mechanics_system, mechanics_branch_flags, mechanics_rhs,
                              strain_state)
@@ -185,7 +184,8 @@ def _fresh_mechanics_solve(sim, v, p, T, h):
     op = build_mechanics_system(sim.tables, sim.params, v, h)
     bc = Dirichlet.on(sim.tables.vector_pattern, *sim.bc_u)
     rhs = mechanics_rhs(sim.tables, sim.params, op, p, T, sim.f_ext)
-    return solve_linear(SparseSystem(bc.matrix(op.matrix), bc.rhs(op.matrix, rhs)))
+    factor = Factorization(sim.tables.vector_layout, bc.slots)
+    return solve_linear(SparseSystem(bc.matrix(op.matrix), bc.rhs(op.matrix, rhs)), factor)
 
 
 class TestMechanicsOperatorLifetime:
@@ -197,29 +197,22 @@ class TestMechanicsOperatorLifetime:
         h = mechanics_branch_flags(sim.tables, sim.params, st, state.T)
         return sim, state, h, rng.uniform(0.0, 1e4, n)
 
-    def test_unchanged_operator_takes_no_new_factorization(self, rng, monkeypatch):
-        calls = []
-        splu = spla.splu
-        monkeypatch.setattr(spla, "splu",
-                            lambda *args, **kwargs: calls.append(1) or splu(*args, **kwargs))
+    def test_unchanged_operator_takes_no_new_factorization(self, rng, factorizations):
         sim, state, h, p = self._inputs(rng)
         u1 = sim._solve_u(state.v, state.p, state.T, h)
         u2 = sim._solve_u(state.v.copy(), p, state.T, h.copy())
-        assert len(calls) == 1
+        assert len(factorizations) == 1
         assert not np.array_equal(u1, u2)
         assert np.array_equal(u2, _fresh_mechanics_solve(sim, state.v, p, state.T, h))
 
-    def test_solve_after_a_change_in_v_equals_a_fresh_solve(self, rng, monkeypatch):
+    def test_solve_after_a_change_in_v_equals_a_fresh_solve(self, rng, factorizations):
         sim, state, h, p = self._inputs(rng)
         sim._solve_u(state.v, p, state.T, h)
         v = state.v.copy()
         v[rng.choice(v.size, 10, replace=False)] = 0.3
-        calls = []
-        splu = spla.splu
-        monkeypatch.setattr(spla, "splu",
-                            lambda *args, **kwargs: calls.append(1) or splu(*args, **kwargs))
+        factorizations.clear()
         u = sim._solve_u(v, p, state.T, h)
-        assert len(calls) == 1
+        assert len(factorizations) == 1
         assert np.array_equal(u, _fresh_mechanics_solve(sim, v, p, state.T, h))
 
 
@@ -289,8 +282,32 @@ class TestSparseStructureDecidedOnce:
             raise AssertionError("a sparse structure was decided again after the first step")
 
         monkeypatch.setattr(fem, "csr_pattern", rebuilt)
+        monkeypatch.setattr(fem, "band_layout", rebuilt)
         monkeypatch.setattr(fem.Dirichlet, "on", rebuilt)
         for cls in (sp.csr_matrix, sp.csc_matrix):
             monkeypatch.setattr(cls, "eliminate_zeros", rebuilt)
         _, report = sim.time_step(state, dt, cfg.controls)
         assert sum(report.inner_iters) > 1
+
+
+class TestBandLayouts:
+    @pytest.mark.parametrize("setup", [_thermal_column, _small_kgd],
+                             ids=["thermal_column", "small_kgd"])
+    def test_a_time_step_resolves_one_layout_per_field(self, setup, monkeypatch):
+        cfg, sim, dt = setup()
+        resolved = []
+        band_layout = fem.band_layout
+        monkeypatch.setattr(fem, "band_layout",
+                            lambda structure: resolved.append(structure.shape[0])
+                            or band_layout(structure))
+        _, report = sim.time_step(sim.initial_state(), dt, cfg.controls)
+        assert sum(report.inner_iters) > 1
+        n = sim.mesh.n_nodes
+        # heat, flow and the phase field share the scalar layout
+        assert sorted(resolved) == [n, 2 * n]
+
+    def test_scalar_band_of_the_thermal_column_stays_narrow(self):
+        cfg, sim, _ = _thermal_column()
+        assert (cfg.ny, sim.mesh.n_nodes) == (2, 3 * (cfg.nx + 1))
+        # the natural numbering runs along the column with a band of ~nx
+        assert sim.tables.scalar_layout.width <= 6
