@@ -43,29 +43,9 @@ def _pin_threads(n: int):
         os.environ.setdefault(var, str(n))
 
 
-def _apply_overrides(raw, overrides: list[str]) -> dict:
-    if not isinstance(raw, dict):
-        raise ValueError("top level: expected a JSON object")
-    for item in overrides:
-        if "=" not in item:
-            raise ValueError(f"override {item!r} is not of the form key.path=value")
-        path, value_str = item.split("=", 1)
-        try:
-            value = json.loads(value_str)
-        except json.JSONDecodeError:
-            value = value_str
-        keys = path.strip().split(".")
-        node = raw
-        for k in keys[:-1]:
-            node = node.setdefault(k, {})
-            if not isinstance(node, dict):
-                raise ValueError(f"override path {path!r} crosses a non-object")
-        node[keys[-1]] = value
-    return raw
-
-
 def _load_config(args):
-    from .config import config_from_dict, config_to_dict
+    """A preset's or a JSON file's scenario, parsed with its overrides."""
+    from .config import config_to_dict, parse_config
     from .presets import PRESETS, get_preset
 
     name = args.scenario
@@ -77,17 +57,14 @@ def _load_config(args):
             kwargs["dT"] = args.dT
         if getattr(args, "fast", False) and "fast" in sig:
             kwargs["fast"] = True
-        cfg = get_preset(name, **kwargs)
-        raw = config_to_dict(cfg)
+        text = json.dumps(config_to_dict(get_preset(name, **kwargs)))
     else:
         path = Path(name)
         if not path.exists():
             raise FileNotFoundError(
                 f"{name!r} is neither a preset ({sorted(PRESETS)}) nor a file")
-        raw = json.loads(path.read_text())
-    if getattr(args, "override", None):
-        raw = _apply_overrides(raw, args.override)
-    return config_from_dict(raw, name_hint=name)
+        text = path.read_text()
+    return parse_config(text, name_hint=name, overrides=getattr(args, "override", None) or ())
 
 
 def _cmd_run(args) -> int:
@@ -96,7 +73,7 @@ def _cmd_run(args) -> int:
 
     try:
         cfg = _load_config(args)
-    except (ConfigError, FileNotFoundError, ValueError, json.JSONDecodeError) as exc:
+    except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = Path(args.out) if args.out else Path("out") / cfg.name
@@ -137,7 +114,7 @@ def _cmd_mesh_dump(args) -> int:
 
     try:
         cfg = _load_config(args)
-    except (ConfigError, FileNotFoundError, ValueError, json.JSONDecodeError) as exc:
+    except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     sim = build_simulation(cfg)

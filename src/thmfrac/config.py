@@ -309,15 +309,39 @@ def config_from_dict(raw: dict, name_hint: str = "scenario") -> ScenarioConfig:
     return ScenarioConfig(**cfg)
 
 
-def parse_config(text: str) -> ScenarioConfig:
-    """Parse and validate a JSON scenario; raises ConfigError on any problem."""
+def parse_config(text: str, name_hint: str = "scenario", overrides=()) -> ScenarioConfig:
+    """Parse a JSON scenario, apply ``overrides`` and validate it; raises
+    ConfigError on any problem, ValueError on an override that cannot apply."""
     if not text.strip():
         raise ConfigError(["top level: empty configuration"])
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"line {exc.lineno}, column {exc.colno}: {exc.msg}"]) from exc
-    return config_from_dict(raw)
+    raw = apply_overrides(raw, overrides) if overrides else raw
+    return config_from_dict(raw, name_hint=name_hint)
+
+
+def apply_overrides(raw, overrides: list[str]) -> dict:
+    """Set ``key.path=value`` items (value as JSON, else a string) in ``raw``."""
+    if not isinstance(raw, dict):
+        raise ValueError("top level: expected a JSON object")
+    for item in overrides:
+        if "=" not in item:
+            raise ValueError(f"override {item!r} is not of the form key.path=value")
+        path, value_str = item.split("=", 1)
+        try:
+            value = json.loads(value_str)
+        except json.JSONDecodeError:
+            value = value_str
+        keys = path.strip().split(".")
+        node = raw
+        for k in keys[:-1]:
+            node = node.setdefault(k, {})
+            if not isinstance(node, dict):
+                raise ValueError(f"override path {path!r} crosses a non-object")
+        node[keys[-1]] = value
+    return raw
 
 
 def _plain(value):

@@ -5,32 +5,31 @@ element term as one batched matmul against a per-mesh operator table of
 ``ElementTables`` (built on first use). Each field (scalar or vector) has
 one CSR sparsity pattern per mesh, built on first assembly together with
 the map from element entries to CSR slots, so assembly is one
-``np.bincount`` into the ``data`` array. Static Dirichlet constraints are
-resolved once against that pattern into the fixed structure of the
-constrained operator, so elimination is one gather of values into it:
-after the first solve no sub-solve decides a sparse structure again.
-Every linear solve, the phase-field free block included, passes
-``solve_linear`` and its gate (a non-finite solution or a residual above
-1e-10 ||b|| raises ``SolverFailure``). A caller that owns a
-``Factorization`` keeps the factor between solves and takes a fresh one
-when its operator changes.
+``np.bincount`` into the data of an operator that keeps that pattern up
+to its factor. Eliminating Dirichlet constraints or the phase-field active
+set is one multiply by a slot mask (``eliminate``). A ``FieldOperator``
+holds a field's operators as CSR matrices whose data each solve replaces:
+after a field's first solve no sub-solve builds a sparse object. Every
+linear solve passes ``solve_linear`` and its gate (a non-finite solution
+or a residual above 1e-10 ||b|| raises ``SolverFailure``). A caller that
+owns a ``Factorization`` keeps the factor between solves and takes a
+fresh one when its operator changes.
 
 Every factorization is a dense banded LAPACK factorization in a reverse
 Cuthill-McKee ordering. Each field resolves one ``BandLayout`` on its
 first solve: the ordering, the bandwidth and the band-storage position of
-every CSR slot. A Dirichlet-constrained operator reuses its field's
-layout through its kept slots, and so does every active-set iteration of
-the phase-field solve, which eliminates its active set on the full
-pattern. A Q4 operator on a strip-like mesh has a small bandwidth in that
-ordering (at most 6 on a column two cells wide), so a factorization is a
-few flops per entry and no per-call symbolic analysis. Symmetric
-operators (flow, mechanics, phase field) take a Cholesky factorization;
-the heat operator, which advection makes nonsymmetric, and any operator
-that is not positive definite take LU with partial pivoting.
+every CSR slot, through which every operator of the field scatters. A Q4
+operator on a strip-like mesh has a small bandwidth in that ordering (at
+most 6 on a column two cells wide), so a factorization is a few flops per
+entry and no per-call symbolic analysis. Symmetric operators (flow,
+mechanics, phase field) take a Cholesky factorization; the heat operator,
+which advection makes nonsymmetric, and any operator that is not positive
+definite take LU with partial pivoting.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -83,10 +82,9 @@ class CSRPattern:
     slot: np.ndarray
     diag: np.ndarray
 
-    def matrix(self, KE: np.ndarray) -> sp.csr_matrix:
-        """Sum the element matrices (E, nd, nd) into a CSR matrix on this pattern."""
-        data = np.bincount(self.slot, weights=KE.reshape(-1), minlength=self.indices.size)
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+    def assemble(self, KE: np.ndarray) -> np.ndarray:
+        """Sum element matrices (E, nd, nd) into operator data on this pattern."""
+        return np.bincount(self.slot, weights=KE.reshape(-1), minlength=self.indices.size)
 
 
 def csr_pattern(dofs: np.ndarray, n: int) -> CSRPattern:
@@ -134,10 +132,9 @@ class BandLayout:
 
 
 def _canonical_csr(A: sp.spmatrix) -> sp.csr_matrix:
-    """``A`` as CSR with sorted indices and no duplicates; shared when it is one."""
-    A = sp.csr_matrix(A)
-    if not A.has_canonical_format:
-        A = A.copy()
+    """``A`` as CSR with sorted indices and no duplicates; ``A`` itself when it is one."""
+    if not (isinstance(A, sp.csr_matrix) and A.has_canonical_format):
+        A = sp.csr_matrix(A, copy=True)
         A.sum_duplicates()
     return A
 
@@ -291,17 +288,26 @@ def build_tables(mesh: Mesh) -> ElementTables:
 
 @dataclass
 class SparseSystem:
-    """Assembled linear system A x = b."""
+    """Linear system A x = b with A as a CSR matrix."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
 
 
+@dataclass
+class FieldSystem:
+    """Assembled A x = b of one field: A as data on the field's pattern."""
+
+    pattern: CSRPattern
+    data: np.ndarray
+    rhs: np.ndarray
+
+
 def assemble_batched(tables: ElementTables, KE: np.ndarray, FE: np.ndarray,
-                     vector: bool = False) -> SparseSystem:
+                     vector: bool = False) -> FieldSystem:
     """Sum precomputed element matrices/vectors into a global system."""
     pattern = tables.vector_pattern if vector else tables.scalar_pattern
-    return SparseSystem(matrix=pattern.matrix(KE), rhs=scatter_vector(tables, FE, vector))
+    return FieldSystem(pattern, pattern.assemble(KE), scatter_vector(tables, FE, vector))
 
 
 def scatter_vector(tables: ElementTables, FE: np.ndarray, vector: bool = False) -> np.ndarray:
@@ -311,29 +317,52 @@ def scatter_vector(tables: ElementTables, FE: np.ndarray, vector: bool = False) 
     return np.bincount(dofs.ravel(), weights=FE.ravel(), minlength=n)
 
 
+class FieldOperator:
+    """Operator storage of one field, kept by its owner between solves: the
+    operator as assembled and with its constrained rows and columns
+    eliminated (see ``eliminate``), as CSR matrices on the field's
+    structure whose data each solve replaces, factorized in ``layout``."""
+
+    def __init__(self, structure, layout: BandLayout):
+        self.layout = layout
+        self.assembled, self.eliminated = (
+            sp.csr_matrix((np.zeros(structure.indices.size), structure.indices,
+                           structure.indptr), shape=structure.shape) for _ in range(2))
+
+    def load(self, data: np.ndarray) -> sp.csr_matrix:
+        """The assembled operator, now holding ``data``."""
+        self.assembled.data = data
+        return self.assembled
+
+
+def eliminate(A: sp.csr_matrix, mask: np.ndarray, unit: np.ndarray,
+              out: sp.csr_matrix) -> sp.csr_matrix:
+    """Row and column elimination of ``A`` into ``out`` (on A's structure):
+    A's data times the slot ``mask`` (1 where row and column both stay, else
+    0), 1 on the diagonal slots ``unit``; eliminated entries stay as zeros."""
+    data = A.data * mask
+    data[unit] = 1.0
+    out.data = data
+    return out
+
+
 @dataclass(frozen=True)
 class Dirichlet:
     """Static Dirichlet constraints of one field, resolved against its pattern.
 
     Row/column elimination preserving symmetry: the entries of constrained
-    rows and columns are dropped, constrained diagonals become 1 and the
-    rhs of free dofs absorbs -A[:, c] g. The constrained structure (the
-    free-free entries plus every diagonal) is resolved once, so each
-    elimination only gathers values into it and entries that are
-    numerically zero stay as explicit zeros. It is factorized in its
-    field's band layout through ``slots`` (see ``Factorization``). Matrices
-    passed in must be assembled on the pattern the constraints were
-    resolved against.
+    rows and columns become zero, constrained diagonals 1 and the rhs of
+    free dofs absorbs -A[:, c] g. Its slot ``mask`` and unit diagonal slots
+    are resolved once on the field's pattern, which every matrix passed in
+    must be on, so each elimination is one multiply (see ``eliminate``).
     """
 
     dofs: np.ndarray
     values: np.ndarray
     lift: np.ndarray        # (n,) prescribed values, zero on free dofs
     keep: np.ndarray        # (n,) 1 on free dofs, 0 on constrained ones
-    slots: np.ndarray       # pattern slots kept: free-free entries, every diagonal
-    indptr: np.ndarray      # the constrained structure, shared by every
-    indices: np.ndarray     # matrix eliminated with these constraints
-    diag: np.ndarray        # positions of the constrained diagonals in it
+    mask: np.ndarray        # (nnz,) 1 on the pattern slots of free-free entries
+    unit: np.ndarray        # pattern slots of the constrained diagonals
 
     @classmethod
     def on(cls, pattern: CSRPattern, dofs, values) -> "Dirichlet":
@@ -344,38 +373,22 @@ class Dirichlet:
         lift[dofs] = values
         keep = np.ones(n)
         keep[dofs] = 0.0
-        fixed = keep == 0.0
         rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
-        kept = ~(fixed[rows] | fixed[pattern.indices])
-        kept[pattern.diag] = True
-        slots = np.flatnonzero(kept)
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows[slots], minlength=n), out=indptr[1:])
-        indices = pattern.indices[slots]
-        for a in (indptr, indices):
-            a.flags.writeable = False
-        return cls(dofs=dofs, values=values, lift=lift, keep=keep, slots=slots, indptr=indptr,
-                   indices=indices, diag=np.searchsorted(slots, pattern.diag[dofs]))
+        return cls(dofs=dofs, values=values, lift=lift, keep=keep,
+                   mask=keep[rows] * keep[pattern.indices], unit=pattern.diag[dofs])
 
-    def matrix(self, A: sp.csr_matrix) -> sp.csr_matrix:
-        if self.dofs.size == 0:
-            return A
-        data = A.data[self.slots]
-        data[self.diag] = 1.0
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=A.shape)
-
-    def rhs(self, A: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
-        if self.dofs.size == 0:
-            return b
-        out = (b - A @ self.lift) * self.keep
+    def rhs(self, b: np.ndarray, lifted: np.ndarray) -> np.ndarray:
+        """``b`` eliminated, given the lift product ``lifted`` = A @ lift."""
+        out = (b - lifted) * self.keep
         out[self.dofs] = self.values
         return out
 
 
-def apply_dirichlet(system: SparseSystem, bc: Dirichlet) -> SparseSystem:
-    """The system with ``bc`` eliminated (see ``Dirichlet``)."""
-    return SparseSystem(matrix=bc.matrix(system.matrix),
-                        rhs=bc.rhs(system.matrix, system.rhs))
+def apply_dirichlet(system: FieldSystem, bc: Dirichlet, op: FieldOperator) -> SparseSystem:
+    """``system`` loaded into ``op`` with ``bc`` eliminated (see ``Dirichlet``)."""
+    A = op.load(system.data)
+    return SparseSystem(eliminate(A, bc.mask, bc.unit, op.eliminated),
+                        bc.rhs(system.rhs, A @ bc.lift))
 
 
 # ---------------------------------------------------------------------------
@@ -386,19 +399,16 @@ class Factorization:
     """Banded factor of a Jacobi-scaled operator, kept by its owner.
 
     ``factorize`` fills it and ``solve`` solves with the unscaled operator.
-    The operator's data are scattered into LAPACK band storage in the
-    order of ``layout``; without one, ``factorize`` resolves a layout from
-    the operator's own structure. An operator that holds only some slots
-    of the layout's structure, such as a ``Dirichlet``'s constrained
-    operator, names them in ``slots``. ``solve_linear`` fills an empty
-    factor and solves with a filled one without looking at the operator
-    again, so the owner takes a fresh ``Factorization`` whenever the
-    operator changes.
+    The operator must be on the structure of ``layout``: its data are
+    scattered into LAPACK band storage and its diagonal read through it.
+    Without one, ``factorize`` resolves it from the operator's structure.
+    ``solve_linear`` fills an empty factor and solves with a filled one
+    without looking at the operator again, so the owner takes a fresh
+    ``Factorization`` whenever the operator changes.
     """
 
-    def __init__(self, layout: BandLayout | None = None, slots: np.ndarray | None = None):
+    def __init__(self, layout: BandLayout | None = None):
         self.layout = layout
-        self.slots = slots
         self.band: np.ndarray | None = None    # the factor in band storage
         self.ipiv: np.ndarray | None = None    # LU pivots; None for Cholesky
         self.scale: np.ndarray | None = None
@@ -419,17 +429,13 @@ class Factorization:
             self.layout = band_layout(A)
         lay = self.layout
         n = A.shape[0]
-        d = A.diagonal()
-        if np.all(d > 0.0) and np.all(np.isfinite(d)):
+        d = A.data[lay.diag]            # a missing diagonal entry is a zero
+        if d.size == n and (d > 0.0).all() and np.isfinite(d).all():
             s = 1.0 / np.sqrt(d)
         else:
             s = np.ones(n)
         self.scale = s
-        rows = lay.rows if self.slots is None else lay.rows[self.slots]
-        data = A.data * (s[rows] * s[A.indices])
-        if self.slots is not None:
-            data, held = np.zeros(lay.rows.size), data
-            data[self.slots] = held
+        data = A.data * (np.take(s, lay.rows) * np.take(s, A.indices))
         low = data[lay.tril]
         k = lay.width
         if (lay.mirror is not None and np.abs(low - data[lay.mirror]).max(initial=0.0)
@@ -480,16 +486,16 @@ def solve_linear(system: SparseSystem, factor: Factorization | None = None) -> n
     if factor.band is None:
         factor.factorize(A)
     x = factor.solve(b)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise SolverFailure("linear solve produced non-finite values",
                             diagnostics={"n": n})
-    bnorm = np.linalg.norm(b)
+    bnorm = math.sqrt(b @ b)
     if bnorm == 0.0:
         return x
     resid = b - A @ x
     gate = 1e-10 * bnorm
     for _ in range(5):
-        if np.linalg.norm(resid) <= gate:
+        if math.sqrt(resid @ resid) <= gate:
             return x
         x = x + factor.solve(resid)
         resid = b - A @ x
@@ -497,9 +503,10 @@ def solve_linear(system: SparseSystem, factor: Factorization | None = None) -> n
     # high-contrast crack) no float64 vector can reach 1e-10*||b||; accept the
     # standard backward-error scale instead, which coincides with the ||b||
     # gate whenever the system is well scaled.
-    absA = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
-    denom = bnorm + float(np.linalg.norm(absA @ np.abs(x)))
-    rnorm = float(np.linalg.norm(resid))
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    absAx = np.bincount(rows, weights=np.abs(A.data) * np.abs(x)[A.indices], minlength=n)
+    denom = bnorm + math.sqrt(absAx @ absAx)
+    rnorm = math.sqrt(resid @ resid)
     if rnorm > 1e-10 * denom:
         raise SolverFailure(
             f"linear solve residual {rnorm:.3e} exceeds 1e-10 * backward scale "
@@ -514,19 +521,18 @@ def solve_linear(system: SparseSystem, factor: Factorization | None = None) -> n
 
 def solve_bound_constrained(system: SparseSystem, lower: np.ndarray,
                             upper: np.ndarray, init: np.ndarray,
-                            layout: BandLayout | None = None) -> np.ndarray:
+                            op: FieldOperator | None = None) -> np.ndarray:
     """Minimize 1/2 x'Ax - b'x subject to lower <= x <= upper.
 
     Active-set iteration on the symmetric system: solve the free block,
     clamp violating components, release actives whose KKT multiplier has
     the wrong sign. At the solution the gradient r = Ax - b vanishes on
     free components, is >= 0 at lower bounds and <= 0 at upper bounds.
-    The free block is solved on the full structure of A, with the active
-    rows and columns zeroed, their diagonal set to 1 and their right-hand
-    side to 0, so every active-set iteration factorizes in the same
-    ``layout`` (A's structure, which needs every diagonal; resolved from
-    A when not given). Each free-block solve passes ``solve_linear``, with
-    its residual gate on the free block, refinement and non-finite check.
+    The free block is A with its active rows and columns eliminated into
+    ``op.eliminated`` (see ``eliminate``; rhs 0 there), factorized in
+    ``op.layout``, on A's structure with every diagonal (built on A when
+    not given). Each free-block solve passes ``solve_linear``, with its
+    residual gate on the free block, refinement and non-finite check.
     """
     A = _canonical_csr(system.matrix)
     b = system.rhs
@@ -536,9 +542,9 @@ def solve_bound_constrained(system: SparseSystem, lower: np.ndarray,
     if np.any(lower > upper + 1e-15):
         raise ValueError("lower bound exceeds upper bound")
     x = np.clip(np.asarray(init, dtype=float).copy(), lower, upper)
-    if layout is None:
-        layout = band_layout(A)
-    diag = layout.diag
+    if op is None:
+        op = FieldOperator(A, band_layout(A))
+    rows, diag = op.layout.rows, op.layout.diag
     if diag.size != n:
         raise ValueError("every dof needs a diagonal entry in the structure of A")
 
@@ -547,7 +553,7 @@ def solve_bound_constrained(system: SparseSystem, lower: np.ndarray,
     at_lo = (x <= lower + 1e-15) & ~pinned
     at_up = (x >= upper - 1e-15) & ~pinned
 
-    scale = max(np.abs(b).max(initial=0.0), np.abs(A.diagonal()).max(initial=0.0), 1e-300)
+    scale = max(np.abs(b).max(initial=0.0), np.abs(A.data[diag]).max(initial=0.0), 1e-300)
     tol = _BOX_KKT_TOL * scale
 
     for _ in range(_BOX_MAX_ITER):
@@ -555,11 +561,9 @@ def solve_bound_constrained(system: SparseSystem, lower: np.ndarray,
         free = ~active
         if np.any(free):
             keep = free.astype(float)
-            data = A.data * (keep[layout.rows] * keep[A.indices])
-            data[diag[active]] = 1.0
-            Af = sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
+            Af = eliminate(A, keep[rows] * keep[A.indices], diag[active], op.eliminated)
             rhs_f = (b - A @ np.where(active, x, 0.0)) * keep
-            x_f = solve_linear(SparseSystem(Af, rhs_f), Factorization(layout))
+            x_f = solve_linear(SparseSystem(Af, rhs_f), Factorization(op.layout))
             x[free] = x_f[free]
             viol_lo = free & (x < lower - 1e-15)
             viol_up = free & (x > upper + 1e-15)

@@ -1,7 +1,7 @@
 """Element kernels for the four staggered sub-problems.
 
-Each builder returns the assembled linear system of one sub-solve (the
-operators are linear once the lagged staggered quantities are frozen):
+Each builder returns the assembled system of one sub-solve, its operator as
+data on the field's pattern (linear once the lagged quantities are frozen):
 
 * phase field  — bound-constrained quadratic in v, driven by the stored
   tensile energy and the pressure term p^2/2 d(1/M_p)/dv in product form;
@@ -31,15 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import constitutive as law
 from .constitutive import MaterialParams
 from .errors import InvariantViolation
-from .fem import ElementTables, SparseSystem, assemble_batched, scatter_vector
-
-_VOIGT_ID = np.array([1.0, 1.0, 0.0])
-
+from .fem import ElementTables, FieldSystem, assemble_batched, scatter_vector
 
 @dataclass
 class FieldState:
@@ -152,12 +148,12 @@ def mechanics_branch_flags(tables: ElementTables, params: MaterialParams,
 
 @dataclass
 class MechanicsOperator:
-    """Stiffness at a frozen (v, branch flags) pair and the quadrature-point
-    coefficients the right-hand side of that state reuses."""
+    """Stiffness at a frozen (v, branch flags) pair as data on the vector
+    pattern, and the qp coefficients the right-hand side of that state reuses."""
 
     v: np.ndarray
     tr_sign: np.ndarray
-    matrix: sp.csr_matrix
+    data: np.ndarray
     alpha: np.ndarray      # (E, 4) Biot coefficient
     K_eff: np.ndarray      # (E, 4) effective bulk modulus
 
@@ -177,7 +173,7 @@ def build_mechanics_system(tables: ElementTables, params: MaterialParams,
     v_qp = scalar_qp(tables, v)
     KE = _stiffness(tables, law.effective_stiffness(v_qp, tr_sign, params))
     return MechanicsOperator(v=v.copy(), tr_sign=tr_sign.copy(),
-                             matrix=tables.vector_pattern.matrix(KE),
+                             data=tables.vector_pattern.assemble(KE),
                              alpha=law.biot_coefficient(v_qp, tr_sign, params),
                              K_eff=law.effective_bulk(v_qp, tr_sign, params))
 
@@ -194,21 +190,6 @@ def mechanics_rhs(tables: ElementTables, params: MaterialParams, op: MechanicsOp
     return rhs
 
 
-def mechanics_residual(tables: ElementTables, params: MaterialParams,
-                       u: np.ndarray, v: np.ndarray, p: np.ndarray,
-                       T: np.ndarray, f_ext: np.ndarray) -> np.ndarray:
-    """Internal force of the evaluated stress state minus external loads."""
-    v_qp = scalar_qp(tables, v)
-    p_qp = scalar_qp(tables, p)
-    dT_qp = scalar_qp(tables, T) - params.T0
-    eps_e, ezz, _, h = law.thermoelastic_split(strain_qp(tables, u), dT_qp, params.alpha_s)
-    sig = law.effective_stress(eps_e, v_qp, h, params, eps_zz=ezz)
-    alpha = law.biot_coefficient(v_qp, h, params)
-    sig = sig - (alpha * p_qp)[..., None] * _VOIGT_ID
-    FE = np.einsum("eqsa,eqs->ea", tables.B, sig * tables.detJw[..., None])
-    return scatter_vector(tables, FE, vector=True) - f_ext
-
-
 # ---------------------------------------------------------------------------
 # flow (fixed-stress split)
 # ---------------------------------------------------------------------------
@@ -217,7 +198,7 @@ def build_flow_system(tables: ElementTables, params: MaterialParams,
                       st: law.StrainState, p_it: np.ndarray,
                       T_new: np.ndarray, evol_prev: np.ndarray,
                       p_prev: np.ndarray, T_prev: np.ndarray, dt: float,
-                      source: np.ndarray | None = None) -> SparseSystem:
+                      source: np.ndarray | None = None) -> FieldSystem:
     """Pressure system of the fixed-stress step.
 
     Left-hand side: (1/M_p + alpha^2/K_eff)/dt storage + Darcy stiffness.
@@ -235,10 +216,11 @@ def build_flow_system(tables: ElementTables, params: MaterialParams,
     """
     T_new_qp = scalar_qp(tables, T_new)
     tr_sign, phi = law.branch_porosity(st, T_new_qp - params.T0, params)
-    K_eff = law.effective_bulk(st.v, tr_sign, params)
+    frac = law.bulk_fraction(st.v, tr_sign, params.k_res)
+    K_eff = frac * params.K_m                           # law.effective_bulk
     if np.any(K_eff <= 0.0) or not np.all(np.isfinite(K_eff)):
         raise InvariantViolation("non-positive effective bulk modulus in flow kernel")
-    alpha = law.biot_coefficient(st.v, tr_sign, params)
+    alpha = 1.0 - frac * (1.0 - params.alpha_m)         # law.biot_coefficient
     inv_Mp = law.biot_modulus_inv(phi, alpha, params)
     inv_MT = law.thermal_storage_inv(phi, alpha, params)
 
@@ -267,7 +249,7 @@ def build_flow_system(tables: ElementTables, params: MaterialParams,
 
 def build_heat_system(tables: ElementTables, params: MaterialParams,
                       st: law.StrainState, p_it: np.ndarray,
-                      T_prev: np.ndarray, dt: float) -> SparseSystem:
+                      T_prev: np.ndarray, dt: float) -> FieldSystem:
     """Temperature system with the lagged Darcy flux q_f^(m-1).
 
     The operator is linear in T: storage is row-sum lumped (keeps the
@@ -304,7 +286,7 @@ def build_heat_system(tables: ElementTables, params: MaterialParams,
 
 def build_phasefield_system(tables: ElementTables, params: MaterialParams,
                             gc_elem: np.ndarray, u_it: np.ndarray,
-                            p_it: np.ndarray, T_it: np.ndarray) -> SparseSystem:
+                            p_it: np.ndarray, T_it: np.ndarray) -> FieldSystem:
     """Quadratic phase-field subproblem min 1/2 v'Av - b'v.
 
     Driving terms (frozen at the previous iterate): 2(1-k) psi_plus and the

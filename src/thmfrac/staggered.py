@@ -12,6 +12,7 @@ through the upper bound: nodes whose previous-step value sits below
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -19,8 +20,8 @@ import numpy as np
 
 from .constitutive import MaterialParams
 from .errors import NonConvergence
-from .fem import (Dirichlet, ElementTables, Factorization, SparseSystem, apply_dirichlet,
-                  solve_bound_constrained, solve_linear)
+from .fem import (Dirichlet, ElementTables, Factorization, FieldOperator, SparseSystem,
+                  apply_dirichlet, eliminate, solve_bound_constrained, solve_linear)
 from .mesh import Mesh
 from .physics import (FieldState, MechanicsOperator, build_flow_system, build_heat_system,
                       build_mechanics_system, build_phasefield_system,
@@ -68,8 +69,9 @@ class StepReport:
 
 
 def _rel(new: np.ndarray, old: np.ndarray) -> float:
-    dn = float(np.linalg.norm(new - old))
-    nn = float(np.linalg.norm(new))
+    d = new - old
+    dn = math.sqrt(d @ d)
+    nn = math.sqrt(new @ new)
     if nn == 0.0:
         return 0.0 if dn == 0.0 else 1.0
     return dn / nn
@@ -126,14 +128,13 @@ class Simulation:
     The simulation owns the linear-algebra state of its sub-solves:
 
     * the Dirichlet constraints of T, p and u, resolved on the first solve
-      into the fixed structure of each constrained operator (boundary
-      conditions are static from then on);
-    * the factors of the constrained operators, each in the reverse
-      Cuthill-McKee band layout of its field (one per field, held by
-      ``tables``) through the constraints' kept slots; the phase-field
-      solve uses the scalar field's layout as it is;
-    * the mechanics operator, rebuilt only when v or the frozen branch
-      flags differ from its last build;
+      into a slot mask on each field's pattern (boundary conditions are
+      static from then on);
+    * the operator storage of T, p, u and v, one ``FieldOperator`` each,
+      built on the field's first solve and refilled in place after that,
+      in the reverse Cuthill-McKee band layout of its field;
+    * the mechanics operator, rebuilt and eliminated only when v or the
+      frozen branch flags differ from its last build, and its lift A @ g;
     * the banded factor of the mechanics operator, which lives as long
       as the operator, but not through a phase-field solve. Heat and flow
       factorize on every solve, since their operators follow the lagged
@@ -162,9 +163,10 @@ class Simulation:
             self.q_flow = np.zeros(n)
         self.gc_elem = np.broadcast_to(np.asarray(self.gc_elem, dtype=float),
                                        (self.mesh.n_elems,)).copy()
+        self._ops: dict[str, FieldOperator] = {}
         self._mech_factor: Factorization | None = None
         self._mech: MechanicsOperator | None = None
-        self._mech_matrix = None            # the operator with bc_u eliminated
+        self._mech_lift: np.ndarray | None = None
 
     @cached_property
     def _dirichlet(self) -> dict[str, Dirichlet]:
@@ -173,11 +175,18 @@ class Simulation:
                 "p": Dirichlet.on(scalar, *self.bc_p),
                 "u": Dirichlet.on(vector, *self.bc_u)}
 
-    def _factor(self, field: str) -> Factorization:
-        """An empty factor of the field's constrained operator, in its
-        field's band layout."""
-        layout = self.tables.vector_layout if field == "u" else self.tables.scalar_layout
-        return Factorization(layout, self._dirichlet[field].slots)
+    def _operator(self, field: str) -> FieldOperator:
+        """The operator storage of ``field`` (T, p, u or v)."""
+        if field not in self._ops:
+            t = self.tables
+            self._ops[field] = (FieldOperator(t.vector_pattern, t.vector_layout) if field == "u"
+                                else FieldOperator(t.scalar_pattern, t.scalar_layout))
+        return self._ops[field]
+
+    def _solve_constrained(self, field: str, system) -> np.ndarray:
+        op = self._operator(field)
+        return solve_linear(apply_dirichlet(system, self._dirichlet[field], op),
+                            Factorization(op.layout))
 
     def initial_state(self) -> FieldState:
         n = self.mesh.n_nodes
@@ -198,30 +207,34 @@ class Simulation:
         # is about to be replaced: drop it before this solve, where a step
         # peaks in memory
         self._mech_factor = None
-        return solve_bound_constrained(system, lower, upper, init, self.tables.scalar_layout)
+        op = self._operator("v")
+        return solve_bound_constrained(SparseSystem(op.load(system.data), system.rhs),
+                                       lower, upper, init, op)
 
     def _solve_T(self, st, it: FieldState, prev: FieldState, dt: float) -> np.ndarray:
-        system = build_heat_system(self.tables, self.params, st, it.p, prev.T, dt)
-        return solve_linear(apply_dirichlet(system, self._dirichlet["T"]), self._factor("T"))
+        return self._solve_constrained(
+            "T", build_heat_system(self.tables, self.params, st, it.p, prev.T, dt))
 
     def _solve_p(self, st, it: FieldState, T_new, prev: FieldState, evol_prev,
                  dt: float) -> np.ndarray:
-        system = build_flow_system(self.tables, self.params, st, it.p,
-                                   T_new, evol_prev, prev.p, prev.T, dt,
-                                   source=self.q_flow)
-        return solve_linear(apply_dirichlet(system, self._dirichlet["p"]), self._factor("p"))
+        return self._solve_constrained("p", build_flow_system(
+            self.tables, self.params, st, it.p, T_new, evol_prev, prev.p, prev.T, dt,
+            source=self.q_flow))
 
     def _solve_u(self, v, p_new, T_new, tr_sign) -> np.ndarray:
         bc = self._dirichlet["u"]
+        store = self._operator("u")
         op = self._mech
         if op is None or not op.matches(v, tr_sign):
-            self._mech = self._mech_matrix = self._mech_factor = None   # freed before the build
+            self._mech = self._mech_factor = None   # freed before the build
             op = self._mech = build_mechanics_system(self.tables, self.params, v, tr_sign)
-            self._mech_matrix = bc.matrix(op.matrix)
+            A = store.load(op.data)
+            eliminate(A, bc.mask, bc.unit, store.eliminated)
+            self._mech_lift = A @ bc.lift
         if self._mech_factor is None:
-            self._mech_factor = self._factor("u")
+            self._mech_factor = Factorization(store.layout)
         rhs = mechanics_rhs(self.tables, self.params, op, p_new, T_new, self.f_ext)
-        system = SparseSystem(self._mech_matrix, bc.rhs(op.matrix, rhs))
+        system = SparseSystem(store.eliminated, bc.rhs(rhs, self._mech_lift))
         return solve_linear(system, self._mech_factor)
 
     # -- one time step -----------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse._compressed import _cs_matrix
 
 from thmfrac import fem
 from thmfrac.constitutive import MaterialParams
@@ -23,6 +24,21 @@ def factorizations(monkeypatch):
 
     monkeypatch.setattr(fem.Factorization, "factorize", counted)
     return calls
+
+
+@pytest.fixture
+def sparse_constructions(monkeypatch):
+    """The class names of the scipy compressed (CSR/CSC) sparse matrices
+    constructed from here on, one per construction."""
+    built = []
+    init = _cs_matrix.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_cs_matrix, "__init__", counted)
+    return built
 
 
 @pytest.fixture

@@ -244,6 +244,23 @@ class TestCLIHelpers:
         assert "configuration error: top level: expected a JSON object" in err
         assert not (tmp_path / "out").exists()
 
+    def test_empty_file_exits_with_the_parser_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text("  \n")
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "top level: empty configuration" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_malformed_file_exits_with_line_and_column(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text('{\n  "name": "x",\n  broken\n}')
+        assert main(["run", str(path), "--override", "name=y",
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "line 3, column 3: Expecting property name enclosed in double quotes" in err
+        assert not (tmp_path / "out").exists()
+
     def test_removed_stabilization_switch_exits_with_config_error(self, tmp_path, capsys):
         # the switch is materials.s_stab = 0; the old key fails validation
         # before anything is built or run

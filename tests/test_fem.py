@@ -5,12 +5,12 @@ import pytest
 import scipy.sparse as sp
 
 from thmfrac.errors import SolverFailure
-from thmfrac.fem import (Dirichlet, Factorization, SparseSystem, apply_dirichlet,
-                         assemble_batched, build_tables, gauss_2x2, scatter_vector, shape_q4,
-                         solve_bound_constrained, solve_linear)
+from thmfrac.fem import (Dirichlet, Factorization, FieldOperator, FieldSystem, SparseSystem,
+                         apply_dirichlet, assemble_batched, build_tables, gauss_2x2,
+                         scatter_vector, shape_q4, solve_bound_constrained, solve_linear)
 from thmfrac.mesh import RefineBand, generate_rect_mesh
 
-from element_loop import assemble
+from element_loop import assemble, csr, matrix, reduced_elimination, reduced_factor
 
 
 class TestShapeFunctions:
@@ -99,7 +99,7 @@ class TestAssembly:
         FE = rng.normal(size=(m.n_elems, 4))
         sys_b = assemble_batched(tb, KE, FE)
         sys_l = assemble(m, lambda e: (KE[e], FE[e]))
-        assert np.allclose(sys_b.matrix.toarray(), sys_l.matrix.toarray(), atol=1e-15)
+        assert np.allclose(matrix(sys_b).toarray(), sys_l.matrix.toarray(), atol=1e-15)
         assert np.allclose(sys_b.rhs, sys_l.rhs)
 
 
@@ -136,7 +136,7 @@ class TestPattern:
         dense = np.zeros((n, n))
         np.add.at(dense, (np.repeat(dofs, nd, axis=1).ravel(), np.tile(dofs, (1, nd)).ravel()),
                   KE.ravel())
-        A = pattern.matrix(KE)
+        A = csr(pattern, pattern.assemble(KE))
         assert A.toarray().tobytes() == dense.tobytes()
         ref = _coo_reference(dofs, KE, n)
         assert np.array_equal(A.indptr, ref.indptr) and np.array_equal(A.indices, ref.indices)
@@ -150,11 +150,13 @@ class TestPattern:
     def test_pattern_is_built_once_and_shared(self, rng):
         _, tb = _graded_tables()
         KE = rng.normal(size=(tb.mesh.n_elems, 4, 4))
-        A = assemble_batched(tb, KE, np.zeros((tb.mesh.n_elems, 4))).matrix
-        B = assemble_batched(tb, 2.0 * KE, np.zeros((tb.mesh.n_elems, 4))).matrix
-        assert tb.scalar_pattern is tb.scalar_pattern
-        assert np.shares_memory(A.indices, B.indices)
+        A = assemble_batched(tb, KE, np.zeros((tb.mesh.n_elems, 4)))
+        B = assemble_batched(tb, 2.0 * KE, np.zeros((tb.mesh.n_elems, 4)))
+        assert A.pattern is B.pattern is tb.scalar_pattern
         assert not tb.scalar_pattern.indices.flags.writeable
+        op = FieldOperator(tb.scalar_pattern, tb.scalar_layout)
+        for M in (op.assembled, op.eliminated):
+            assert np.shares_memory(M.indices, tb.scalar_pattern.indices)
 
 
 class TestTables:
@@ -178,15 +180,15 @@ class TestTables:
         assert scatter_vector(tb, FE, vector).tobytes() == ref.tobytes()
 
 
-def _rebuilt_elimination(system, dofs, values):
+def _rebuilt_elimination(A, b, dofs, values):
     """Row/column elimination by rebuilding the matrix: A * mask + diag."""
-    n = system.matrix.shape[0]
+    n = A.shape[0]
     g = np.zeros(n)
     g[dofs] = values
-    rhs = system.rhs - system.matrix @ g
+    rhs = b - A @ g
     keep = np.ones(n)
     keep[dofs] = 0.0
-    A = system.matrix.tocsr(copy=True)
+    A = A.tocsr(copy=True)
     rows = np.repeat(np.arange(n), np.diff(A.indptr))
     A.data = A.data * (keep[rows] * keep[A.indices])
     A = (A + sp.diags(1.0 - keep)).tocsr()
@@ -201,46 +203,77 @@ def _stored(A):
     return sp.csr_matrix((ones, A.indices, A.indptr), shape=A.shape).toarray() > 0.0
 
 
+def _constrained_system(rng, vector, kind="random"):
+    """A system on the graded mesh with explicit zeros planted, a field
+    operator and twelve Dirichlet constraints. ``kind`` "spd" and
+    "nonsymmetric" give operators that Cholesky and LU factorize."""
+    mesh, tb = _graded_tables()
+    nd = 8 if vector else 4
+    KE = rng.normal(size=(mesh.n_elems, nd, nd))
+    if kind == "spd":
+        KE = KE @ KE.transpose(0, 2, 1) + nd * np.eye(nd)
+    elif kind == "nonsymmetric":
+        KE = KE + 2.0 * nd * np.eye(nd)
+    KE[:, 0, 1] = KE[:, 1, 0] = 0.0     # explicit zeros in the assembled operator
+    system = assemble_batched(tb, KE, rng.normal(size=(mesh.n_elems, nd)), vector=vector)
+    pattern = tb.vector_pattern if vector else tb.scalar_pattern
+    layout = tb.vector_layout if vector else tb.scalar_layout
+    n = pattern.shape[0]
+    # dofs 0 and 1 stay free: the vector field's only planted zeros
+    # couple them, at the corner node that one element holds
+    dofs = np.unique(rng.choice(np.arange(2, n), 12, replace=False))
+    bc = Dirichlet.on(pattern, dofs, rng.normal(size=dofs.size))
+    return system, FieldOperator(pattern, layout), bc
+
+
 class TestDirichlet:
     @pytest.mark.parametrize("vector", [False, True])
     def test_mask_equals_rebuilt_elimination(self, rng, vector):
-        mesh, tb = _graded_tables()
-        nd = 8 if vector else 4
-        KE = rng.normal(size=(mesh.n_elems, nd, nd))
-        KE[:, 0, 1] = 0.0          # explicit zeros in the assembled operator
-        sys_ = assemble_batched(tb, KE, rng.normal(size=(mesh.n_elems, nd)), vector=vector)
-        pattern = tb.vector_pattern if vector else tb.scalar_pattern
-        n = pattern.shape[0]
-        # dofs 0 and 1 stay free: the vector field's only planted zero
-        # couples them, at the corner node that one element holds
-        dofs = np.unique(rng.choice(np.arange(2, n), 12, replace=False))
-        vals = rng.normal(size=dofs.size)
-        bc = Dirichlet.on(pattern, dofs, vals)
-        fixed = apply_dirichlet(sys_, bc)
-        A_ref, rhs_ref = _rebuilt_elimination(sys_, dofs, vals)
-        assert fixed.matrix.toarray().tobytes() == A_ref.toarray().tobytes()
+        system, op, bc = _constrained_system(rng, vector)
+        pattern = system.pattern
+        fixed = apply_dirichlet(system, bc, op)
+        A_ref, rhs_ref = _rebuilt_elimination(matrix(system), system.rhs, bc.dofs, bc.values)
+        assert np.array_equal(fixed.matrix.toarray(), A_ref.toarray())
         assert fixed.rhs.tobytes() == rhs_ref.tobytes()
-        # the pattern minus the off-diagonal slots of constrained rows and columns
+        # the elimination keeps the full pattern: the off-diagonal slots of
+        # constrained rows and columns stay as explicit zeros
+        assert fixed.matrix is op.eliminated and op.assembled.data is system.data
+        assert np.array_equal(_stored(fixed.matrix), _stored(csr(pattern, system.data)))
+        n = pattern.shape[0]
         constrained = np.zeros(n, dtype=bool)
-        constrained[dofs] = True
+        constrained[bc.dofs] = True
         dropped = (constrained[:, None] | constrained[None, :]) & ~np.eye(n, dtype=bool)
-        structure = _stored(pattern) & ~dropped
-        assert np.array_equal(_stored(fixed.matrix), structure)
-        assert fixed.matrix.nnz == np.count_nonzero(structure)
-        planted = structure & (sys_.matrix.toarray() == 0.0)
-        assert np.count_nonzero(fixed.matrix.data == 0.0) == np.count_nonzero(planted) > 0
-        # a second operator is eliminated into the same index arrays
-        other = apply_dirichlet(assemble_batched(tb, 2.0 * KE, np.zeros((mesh.n_elems, nd)),
-                                                 vector=vector), bc)
-        assert np.shares_memory(fixed.matrix.indices, other.matrix.indices)
+        planted = _stored(fixed.matrix) & ~dropped & (matrix(system).toarray() == 0.0)
+        zeros = np.count_nonzero(planted) + np.count_nonzero(_stored(fixed.matrix) & dropped)
+        assert np.count_nonzero(fixed.matrix.data == 0.0) == zeros
+        assert np.count_nonzero(planted) > 0
+        # a second operator is eliminated into the same storage
+        other = apply_dirichlet(FieldSystem(pattern, 2.0 * system.data, system.rhs), bc, op)
+        assert other.matrix is fixed.matrix and other.matrix.data[0] == 2.0 * system.data[0]
+
+    @pytest.mark.parametrize("kind", ["spd", "nonsymmetric"])
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_masked_solve_is_bitwise_the_reduced_structure_solve(self, rng, vector, kind):
+        system, op, bc = _constrained_system(rng, vector, kind)
+        reduced, slots = reduced_elimination(system.pattern, system.data, bc.dofs)
+        fixed = apply_dirichlet(system, bc, op)
+        assert np.array_equal(fixed.matrix.toarray(), reduced.toarray())
+        factor = Factorization(op.layout)
+        x = solve_linear(fixed, factor)
+        ref = solve_linear(SparseSystem(reduced, fixed.rhs),
+                           reduced_factor(system.pattern, op.layout, reduced, slots))
+        assert (factor.ipiv is None) == (kind == "spd")
+        assert x.tobytes() == ref.tobytes()
 
     def test_no_constraints_leave_the_system_alone(self, rng):
         _, tb = _graded_tables()
         sys_ = assemble_batched(tb, rng.normal(size=(tb.mesh.n_elems, 4, 4)),
                                 rng.normal(size=(tb.mesh.n_elems, 4)))
         bc = Dirichlet.on(tb.scalar_pattern, np.empty(0, dtype=np.int64), np.empty(0))
-        fixed = apply_dirichlet(sys_, bc)
-        assert fixed.matrix is sys_.matrix and fixed.rhs is sys_.rhs
+        op = FieldOperator(tb.scalar_pattern, tb.scalar_layout)
+        fixed = apply_dirichlet(sys_, bc, op)
+        assert fixed.matrix.data.tobytes() == sys_.data.tobytes()
+        assert fixed.rhs.tobytes() == sys_.rhs.tobytes()
 
     def test_rows_and_columns_reduced_to_identity(self, rng):
         m = generate_rect_mesh(1.0, 1.0, 2, 2)
@@ -250,7 +283,8 @@ class TestDirichlet:
         sys_ = assemble_batched(tb, KE, rng.normal(size=(m.n_elems, 4)))
         dofs = np.array([0, 4])
         vals = np.array([2.0, -1.0])
-        fixed = apply_dirichlet(sys_, Dirichlet.on(tb.scalar_pattern, dofs, vals))
+        fixed = apply_dirichlet(sys_, Dirichlet.on(tb.scalar_pattern, dofs, vals),
+                                FieldOperator(tb.scalar_pattern, tb.scalar_layout))
         A = fixed.matrix.toarray()
         for d, g in zip(dofs, vals):
             assert np.allclose(A[d], np.eye(9)[d])
@@ -337,7 +371,7 @@ class TestFactorization:
         layout = tb.vector_layout if vector else tb.scalar_layout
         n, nd = pattern.shape[0], (8 if vector else 4)
         R = rng.normal(size=(tb.mesh.n_elems, nd, nd))
-        A = pattern.matrix(R @ R.transpose(0, 2, 1) + nd * np.eye(nd))
+        A = csr(pattern, pattern.assemble(R @ R.transpose(0, 2, 1) + nd * np.eye(nd)))
         dense = A.toarray()[np.ix_(layout.perm, layout.perm)]
         full, lower = _band_dense(layout, A)
         assert np.array_equal(full, dense)
@@ -345,11 +379,15 @@ class TestFactorization:
         assert np.array_equal(layout.rows[layout.diag], np.arange(n))
         assert np.array_equal(A.indices[layout.mirror], layout.rows[layout.tril])
         assert np.array_equal(layout.rows[layout.mirror], A.indices[layout.tril])
-        # a constrained operator is factorized through the slots it keeps
+        # a constrained operator keeps the pattern and factorizes in its layout
         dofs = rng.choice(n, n // 5, replace=False)
         bc = Dirichlet.on(pattern, dofs, np.zeros(dofs.size))
-        fixed = bc.matrix(A)
-        factor = Factorization(layout, bc.slots).factorize(fixed)
+        op = FieldOperator(pattern, layout)
+        fixed = apply_dirichlet(FieldSystem(pattern, A.data, np.zeros(n)), bc, op).matrix
+        full, lower = _band_dense(layout, fixed)
+        dense = fixed.toarray()[np.ix_(layout.perm, layout.perm)]
+        assert np.array_equal(full, dense) and np.array_equal(lower, np.tril(dense))
+        factor = Factorization(layout).factorize(fixed)
         assert factor.ipiv is None
         b = rng.normal(size=n)
         assert np.allclose(factor.solve(b), np.linalg.solve(fixed.toarray(), b), rtol=1e-10)

@@ -6,15 +6,16 @@ import pytest
 from thmfrac import constitutive as law
 from thmfrac import physics
 from thmfrac.constitutive import MaterialParams
-from thmfrac.fem import (Dirichlet, Factorization, apply_dirichlet, build_tables, gauss_2x2,
-                         shape_q4, solve_bound_constrained, solve_linear)
+from thmfrac.fem import (Dirichlet, Factorization, FieldOperator, SparseSystem, apply_dirichlet,
+                         build_tables, gauss_2x2, shape_q4, solve_bound_constrained,
+                         solve_linear)
 from thmfrac.mesh import RefineBand, generate_rect_mesh
 from thmfrac.physics import (build_flow_system, build_heat_system,
                              build_mechanics_system, build_phasefield_system,
-                             mechanics_branch_flags, mechanics_residual, scalar_qp,
+                             mechanics_branch_flags, scalar_qp,
                              strain_qp, strain_state, volumetric_strain_qp)
 
-from element_loop import assemble
+from element_loop import assemble, csr, matrix, mechanics_residual
 
 # ---------------------------------------------------------------------------
 # dense reference assemblies (independent loop-based implementations)
@@ -267,7 +268,7 @@ class TestMechanics:
         op = build_mechanics_system(tb, mp, v, flags)
         ref = dense_elastic_stiffness(mesh, plane_strain_C(mp))
         scale = np.abs(ref).max()
-        assert np.allclose(op.matrix.toarray(), ref, atol=1e-12 * scale)
+        assert np.allclose(csr(tb.vector_pattern, op.data).toarray(), ref, atol=1e-12 * scale)
 
     def test_jacobian_matches_finite_differences(self, small_setup, rng):
         mesh, tb, mp = small_setup
@@ -278,7 +279,7 @@ class TestMechanics:
         v = rng.uniform(0.3, 1.0, n)
         f_ext = np.zeros(2 * n)
         flags = mechanics_branch_flags(tb, mp, strain_state(tb, mp, u, v), T)
-        J = build_mechanics_system(tb, mp, v, flags).matrix.toarray()
+        J = csr(tb.vector_pattern, build_mechanics_system(tb, mp, v, flags).data).toarray()
         h = 1e-8
         fd = np.empty_like(J)
         for i in range(2 * n):
@@ -301,7 +302,7 @@ class TestFlow:
         u, p, T, v = _uniform_state(mesh, mp, p=2e5)
         system = build_flow_system(tb, mp, strain_state(tb, mp, u, v), p, T,
                                    volumetric_strain_qp(tb, u), p, T, dt=1.0)
-        assert np.allclose(system.matrix @ p - system.rhs, 0.0,
+        assert np.allclose(matrix(system) @ p - system.rhs, 0.0,
                            atol=1e-12 * np.abs(system.rhs).max())
 
     def test_pure_storage_backward_euler_update(self):
@@ -330,7 +331,7 @@ class TestFlow:
         for _ in range(30):                   # iterate lagged terms to the fixed point
             system = build_flow_system(tb, mp, strain_state(tb, mp, uvec, v), p, T, evol,
                                        p_prev, T, dt, source=source)
-            p = solve_linear(system)
+            p = solve_linear(SparseSystem(matrix(system), system.rhs))
         assert np.allclose(p, expect, rtol=1e-10)
 
     def test_uncoupled_reduces_to_transient_diffusion(self, rng):
@@ -353,7 +354,7 @@ class TestFlow:
         dense = (dense_scalar_mass(mesh, phi * mp.c_f / dt)
                  + dense_scalar_laplacian(mesh, mp.perm_m / mp.mu_f))
         scale = np.abs(dense).max()
-        assert np.allclose(system.matrix.toarray(), dense, atol=1e-12 * scale)
+        assert np.allclose(matrix(system).toarray(), dense, atol=1e-12 * scale)
         rhs_ref = dense_scalar_mass(mesh, phi * mp.c_f / dt) @ p_prev
         assert np.allclose(system.rhs, rhs_ref, atol=1e-12 * np.abs(rhs_ref).max())
 
@@ -363,7 +364,7 @@ class TestFlow:
         system = build_flow_system(tb, mp, strain_state(tb, mp, u, v), p, T,
                                    volumetric_strain_qp(tb, u), p, T, dt=1e30)
         dense = dense_scalar_laplacian(mesh, mp.perm_m / mp.mu_f)
-        assert np.allclose(system.matrix.toarray(), dense,
+        assert np.allclose(matrix(system).toarray(), dense,
                            atol=1e-10 * np.abs(dense).max())
 
     def test_jacobian_matches_finite_differences(self, small_setup, rng):
@@ -377,10 +378,10 @@ class TestFlow:
         v = rng.uniform(0.2, 1.0, n)
         system = build_flow_system(tb, mp, strain_state(tb, mp, u, v), p_it, T,
                                    volumetric_strain_qp(tb, u * 0.5), p_prev, T_prev, 0.5)
-        J = system.matrix.toarray()
+        J = matrix(system).toarray()
 
         def residual(p):
-            return system.matrix @ p - system.rhs
+            return matrix(system) @ p - system.rhs
 
         h = 1.0
         fd = np.empty_like(J)
@@ -408,7 +409,7 @@ class TestHeat:
         dense = dense_scalar_laplacian(mesh, lam)
         lumped = dense_scalar_mass(mesh, rhoc / dt).sum(axis=1)
         dense[np.arange(n), np.arange(n)] += lumped
-        assert np.allclose(system.matrix.toarray(), dense,
+        assert np.allclose(matrix(system).toarray(), dense,
                            atol=1e-12 * np.abs(dense).max())
 
     def test_uniform_temperature_zero_residual_despite_advection(self, small_setup):
@@ -419,7 +420,7 @@ class TestHeat:
         T = np.full(n, mp.T0 + 25.0)
         v = np.ones(n)
         system = build_heat_system(tb, mp, strain_state(tb, mp, u, v), p, T, dt=1.0)
-        r = system.matrix @ T - system.rhs
+        r = matrix(system) @ T - system.rhs
         assert np.abs(r).max() <= 1e-12 * np.abs(system.rhs).max()
 
     def test_stabilization_adds_scaled_isotropic_conductivity(self, small_setup):
@@ -436,7 +437,7 @@ class TestHeat:
         q = mp.perm_m / mp.mu_f * 1e9
         lam_add = 0.5 * mp.s_stab * q * mesh.h_e[0] * mp.rho_f * mp.c_pf
         dense = dense_scalar_laplacian(mesh, lam_add)
-        diff = (on.matrix - off.matrix).toarray()
+        diff = (matrix(on) - matrix(off)).toarray()
         assert np.allclose(diff, dense, rtol=1e-10)
 
     def test_conduction_operator_satisfies_max_principle(self, generic_params):
@@ -448,7 +449,7 @@ class TestHeat:
         n = mesh.n_nodes
         u, p, T, v = _uniform_state(mesh, mp)
         system = build_heat_system(tb, mp, strain_state(tb, mp, u, v), p, T, dt=10.0)
-        A = system.matrix.toarray()
+        A = matrix(system).toarray()
         off = A - np.diag(np.diag(A))
         assert off.max() <= 1e-12 * np.abs(A).max()
         assert np.linalg.inv(A).min() >= -1e-12
@@ -475,7 +476,8 @@ class TestHeat:
         right = mesh.boundary_nodes["right"]
         dofs = np.concatenate([left, right])
         vals = np.concatenate([np.full(left.size, 301.0), np.full(right.size, 300.0)])
-        fixed = apply_dirichlet(system, Dirichlet.on(tb.scalar_pattern, dofs, vals))
+        fixed = apply_dirichlet(system, Dirichlet.on(tb.scalar_pattern, dofs, vals),
+                                FieldOperator(tb.scalar_pattern, tb.scalar_layout))
         Tsol = solve_linear(fixed)
         row = mesh.boundary_nodes["bottom"]
         prof = Tsol[row]
@@ -501,7 +503,8 @@ class TestHeat:
         right = mesh.boundary_nodes["right"]
         dofs = np.concatenate([left, right])
         vals = np.concatenate([np.full(left.size, 301.0), np.full(right.size, 300.0)])
-        fixed = apply_dirichlet(system, Dirichlet.on(tb.scalar_pattern, dofs, vals))
+        fixed = apply_dirichlet(system, Dirichlet.on(tb.scalar_pattern, dofs, vals),
+                                FieldOperator(tb.scalar_pattern, tb.scalar_layout))
         A, b = fixed.matrix, fixed.rhs
         assert abs(A - A.T).max() > abs(A).max()
         gate = 1e-10 * np.linalg.norm(b)
@@ -520,7 +523,7 @@ class TestPhaseField:
         u, p, T, v = _uniform_state(mesh, mp)
         gc = np.full(mesh.n_elems, mp.Gc)
         system = build_phasefield_system(tb, mp, gc, u, p, T)
-        assert np.allclose(system.matrix @ np.ones(n) - system.rhs, 0.0,
+        assert np.allclose(matrix(system) @ np.ones(n) - system.rhs, 0.0,
                            atol=1e-12 * np.abs(system.rhs).max())
 
     def test_homogeneous_at2_stationary_point(self, generic_params):
@@ -538,7 +541,7 @@ class TestPhaseField:
         T = np.full(n, mp.T0)
         gc = np.full(mesh.n_elems, mp.Gc)
         system = build_phasefield_system(tb, mp, gc, u, p, T)
-        v_sol = solve_linear(system)
+        v_sol = solve_linear(SparseSystem(matrix(system), system.rhs))
         psi_plus, _ = law.energy_split_vd(np.array([exx, 0.0, 0.0]),
                                           mp.K_m, mp.mu_shear)
         drive = p_val * exx * (1 - mp.k_res) * (1 - mp.alpha_m)
@@ -559,7 +562,7 @@ class TestPhaseField:
         gc = np.full(mesh.n_elems, mp.Gc)
         sys_p = build_phasefield_system(tb, mp, gc, u, np.full(n, 5e6), T)
         sys_0 = build_phasefield_system(tb, mp, gc, u, np.zeros(n), T)
-        assert np.allclose(sys_p.matrix.toarray(), sys_0.matrix.toarray())
+        assert np.allclose(matrix(sys_p).toarray(), matrix(sys_0).toarray())
 
     def test_pressure_drive_is_the_law_coefficient(self, generic_params, rng):
         mp = generic_params
@@ -576,7 +579,7 @@ class TestPhaseField:
         assert np.any(drive != 0.0)
         ME = np.einsum("eq,qa,qb->eab", drive * tb.detJw, tb.N, tb.N)
         ref = assemble(mesh, lambda e: (ME[e], np.zeros(4))).matrix.toarray()
-        diff = (sys_p.matrix - sys_0.matrix).toarray()
+        diff = (matrix(sys_p) - matrix(sys_0)).toarray()
         assert np.allclose(diff, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
         assert np.array_equal(sys_p.rhs, sys_0.rhs)
 
@@ -589,11 +592,12 @@ class TestPhaseField:
         system = build_phasefield_system(tb, mp, np.full(mesh.n_elems, mp.Gc), u, p, T)
         lower, upper = np.zeros(n), np.ones(n)
         upper[mesh.boundary_nodes["left"]] = 0.0
-        x = solve_bound_constrained(system, lower, upper, np.full(n, 0.5))
+        x = solve_bound_constrained(SparseSystem(matrix(system), system.rhs), lower, upper,
+                                    np.full(n, 0.5))
         free = (x > lower) & (x < upper)
         act = ~free
         assert free.sum() > n // 2 and act.any()
-        A = system.matrix.toarray()
+        A = matrix(system).toarray()
         ref = np.linalg.solve(A[np.ix_(free, free)],
                               system.rhs[free] - A[np.ix_(free, act)] @ x[act])
         assert np.allclose(x[free], ref, rtol=1e-10, atol=0.0)
@@ -612,7 +616,7 @@ class TestPhaseField:
         # rhs integrates gamma/ell against the shape functions
         gamma = mp.Gc / (4 * mp.c_n)
         dense = dense_scalar_laplacian(mesh, 2 * gamma * mp.ell)
-        assert np.allclose(system.matrix.toarray(), dense,
+        assert np.allclose(matrix(system).toarray(), dense,
                            atol=1e-12 * np.abs(dense).max())
         areas = dense_scalar_mass(mesh, gamma / mp.ell).sum(axis=1)
         assert np.allclose(system.rhs, areas, rtol=1e-12)
@@ -625,15 +629,15 @@ class TestPhaseField:
         T = np.full(n, mp.T0)
         gc = np.full(mesh.n_elems, mp.Gc)
         system = build_phasefield_system(tb, mp, gc, u, p, T)
-        J = system.matrix.toarray()
+        J = matrix(system).toarray()
         v0 = rng.uniform(0.2, 0.9, n)
         h = 1e-6
         fd = np.empty_like(J)
         for i in range(n):
             e = np.zeros(n)
             e[i] = h
-            rp = system.matrix @ (v0 + e) - system.rhs
-            rm = system.matrix @ (v0 - e) - system.rhs
+            rp = matrix(system) @ (v0 + e) - system.rhs
+            rm = matrix(system) @ (v0 - e) - system.rhs
             fd[:, i] = (rp - rm) / (2 * h)
         assert np.abs(J - fd).max() <= 1e-5 * np.abs(J).max()
 
@@ -645,14 +649,14 @@ class TestPhaseField:
         T_prev = np.full(n, mp.T0) + rng.uniform(-5, 5, n)
         v = rng.uniform(0.2, 1.0, n)
         system = build_heat_system(tb, mp, strain_state(tb, mp, u, v), p, T_prev, dt=0.7)
-        J = system.matrix.toarray()
+        J = matrix(system).toarray()
         T0 = np.full(n, mp.T0)
         h = 1e-4
         fd = np.empty_like(J)
         for i in range(n):
             e = np.zeros(n)
             e[i] = h
-            rp = system.matrix @ (T0 + e) - system.rhs
-            rm = system.matrix @ (T0 - e) - system.rhs
+            rp = matrix(system) @ (T0 + e) - system.rhs
+            rm = matrix(system) @ (T0 - e) - system.rhs
             fd[:, i] = (rp - rm) / (2 * h)
         assert np.abs(J - fd).max() <= 1e-5 * np.abs(J).max()

@@ -8,7 +8,8 @@ import scipy.sparse as sp
 from thmfrac import analytic, fem, physics, staggered
 from thmfrac.constitutive import MaterialParams
 from thmfrac.errors import NonConvergence
-from thmfrac.fem import Dirichlet, Factorization, SparseSystem, build_tables, solve_linear
+from thmfrac.fem import (Dirichlet, Factorization, FieldOperator, FieldSystem, apply_dirichlet,
+                         build_tables, solve_linear)
 from thmfrac.mesh import generate_rect_mesh, nodes_on_segment
 from thmfrac.physics import (build_mechanics_system, mechanics_branch_flags, mechanics_rhs,
                              strain_state)
@@ -181,11 +182,13 @@ class TestTerzaghiFromRest:
 
 
 def _fresh_mechanics_solve(sim, v, p, T, h):
-    op = build_mechanics_system(sim.tables, sim.params, v, h)
-    bc = Dirichlet.on(sim.tables.vector_pattern, *sim.bc_u)
-    rhs = mechanics_rhs(sim.tables, sim.params, op, p, T, sim.f_ext)
-    factor = Factorization(sim.tables.vector_layout, bc.slots)
-    return solve_linear(SparseSystem(bc.matrix(op.matrix), bc.rhs(op.matrix, rhs)), factor)
+    tb = sim.tables
+    op = build_mechanics_system(tb, sim.params, v, h)
+    bc = Dirichlet.on(tb.vector_pattern, *sim.bc_u)
+    rhs = mechanics_rhs(tb, sim.params, op, p, T, sim.f_ext)
+    system = apply_dirichlet(FieldSystem(tb.vector_pattern, op.data, rhs), bc,
+                             FieldOperator(tb.vector_pattern, tb.vector_layout))
+    return solve_linear(system, Factorization(tb.vector_layout))
 
 
 class TestMechanicsOperatorLifetime:
@@ -197,11 +200,15 @@ class TestMechanicsOperatorLifetime:
         h = mechanics_branch_flags(sim.tables, sim.params, st, state.T)
         return sim, state, h, rng.uniform(0.0, 1e4, n)
 
-    def test_unchanged_operator_takes_no_new_factorization(self, rng, factorizations):
+    def test_unchanged_operator_takes_no_new_factorization(self, rng, factorizations,
+                                                           monkeypatch):
         sim, state, h, p = self._inputs(rng)
         u1 = sim._solve_u(state.v, state.p, state.T, h)
+        lift = sim._mech_lift
+        # an unchanged operator is neither eliminated nor lifted (A @ g) again
+        monkeypatch.setattr(staggered, "eliminate", None)
         u2 = sim._solve_u(state.v.copy(), p, state.T, h.copy())
-        assert len(factorizations) == 1
+        assert len(factorizations) == 1 and sim._mech_lift is lift
         assert not np.array_equal(u1, u2)
         assert np.array_equal(u2, _fresh_mechanics_solve(sim, state.v, p, state.T, h))
 
@@ -283,11 +290,33 @@ class TestSparseStructureDecidedOnce:
 
         monkeypatch.setattr(fem, "csr_pattern", rebuilt)
         monkeypatch.setattr(fem, "band_layout", rebuilt)
+        # no Dirichlet mask is resolved and no operator storage is built again
         monkeypatch.setattr(fem.Dirichlet, "on", rebuilt)
+        monkeypatch.setattr(fem.FieldOperator, "__init__", rebuilt)
         for cls in (sp.csr_matrix, sp.csc_matrix):
             monkeypatch.setattr(cls, "eliminate_zeros", rebuilt)
         _, report = sim.time_step(state, dt, cfg.controls)
         assert sum(report.inner_iters) > 1
+
+
+class TestNoSparseObjectPerSubSolve:
+    @pytest.mark.parametrize("setup", [_thermal_column, _small_kgd],
+                             ids=["thermal_column", "small_kgd"])
+    def test_a_second_step_builds_no_sparse_matrix(self, setup, sparse_constructions,
+                                                   monkeypatch):
+        cfg, sim, dt = setup()
+        state, _ = sim.time_step(sim.initial_state(), dt, cfg.controls)
+        assert sparse_constructions            # the first step builds the storage
+        sparse_constructions.clear()
+        box_solves = []
+        solve = staggered.solve_bound_constrained
+        monkeypatch.setattr(staggered, "solve_bound_constrained",
+                            lambda *args: box_solves.append(1) or solve(*args))
+        _, report = sim.time_step(state, dt, cfg.controls)
+        assert sum(report.inner_iters) > 1
+        assert sparse_constructions == []
+        # on the KGD mesh the step includes the phase-field active-set loop
+        assert bool(box_solves) == sim.solve_phasefield
 
 
 class TestBandLayouts:
