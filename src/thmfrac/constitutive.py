@@ -10,6 +10,12 @@ Phase field convention: v = 1 intact, v = 0 fully broken. The Heaviside
 flag ``tr_sign`` is H(Tr eps_e) (1 for opening, 0 for closing), formed by
 ``thermoelastic_split`` only and shared by the stiffness, Biot coefficient
 and storage derivatives.
+
+Each law has one evaluation. ``degraded_moduli`` evaluates g(v) once for a
+(v, tr_sign) pair and returns the record that the stiffness, K_eff, Biot's
+coefficient and the damage-driven porosity all read. ``permeability``
+forms the crack projector I - n n from the principal strains, without
+the eigenvector n.
 """
 
 from __future__ import annotations
@@ -179,26 +185,35 @@ def energy_split_vd(eps_e, K_m: float, mu_shear: float, eps_zz=0.0):
 
 
 # ---------------------------------------------------------------------------
-# effective stiffness and stresses
+# degraded moduli and effective stiffness
 # ---------------------------------------------------------------------------
 
-def bulk_fraction(v, tr_sign, k_res: float):
-    """K_eff / K_m = g(v) H(+) + H(-); Biot's coefficient and the
-    damage-driven porosity follow from this one fraction."""
+@dataclass
+class DegradedModuli:
+    """The moduli fixed by one (v, tr_sign) pair (fields broadcast together)."""
+
+    g: np.ndarray               # degradation g(v)
+    frac: np.ndarray            # K_eff / K_m = g(v) H(+) + H(-)
+    K_eff: np.ndarray           # effective bulk modulus
+    alpha: np.ndarray           # Biot's coefficient 1 - K_eff / K_s, in [alpha_m, 1]
+
+
+def degraded_moduli(v, tr_sign, params: MaterialParams) -> DegradedModuli:
+    """Evaluate g(v) once and the laws it fixes at the flag H(Tr eps_e).
+
+    K_eff = [g(v) H(+) + H(-)] K_m, and Biot's coefficient
+    alpha(v) = 1 - K_eff / K_s = 1 - [g(v) H(+) + H(-)] (1 - alpha_m).
+    """
+    g = degradation(v, params.k_res)
     h = np.asarray(tr_sign, dtype=float)
-    return degradation(v, k_res) * h + (1.0 - h)
+    frac = g * h + (1.0 - h)
+    return DegradedModuli(g=g, frac=frac, K_eff=frac * params.K_m,
+                          alpha=1.0 - frac * (1.0 - params.alpha_m))
 
 
-def effective_bulk(v, tr_sign, params: MaterialParams):
-    """K_eff = [g(v) H(+) + H(-)] K_m."""
-    return bulk_fraction(v, tr_sign, params.k_res) * params.K_m
-
-
-def effective_stiffness(v, tr_sign, params: MaterialParams) -> np.ndarray:
+def effective_stiffness(moduli: DegradedModuli, params: MaterialParams) -> np.ndarray:
     """Plane-strain Voigt tangent 3 K_eff J + 2 g(v) mu K, shape (..., 3, 3)."""
-    K_eff = effective_bulk(v, tr_sign, params)
-    gm = degradation(v, params.k_res) * params.mu_shear
-    K_eff, gm = np.broadcast_arrays(K_eff, gm)
+    K_eff, gm = np.broadcast_arrays(moduli.K_eff, moduli.g * params.mu_shear)
     C = np.zeros(K_eff.shape + (3, 3))
     C[..., 0, 0] = K_eff + 4.0 * gm / 3.0
     C[..., 1, 1] = K_eff + 4.0 * gm / 3.0
@@ -206,23 +221,6 @@ def effective_stiffness(v, tr_sign, params: MaterialParams) -> np.ndarray:
     C[..., 1, 0] = K_eff - 2.0 * gm / 3.0
     C[..., 2, 2] = gm
     return C
-
-
-def effective_stress(eps_e, v, tr_sign, params: MaterialParams, eps_zz=0.0) -> np.ndarray:
-    """In-plane Voigt effective stress K_eff tr(eps_e) I + 2 g mu dev(eps_e)."""
-    eps_e = np.asarray(eps_e, dtype=float)
-    tr = trace2(eps_e) + eps_zz
-    K_eff = effective_bulk(v, tr_sign, params)
-    gm = degradation(v, params.k_res) * params.mu_shear
-    sxx = K_eff * tr + 2.0 * gm * (eps_e[..., 0] - tr / 3.0)
-    syy = K_eff * tr + 2.0 * gm * (eps_e[..., 1] - tr / 3.0)
-    sxy = gm * eps_e[..., 2]
-    return np.stack([sxx, syy, sxy], axis=-1)
-
-
-def biot_coefficient(v, tr_sign, params: MaterialParams):
-    """alpha(v) = 1 - K_eff / K_s = 1 - [g(v) H(+) + H(-)] (1 - alpha_m), in [alpha_m, 1]."""
-    return 1.0 - bulk_fraction(v, tr_sign, params.k_res) * (1.0 - params.alpha_m)
 
 
 def thermoelastic_split(eps, dT, alpha_s: float):
@@ -257,66 +255,47 @@ def principal_strains(eps):
     return c + r, c - r
 
 
-def crack_normal(eps, e1, e2) -> np.ndarray:
-    """Unit eigenvector of the largest principal strain, shape (..., 2).
-
-    ``e1, e2`` are the ``principal_strains`` of ``eps``. Deterministic sign
-    (first nonzero component positive); degenerate (isotropic) states,
-    e1 - e2 <= 1e-12, return (1, 0).
-    """
-    eps = np.asarray(eps, dtype=float)
-    exx, eyy, exy = eps[..., 0], eps[..., 1], 0.5 * eps[..., 2]
-    degen = (e1 - e2) <= 1e-12
-    # two candidate (unnormalized) eigenvectors; pick the better conditioned
-    vx_a, vy_a = e1 - eyy, exy
-    vx_b, vy_b = exy, e1 - exx
-    use_a = np.hypot(vx_a, vy_a) >= np.hypot(vx_b, vy_b)
-    vx = np.where(use_a, vx_a, vx_b)
-    vy = np.where(use_a, vy_a, vy_b)
-    norm = np.hypot(vx, vy)
-    norm = np.where(norm == 0.0, 1.0, norm)
-    vx, vy = vx / norm, vy / norm
-    # sign convention: first nonzero component positive
-    flip = np.where(np.abs(vx) > 1e-14, vx < 0.0, vy < 0.0)
-    vx = np.where(flip, -vx, vx)
-    vy = np.where(flip, -vy, vy)
-    vx = np.where(degen, 1.0, vx)
-    vy = np.where(degen, 0.0, vy)
-    return np.stack([vx, vy], axis=-1)
-
-
 def fracture_width(e1, h_e):
     """Smeared aperture w = h_e <e1>+ from the largest principal strain."""
     return np.asarray(h_e, dtype=float) * np.maximum(e1, 0.0)
 
 
-def porosity(e1, params: MaterialParams, v=None, tr_sign=None):
+def porosity(e1, params: MaterialParams, moduli: DegradedModuli | None = None):
     """Porosity update of ``params.porosity_variant``, clamped to [phi_m, 1].
 
     "phi1": phi_m + <e1>+, with e1 the largest principal total strain;
     independent of the phase field and of the regularization length by
     construction.
-    "phi0": damage-driven 1 - [g(v) H(+) + H(-)](1 - phi_m).
+    "phi0": damage-driven 1 - [g(v) H(+) + H(-)](1 - phi_m), read from the
+    ``degraded_moduli`` record ``moduli``.
     """
     if params.porosity_variant == "phi1":
         phi = params.phi_m + np.maximum(e1, 0.0)
     else:
-        if v is None or tr_sign is None:
-            raise ValueError("phi0 variant needs v and tr_sign")
-        phi = 1.0 - bulk_fraction(v, tr_sign, params.k_res) * (1.0 - params.phi_m)
+        if moduli is None:
+            raise ValueError("phi0 variant needs the degraded moduli")
+        phi = 1.0 - moduli.frac * (1.0 - params.phi_m)
     return np.clip(phi, params.phi_m, 1.0)
 
 
-def permeability(v, width, normal, params: MaterialParams) -> np.ndarray:
-    """K = perm_m I + (1-v)^xi (w^2/12)(I - n x n), shape (..., 2, 2)."""
+def permeability(v, width, eps, e1, e2, params: MaterialParams) -> np.ndarray:
+    """K = perm_m I + (1-v)^xi (w^2/12)(I - n x n), shape (..., 2, 2).
+
+    n is the unit eigenvector of the largest principal strain e1 of the
+    Voigt strain ``eps``, and I - n x n is the spectral projector
+    (e1 I - eps)/(e1 - e2) onto the crack plane. Degenerate (isotropic)
+    states, e1 - e2 <= 1e-12, take n = (1, 0).
+    """
     v = np.clip(np.asarray(v, dtype=float), 0.0, 1.0)
     w = np.asarray(width, dtype=float)
-    n = np.asarray(normal, dtype=float)
+    eps = np.asarray(eps, dtype=float)
     enh = (1.0 - v) ** params.xi * (w * w / 12.0)
-    nx, ny = n[..., 0], n[..., 1]
-    kxx = params.perm_m + enh * (1.0 - nx * nx)
-    kyy = params.perm_m + enh * (1.0 - ny * ny)
-    kxy = enh * (-nx * ny)
+    gap = e1 - e2
+    degen = gap <= 1e-12
+    scale = enh / np.where(degen, 1.0, gap)
+    kxx = params.perm_m + np.where(degen, 0.0, scale * (e1 - eps[..., 0]))
+    kyy = params.perm_m + np.where(degen, enh, scale * (e1 - eps[..., 1]))
+    kxy = np.where(degen, 0.0, scale * (-0.5 * eps[..., 2]))
     out = np.empty(np.broadcast(kxx, kyy).shape + (2, 2))
     out[..., 0, 0] = kxx
     out[..., 1, 1] = kyy
@@ -360,19 +339,16 @@ def conductivity_eff(phi, params: MaterialParams):
     return phi * params.lambda_f + (1.0 - phi) * params.lambda_s
 
 
-def stabilization_diffusivity(q_norm, h_e, s_stab: float):
-    """Balancing isotropic dissipation 1/2 s ||q|| h_e [m^2/s]."""
-    return 0.5 * s_stab * np.asarray(q_norm, dtype=float) * np.asarray(h_e, dtype=float)
-
-
 def stabilization_conductivity(q_norm, h_e, params: MaterialParams):
-    """Added conductivity: the balancing dissipation scaled by rho_f c_pf.
+    """Added conductivity 1/2 s ||q|| h_e rho_f c_pf.
 
     The advective coefficient in the heat balance is rho_f c_pf q_f, so the
-    dissipation 1/2 s ||q|| h_e (a diffusivity) enters the conduction term
-    multiplied by the advecting fluid's volumetric heat capacity.
+    balancing dissipation 1/2 s ||q|| h_e (a diffusivity [m^2/s]) enters the
+    conduction term multiplied by the advecting fluid's volumetric heat
+    capacity.
     """
-    return stabilization_diffusivity(q_norm, h_e, params.s_stab) * params.rho_f * params.c_pf
+    return (0.5 * params.s_stab * np.asarray(q_norm, dtype=float)
+            * np.asarray(h_e, dtype=float) * params.rho_f * params.c_pf)
 
 
 def biot_modulus_pressure_drive(eps_vol, p, tr_sign, params: MaterialParams):
@@ -396,12 +372,19 @@ def strain_state(eps, h_e, v, params: MaterialParams) -> StrainState:
     eps = np.asarray(eps, dtype=float)
     e1, e2 = principal_strains(eps)
     width = fracture_width(e1, h_e)
-    perm = permeability(v, width, crack_normal(eps, e1, e2), params)
+    perm = permeability(v, width, eps, e1, e2, params)
     return StrainState(eps=eps, v=v, e1=e1, width=width, perm=perm, eps_vol=trace2(eps))
 
 
 def branch_porosity(st: StrainState, dT, params: MaterialParams):
     """H(Tr eps_e) of ``st`` at temperature offset ``dT`` and the porosity of
-    ``params.porosity_variant`` at that flag."""
+    ``params.porosity_variant`` at that flag.
+
+    The degraded moduli are evaluated only where the porosity law reads
+    them ("phi0"); a kernel that needs them too forms the flag, the record
+    and the porosity itself, so g(v) is evaluated once.
+    """
     tr_sign = thermoelastic_split(st.eps, dT, params.alpha_s)[3]
-    return tr_sign, porosity(st.e1, params, v=st.v, tr_sign=tr_sign)
+    moduli = (degraded_moduli(st.v, tr_sign, params)
+              if params.porosity_variant == "phi0" else None)
+    return tr_sign, porosity(st.e1, params, moduli)

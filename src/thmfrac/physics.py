@@ -11,7 +11,7 @@ data on the field's pattern (linear once the lagged quantities are frozen):
 * flow         — backward-Euler mass balance with the fixed-stress
   relaxation terms and the lagged volumetric strain increment on the
   right-hand side. The thermal relaxation term is currently zero, because
-  heat is solved before flow within an iterate (ROADMAP open item 1);
+  heat is solved before flow within an iterate (ROADMAP open item 2);
 * mechanics    — degraded effective stress with pressure and thermal
   contributions moved to the right-hand side. Its operator depends only
   on (v, branch flags) and is built apart from the right-hand side, so a
@@ -149,13 +149,13 @@ def mechanics_branch_flags(tables: ElementTables, params: MaterialParams,
 @dataclass
 class MechanicsOperator:
     """Stiffness at a frozen (v, branch flags) pair as data on the vector
-    pattern, and the qp coefficients the right-hand side of that state reuses."""
+    pattern, and the (E, 4) degraded moduli the right-hand side of that
+    state reuses."""
 
     v: np.ndarray
     tr_sign: np.ndarray
     data: np.ndarray
-    alpha: np.ndarray      # (E, 4) Biot coefficient
-    K_eff: np.ndarray      # (E, 4) effective bulk modulus
+    moduli: law.DegradedModuli
 
     def matches(self, v: np.ndarray, tr_sign: np.ndarray) -> bool:
         return np.array_equal(v, self.v) and np.array_equal(tr_sign, self.tr_sign)
@@ -170,12 +170,10 @@ def build_mechanics_system(tables: ElementTables, params: MaterialParams,
     broken cells otherwise chatter between the stiff closed and compliant
     open branch from one iterate to the next. ``mechanics_rhs`` builds f.
     """
-    v_qp = scalar_qp(tables, v)
-    KE = _stiffness(tables, law.effective_stiffness(v_qp, tr_sign, params))
+    moduli = law.degraded_moduli(scalar_qp(tables, v), tr_sign, params)
+    KE = _stiffness(tables, law.effective_stiffness(moduli, params))
     return MechanicsOperator(v=v.copy(), tr_sign=tr_sign.copy(),
-                             data=tables.vector_pattern.assemble(KE),
-                             alpha=law.biot_coefficient(v_qp, tr_sign, params),
-                             K_eff=law.effective_bulk(v_qp, tr_sign, params))
+                             data=tables.vector_pattern.assemble(KE), moduli=moduli)
 
 
 def mechanics_rhs(tables: ElementTables, params: MaterialParams, op: MechanicsOperator,
@@ -184,7 +182,7 @@ def mechanics_rhs(tables: ElementTables, params: MaterialParams, op: MechanicsOp
     p_qp = scalar_qp(tables, p)
     dT_qp = scalar_qp(tables, T) - params.T0
     # the rhs stress is isotropic: (alpha p + 3 K_eff alpha_s dT) I
-    s = op.alpha * p_qp + 3.0 * op.K_eff * params.alpha_s * dT_qp
+    s = op.moduli.alpha * p_qp + 3.0 * op.moduli.K_eff * params.alpha_s * dT_qp
     rhs = scatter_vector(tables, _apply(tables.divergence_table, s), vector=True)
     rhs += f_ext
     return rhs
@@ -207,7 +205,7 @@ def build_flow_system(tables: ElementTables, params: MaterialParams,
     increment and nodal sources. The relaxation history has a pressure
     term only: its thermal term 3 alpha alpha_s (T_new - T_it)/dt is zero
     and is left out, because heat is solved before flow within an iterate
-    and T_it = T_new (ROADMAP open item 1).
+    and T_it = T_new (ROADMAP open item 2).
 
     ``st`` is the ``strain_state`` of the (u, v) iterate, evaluated here at
     T_new. ``evol_prev`` is ``volumetric_strain_qp`` of the previous step's
@@ -215,12 +213,12 @@ def build_flow_system(tables: ElementTables, params: MaterialParams,
     the step's inner passes.
     """
     T_new_qp = scalar_qp(tables, T_new)
-    tr_sign, phi = law.branch_porosity(st, T_new_qp - params.T0, params)
-    frac = law.bulk_fraction(st.v, tr_sign, params.k_res)
-    K_eff = frac * params.K_m                           # law.effective_bulk
+    tr_sign = law.thermoelastic_split(st.eps, T_new_qp - params.T0, params.alpha_s)[3]
+    moduli = law.degraded_moduli(st.v, tr_sign, params)
+    phi = law.porosity(st.e1, params, moduli)
+    K_eff, alpha = moduli.K_eff, moduli.alpha
     if np.any(K_eff <= 0.0) or not np.all(np.isfinite(K_eff)):
         raise InvariantViolation("non-positive effective bulk modulus in flow kernel")
-    alpha = 1.0 - frac * (1.0 - params.alpha_m)         # law.biot_coefficient
     inv_Mp = law.biot_modulus_inv(phi, alpha, params)
     inv_MT = law.thermal_storage_inv(phi, alpha, params)
 

@@ -1,8 +1,9 @@
 """Reference implementations the fast paths are tested against: element-loop
 assembly, Dirichlet elimination as a gather into the reduced structure of
-the constrained operator, and the mechanics residual whose Jacobian the
-mechanics operator is. Also small helpers that turn operator data on a
-pattern into scipy matrices."""
+the constrained operator, the mechanics residual whose Jacobian the
+mechanics operator is, and the fracture permeability from the crack
+normal. Also small helpers that turn operator data on a pattern into
+scipy matrices."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -80,14 +81,63 @@ def reduced_factor(pattern, layout, A, slots) -> Factorization:
     return Factorization(layout).factorize(csr(pattern, full))
 
 
+def effective_stress(eps_e, moduli, params, eps_zz=0.0) -> np.ndarray:
+    """In-plane Voigt effective stress K_eff tr(eps_e) I + 2 g mu dev(eps_e)
+    of the ``law.degraded_moduli`` record ``moduli``."""
+    eps_e = np.asarray(eps_e, dtype=float)
+    tr = law.trace2(eps_e) + eps_zz
+    gm = moduli.g * params.mu_shear
+    sxx = moduli.K_eff * tr + 2.0 * gm * (eps_e[..., 0] - tr / 3.0)
+    syy = moduli.K_eff * tr + 2.0 * gm * (eps_e[..., 1] - tr / 3.0)
+    sxy = gm * eps_e[..., 2]
+    return np.stack([sxx, syy, sxy], axis=-1)
+
+
 def mechanics_residual(tables, params, u, v, p, T, f_ext) -> np.ndarray:
     """Internal force of the evaluated stress state minus external loads."""
-    v_qp = scalar_qp(tables, v)
     p_qp = scalar_qp(tables, p)
     dT_qp = scalar_qp(tables, T) - params.T0
     eps_e, ezz, _, h = law.thermoelastic_split(strain_qp(tables, u), dT_qp, params.alpha_s)
-    sig = law.effective_stress(eps_e, v_qp, h, params, eps_zz=ezz)
-    alpha = law.biot_coefficient(v_qp, h, params)
-    sig = sig - (alpha * p_qp)[..., None] * _VOIGT_ID
+    moduli = law.degraded_moduli(scalar_qp(tables, v), h, params)
+    sig = effective_stress(eps_e, moduli, params, eps_zz=ezz)
+    sig = sig - (moduli.alpha * p_qp)[..., None] * _VOIGT_ID
     FE = np.einsum("eqsa,eqs->ea", tables.B, sig * tables.detJw[..., None])
     return scatter_vector(tables, FE, vector=True) - f_ext
+
+
+def crack_normal(eps, e1, e2) -> np.ndarray:
+    """Unit eigenvector of the largest principal strain, shape (..., 2).
+
+    ``e1, e2`` are the ``law.principal_strains`` of ``eps``. Deterministic
+    sign (first nonzero component positive); degenerate (isotropic) states,
+    e1 - e2 <= 1e-12, return (1, 0).
+    """
+    eps = np.asarray(eps, dtype=float)
+    exx, eyy, exy = eps[..., 0], eps[..., 1], 0.5 * eps[..., 2]
+    degen = (e1 - e2) <= 1e-12
+    # two candidate (unnormalized) eigenvectors; pick the better conditioned
+    vx_a, vy_a = e1 - eyy, exy
+    vx_b, vy_b = exy, e1 - exx
+    use_a = np.hypot(vx_a, vy_a) >= np.hypot(vx_b, vy_b)
+    vx = np.where(use_a, vx_a, vx_b)
+    vy = np.where(use_a, vy_a, vy_b)
+    norm = np.hypot(vx, vy)
+    norm = np.where(norm == 0.0, 1.0, norm)
+    vx, vy = vx / norm, vy / norm
+    # sign convention: first nonzero component positive
+    flip = np.where(np.abs(vx) > 1e-14, vx < 0.0, vy < 0.0)
+    vx = np.where(flip, -vx, vx)
+    vy = np.where(flip, -vy, vy)
+    vx = np.where(degen, 1.0, vx)
+    vy = np.where(degen, 0.0, vy)
+    return np.stack([vx, vy], axis=-1)
+
+
+def permeability_from_normal(v, width, normal, params) -> np.ndarray:
+    """K = perm_m I + (1-v)^xi (w^2/12)(I - n x n) from the crack normal n."""
+    v = np.clip(np.asarray(v, dtype=float), 0.0, 1.0)
+    w = np.asarray(width, dtype=float)
+    n = np.asarray(normal, dtype=float)
+    enh = (1.0 - v) ** params.xi * (w * w / 12.0)
+    P = np.eye(2) - n[..., :, None] * n[..., None, :]
+    return params.perm_m * np.eye(2) + enh[..., None, None] * P

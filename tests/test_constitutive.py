@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import random_strain
+from element_loop import crack_normal, permeability_from_normal
 from thmfrac import constitutive as law
 from thmfrac.constitutive import MaterialParams
 from thmfrac.errors import InvariantViolation
@@ -18,6 +20,14 @@ def dense_stiffness(K_m, mu, g=1.0, K_eff=None):
         [K - 2.0 * gm / 3.0, K + 4.0 * gm / 3.0, 0.0],
         [0.0, 0.0, gm],
     ])
+
+
+def stiffness(v, h, mp):
+    return law.effective_stiffness(law.degraded_moduli(v, h, mp), mp)
+
+
+def biot(v, h, mp):
+    return law.degraded_moduli(v, h, mp).alpha
 
 
 class TestMaterialParams:
@@ -117,46 +127,46 @@ class TestEnergySplit:
 class TestEffectiveStiffness:
     def test_intact_recovers_base_stiffness(self, generic_params):
         mp = generic_params
-        C = law.effective_stiffness(1.0, 1.0, mp)
+        C = stiffness(1.0, 1.0, mp)
         assert np.allclose(C, dense_stiffness(mp.K_m, mp.mu_shear), rtol=1e-12)
 
     def test_fully_degraded_tension(self):
         mp = MaterialParams(E=1e9, nu=0.2, k_res=1e-15)
-        C = law.effective_stiffness(0.0, 1.0, mp)
+        C = stiffness(0.0, 1.0, mp)
         assert np.all(np.abs(C) <= 1e-14 * mp.K_m)
 
     def test_compression_keeps_volumetric_stiffness(self):
         mp = MaterialParams(E=1e9, nu=0.2, k_res=1e-15)
-        C = law.effective_stiffness(0.0, 0.0, mp)
+        C = stiffness(0.0, 0.0, mp)
         expect = dense_stiffness(mp.K_m, mp.mu_shear, g=0.0, K_eff=mp.K_m)
         assert np.allclose(C, expect, atol=1e-6)
 
     def test_spd_for_positive_residual(self, rng, generic_params):
         for v in rng.uniform(0.0, 1.0, 16):
             for h in (0.0, 1.0):
-                C = law.effective_stiffness(v, h, generic_params)
+                C = stiffness(v, h, generic_params)
                 assert np.all(np.linalg.eigvalsh(C) > 0.0)
 
 
 class TestBiotCoefficient:
     def test_fully_damaged_open_is_one(self):
         mp = MaterialParams(E=1e9, nu=0.2, alpha_m=0.6, k_res=1e-15)
-        assert law.biot_coefficient(0.0, 1.0, mp) == pytest.approx(1.0)
+        assert biot(0.0, 1.0, mp) == pytest.approx(1.0)
 
     def test_closed_fracture_keeps_matrix_value(self, rng):
         mp = MaterialParams(E=1e9, nu=0.2, alpha_m=0.6)
         for v in rng.uniform(0.0, 1.0, 8):
-            assert law.biot_coefficient(v, 0.0, mp) == pytest.approx(0.6)
+            assert biot(v, 0.0, mp) == pytest.approx(0.6)
 
     def test_intact_limit(self):
         mp = MaterialParams(E=1e9, nu=0.2, alpha_m=0.6)
-        assert law.biot_coefficient(1.0, 1.0, mp) == pytest.approx(0.6, rel=1e-6)
+        assert biot(1.0, 1.0, mp) == pytest.approx(0.6, rel=1e-6)
 
     def test_bounds_on_both_branches(self, rng, generic_params):
         mp = generic_params
         v = rng.uniform(0.0, 1.0, 128)
         for h in (0.0, 1.0):
-            a = law.biot_coefficient(v, h, mp)
+            a = biot(v, h, mp)
             assert np.all(a >= mp.alpha_m - 1e-12)
             assert np.all(a <= 1.0 + 1e-12)
 
@@ -165,10 +175,11 @@ class TestBiotCoefficient:
         # alpha and the damage-driven porosity follow from K_eff alone
         mp = MaterialParams(E=1e9, nu=0.2, alpha_m=0.6, phi_m=0.1, porosity_variant="phi0")
         v = rng.uniform(0.0, 1.0, 64)
-        K_eff = law.effective_bulk(v, h, mp)
-        assert np.allclose(law.biot_coefficient(v, h, mp), 1.0 - K_eff / mp.K_s,
+        moduli = law.degraded_moduli(v, h, mp)
+        K_eff = moduli.K_eff
+        assert np.allclose(moduli.alpha, 1.0 - K_eff / mp.K_s,
                            rtol=1e-12, atol=0.0)
-        phi = law.porosity(np.zeros_like(v), mp, v=v, tr_sign=h)
+        phi = law.porosity(np.zeros_like(v), mp, moduli)
         assert np.allclose(phi, 1.0 - (K_eff / mp.K_m) * (1.0 - mp.phi_m),
                            rtol=1e-12, atol=0.0)
         if h == 0.0:
@@ -176,7 +187,7 @@ class TestBiotCoefficient:
 
 
 def normal_of(eps):
-    return law.crack_normal(eps, *law.principal_strains(eps))
+    return crack_normal(eps, *law.principal_strains(eps))
 
 
 def e1_of(eps):
@@ -200,7 +211,7 @@ class TestCrackNormal:
             e1, e2 = law.principal_strains(eps)
             if e1 - e2 < 1e-9:
                 continue
-            n = law.crack_normal(eps, e1, e2)
+            n = crack_normal(eps, e1, e2)
             mat = np.array([[eps[0], eps[2] / 2], [eps[2] / 2, eps[1]]])
             w, vecs = np.linalg.eigh(mat)
             assert e1 == pytest.approx(w[1], rel=1e-10, abs=1e-15)
@@ -224,43 +235,90 @@ class TestWidthAndPorosity:
     def test_porosity_phi0_fully_damaged_tension(self):
         mp = MaterialParams(E=1e9, nu=0.2, alpha_m=0.6, phi_m=0.3, k_res=1e-15,
                             porosity_variant="phi0")
-        phi = law.porosity(e1_of(np.zeros(3)), mp, v=0.0, tr_sign=1.0)
+        phi = law.porosity(e1_of(np.zeros(3)), mp, law.degraded_moduli(0.0, 1.0, mp))
         assert phi == pytest.approx(1.0, abs=1e-12)
 
     def test_phi1_independent_of_v_and_ell(self, rng):
         e1 = e1_of(random_strain(rng, n=16))
         base = MaterialParams(E=1e9, nu=0.2, alpha_m=0.6, phi_m=0.2, ell=0.1)
         other = MaterialParams(E=1e9, nu=0.2, alpha_m=0.6, phi_m=0.2, ell=3.7)
-        ref = law.porosity(e1, base, v=1.0, tr_sign=1.0)
+        ref = law.porosity(e1, base, law.degraded_moduli(1.0, 1.0, base))
         for v in (0.0, 0.3, 1.0):
-            assert np.array_equal(law.porosity(e1, base, v=v, tr_sign=0.0), ref)
+            assert np.array_equal(
+                law.porosity(e1, base, law.degraded_moduli(v, 0.0, base)), ref)
         assert np.array_equal(law.porosity(e1, other), ref)
+
+
+def permeability_of(v, width, eps, mp):
+    return law.permeability(v, width, eps, *law.principal_strains(eps), mp)
 
 
 class TestPermeability:
     def test_intact_is_matrix_permeability(self, generic_params):
-        K = law.permeability(1.0, 1e-4, np.array([0.0, 1.0]), generic_params)
+        K = permeability_of(1.0, 1e-4, np.array([0.0, 1e-3, 0.0]), generic_params)
         assert np.allclose(K, generic_params.perm_m * np.eye(2))
 
     def test_poiseuille_enhancement(self):
         mp = MaterialParams(E=1e9, nu=0.2, perm_m=1e-16, xi=1.0)
-        K = law.permeability(0.0, 1e-4, np.array([0.0, 1.0]), mp)
+        K = permeability_of(0.0, 1e-4, np.array([0.0, 1e-3, 0.0]), mp)
         assert K[0, 0] == pytest.approx(1e-16 + (1e-4) ** 2 / 12.0)
         assert K[1, 1] == pytest.approx(1e-16)
         assert K[0, 1] == 0.0
 
     def test_zero_width_no_enhancement(self, generic_params):
-        K = law.permeability(0.0, 0.0, np.array([1.0, 0.0]), generic_params)
+        K = permeability_of(0.0, 0.0, np.array([1e-3, 0.0, 0.0]), generic_params)
         assert np.allclose(K, generic_params.perm_m * np.eye(2))
 
     def test_spd_with_floor_at_matrix_permeability(self, rng, generic_params):
         for _ in range(64):
-            n = normal_of(random_strain(rng))
-            K = law.permeability(rng.uniform(0, 1), rng.uniform(0, 1e-3), n,
-                                 generic_params)
+            K = permeability_of(rng.uniform(0, 1), rng.uniform(0, 1e-3),
+                                random_strain(rng), generic_params)
             ev = np.linalg.eigvalsh(K)
             slack = 1e-12 * np.linalg.norm(K)  # eigensolver roundoff scale
             assert np.all(ev >= generic_params.perm_m - slack)
+
+    def _check_against_normal(self, rng, eps, mp):
+        n = eps.shape[0]
+        v = rng.uniform(0.0, 1.0, n)
+        width = rng.uniform(0.0, 1e-3, n)
+        e1, e2 = law.principal_strains(eps)
+        K = law.permeability(v, width, eps, e1, e2, mp)
+        ref = permeability_from_normal(v, width, crack_normal(eps, e1, e2), mp)
+        enh = (1.0 - v) ** mp.xi * width * width / 12.0
+        assert np.all(np.abs(K - ref) <= 1e-12 * enh[:, None, None])
+
+    def test_matches_crack_normal_form(self, rng, generic_params):
+        self._check_against_normal(rng, random_strain(rng, n=512), generic_params)
+
+    def test_matches_crack_normal_form_near_degenerate(self, rng, generic_params):
+        # a large isotropic part with a small deviator (gap 1e-2 of the
+        # strain), and strains of the size of the degeneracy threshold itself
+        n = 512
+        iso = rng.uniform(-1e-3, 1e-3, (n, 1)) * np.array([1.0, 1.0, 0.0])
+        self._check_against_normal(rng, iso + random_strain(rng, 1e-5, n),
+                                   generic_params)
+        self._check_against_normal(rng, random_strain(rng, 1e-11, n), generic_params)
+
+    def test_isotropic_strain_takes_x_normal(self, generic_params):
+        # exactly isotropic: e1 = e2, the gap is 0 and n = (1, 0) by convention
+        mp = generic_params
+        for eps in (np.zeros(3), np.array([1e-3, 1e-3, 0.0])):
+            K = permeability_of(0.0, 1e-4, eps, mp)
+            enh = (1e-4) ** 2 / 12.0
+            assert np.all(np.isfinite(K))
+            assert np.array_equal(K, np.diag([mp.perm_m, mp.perm_m + enh]))
+
+    @pytest.mark.parametrize("theta", np.linspace(0.0, np.pi, 7))
+    def test_rotated_uniaxial_opening_enhances_along_tangent(self, theta, generic_params):
+        mp = generic_params
+        c, s = np.cos(theta), np.sin(theta)
+        a, v, width = 2e-3, 0.3, 1e-4
+        eps = a * np.array([c * c, s * s, 2.0 * c * s])
+        K = permeability_of(v, width, eps, mp)
+        t = np.array([-s, c])
+        enh = (1.0 - v) ** mp.xi * width * width / 12.0
+        assert np.allclose(K - mp.perm_m * np.eye(2), enh * np.outer(t, t),
+                           rtol=0.0, atol=1e-12 * enh)
 
 
 class TestStorageAndThermal:
@@ -297,8 +355,9 @@ class TestStorageAndThermal:
         assert law.conductivity_eff(0.4, mp) == pytest.approx(0.4 * 0.5 + 0.6 * 3.0)
 
     def test_stabilization_scales(self, generic_params):
-        diff = law.stabilization_diffusivity(1e-3, 0.05, 0.15)
-        assert diff == pytest.approx(3.75e-6)
+        # 1/2 s ||q|| h_e, a diffusivity, times rho_f c_pf
+        unit = replace(generic_params, rho_f=1.0, c_pf=1.0)
+        assert law.stabilization_conductivity(1e-3, 0.05, unit) == pytest.approx(3.75e-6)
         cond = law.stabilization_conductivity(1e-3, 0.05, generic_params)
         assert cond == pytest.approx(3.75e-6 * 1000.0 * 4200.0)
 

@@ -159,8 +159,9 @@ class TestTableKernels:
 
     def test_mechanics_stiffness(self, tb, rng, generic_params):
         shape = tb.detJw.shape
-        C = law.effective_stiffness(rng.uniform(0.0, 1.0, shape),
-                                    rng.integers(0, 2, shape).astype(float), generic_params)
+        moduli = law.degraded_moduli(rng.uniform(0.0, 1.0, shape),
+                                     rng.integers(0, 2, shape).astype(float), generic_params)
+        C = law.effective_stiffness(moduli, generic_params)
         ref = np.einsum("eqsa,eqst,eqtb->eab", tb.B, C * tb.detJw[..., None, None], tb.B)
         self._close(physics._stiffness(tb, C), ref)
 
@@ -212,13 +213,39 @@ class TestQPState:
         v_qp = scalar_qp(tb, v)
         e1, e2 = law.principal_strains(eps)
         width = law.fracture_width(e1, tb.h_e_qp)
-        phi = law.porosity(e1, mp, v=v_qp, tr_sign=tr_sign)
-        perm = law.permeability(v_qp, width, law.crack_normal(eps, e1, e2), mp)
+        phi = law.porosity(e1, mp, law.degraded_moduli(v_qp, tr_sign, mp))
+        perm = law.permeability(v_qp, width, eps, e1, e2, mp)
         assert np.any(width > 0.0)
         assert np.array_equal(st.width, width)
         assert np.array_equal(porosity, phi)
         assert np.array_equal(st.perm, perm)
         assert np.array_equal(st.eps_vol, law.trace2(eps))
+
+
+    @pytest.mark.parametrize("variant", ["phi1", "phi0"])
+    def test_each_kernel_evaluates_degradation_once(self, setup, rng, monkeypatch, variant):
+        # g(v) with its range check is evaluated once per mechanics and flow
+        # build, and by heat only where its porosity law reads it
+        mesh, tb, mp = setup
+        mp = replace(mp, porosity_variant=variant)
+        calls = []
+        degradation = law.degradation
+
+        def counted(v, k_res):
+            calls.append(np.shape(v))
+            return degradation(v, k_res)
+
+        monkeypatch.setattr(law, "degradation", counted)
+        u, p, T, v = _random_state(mesh, mp, rng)
+        st = strain_state(tb, mp, u, v)
+        build_mechanics_system(tb, mp, v, mechanics_branch_flags(tb, mp, st, T))
+        assert calls == [tb.detJw.shape]
+        calls.clear()
+        build_flow_system(tb, mp, st, p, T, volumetric_strain_qp(tb, 0.5 * u), p, T, 0.5)
+        assert calls == [tb.detJw.shape]
+        calls.clear()
+        build_heat_system(tb, mp, st, p, T, 0.5)
+        assert len(calls) == (variant == "phi0")
 
 
 # ---------------------------------------------------------------------------
