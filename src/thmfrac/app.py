@@ -3,7 +3,9 @@
 Outputs per run directory: ``manifest.json`` (resolved config, version,
 declared file list), ``series.csv`` (time column plus every probe) and
 legacy-VTK snapshots at the configured cadence. On solver failure the
-partial outputs are kept next to a ``FAILED`` marker.
+partial outputs are kept next to a ``FAILED`` marker, and the marker and
+the manifest's ``failure`` record name the exception type, its message
+and the time of the step that failed.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class ScenarioRunner:
                 writer.writerow([f"{x:.17g}" for x in row])
         self.files.append(name)
 
-    def _write_manifest(self, status: str):
+    def _write_manifest(self, status: str, **extra):
         name = "manifest.json"
         manifest = {
             "scenario": self.cfg.name,
@@ -72,6 +74,7 @@ class ScenarioRunner:
             "status": status,
             "config": config_to_dict(self.cfg),
             "files": sorted(self.files),
+            **extra,
         }
         (self.out_dir / name).write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
@@ -92,11 +95,15 @@ class ScenarioRunner:
 
         try:
             result = run(self.sim, self.cfg.controls, on_step=on_step)
-        except SolverFailure:
+        except SolverFailure as exc:
+            failure = {"type": type(exc).__name__, "message": str(exc),
+                       "time": exc.diagnostics.get("time")}
             self._write_series()
-            (self.out_dir / "FAILED").write_text("solver failure; outputs are partial\n")
+            (self.out_dir / "FAILED").write_text(
+                f"solver failure at t = {failure['time']!r} s; outputs are partial\n"
+                f"{failure['type']}: {failure['message']}\n")
             self.files.append("FAILED")
-            self._write_manifest("failed")
+            self._write_manifest("failed", failure=failure)
             raise
         if cadence and self._step % cadence != 0:
             self._snapshot(result.times[-1], result.states[-1])

@@ -6,14 +6,16 @@ element term as one batched matmul against a per-mesh operator table of
 one CSR sparsity pattern per mesh, built on first assembly together with
 the map from element entries to CSR slots, so assembly is one
 ``np.bincount`` into the data of an operator that keeps that pattern up
-to its factor. Eliminating Dirichlet constraints or the phase-field active
-set is one multiply by a slot mask (``eliminate``). A ``FieldOperator``
-holds a field's operators as CSR matrices whose data each solve replaces:
-after a field's first solve no sub-solve builds a sparse object. Every
-linear solve passes ``solve_linear`` and its gate (a non-finite solution
-or a residual above 1e-10 ||b|| raises ``SolverFailure``). A caller that
-owns a ``Factorization`` keeps the factor between solves and takes a
-fresh one when its operator changes.
+to its factor. A ``FieldOperator`` is the linear-algebra state of one
+field, kept by its owner between solves: its ``Dirichlet`` constraints,
+its operator as assembled and as eliminated (CSR matrices whose data each
+solve replaces: after a field's first solve no sub-solve builds a sparse
+object), the lift of its constraints and its factor. ``apply_dirichlet``
+loads new data, eliminates the constraints (one multiply by a slot mask,
+``eliminate``, as for the phase-field active set), forms the lift and
+drops the factor. Every linear solve passes ``solve_linear`` and its gate
+(a non-finite solution or a residual above 1e-10 ||b|| raises
+``SolverFailure``).
 
 Every factorization is a dense banded LAPACK factorization in a reverse
 Cuthill-McKee ordering. Each field resolves one ``BandLayout`` on its
@@ -129,14 +131,6 @@ class BandLayout:
     chol: np.ndarray
     diag: np.ndarray
     mirror: np.ndarray | None
-
-
-def _canonical_csr(A: sp.spmatrix) -> sp.csr_matrix:
-    """``A`` as CSR with sorted indices and no duplicates; ``A`` itself when it is one."""
-    if not (isinstance(A, sp.csr_matrix) and A.has_canonical_format):
-        A = sp.csr_matrix(A, copy=True)
-        A.sum_duplicates()
-    return A
 
 
 def band_layout(structure) -> BandLayout:
@@ -287,14 +281,6 @@ def build_tables(mesh: Mesh) -> ElementTables:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SparseSystem:
-    """Linear system A x = b with A as a CSR matrix."""
-
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
-
-
-@dataclass
 class FieldSystem:
     """Assembled A x = b of one field: A as data on the field's pattern."""
 
@@ -315,24 +301,6 @@ def scatter_vector(tables: ElementTables, FE: np.ndarray, vector: bool = False) 
     dofs = tables.dofs_vec if vector else tables.conn
     # bincount sums in input order, exactly as np.add.at does
     return np.bincount(dofs.ravel(), weights=FE.ravel(), minlength=n)
-
-
-class FieldOperator:
-    """Operator storage of one field, kept by its owner between solves: the
-    operator as assembled and with its constrained rows and columns
-    eliminated (see ``eliminate``), as CSR matrices on the field's
-    structure whose data each solve replaces, factorized in ``layout``."""
-
-    def __init__(self, structure, layout: BandLayout):
-        self.layout = layout
-        self.assembled, self.eliminated = (
-            sp.csr_matrix((np.zeros(structure.indices.size), structure.indices,
-                           structure.indptr), shape=structure.shape) for _ in range(2))
-
-    def load(self, data: np.ndarray) -> sp.csr_matrix:
-        """The assembled operator, now holding ``data``."""
-        self.assembled.data = data
-        return self.assembled
 
 
 def eliminate(A: sp.csr_matrix, mask: np.ndarray, unit: np.ndarray,
@@ -384,11 +352,40 @@ class Dirichlet:
         return out
 
 
-def apply_dirichlet(system: FieldSystem, bc: Dirichlet, op: FieldOperator) -> SparseSystem:
-    """``system`` loaded into ``op`` with ``bc`` eliminated (see ``Dirichlet``)."""
-    A = op.load(system.data)
-    return SparseSystem(eliminate(A, bc.mask, bc.unit, op.eliminated),
-                        bc.rhs(system.rhs, A @ bc.lift))
+class FieldOperator:
+    """Operator storage of one field, kept by its owner between solves.
+
+    ``bc`` holds the field's Dirichlet constraints (None for the phase
+    field, whose bounds ``solve_bound_constrained`` eliminates). The
+    operator is kept as assembled and with its constrained rows and
+    columns eliminated, as CSR matrices on the field's structure whose
+    data each solve replaces; ``lifted`` is the lift product A @ g of the
+    assembled operator and ``factor`` the factor of the eliminated one in
+    ``layout``, or None until a solve takes it.
+    """
+
+    def __init__(self, structure, layout: BandLayout, bc: Dirichlet | None):
+        self.layout = layout
+        self.bc = bc
+        self.assembled, self.eliminated = (
+            sp.csr_matrix((np.zeros(structure.indices.size), structure.indices,
+                           structure.indptr), shape=structure.shape) for _ in range(2))
+        self.lifted: np.ndarray | None = None
+        self.factor: Factorization | None = None
+
+    def load(self, data: np.ndarray) -> sp.csr_matrix:
+        """The assembled operator, now holding ``data``."""
+        self.assembled.data = data
+        return self.assembled
+
+
+def apply_dirichlet(op: FieldOperator, data: np.ndarray) -> None:
+    """Load the operator ``data`` into ``op`` with its constraints
+    eliminated (see ``Dirichlet``), form their lift and drop the factor."""
+    A = op.load(data)
+    eliminate(A, op.bc.mask, op.bc.unit, op.eliminated)
+    op.lifted = A @ op.bc.lift
+    op.factor = None
 
 
 # ---------------------------------------------------------------------------
@@ -401,19 +398,18 @@ class Factorization:
     ``factorize`` fills it and ``solve`` solves with the unscaled operator.
     The operator must be on the structure of ``layout``: its data are
     scattered into LAPACK band storage and its diagonal read through it.
-    Without one, ``factorize`` resolves it from the operator's structure.
     ``solve_linear`` fills an empty factor and solves with a filled one
     without looking at the operator again, so the owner takes a fresh
     ``Factorization`` whenever the operator changes.
     """
 
-    def __init__(self, layout: BandLayout | None = None):
+    def __init__(self, layout: BandLayout):
         self.layout = layout
         self.band: np.ndarray | None = None    # the factor in band storage
         self.ipiv: np.ndarray | None = None    # LU pivots; None for Cholesky
         self.scale: np.ndarray | None = None
 
-    def factorize(self, A: sp.spmatrix) -> "Factorization":
+    def factorize(self, A: sp.csr_matrix) -> "Factorization":
         """Factor diag(s) A diag(s) in the band layout.
 
         s = diag(A)^-1/2 when that diagonal is positive and finite, else
@@ -424,9 +420,6 @@ class Factorization:
         or when Cholesky meets a non-positive pivot. An exactly singular
         matrix raises ``SolverFailure``.
         """
-        if self.layout is None:
-            A = _canonical_csr(A)
-            self.layout = band_layout(A)
         lay = self.layout
         n = A.shape[0]
         d = A.data[lay.diag]            # a missing diagonal entry is a zero
@@ -469,7 +462,7 @@ class Factorization:
         return self.scale * x
 
 
-def solve_linear(system: SparseSystem, factor: Factorization | None = None) -> np.ndarray:
+def solve_linear(A: sp.csr_matrix, b: np.ndarray, factor: Factorization) -> np.ndarray:
     """Direct banded solve with a relative residual gate of 1e-10.
 
     The operator is symmetrically Jacobi-scaled before factorization (the
@@ -479,10 +472,7 @@ def solve_linear(system: SparseSystem, factor: Factorization | None = None) -> n
     the factor's reverse Cuthill-McKee layout (see ``Factorization``). A
     filled ``factor`` is reused; an empty one receives the new factor.
     """
-    A, b = system.matrix, system.rhs
     n = A.shape[0]
-    if factor is None:
-        factor = Factorization()
     if factor.band is None:
         factor.factorize(A)
     x = factor.solve(b)
@@ -519,31 +509,28 @@ def solve_linear(system: SparseSystem, factor: Factorization | None = None) -> n
 # bound-constrained quadratic solve (phase-field subproblem)
 # ---------------------------------------------------------------------------
 
-def solve_bound_constrained(system: SparseSystem, lower: np.ndarray,
-                            upper: np.ndarray, init: np.ndarray,
-                            op: FieldOperator | None = None) -> np.ndarray:
+def solve_bound_constrained(op: FieldOperator, b: np.ndarray, lower: np.ndarray,
+                            upper: np.ndarray, init: np.ndarray) -> np.ndarray:
     """Minimize 1/2 x'Ax - b'x subject to lower <= x <= upper.
 
     Active-set iteration on the symmetric system: solve the free block,
     clamp violating components, release actives whose KKT multiplier has
     the wrong sign. At the solution the gradient r = Ax - b vanishes on
     free components, is >= 0 at lower bounds and <= 0 at upper bounds.
-    The free block is A with its active rows and columns eliminated into
-    ``op.eliminated`` (see ``eliminate``; rhs 0 there), factorized in
-    ``op.layout``, on A's structure with every diagonal (built on A when
-    not given). Each free-block solve passes ``solve_linear``, with its
-    residual gate on the free block, refinement and non-finite check.
+    A is the operator ``op`` holds as assembled, on a structure with every
+    diagonal. The free block is A with its active rows and columns
+    eliminated into ``op.eliminated`` (see ``eliminate``; rhs 0 there) and
+    factorized afresh in ``op.layout``. Each free-block solve passes
+    ``solve_linear``, with its residual gate on the free block, refinement
+    and non-finite check.
     """
-    A = _canonical_csr(system.matrix)
-    b = system.rhs
+    A = op.assembled
     n = A.shape[0]
     lower = np.broadcast_to(np.asarray(lower, dtype=float), (n,)).copy()
     upper = np.broadcast_to(np.asarray(upper, dtype=float), (n,)).copy()
     if np.any(lower > upper + 1e-15):
         raise ValueError("lower bound exceeds upper bound")
     x = np.clip(np.asarray(init, dtype=float).copy(), lower, upper)
-    if op is None:
-        op = FieldOperator(A, band_layout(A))
     rows, diag = op.layout.rows, op.layout.diag
     if diag.size != n:
         raise ValueError("every dof needs a diagonal entry in the structure of A")
@@ -563,7 +550,7 @@ def solve_bound_constrained(system: SparseSystem, lower: np.ndarray,
             keep = free.astype(float)
             Af = eliminate(A, keep[rows] * keep[A.indices], diag[active], op.eliminated)
             rhs_f = (b - A @ np.where(active, x, 0.0)) * keep
-            x_f = solve_linear(SparseSystem(Af, rhs_f), Factorization(op.layout))
+            x_f = solve_linear(Af, rhs_f, Factorization(op.layout))
             x[free] = x_f[free]
             viol_lo = free & (x < lower - 1e-15)
             viol_up = free & (x > upper + 1e-15)

@@ -14,14 +14,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .constitutive import MaterialParams
-from .errors import NonConvergence
-from .fem import (Dirichlet, ElementTables, Factorization, FieldOperator, SparseSystem,
-                  apply_dirichlet, eliminate, solve_bound_constrained, solve_linear)
+from .errors import NonConvergence, SolverFailure
+from .fem import (Dirichlet, ElementTables, Factorization, FieldOperator, apply_dirichlet,
+                  solve_bound_constrained, solve_linear)
 from .mesh import Mesh
 from .physics import (FieldState, MechanicsOperator, build_flow_system, build_heat_system,
                       build_mechanics_system, build_phasefield_system,
@@ -56,6 +55,9 @@ class SolverControls:
         for duration, dt in self.dt_schedule:
             if dt <= 0.0 or duration < 0.0:
                 raise ValueError("dt_schedule entries need dt > 0 and duration >= 0")
+            if abs(round(duration / dt) * dt - duration) > 1e-9 * duration:
+                raise ValueError(f"dt_schedule segment ({duration}, {dt}): the duration "
+                                 f"is not a whole number of steps")
 
 
 @dataclass
@@ -125,20 +127,21 @@ class _AndersonMixer:
 class Simulation:
     """A fully assembled problem: mesh, material, couplings, BCs, sources.
 
-    The simulation owns the linear-algebra state of its sub-solves:
+    The simulation owns the linear-algebra state of its sub-solves, one
+    ``FieldOperator`` per field (T, p, u and v), built on the field's first
+    solve in the reverse Cuthill-McKee band layout of its field and
+    refilled in place after that. It holds the field's Dirichlet
+    constraints (static from the first solve on), its assembled and
+    eliminated operator, their lift A @ g and the banded factor.
 
-    * the Dirichlet constraints of T, p and u, resolved on the first solve
-      into a slot mask on each field's pattern (boundary conditions are
-      static from then on);
-    * the operator storage of T, p, u and v, one ``FieldOperator`` each,
-      built on the field's first solve and refilled in place after that,
-      in the reverse Cuthill-McKee band layout of its field;
-    * the mechanics operator, rebuilt and eliminated only when v or the
-      frozen branch flags differ from its last build, and its lift A @ g;
-    * the banded factor of the mechanics operator, which lives as long
-      as the operator, but not through a phase-field solve. Heat and flow
-      factorize on every solve, since their operators follow the lagged
-      iterates.
+    T, p and u take one constrained-solve path (``_solve_constrained``):
+    new operator data pass ``apply_dirichlet``, which drops the factor,
+    and the next solve factorizes. Heat and flow pass new data on every
+    solve, since their operators follow the lagged iterates. Mechanics
+    rebuilds its operator (``MechanicsOperator``) only when v or the
+    frozen branch flags differ from its last build, so its factor lives
+    as long as the operator. Every factor is dropped before a phase-field
+    solve and before a mechanics build.
     """
 
     mesh: Mesh
@@ -164,29 +167,36 @@ class Simulation:
         self.gc_elem = np.broadcast_to(np.asarray(self.gc_elem, dtype=float),
                                        (self.mesh.n_elems,)).copy()
         self._ops: dict[str, FieldOperator] = {}
-        self._mech_factor: Factorization | None = None
         self._mech: MechanicsOperator | None = None
-        self._mech_lift: np.ndarray | None = None
-
-    @cached_property
-    def _dirichlet(self) -> dict[str, Dirichlet]:
-        scalar, vector = self.tables.scalar_pattern, self.tables.vector_pattern
-        return {"T": Dirichlet.on(scalar, *self.bc_T),
-                "p": Dirichlet.on(scalar, *self.bc_p),
-                "u": Dirichlet.on(vector, *self.bc_u)}
 
     def _operator(self, field: str) -> FieldOperator:
         """The operator storage of ``field`` (T, p, u or v)."""
         if field not in self._ops:
             t = self.tables
-            self._ops[field] = (FieldOperator(t.vector_pattern, t.vector_layout) if field == "u"
-                                else FieldOperator(t.scalar_pattern, t.scalar_layout))
+            pattern, layout = ((t.vector_pattern, t.vector_layout) if field == "u"
+                               else (t.scalar_pattern, t.scalar_layout))
+            bcs = {"T": self.bc_T, "p": self.bc_p, "u": self.bc_u}
+            bc = Dirichlet.on(pattern, *bcs[field]) if field in bcs else None
+            self._ops[field] = FieldOperator(pattern, layout, bc)
         return self._ops[field]
 
-    def _solve_constrained(self, field: str, system) -> np.ndarray:
+    def _drop_factors(self):
+        # heat and flow refactorize on every solve, so only the mechanics
+        # factor is ever reused; dropped before a phase-field solve or a
+        # mechanics build, where a step peaks in memory
+        for op in self._ops.values():
+            op.factor = None
+
+    def _solve_constrained(self, field: str, data: np.ndarray | None,
+                           rhs: np.ndarray) -> np.ndarray:
+        """Solve ``field`` (T, p or u) for ``rhs`` with new operator ``data``
+        on its pattern, or with its last operator and factor when None."""
         op = self._operator(field)
-        return solve_linear(apply_dirichlet(system, self._dirichlet[field], op),
-                            Factorization(op.layout))
+        if data is not None:
+            apply_dirichlet(op, data)
+        if op.factor is None:
+            op.factor = Factorization(op.layout)
+        return solve_linear(op.eliminated, op.bc.rhs(rhs, op.lifted), op.factor)
 
     def initial_state(self) -> FieldState:
         n = self.mesh.n_nodes
@@ -200,42 +210,33 @@ class Simulation:
     # -- single sub-solves -------------------------------------------------
 
     def _solve_v(self, it: FieldState, lower, upper) -> np.ndarray:
+        self._drop_factors()    # v changes mechanics in nearly every outer iteration
         system = build_phasefield_system(self.tables, self.params, self.gc_elem,
                                          it.u, it.p, it.T)
         init = np.clip(it.v, lower, upper)
-        # v changes in nearly every outer iteration, so the mechanics factor
-        # is about to be replaced: drop it before this solve, where a step
-        # peaks in memory
-        self._mech_factor = None
         op = self._operator("v")
-        return solve_bound_constrained(SparseSystem(op.load(system.data), system.rhs),
-                                       lower, upper, init, op)
+        op.load(system.data)
+        return solve_bound_constrained(op, system.rhs, lower, upper, init)
 
     def _solve_T(self, st, it: FieldState, prev: FieldState, dt: float) -> np.ndarray:
-        return self._solve_constrained(
-            "T", build_heat_system(self.tables, self.params, st, it.p, prev.T, dt))
+        system = build_heat_system(self.tables, self.params, st, it.p, prev.T, dt)
+        return self._solve_constrained("T", system.data, system.rhs)
 
     def _solve_p(self, st, it: FieldState, T_new, prev: FieldState, evol_prev,
                  dt: float) -> np.ndarray:
-        return self._solve_constrained("p", build_flow_system(
-            self.tables, self.params, st, it.p, T_new, evol_prev, prev.p, prev.T, dt,
-            source=self.q_flow))
+        system = build_flow_system(self.tables, self.params, st, it.p, T_new, evol_prev,
+                                   prev.p, prev.T, dt, source=self.q_flow)
+        return self._solve_constrained("p", system.data, system.rhs)
 
     def _solve_u(self, v, p_new, T_new, tr_sign) -> np.ndarray:
-        bc = self._dirichlet["u"]
-        store = self._operator("u")
-        op = self._mech
-        if op is None or not op.matches(v, tr_sign):
-            self._mech = self._mech_factor = None   # freed before the build
-            op = self._mech = build_mechanics_system(self.tables, self.params, v, tr_sign)
-            A = store.load(op.data)
-            eliminate(A, bc.mask, bc.unit, store.eliminated)
-            self._mech_lift = A @ bc.lift
-        if self._mech_factor is None:
-            self._mech_factor = Factorization(store.layout)
-        rhs = mechanics_rhs(self.tables, self.params, op, p_new, T_new, self.f_ext)
-        system = SparseSystem(store.eliminated, bc.rhs(rhs, self._mech_lift))
-        return solve_linear(system, self._mech_factor)
+        mech, data = self._mech, None
+        if mech is None or not mech.matches(v, tr_sign):
+            self._mech = None
+            self._drop_factors()
+            mech = self._mech = build_mechanics_system(self.tables, self.params, v, tr_sign)
+            data = mech.data
+        rhs = mechanics_rhs(self.tables, self.params, mech, p_new, T_new, self.f_ext)
+        return self._solve_constrained("u", data, rhs)
 
     # -- one time step -----------------------------------------------------
 
@@ -315,7 +316,8 @@ def run(sim: Simulation, controls: SolverControls, on_step=None) -> RunResult:
     """March through the dt schedule from the initial state.
 
     ``on_step(t, state, report)`` is invoked after every accepted step;
-    step failures propagate with the failure time attached.
+    a ``SolverFailure`` of a step propagates with the time of the step
+    it failed to reach under ``diagnostics["time"]``.
     """
     state = sim.initial_state()
     times = [0.0]
@@ -326,7 +328,7 @@ def run(sim: Simulation, controls: SolverControls, on_step=None) -> RunResult:
         for _ in range(int(round(duration / dt))):
             try:
                 state, report = sim.time_step(state, dt, controls)
-            except NonConvergence as exc:
+            except SolverFailure as exc:
                 exc.diagnostics["time"] = t + dt
                 log.error("step to t = %.6g s failed: %s", t + dt, exc)
                 raise

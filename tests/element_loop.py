@@ -3,13 +3,13 @@ assembly, Dirichlet elimination as a gather into the reduced structure of
 the constrained operator, the mechanics residual whose Jacobian the
 mechanics operator is, and the fracture permeability from the crack
 normal. Also small helpers that turn operator data on a pattern into
-scipy matrices."""
+scipy matrices, and a scipy matrix into operator storage."""
 
 import numpy as np
 import scipy.sparse as sp
 
 from thmfrac import constitutive as law
-from thmfrac.fem import Factorization, SparseSystem, scatter_vector
+from thmfrac.fem import Factorization, FieldOperator, band_layout, scatter_vector
 from thmfrac.mesh import Mesh
 from thmfrac.physics import scalar_qp, strain_qp
 
@@ -26,8 +26,20 @@ def matrix(system) -> sp.csr_matrix:
     return csr(system.pattern, system.data)
 
 
-def assemble(mesh: Mesh, element_kernel) -> SparseSystem:
-    """Assemble a global scalar-field system from a per-element kernel.
+def operator_of(A) -> FieldOperator:
+    """Unconstrained operator storage holding the scipy sparse matrix ``A``
+    on its own structure as canonical CSR (sorted indices, no duplicates,
+    stored zeros kept), in that structure's band layout. A solve with it
+    takes ``Factorization(op.layout)``."""
+    A = sp.csr_matrix(A, copy=True)
+    A.sum_duplicates()
+    op = FieldOperator(A, band_layout(A), None)
+    op.load(A.data)
+    return op
+
+
+def assemble(mesh: Mesh, element_kernel) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Assemble a global scalar-field system (A, b) from a per-element kernel.
 
     ``element_kernel(eid) -> (ke, fe)`` must return a (4, 4) matrix and a
     (4,) vector ordered by local node.
@@ -50,7 +62,7 @@ def assemble(mesh: Mesh, element_kernel) -> SparseSystem:
     A = sp.coo_matrix((KE.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     b = np.zeros(n)
     np.add.at(b, mesh.elems.ravel(), FE.ravel())
-    return SparseSystem(matrix=A, rhs=b)
+    return A, b
 
 
 def reduced_elimination(pattern, data, dofs):

@@ -7,6 +7,7 @@ import pytest
 
 from thmfrac.app import run_scenario
 from thmfrac.cli import main
+from thmfrac.errors import NonConvergence
 from thmfrac.io_vtk import write_vtk
 from thmfrac.mesh import generate_rect_mesh
 from thmfrac.presets import terzaghi
@@ -54,6 +55,22 @@ def test_snapshot_cadence(tmp_path, short_terzaghi):
     for arr in ("SCALARS p", "SCALARS T", "SCALARS v", "VECTORS u",
                 "SCALARS width", "SCALARS porosity", "SCALARS permeability_xx"):
         assert arr in text
+
+
+def test_failed_run_records_the_failure(tmp_path, short_terzaghi):
+    short_terzaghi.controls = dataclasses.replace(short_terzaghi.controls, max_inner=1)
+    with pytest.raises(NonConvergence):
+        run_scenario(short_terzaghi, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["status"] == "failed" and "FAILED" in manifest["files"]
+    failure = manifest["failure"]
+    assert failure["type"] == "NonConvergence" and failure["time"] == 1.0
+    assert failure["message"].startswith("inner (T-p-u) loop exceeded 1 iterations")
+    marker = (tmp_path / "FAILED").read_text()
+    assert "t = 1.0 s" in marker
+    assert f"NonConvergence: {failure['message']}" in marker
+    with open(tmp_path / "series.csv") as fh:
+        assert len(list(csv.reader(fh))) == 2   # header + t = 0
 
 
 def test_cli_run_roundtrip(tmp_path):

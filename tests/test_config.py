@@ -164,10 +164,13 @@ class TestParseConfig:
                       threshold=0.0),
     lambda: SolverControls(dt_schedule=[(1.0, 1.0)], v_ir=-0.1),
     lambda: SolverControls(dt_schedule=[(1.0, 0.0)]),
+    lambda: SolverControls(dt_schedule=[(1.0, 0.3)]),
+    lambda: SolverControls(dt_schedule=[(0.1, 0.01), (3.95, 0.1)]),
     lambda: RefineBand(axis="x", lo=-1.0, hi=1.0, h=0.1),
 ], ids=["mech-set", "mech-component", "scalar-set", "injection-rate", "probe-name",
         "probe-kind", "probe-field", "probe-point", "width-point", "probe-path",
-        "probe-threshold", "controls-v_ir", "controls-dt", "band-lo"])
+        "probe-threshold", "controls-v_ir", "controls-dt", "controls-partial-step",
+        "controls-partial-segment", "band-lo"])
 def test_each_dataclass_checks_its_own_values(build):
     # the rules hold for objects built in Python, not only for parsed JSON
     with pytest.raises(ValueError):
@@ -214,6 +217,15 @@ class TestCLIHelpers:
         args = argparse.Namespace(
             scenario="terzaghi", override=["controls.dt_schedule=[[0.1,0.01],[3.9,0.1]]"])
         assert _load_config(args).controls.dt_schedule == [(0.1, 0.01), (3.9, 0.1)]
+
+    def test_schedule_of_partial_steps_exits_with_config_error(self, tmp_path, capsys):
+        assert main(["run", "terzaghi", "--override", "controls.dt_schedule=[[0.5,0.3]]",
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "controls: dt_schedule segment (0.5, 0.3): the duration is not a whole " \
+               "number of steps" in err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_scenario_exits_with_config_error(self, capsys):
         assert main(["run", "definitely_not_a_preset"]) == 2

@@ -5,12 +5,13 @@ import pytest
 import scipy.sparse as sp
 
 from thmfrac.errors import SolverFailure
-from thmfrac.fem import (Dirichlet, Factorization, FieldOperator, FieldSystem, SparseSystem,
-                         apply_dirichlet, assemble_batched, build_tables, gauss_2x2,
-                         scatter_vector, shape_q4, solve_bound_constrained, solve_linear)
+from thmfrac.fem import (Dirichlet, Factorization, FieldOperator, apply_dirichlet,
+                         assemble_batched, build_tables, gauss_2x2, scatter_vector, shape_q4,
+                         solve_bound_constrained, solve_linear)
 from thmfrac.mesh import RefineBand, generate_rect_mesh
 
-from element_loop import assemble, csr, matrix, reduced_elimination, reduced_factor
+from element_loop import (assemble, csr, matrix, operator_of, reduced_elimination,
+                          reduced_factor)
 
 
 class TestShapeFunctions:
@@ -59,8 +60,8 @@ class TestQuadrature:
 class TestAssembly:
     def test_identity_kernel_on_single_element(self):
         m = generate_rect_mesh(1.0, 1.0, 1, 1)
-        sys_ = assemble(m, lambda e: (np.eye(4), np.zeros(4)))
-        assert np.allclose(sys_.matrix.toarray(), np.eye(4))
+        A, _ = assemble(m, lambda e: (np.eye(4), np.zeros(4)))
+        assert np.allclose(A.toarray(), np.eye(4))
 
     def test_shared_edge_accumulates(self):
         # dense two-element hand assembly of the unit mass matrix
@@ -75,17 +76,17 @@ class TestAssembly:
         for conn in m.elems:
             for a, b in itertools.product(range(4), range(4)):
                 ref[conn[a], conn[b]] += me[a, b]
-        sys_ = assemble(m, lambda e: (me, np.zeros(4)))
-        assert np.allclose(sys_.matrix.toarray(), ref, atol=1e-15)
+        A, _ = assemble(m, lambda e: (me, np.zeros(4)))
+        assert np.allclose(A.toarray(), ref, atol=1e-15)
         shared = np.intersect1d(m.elems[0], m.elems[1])
         for n in shared:
             assert ref[n, n] == pytest.approx(2 * me.diagonal().max(), rel=1e-12)
 
     def test_zero_kernel_gives_zero_system(self):
         m = generate_rect_mesh(1.0, 1.0, 2, 2)
-        sys_ = assemble(m, lambda e: (np.zeros((4, 4)), np.zeros(4)))
-        assert sys_.matrix.nnz == 0 or np.allclose(sys_.matrix.data, 0.0)
-        assert np.allclose(sys_.rhs, 0.0)
+        A, b = assemble(m, lambda e: (np.zeros((4, 4)), np.zeros(4)))
+        assert A.nnz == 0 or np.allclose(A.data, 0.0)
+        assert np.allclose(b, 0.0)
 
     def test_kernel_size_mismatch_rejected(self):
         m = generate_rect_mesh(1.0, 1.0, 1, 1)
@@ -98,9 +99,9 @@ class TestAssembly:
         KE = rng.normal(size=(m.n_elems, 4, 4))
         FE = rng.normal(size=(m.n_elems, 4))
         sys_b = assemble_batched(tb, KE, FE)
-        sys_l = assemble(m, lambda e: (KE[e], FE[e]))
-        assert np.allclose(matrix(sys_b).toarray(), sys_l.matrix.toarray(), atol=1e-15)
-        assert np.allclose(sys_b.rhs, sys_l.rhs)
+        A_l, b_l = assemble(m, lambda e: (KE[e], FE[e]))
+        assert np.allclose(matrix(sys_b).toarray(), A_l.toarray(), atol=1e-15)
+        assert np.allclose(sys_b.rhs, b_l)
 
 
 def _graded_tables():
@@ -154,7 +155,7 @@ class TestPattern:
         B = assemble_batched(tb, 2.0 * KE, np.zeros((tb.mesh.n_elems, 4)))
         assert A.pattern is B.pattern is tb.scalar_pattern
         assert not tb.scalar_pattern.indices.flags.writeable
-        op = FieldOperator(tb.scalar_pattern, tb.scalar_layout)
+        op = FieldOperator(tb.scalar_pattern, tb.scalar_layout, None)
         for M in (op.assembled, op.eliminated):
             assert np.shares_memory(M.indices, tb.scalar_pattern.indices)
 
@@ -204,9 +205,10 @@ def _stored(A):
 
 
 def _constrained_system(rng, vector, kind="random"):
-    """A system on the graded mesh with explicit zeros planted, a field
-    operator and twelve Dirichlet constraints. ``kind`` "spd" and
-    "nonsymmetric" give operators that Cholesky and LU factorize."""
+    """A system on the graded mesh with explicit zeros planted and the
+    field's operator storage with twelve Dirichlet constraints. ``kind``
+    "spd" and "nonsymmetric" give operators that Cholesky and LU
+    factorize."""
     mesh, tb = _graded_tables()
     nd = 8 if vector else 4
     KE = rng.normal(size=(mesh.n_elems, nd, nd))
@@ -223,44 +225,49 @@ def _constrained_system(rng, vector, kind="random"):
     # couple them, at the corner node that one element holds
     dofs = np.unique(rng.choice(np.arange(2, n), 12, replace=False))
     bc = Dirichlet.on(pattern, dofs, rng.normal(size=dofs.size))
-    return system, FieldOperator(pattern, layout), bc
+    return system, FieldOperator(pattern, layout, bc)
 
 
 class TestDirichlet:
     @pytest.mark.parametrize("vector", [False, True])
     def test_mask_equals_rebuilt_elimination(self, rng, vector):
-        system, op, bc = _constrained_system(rng, vector)
-        pattern = system.pattern
-        fixed = apply_dirichlet(system, bc, op)
+        system, op = _constrained_system(rng, vector)
+        pattern, bc = system.pattern, op.bc
+        op.factor = Factorization(op.layout)
+        apply_dirichlet(op, system.data)
+        fixed = op.eliminated
         A_ref, rhs_ref = _rebuilt_elimination(matrix(system), system.rhs, bc.dofs, bc.values)
-        assert np.array_equal(fixed.matrix.toarray(), A_ref.toarray())
-        assert fixed.rhs.tobytes() == rhs_ref.tobytes()
+        assert np.array_equal(fixed.toarray(), A_ref.toarray())
+        assert bc.rhs(system.rhs, op.lifted).tobytes() == rhs_ref.tobytes()
+        # new operator data drop the factor of the old
+        assert op.factor is None
         # the elimination keeps the full pattern: the off-diagonal slots of
         # constrained rows and columns stay as explicit zeros
-        assert fixed.matrix is op.eliminated and op.assembled.data is system.data
-        assert np.array_equal(_stored(fixed.matrix), _stored(csr(pattern, system.data)))
+        assert op.assembled.data is system.data
+        assert np.array_equal(_stored(fixed), _stored(csr(pattern, system.data)))
         n = pattern.shape[0]
         constrained = np.zeros(n, dtype=bool)
         constrained[bc.dofs] = True
         dropped = (constrained[:, None] | constrained[None, :]) & ~np.eye(n, dtype=bool)
-        planted = _stored(fixed.matrix) & ~dropped & (matrix(system).toarray() == 0.0)
-        zeros = np.count_nonzero(planted) + np.count_nonzero(_stored(fixed.matrix) & dropped)
-        assert np.count_nonzero(fixed.matrix.data == 0.0) == zeros
+        planted = _stored(fixed) & ~dropped & (matrix(system).toarray() == 0.0)
+        zeros = np.count_nonzero(planted) + np.count_nonzero(_stored(fixed) & dropped)
+        assert np.count_nonzero(fixed.data == 0.0) == zeros
         assert np.count_nonzero(planted) > 0
         # a second operator is eliminated into the same storage
-        other = apply_dirichlet(FieldSystem(pattern, 2.0 * system.data, system.rhs), bc, op)
-        assert other.matrix is fixed.matrix and other.matrix.data[0] == 2.0 * system.data[0]
+        apply_dirichlet(op, 2.0 * system.data)
+        assert op.eliminated is fixed and fixed.data[0] == 2.0 * system.data[0]
 
     @pytest.mark.parametrize("kind", ["spd", "nonsymmetric"])
     @pytest.mark.parametrize("vector", [False, True])
     def test_masked_solve_is_bitwise_the_reduced_structure_solve(self, rng, vector, kind):
-        system, op, bc = _constrained_system(rng, vector, kind)
-        reduced, slots = reduced_elimination(system.pattern, system.data, bc.dofs)
-        fixed = apply_dirichlet(system, bc, op)
-        assert np.array_equal(fixed.matrix.toarray(), reduced.toarray())
+        system, op = _constrained_system(rng, vector, kind)
+        reduced, slots = reduced_elimination(system.pattern, system.data, op.bc.dofs)
+        apply_dirichlet(op, system.data)
+        assert np.array_equal(op.eliminated.toarray(), reduced.toarray())
+        rhs = op.bc.rhs(system.rhs, op.lifted)
         factor = Factorization(op.layout)
-        x = solve_linear(fixed, factor)
-        ref = solve_linear(SparseSystem(reduced, fixed.rhs),
+        x = solve_linear(op.eliminated, rhs, factor)
+        ref = solve_linear(reduced, rhs,
                            reduced_factor(system.pattern, op.layout, reduced, slots))
         assert (factor.ipiv is None) == (kind == "spd")
         assert x.tobytes() == ref.tobytes()
@@ -270,10 +277,10 @@ class TestDirichlet:
         sys_ = assemble_batched(tb, rng.normal(size=(tb.mesh.n_elems, 4, 4)),
                                 rng.normal(size=(tb.mesh.n_elems, 4)))
         bc = Dirichlet.on(tb.scalar_pattern, np.empty(0, dtype=np.int64), np.empty(0))
-        op = FieldOperator(tb.scalar_pattern, tb.scalar_layout)
-        fixed = apply_dirichlet(sys_, bc, op)
-        assert fixed.matrix.data.tobytes() == sys_.data.tobytes()
-        assert fixed.rhs.tobytes() == sys_.rhs.tobytes()
+        op = FieldOperator(tb.scalar_pattern, tb.scalar_layout, bc)
+        apply_dirichlet(op, sys_.data)
+        assert op.eliminated.data.tobytes() == sys_.data.tobytes()
+        assert bc.rhs(sys_.rhs, op.lifted).tobytes() == sys_.rhs.tobytes()
 
     def test_rows_and_columns_reduced_to_identity(self, rng):
         m = generate_rect_mesh(1.0, 1.0, 2, 2)
@@ -283,46 +290,53 @@ class TestDirichlet:
         sys_ = assemble_batched(tb, KE, rng.normal(size=(m.n_elems, 4)))
         dofs = np.array([0, 4])
         vals = np.array([2.0, -1.0])
-        fixed = apply_dirichlet(sys_, Dirichlet.on(tb.scalar_pattern, dofs, vals),
-                                FieldOperator(tb.scalar_pattern, tb.scalar_layout))
-        A = fixed.matrix.toarray()
+        op = FieldOperator(tb.scalar_pattern, tb.scalar_layout,
+                           Dirichlet.on(tb.scalar_pattern, dofs, vals))
+        apply_dirichlet(op, sys_.data)
+        A = op.eliminated.toarray()
+        rhs = op.bc.rhs(sys_.rhs, op.lifted)
         for d, g in zip(dofs, vals):
             assert np.allclose(A[d], np.eye(9)[d])
             assert np.allclose(A[:, d], np.eye(9)[:, d])
-            assert fixed.rhs[d] == g
+            assert rhs[d] == g
         # symmetry preserved
         assert np.allclose(A, A.T)
+
+
+def _solve(A, b):
+    """``solve_linear`` of the scipy matrix ``A`` with a fresh factor."""
+    op = operator_of(A)
+    return solve_linear(op.assembled, b, Factorization(op.layout))
 
 
 class TestSolveLinear:
     def test_identity_returns_rhs(self, rng):
         b = rng.normal(size=5)
-        sys_ = SparseSystem(sp.eye(5, format="csr"), b)
-        assert np.allclose(solve_linear(sys_), b)
+        assert np.allclose(_solve(sp.eye(5, format="csr"), b), b)
 
     def test_spd_matches_dense_oracle(self):
         A = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
         b = np.array([1.0, -2.0, 0.5])
-        sys_ = SparseSystem(sp.csr_matrix(A), b)
-        x = solve_linear(sys_)
+        x = _solve(sp.csr_matrix(A), b)
         assert np.allclose(x, np.linalg.solve(A, b), rtol=1e-12)
         assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_fresh_factor_takes_a_new_factorization(self, factorizations):
-        A = sp.csr_matrix(np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]))
-        factor = Factorization()
-        x1 = solve_linear(SparseSystem(A, np.array([1.0, 0.0, 0.0])), factor)
-        x2 = solve_linear(SparseSystem(A, np.array([0.0, 1.0, 0.0])), factor)
+        op = operator_of(np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]))
+        A = op.assembled
+        factor = Factorization(op.layout)
+        x1 = solve_linear(A, np.array([1.0, 0.0, 0.0]), factor)
+        x2 = solve_linear(A, np.array([0.0, 1.0, 0.0]), factor)
         assert len(factorizations) == 1
         assert np.allclose(A @ x1, [1.0, 0.0, 0.0]) and np.allclose(A @ x2, [0.0, 1.0, 0.0])
-        x3 = solve_linear(SparseSystem(2.0 * A, np.ones(3)), Factorization())
+        x3 = solve_linear(2.0 * A, np.ones(3), Factorization(op.layout))
         assert len(factorizations) == 2
         assert np.allclose(2.0 * A @ x3, np.ones(3), rtol=1e-12)
 
     def test_singular_matrix_fails_with_diagnostics(self):
         A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(SolverFailure):
-            solve_linear(SparseSystem(A, np.array([1.0, 0.0])))
+            _solve(A, np.array([1.0, 0.0]))
 
 
 def _laplacian_2d(m):
@@ -357,11 +371,12 @@ class TestFactorization:
         A = _laplacian_2d(m)[perm][:, perm].tocsr()
         rows = np.repeat(np.arange(m * m), np.diff(A.indptr))
         assert np.abs(rows - A.indices).max() > 10 * m
-        factor = Factorization().factorize(A)
+        op = operator_of(A)
+        factor = Factorization(op.layout).factorize(op.assembled)
         assert factor.layout.width <= m + 1
         assert factor.ipiv is None          # SPD: Cholesky
         b = rng.normal(size=A.shape[0])
-        x = solve_linear(SparseSystem(A, b))
+        x = _solve(A, b)
         assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
     @pytest.mark.parametrize("vector", [False, True])
@@ -382,8 +397,9 @@ class TestFactorization:
         # a constrained operator keeps the pattern and factorizes in its layout
         dofs = rng.choice(n, n // 5, replace=False)
         bc = Dirichlet.on(pattern, dofs, np.zeros(dofs.size))
-        op = FieldOperator(pattern, layout)
-        fixed = apply_dirichlet(FieldSystem(pattern, A.data, np.zeros(n)), bc, op).matrix
+        op = FieldOperator(pattern, layout, bc)
+        apply_dirichlet(op, A.data)
+        fixed = op.eliminated
         full, lower = _band_dense(layout, fixed)
         dense = fixed.toarray()[np.ix_(layout.perm, layout.perm)]
         assert np.array_equal(full, dense) and np.array_equal(lower, np.tril(dense))
@@ -393,21 +409,24 @@ class TestFactorization:
         assert np.allclose(factor.solve(b), np.linalg.solve(fixed.toarray(), b), rtol=1e-10)
 
     def test_nonsymmetric_structure_takes_lu(self):
-        A = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [0.0, 3.0, 0.0], [0.0, 1.0, 4.0]]))
-        factor = Factorization().factorize(A)
+        op = operator_of(np.array([[2.0, 1.0, 0.0], [0.0, 3.0, 0.0], [0.0, 1.0, 4.0]]))
+        A = op.assembled
+        factor = Factorization(op.layout).factorize(A)
         assert factor.layout.mirror is None and factor.ipiv is not None
         assert np.allclose(A @ factor.solve(np.ones(3)), np.ones(3), rtol=1e-14)
 
     def test_indefinite_symmetric_operator_falls_back_to_lu(self):
-        A = sp.csr_matrix(np.array([[2.0, 3.0], [3.0, 2.0]]))
-        factor = Factorization().factorize(A)
+        op = operator_of(np.array([[2.0, 3.0], [3.0, 2.0]]))
+        A = op.assembled
+        factor = Factorization(op.layout).factorize(A)
         assert factor.ipiv is not None
         assert np.allclose(A @ factor.solve(np.array([1.0, -1.0])), [1.0, -1.0], rtol=1e-14)
 
     def test_operator_is_left_unscaled(self):
-        A = sp.csc_matrix(np.array([[4.0, 1.0], [1.0, 9.0]]))
+        op = operator_of(sp.csc_matrix(np.array([[4.0, 1.0], [1.0, 9.0]])))
+        A = op.assembled
         before = A.toarray()
-        factor = Factorization().factorize(A)
+        factor = Factorization(op.layout).factorize(A)
         assert np.array_equal(A.toarray(), before)
         assert np.allclose(factor.scale, [0.5, 1.0 / 3.0])
         assert np.allclose(A @ factor.solve(np.array([1.0, 2.0])), [1.0, 2.0], rtol=1e-14)
@@ -442,14 +461,14 @@ class TestBoundConstrained:
     def test_interior_minimum_matches_linear_solve(self, rng):
         A = np.diag([2.0, 3.0, 4.0])
         b = np.array([0.5, 0.6, 0.4])
-        sys_ = SparseSystem(sp.csr_matrix(A), b)
-        x = solve_bound_constrained(sys_, np.zeros(3), np.ones(3), np.full(3, 0.5))
+        x = solve_bound_constrained(operator_of(A), b, np.zeros(3), np.ones(3),
+                                    np.full(3, 0.5))
         assert np.allclose(x, np.linalg.solve(A, b), rtol=1e-12)
 
     def test_fully_active_upper_bound(self):
         A = sp.csr_matrix(np.diag([1.0, 1.0]))
         b = np.array([5.0, 7.0])  # unconstrained optimum far above the box
-        x = solve_bound_constrained(SparseSystem(A, b), np.zeros(2), np.ones(2),
+        x = solve_bound_constrained(operator_of(A), b, np.zeros(2), np.ones(2),
                                     np.zeros(2))
         assert np.allclose(x, 1.0)
 
@@ -458,8 +477,7 @@ class TestBoundConstrained:
         b = np.array([3.0, 0.2])
         lo, hi = np.zeros(2), np.ones(2)
         ref = _brute_force_box_qp(A, b, lo, hi)
-        x = solve_bound_constrained(SparseSystem(sp.csr_matrix(A), b), lo, hi,
-                                    np.full(2, 0.5))
+        x = solve_bound_constrained(operator_of(A), b, lo, hi, np.full(2, 0.5))
         assert np.allclose(x, ref, atol=1e-10)
 
     def test_random_spd_qps_match_enumeration(self, rng):
@@ -472,8 +490,7 @@ class TestBoundConstrained:
                 hi = rng.uniform(0.2, 1.0, n)
                 ref = _brute_force_box_qp(A, b, lo, hi)
                 x = solve_bound_constrained(
-                    SparseSystem(sp.csr_matrix(A), b), lo, hi,
-                    np.clip(rng.normal(size=n), lo, hi))
+                    operator_of(A), b, lo, hi, np.clip(rng.normal(size=n), lo, hi))
                 assert np.allclose(x, ref, atol=1e-8)
 
     def test_kkt_signs_at_solution(self, rng):
@@ -482,8 +499,7 @@ class TestBoundConstrained:
         A = R @ R.T + n * np.eye(n)
         b = rng.normal(size=n) * 3
         lo, hi = np.full(n, -0.5), np.full(n, 0.5)
-        x = solve_bound_constrained(SparseSystem(sp.csr_matrix(A), b), lo, hi,
-                                    np.zeros(n))
+        x = solve_bound_constrained(operator_of(A), b, lo, hi, np.zeros(n))
         r = A @ x - b
         scale = np.abs(b).max()
         at_lo = x <= lo + 1e-12
@@ -498,7 +514,7 @@ class TestBoundConstrained:
         b = np.array([5.0, 5.0])
         lo = np.array([0.0, 0.3])
         hi = np.array([1.0, 0.3])  # second dof pinned at 0.3
-        x = solve_bound_constrained(SparseSystem(A, b), lo, hi, lo)
+        x = solve_bound_constrained(operator_of(A), b, lo, hi, lo)
         assert x[1] == pytest.approx(0.3)
         assert x[0] == pytest.approx(1.0)
 
@@ -507,11 +523,11 @@ class TestBoundConstrained:
         A = sp.csr_matrix(np.diag([2.0, 3.0, 4.0]))
         b = np.array([0.5, np.nan, 0.4])
         with pytest.raises(SolverFailure):
-            solve_bound_constrained(SparseSystem(A, b), np.zeros(3), np.ones(3),
+            solve_bound_constrained(operator_of(A), b, np.zeros(3), np.ones(3),
                                     np.full(3, 0.5))
 
     def test_inconsistent_bounds_rejected(self):
         A = sp.eye(2, format="csr")
         with pytest.raises(ValueError):
-            solve_bound_constrained(SparseSystem(A, np.zeros(2)),
+            solve_bound_constrained(operator_of(A), np.zeros(2),
                                     np.ones(2), np.zeros(2), np.zeros(2))

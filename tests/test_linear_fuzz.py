@@ -14,7 +14,9 @@ import pytest
 import scipy.sparse as sp
 
 from thmfrac.errors import SolverFailure
-from thmfrac.fem import Factorization, SparseSystem, solve_linear
+from thmfrac.fem import Factorization, solve_linear
+
+from element_loop import operator_of
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -58,8 +60,9 @@ def test_solution_matches_a_dense_solve_and_passes_the_gate(op):
         eig = np.abs(np.linalg.eigvals(dense))
         hypothesis.assume(eig.min() > 1e-8 * eig.max())
     b = np.random.default_rng(seed + 1).normal(size=n)
-    factor = Factorization()
-    x = solve_linear(SparseSystem(A, b), factor)
+    op = operator_of(A)
+    factor = Factorization(op.layout)
+    x = solve_linear(op.assembled, b, factor)
     ref = np.linalg.solve(dense, b)
     assert np.allclose(x, ref, rtol=1e-6, atol=1e-9 * np.abs(ref).max())
     scale = np.linalg.norm(b) + np.linalg.norm(np.abs(dense) @ np.abs(x))
@@ -78,5 +81,6 @@ def test_an_empty_row_and_column_raise_solver_failure(op, data):
     i = data.draw(st.integers(0, n - 1))
     rows = np.repeat(np.arange(n), np.diff(A.indptr))
     A.data[(rows == i) | (A.indices == i)] = 0.0     # kept as stored zeros
+    op = operator_of(A)
     with pytest.raises(SolverFailure):
-        solve_linear(SparseSystem(A, np.ones(n)))
+        solve_linear(op.assembled, np.ones(n), Factorization(op.layout))

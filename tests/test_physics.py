@@ -6,7 +6,7 @@ import pytest
 from thmfrac import constitutive as law
 from thmfrac import physics
 from thmfrac.constitutive import MaterialParams
-from thmfrac.fem import (Dirichlet, Factorization, FieldOperator, SparseSystem, apply_dirichlet,
+from thmfrac.fem import (Dirichlet, Factorization, FieldOperator, apply_dirichlet,
                          build_tables, gauss_2x2, shape_q4, solve_bound_constrained,
                          solve_linear)
 from thmfrac.mesh import RefineBand, generate_rect_mesh
@@ -15,7 +15,7 @@ from thmfrac.physics import (build_flow_system, build_heat_system,
                              mechanics_branch_flags, scalar_qp,
                              strain_qp, strain_state, volumetric_strain_qp)
 
-from element_loop import assemble, csr, matrix, mechanics_residual
+from element_loop import assemble, csr, matrix, mechanics_residual, operator_of
 
 # ---------------------------------------------------------------------------
 # dense reference assemblies (independent loop-based implementations)
@@ -358,7 +358,8 @@ class TestFlow:
         for _ in range(30):                   # iterate lagged terms to the fixed point
             system = build_flow_system(tb, mp, strain_state(tb, mp, uvec, v), p, T, evol,
                                        p_prev, T, dt, source=source)
-            p = solve_linear(SparseSystem(matrix(system), system.rhs))
+            op = operator_of(matrix(system))
+            p = solve_linear(op.assembled, system.rhs, Factorization(op.layout))
         assert np.allclose(p, expect, rtol=1e-10)
 
     def test_uncoupled_reduces_to_transient_diffusion(self, rng):
@@ -503,9 +504,11 @@ class TestHeat:
         right = mesh.boundary_nodes["right"]
         dofs = np.concatenate([left, right])
         vals = np.concatenate([np.full(left.size, 301.0), np.full(right.size, 300.0)])
-        fixed = apply_dirichlet(system, Dirichlet.on(tb.scalar_pattern, dofs, vals),
-                                FieldOperator(tb.scalar_pattern, tb.scalar_layout))
-        Tsol = solve_linear(fixed)
+        op = FieldOperator(tb.scalar_pattern, tb.scalar_layout,
+                           Dirichlet.on(tb.scalar_pattern, dofs, vals))
+        apply_dirichlet(op, system.data)
+        Tsol = solve_linear(op.eliminated, op.bc.rhs(system.rhs, op.lifted),
+                            Factorization(op.layout))
         row = mesh.boundary_nodes["bottom"]
         prof = Tsol[row]
         assert np.all(np.diff(prof) <= 1e-10)
@@ -530,13 +533,14 @@ class TestHeat:
         right = mesh.boundary_nodes["right"]
         dofs = np.concatenate([left, right])
         vals = np.concatenate([np.full(left.size, 301.0), np.full(right.size, 300.0)])
-        fixed = apply_dirichlet(system, Dirichlet.on(tb.scalar_pattern, dofs, vals),
-                                FieldOperator(tb.scalar_pattern, tb.scalar_layout))
-        A, b = fixed.matrix, fixed.rhs
+        op = FieldOperator(tb.scalar_pattern, tb.scalar_layout,
+                           Dirichlet.on(tb.scalar_pattern, dofs, vals))
+        apply_dirichlet(op, system.data)
+        A, b = op.eliminated, op.bc.rhs(system.rhs, op.lifted)
         assert abs(A - A.T).max() > abs(A).max()
         gate = 1e-10 * np.linalg.norm(b)
-        assert np.linalg.norm(A @ Factorization().factorize(A).solve(b) - b) <= gate
-        assert np.linalg.norm(A @ solve_linear(fixed) - b) <= gate
+        assert np.linalg.norm(A @ Factorization(op.layout).factorize(A).solve(b) - b) <= gate
+        assert np.linalg.norm(A @ solve_linear(A, b, Factorization(op.layout)) - b) <= gate
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +572,8 @@ class TestPhaseField:
         T = np.full(n, mp.T0)
         gc = np.full(mesh.n_elems, mp.Gc)
         system = build_phasefield_system(tb, mp, gc, u, p, T)
-        v_sol = solve_linear(SparseSystem(matrix(system), system.rhs))
+        op = operator_of(matrix(system))
+        v_sol = solve_linear(op.assembled, system.rhs, Factorization(op.layout))
         psi_plus, _ = law.energy_split_vd(np.array([exx, 0.0, 0.0]),
                                           mp.K_m, mp.mu_shear)
         drive = p_val * exx * (1 - mp.k_res) * (1 - mp.alpha_m)
@@ -605,7 +610,7 @@ class TestPhaseField:
         drive = law.biot_modulus_pressure_drive(tr_e, scalar_qp(tb, p), h, mp)
         assert np.any(drive != 0.0)
         ME = np.einsum("eq,qa,qb->eab", drive * tb.detJw, tb.N, tb.N)
-        ref = assemble(mesh, lambda e: (ME[e], np.zeros(4))).matrix.toarray()
+        ref = assemble(mesh, lambda e: (ME[e], np.zeros(4)))[0].toarray()
         diff = (matrix(sys_p) - matrix(sys_0)).toarray()
         assert np.allclose(diff, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
         assert np.array_equal(sys_p.rhs, sys_0.rhs)
@@ -619,7 +624,7 @@ class TestPhaseField:
         system = build_phasefield_system(tb, mp, np.full(mesh.n_elems, mp.Gc), u, p, T)
         lower, upper = np.zeros(n), np.ones(n)
         upper[mesh.boundary_nodes["left"]] = 0.0
-        x = solve_bound_constrained(SparseSystem(matrix(system), system.rhs), lower, upper,
+        x = solve_bound_constrained(operator_of(matrix(system)), system.rhs, lower, upper,
                                     np.full(n, 0.5))
         free = (x > lower) & (x < upper)
         act = ~free

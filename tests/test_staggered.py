@@ -7,9 +7,9 @@ import scipy.sparse as sp
 
 from thmfrac import analytic, fem, physics, staggered
 from thmfrac.constitutive import MaterialParams
-from thmfrac.errors import NonConvergence
-from thmfrac.fem import (Dirichlet, Factorization, FieldOperator, FieldSystem, apply_dirichlet,
-                         build_tables, solve_linear)
+from thmfrac.errors import NonConvergence, SolverFailure
+from thmfrac.fem import (Dirichlet, Factorization, FieldOperator, apply_dirichlet, build_tables,
+                         solve_linear)
 from thmfrac.mesh import generate_rect_mesh, nodes_on_segment
 from thmfrac.physics import (build_mechanics_system, mechanics_branch_flags, mechanics_rhs,
                              strain_state)
@@ -145,6 +145,33 @@ class TestConvergenceControl:
         assert len(report.inner_iters) == report.outer_iters
         assert len(report.tpu_increments) == sum(report.inner_iters)
 
+    def test_run_attaches_the_failure_time_to_any_solver_failure(self, monkeypatch):
+        # a zero pivot, a residual gate or the bound-constrained KKT cap
+        # raise a plain SolverFailure, not a NonConvergence
+        sim = make_cracked_strip(load=1e4)
+        failing = []
+        solve = staggered.solve_linear
+
+        def solve_or_fail(*args):
+            if failing:
+                raise SolverFailure("banded LU factorization met an exactly zero pivot")
+            return solve(*args)
+
+        monkeypatch.setattr(staggered, "solve_linear", solve_or_fail)
+        with pytest.raises(SolverFailure) as exc:
+            run(sim, SolverControls(dt_schedule=[(3.0, 1.0)]),
+                on_step=lambda *args: failing.append(1))
+        assert type(exc.value) is SolverFailure
+        assert exc.value.diagnostics["time"] == 2.0
+
+    @pytest.mark.parametrize("schedule", [[(0.0, 1.0)], [(0.3, 0.1)],
+                                          [(0.1, 0.01), (3.9, 0.1)]],
+                             ids=["empty", "3x0.1", "kgd"])
+    def test_schedule_of_whole_steps_up_to_round_off_accepted(self, schedule):
+        # run takes whole steps, so SolverControls rejects a segment of
+        # partial steps (see test_config) but not one off by round-off
+        assert SolverControls(dt_schedule=schedule).dt_schedule == schedule
+
     def test_run_zero_steps_returns_initial_snapshot_only(self):
         sim = make_cracked_strip()
         controls = SolverControls(dt_schedule=[(0.0, 1.0)])
@@ -183,12 +210,34 @@ class TestTerzaghiFromRest:
 
 def _fresh_mechanics_solve(sim, v, p, T, h):
     tb = sim.tables
-    op = build_mechanics_system(tb, sim.params, v, h)
-    bc = Dirichlet.on(tb.vector_pattern, *sim.bc_u)
-    rhs = mechanics_rhs(tb, sim.params, op, p, T, sim.f_ext)
-    system = apply_dirichlet(FieldSystem(tb.vector_pattern, op.data, rhs), bc,
-                             FieldOperator(tb.vector_pattern, tb.vector_layout))
-    return solve_linear(system, Factorization(tb.vector_layout))
+    mech = build_mechanics_system(tb, sim.params, v, h)
+    op = FieldOperator(tb.vector_pattern, tb.vector_layout,
+                       Dirichlet.on(tb.vector_pattern, *sim.bc_u))
+    apply_dirichlet(op, mech.data)
+    rhs = mechanics_rhs(tb, sim.params, mech, p, T, sim.f_ext)
+    return solve_linear(op.eliminated, op.bc.rhs(rhs, op.lifted),
+                        Factorization(tb.vector_layout))
+
+
+def _recording(fn, log, key):
+    """``fn`` that appends ``key(*args)`` to ``log`` on every call."""
+    def recorded(*args, **kwargs):
+        log.append(key(*args))
+        return fn(*args, **kwargs)
+    return recorded
+
+
+def _record_loads(sim, monkeypatch) -> list[str]:
+    """The fields of ``sim`` that ``apply_dirichlet`` loads from here on,
+    one per call."""
+    loads = []
+
+    def field(op, data):
+        return next(f for f, o in sim._ops.items() if o is op)
+
+    monkeypatch.setattr(staggered, "apply_dirichlet",
+                        _recording(staggered.apply_dirichlet, loads, field))
+    return loads
 
 
 class TestMechanicsOperatorLifetime:
@@ -203,12 +252,16 @@ class TestMechanicsOperatorLifetime:
     def test_unchanged_operator_takes_no_new_factorization(self, rng, factorizations,
                                                            monkeypatch):
         sim, state, h, p = self._inputs(rng)
+        loads = _record_loads(sim, monkeypatch)
         u1 = sim._solve_u(state.v, state.p, state.T, h)
-        lift = sim._mech_lift
-        # an unchanged operator is neither eliminated nor lifted (A @ g) again
-        monkeypatch.setattr(staggered, "eliminate", None)
+        op = sim._ops["u"]
+        eliminated, lift, factor = op.eliminated.data, op.lifted, op.factor
+        assert loads == ["u"] and len(factorizations) == 1
+        # an unchanged operator is neither eliminated, lifted (A @ g) nor
+        # factorized again: all three happen only on new operator data
         u2 = sim._solve_u(state.v.copy(), p, state.T, h.copy())
-        assert len(factorizations) == 1 and sim._mech_lift is lift
+        assert loads == ["u"] and len(factorizations) == 1
+        assert op.eliminated.data is eliminated and op.lifted is lift and op.factor is factor
         assert not np.array_equal(u1, u2)
         assert np.array_equal(u2, _fresh_mechanics_solve(sim, state.v, p, state.T, h))
 
@@ -234,11 +287,32 @@ def _small_kgd():
     return cfg, build_simulation(cfg), 0.01
 
 
-def _recording(build, log):
-    def wrapped(tables, params, st, *args, **kwargs):
-        log.append(st)
-        return build(tables, params, st, *args, **kwargs)
-    return wrapped
+class TestOneConstrainedSolvePath:
+    @pytest.mark.parametrize("setup", [_thermal_column, _small_kgd],
+                             ids=["thermal_column", "small_kgd"])
+    def test_each_operator_change_passes_apply_dirichlet_once(self, setup, monkeypatch):
+        cfg, sim, dt = setup()
+        builds = []
+        for system in ("heat", "flow", "mechanics"):
+            name = f"build_{system}_system"
+            monkeypatch.setattr(staggered, name, _recording(getattr(staggered, name), builds,
+                                                            lambda *args, s=system: s))
+        loads = _record_loads(sim, monkeypatch)
+        _, report = sim.time_step(sim.initial_state(), dt, cfg.controls)
+        n_inner = sum(report.inner_iters)
+        n_mech = builds.count("mechanics")
+        assert n_inner > 1 and builds.count("flow") == n_inner
+        assert builds.count("heat") == (n_inner if sim.solve_thermal else 0)
+        # one per heat and flow solve and one per mechanics build, which
+        # the inner passes of an outer iteration share
+        assert len(loads) == len(builds)
+        assert [loads.count(f) for f in "Tpu"] == [
+            builds.count(s) for s in ("heat", "flow", "mechanics")]
+        assert 1 <= n_mech <= report.outer_iters < n_inner
+
+
+def _strain(tables, params, st, *args):
+    return st
 
 
 class TestSharedStrainState:
@@ -250,9 +324,9 @@ class TestSharedStrainState:
                             lambda *args: calls.append(1) or strain_qp(*args))
         heat, flow = [], []
         monkeypatch.setattr(staggered, "build_heat_system",
-                            _recording(staggered.build_heat_system, heat))
+                            _recording(staggered.build_heat_system, heat, _strain))
         monkeypatch.setattr(staggered, "build_flow_system",
-                            _recording(staggered.build_flow_system, flow))
+                            _recording(staggered.build_flow_system, flow, _strain))
         _, report = sim.time_step(sim.initial_state(), dt, cfg.controls)
         n_inner = sum(report.inner_iters)
         assert n_inner > 1 and len(heat) == len(flow) == n_inner
