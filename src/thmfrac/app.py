@@ -5,7 +5,9 @@ declared file list), ``series.csv`` (time column plus every probe) and
 legacy-VTK snapshots at the configured cadence. On solver failure the
 partial outputs are kept next to a ``FAILED`` marker, and the marker and
 the manifest's ``failure`` record name the exception type, its message
-and the time of the step that failed.
+and the time of the step that failed; for a ``NonConvergence`` they also
+hold the increment history of the loop that hit its cap (one line of the
+marker, ``failure.history`` in the manifest).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import ScenarioConfig, config_to_dict
-from .errors import SolverFailure
+from .errors import NonConvergence, SolverFailure
 from .io_vtk import write_vtk
 from .physics import FieldState
 from .postproc import element_cell_data
@@ -98,10 +100,13 @@ class ScenarioRunner:
         except SolverFailure as exc:
             failure = {"type": type(exc).__name__, "message": str(exc),
                        "time": exc.diagnostics.get("time")}
+            marker = (f"solver failure at t = {failure['time']!r} s; outputs are partial\n"
+                      f"{failure['type']}: {failure['message']}\n")
+            if isinstance(exc, NonConvergence):
+                failure["history"] = exc.history
+                marker += f"history: {json.dumps(exc.history)}\n"
             self._write_series()
-            (self.out_dir / "FAILED").write_text(
-                f"solver failure at t = {failure['time']!r} s; outputs are partial\n"
-                f"{failure['type']}: {failure['message']}\n")
+            (self.out_dir / "FAILED").write_text(marker)
             self.files.append("FAILED")
             self._write_manifest("failed", failure=failure)
             raise

@@ -17,16 +17,19 @@ drops the factor. Every linear solve passes ``solve_linear`` and its gate
 (a non-finite solution or a residual above 1e-10 ||b|| raises
 ``SolverFailure``).
 
-Every factorization is a dense banded LAPACK factorization in a reverse
-Cuthill-McKee ordering. Each field resolves one ``BandLayout`` on its
-first solve: the ordering, the bandwidth and the band-storage position of
-every CSR slot, through which every operator of the field scatters. A Q4
-operator on a strip-like mesh has a small bandwidth in that ordering (at
-most 6 on a column two cells wide), so a factorization is a few flops per
-entry and no per-call symbolic analysis. Symmetric operators (flow,
-mechanics, phase field) take a Cholesky factorization; the heat operator,
-which advection makes nonsymmetric, and any operator that is not positive
-definite take LU with partial pivoting.
+Every factorization is a dense banded LAPACK factorization in the grid's
+own ordering, numbered across its short side: the tensor-product node
+numbering when rows are no longer than columns, else its transpose. Each
+field resolves one ``BandLayout`` on its first solve: the ordering, the
+bandwidth and the band-storage position of every CSR slot, through which
+every operator of the field scatters. A Q4 operator's bandwidth in that
+ordering is min(len(xs), len(ys)) + 1 for a scalar field and twice that
+plus 1 for the interleaved vector field (4 and 9 on a column two cells
+wide), so a factorization costs n w^2 flops and no per-call symbolic
+analysis. Symmetric operators (flow, mechanics, phase field) take a
+Cholesky factorization; the heat operator, which advection makes
+nonsymmetric, and any operator that is not positive definite take LU with
+partial pivoting.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import SolverFailure
 from .mesh import Mesh
@@ -110,7 +112,7 @@ def csr_pattern(dofs: np.ndarray, n: int) -> CSRPattern:
 
 @dataclass(frozen=True)
 class BandLayout:
-    """Reverse Cuthill-McKee band layout of one CSR structure.
+    """Band layout of one CSR structure in a given dof ordering.
 
     Band position ``i`` holds dof ``perm[i]``, and in that ordering every
     entry lies at most ``width`` off the diagonal. Slot ``k`` of a matrix
@@ -133,14 +135,13 @@ class BandLayout:
     mirror: np.ndarray | None
 
 
-def band_layout(structure) -> BandLayout:
+def band_layout(structure, perm: np.ndarray) -> BandLayout:
     """Resolve the band layout of a CSR structure with sorted indices and
-    no duplicates (a ``CSRPattern`` or a canonical ``csr_matrix``)."""
+    no duplicates (a ``CSRPattern`` or a canonical ``csr_matrix``) in the
+    dof ordering ``perm``, a permutation of its rows."""
     n = structure.shape[0]
     indptr, cols = structure.indptr, structure.indices
     rows = np.repeat(np.arange(n), np.diff(indptr))
-    graph = sp.csr_matrix((np.ones(cols.size), cols, indptr), shape=(n, n))
-    perm = reverse_cuthill_mckee(graph)     # ordered on the pattern of A + A^T
     rank = np.empty(n, dtype=np.int64)
     rank[perm] = np.arange(n)
     i, j = rank[rows], rank[cols]
@@ -195,14 +196,24 @@ class ElementTables:
     def vector_pattern(self) -> CSRPattern:
         return csr_pattern(self.dofs_vec, 2 * self.n_nodes)
 
+    @property
+    def node_order(self) -> np.ndarray:
+        """Node ids numbered across the grid's short side: node (i, j) has
+        id j len(xs) + i, so the ids themselves when len(xs) <= len(ys),
+        else column by column. Every Q4 coupling is then at most
+        min(len(xs), len(ys)) + 1 positions off the diagonal."""
+        ids = np.arange(self.n_nodes).reshape(len(self.mesh.ys), len(self.mesh.xs))
+        return ids.ravel() if ids.shape[1] <= ids.shape[0] else ids.T.ravel()
+
     # resolved on a field's first solve
     @cached_property
     def scalar_layout(self) -> BandLayout:
-        return band_layout(self.scalar_pattern)
+        return band_layout(self.scalar_pattern, self.node_order)
 
     @cached_property
     def vector_layout(self) -> BandLayout:
-        return band_layout(self.vector_pattern)
+        order = 2 * self.node_order
+        return band_layout(self.vector_pattern, np.column_stack([order, order + 1]).ravel())
 
     @cached_property
     def mass_table(self) -> np.ndarray:
@@ -246,7 +257,7 @@ def build_tables(mesh: Mesh) -> ElementTables:
 
     X = mesh.nodes[mesh.elems]                      # (E, 4, 2)
     # J[e, q, a, b] = sum_i dN[q, i, a] X[e, i, b]
-    J = np.einsum("qia,eib->eqab", dNq, X)
+    J = np.matmul(dNq.transpose(0, 2, 1), X[:, None])
     detJ = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
     if np.any(detJ <= 0.0):
         raise ValueError("non-positive Jacobian determinant in mesh")
@@ -256,7 +267,7 @@ def build_tables(mesh: Mesh) -> ElementTables:
     Jinv[..., 0, 1] = -J[..., 0, 1]
     Jinv[..., 1, 0] = -J[..., 1, 0]
     Jinv /= detJ[..., None, None]
-    dNdx = np.einsum("qia,eqba->eqib", dNq, Jinv)   # dN_i/dx_b
+    dNdx = np.matmul(dNq, Jinv.transpose(0, 1, 3, 2))   # dN_i/dx_b = dN_i/dxi_a Jinv_ba
     detJw = detJ * wts[None, :]
 
     E = mesh.n_elems
@@ -361,7 +372,7 @@ class FieldOperator:
     columns eliminated, as CSR matrices on the field's structure whose
     data each solve replaces; ``lifted`` is the lift product A @ g of the
     assembled operator and ``factor`` the factor of the eliminated one in
-    ``layout``, or None until a solve takes it.
+    ``layout`` while its owner keeps one between solves, else None.
     """
 
     def __init__(self, structure, layout: BandLayout, bc: Dirichlet | None):
@@ -469,7 +480,7 @@ def solve_linear(A: sp.csr_matrix, b: np.ndarray, factor: Factorization) -> np.n
     mobility contrast between broken and intact cells reaches 1e8+) and a
     few iterative-refinement sweeps against the unscaled residual recover
     full accuracy. The factorization is banded Cholesky or banded LU in
-    the factor's reverse Cuthill-McKee layout (see ``Factorization``). A
+    the factor's band layout (see ``Factorization``). A
     filled ``factor`` is reused; an empty one receives the new factor.
     """
     n = A.shape[0]

@@ -129,19 +129,20 @@ class Simulation:
 
     The simulation owns the linear-algebra state of its sub-solves, one
     ``FieldOperator`` per field (T, p, u and v), built on the field's first
-    solve in the reverse Cuthill-McKee band layout of its field and
-    refilled in place after that. It holds the field's Dirichlet
-    constraints (static from the first solve on), its assembled and
-    eliminated operator, their lift A @ g and the banded factor.
+    solve in its field's band layout (numbered across the grid's short
+    side, see ``ElementTables.node_order``) and refilled in place after
+    that. It holds the field's Dirichlet constraints (static from the
+    first solve on), its assembled and eliminated operator and their lift
+    A @ g; the mechanics storage also holds the banded factor.
 
     T, p and u take one constrained-solve path (``_solve_constrained``):
     new operator data pass ``apply_dirichlet``, which drops the factor,
-    and the next solve factorizes. Heat and flow pass new data on every
-    solve, since their operators follow the lagged iterates. Mechanics
-    rebuilds its operator (``MechanicsOperator``) only when v or the
-    frozen branch flags differ from its last build, so its factor lives
-    as long as the operator. Every factor is dropped before a phase-field
-    solve and before a mechanics build.
+    and the solve factorizes. Heat and flow pass new data on every solve,
+    since their operators follow the lagged iterates, so their factor
+    lives only for that solve. Mechanics rebuilds its operator
+    (``MechanicsOperator``) only when v or the frozen branch flags differ
+    from its last build, so its factor is kept as long as the operator,
+    and dropped before a phase-field solve and before a mechanics build.
     """
 
     mesh: Mesh
@@ -180,23 +181,25 @@ class Simulation:
             self._ops[field] = FieldOperator(pattern, layout, bc)
         return self._ops[field]
 
-    def _drop_factors(self):
-        # heat and flow refactorize on every solve, so only the mechanics
-        # factor is ever reused; dropped before a phase-field solve or a
-        # mechanics build, where a step peaks in memory
-        for op in self._ops.values():
-            op.factor = None
+    def _drop_mechanics_factor(self):
+        # the only factor kept between solves; dropped before a phase-field
+        # solve or a mechanics build, where a step peaks in memory
+        if "u" in self._ops:
+            self._ops["u"].factor = None
 
     def _solve_constrained(self, field: str, data: np.ndarray | None,
                            rhs: np.ndarray) -> np.ndarray:
         """Solve ``field`` (T, p or u) for ``rhs`` with new operator ``data``
-        on its pattern, or with its last operator and factor when None."""
+        on its pattern, or with its last operator and factor when None.
+        Only mechanics keeps its factor: heat and flow pass new data on
+        every solve, so theirs would never be reused."""
         op = self._operator(field)
         if data is not None:
             apply_dirichlet(op, data)
-        if op.factor is None:
-            op.factor = Factorization(op.layout)
-        return solve_linear(op.eliminated, op.bc.rhs(rhs, op.lifted), op.factor)
+        factor = op.factor if op.factor is not None else Factorization(op.layout)
+        if field == "u":
+            op.factor = factor
+        return solve_linear(op.eliminated, op.bc.rhs(rhs, op.lifted), factor)
 
     def initial_state(self) -> FieldState:
         n = self.mesh.n_nodes
@@ -210,7 +213,7 @@ class Simulation:
     # -- single sub-solves -------------------------------------------------
 
     def _solve_v(self, it: FieldState, lower, upper) -> np.ndarray:
-        self._drop_factors()    # v changes mechanics in nearly every outer iteration
+        self._drop_mechanics_factor()   # v changes mechanics in nearly every outer iteration
         system = build_phasefield_system(self.tables, self.params, self.gc_elem,
                                          it.u, it.p, it.T)
         init = np.clip(it.v, lower, upper)
@@ -232,7 +235,7 @@ class Simulation:
         mech, data = self._mech, None
         if mech is None or not mech.matches(v, tr_sign):
             self._mech = None
-            self._drop_factors()
+            self._drop_mechanics_factor()
             mech = self._mech = build_mechanics_system(self.tables, self.params, v, tr_sign)
             data = mech.data
         rhs = mechanics_rhs(self.tables, self.params, mech, p_new, T_new, self.f_ext)

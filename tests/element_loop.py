@@ -29,11 +29,11 @@ def matrix(system) -> sp.csr_matrix:
 def operator_of(A) -> FieldOperator:
     """Unconstrained operator storage holding the scipy sparse matrix ``A``
     on its own structure as canonical CSR (sorted indices, no duplicates,
-    stored zeros kept), in that structure's band layout. A solve with it
+    stored zeros kept), banded in its own row numbering. A solve with it
     takes ``Factorization(op.layout)``."""
     A = sp.csr_matrix(A, copy=True)
     A.sum_duplicates()
-    op = FieldOperator(A, band_layout(A), None)
+    op = FieldOperator(A, band_layout(A, np.arange(A.shape[0])), None)
     op.load(A.data)
     return op
 

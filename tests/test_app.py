@@ -73,6 +73,19 @@ def test_failed_run_records_the_failure(tmp_path, short_terzaghi):
         assert len(list(csv.reader(fh))) == 2   # header + t = 0
 
 
+def test_failed_run_records_the_increment_history(tmp_path, short_terzaghi):
+    short_terzaghi.controls = dataclasses.replace(short_terzaghi.controls, max_inner=2)
+    with pytest.raises(NonConvergence) as exc:
+        run_scenario(short_terzaghi, tmp_path)
+    history = exc.value.history
+    assert len(history) == 2 and all(len(inc) == 3 for inc in history)
+    failure = json.loads((tmp_path / "manifest.json").read_text())["failure"]
+    assert failure["history"] == [list(inc) for inc in history]
+    lines = (tmp_path / "FAILED").read_text().splitlines()
+    assert [json.loads(line[len("history: "):]) for line in lines
+            if line.startswith("history: ")] == [failure["history"]]
+
+
 def test_cli_run_roundtrip(tmp_path):
     out = tmp_path / "run"
     code = main(["run", "terzaghi", "--out", str(out),

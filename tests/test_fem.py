@@ -364,20 +364,40 @@ def _band_dense(layout, A):
     return full, lower
 
 
+def _is_permutation(perm, n):
+    return np.array_equal(np.sort(perm), np.arange(n))
+
+
 class TestFactorization:
-    def test_reverse_cuthill_mckee_narrows_a_scrambled_laplacian(self, rng):
+    def test_grid_laplacian_takes_cholesky_in_its_own_numbering(self, rng):
         m = 30
-        perm = rng.permutation(m * m)
-        A = _laplacian_2d(m)[perm][:, perm].tocsr()
-        rows = np.repeat(np.arange(m * m), np.diff(A.indptr))
-        assert np.abs(rows - A.indices).max() > 10 * m
+        A = _laplacian_2d(m)
         op = operator_of(A)
         factor = Factorization(op.layout).factorize(op.assembled)
-        assert factor.layout.width <= m + 1
+        assert np.array_equal(op.layout.perm, np.arange(m * m))
+        assert factor.layout.width == m
         assert factor.ipiv is None          # SPD: Cholesky
         b = rng.normal(size=A.shape[0])
         x = _solve(A, b)
         assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("size, axis", [((2.0, 1.0), "x"), ((1.0, 2.0), "y")],
+                             ids=["wide", "tall"])
+    def test_band_runs_across_the_short_side_of_a_graded_grid(self, size, axis):
+        band = RefineBand(axis=axis, lo=0.5, hi=1.0, h=0.05, ratio=1.3)
+        mesh = generate_rect_mesh(*size, 5, 5, band)
+        nx, ny = len(mesh.xs), len(mesh.ys)
+        assert (nx > ny) if axis == "x" else (nx < ny)
+        tb = build_tables(mesh)
+        short = min(nx, ny)
+        scalar, vector = tb.scalar_layout, tb.vector_layout
+        assert scalar.width == short + 1
+        assert vector.width == 2 * (short + 1) + 1
+        assert _is_permutation(scalar.perm, mesh.n_nodes)
+        assert _is_permutation(vector.perm, 2 * mesh.n_nodes)
+        # the vector ordering interleaves (ux, uy) over the scalar node order
+        assert np.array_equal(vector.perm[0::2], 2 * scalar.perm)
+        assert np.array_equal(vector.perm[1::2], 2 * scalar.perm + 1)
 
     @pytest.mark.parametrize("vector", [False, True])
     def test_band_storage_holds_every_entry_in_the_layout_order(self, rng, vector):

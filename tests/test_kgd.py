@@ -4,9 +4,10 @@ The 9 x 12 mesh with a h = 0.5 m band and two dt = 0.01 s steps is the
 benchmark's small KGD request (``perfbench/run.py --small``); the crack
 grows from 2.05 m to 2.09 m in it, and it runs in about a second. The
 expected series were recorded while the solver factorized with scipy's
-SuperLU (COLAMD ordering); the banded LAPACK factorizations in reverse
-Cuthill-McKee order that replaced it still meet them, so they also check
-that a change of the factorization does not move the solution.
+SuperLU (COLAMD ordering); the banded LAPACK factorizations that replaced
+it, first in reverse Cuthill-McKee order and now numbered across the
+grid's short side, still meet them, so they also check that a change of
+the factorization does not move the solution.
 """
 
 import csv
