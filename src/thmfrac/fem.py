@@ -1,10 +1,13 @@
 """Q4 finite-element machinery: shape functions, quadrature, assembly, solves.
 
-Element matrices are produced in bulk as (n_elems, nd, nd) arrays, each
-element term as one batched matmul against a per-mesh operator table of
-``ElementTables`` (built on first use). Each field (scalar or vector) has
-one CSR sparsity pattern per mesh, built on first assembly together with
-the map from element entries to CSR slots, so assembly is one
+Meshes are tensor grids of axis-aligned rectangles, so ``ElementTables``
+holds each element's sizes (hx, hy) and no per-element quadrature or
+operator table: element matrices are produced in bulk as (n_elems, nd, nd)
+arrays, each element term as one matmul of per-element scaled
+coefficients against a constant reference table (see ``physics``). Each
+field (scalar or vector) has one CSR sparsity pattern per mesh, built on
+first assembly together with the map from element entries to CSR slots,
+so assembly is one
 ``np.bincount`` into the data of an operator that keeps that pattern up
 to its factor. A ``FieldOperator`` is the linear-algebra state of one
 field, kept by its owner between solves: its ``Dirichlet`` constraints,
@@ -162,22 +165,21 @@ def band_layout(structure, perm: np.ndarray) -> BandLayout:
 
 @dataclass
 class ElementTables:
-    """Per-mesh precomputed quadrature data, dof maps and sparsity patterns.
+    """Per-mesh element sizes, dof maps and sparsity patterns of a tensor grid.
 
-    The operator tables below fold the quadrature weights and the shape
-    function products of one element term into a small matrix, so that a
-    kernel forms all element matrices of that term as one batched matmul
-    of its (E, k) quadrature-point coefficients against the table. Like the
-    patterns they are built on first use, not by ``build_tables``, and
-    only for the terms a simulation assembles; none holds more than 256
-    doubles per element.
+    Every element is an axis-aligned hx x hy rectangle, so its Jacobian is
+    diag(hx/2, hy/2) at every point: physical gradients are the reference
+    gradients scaled by 2/hx and 2/hy, and detJ = hx hy / 4. The element
+    kernels of ``physics`` need only these sizes and constant reference
+    tables on the 2x2 Gauss rule, so no array here holds more than 8 values
+    per element. The patterns and band layouts are built on first use, not
+    by ``build_tables``.
     """
 
     mesh: Mesh
     N: np.ndarray        # (4 qp, 4 nodes) shape values
-    dNdx: np.ndarray     # (E, 4 qp, 4 nodes, 2) physical gradients
-    detJw: np.ndarray    # (E, 4 qp) weighted Jacobian determinants
-    B: np.ndarray        # (E, 4 qp, 3, 8) strain-displacement matrices
+    h: np.ndarray        # (E, 2) element sizes (hx, hy)
+    detJ: np.ndarray     # (E,) Jacobian determinants hx hy / 4
     conn: np.ndarray     # (E, 4) node ids
     dofs_vec: np.ndarray  # (E, 8) interleaved (ux, uy) dofs
     h_e_qp: np.ndarray   # (E, 4) element size replicated per qp
@@ -215,76 +217,37 @@ class ElementTables:
         order = 2 * self.node_order
         return band_layout(self.vector_pattern, np.column_stack([order, order + 1]).ravel())
 
-    @cached_property
-    def mass_table(self) -> np.ndarray:
-        """(4 q, 16 ab): N_a N_b at each quadrature point."""
-        return (self.N[:, :, None] * self.N[:, None, :]).reshape(4, 16)
-
-    @cached_property
-    def laplacian_table(self) -> np.ndarray:
-        """(E, 4 q, 16 ab): detJw grad N_a . grad N_b."""
-        E = self.detJw.shape[0]
-        dNdNt = np.matmul(self.dNdx, self.dNdx.transpose(0, 1, 3, 2))
-        return (dNdNt * self.detJw[..., None, None]).reshape(E, 4, 16)
-
-    @cached_property
-    def tensor_laplacian_table(self) -> np.ndarray:
-        """(E, 16 qcd, 16 ab): detJw dN_a/dx_c dN_b/dx_d."""
-        E = self.detJw.shape[0]
-        dN = self.dNdx.transpose(0, 1, 3, 2)                  # (E, q, c, a)
-        t = (dN[:, :, :, None, :, None] * dN[:, :, None, :, None, :]
-             * self.detJw[:, :, None, None, None, None])      # (E, q, c, d, a, b)
-        return t.reshape(E, 16, 16)
-
-    @cached_property
-    def advection_table(self) -> np.ndarray:
-        """(E, 8 qd, 16 ab): detJw N_a dN_b/dx_d."""
-        E = self.detJw.shape[0]
-        dN = self.dNdx.transpose(0, 1, 3, 2)                  # (E, q, d, b)
-        t = (self.N[None, :, None, :, None] * dN[:, :, :, None, :]
-             * self.detJw[:, :, None, None, None])            # (E, q, d, a, b)
-        return t.reshape(E, 8, 16)
-
-    @cached_property
-    def divergence_table(self) -> np.ndarray:
-        """(E, 4 q, 8 a): detJw (B_xx + B_yy), the virtual work of an isotropic stress."""
-        return (self.B[:, :, 0, :] + self.B[:, :, 1, :]) * self.detJw[..., None]
-
 
 def build_tables(mesh: Mesh) -> ElementTables:
-    pts, wts = gauss_2x2()
-    Nq, dNq = shape_q4(pts[:, 0], pts[:, 1])        # (4 qp, 4 nodes), (4, 4, 2)
-
-    X = mesh.nodes[mesh.elems]                      # (E, 4, 2)
-    # J[e, q, a, b] = sum_i dN[q, i, a] X[e, i, b]
-    J = np.matmul(dNq.transpose(0, 2, 1), X[:, None])
-    detJ = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-    if np.any(detJ <= 0.0):
-        raise ValueError("non-positive Jacobian determinant in mesh")
-    Jinv = np.empty_like(J)
-    Jinv[..., 0, 0] = J[..., 1, 1]
-    Jinv[..., 1, 1] = J[..., 0, 0]
-    Jinv[..., 0, 1] = -J[..., 0, 1]
-    Jinv[..., 1, 0] = -J[..., 1, 0]
-    Jinv /= detJ[..., None, None]
-    dNdx = np.matmul(dNq, Jinv.transpose(0, 1, 3, 2))   # dN_i/dx_b = dN_i/dxi_a Jinv_ba
-    detJw = detJ * wts[None, :]
-
-    E = mesh.n_elems
-    B = np.zeros((E, 4, 3, 8))
-    B[:, :, 0, 0::2] = dNdx[..., 0]
-    B[:, :, 1, 1::2] = dNdx[..., 1]
-    B[:, :, 2, 0::2] = dNdx[..., 1]
-    B[:, :, 2, 1::2] = dNdx[..., 0]
+    """Element data of a mesh on its ``xs`` x ``ys`` tensor grid, numbered
+    as ``generate_rect_mesh`` numbers it: node (i, j) at (xs[i], ys[j]) with
+    id j len(xs) + i, element (i, j) with id j (len(xs) - 1) + i and
+    counter-clockwise nodes from its lower-left corner. Any other mesh, or
+    grid lines that do not strictly increase (which keeps every detJ > 0),
+    raises ValueError."""
+    xs, ys = mesh.xs, mesh.ys
+    dx, dy = np.diff(xs), np.diff(ys)
+    mx, my = dx.size, dy.size
+    gx, gy = np.meshgrid(xs, ys)
+    n0 = np.arange((mx + 1) * my).reshape(my, mx + 1)[:, :-1].ravel()
+    grid_elems = np.column_stack([n0, n0 + 1, n0 + mx + 2, n0 + mx + 1])
+    if not ((dx > 0.0).all() and (dy > 0.0).all()
+            and np.array_equal(mesh.nodes, np.column_stack([gx.ravel(), gy.ravel()]))
+            and np.array_equal(mesh.elems, grid_elems)):
+        raise ValueError("element tables need the mesh's xs x ys tensor grid "
+                         "with strictly increasing grid lines")
+    pts, _ = gauss_2x2()
+    h = np.column_stack([np.tile(dx, my), np.repeat(dy, mx)])
 
     conn = mesh.elems
-    dofs_vec = np.empty((E, 8), dtype=np.int64)
+    dofs_vec = np.empty((mesh.n_elems, 8), dtype=np.int64)
     dofs_vec[:, 0::2] = 2 * conn
     dofs_vec[:, 1::2] = 2 * conn + 1
 
     h_e_qp = np.repeat(mesh.h_e[:, None], 4, axis=1)
-    return ElementTables(mesh=mesh, N=Nq, dNdx=dNdx, detJw=detJw, B=B,
-                         conn=conn, dofs_vec=dofs_vec, h_e_qp=h_e_qp)
+    return ElementTables(mesh=mesh, N=shape_q4(pts[:, 0], pts[:, 1])[0], h=h,
+                         detJ=0.25 * h[:, 0] * h[:, 1], conn=conn, dofs_vec=dofs_vec,
+                         h_e_qp=h_e_qp)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +301,7 @@ class Dirichlet:
 
     dofs: np.ndarray
     values: np.ndarray
-    lift: np.ndarray        # (n,) prescribed values, zero on free dofs
+    lift: np.ndarray | None  # (n,) prescribed values, zero on free dofs; None if all are 0
     keep: np.ndarray        # (n,) 1 on free dofs, 0 on constrained ones
     mask: np.ndarray        # (nnz,) 1 on the pattern slots of free-free entries
     unit: np.ndarray        # pattern slots of the constrained diagonals
@@ -348,17 +311,20 @@ class Dirichlet:
         dofs = np.asarray(dofs, dtype=np.int64)
         values = np.broadcast_to(np.asarray(values, dtype=float), dofs.shape).copy()
         n = pattern.shape[0]
-        lift = np.zeros(n)
-        lift[dofs] = values
+        lift = None
+        if values.any():
+            lift = np.zeros(n)
+            lift[dofs] = values
         keep = np.ones(n)
         keep[dofs] = 0.0
         rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
         return cls(dofs=dofs, values=values, lift=lift, keep=keep,
                    mask=keep[rows] * keep[pattern.indices], unit=pattern.diag[dofs])
 
-    def rhs(self, b: np.ndarray, lifted: np.ndarray) -> np.ndarray:
-        """``b`` eliminated, given the lift product ``lifted`` = A @ lift."""
-        out = (b - lifted) * self.keep
+    def rhs(self, b: np.ndarray, lifted: np.ndarray | None) -> np.ndarray:
+        """``b`` eliminated, given the lift product ``lifted`` = A @ lift,
+        None for homogeneous constraints (A @ 0 is +0.0, and b - 0.0 = b)."""
+        out = (b if lifted is None else b - lifted) * self.keep
         out[self.dofs] = self.values
         return out
 
@@ -371,8 +337,9 @@ class FieldOperator:
     operator is kept as assembled and with its constrained rows and
     columns eliminated, as CSR matrices on the field's structure whose
     data each solve replaces; ``lifted`` is the lift product A @ g of the
-    assembled operator and ``factor`` the factor of the eliminated one in
-    ``layout`` while its owner keeps one between solves, else None.
+    assembled operator (None when g = 0) and ``factor`` the factor of the
+    eliminated one in ``layout`` while its owner keeps one between solves,
+    else None.
     """
 
     def __init__(self, structure, layout: BandLayout, bc: Dirichlet | None):
@@ -392,10 +359,11 @@ class FieldOperator:
 
 def apply_dirichlet(op: FieldOperator, data: np.ndarray) -> None:
     """Load the operator ``data`` into ``op`` with its constraints
-    eliminated (see ``Dirichlet``), form their lift and drop the factor."""
+    eliminated (see ``Dirichlet``), form their lift (None when every
+    prescribed value is zero) and drop the factor."""
     A = op.load(data)
     eliminate(A, op.bc.mask, op.bc.unit, op.eliminated)
-    op.lifted = A @ op.bc.lift
+    op.lifted = None if op.bc.lift is None else A @ op.bc.lift
     op.factor = None
 
 

@@ -10,20 +10,26 @@ data on the field's pattern (linear once the lagged quantities are frozen):
   (always added; ``MaterialParams.s_stab = 0`` turns it off);
 * flow         — backward-Euler mass balance with the fixed-stress
   relaxation terms and the lagged volumetric strain increment on the
-  right-hand side. The thermal relaxation term is currently zero, because
-  heat is solved before flow within an iterate (ROADMAP open item 2);
+  right-hand side. The thermal relaxation term 3 alpha alpha_s
+  (T_new - T_it)/dt is left out: it is not zero within the inner loop,
+  because the lagged strain comes from a displacement computed at the
+  previous iterate's temperature, and it vanishes only at convergence
+  (ROADMAP open item 2);
 * mechanics    — degraded effective stress with pressure and thermal
   contributions moved to the right-hand side. Its operator depends only
   on (v, branch flags) and is built apart from the right-hand side, so a
   caller can keep it while those stay fixed.
 
 All quadrature-point fields are evaluated in bulk as (n_elems, 4) arrays.
-Each element term is one batched matmul of its quadrature-point
-coefficients against an operator table of ``ElementTables`` (built on
-first use), so no kernel plans an einsum contraction per call. Heat and
-flow read the temperature-independent quadrature-point state of an inner
-pass (``strain_state``) from one evaluation, and each adds the branch flag
-and porosity at its own temperature.
+Every element is an hx x hy rectangle (see ``ElementTables``), so
+dN/dx = (2/hx) dN/dxi, dN/dy = (2/hy) dN/deta and detJ = hx hy / 4 at
+every point. Each element term is therefore one plain 2-D matmul: its
+(E, k) quadrature-point coefficients, scaled per element by these
+factors (K_xx hy/hx, K_xy, K_yx and K_yy hx/hy for a tensor Laplacian),
+times a constant (k, m) table of the reference shape functions and Gauss
+weights. Heat and flow read the temperature-independent quadrature-point
+state of an inner pass (``strain_state``) from one evaluation, and each
+adds the branch flag and porosity at its own temperature.
 """
 
 from __future__ import annotations
@@ -35,7 +41,8 @@ import numpy as np
 from . import constitutive as law
 from .constitutive import MaterialParams
 from .errors import InvariantViolation
-from .fem import ElementTables, FieldSystem, assemble_batched, scatter_vector
+from .fem import (ElementTables, FieldSystem, assemble_batched, gauss_2x2, scatter_vector,
+                  shape_q4)
 
 @dataclass
 class FieldState:
@@ -51,6 +58,47 @@ class FieldState:
 
 
 # ---------------------------------------------------------------------------
+# constant reference tables on the 2x2 Gauss rule
+# ---------------------------------------------------------------------------
+# Axes: q quadrature point, a, b nodes, c, d directions (xi, eta), i
+# displacement components. Each table carries the Gauss weights.
+
+_PTS, _W = gauss_2x2()
+_N, _G = shape_q4(_PTS[:, 0], _PTS[:, 1])    # (q, a) values, (q, a, d) gradients
+_LOAD = _W[:, None] * _N                                               # (q, a)
+_MASS = np.einsum("q,qa,qb->qab", _W, _N, _N).reshape(4, 16)           # (q, ab)
+_LAPLACIAN = np.einsum("q,qad,qbd->qdab", _W, _G, _G).reshape(8, 16)   # (qd, ab)
+_TENSOR_LAPLACIAN = np.einsum("q,qac,qbd->qcdab", _W, _G, _G).reshape(16, 16)
+_ADVECTION = np.einsum("q,qa,qbd->qdab", _W, _N, _G).reshape(8, 16)   # (qd, ab)
+_DIVERGENCE = np.einsum("q,qad,di->qdai", _W, _G, np.eye(2)).reshape(8, 8)
+_GRAD = _G.transpose(1, 0, 2).reshape(4, 8)                           # (a, qd)
+# reference displacement gradients du_i/dxi_d, m = (i, d), from dofs (a, i)
+_REF_GRAD = np.einsum("qad,ij->qjdai", _G, np.eye(2)).reshape(4, 4, 8)  # (q, m, ai)
+_DISP_GRAD = _REF_GRAD.reshape(16, 8).T                                  # (ai, qm)
+_STIFFNESS = np.einsum("q,qma,qnb->qmnab", _W, _REF_GRAD, _REF_GRAD).reshape(64, 64)
+_DIR = np.array([0, 1, 0, 1])      # direction d of reference gradient m
+_VOIGT = np.array([0, 2, 2, 1])    # Voigt row (xx, yy, xy) that m enters
+_TO_VOIGT = np.eye(3)[_VOIGT]      # (m, Voigt row)
+
+
+def _aspect(tables: ElementTables) -> np.ndarray:
+    """(E, 2) detJ (2/h_d)^2: (hy/hx, hx/hy)."""
+    return tables.h[:, ::-1] / tables.h
+
+
+def _metric(tables: ElementTables) -> np.ndarray:
+    """(E, 2, 2) detJ (2/h_c)(2/h_d): [[hy/hx, 1], [1, hx/hy]]."""
+    m = np.ones((len(tables.h), 4))
+    m[:, ::3] = _aspect(tables)
+    return m.reshape(-1, 2, 2)
+
+
+def _half_sizes(tables: ElementTables) -> np.ndarray:
+    """(E, 2) detJ 2/h_d: (hy/2, hx/2)."""
+    return 0.5 * tables.h[:, ::-1]
+
+
+# ---------------------------------------------------------------------------
 # quadrature-point interpolation
 # ---------------------------------------------------------------------------
 
@@ -61,12 +109,17 @@ def scalar_qp(tables: ElementTables, f: np.ndarray) -> np.ndarray:
 
 def grad_qp(tables: ElementTables, f: np.ndarray) -> np.ndarray:
     """Nodal scalar -> (E, 4, 2) quadrature-point gradients."""
-    return np.matmul(f[tables.conn][:, None, None, :], tables.dNdx)[:, :, 0, :]
+    g = (f[tables.conn] @ _GRAD).reshape(-1, 4, 2)
+    g *= (2.0 / tables.h)[:, None, :]
+    return g
 
 
-def strain_qp(tables: ElementTables, u: np.ndarray) -> np.ndarray:
-    """Nodal displacement -> (E, 4, 3) Voigt strains."""
-    return np.einsum("eqsa,ea->eqs", tables.B, u[tables.dofs_vec])
+def strain_qp(tables: ElementTables, u: np.ndarray, elems=slice(None)) -> np.ndarray:
+    """Nodal displacement -> (E, 4, 3) Voigt strains, on the elements
+    ``elems`` (an index array or slice of element ids; all by default)."""
+    g = (u[tables.dofs_vec[elems]] @ _DISP_GRAD).reshape(-1, 4, 4)   # (E, q, m)
+    g *= (2.0 / tables.h[elems])[:, None, _DIR]
+    return (g.reshape(-1, 4) @ _TO_VOIGT).reshape(-1, 4, 3)
 
 
 def volumetric_strain_qp(tables: ElementTables, u: np.ndarray) -> np.ndarray:
@@ -95,43 +148,49 @@ def strain_state(tables: ElementTables, params: MaterialParams, u: np.ndarray,
 # element matrix building blocks
 # ---------------------------------------------------------------------------
 
-def _apply(table: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """(E, k) coefficients times a per-element (E, k, m) table -> (E, m)."""
-    return np.matmul(coeff[:, None, :], table)[:, 0, :]
-
-
 def _mass(tables: ElementTables, coeff: np.ndarray) -> np.ndarray:
     """Consistent mass element matrices for a (E, 4) coefficient field."""
-    return ((coeff * tables.detJw) @ tables.mass_table).reshape(-1, 4, 4)
+    return ((coeff * tables.detJ[:, None]) @ _MASS).reshape(-1, 4, 4)
 
 
 def _laplacian(tables: ElementTables, coeff: np.ndarray) -> np.ndarray:
     """Scalar-coefficient stiffness for a (E, 4) conductivity field."""
-    return _apply(tables.laplacian_table, coeff).reshape(-1, 4, 4)
+    c = coeff[..., None] * _aspect(tables)[:, None, :]
+    return (c.reshape(-1, 8) @ _LAPLACIAN).reshape(-1, 4, 4)
 
 
 def _laplacian_tensor(tables: ElementTables, K: np.ndarray) -> np.ndarray:
     """Tensor-coefficient stiffness for a (E, 4, 2, 2) field."""
-    return _apply(tables.tensor_laplacian_table, K.reshape(-1, 16)).reshape(-1, 4, 4)
+    c = K * _metric(tables)[:, None]
+    return (c.reshape(-1, 16) @ _TENSOR_LAPLACIAN).reshape(-1, 4, 4)
 
 
 def _advection(tables: ElementTables, q: np.ndarray) -> np.ndarray:
     """Advection matrices int N_a q . grad N_b for a (E, 4, 2) velocity field."""
-    return _apply(tables.advection_table, q.reshape(-1, 8)).reshape(-1, 4, 4)
+    c = q * _half_sizes(tables)[:, None, :]
+    return (c.reshape(-1, 8) @ _ADVECTION).reshape(-1, 4, 4)
+
+
+def _divergence(tables: ElementTables, s: np.ndarray) -> np.ndarray:
+    """(E, 8) virtual work int s div(N_a e_i) of a (E, 4) isotropic stress s I."""
+    c = s[..., None] * _half_sizes(tables)[:, None, :]
+    return c.reshape(-1, 8) @ _DIVERGENCE
 
 
 def _load(tables: ElementTables, source: np.ndarray) -> np.ndarray:
     """Element load vectors for a (E, 4) quadrature-point source density."""
-    return (source * tables.detJw) @ tables.N
+    return (source * tables.detJ[:, None]) @ _LOAD
 
 
 def _stiffness(tables: ElementTables, C: np.ndarray) -> np.ndarray:
-    """Element stiffness sum_q B^T C B detJw for a (E, 4, 3, 3) Voigt tangent."""
-    B = tables.B
-    E = B.shape[0]
-    BtW = np.matmul(B.transpose(0, 1, 3, 2), C * tables.detJw[..., None, None])
-    # (E, 8, q s) @ (E, q s, 8) sums over the quadrature points and Voigt rows
-    return np.matmul(BtW.transpose(0, 2, 1, 3).reshape(E, 8, 12), B.reshape(E, 12, 8))
+    """Element stiffness int B^T C B for a (E, 4, 3, 3) Voigt tangent.
+
+    The strain is S g of the reference displacement gradients g, with S
+    the 3 x 4 scaling by 2/hx and 2/hy, so the coefficients of the
+    reference table are S^T C S detJ at each quadrature point."""
+    w = _metric(tables)[:, _DIR[:, None], _DIR]                   # (E, m, n)
+    c = C[:, :, _VOIGT[:, None], _VOIGT] * w[:, None]            # (E, q, m, n)
+    return (c.reshape(-1, 64) @ _STIFFNESS).reshape(-1, 8, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +242,7 @@ def mechanics_rhs(tables: ElementTables, params: MaterialParams, op: MechanicsOp
     dT_qp = scalar_qp(tables, T) - params.T0
     # the rhs stress is isotropic: (alpha p + 3 K_eff alpha_s dT) I
     s = op.moduli.alpha * p_qp + 3.0 * op.moduli.K_eff * params.alpha_s * dT_qp
-    rhs = scatter_vector(tables, _apply(tables.divergence_table, s), vector=True)
+    rhs = scatter_vector(tables, _divergence(tables, s), vector=True)
     rhs += f_ext
     return rhs
 
@@ -203,9 +262,12 @@ def build_flow_system(tables: ElementTables, params: MaterialParams,
     Right-hand side: previous-step storage, thermal coupling against M_T,
     the fixed-stress relaxation history, the lagged volumetric-strain
     increment and nodal sources. The relaxation history has a pressure
-    term only: its thermal term 3 alpha alpha_s (T_new - T_it)/dt is zero
-    and is left out, because heat is solved before flow within an iterate
-    and T_it = T_new (ROADMAP open item 2).
+    term only: its thermal term 3 alpha alpha_s (T_new - T_it)/dt is left
+    out. That term is not zero within the inner loop, because the lagged
+    strain comes from ``it.u``, which was computed at ``it.T``; it is
+    non-zero until T settles and vanishes at convergence, so leaving it
+    out changes the iteration, not the converged answer (ROADMAP open
+    item 2).
 
     ``st`` is the ``strain_state`` of the (u, v) iterate, evaluated here at
     T_new. ``evol_prev`` is ``volumetric_strain_qp`` of the previous step's

@@ -8,7 +8,7 @@ from . import constitutive as law
 from .constitutive import MaterialParams
 from .fem import ElementTables, shape_q4
 from .mesh import Mesh, locate_points
-from .physics import FieldState, scalar_qp, strain_state
+from .physics import FieldState, scalar_qp, strain_qp, strain_state
 
 FIELDS = ("p", "T", "v", "ux", "uy")
 
@@ -45,7 +45,7 @@ def width_at(tables: ElementTables, state: FieldState, point) -> float:
     """Smeared fracture width h_e <eps1>+ at the nearest quadrature point."""
     mesh = tables.mesh
     eid = int(locate_points(mesh, point)[0][0])
-    eps = np.einsum("qsa,a->qs", tables.B[eid], state.u[tables.dofs_vec[eid]])
+    eps = strain_qp(tables, state.u, [eid])[0]
     qp_xy = tables.N @ mesh.nodes[mesh.elems[eid]]          # (4, 2)
     d2 = np.sum((qp_xy - np.asarray(point, dtype=float)) ** 2, axis=1)
     q = int(np.argmin(d2))

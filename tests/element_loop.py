@@ -1,17 +1,20 @@
 """Reference implementations the fast paths are tested against: element-loop
-assembly, Dirichlet elimination as a gather into the reduced structure of
-the constrained operator, the mechanics residual whose Jacobian the
-mechanics operator is, and the fracture permeability from the crack
-normal. Also small helpers that turn operator data on a pattern into
-scipy matrices, and a scipy matrix into operator storage."""
+assembly, general isoparametric element data from the node coordinates,
+Dirichlet elimination as a gather into the reduced structure of the
+constrained operator, the mechanics residual whose Jacobian the mechanics
+operator is, and the fracture permeability from the crack normal. Also
+small helpers that turn operator data on a pattern into scipy matrices,
+and a scipy matrix into operator storage."""
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from thmfrac import constitutive as law
-from thmfrac.fem import Factorization, FieldOperator, band_layout, scatter_vector
+from thmfrac.fem import (Factorization, FieldOperator, band_layout, gauss_2x2,
+                         scatter_vector, shape_q4)
 from thmfrac.mesh import Mesh
-from thmfrac.physics import scalar_qp, strain_qp
 
 _VOIGT_ID = np.array([1.0, 1.0, 0.0])
 
@@ -65,6 +68,32 @@ def assemble(mesh: Mesh, element_kernel) -> tuple[sp.csr_matrix, np.ndarray]:
     return A, b
 
 
+@dataclass
+class Isoparametric:
+    """General isoparametric Q4 data of a mesh at the 2x2 Gauss points."""
+
+    N: np.ndarray        # (4 q, 4 a) shape values
+    dNdx: np.ndarray     # (E, 4 q, 4 a, 2) physical gradients
+    detJw: np.ndarray    # (E, 4 q) weighted Jacobian determinants
+    B: np.ndarray        # (E, 4 q, 3, 8) strain-displacement matrices
+
+
+def isoparametric(mesh: Mesh) -> Isoparametric:
+    """Element data from ``mesh.nodes`` alone, with the full Jacobian
+    J[d, b] = dx_b/dxi_d and its inverse at every quadrature point, so
+    nothing assumes the elements are rectangles."""
+    pts, wts = gauss_2x2()
+    N, dN = shape_q4(pts[:, 0], pts[:, 1])                    # (q, a), (q, a, d)
+    J = np.einsum("qad,eab->eqdb", dN, mesh.nodes[mesh.elems])
+    dNdx = np.einsum("qad,eqbd->eqab", dN, np.linalg.inv(J))  # dN/dxi_d Jinv[b, d]
+    B = np.zeros(dNdx.shape[:2] + (3, 8))
+    B[:, :, 0, 0::2] = dNdx[..., 0]
+    B[:, :, 1, 1::2] = dNdx[..., 1]
+    B[:, :, 2, 0::2] = dNdx[..., 1]
+    B[:, :, 2, 1::2] = dNdx[..., 0]
+    return Isoparametric(N=N, dNdx=dNdx, detJw=np.linalg.det(J) * wts, B=B)
+
+
 def reduced_elimination(pattern, data, dofs):
     """Dirichlet elimination of the operator ``data`` on ``pattern`` as a
     gather into the reduced structure: the free-free slots plus every
@@ -106,14 +135,18 @@ def effective_stress(eps_e, moduli, params, eps_zz=0.0) -> np.ndarray:
 
 
 def mechanics_residual(tables, params, u, v, p, T, f_ext) -> np.ndarray:
-    """Internal force of the evaluated stress state minus external loads."""
-    p_qp = scalar_qp(tables, p)
-    dT_qp = scalar_qp(tables, T) - params.T0
-    eps_e, ezz, _, h = law.thermoelastic_split(strain_qp(tables, u), dT_qp, params.alpha_s)
-    moduli = law.degraded_moduli(scalar_qp(tables, v), h, params)
+    """Internal force of the evaluated stress state minus external loads,
+    on the ``isoparametric`` element data of the tables' mesh."""
+    iso = isoparametric(tables.mesh)
+    conn = tables.mesh.elems
+    p_qp = p[conn] @ iso.N.T
+    dT_qp = T[conn] @ iso.N.T - params.T0
+    eps = np.einsum("eqsa,ea->eqs", iso.B, u[tables.dofs_vec])
+    eps_e, ezz, _, h = law.thermoelastic_split(eps, dT_qp, params.alpha_s)
+    moduli = law.degraded_moduli(v[conn] @ iso.N.T, h, params)
     sig = effective_stress(eps_e, moduli, params, eps_zz=ezz)
     sig = sig - (moduli.alpha * p_qp)[..., None] * _VOIGT_ID
-    FE = np.einsum("eqsa,eqs->ea", tables.B, sig * tables.detJw[..., None])
+    FE = np.einsum("eqsa,eqs->ea", iso.B, sig * iso.detJw[..., None])
     return scatter_vector(tables, FE, vector=True) - f_ext
 
 

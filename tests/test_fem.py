@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -161,14 +162,29 @@ class TestPattern:
 
 
 class TestTables:
-    LAZY = ("scalar_pattern", "vector_pattern", "scalar_layout", "vector_layout", "mass_table",
-            "laplacian_table", "tensor_laplacian_table", "advection_table", "divergence_table")
+    LAZY = ("scalar_pattern", "vector_pattern", "scalar_layout", "vector_layout")
 
     def test_build_tables_builds_no_pattern_or_operator_table(self):
         _, tb = _graded_tables()
         assert not set(self.LAZY) & set(vars(tb))
-        assert tb.laplacian_table is tb.laplacian_table
-        assert set(vars(tb)) & set(self.LAZY) == {"laplacian_table"}
+        assert tb.scalar_layout is tb.scalar_layout
+        assert set(vars(tb)) & set(self.LAZY) == {"scalar_pattern", "scalar_layout"}
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_mesh_off_its_tensor_grid_rejected(self, axis):
+        mesh, _ = _graded_tables()
+        nodes = mesh.nodes.copy()
+        nodes[len(mesh.xs) + 1, axis] += 1e-3 * mesh.h_e.min()   # one interior node
+        with pytest.raises(ValueError, match="tensor grid"):
+            build_tables(replace(mesh, nodes=nodes))
+
+    def test_grid_lines_that_do_not_increase_rejected(self):
+        mesh = generate_rect_mesh(1.0, 1.0, 3, 2)
+        xs = mesh.xs[::-1].copy()
+        gx, gy = np.meshgrid(xs, mesh.ys)
+        flipped = replace(mesh, xs=xs, nodes=np.column_stack([gx.ravel(), gy.ravel()]))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            build_tables(flipped)
 
     @pytest.mark.parametrize("vector", [False, True])
     def test_scatter_is_bitwise_add_at(self, rng, vector):

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from thmfrac.errors import PointNotFound
-from thmfrac.fem import build_tables, shape_q4
+from thmfrac.fem import build_tables, gauss_2x2, shape_q4
 from thmfrac.mesh import (RefineBand, elems_intersecting_segment,
                           generate_rect_mesh, locate_points, nearest_node,
                           nodes_on_segment)
+
+from element_loop import isoparametric
 
 
 def test_unit_square_single_element():
@@ -51,8 +53,15 @@ def test_element_area_sum_matches_domain():
 def test_positive_jacobians_everywhere():
     m = generate_rect_mesh(2.0, 3.0, 9, 4,
                            RefineBand(axis="y", lo=1.0, hi=1.5, h=0.05))
-    tb = build_tables(m)  # raises on non-positive detJ
-    assert np.all(tb.detJw > 0.0)
+    iso = isoparametric(m)
+    assert np.all(iso.detJw > 0.0)
+    # on the tensor grid the general Jacobian is diag(hx/2, hy/2)
+    tb = build_tables(m)
+    pts, w = gauss_2x2()
+    _, dN = shape_q4(pts[:, 0], pts[:, 1])
+    scale = 2.0 / tb.h
+    assert np.allclose(iso.dNdx, dN * scale[:, None, None, :], rtol=1e-13, atol=0.0)
+    assert np.allclose(iso.detJw, tb.detJ[:, None] * w, rtol=1e-13, atol=0.0)
 
 
 def test_locate_center_of_unit_square():

@@ -15,7 +15,7 @@ from thmfrac.physics import (build_flow_system, build_heat_system,
                              mechanics_branch_flags, scalar_qp,
                              strain_qp, strain_state, volumetric_strain_qp)
 
-from element_loop import assemble, csr, matrix, mechanics_residual, operator_of
+from element_loop import assemble, csr, isoparametric, matrix, mechanics_residual, operator_of
 
 # ---------------------------------------------------------------------------
 # dense reference assemblies (independent loop-based implementations)
@@ -114,14 +114,20 @@ def _kernel_meshes():
 
 
 class TestTableKernels:
-    """Each kernel is one matmul against an ``ElementTables`` operator table;
-    the einsum expression it replaced is kept here as the reference."""
+    """Each kernel is one matmul of per-element scaled coefficients against a
+    constant reference table; the general isoparametric element data of
+    ``element_loop.isoparametric`` (full Jacobian inverse from the node
+    coordinates) give the reference."""
 
     RTOL = 1e-13
 
     @pytest.fixture(params=["graded", "band"])
     def tb(self, request):
         return build_tables(_kernel_meshes()[request.param])
+
+    @pytest.fixture
+    def iso(self, tb):
+        return isoparametric(tb.mesh)
 
     def _close(self, got, ref):
         # summation order differs, so an entry that cancels is measured
@@ -131,55 +137,78 @@ class TestTableKernels:
         scale = np.abs(ref).reshape(len(ref), -1).max(axis=1)
         assert np.all(err <= self.RTOL * scale), (err / scale).max()
 
-    def test_mass(self, tb, rng):
-        c = rng.uniform(0.5, 2.0, tb.detJw.shape)
-        ref = np.einsum("eq,qa,qb->eab", c * tb.detJw, tb.N, tb.N)
+    def test_mass(self, tb, iso, rng):
+        c = rng.uniform(0.5, 2.0, iso.detJw.shape)
+        ref = np.einsum("eq,qa,qb->eab", c * iso.detJw, iso.N, iso.N)
         self._close(physics._mass(tb, c), ref)
 
-    def test_laplacian(self, tb, rng):
-        c = rng.uniform(0.5, 2.0, tb.detJw.shape)
-        ref = np.einsum("eq,eqad,eqbd->eab", c * tb.detJw, tb.dNdx, tb.dNdx)
+    def test_laplacian(self, tb, iso, rng):
+        c = rng.uniform(0.5, 2.0, iso.detJw.shape)
+        ref = np.einsum("eq,eqad,eqbd->eab", c * iso.detJw, iso.dNdx, iso.dNdx)
         self._close(physics._laplacian(tb, c), ref)
 
-    def test_tensor_laplacian(self, tb, rng):
-        A = rng.normal(size=tb.detJw.shape + (2, 2))
+    def test_tensor_laplacian(self, tb, iso, rng):
+        A = rng.normal(size=iso.detJw.shape + (2, 2))
         K = np.matmul(A, A.transpose(0, 1, 3, 2)) + 0.1 * np.eye(2)
-        ref = np.einsum("eqac,eqcd,eq,eqbd->eab", tb.dNdx, K, tb.detJw, tb.dNdx)
+        K[..., 0, 1] += 0.3     # a nonsymmetric tensor tells K_xy from K_yx
+        ref = np.einsum("eqac,eqcd,eq,eqbd->eab", iso.dNdx, K, iso.detJw, iso.dNdx)
         self._close(physics._laplacian_tensor(tb, K), ref)
 
-    def test_advection(self, tb, rng):
-        q = rng.normal(size=tb.detJw.shape + (2,))
-        ref = np.einsum("eq,qa,eqd,eqbd->eab", tb.detJw, tb.N, q, tb.dNdx)
+    def test_advection(self, tb, iso, rng):
+        q = rng.normal(size=iso.detJw.shape + (2,))
+        ref = np.einsum("eq,qa,eqd,eqbd->eab", iso.detJw, iso.N, q, iso.dNdx)
         self._close(physics._advection(tb, q), ref)
 
-    def test_load(self, tb, rng):
-        src = rng.uniform(0.5, 2.0, tb.detJw.shape)
-        ref = np.einsum("eq,qa->ea", src * tb.detJw, tb.N)
+    def test_load(self, tb, iso, rng):
+        src = rng.uniform(0.5, 2.0, iso.detJw.shape)
+        ref = np.einsum("eq,qa->ea", src * iso.detJw, iso.N)
         self._close(physics._load(tb, src), ref)
 
-    def test_mechanics_stiffness(self, tb, rng, generic_params):
-        shape = tb.detJw.shape
+    def test_mechanics_stiffness(self, tb, iso, rng, generic_params):
+        shape = iso.detJw.shape
         moduli = law.degraded_moduli(rng.uniform(0.0, 1.0, shape),
                                      rng.integers(0, 2, shape).astype(float), generic_params)
         C = law.effective_stiffness(moduli, generic_params)
-        ref = np.einsum("eqsa,eqst,eqtb->eab", tb.B, C * tb.detJw[..., None, None], tb.B)
+        ref = np.einsum("eqsa,eqst,eqtb->eab", iso.B, C * iso.detJw[..., None, None], iso.B)
         self._close(physics._stiffness(tb, C), ref)
 
-    def test_mechanics_rhs(self, tb, rng):
-        s = rng.uniform(0.5, 2.0, tb.detJw.shape)
+    def test_mechanics_rhs(self, tb, iso, rng):
+        s = rng.uniform(0.5, 2.0, iso.detJw.shape)
         sig = s[..., None] * np.array([1.0, 1.0, 0.0])
-        ref = np.einsum("eqsa,eqs,eq->ea", tb.B, sig, tb.detJw)
-        self._close(physics._apply(tb.divergence_table, s), ref)
+        ref = np.einsum("eqsa,eqs,eq->ea", iso.B, sig, iso.detJw)
+        self._close(physics._divergence(tb, s), ref)
 
-    def test_quadrature_point_interpolation(self, tb, rng):
+    def test_quadrature_point_interpolation(self, tb, iso, rng):
         f = rng.normal(size=tb.n_nodes)
-        perm = rng.normal(size=tb.detJw.shape + (2, 2))
-        self._close(scalar_qp(tb, f), np.einsum("qi,ei->eq", tb.N, f[tb.conn]))
-        grad = np.einsum("eqid,ei->eqd", tb.dNdx, f[tb.conn])
+        u = rng.normal(size=2 * tb.n_nodes)
+        perm = rng.normal(size=iso.detJw.shape + (2, 2))
+        self._close(scalar_qp(tb, f), np.einsum("qi,ei->eq", iso.N, f[tb.conn]))
+        grad = np.einsum("eqid,ei->eqd", iso.dNdx, f[tb.conn])
         self._close(physics.grad_qp(tb, f), grad)
+        self._close(strain_qp(tb, u), np.einsum("eqsa,ea->eqs", iso.B, u[tb.dofs_vec]))
         mp = MaterialParams(E=1e9, nu=0.2, mu_f=2e-3)
         self._close(physics.darcy_flux_qp(tb, mp, perm, f),
                     -np.einsum("eqcd,eqd->eqc", perm, grad) / mp.mu_f)
+
+
+def test_tables_hold_at_most_8_values_per_element(generic_params, rng):
+    # every kernel runs once, so any table a kernel caches on the tables
+    # would show here; the patterns and layouts are not arrays
+    mesh = _kernel_meshes()["graded"]
+    tb = build_tables(mesh)
+    mp = generic_params
+    assert mp.rho_f * mp.c_pf != 0.0    # the heat kernel runs its advection term
+    u, p, T, v = _random_state(mesh, mp, rng)
+    st = strain_state(tb, mp, u, v)
+    op = build_mechanics_system(tb, mp, v, mechanics_branch_flags(tb, mp, st, T))
+    physics.mechanics_rhs(tb, mp, op, p, T, np.zeros(2 * mesh.n_nodes))
+    build_flow_system(tb, mp, st, p, T, volumetric_strain_qp(tb, 0.5 * u), p, T, 0.5)
+    build_heat_system(tb, mp, st, p, T, 0.5)
+    build_phasefield_system(tb, mp, np.full(mesh.n_elems, mp.Gc), u, p, T)
+    physics.grad_qp(tb, p)
+    sizes = {k: a.size for k, a in vars(tb).items() if isinstance(a, np.ndarray)}
+    assert {"conn", "dofs_vec"} <= set(sizes)
+    assert max(sizes.values()) <= 8 * mesh.n_elems, sizes
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +268,10 @@ class TestQPState:
         u, p, T, v = _random_state(mesh, mp, rng)
         st = strain_state(tb, mp, u, v)
         build_mechanics_system(tb, mp, v, mechanics_branch_flags(tb, mp, st, T))
-        assert calls == [tb.detJw.shape]
+        assert calls == [tb.h_e_qp.shape]
         calls.clear()
         build_flow_system(tb, mp, st, p, T, volumetric_strain_qp(tb, 0.5 * u), p, T, 0.5)
-        assert calls == [tb.detJw.shape]
+        assert calls == [tb.h_e_qp.shape]
         calls.clear()
         build_heat_system(tb, mp, st, p, T, 0.5)
         assert len(calls) == (variant == "phi0")
@@ -609,7 +638,8 @@ class TestPhaseField:
                                                 mp.alpha_s)
         drive = law.biot_modulus_pressure_drive(tr_e, scalar_qp(tb, p), h, mp)
         assert np.any(drive != 0.0)
-        ME = np.einsum("eq,qa,qb->eab", drive * tb.detJw, tb.N, tb.N)
+        iso = isoparametric(mesh)
+        ME = np.einsum("eq,qa,qb->eab", drive * iso.detJw, iso.N, iso.N)
         ref = assemble(mesh, lambda e: (ME[e], np.zeros(4)))[0].toarray()
         diff = (matrix(sys_p) - matrix(sys_0)).toarray()
         assert np.allclose(diff, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
