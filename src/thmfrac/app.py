@@ -30,14 +30,18 @@ log = logging.getLogger("thmfrac")
 
 
 class ScenarioRunner:
-    """Drives one scenario and streams its outputs to disk."""
+    """Drives one scenario and streams its outputs to disk.
+
+    The simulation is built and the probes are located before the output
+    directory is made, so a scenario that cannot be set up writes nothing.
+    """
 
     def __init__(self, cfg: ScenarioConfig, out_dir: str | Path):
         self.cfg = cfg
-        self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.sim: Simulation = build_simulation(cfg)
         self.probes = locate_probes(cfg.probes, self.sim.mesh)
+        self.out_dir = Path(out_dir)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.files: list[str] = []
         self._rows: list[list[float]] = []
         self._step = 0

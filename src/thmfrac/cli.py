@@ -3,8 +3,10 @@
 Subcommands: ``run`` (preset name or config file), ``verify`` (benchmark
 harness) and ``mesh-dump`` (VTK of a preset's mesh). ``run --override``
 sets any config value, such as ``controls.dt_schedule=[[0.1,0.01],[3.9,0.1]]``
-(0.1 s at dt = 0.01 s, then 3.9 s at 0.1 s). Exit codes: 0 success, 2 config
-error, 3 solver failure, 4 verification failure. The THMFRAC_LOG
+(0.1 s at dt = 0.01 s, then 3.9 s at 0.1 s). ``--dT`` and ``--fast`` apply
+only to presets that take them. Exit codes: 0 success, 2 config error
+(including a scenario that cannot be set up, such as a probe outside the
+mesh), 3 solver failure, 4 verification failure. The THMFRAC_LOG
 environment variable ({error, info, debug}) controls verbosity.
 """
 
@@ -17,6 +19,8 @@ import logging
 import os
 import sys
 from pathlib import Path
+
+from .errors import ConfigError, PointNotFound, SolverFailure
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
@@ -44,19 +48,24 @@ def _pin_threads(n: int):
 
 
 def _load_config(args):
-    """A preset's or a JSON file's scenario, parsed with its overrides."""
+    """A preset's or a JSON file's scenario, parsed with its overrides.
+    ``--dT`` or ``--fast`` for a scenario that does not take it raises
+    ValueError."""
     from .config import config_to_dict, parse_config
     from .presets import PRESETS, get_preset
 
     name = args.scenario
+    kwargs = {}
+    if getattr(args, "dT", None) is not None:
+        kwargs["dT"] = args.dT
+    if getattr(args, "fast", False):
+        kwargs["fast"] = True
+    takes = inspect.signature(PRESETS[name]).parameters if name in PRESETS else {}
+    unused = sorted(kwargs.keys() - takes.keys())
+    if unused:
+        raise ValueError(f"{', '.join('--' + k for k in unused)} does not apply to "
+                         f"scenario {name!r}")
     if name in PRESETS:
-        factory = PRESETS[name]
-        kwargs = {}
-        sig = inspect.signature(factory).parameters
-        if getattr(args, "dT", None) is not None and "dT" in sig:
-            kwargs["dT"] = args.dT
-        if getattr(args, "fast", False) and "fast" in sig:
-            kwargs["fast"] = True
         text = json.dumps(config_to_dict(get_preset(name, **kwargs)))
     else:
         path = Path(name)
@@ -67,27 +76,29 @@ def _load_config(args):
     return parse_config(text, name_hint=name, overrides=getattr(args, "override", None) or ())
 
 
+# a scenario that cannot be loaded or set up: a configuration error
+_SETUP_ERRORS = (ConfigError, FileNotFoundError, PointNotFound, ValueError)
+
+
 def _cmd_run(args) -> int:
-    from .app import run_scenario
-    from .errors import ConfigError, SolverFailure
+    from .app import ScenarioRunner
 
     try:
         cfg = _load_config(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+        runner = ScenarioRunner(cfg, Path(args.out) if args.out else Path("out") / cfg.name)
+    except _SETUP_ERRORS as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out_dir = Path(args.out) if args.out else Path("out") / cfg.name
     try:
-        run_scenario(cfg, out_dir)
+        runner.execute()
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    print(f"completed; outputs in {out_dir}")
+    print(f"completed; outputs in {runner.out_dir}")
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    from .errors import SolverFailure
     from .verify import format_report, run_verification
 
     try:
@@ -108,16 +119,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_mesh_dump(args) -> int:
-    from .errors import ConfigError
     from .io_vtk import write_vtk
     from .scenario import build_simulation
 
     try:
         cfg = _load_config(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+        sim = build_simulation(cfg)
+    except _SETUP_ERRORS as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    sim = build_simulation(cfg)
     out = Path(args.out) if args.out else Path(f"{cfg.name}_mesh.vtk")
     import numpy as np
 

@@ -3,15 +3,18 @@
 An object's JSON keys are the fields of its dataclass, and the dataclass
 checks their values in ``__post_init__``. The reader type-checks each value
 against its field's annotation, builds the object and reports its
-``ValueError`` under the object's path. Only the sections of
-``ScenarioConfig`` and the ``pressure``/``temperature`` key of ``ScalarBC``
-are mapped by hand. Every problem is reported at once, with field paths
-like ``materials.E``, rather than only the first.
+``ValueError`` under the object's path. Every number must be finite: JSON
+readers accept NaN and +-Infinity, and each one is reported under its
+path. Only the sections of ``ScenarioConfig`` and the
+``pressure``/``temperature`` key of ``ScalarBC`` are mapped by hand. Every
+problem is reported at once, with field paths like ``materials.E``, rather
+than only the first.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from .constitutive import MaterialParams
@@ -124,14 +127,17 @@ def _reject(v):
 def _number(v):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise TypeError
-    return float(v)             # OverflowError for an int beyond float range
+    v = float(v)                # OverflowError for an int beyond float range
+    if not math.isfinite(v):
+        raise ValueError
+    return v
 
 
 def _point(v):
     if not isinstance(v, (list, tuple)) or len(v) != 2:
         raise TypeError
     x, y = v
-    if type(x) is float and type(y) is float:
+    if type(x) is float and type(y) is float and math.isfinite(x) and math.isfinite(y):
         return (x, y)
     return (_number(x), _number(y))
 
@@ -157,7 +163,7 @@ def _object(v):
 # kind -> (type taken as is, conversion of other values, what it expects);
 # the kind of a dataclass field is its annotation
 _KINDS = {
-    "float": (float, _number, "a number"),
+    "float": (float, _number, "a finite number"),
     "int": (int, _reject, "an integer"),
     "str": (str, _reject, "a string"),
     "bool": (bool, _reject, "true/false"),
@@ -219,7 +225,7 @@ def _fields(d, schema, path: str, errors: list[str]) -> dict:
     types, kinds, required = schema
     out = {}
     for k, v in d.items():
-        if type(v) is types.get(k):
+        if type(v) is types.get(k) and (type(v) is not float or math.isfinite(v)):
             out[k] = v
             continue
         kind = kinds.get(k)

@@ -91,6 +91,10 @@ class MaterialParams:
             errs.append(f"s_stab must lie in [0, 1], got {self.s_stab}")
         if self.ell <= 0.0:
             errs.append(f"ell must be positive, got {self.ell}")
+        if not self.Gc > 0.0:
+            errs.append(f"Gc must be positive, got {self.Gc}")
+        if not self.mu_f > 0.0:
+            errs.append(f"mu_f must be positive, got {self.mu_f}")
         if errs:
             raise ValueError("; ".join(errs))
 

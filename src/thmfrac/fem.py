@@ -4,35 +4,35 @@ Meshes are tensor grids of axis-aligned rectangles, so ``ElementTables``
 holds each element's sizes (hx, hy) and no per-element quadrature or
 operator table: element matrices are produced in bulk as (n_elems, nd, nd)
 arrays, each element term as one matmul of per-element scaled
-coefficients against a constant reference table (see ``physics``). Each
-field (scalar or vector) has one CSR sparsity pattern per mesh, built on
-first assembly together with the map from element entries to CSR slots,
-so assembly is one
-``np.bincount`` into the data of an operator that keeps that pattern up
-to its factor. A ``FieldOperator`` is the linear-algebra state of one
-field, kept by its owner between solves: its ``Dirichlet`` constraints,
-its operator as assembled and as eliminated (CSR matrices whose data each
-solve replaces: after a field's first solve no sub-solve builds a sparse
-object), the lift of its constraints and its factor. ``apply_dirichlet``
-loads new data, eliminates the constraints (one multiply by a slot mask,
-``eliminate``, as for the phase-field active set), forms the lift and
-drops the factor. Every linear solve passes ``solve_linear`` and its gate
-(a non-finite solution or a residual above 1e-10 ||b|| raises
-``SolverFailure``).
+coefficients against a constant reference table (see ``physics``).
+
+Each field kind (scalar or vector) has one ``FieldLayout`` per mesh, built
+on its first assembly: the CSR structure of its operators, the map from
+element entries to CSR slots, the row and diagonal slots, and the band
+positions of every slot in the grid's own ordering. Assembly is one
+``np.bincount`` into the data of an operator that keeps that structure up
+to its factor, and the Dirichlet elimination, the factorization and the
+solve gate all read the same record. A ``FieldOperator`` is the
+linear-algebra state of one field, kept by its owner between solves: its
+layout, its ``Dirichlet`` constraints, its operator as assembled and as
+eliminated (CSR matrices whose data each solve replaces: after a field's
+first solve no sub-solve builds a sparse object), the lift of its
+constraints and its factor. ``apply_dirichlet`` loads new data, eliminates
+the constraints (one multiply by a slot mask, ``eliminate``, as for the
+phase-field active set), forms the lift and drops the factor. Every linear
+solve passes ``solve_linear`` and its gate (a non-finite solution or a
+residual above 1e-10 ||b|| raises ``SolverFailure``).
 
 Every factorization is a dense banded LAPACK factorization in the grid's
 own ordering, numbered across its short side: the tensor-product node
-numbering when rows are no longer than columns, else its transpose. Each
-field resolves one ``BandLayout`` on its first solve: the ordering, the
-bandwidth and the band-storage position of every CSR slot, through which
-every operator of the field scatters. A Q4 operator's bandwidth in that
-ordering is min(len(xs), len(ys)) + 1 for a scalar field and twice that
-plus 1 for the interleaved vector field (4 and 9 on a column two cells
-wide), so a factorization costs n w^2 flops and no per-call symbolic
-analysis. Symmetric operators (flow, mechanics, phase field) take a
-Cholesky factorization; the heat operator, which advection makes
-nonsymmetric, and any operator that is not positive definite take LU with
-partial pivoting.
+numbering when rows are no longer than columns, else its transpose. A Q4
+operator's bandwidth in that ordering is min(len(xs), len(ys)) + 1 for a
+scalar field and twice that plus 1 for the interleaved vector field (4 and
+9 on a column two cells wide), so a factorization costs n w^2 flops and no
+per-call symbolic analysis. Symmetric operators (flow, mechanics, phase
+field) take a Cholesky factorization; the heat operator, which advection
+makes nonsymmetric, and any operator that is not positive definite take
+LU with partial pivoting.
 """
 
 from __future__ import annotations
@@ -74,129 +74,97 @@ def gauss_2x2() -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class CSRPattern:
-    """Fixed CSR structure of one field and the map that fills its data.
+class FieldLayout:
+    """Sparsity, assembly map and band layout of one field.
 
-    Flat element entry ``k`` of the (E, nd, nd) element matrices lands in
-    data slot ``slot[k]``, and each slot sums its entries in element order,
-    the order ``scatter_vector`` sums a load vector in. ``diag`` holds the
-    slot of every diagonal entry.
+    Every operator of the field is data on one CSR structure (``indptr``,
+    ``indices``): slot ``k`` lies in row ``rows[k]``, and ``diag`` holds the
+    slot of every diagonal entry, in row order. Flat element entry ``k`` of
+    the (E, nd, nd) element matrices lands in slot ``slot[k]``, and each
+    slot sums its entries in element order, the order ``scatter_vector``
+    sums a load vector in.
+
+    Band position ``i`` holds dof ``perm[i]``, and in that ordering every
+    entry lies at most ``width`` off the diagonal. Slot ``k`` goes to flat
+    position ``lu[k]`` of the column-major (3 width + 1, n) band storage of
+    LAPACK ``gbtrf``; the slots ``tril`` of the lower triangle go to
+    positions ``chol`` of the (width + 1, n) lower band storage of
+    ``pbtrf``, and ``mirror`` holds the slot of each one's transpose.
     """
 
     shape: tuple[int, int]
     indptr: np.ndarray
     indices: np.ndarray
     slot: np.ndarray
+    rows: np.ndarray
     diag: np.ndarray
-
-    def assemble(self, KE: np.ndarray) -> np.ndarray:
-        """Sum element matrices (E, nd, nd) into operator data on this pattern."""
-        return np.bincount(self.slot, weights=KE.reshape(-1), minlength=self.indices.size)
-
-
-def csr_pattern(dofs: np.ndarray, n: int) -> CSRPattern:
-    """Pattern of the (n, n) operator whose element e couples ``dofs[e]``."""
-    nd = dofs.shape[1]
-    rows = np.repeat(dofs, nd, axis=1).ravel()
-    cols = np.tile(dofs, (1, nd)).ravel()
-    # row-major entry keys: sorted unique keys are the CSR slots in order
-    keys, slot = np.unique(rows * n + cols, return_inverse=True)
-    slot_row, col = np.divmod(keys, n)
-    indices = col.astype(np.int32)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(slot_row, minlength=n), out=indptr[1:])
-    diag = np.flatnonzero(slot_row == col)
-    if diag.size != n:
-        raise ValueError("every dof needs a diagonal entry in the pattern")
-    for a in (indptr, indices):
-        a.flags.writeable = False   # shared by every matrix assembled on it
-    return CSRPattern(shape=(n, n), indptr=indptr, indices=indices, slot=slot, diag=diag)
-
-
-@dataclass(frozen=True)
-class BandLayout:
-    """Band layout of one CSR structure in a given dof ordering.
-
-    Band position ``i`` holds dof ``perm[i]``, and in that ordering every
-    entry lies at most ``width`` off the diagonal. Slot ``k`` of a matrix
-    on the structure sits in row ``rows[k]`` and goes to flat position
-    ``lu[k]`` of the column-major (3 width + 1, n) band storage of LAPACK
-    ``gbtrf``; the slots ``tril`` of the lower triangle go to positions
-    ``chol`` of the (width + 1, n) lower band storage of ``pbtrf``.
-    ``diag`` holds the slots of the diagonal entries, in row order.
-    ``mirror`` holds the slot of the transposed entry of each ``tril``
-    slot, or is None when the structure is not symmetric.
-    """
-
     perm: np.ndarray
     width: int
-    rows: np.ndarray
     lu: np.ndarray
     tril: np.ndarray
     chol: np.ndarray
-    diag: np.ndarray
-    mirror: np.ndarray | None
+    mirror: np.ndarray
+
+    def assemble(self, KE: np.ndarray) -> np.ndarray:
+        """Sum element matrices (E, nd, nd) into operator data on this layout."""
+        return np.bincount(self.slot, weights=KE.reshape(-1), minlength=self.indices.size)
 
 
-def band_layout(structure, perm: np.ndarray) -> BandLayout:
-    """Resolve the band layout of a CSR structure with sorted indices and
-    no duplicates (a ``CSRPattern`` or a canonical ``csr_matrix``) in the
-    dof ordering ``perm``, a permutation of its rows."""
-    n = structure.shape[0]
-    indptr, cols = structure.indptr, structure.indices
-    rows = np.repeat(np.arange(n), np.diff(indptr))
+def field_layout(dofs: np.ndarray, node_order: np.ndarray) -> FieldLayout:
+    """Layout of the field whose element e couples the dofs ``dofs[e]``,
+    with c dofs per node interleaved (dof c a + i is component i of node
+    a), banded in the node ordering ``node_order``. Each element couples
+    all of its dofs both ways, so the structure is symmetric."""
+    c = math.ceil((int(dofs.max()) + 1) / node_order.size)    # dofs per node
+    n = c * node_order.size
+    nd = dofs.shape[1]
+    # row-major entry keys: sorted unique keys are the CSR slots in order
+    keys, slot = np.unique(np.repeat(dofs, nd, axis=1).ravel() * n
+                           + np.tile(dofs, (1, nd)).ravel(), return_inverse=True)
+    rows, cols = np.divmod(keys, n)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    diag = np.flatnonzero(rows == cols)
+    if diag.size != n:
+        raise ValueError("every dof needs a diagonal entry in the layout")
+    perm = (c * node_order[:, None] + np.arange(c)).ravel()
     rank = np.empty(n, dtype=np.int64)
     rank[perm] = np.arange(n)
     i, j = rank[rows], rank[cols]
     off = i - j
-    k = int(np.abs(off).max(initial=0))
+    k = int(np.abs(off).max())
     tril = np.flatnonzero(off >= 0)
-    diag = np.flatnonzero(off == 0)
-    keys = rows * n + cols                  # ascending in a canonical structure
-    transposed = cols[tril] * n + rows[tril]
-    mirror = np.minimum(np.searchsorted(keys, transposed), keys.size - 1)
-    # symmetric: every lower slot has its transpose, and nothing else is above
-    symmetric = (np.array_equal(keys[mirror], transposed)
-                 and 2 * tril.size - diag.size == keys.size)
-    return BandLayout(perm=perm, width=k, rows=rows, lu=2 * k + off + j * (3 * k + 1),
-                      tril=tril, chol=off[tril] + j[tril] * (k + 1), diag=diag,
-                      mirror=mirror if symmetric else None)
+    indices = cols.astype(np.int32)
+    for a in (indptr, indices):
+        a.flags.writeable = False   # shared by every matrix of the field
+    return FieldLayout(shape=(n, n), indptr=indptr, indices=indices, slot=slot, rows=rows,
+                       diag=diag, perm=perm, width=k, lu=2 * k + off + j * (3 * k + 1),
+                       tril=tril, chol=off[tril] + j[tril] * (k + 1),
+                       mirror=np.searchsorted(keys, cols[tril] * n + rows[tril]))
 
 
 @dataclass
 class ElementTables:
-    """Per-mesh element sizes, dof maps and sparsity patterns of a tensor grid.
+    """Per-mesh element sizes, dof maps and field layouts of a tensor grid.
 
     Every element is an axis-aligned hx x hy rectangle, so its Jacobian is
     diag(hx/2, hy/2) at every point: physical gradients are the reference
     gradients scaled by 2/hx and 2/hy, and detJ = hx hy / 4. The element
     kernels of ``physics`` need only these sizes and constant reference
     tables on the 2x2 Gauss rule, so no array here holds more than 8 values
-    per element. The patterns and band layouts are built on first use, not
-    by ``build_tables``.
+    per element. Each field kind, scalar (T, p, v) and vector (u), has one
+    ``FieldLayout``, built on its first assembly, not by ``build_tables``.
     """
 
     mesh: Mesh
-    N: np.ndarray        # (4 qp, 4 nodes) shape values
     h: np.ndarray        # (E, 2) element sizes (hx, hy)
     detJ: np.ndarray     # (E,) Jacobian determinants hx hy / 4
     conn: np.ndarray     # (E, 4) node ids
     dofs_vec: np.ndarray  # (E, 8) interleaved (ux, uy) dofs
-    h_e_qp: np.ndarray   # (E, 4) element size replicated per qp
 
     @property
     def n_nodes(self) -> int:
         return self.mesh.n_nodes
-
-    # built on first assembly, not with the tables, so that setting up a
-    # simulation stays cheap
-    @cached_property
-    def scalar_pattern(self) -> CSRPattern:
-        return csr_pattern(self.conn, self.n_nodes)
-
-    @cached_property
-    def vector_pattern(self) -> CSRPattern:
-        return csr_pattern(self.dofs_vec, 2 * self.n_nodes)
 
     @property
     def node_order(self) -> np.ndarray:
@@ -207,15 +175,15 @@ class ElementTables:
         ids = np.arange(self.n_nodes).reshape(len(self.mesh.ys), len(self.mesh.xs))
         return ids.ravel() if ids.shape[1] <= ids.shape[0] else ids.T.ravel()
 
-    # resolved on a field's first solve
+    # built on first assembly, not with the tables, so that setting up a
+    # simulation stays cheap
     @cached_property
-    def scalar_layout(self) -> BandLayout:
-        return band_layout(self.scalar_pattern, self.node_order)
+    def scalar_layout(self) -> FieldLayout:
+        return field_layout(self.conn, self.node_order)
 
     @cached_property
-    def vector_layout(self) -> BandLayout:
-        order = 2 * self.node_order
-        return band_layout(self.vector_pattern, np.column_stack([order, order + 1]).ravel())
+    def vector_layout(self) -> FieldLayout:
+        return field_layout(self.dofs_vec, self.node_order)
 
 
 def build_tables(mesh: Mesh) -> ElementTables:
@@ -236,18 +204,14 @@ def build_tables(mesh: Mesh) -> ElementTables:
             and np.array_equal(mesh.elems, grid_elems)):
         raise ValueError("element tables need the mesh's xs x ys tensor grid "
                          "with strictly increasing grid lines")
-    pts, _ = gauss_2x2()
     h = np.column_stack([np.tile(dx, my), np.repeat(dy, mx)])
 
     conn = mesh.elems
     dofs_vec = np.empty((mesh.n_elems, 8), dtype=np.int64)
     dofs_vec[:, 0::2] = 2 * conn
     dofs_vec[:, 1::2] = 2 * conn + 1
-
-    h_e_qp = np.repeat(mesh.h_e[:, None], 4, axis=1)
-    return ElementTables(mesh=mesh, N=shape_q4(pts[:, 0], pts[:, 1])[0], h=h,
-                         detJ=0.25 * h[:, 0] * h[:, 1], conn=conn, dofs_vec=dofs_vec,
-                         h_e_qp=h_e_qp)
+    return ElementTables(mesh=mesh, h=h, detJ=0.25 * h[:, 0] * h[:, 1], conn=conn,
+                         dofs_vec=dofs_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +220,9 @@ def build_tables(mesh: Mesh) -> ElementTables:
 
 @dataclass
 class FieldSystem:
-    """Assembled A x = b of one field: A as data on the field's pattern."""
+    """Assembled A x = b of one field: A as data on the field's layout."""
 
-    pattern: CSRPattern
+    layout: FieldLayout
     data: np.ndarray
     rhs: np.ndarray
 
@@ -266,8 +230,8 @@ class FieldSystem:
 def assemble_batched(tables: ElementTables, KE: np.ndarray, FE: np.ndarray,
                      vector: bool = False) -> FieldSystem:
     """Sum precomputed element matrices/vectors into a global system."""
-    pattern = tables.vector_pattern if vector else tables.scalar_pattern
-    return FieldSystem(pattern, pattern.assemble(KE), scatter_vector(tables, FE, vector))
+    layout = tables.vector_layout if vector else tables.scalar_layout
+    return FieldSystem(layout, layout.assemble(KE), scatter_vector(tables, FE, vector))
 
 
 def scatter_vector(tables: ElementTables, FE: np.ndarray, vector: bool = False) -> np.ndarray:
@@ -290,12 +254,12 @@ def eliminate(A: sp.csr_matrix, mask: np.ndarray, unit: np.ndarray,
 
 @dataclass(frozen=True)
 class Dirichlet:
-    """Static Dirichlet constraints of one field, resolved against its pattern.
+    """Static Dirichlet constraints of one field, resolved against its layout.
 
     Row/column elimination preserving symmetry: the entries of constrained
     rows and columns become zero, constrained diagonals 1 and the rhs of
     free dofs absorbs -A[:, c] g. Its slot ``mask`` and unit diagonal slots
-    are resolved once on the field's pattern, which every matrix passed in
+    are resolved once on the field's layout, which every matrix passed in
     must be on, so each elimination is one multiply (see ``eliminate``).
     """
 
@@ -303,23 +267,22 @@ class Dirichlet:
     values: np.ndarray
     lift: np.ndarray | None  # (n,) prescribed values, zero on free dofs; None if all are 0
     keep: np.ndarray        # (n,) 1 on free dofs, 0 on constrained ones
-    mask: np.ndarray        # (nnz,) 1 on the pattern slots of free-free entries
-    unit: np.ndarray        # pattern slots of the constrained diagonals
+    mask: np.ndarray        # (nnz,) 1 on the layout slots of free-free entries
+    unit: np.ndarray        # layout slots of the constrained diagonals
 
     @classmethod
-    def on(cls, pattern: CSRPattern, dofs, values) -> "Dirichlet":
+    def on(cls, layout: FieldLayout, dofs, values) -> "Dirichlet":
         dofs = np.asarray(dofs, dtype=np.int64)
         values = np.broadcast_to(np.asarray(values, dtype=float), dofs.shape).copy()
-        n = pattern.shape[0]
+        n = layout.shape[0]
         lift = None
         if values.any():
             lift = np.zeros(n)
             lift[dofs] = values
         keep = np.ones(n)
         keep[dofs] = 0.0
-        rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
         return cls(dofs=dofs, values=values, lift=lift, keep=keep,
-                   mask=keep[rows] * keep[pattern.indices], unit=pattern.diag[dofs])
+                   mask=keep[layout.rows] * keep[layout.indices], unit=layout.diag[dofs])
 
     def rhs(self, b: np.ndarray, lifted: np.ndarray | None) -> np.ndarray:
         """``b`` eliminated, given the lift product ``lifted`` = A @ lift,
@@ -335,19 +298,19 @@ class FieldOperator:
     ``bc`` holds the field's Dirichlet constraints (None for the phase
     field, whose bounds ``solve_bound_constrained`` eliminates). The
     operator is kept as assembled and with its constrained rows and
-    columns eliminated, as CSR matrices on the field's structure whose
-    data each solve replaces; ``lifted`` is the lift product A @ g of the
-    assembled operator (None when g = 0) and ``factor`` the factor of the
-    eliminated one in ``layout`` while its owner keeps one between solves,
-    else None.
+    columns eliminated, as CSR matrices on the structure of the field's
+    ``layout`` whose data each solve replaces; ``lifted`` is the lift
+    product A @ g of the assembled operator (None when g = 0) and
+    ``factor`` the factor of the eliminated one while its owner keeps one
+    between solves, else None.
     """
 
-    def __init__(self, structure, layout: BandLayout, bc: Dirichlet | None):
+    def __init__(self, layout: FieldLayout, bc: Dirichlet | None):
         self.layout = layout
         self.bc = bc
         self.assembled, self.eliminated = (
-            sp.csr_matrix((np.zeros(structure.indices.size), structure.indices,
-                           structure.indptr), shape=structure.shape) for _ in range(2))
+            sp.csr_matrix((np.zeros(layout.indices.size), layout.indices, layout.indptr),
+                          shape=layout.shape) for _ in range(2))
         self.lifted: np.ndarray | None = None
         self.factor: Factorization | None = None
 
@@ -375,14 +338,15 @@ class Factorization:
     """Banded factor of a Jacobi-scaled operator, kept by its owner.
 
     ``factorize`` fills it and ``solve`` solves with the unscaled operator.
-    The operator must be on the structure of ``layout``: its data are
-    scattered into LAPACK band storage and its diagonal read through it.
+    The operator must be on the structure of its field's ``layout``: its
+    data are scattered into LAPACK band storage and its diagonal read
+    through it.
     ``solve_linear`` fills an empty factor and solves with a filled one
     without looking at the operator again, so the owner takes a fresh
     ``Factorization`` whenever the operator changes.
     """
 
-    def __init__(self, layout: BandLayout):
+    def __init__(self, layout: FieldLayout):
         self.layout = layout
         self.band: np.ndarray | None = None    # the factor in band storage
         self.ipiv: np.ndarray | None = None    # LU pivots; None for Cholesky
@@ -401,16 +365,16 @@ class Factorization:
         """
         lay = self.layout
         n = A.shape[0]
-        d = A.data[lay.diag]            # a missing diagonal entry is a zero
-        if d.size == n and (d > 0.0).all() and np.isfinite(d).all():
+        d = A.data[lay.diag]
+        if (d > 0.0).all() and np.isfinite(d).all():
             s = 1.0 / np.sqrt(d)
         else:
             s = np.ones(n)
         self.scale = s
-        data = A.data * (np.take(s, lay.rows) * np.take(s, A.indices))
+        data = A.data * (np.take(s, lay.rows) * np.take(s, lay.indices))
         low = data[lay.tril]
         k = lay.width
-        if (lay.mirror is not None and np.abs(low - data[lay.mirror]).max(initial=0.0)
+        if (np.abs(low - data[lay.mirror]).max(initial=0.0)
                 <= 1e-12 * np.abs(low).max(initial=0.0)):
             ab = np.zeros((k + 1) * n)
             ab[lay.chol] = low
@@ -448,7 +412,7 @@ def solve_linear(A: sp.csr_matrix, b: np.ndarray, factor: Factorization) -> np.n
     mobility contrast between broken and intact cells reaches 1e8+) and a
     few iterative-refinement sweeps against the unscaled residual recover
     full accuracy. The factorization is banded Cholesky or banded LU in
-    the factor's band layout (see ``Factorization``). A
+    the factor's layout (see ``Factorization``), which ``A`` must be on. A
     filled ``factor`` is reused; an empty one receives the new factor.
     """
     n = A.shape[0]
@@ -472,8 +436,7 @@ def solve_linear(A: sp.csr_matrix, b: np.ndarray, factor: Factorization) -> np.n
     # high-contrast crack) no float64 vector can reach 1e-10*||b||; accept the
     # standard backward-error scale instead, which coincides with the ||b||
     # gate whenever the system is well scaled.
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    absAx = np.bincount(rows, weights=np.abs(A.data) * np.abs(x)[A.indices], minlength=n)
+    absAx = np.bincount(factor.layout.rows, weights=np.abs(A.data) * np.abs(x)[A.indices], minlength=n)
     denom = bnorm + math.sqrt(absAx @ absAx)
     rnorm = math.sqrt(resid @ resid)
     if rnorm > 1e-10 * denom:
@@ -496,10 +459,9 @@ def solve_bound_constrained(op: FieldOperator, b: np.ndarray, lower: np.ndarray,
     clamp violating components, release actives whose KKT multiplier has
     the wrong sign. At the solution the gradient r = Ax - b vanishes on
     free components, is >= 0 at lower bounds and <= 0 at upper bounds.
-    A is the operator ``op`` holds as assembled, on a structure with every
-    diagonal. The free block is A with its active rows and columns
-    eliminated into ``op.eliminated`` (see ``eliminate``; rhs 0 there) and
-    factorized afresh in ``op.layout``. Each free-block solve passes
+    A is the operator ``op`` holds as assembled. The free block is A with
+    its active rows and columns eliminated into ``op.eliminated`` (see
+    ``eliminate``; rhs 0 there) and factorized afresh in ``op.layout``. Each free-block solve passes
     ``solve_linear``, with its residual gate on the free block, refinement
     and non-finite check.
     """
@@ -511,8 +473,6 @@ def solve_bound_constrained(op: FieldOperator, b: np.ndarray, lower: np.ndarray,
         raise ValueError("lower bound exceeds upper bound")
     x = np.clip(np.asarray(init, dtype=float).copy(), lower, upper)
     rows, diag = op.layout.rows, op.layout.diag
-    if diag.size != n:
-        raise ValueError("every dof needs a diagonal entry in the structure of A")
 
     pinned = lower >= upper - 1e-15          # equality-constrained dofs
     x[pinned] = lower[pinned]

@@ -1,7 +1,7 @@
 """Element kernels for the four staggered sub-problems.
 
 Each builder returns the assembled system of one sub-solve, its operator as
-data on the field's pattern (linear once the lagged quantities are frozen):
+data on the field's layout (linear once the lagged quantities are frozen):
 
 * phase field  — bound-constrained quadratic in v, driven by the stored
   tensile energy and the pressure term p^2/2 d(1/M_p)/dv in product form;
@@ -64,12 +64,12 @@ class FieldState:
 # displacement components. Each table carries the Gauss weights.
 
 _PTS, _W = gauss_2x2()
-_N, _G = shape_q4(_PTS[:, 0], _PTS[:, 1])    # (q, a) values, (q, a, d) gradients
-_LOAD = _W[:, None] * _N                                               # (q, a)
-_MASS = np.einsum("q,qa,qb->qab", _W, _N, _N).reshape(4, 16)           # (q, ab)
+N_QP, _G = shape_q4(_PTS[:, 0], _PTS[:, 1])   # (q, a) values, (q, a, d) gradients
+_LOAD = _W[:, None] * N_QP                                             # (q, a)
+_MASS = np.einsum("q,qa,qb->qab", _W, N_QP, N_QP).reshape(4, 16)       # (q, ab)
 _LAPLACIAN = np.einsum("q,qad,qbd->qdab", _W, _G, _G).reshape(8, 16)   # (qd, ab)
 _TENSOR_LAPLACIAN = np.einsum("q,qac,qbd->qcdab", _W, _G, _G).reshape(16, 16)
-_ADVECTION = np.einsum("q,qa,qbd->qdab", _W, _N, _G).reshape(8, 16)   # (qd, ab)
+_ADVECTION = np.einsum("q,qa,qbd->qdab", _W, N_QP, _G).reshape(8, 16)  # (qd, ab)
 _DIVERGENCE = np.einsum("q,qad,di->qdai", _W, _G, np.eye(2)).reshape(8, 8)
 _GRAD = _G.transpose(1, 0, 2).reshape(4, 8)                           # (a, qd)
 # reference displacement gradients du_i/dxi_d, m = (i, d), from dofs (a, i)
@@ -104,7 +104,7 @@ def _half_sizes(tables: ElementTables) -> np.ndarray:
 
 def scalar_qp(tables: ElementTables, f: np.ndarray) -> np.ndarray:
     """Nodal scalar -> (E, 4) quadrature-point values."""
-    return f[tables.conn] @ tables.N.T
+    return f[tables.conn] @ N_QP.T
 
 
 def grad_qp(tables: ElementTables, f: np.ndarray) -> np.ndarray:
@@ -141,7 +141,8 @@ def strain_state(tables: ElementTables, params: MaterialParams, u: np.ndarray,
     Heat and flow evaluate their kernels on the same (u, v) iterate of an
     inner pass, so a time step forms this once per pass for both.
     """
-    return law.strain_state(strain_qp(tables, u), tables.h_e_qp, scalar_qp(tables, v), params)
+    return law.strain_state(strain_qp(tables, u), tables.mesh.h_e[:, None],
+                            scalar_qp(tables, v), params)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +209,7 @@ def mechanics_branch_flags(tables: ElementTables, params: MaterialParams,
 @dataclass
 class MechanicsOperator:
     """Stiffness at a frozen (v, branch flags) pair as data on the vector
-    pattern, and the (E, 4) degraded moduli the right-hand side of that
+    layout, and the (E, 4) degraded moduli the right-hand side of that
     state reuses."""
 
     v: np.ndarray
@@ -232,7 +233,7 @@ def build_mechanics_system(tables: ElementTables, params: MaterialParams,
     moduli = law.degraded_moduli(scalar_qp(tables, v), tr_sign, params)
     KE = _stiffness(tables, law.effective_stiffness(moduli, params))
     return MechanicsOperator(v=v.copy(), tr_sign=tr_sign.copy(),
-                             data=tables.vector_pattern.assemble(KE), moduli=moduli)
+                             data=tables.vector_layout.assemble(KE), moduli=moduli)
 
 
 def mechanics_rhs(tables: ElementTables, params: MaterialParams, op: MechanicsOperator,
@@ -328,7 +329,7 @@ def build_heat_system(tables: ElementTables, params: MaterialParams,
     # the load vector of the coefficient
     diag = _load(tables, rhoc / dt)
     q_norm = np.hypot(q_f[..., 0], q_f[..., 1])
-    lam_total = lam + law.stabilization_conductivity(q_norm, tables.h_e_qp, params)
+    lam_total = lam + law.stabilization_conductivity(q_norm, tables.mesh.h_e[:, None], params)
 
     KE = _laplacian(tables, lam_total)
     adv = params.rho_f * params.c_pf

@@ -8,7 +8,7 @@ from . import constitutive as law
 from .constitutive import MaterialParams
 from .fem import ElementTables, shape_q4
 from .mesh import Mesh, locate_points
-from .physics import FieldState, scalar_qp, strain_qp, strain_state
+from .physics import N_QP, FieldState, scalar_qp, strain_qp, strain_state
 
 FIELDS = ("p", "T", "v", "ux", "uy")
 
@@ -46,7 +46,7 @@ def width_at(tables: ElementTables, state: FieldState, point) -> float:
     mesh = tables.mesh
     eid = int(locate_points(mesh, point)[0][0])
     eps = strain_qp(tables, state.u, [eid])[0]
-    qp_xy = tables.N @ mesh.nodes[mesh.elems[eid]]          # (4, 2)
+    qp_xy = N_QP @ mesh.nodes[mesh.elems[eid]]          # (4, 2)
     d2 = np.sum((qp_xy - np.asarray(point, dtype=float)) ** 2, axis=1)
     q = int(np.argmin(d2))
     e1, _ = law.principal_strains(eps[q])

@@ -129,11 +129,13 @@ class Simulation:
 
     The simulation owns the linear-algebra state of its sub-solves, one
     ``FieldOperator`` per field (T, p, u and v), built on the field's first
-    solve in its field's band layout (numbered across the grid's short
-    side, see ``ElementTables.node_order``) and refilled in place after
-    that. It holds the field's Dirichlet constraints (static from the
-    first solve on), its assembled and eliminated operator and their lift
-    A @ g; the mechanics storage also holds the banded factor.
+    solve and refilled in place after that. Each reads one ``FieldLayout``
+    of the tables, the scalar one for T, p and v and the vector one for u:
+    its CSR structure, assembly map and band ordering across the grid's
+    short side (see ``ElementTables.node_order``). It holds the field's
+    Dirichlet constraints (static from the first solve on), its assembled
+    and eliminated operator and their lift A @ g; the mechanics storage
+    also holds the banded factor.
 
     T, p and u take one constrained-solve path (``_solve_constrained``):
     new operator data pass ``apply_dirichlet``, which drops the factor,
@@ -173,12 +175,10 @@ class Simulation:
     def _operator(self, field: str) -> FieldOperator:
         """The operator storage of ``field`` (T, p, u or v)."""
         if field not in self._ops:
-            t = self.tables
-            pattern, layout = ((t.vector_pattern, t.vector_layout) if field == "u"
-                               else (t.scalar_pattern, t.scalar_layout))
+            layout = self.tables.vector_layout if field == "u" else self.tables.scalar_layout
             bcs = {"T": self.bc_T, "p": self.bc_p, "u": self.bc_u}
-            bc = Dirichlet.on(pattern, *bcs[field]) if field in bcs else None
-            self._ops[field] = FieldOperator(pattern, layout, bc)
+            bc = Dirichlet.on(layout, *bcs[field]) if field in bcs else None
+            self._ops[field] = FieldOperator(layout, bc)
         return self._ops[field]
 
     def _drop_mechanics_factor(self):
@@ -190,7 +190,7 @@ class Simulation:
     def _solve_constrained(self, field: str, data: np.ndarray | None,
                            rhs: np.ndarray) -> np.ndarray:
         """Solve ``field`` (T, p or u) for ``rhs`` with new operator ``data``
-        on its pattern, or with its last operator and factor when None.
+        on its layout, or with its last operator and factor when None.
         Only mechanics keeps its factor: heat and flow pass new data on
         every solve, so theirs would never be reused."""
         op = self._operator(field)

@@ -3,8 +3,8 @@ assembly, general isoparametric element data from the node coordinates,
 Dirichlet elimination as a gather into the reduced structure of the
 constrained operator, the mechanics residual whose Jacobian the mechanics
 operator is, and the fracture permeability from the crack normal. Also
-small helpers that turn operator data on a pattern into scipy matrices,
-and a scipy matrix into operator storage."""
+small helpers that turn operator data on a field layout into scipy
+matrices, and a scipy matrix into operator storage."""
 
 from dataclasses import dataclass
 
@@ -12,32 +12,37 @@ import numpy as np
 import scipy.sparse as sp
 
 from thmfrac import constitutive as law
-from thmfrac.fem import (Factorization, FieldOperator, band_layout, gauss_2x2,
+from thmfrac.fem import (Factorization, FieldOperator, field_layout, gauss_2x2,
                          scatter_vector, shape_q4)
 from thmfrac.mesh import Mesh
 
 _VOIGT_ID = np.array([1.0, 1.0, 0.0])
 
 
-def csr(pattern, data) -> sp.csr_matrix:
-    """A new CSR matrix holding ``data`` on ``pattern``."""
-    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+def csr(layout, data) -> sp.csr_matrix:
+    """A new CSR matrix holding ``data`` on the structure of ``layout``."""
+    return sp.csr_matrix((data, layout.indices, layout.indptr), shape=layout.shape)
 
 
 def matrix(system) -> sp.csr_matrix:
     """The operator of an assembled ``FieldSystem`` as a new CSR matrix."""
-    return csr(system.pattern, system.data)
+    return csr(system.layout, system.data)
 
 
 def operator_of(A) -> FieldOperator:
-    """Unconstrained operator storage holding the scipy sparse matrix ``A``
-    on its own structure as canonical CSR (sorted indices, no duplicates,
-    stored zeros kept), banded in its own row numbering. A solve with it
-    takes ``Factorization(op.layout)``."""
-    A = sp.csr_matrix(A, copy=True)
-    A.sum_duplicates()
-    op = FieldOperator(A, band_layout(A, np.arange(A.shape[0])), None)
-    op.load(A.data)
+    """Unconstrained operator storage holding the scipy sparse matrix ``A``,
+    banded in its own row numbering. Its layout comes from ``field_layout``
+    with one two-dof element per stored entry (i, j) and one per diagonal,
+    so every stored entry has its transpose and every row its diagonal;
+    entries ``A`` does not store are held as zeros. A solve with it takes
+    ``Factorization(op.layout)``."""
+    A = sp.csr_matrix(A)
+    n = A.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    dofs = np.vstack([np.column_stack([rows, A.indices]), np.arange(n).repeat(2).reshape(n, 2)])
+    layout = field_layout(dofs, np.arange(n))
+    op = FieldOperator(layout, None)
+    op.load(A.toarray()[layout.rows, layout.indices])
     return op
 
 
@@ -94,32 +99,32 @@ def isoparametric(mesh: Mesh) -> Isoparametric:
     return Isoparametric(N=N, dNdx=dNdx, detJw=np.linalg.det(J) * wts, B=B)
 
 
-def reduced_elimination(pattern, data, dofs):
-    """Dirichlet elimination of the operator ``data`` on ``pattern`` as a
+def reduced_elimination(layout, data, dofs):
+    """Dirichlet elimination of the operator ``data`` on ``layout`` as a
     gather into the reduced structure: the free-free slots plus every
     diagonal, constrained diagonals set to 1. Returns the eliminated CSR
-    matrix and the pattern slots it keeps."""
-    n = pattern.shape[0]
+    matrix and the layout slots it keeps."""
+    n = layout.shape[0]
     fixed = np.zeros(n, dtype=bool)
     fixed[dofs] = True
-    rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
-    kept = ~(fixed[rows] | fixed[pattern.indices])
-    kept[pattern.diag] = True
+    rows = layout.rows
+    kept = ~(fixed[rows] | fixed[layout.indices])
+    kept[layout.diag] = True
     slots = np.flatnonzero(kept)
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows[slots], minlength=n), out=indptr[1:])
     reduced = data[slots]
-    reduced[np.searchsorted(slots, pattern.diag[dofs])] = 1.0
-    return sp.csr_matrix((reduced, pattern.indices[slots], indptr), shape=(n, n)), slots
+    reduced[np.searchsorted(slots, layout.diag[dofs])] = 1.0
+    return sp.csr_matrix((reduced, layout.indices[slots], indptr), shape=(n, n)), slots
 
 
-def reduced_factor(pattern, layout, A, slots) -> Factorization:
-    """The factor the reduced operator ``A`` (holding the pattern ``slots``)
+def reduced_factor(layout, A, slots) -> Factorization:
+    """The factor the reduced operator ``A`` (holding the layout ``slots``)
     got in its field's layout: its data scattered back onto the full
-    pattern, zeros in the slots it lacks, and factorized there."""
-    full = np.zeros(pattern.indices.size)
+    structure, zeros in the slots it lacks, and factorized there."""
+    full = np.zeros(layout.indices.size)
     full[slots] = A.data
-    return Factorization(layout).factorize(csr(pattern, full))
+    return Factorization(layout).factorize(csr(layout, full))
 
 
 def effective_stress(eps_e, moduli, params, eps_zz=0.0) -> np.ndarray:

@@ -149,6 +149,30 @@ class TestParseConfig:
         assert f"{key}: expected a list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, error", [
+    ("materials.E", "NaN", "materials.E: expected a finite number, got nan"),
+    ("materials.Gc", "-5", "materials: Gc must be positive, got -5.0"),
+    ("materials.Gc", "0", "materials: Gc must be positive, got 0.0"),
+    ("materials.mu_f", "0", "materials: mu_f must be positive, got 0.0"),
+    ("sources.injection.rate", "NaN",
+     "sources.injection.rate: expected a finite number, got nan"),
+    ("controls.tol_stag", "Infinity", "controls.tol_stag: expected a finite number, got inf"),
+    ("initial.pressure", "-Infinity", "initial.pressure: expected a finite number, got -inf"),
+    ("geometry.domain", "[NaN, 60.0]", "geometry.domain: expected [x, y], got [nan, 60.0]"),
+    ("sources.injection.point", "[0.0, Infinity]",
+     "sources.injection.point: expected [x, y], got [0.0, inf]"),
+    ("controls.dt_schedule", "[[Infinity, 0.1]]",
+     "controls.dt_schedule: expected a non-empty list of [x, y], got [[inf, 0.1]]"),
+    ("geometry.refine_bands", '[{"axis": "x", "lo": 0.0, "hi": NaN, "h": 0.1}]',
+     "geometry.refine_bands[0].hi: expected a finite number, got nan"),
+])
+def test_non_finite_or_non_physical_number_is_reported_under_its_path(key, value, error):
+    # the JSON reader takes NaN and +-Infinity, in a file and in an override
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(config_to_dict(kgd())), overrides=[f"{key}={value}"])
+    assert exc.value.errors == [error]
+
+
 @pytest.mark.parametrize("build", [
     lambda: MechBC(set="north", component="x"),
     lambda: MechBC(set="left"),
@@ -271,6 +295,53 @@ class TestCLIHelpers:
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "line 3, column 3: Expecting property name enclosed in double quotes" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, key, item, error", [
+        ("run", "outputs.probes", {"name": "far", "field": "p", "point": [100.0, 0.1]},
+         "point (100.0, 0.1) outside [0.0, 25.0] x [0.0, 0.25]"),
+        *[(command, "geometry.cracks", [[0.013, 0.037], [0.017, 0.037]],
+           "initial crack [(0.013, 0.037), (0.017, 0.037)] does not pass through mesh nodes")
+          for command in ("run", "mesh-dump")],
+        *[(command, "geometry.refine_bands", {"axis": "y", "lo": 5.0, "hi": 6.0, "h": 0.01},
+           "refine band [5.0, 6.0] outside axis [0, 0.25]") for command in ("run", "mesh-dump")],
+    ], ids=["run-probe", "run-crack", "mesh-dump-crack", "run-band", "mesh-dump-band"])
+    def test_scenario_that_cannot_be_set_up_exits_with_config_error(
+            self, tmp_path, capsys, command, key, item, error):
+        raw = config_to_dict(terzaghi())
+        section, name = key.split(".")
+        raw[section][name].append(item)
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(raw))
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"configuration error: {error}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_value_error_during_the_run_is_not_a_config_error(self, tmp_path, monkeypatch):
+        from thmfrac import staggered
+
+        def broken(*args):
+            raise ValueError("phase field outside [0, 1]")
+
+        monkeypatch.setattr(staggered.Simulation, "time_step", broken)
+        with pytest.raises(ValueError, match="phase field outside"):
+            main(["run", "terzaghi", "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["run", "terzaghi", "--dT", "30"], "--dT"),
+        (["run", "terzaghi", "--fast"], "--fast"),
+        (["run", "single_fracture", "--dT", "30", "--fast"], "--fast"),
+        (["mesh-dump", "thermal_consolidation", "--fast"], "--fast"),
+        (["run", "SCENARIO_FILE", "--dT", "30", "--fast"], "--dT, --fast"),
+    ], ids=["dT-preset", "fast-preset", "fast-with-dT", "fast-mesh-dump", "file"])
+    def test_preset_flag_that_does_not_apply_exits_with_config_error(
+            self, tmp_path, capsys, argv, flags):
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(config_to_dict(terzaghi())))
+        argv = [str(path) if a == "SCENARIO_FILE" else a for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert f"configuration error: {flags} does not apply to scenario" in \
+            capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_removed_stabilization_switch_exits_with_config_error(self, tmp_path, capsys):

@@ -4,12 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from thmfrac.errors import SolverFailure
 from thmfrac.fem import (Dirichlet, Factorization, FieldOperator, apply_dirichlet,
                          assemble_batched, build_tables, gauss_2x2, scatter_vector, shape_q4,
                          solve_bound_constrained, solve_linear)
 from thmfrac.mesh import RefineBand, generate_rect_mesh
+from thmfrac.physics import (build_flow_system, build_heat_system, strain_state,
+                             volumetric_strain_qp)
 
 from element_loop import (assemble, csr, matrix, operator_of, reduced_elimination,
                           reduced_factor)
@@ -133,12 +136,12 @@ class TestPattern:
         # entries spanning many decades make the summation order visible
         KE = (rng.normal(size=(mesh.n_elems, nd, nd))
               * 10.0 ** rng.integers(-8, 9, size=(mesh.n_elems, nd, nd)))
-        pattern = tb.vector_pattern if vector else tb.scalar_pattern
-        n = pattern.shape[0]
+        layout = tb.vector_layout if vector else tb.scalar_layout
+        n = layout.shape[0]
         dense = np.zeros((n, n))
         np.add.at(dense, (np.repeat(dofs, nd, axis=1).ravel(), np.tile(dofs, (1, nd)).ravel()),
                   KE.ravel())
-        A = csr(pattern, pattern.assemble(KE))
+        A = csr(layout, layout.assemble(KE))
         assert A.toarray().tobytes() == dense.tobytes()
         ref = _coo_reference(dofs, KE, n)
         assert np.array_equal(A.indptr, ref.indptr) and np.array_equal(A.indices, ref.indices)
@@ -147,28 +150,29 @@ class TestPattern:
             # on the scalar field's short rows (at most 16 entries) the
             # duplicates keep their element order, so the sums match bitwise
             assert _same_csr(A, ref)
-        assert np.array_equal(pattern.indices[pattern.diag], np.arange(n))
+        assert np.array_equal(layout.indices[layout.diag], np.arange(n))
+        assert np.array_equal(layout.rows, np.repeat(np.arange(n), np.diff(layout.indptr)))
 
     def test_pattern_is_built_once_and_shared(self, rng):
         _, tb = _graded_tables()
         KE = rng.normal(size=(tb.mesh.n_elems, 4, 4))
         A = assemble_batched(tb, KE, np.zeros((tb.mesh.n_elems, 4)))
         B = assemble_batched(tb, 2.0 * KE, np.zeros((tb.mesh.n_elems, 4)))
-        assert A.pattern is B.pattern is tb.scalar_pattern
-        assert not tb.scalar_pattern.indices.flags.writeable
-        op = FieldOperator(tb.scalar_pattern, tb.scalar_layout, None)
+        assert A.layout is B.layout is tb.scalar_layout
+        assert not tb.scalar_layout.indices.flags.writeable
+        op = FieldOperator(tb.scalar_layout, None)
         for M in (op.assembled, op.eliminated):
-            assert np.shares_memory(M.indices, tb.scalar_pattern.indices)
+            assert np.shares_memory(M.indices, tb.scalar_layout.indices)
 
 
 class TestTables:
-    LAZY = ("scalar_pattern", "vector_pattern", "scalar_layout", "vector_layout")
+    LAZY = ("scalar_layout", "vector_layout")
 
     def test_build_tables_builds_no_pattern_or_operator_table(self):
         _, tb = _graded_tables()
         assert not set(self.LAZY) & set(vars(tb))
         assert tb.scalar_layout is tb.scalar_layout
-        assert set(vars(tb)) & set(self.LAZY) == {"scalar_pattern", "scalar_layout"}
+        assert set(vars(tb)) & set(self.LAZY) == {"scalar_layout"}
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_mesh_off_its_tensor_grid_rejected(self, axis):
@@ -234,21 +238,20 @@ def _constrained_system(rng, vector, kind="random"):
         KE = KE + 2.0 * nd * np.eye(nd)
     KE[:, 0, 1] = KE[:, 1, 0] = 0.0     # explicit zeros in the assembled operator
     system = assemble_batched(tb, KE, rng.normal(size=(mesh.n_elems, nd)), vector=vector)
-    pattern = tb.vector_pattern if vector else tb.scalar_pattern
     layout = tb.vector_layout if vector else tb.scalar_layout
-    n = pattern.shape[0]
+    n = layout.shape[0]
     # dofs 0 and 1 stay free: the vector field's only planted zeros
     # couple them, at the corner node that one element holds
     dofs = np.unique(rng.choice(np.arange(2, n), 12, replace=False))
-    bc = Dirichlet.on(pattern, dofs, rng.normal(size=dofs.size))
-    return system, FieldOperator(pattern, layout, bc)
+    bc = Dirichlet.on(layout, dofs, rng.normal(size=dofs.size))
+    return system, FieldOperator(layout, bc)
 
 
 class TestDirichlet:
     @pytest.mark.parametrize("vector", [False, True])
     def test_mask_equals_rebuilt_elimination(self, rng, vector):
         system, op = _constrained_system(rng, vector)
-        pattern, bc = system.pattern, op.bc
+        layout, bc = system.layout, op.bc
         op.factor = Factorization(op.layout)
         apply_dirichlet(op, system.data)
         fixed = op.eliminated
@@ -257,11 +260,11 @@ class TestDirichlet:
         assert bc.rhs(system.rhs, op.lifted).tobytes() == rhs_ref.tobytes()
         # new operator data drop the factor of the old
         assert op.factor is None
-        # the elimination keeps the full pattern: the off-diagonal slots of
-        # constrained rows and columns stay as explicit zeros
+        # the elimination keeps the full structure: the off-diagonal slots
+        # of constrained rows and columns stay as explicit zeros
         assert op.assembled.data is system.data
-        assert np.array_equal(_stored(fixed), _stored(csr(pattern, system.data)))
-        n = pattern.shape[0]
+        assert np.array_equal(_stored(fixed), _stored(csr(layout, system.data)))
+        n = layout.shape[0]
         constrained = np.zeros(n, dtype=bool)
         constrained[bc.dofs] = True
         dropped = (constrained[:, None] | constrained[None, :]) & ~np.eye(n, dtype=bool)
@@ -277,14 +280,14 @@ class TestDirichlet:
     @pytest.mark.parametrize("vector", [False, True])
     def test_masked_solve_is_bitwise_the_reduced_structure_solve(self, rng, vector, kind):
         system, op = _constrained_system(rng, vector, kind)
-        reduced, slots = reduced_elimination(system.pattern, system.data, op.bc.dofs)
+        reduced, slots = reduced_elimination(system.layout, system.data, op.bc.dofs)
         apply_dirichlet(op, system.data)
         assert np.array_equal(op.eliminated.toarray(), reduced.toarray())
         rhs = op.bc.rhs(system.rhs, op.lifted)
         factor = Factorization(op.layout)
         x = solve_linear(op.eliminated, rhs, factor)
         ref = solve_linear(reduced, rhs,
-                           reduced_factor(system.pattern, op.layout, reduced, slots))
+                           reduced_factor(op.layout, reduced, slots))
         assert (factor.ipiv is None) == (kind == "spd")
         assert x.tobytes() == ref.tobytes()
 
@@ -292,8 +295,8 @@ class TestDirichlet:
         _, tb = _graded_tables()
         sys_ = assemble_batched(tb, rng.normal(size=(tb.mesh.n_elems, 4, 4)),
                                 rng.normal(size=(tb.mesh.n_elems, 4)))
-        bc = Dirichlet.on(tb.scalar_pattern, np.empty(0, dtype=np.int64), np.empty(0))
-        op = FieldOperator(tb.scalar_pattern, tb.scalar_layout, bc)
+        bc = Dirichlet.on(tb.scalar_layout, np.empty(0, dtype=np.int64), np.empty(0))
+        op = FieldOperator(tb.scalar_layout, bc)
         apply_dirichlet(op, sys_.data)
         assert op.eliminated.data.tobytes() == sys_.data.tobytes()
         assert bc.rhs(sys_.rhs, op.lifted).tobytes() == sys_.rhs.tobytes()
@@ -306,8 +309,7 @@ class TestDirichlet:
         sys_ = assemble_batched(tb, KE, rng.normal(size=(m.n_elems, 4)))
         dofs = np.array([0, 4])
         vals = np.array([2.0, -1.0])
-        op = FieldOperator(tb.scalar_pattern, tb.scalar_layout,
-                           Dirichlet.on(tb.scalar_pattern, dofs, vals))
+        op = FieldOperator(tb.scalar_layout, Dirichlet.on(tb.scalar_layout, dofs, vals))
         apply_dirichlet(op, sys_.data)
         A = op.eliminated.toarray()
         rhs = op.bc.rhs(sys_.rhs, op.lifted)
@@ -418,11 +420,10 @@ class TestFactorization:
     @pytest.mark.parametrize("vector", [False, True])
     def test_band_storage_holds_every_entry_in_the_layout_order(self, rng, vector):
         _, tb = _graded_tables()
-        pattern = tb.vector_pattern if vector else tb.scalar_pattern
         layout = tb.vector_layout if vector else tb.scalar_layout
-        n, nd = pattern.shape[0], (8 if vector else 4)
+        n, nd = layout.shape[0], (8 if vector else 4)
         R = rng.normal(size=(tb.mesh.n_elems, nd, nd))
-        A = csr(pattern, pattern.assemble(R @ R.transpose(0, 2, 1) + nd * np.eye(nd)))
+        A = csr(layout, layout.assemble(R @ R.transpose(0, 2, 1) + nd * np.eye(nd)))
         dense = A.toarray()[np.ix_(layout.perm, layout.perm)]
         full, lower = _band_dense(layout, A)
         assert np.array_equal(full, dense)
@@ -430,10 +431,10 @@ class TestFactorization:
         assert np.array_equal(layout.rows[layout.diag], np.arange(n))
         assert np.array_equal(A.indices[layout.mirror], layout.rows[layout.tril])
         assert np.array_equal(layout.rows[layout.mirror], A.indices[layout.tril])
-        # a constrained operator keeps the pattern and factorizes in its layout
+        # a constrained operator keeps the structure and factorizes in its layout
         dofs = rng.choice(n, n // 5, replace=False)
-        bc = Dirichlet.on(pattern, dofs, np.zeros(dofs.size))
-        op = FieldOperator(pattern, layout, bc)
+        bc = Dirichlet.on(layout, dofs, np.zeros(dofs.size))
+        op = FieldOperator(layout, bc)
         apply_dirichlet(op, A.data)
         fixed = op.eliminated
         full, lower = _band_dense(layout, fixed)
@@ -444,12 +445,26 @@ class TestFactorization:
         b = rng.normal(size=n)
         assert np.allclose(factor.solve(b), np.linalg.solve(fixed.toarray(), b), rtol=1e-10)
 
-    def test_nonsymmetric_structure_takes_lu(self):
-        op = operator_of(np.array([[2.0, 1.0, 0.0], [0.0, 3.0, 0.0], [0.0, 1.0, 4.0]]))
-        A = op.assembled
-        factor = Factorization(op.layout).factorize(A)
-        assert factor.layout.mirror is None and factor.ipiv is not None
-        assert np.allclose(A @ factor.solve(np.ones(3)), np.ones(3), rtol=1e-14)
+    def test_advective_heat_operator_takes_lu_and_flow_cholesky(self, rng, generic_params):
+        # both operators lie on the scalar field's symmetric structure; the
+        # advection term alone makes the heat operator's values nonsymmetric
+        mesh, tb = _graded_tables()
+        mp = generic_params
+        assert mp.rho_f * mp.c_pf != 0.0
+        n = mesh.n_nodes
+        u, v = rng.normal(scale=1e-4, size=2 * n), rng.uniform(0.2, 1.0, n)
+        p, T = rng.uniform(1e5, 1e6, n), mp.T0 + rng.uniform(-10.0, 10.0, n)
+        st = strain_state(tb, mp, u, v)
+        heat = build_heat_system(tb, mp, st, p, T, 0.5)
+        flow = build_flow_system(tb, mp, st, p, T, volumetric_strain_qp(tb, 0.5 * u), p, T, 0.5)
+        for system, takes_lu in ((heat, True), (flow, False)):
+            A = matrix(system)
+            assert (abs(A - A.T).max() > 1e-6 * abs(A).max()) == takes_lu
+            op = FieldOperator(tb.scalar_layout, None)
+            factor = Factorization(op.layout)
+            x = solve_linear(op.load(system.data), system.rhs, factor)
+            assert (factor.ipiv is not None) == takes_lu
+            assert np.allclose(x, spla.spsolve(A.tocsc(), system.rhs), rtol=1e-9)
 
     def test_indefinite_symmetric_operator_falls_back_to_lu(self):
         op = operator_of(np.array([[2.0, 3.0], [3.0, 2.0]]))

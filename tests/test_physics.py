@@ -193,7 +193,7 @@ class TestTableKernels:
 
 def test_tables_hold_at_most_8_values_per_element(generic_params, rng):
     # every kernel runs once, so any table a kernel caches on the tables
-    # would show here; the patterns and layouts are not arrays
+    # would show here; the field layouts are not arrays
     mesh = _kernel_meshes()["graded"]
     tb = build_tables(mesh)
     mp = generic_params
@@ -241,7 +241,7 @@ class TestQPState:
         eps = strain_qp(tb, u)
         v_qp = scalar_qp(tb, v)
         e1, e2 = law.principal_strains(eps)
-        width = law.fracture_width(e1, tb.h_e_qp)
+        width = law.fracture_width(e1, mesh.h_e[:, None])
         phi = law.porosity(e1, mp, law.degraded_moduli(v_qp, tr_sign, mp))
         perm = law.permeability(v_qp, width, eps, e1, e2, mp)
         assert np.any(width > 0.0)
@@ -268,10 +268,10 @@ class TestQPState:
         u, p, T, v = _random_state(mesh, mp, rng)
         st = strain_state(tb, mp, u, v)
         build_mechanics_system(tb, mp, v, mechanics_branch_flags(tb, mp, st, T))
-        assert calls == [tb.h_e_qp.shape]
+        assert calls == [(mesh.n_elems, 4)]
         calls.clear()
         build_flow_system(tb, mp, st, p, T, volumetric_strain_qp(tb, 0.5 * u), p, T, 0.5)
-        assert calls == [tb.h_e_qp.shape]
+        assert calls == [(mesh.n_elems, 4)]
         calls.clear()
         build_heat_system(tb, mp, st, p, T, 0.5)
         assert len(calls) == (variant == "phi0")
@@ -324,7 +324,7 @@ class TestMechanics:
         op = build_mechanics_system(tb, mp, v, flags)
         ref = dense_elastic_stiffness(mesh, plane_strain_C(mp))
         scale = np.abs(ref).max()
-        assert np.allclose(csr(tb.vector_pattern, op.data).toarray(), ref, atol=1e-12 * scale)
+        assert np.allclose(csr(tb.vector_layout, op.data).toarray(), ref, atol=1e-12 * scale)
 
     def test_jacobian_matches_finite_differences(self, small_setup, rng):
         mesh, tb, mp = small_setup
@@ -335,7 +335,7 @@ class TestMechanics:
         v = rng.uniform(0.3, 1.0, n)
         f_ext = np.zeros(2 * n)
         flags = mechanics_branch_flags(tb, mp, strain_state(tb, mp, u, v), T)
-        J = csr(tb.vector_pattern, build_mechanics_system(tb, mp, v, flags).data).toarray()
+        J = csr(tb.vector_layout, build_mechanics_system(tb, mp, v, flags).data).toarray()
         h = 1e-8
         fd = np.empty_like(J)
         for i in range(2 * n):
@@ -533,8 +533,7 @@ class TestHeat:
         right = mesh.boundary_nodes["right"]
         dofs = np.concatenate([left, right])
         vals = np.concatenate([np.full(left.size, 301.0), np.full(right.size, 300.0)])
-        op = FieldOperator(tb.scalar_pattern, tb.scalar_layout,
-                           Dirichlet.on(tb.scalar_pattern, dofs, vals))
+        op = FieldOperator(tb.scalar_layout, Dirichlet.on(tb.scalar_layout, dofs, vals))
         apply_dirichlet(op, system.data)
         Tsol = solve_linear(op.eliminated, op.bc.rhs(system.rhs, op.lifted),
                             Factorization(op.layout))
@@ -562,8 +561,7 @@ class TestHeat:
         right = mesh.boundary_nodes["right"]
         dofs = np.concatenate([left, right])
         vals = np.concatenate([np.full(left.size, 301.0), np.full(right.size, 300.0)])
-        op = FieldOperator(tb.scalar_pattern, tb.scalar_layout,
-                           Dirichlet.on(tb.scalar_pattern, dofs, vals))
+        op = FieldOperator(tb.scalar_layout, Dirichlet.on(tb.scalar_layout, dofs, vals))
         apply_dirichlet(op, system.data)
         A, b = op.eliminated, op.bc.rhs(system.rhs, op.lifted)
         assert abs(A - A.T).max() > abs(A).max()

@@ -211,8 +211,7 @@ class TestTerzaghiFromRest:
 def _fresh_mechanics_solve(sim, v, p, T, h):
     tb = sim.tables
     mech = build_mechanics_system(tb, sim.params, v, h)
-    op = FieldOperator(tb.vector_pattern, tb.vector_layout,
-                       Dirichlet.on(tb.vector_pattern, *sim.bc_u))
+    op = FieldOperator(tb.vector_layout, Dirichlet.on(tb.vector_layout, *sim.bc_u))
     apply_dirichlet(op, mech.data)
     rhs = mechanics_rhs(tb, sim.params, mech, p, T, sim.f_ext)
     return solve_linear(op.eliminated, op.bc.rhs(rhs, op.lifted),
@@ -369,8 +368,7 @@ class TestSparseStructureDecidedOnce:
         def rebuilt(*args, **kwargs):
             raise AssertionError("a sparse structure was decided again after the first step")
 
-        monkeypatch.setattr(fem, "csr_pattern", rebuilt)
-        monkeypatch.setattr(fem, "band_layout", rebuilt)
+        monkeypatch.setattr(fem, "field_layout", rebuilt)
         # no Dirichlet mask is resolved and no operator storage is built again
         monkeypatch.setattr(fem.Dirichlet, "on", rebuilt)
         monkeypatch.setattr(fem.FieldOperator, "__init__", rebuilt)
@@ -406,15 +404,19 @@ class TestBandLayouts:
     def test_a_time_step_resolves_one_layout_per_field(self, setup, monkeypatch):
         cfg, sim, dt = setup()
         resolved = []
-        band_layout = fem.band_layout
-        monkeypatch.setattr(fem, "band_layout",
-                            lambda structure, perm: resolved.append(structure.shape[0])
-                            or band_layout(structure, perm))
+        field_layout = fem.field_layout
+        monkeypatch.setattr(fem, "field_layout",
+                            lambda dofs, order: resolved.append(dofs.shape[1])
+                            or field_layout(dofs, order))
+        assert sim.tables.__dict__.keys().isdisjoint({"scalar_layout", "vector_layout"})
         _, report = sim.time_step(sim.initial_state(), dt, cfg.controls)
         assert sum(report.inner_iters) > 1
-        n = sim.mesh.n_nodes
-        # heat, flow and the phase field share the scalar layout
-        assert sorted(resolved) == [n, 2 * n]
+        # heat, flow and the phase field share the scalar layout (4 dofs
+        # per element), mechanics has the vector one (8)
+        assert sorted(resolved) == [4, 8]
+        layouts = {field: op.layout for field, op in sim._ops.items()}
+        assert layouts["u"] is sim.tables.vector_layout
+        assert all(layouts[f] is sim.tables.scalar_layout for f in set(layouts) - {"u"})
 
     def test_scalar_band_of_the_thermal_column_stays_narrow(self):
         cfg, sim, _ = _thermal_column()
