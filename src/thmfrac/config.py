@@ -62,8 +62,8 @@ class Injection:
     temperature: float | None = None
 
     def __post_init__(self):
-        if self.rate < 0.0:
-            raise ValueError(f"rate must be non-negative, got {self.rate}")
+        if not (self.rate >= 0.0 and math.isfinite(self.rate)):
+            raise ValueError(f"rate must be non-negative and finite, got {self.rate}")
 
 
 @dataclass

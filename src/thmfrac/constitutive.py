@@ -8,20 +8,24 @@ serves scalar unit tests and batched quadrature-point evaluation.
 
 Phase field convention: v = 1 intact, v = 0 fully broken. The Heaviside
 flag ``tr_sign`` is H(Tr eps_e) (1 for opening, 0 for closing), formed by
-``thermoelastic_split`` only and shared by the stiffness, Biot coefficient
-and storage derivatives.
+``branch_flag`` from the trace ``elastic_trace`` and shared by the
+stiffness, Biot coefficient and storage derivatives.
 
-Each law has one evaluation. ``degraded_moduli`` evaluates g(v) once for a
-(v, tr_sign) pair and returns the record that the stiffness, K_eff, Biot's
-coefficient and the damage-driven porosity all read. ``permeability``
-forms the crack projector I - n n from the principal strains, without
-the eigenvector n.
+Each law has one evaluation, at the level of the staggered loop where its
+inputs change. ``phase_state`` evaluates g(v), with its range check, and
+the permeability's (1 - v)^xi once for a phase field; ``degraded_moduli``
+forms, from that g and a flag, the record that the stiffness, K_eff,
+Biot's coefficient and the damage-driven porosity all read.
+``strain_state`` adds the strain-derived quantities of one (u, v) iterate.
+``permeability`` forms the crack projector I - n n from the principal
+strains, without the eigenvector n, and returns the tensor's components.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,8 +71,13 @@ class MaterialParams:
     T0: float = 293.15
 
     def __post_init__(self):
-        errs = []
-        if self.E <= 0.0:
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        errs = [f"{name} must be finite, got {x}" for name, x in values.items()
+                if isinstance(x, (int, float)) and not math.isfinite(x)]
+        if errs:
+            raise ValueError("; ".join(errs))
+        # each check is written so that it fails for NaN
+        if not self.E > 0.0:
             errs.append(f"E must be positive, got {self.E}")
         if not -1.0 < self.nu < 0.5:
             errs.append(f"nu must lie in (-1, 0.5), got {self.nu}")
@@ -76,7 +85,7 @@ class MaterialParams:
             errs.append(f"alpha_m must lie in [0, 1], got {self.alpha_m}")
         if not 0.0 <= self.phi_m < 1.0:
             errs.append(f"phi_m must lie in [0, 1), got {self.phi_m}")
-        if self.alpha_m < self.phi_m:
+        if not self.alpha_m >= self.phi_m:
             errs.append(f"alpha_m ({self.alpha_m}) must be >= phi_m ({self.phi_m})")
         if not 0.0 < self.k_res < 1.0:
             errs.append(f"k_res must lie in (0, 1), got {self.k_res}")
@@ -85,11 +94,11 @@ class MaterialParams:
         if self.porosity_variant not in ("phi1", "phi0"):
             errs.append(f"porosity_variant must be 'phi1' or 'phi0', "
                         f"got {self.porosity_variant!r}")
-        if self.xi < 1.0:
+        if not self.xi >= 1.0:
             errs.append(f"xi must be >= 1, got {self.xi}")
         if not 0.0 <= self.s_stab <= 1.0:
             errs.append(f"s_stab must lie in [0, 1], got {self.s_stab}")
-        if self.ell <= 0.0:
+        if not self.ell > 0.0:
             errs.append(f"ell must be positive, got {self.ell}")
         if not self.Gc > 0.0:
             errs.append(f"Gc must be positive, got {self.Gc}")
@@ -119,20 +128,37 @@ class MaterialParams:
 
 
 @dataclass
+class PhaseState:
+    """Quadrature-point quantities fixed by the phase field alone (fields
+    broadcast together)."""
+
+    g: np.ndarray               # degradation g(v)
+    crack: np.ndarray           # (1 - v)^xi of the fracture permeability
+
+
+class Permeability(NamedTuple):
+    """Components of the symmetric permeability tensor [m^2]."""
+
+    xx: np.ndarray
+    yy: np.ndarray
+    xy: np.ndarray
+
+
+@dataclass
 class StrainState:
     """Quadrature-point quantities fixed by the total strain and the phase
     field (fields broadcast together).
 
     Temperature enters the derived laws only through the branch flag
-    H(Tr eps_e); ``branch_porosity`` adds it, and the porosity it selects,
-    at a given temperature.
+    H(Tr eps_e); ``state_porosity`` adds the porosity at a given
+    temperature.
     """
 
     eps: np.ndarray             # (..., 3) Voigt total strain
-    v: np.ndarray               # phase field at the same points
+    g: np.ndarray               # degradation g(v) at the same points
     e1: np.ndarray              # largest principal strain
     width: np.ndarray           # [m]
-    perm: np.ndarray            # (..., 2, 2) [m^2]
+    perm: Permeability          # [m^2]
     eps_vol: np.ndarray         # in-plane volumetric strain Tr eps
 
 
@@ -202,13 +228,20 @@ class DegradedModuli:
     alpha: np.ndarray           # Biot's coefficient 1 - K_eff / K_s, in [alpha_m, 1]
 
 
-def degraded_moduli(v, tr_sign, params: MaterialParams) -> DegradedModuli:
-    """Evaluate g(v) once and the laws it fixes at the flag H(Tr eps_e).
+def phase_state(v, params: MaterialParams) -> PhaseState:
+    """Evaluate g(v), with its range check, and (1 - v)^xi once for the
+    phase field ``v`` (clamped to [0, 1] in both)."""
+    g = degradation(v, params.k_res)
+    crack = (1.0 - np.clip(np.asarray(v, dtype=float), 0.0, 1.0)) ** params.xi
+    return PhaseState(g=g, crack=crack)
+
+
+def degraded_moduli(g, tr_sign, params: MaterialParams) -> DegradedModuli:
+    """The laws that the degradation ``g`` = g(v) fixes at the flag H(Tr eps_e).
 
     K_eff = [g(v) H(+) + H(-)] K_m, and Biot's coefficient
     alpha(v) = 1 - K_eff / K_s = 1 - [g(v) H(+) + H(-)] (1 - alpha_m).
     """
-    g = degradation(v, params.k_res)
     h = np.asarray(tr_sign, dtype=float)
     frac = g * h + (1.0 - h)
     return DegradedModuli(g=g, frac=frac, K_eff=frac * params.K_m,
@@ -227,13 +260,26 @@ def effective_stiffness(moduli: DegradedModuli, params: MaterialParams) -> np.nd
     return C
 
 
+def elastic_trace(eps, dT, alpha_s: float):
+    """Tr eps_e = (exx - a) + (eyy - a) - a of the elastic strain
+    eps - alpha_s dT I (three components), a = alpha_s dT."""
+    a = alpha_s * np.asarray(dT, dtype=float)
+    return (eps[..., 0] - a) + (eps[..., 1] - a) - a
+
+
+def branch_flag(eps, dT, alpha_s: float):
+    """H(Tr eps_e) of the total strain ``eps`` at temperature offset ``dT``,
+    without forming the elastic strain."""
+    return heaviside(elastic_trace(np.asarray(eps, dtype=float), dT, alpha_s))
+
+
 def thermoelastic_split(eps, dT, alpha_s: float):
     """Elastic strain eps_e = eps - alpha_s dT I and its energy-split flag.
 
     Returns ``(eps_e, ezz, tr_e, tr_sign)``: the in-plane Voigt part of
     eps_e (shear unchanged), its out-of-plane component ezz = -alpha_s dT
     (the thermal strain is isotropic in 3D while the total strain has
-    eps_zz = 0 under plane strain), Tr eps_e = trace2(eps_e) + ezz and
+    eps_zz = 0 under plane strain), Tr eps_e (``elastic_trace``) and
     H(Tr eps_e). Pass ``ezz`` as ``eps_zz`` to the energy/stress helpers.
     """
     eps = np.asarray(eps, dtype=float)
@@ -241,9 +287,8 @@ def thermoelastic_split(eps, dT, alpha_s: float):
     eps_e = eps.copy()
     eps_e[..., 0] -= alpha_s * dT
     eps_e[..., 1] -= alpha_s * dT
-    ezz = -alpha_s * dT
-    tr_e = trace2(eps_e) + ezz
-    return eps_e, ezz, tr_e, heaviside(tr_e)
+    tr_e = elastic_trace(eps, dT, alpha_s)
+    return eps_e, -alpha_s * dT, tr_e, heaviside(tr_e)
 
 
 # ---------------------------------------------------------------------------
@@ -282,30 +327,25 @@ def porosity(e1, params: MaterialParams, moduli: DegradedModuli | None = None):
     return np.clip(phi, params.phi_m, 1.0)
 
 
-def permeability(v, width, eps, e1, e2, params: MaterialParams) -> np.ndarray:
-    """K = perm_m I + (1-v)^xi (w^2/12)(I - n x n), shape (..., 2, 2).
+def permeability(crack, width, eps, e1, e2, params: MaterialParams) -> Permeability:
+    """Components of K = perm_m I + (1-v)^xi (w^2/12)(I - n x n).
 
-    n is the unit eigenvector of the largest principal strain e1 of the
-    Voigt strain ``eps``, and I - n x n is the spectral projector
-    (e1 I - eps)/(e1 - e2) onto the crack plane. Degenerate (isotropic)
-    states, e1 - e2 <= 1e-12, take n = (1, 0).
+    ``crack`` is (1 - v)^xi (``phase_state``). n is the unit eigenvector of
+    the largest principal strain e1 of the Voigt strain ``eps``, and
+    I - n x n is the spectral projector (e1 I - eps)/(e1 - e2) onto the
+    crack plane. Degenerate (isotropic) states, e1 - e2 <= 1e-12, take
+    n = (1, 0).
     """
-    v = np.clip(np.asarray(v, dtype=float), 0.0, 1.0)
     w = np.asarray(width, dtype=float)
     eps = np.asarray(eps, dtype=float)
-    enh = (1.0 - v) ** params.xi * (w * w / 12.0)
+    enh = crack * (w * w / 12.0)
     gap = e1 - e2
     degen = gap <= 1e-12
     scale = enh / np.where(degen, 1.0, gap)
     kxx = params.perm_m + np.where(degen, 0.0, scale * (e1 - eps[..., 0]))
     kyy = params.perm_m + np.where(degen, enh, scale * (e1 - eps[..., 1]))
     kxy = np.where(degen, 0.0, scale * (-0.5 * eps[..., 2]))
-    out = np.empty(np.broadcast(kxx, kyy).shape + (2, 2))
-    out[..., 0, 0] = kxx
-    out[..., 1, 1] = kyy
-    out[..., 0, 1] = kxy
-    out[..., 1, 0] = kxy
-    return out
+    return Permeability(kxx, kyy, kxy)
 
 
 # ---------------------------------------------------------------------------
@@ -371,24 +411,26 @@ def biot_modulus_pressure_drive(eps_vol, p, tr_sign, params: MaterialParams):
 # bundled evaluation
 # ---------------------------------------------------------------------------
 
-def strain_state(eps, h_e, v, params: MaterialParams) -> StrainState:
-    """Evaluate the temperature-independent quadrature-point quantities at once."""
+def strain_state(eps, h_e, phase: PhaseState, params: MaterialParams) -> StrainState:
+    """Evaluate the temperature-independent quadrature-point quantities of
+    the strain ``eps`` and the ``phase_state`` of v at once."""
     eps = np.asarray(eps, dtype=float)
     e1, e2 = principal_strains(eps)
     width = fracture_width(e1, h_e)
-    perm = permeability(v, width, eps, e1, e2, params)
-    return StrainState(eps=eps, v=v, e1=e1, width=width, perm=perm, eps_vol=trace2(eps))
+    perm = permeability(phase.crack, width, eps, e1, e2, params)
+    return StrainState(eps=eps, g=phase.g, e1=e1, width=width, perm=perm,
+                       eps_vol=trace2(eps))
 
 
-def branch_porosity(st: StrainState, dT, params: MaterialParams):
-    """H(Tr eps_e) of ``st`` at temperature offset ``dT`` and the porosity of
-    ``params.porosity_variant`` at that flag.
+def state_porosity(st: StrainState, dT, params: MaterialParams):
+    """Porosity of ``params.porosity_variant`` at the strain state ``st`` and
+    temperature offset ``dT``.
 
-    The degraded moduli are evaluated only where the porosity law reads
-    them ("phi0"); a kernel that needs them too forms the flag, the record
-    and the porosity itself, so g(v) is evaluated once.
+    The branch flag and the degraded moduli are formed only where the
+    porosity law reads them ("phi0"); a kernel that needs them too forms
+    the flag, the record and the porosity itself.
     """
-    tr_sign = thermoelastic_split(st.eps, dT, params.alpha_s)[3]
-    moduli = (degraded_moduli(st.v, tr_sign, params)
-              if params.porosity_variant == "phi0" else None)
-    return tr_sign, porosity(st.e1, params, moduli)
+    if params.porosity_variant == "phi1":
+        return porosity(st.e1, params)
+    moduli = degraded_moduli(st.g, branch_flag(st.eps, dT, params.alpha_s), params)
+    return porosity(st.e1, params, moduli)

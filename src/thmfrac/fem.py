@@ -152,8 +152,18 @@ class ElementTables:
     gradients scaled by 2/hx and 2/hy, and detJ = hx hy / 4. The element
     kernels of ``physics`` need only these sizes and constant reference
     tables on the 2x2 Gauss rule, so no array here holds more than 8 values
-    per element. Each field kind, scalar (T, p, v) and vector (u), has one
-    ``FieldLayout``, built on its first assembly, not by ``build_tables``.
+    per element. The kernels scale their quadrature-point coefficients by
+    the per-element factors repeated at the four points (``qp_detJ``,
+    ``qp_h_e``, ``qp_grad``, ``qp_aspect``, ``qp_half``), so each scaling
+    is one product of two (E, 4) or (E, 8) arrays rather than a broadcast
+    whose innermost axis has length 2. These are fixed for the mesh; the
+    quadrature-point quantities that change are formed by ``physics``: the
+    previous level's once per time step (``step_state``), the phase
+    field's once per outer iteration (``phase_state``) and the strain's
+    once per inner pass (``strain_state``). Each
+    field kind, scalar (T, p, v) and vector (u), has one ``FieldLayout``.
+    The layouts and the repeated factors are built on first use, not by
+    ``build_tables``.
     """
 
     mesh: Mesh
@@ -175,8 +185,33 @@ class ElementTables:
         ids = np.arange(self.n_nodes).reshape(len(self.mesh.ys), len(self.mesh.xs))
         return ids.ravel() if ids.shape[1] <= ids.shape[0] else ids.T.ravel()
 
-    # built on first assembly, not with the tables, so that setting up a
+    # built on first use, not with the tables, so that setting up a
     # simulation stays cheap
+    @cached_property
+    def qp_detJ(self) -> np.ndarray:
+        """(E, 4) detJ at each quadrature point."""
+        return np.repeat(self.detJ[:, None], 4, axis=1)
+
+    @cached_property
+    def qp_h_e(self) -> np.ndarray:
+        """(E, 4) element size h_e at each quadrature point."""
+        return np.repeat(self.mesh.h_e[:, None], 4, axis=1)
+
+    @cached_property
+    def qp_grad(self) -> np.ndarray:
+        """(E, 8) gradient scales (2/hx, 2/hy) at each quadrature point."""
+        return np.tile(2.0 / self.h, 4)
+
+    @cached_property
+    def qp_aspect(self) -> np.ndarray:
+        """(E, 8) detJ (2/h_d)^2 = (hy/hx, hx/hy) at each quadrature point."""
+        return np.tile(self.h[:, ::-1] / self.h, 4)
+
+    @cached_property
+    def qp_half(self) -> np.ndarray:
+        """(E, 8) detJ 2/h_d = (hy/2, hx/2) at each quadrature point."""
+        return np.tile(0.5 * self.h[:, ::-1], 4)
+
     @cached_property
     def scalar_layout(self) -> FieldLayout:
         return field_layout(self.conn, self.node_order)

@@ -27,9 +27,23 @@ every point. Each element term is therefore one plain 2-D matmul: its
 (E, k) quadrature-point coefficients, scaled per element by these
 factors (K_xx hy/hx, K_xy, K_yx and K_yy hx/hy for a tensor Laplacian),
 times a constant (k, m) table of the reference shape functions and Gauss
-weights. Heat and flow read the temperature-independent quadrature-point
-state of an inner pass (``strain_state``) from one evaluation, and each
-adds the branch flag and porosity at its own temperature.
+weights. Coefficients are kept in component form, (E, 4) per component,
+and scaled by the tables' per-point factors, so every product runs along
+a long axis; the permeability is its three components (xx, yy, xy).
+
+Each quadrature-point quantity is formed once, at the level of the
+staggered loop where it changes, and the kernels read it:
+
+* per time step (``step_state``): p and T of the previous step at the
+  quadrature points, its nodal T per element (heat's lumped storage) and
+  its volumetric strain;
+* per outer iteration (``phase_state``): v at the quadrature points,
+  g(v) with its range check and the permeability's (1 - v)^xi;
+* per inner pass (``strain_state``): the strain, its principal strain,
+  width and permeability, which heat and flow share, and the new T at the
+  quadrature points, which flow and the mechanics right-hand side share.
+  Heat and flow each add the porosity at their own temperature, with the
+  branch flag where they read it (heat only for the "phi0" porosity).
 """
 
 from __future__ import annotations
@@ -81,21 +95,11 @@ _VOIGT = np.array([0, 2, 2, 1])    # Voigt row (xx, yy, xy) that m enters
 _TO_VOIGT = np.eye(3)[_VOIGT]      # (m, Voigt row)
 
 
-def _aspect(tables: ElementTables) -> np.ndarray:
-    """(E, 2) detJ (2/h_d)^2: (hy/hx, hx/hy)."""
-    return tables.h[:, ::-1] / tables.h
-
-
 def _metric(tables: ElementTables) -> np.ndarray:
     """(E, 2, 2) detJ (2/h_c)(2/h_d): [[hy/hx, 1], [1, hx/hy]]."""
     m = np.ones((len(tables.h), 4))
-    m[:, ::3] = _aspect(tables)
+    m[:, ::3] = tables.qp_aspect[:, :2]
     return m.reshape(-1, 2, 2)
-
-
-def _half_sizes(tables: ElementTables) -> np.ndarray:
-    """(E, 2) detJ 2/h_d: (hy/2, hx/2)."""
-    return 0.5 * tables.h[:, ::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -109,16 +113,16 @@ def scalar_qp(tables: ElementTables, f: np.ndarray) -> np.ndarray:
 
 def grad_qp(tables: ElementTables, f: np.ndarray) -> np.ndarray:
     """Nodal scalar -> (E, 4, 2) quadrature-point gradients."""
-    g = (f[tables.conn] @ _GRAD).reshape(-1, 4, 2)
-    g *= (2.0 / tables.h)[:, None, :]
-    return g
+    g = f[tables.conn] @ _GRAD
+    g *= tables.qp_grad
+    return g.reshape(-1, 4, 2)
 
 
 def strain_qp(tables: ElementTables, u: np.ndarray, elems=slice(None)) -> np.ndarray:
     """Nodal displacement -> (E, 4, 3) Voigt strains, on the elements
     ``elems`` (an index array or slice of element ids; all by default)."""
     g = (u[tables.dofs_vec[elems]] @ _DISP_GRAD).reshape(-1, 4, 4)   # (E, q, m)
-    g *= (2.0 / tables.h[elems])[:, None, _DIR]
+    g *= tables.qp_grad[elems, None, :4]        # 2/h_d of m = (i, d)
     return (g.reshape(-1, 4) @ _TO_VOIGT).reshape(-1, 4, 3)
 
 
@@ -128,21 +132,53 @@ def volumetric_strain_qp(tables: ElementTables, u: np.ndarray) -> np.ndarray:
 
 
 def darcy_flux_qp(tables: ElementTables, params: MaterialParams,
-                  perm: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """q_f = -(K/mu) grad p at quadrature points, shape (E, 4, 2)."""
-    gp = grad_qp(tables, p)
-    return -np.matmul(perm, gp[..., None])[..., 0] / params.mu_f
+                  perm: law.Permeability, p: np.ndarray) -> np.ndarray:
+    """q_f = -(K/mu) grad p at quadrature points, shape (E, 4, 2), from the
+    (E, 4) components of K."""
+    g = grad_qp(tables, p)
+    gx, gy = g[..., 0], g[..., 1]
+    q = np.empty_like(g)
+    q[..., 0] = perm.xx * gx + perm.xy * gy
+    q[..., 1] = perm.xy * gx + perm.yy * gy
+    q /= -params.mu_f
+    return q
+
+
+@dataclass
+class StepState:
+    """Quadrature-point values of the previous time level, fixed over the
+    outer iterations and inner passes of a step."""
+
+    p: np.ndarray           # (E, 4) previous p
+    T: np.ndarray           # (E, 4) previous T
+    T_elem: np.ndarray      # (E, 4) previous nodal T of each element
+    eps_vol: np.ndarray     # (E, 4) previous volumetric strain
+
+
+def step_state(tables: ElementTables, prev: FieldState) -> StepState:
+    """The previous time level ``prev`` at the quadrature points, formed
+    once per time step."""
+    return StepState(p=scalar_qp(tables, prev.p), T=scalar_qp(tables, prev.T),
+                     T_elem=prev.T[tables.conn],
+                     eps_vol=volumetric_strain_qp(tables, prev.u))
+
+
+def phase_state(tables: ElementTables, params: MaterialParams,
+                v: np.ndarray) -> law.PhaseState:
+    """g(v) and (1 - v)^xi of nodal ``v`` at the quadrature points, formed
+    once per outer iteration: heat, flow and mechanics all read it."""
+    return law.phase_state(scalar_qp(tables, v), params)
 
 
 def strain_state(tables: ElementTables, params: MaterialParams, u: np.ndarray,
-                 v: np.ndarray) -> law.StrainState:
-    """Temperature-independent quadrature-point state of nodal (u, v).
+                 phase: law.PhaseState) -> law.StrainState:
+    """Temperature-independent quadrature-point state of nodal u and the
+    ``phase_state`` of v.
 
     Heat and flow evaluate their kernels on the same (u, v) iterate of an
     inner pass, so a time step forms this once per pass for both.
     """
-    return law.strain_state(strain_qp(tables, u), tables.mesh.h_e[:, None],
-                            scalar_qp(tables, v), params)
+    return law.strain_state(strain_qp(tables, u), tables.qp_h_e, phase, params)
 
 
 # ---------------------------------------------------------------------------
@@ -151,36 +187,41 @@ def strain_state(tables: ElementTables, params: MaterialParams, u: np.ndarray,
 
 def _mass(tables: ElementTables, coeff: np.ndarray) -> np.ndarray:
     """Consistent mass element matrices for a (E, 4) coefficient field."""
-    return ((coeff * tables.detJ[:, None]) @ _MASS).reshape(-1, 4, 4)
+    return ((coeff * tables.qp_detJ) @ _MASS).reshape(-1, 4, 4)
 
 
 def _laplacian(tables: ElementTables, coeff: np.ndarray) -> np.ndarray:
     """Scalar-coefficient stiffness for a (E, 4) conductivity field."""
-    c = coeff[..., None] * _aspect(tables)[:, None, :]
-    return (c.reshape(-1, 8) @ _LAPLACIAN).reshape(-1, 4, 4)
+    c = np.repeat(coeff, 2, axis=1) * tables.qp_aspect
+    return (c @ _LAPLACIAN).reshape(-1, 4, 4)
 
 
-def _laplacian_tensor(tables: ElementTables, K: np.ndarray) -> np.ndarray:
-    """Tensor-coefficient stiffness for a (E, 4, 2, 2) field."""
-    c = K * _metric(tables)[:, None]
+def _laplacian_tensor(tables: ElementTables, kxx: np.ndarray, kyy: np.ndarray,
+                      kxy: np.ndarray) -> np.ndarray:
+    """Tensor-coefficient stiffness for the (E, 4) components of a symmetric
+    conductivity field."""
+    c = np.empty(kxx.shape + (4,))
+    np.multiply(kxx, tables.qp_aspect[:, 0::2], out=c[..., 0])
+    c[..., 1] = kxy
+    c[..., 2] = kxy
+    np.multiply(kyy, tables.qp_aspect[:, 1::2], out=c[..., 3])
     return (c.reshape(-1, 16) @ _TENSOR_LAPLACIAN).reshape(-1, 4, 4)
 
 
 def _advection(tables: ElementTables, q: np.ndarray) -> np.ndarray:
     """Advection matrices int N_a q . grad N_b for a (E, 4, 2) velocity field."""
-    c = q * _half_sizes(tables)[:, None, :]
-    return (c.reshape(-1, 8) @ _ADVECTION).reshape(-1, 4, 4)
+    c = q.reshape(-1, 8) * tables.qp_half
+    return (c @ _ADVECTION).reshape(-1, 4, 4)
 
 
 def _divergence(tables: ElementTables, s: np.ndarray) -> np.ndarray:
     """(E, 8) virtual work int s div(N_a e_i) of a (E, 4) isotropic stress s I."""
-    c = s[..., None] * _half_sizes(tables)[:, None, :]
-    return c.reshape(-1, 8) @ _DIVERGENCE
+    return (np.repeat(s, 2, axis=1) * tables.qp_half) @ _DIVERGENCE
 
 
 def _load(tables: ElementTables, source: np.ndarray) -> np.ndarray:
     """Element load vectors for a (E, 4) quadrature-point source density."""
-    return (source * tables.detJ[:, None]) @ _LOAD
+    return (source * tables.qp_detJ) @ _LOAD
 
 
 def _stiffness(tables: ElementTables, C: np.ndarray) -> np.ndarray:
@@ -202,47 +243,47 @@ def mechanics_branch_flags(tables: ElementTables, params: MaterialParams,
                            st: law.StrainState, T: np.ndarray) -> np.ndarray:
     """Opening/closing Heaviside flags H(Tr eps_e) at quadrature points of
     the strain state ``st`` and nodal temperature ``T``."""
-    dT = scalar_qp(tables, T) - params.T0
-    return law.thermoelastic_split(st.eps, dT, params.alpha_s)[3]
+    return law.branch_flag(st.eps, scalar_qp(tables, T) - params.T0, params.alpha_s)
 
 
 @dataclass
 class MechanicsOperator:
-    """Stiffness at a frozen (v, branch flags) pair as data on the vector
-    layout, and the (E, 4) degraded moduli the right-hand side of that
-    state reuses."""
+    """Stiffness at a frozen (g(v), branch flags) pair as data on the vector
+    layout, and the (E, 4) degraded moduli and thermal stress coefficient
+    3 K_eff alpha_s that the right-hand side of that state reuses."""
 
-    v: np.ndarray
     tr_sign: np.ndarray
     data: np.ndarray
     moduli: law.DegradedModuli
+    thermal: np.ndarray
 
-    def matches(self, v: np.ndarray, tr_sign: np.ndarray) -> bool:
-        return np.array_equal(v, self.v) and np.array_equal(tr_sign, self.tr_sign)
+    def matches(self, phase: law.PhaseState, tr_sign: np.ndarray) -> bool:
+        # the operator depends on v only through g(v)
+        return (np.array_equal(phase.g, self.moduli.g)
+                and np.array_equal(tr_sign, self.tr_sign))
 
 
 def build_mechanics_system(tables: ElementTables, params: MaterialParams,
-                           v: np.ndarray, tr_sign: np.ndarray) -> MechanicsOperator:
-    """Equilibrium operator K of K u = f at phase field ``v``.
+                           phase: law.PhaseState, tr_sign: np.ndarray) -> MechanicsOperator:
+    """Equilibrium operator K of K u = f at the ``phase_state`` of v.
 
     The opening/closing branch of the stiffness is frozen at the given
     ``tr_sign`` flags (``mechanics_branch_flags`` of an earlier iterate);
     broken cells otherwise chatter between the stiff closed and compliant
     open branch from one iterate to the next. ``mechanics_rhs`` builds f.
     """
-    moduli = law.degraded_moduli(scalar_qp(tables, v), tr_sign, params)
+    moduli = law.degraded_moduli(phase.g, tr_sign, params)
     KE = _stiffness(tables, law.effective_stiffness(moduli, params))
-    return MechanicsOperator(v=v.copy(), tr_sign=tr_sign.copy(),
-                             data=tables.vector_layout.assemble(KE), moduli=moduli)
+    return MechanicsOperator(tr_sign=tr_sign.copy(), data=tables.vector_layout.assemble(KE),
+                             moduli=moduli, thermal=3.0 * moduli.K_eff * params.alpha_s)
 
 
 def mechanics_rhs(tables: ElementTables, params: MaterialParams, op: MechanicsOperator,
-                  p: np.ndarray, T: np.ndarray, f_ext: np.ndarray) -> np.ndarray:
-    """Right-hand side f of ``op``: pressure and thermal terms plus loads."""
-    p_qp = scalar_qp(tables, p)
-    dT_qp = scalar_qp(tables, T) - params.T0
+                  p: np.ndarray, T_qp: np.ndarray, f_ext: np.ndarray) -> np.ndarray:
+    """Right-hand side f of ``op`` at nodal ``p`` and quadrature-point
+    temperature ``T_qp``: pressure and thermal terms plus loads."""
     # the rhs stress is isotropic: (alpha p + 3 K_eff alpha_s dT) I
-    s = op.moduli.alpha * p_qp + 3.0 * op.moduli.K_eff * params.alpha_s * dT_qp
+    s = op.moduli.alpha * scalar_qp(tables, p) + op.thermal * (T_qp - params.T0)
     rhs = scatter_vector(tables, _divergence(tables, s), vector=True)
     rhs += f_ext
     return rhs
@@ -253,9 +294,8 @@ def mechanics_rhs(tables: ElementTables, params: MaterialParams, op: MechanicsOp
 # ---------------------------------------------------------------------------
 
 def build_flow_system(tables: ElementTables, params: MaterialParams,
-                      st: law.StrainState, p_it: np.ndarray,
-                      T_new: np.ndarray, evol_prev: np.ndarray,
-                      p_prev: np.ndarray, T_prev: np.ndarray, dt: float,
+                      st: law.StrainState, p_it: np.ndarray, T_qp: np.ndarray,
+                      step: StepState, dt: float,
                       source: np.ndarray | None = None) -> FieldSystem:
     """Pressure system of the fixed-stress step.
 
@@ -271,13 +311,11 @@ def build_flow_system(tables: ElementTables, params: MaterialParams,
     item 2).
 
     ``st`` is the ``strain_state`` of the (u, v) iterate, evaluated here at
-    T_new. ``evol_prev`` is ``volumetric_strain_qp`` of the previous step's
-    displacement; a time step evaluates it once, because it is fixed over
-    the step's inner passes.
+    the new temperature ``T_qp`` at the quadrature points. ``step`` is the
+    ``step_state`` of the previous time level.
     """
-    T_new_qp = scalar_qp(tables, T_new)
-    tr_sign = law.thermoelastic_split(st.eps, T_new_qp - params.T0, params.alpha_s)[3]
-    moduli = law.degraded_moduli(st.v, tr_sign, params)
+    tr_sign = law.branch_flag(st.eps, T_qp - params.T0, params.alpha_s)
+    moduli = law.degraded_moduli(st.g, tr_sign, params)
     phi = law.porosity(st.e1, params, moduli)
     K_eff, alpha = moduli.K_eff, moduli.alpha
     if np.any(K_eff <= 0.0) or not np.all(np.isfinite(K_eff)):
@@ -285,17 +323,15 @@ def build_flow_system(tables: ElementTables, params: MaterialParams,
     inv_Mp = law.biot_modulus_inv(phi, alpha, params)
     inv_MT = law.thermal_storage_inv(phi, alpha, params)
 
-    KE = _mass(tables, (inv_Mp + alpha * alpha / K_eff) / dt)
-    KE += _laplacian_tensor(tables, st.perm / params.mu_f)
+    alpha2 = alpha * alpha
+    KE = _mass(tables, (inv_Mp + alpha2 / K_eff) / dt)
+    mu = params.mu_f
+    KE += _laplacian_tensor(tables, st.perm.xx / mu, st.perm.yy / mu, st.perm.xy / mu)
 
-    p_prev_qp = scalar_qp(tables, p_prev)
-    p_it_qp = scalar_qp(tables, p_it)
-    T_prev_qp = scalar_qp(tables, T_prev)
-
-    rhs_qp = (inv_Mp / dt) * p_prev_qp
-    rhs_qp += (alpha * alpha / (K_eff * dt)) * p_it_qp
-    rhs_qp += (inv_MT / dt) * (T_new_qp - T_prev_qp)
-    rhs_qp -= alpha * (st.eps_vol - evol_prev) / dt
+    rhs_qp = (inv_Mp / dt) * step.p
+    rhs_qp += (alpha2 / (K_eff * dt)) * scalar_qp(tables, p_it)
+    rhs_qp += (inv_MT / dt) * (T_qp - step.T)
+    rhs_qp -= alpha * (st.eps_vol - step.eps_vol) / dt
     FE = _load(tables, rhs_qp)
 
     system = assemble_batched(tables, KE, FE, vector=False)
@@ -310,7 +346,7 @@ def build_flow_system(tables: ElementTables, params: MaterialParams,
 
 def build_heat_system(tables: ElementTables, params: MaterialParams,
                       st: law.StrainState, p_it: np.ndarray,
-                      T_prev: np.ndarray, dt: float) -> FieldSystem:
+                      step: StepState, dt: float) -> FieldSystem:
     """Temperature system with the lagged Darcy flux q_f^(m-1).
 
     The operator is linear in T: storage is row-sum lumped (keeps the
@@ -318,9 +354,10 @@ def build_heat_system(tables: ElementTables, params: MaterialParams,
     rho_f c_pf q_f . grad T, and conduction carries lambda_eff plus the
     balancing dissipation 1/2 s ||q_f|| h_e scaled by rho_f c_pf, which
     ``params.s_stab = 0`` turns off. ``st`` is the ``strain_state`` of the
-    (u, v) iterate; the porosity is taken at T_prev.
+    (u, v) iterate; the porosity is taken at the previous step's T, read
+    with the storage's nodal T from its ``step_state`` ``step``.
     """
-    phi = law.branch_porosity(st, scalar_qp(tables, T_prev) - params.T0, params)[1]
+    phi = law.state_porosity(st, step.T - params.T0, params)
     rhoc = law.heat_capacity_eff(phi, params)
     lam = law.conductivity_eff(phi, params)
     q_f = darcy_flux_qp(tables, params, st.perm, p_it)
@@ -329,15 +366,14 @@ def build_heat_system(tables: ElementTables, params: MaterialParams,
     # the load vector of the coefficient
     diag = _load(tables, rhoc / dt)
     q_norm = np.hypot(q_f[..., 0], q_f[..., 1])
-    lam_total = lam + law.stabilization_conductivity(q_norm, tables.mesh.h_e[:, None], params)
+    lam_total = lam + law.stabilization_conductivity(q_norm, tables.qp_h_e, params)
 
     KE = _laplacian(tables, lam_total)
     adv = params.rho_f * params.c_pf
     if adv != 0.0:
         KE += _advection(tables, adv * q_f)
-    idx = np.arange(4)
-    KE[:, idx, idx] += diag
-    FE = diag * T_prev[tables.conn]
+    KE.reshape(-1, 16)[:, ::5] += diag      # the diagonal entries of each element
+    FE = diag * step.T_elem
     return assemble_batched(tables, KE, FE, vector=False)
 
 

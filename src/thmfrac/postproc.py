@@ -8,7 +8,7 @@ from . import constitutive as law
 from .constitutive import MaterialParams
 from .fem import ElementTables, shape_q4
 from .mesh import Mesh, locate_points
-from .physics import N_QP, FieldState, scalar_qp, strain_qp, strain_state
+from .physics import N_QP, FieldState, phase_state, scalar_qp, strain_qp, strain_state
 
 FIELDS = ("p", "T", "v", "ux", "uy")
 
@@ -107,12 +107,12 @@ def fracture_length(mesh: Mesh, v: np.ndarray, path: np.ndarray,
 def element_cell_data(tables: ElementTables, params: MaterialParams,
                       state: FieldState) -> dict[str, np.ndarray]:
     """Element-averaged derived quantities for snapshot output."""
-    st = strain_state(tables, params, state.u, state.v)
-    phi = law.branch_porosity(st, scalar_qp(tables, state.T) - params.T0, params)[1]
+    st = strain_state(tables, params, state.u, phase_state(tables, params, state.v))
+    phi = law.state_porosity(st, scalar_qp(tables, state.T) - params.T0, params)
     return {
         "width": st.width.mean(axis=1),
         "porosity": phi.mean(axis=1),
-        "permeability_xx": st.perm[..., 0, 0].mean(axis=1),
-        "permeability_yy": st.perm[..., 1, 1].mean(axis=1),
-        "permeability_xy": st.perm[..., 0, 1].mean(axis=1),
+        "permeability_xx": st.perm.xx.mean(axis=1),
+        "permeability_yy": st.perm.yy.mean(axis=1),
+        "permeability_xy": st.perm.xy.mean(axis=1),
     }

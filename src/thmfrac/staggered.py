@@ -22,10 +22,10 @@ from .errors import NonConvergence, SolverFailure
 from .fem import (Dirichlet, ElementTables, Factorization, FieldOperator, apply_dirichlet,
                   solve_bound_constrained, solve_linear)
 from .mesh import Mesh
-from .physics import (FieldState, MechanicsOperator, build_flow_system, build_heat_system,
-                      build_mechanics_system, build_phasefield_system,
-                      mechanics_branch_flags, mechanics_rhs, strain_state,
-                      volumetric_strain_qp)
+from .physics import (FieldState, MechanicsOperator, StepState, build_flow_system,
+                      build_heat_system, build_mechanics_system, build_phasefield_system,
+                      mechanics_branch_flags, mechanics_rhs, phase_state, scalar_qp,
+                      step_state, strain_state)
 
 log = logging.getLogger("thmfrac")
 
@@ -46,14 +46,21 @@ class SolverControls:
     v_ir: float = 0.05
 
     def __post_init__(self):
+        for name in ("tol_stag", "tol_tpu", "v_ir"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        # each check is written so that it fails for NaN
         if not (self.tol_stag > 0.0 and self.tol_tpu > 0.0):
             raise ValueError("tolerances must be positive")
-        if self.max_outer < 1 or self.max_inner < 1:
+        if not (self.max_outer >= 1 and self.max_inner >= 1):
             raise ValueError("iteration caps must be >= 1")
-        if self.v_ir < 0.0:
+        if not self.v_ir >= 0.0:
             raise ValueError(f"v_ir must be non-negative, got {self.v_ir}")
         for duration, dt in self.dt_schedule:
-            if dt <= 0.0 or duration < 0.0:
+            if not (math.isfinite(duration) and math.isfinite(dt)):
+                raise ValueError(f"dt_schedule segment ({duration}, {dt}): duration and dt "
+                                 f"must be finite")
+            if not (dt > 0.0 and duration >= 0.0):
                 raise ValueError("dt_schedule entries need dt > 0 and duration >= 0")
             if abs(round(duration / dt) * dt - duration) > 1e-9 * duration:
                 raise ValueError(f"dt_schedule segment ({duration}, {dt}): the duration "
@@ -221,40 +228,47 @@ class Simulation:
         op.load(system.data)
         return solve_bound_constrained(op, system.rhs, lower, upper, init)
 
-    def _solve_T(self, st, it: FieldState, prev: FieldState, dt: float) -> np.ndarray:
-        system = build_heat_system(self.tables, self.params, st, it.p, prev.T, dt)
+    def _solve_T(self, st, p_it, step: StepState, dt: float) -> np.ndarray:
+        system = build_heat_system(self.tables, self.params, st, p_it, step, dt)
         return self._solve_constrained("T", system.data, system.rhs)
 
-    def _solve_p(self, st, it: FieldState, T_new, prev: FieldState, evol_prev,
-                 dt: float) -> np.ndarray:
-        system = build_flow_system(self.tables, self.params, st, it.p, T_new, evol_prev,
-                                   prev.p, prev.T, dt, source=self.q_flow)
+    def _solve_p(self, st, p_it, T_qp, step: StepState, dt: float) -> np.ndarray:
+        system = build_flow_system(self.tables, self.params, st, p_it, T_qp, step, dt,
+                                   source=self.q_flow)
         return self._solve_constrained("p", system.data, system.rhs)
 
-    def _solve_u(self, v, p_new, T_new, tr_sign) -> np.ndarray:
+    def _solve_u(self, phase, p_new, T_qp, tr_sign) -> np.ndarray:
         mech, data = self._mech, None
-        if mech is None or not mech.matches(v, tr_sign):
+        if mech is None or not mech.matches(phase, tr_sign):
             self._mech = None
             self._drop_mechanics_factor()
-            mech = self._mech = build_mechanics_system(self.tables, self.params, v, tr_sign)
+            mech = self._mech = build_mechanics_system(self.tables, self.params, phase,
+                                                       tr_sign)
             data = mech.data
-        rhs = mechanics_rhs(self.tables, self.params, mech, p_new, T_new, self.f_ext)
+        rhs = mechanics_rhs(self.tables, self.params, mech, p_new, T_qp, self.f_ext)
         return self._solve_constrained("u", data, rhs)
 
     # -- one time step -----------------------------------------------------
 
     def time_step(self, prev: FieldState, dt: float,
                   controls: SolverControls) -> tuple[FieldState, StepReport]:
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
+        """One step from ``prev``. Each quadrature-point quantity is formed
+        at the loop level where it changes: the previous level's once per
+        step, v's once per outer iteration, and the strain state and new
+        temperature once per inner pass."""
+        if not (dt > 0.0 and math.isfinite(dt)):
+            raise ValueError(f"dt must be positive and finite, got {dt}")
         n = self.mesh.n_nodes
         lower = np.zeros(n)
         upper = np.where(prev.v < controls.v_ir, prev.v, 1.0)
         upper[self.crack_nodes] = 0.0
 
+        tb, params = self.tables, self.params
         it = prev.copy()
         v_cur = prev.v
-        evol_prev = volumetric_strain_qp(self.tables, prev.u)
+        step = step_state(tb, prev)
+        # without heat solves T stays at the previous level
+        T_new, T_qp = it.T, step.T
         v_incs: list[float] = []
         inner_counts: list[int] = []
         tpu_incs: list[tuple[float, float, float]] = []
@@ -272,21 +286,25 @@ class Simulation:
             # frozen across the inner loop: refreshing them per (T, p, u)
             # pass lets broken cells flip between the open and closed branch
             # and the displacement iterate cycles
-            st = strain_state(self.tables, self.params, it.u, v_new)
-            h_mech = mechanics_branch_flags(self.tables, self.params, st, it.T)
+            phase = phase_state(tb, params, v_new)
+            st = strain_state(tb, params, it.u, phase)
+            h_mech = mechanics_branch_flags(tb, params, st, it.T)
             inner_done = 0
             for j in range(1, controls.max_inner + 1):
-                T_new = self._solve_T(st, it, prev, dt) if self.solve_thermal else it.T
-                p_raw = self._solve_p(st, it, T_new, prev, evol_prev, dt)
+                if self.solve_thermal:
+                    T_new = self._solve_T(st, it.p, step, dt)
+                    # flow and the mechanics rhs share the new T at the quadrature points
+                    T_qp = scalar_qp(tb, T_new)
+                p_raw = self._solve_p(st, it.p, T_qp, step, dt)
                 p_new = mixer.mix(it.p, p_raw)
-                u_new = self._solve_u(v_new, p_new, T_new, h_mech)
+                u_new = self._solve_u(phase, p_new, T_qp, h_mech)
                 inc = (_rel(T_new, it.T), _rel(p_new, it.p), _rel(u_new, it.u))
                 it = FieldState(u=u_new, p=p_new, T=T_new, v=v_new)
                 tpu_incs.append(inc)
                 inner_done = j
                 if max(inc) < controls.tol_tpu:
                     break
-                st = strain_state(self.tables, self.params, it.u, v_new)
+                st = strain_state(tb, params, it.u, phase)
             else:
                 raise NonConvergence(
                     f"inner (T-p-u) loop exceeded {controls.max_inner} iterations "

@@ -148,7 +148,7 @@ def mechanics_residual(tables, params, u, v, p, T, f_ext) -> np.ndarray:
     dT_qp = T[conn] @ iso.N.T - params.T0
     eps = np.einsum("eqsa,ea->eqs", iso.B, u[tables.dofs_vec])
     eps_e, ezz, _, h = law.thermoelastic_split(eps, dT_qp, params.alpha_s)
-    moduli = law.degraded_moduli(v[conn] @ iso.N.T, h, params)
+    moduli = law.degraded_moduli(law.degradation(v[conn] @ iso.N.T, params.k_res), h, params)
     sig = effective_stress(eps_e, moduli, params, eps_zz=ezz)
     sig = sig - (moduli.alpha * p_qp)[..., None] * _VOIGT_ID
     FE = np.einsum("eqsa,eqs->ea", iso.B, sig * iso.detJw[..., None])
@@ -181,6 +181,16 @@ def crack_normal(eps, e1, e2) -> np.ndarray:
     vx = np.where(degen, 1.0, vx)
     vy = np.where(degen, 0.0, vy)
     return np.stack([vx, vy], axis=-1)
+
+
+def permeability_tensor(perm) -> np.ndarray:
+    """The (..., 2, 2) tensor of the ``law.permeability`` components."""
+    K = np.empty(np.shape(perm.xx) + (2, 2))
+    K[..., 0, 0] = perm.xx
+    K[..., 1, 1] = perm.yy
+    K[..., 0, 1] = perm.xy
+    K[..., 1, 0] = perm.xy
+    return K
 
 
 def permeability_from_normal(v, width, normal, params) -> np.ndarray:

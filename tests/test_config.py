@@ -1,9 +1,11 @@
 import argparse
+import dataclasses
 import json
 
 import pytest
 
 from thmfrac.cli import _load_config, main
+from thmfrac.constitutive import MaterialParams
 from thmfrac.config import (Injection, MechBC, ProbeSpec, ScalarBC, config_from_dict,
                             config_to_dict, parse_config)
 from thmfrac.errors import ConfigError
@@ -199,6 +201,40 @@ def test_each_dataclass_checks_its_own_values(build):
     # the rules hold for objects built in Python, not only for parsed JSON
     with pytest.raises(ValueError):
         build()
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(MaterialParams)
+                                   if f.type == "float"])
+@pytest.mark.parametrize("value", [_NAN, _INF, -_INF], ids=["nan", "inf", "-inf"])
+def test_non_finite_material_constant_is_rejected_under_its_name(field, value):
+    # every check of a Python-built object fails for NaN, not only the
+    # reader's check of JSON numbers
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got"):
+        MaterialParams(**{"E": 1e9, "nu": 0.2, field: value})
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"tol_stag": _NAN}, "tol_stag must be finite"),
+    ({"tol_tpu": _INF}, "tol_tpu must be finite"),
+    ({"v_ir": _NAN}, "v_ir must be finite"),
+    ({"dt_schedule": [(_INF, 1.0)]}, r"segment \(inf, 1.0\): duration and dt must be finite"),
+    ({"dt_schedule": [(1.0, _NAN)]}, r"segment \(1.0, nan\): duration and dt must be finite"),
+    ({"dt_schedule": [(_NAN, 1.0)]}, r"segment \(nan, 1.0\): duration and dt must be finite"),
+    ({"dt_schedule": [(1.0, _INF)]}, r"segment \(1.0, inf\): duration and dt must be finite"),
+], ids=["tol_stag-nan", "tol_tpu-inf", "v_ir-nan", "duration-inf", "dt-nan", "duration-nan",
+        "dt-inf"])
+def test_non_finite_control_is_rejected_under_its_name(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        SolverControls(**{"dt_schedule": [(1.0, 1.0)], **kwargs})
+
+
+@pytest.mark.parametrize("rate", [_NAN, _INF])
+def test_non_finite_injection_rate_is_rejected(rate):
+    with pytest.raises(ValueError, match="rate must be non-negative and finite"):
+        Injection(point=(0.0, 0.0), rate=rate)
 
 
 class TestPresets:

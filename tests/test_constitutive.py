@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_strain
-from element_loop import crack_normal, permeability_from_normal
+from element_loop import crack_normal, permeability_from_normal, permeability_tensor
 from thmfrac import constitutive as law
 from thmfrac.constitutive import MaterialParams
 from thmfrac.errors import InvariantViolation
@@ -22,12 +22,16 @@ def dense_stiffness(K_m, mu, g=1.0, K_eff=None):
     ])
 
 
+def moduli_of(v, h, mp):
+    return law.degraded_moduli(law.degradation(v, mp.k_res), h, mp)
+
+
 def stiffness(v, h, mp):
-    return law.effective_stiffness(law.degraded_moduli(v, h, mp), mp)
+    return law.effective_stiffness(moduli_of(v, h, mp), mp)
 
 
 def biot(v, h, mp):
-    return law.degraded_moduli(v, h, mp).alpha
+    return moduli_of(v, h, mp).alpha
 
 
 class TestMaterialParams:
@@ -175,7 +179,7 @@ class TestBiotCoefficient:
         # alpha and the damage-driven porosity follow from K_eff alone
         mp = MaterialParams(E=1e9, nu=0.2, alpha_m=0.6, phi_m=0.1, porosity_variant="phi0")
         v = rng.uniform(0.0, 1.0, 64)
-        moduli = law.degraded_moduli(v, h, mp)
+        moduli = moduli_of(v, h, mp)
         K_eff = moduli.K_eff
         assert np.allclose(moduli.alpha, 1.0 - K_eff / mp.K_s,
                            rtol=1e-12, atol=0.0)
@@ -235,22 +239,26 @@ class TestWidthAndPorosity:
     def test_porosity_phi0_fully_damaged_tension(self):
         mp = MaterialParams(E=1e9, nu=0.2, alpha_m=0.6, phi_m=0.3, k_res=1e-15,
                             porosity_variant="phi0")
-        phi = law.porosity(e1_of(np.zeros(3)), mp, law.degraded_moduli(0.0, 1.0, mp))
+        phi = law.porosity(e1_of(np.zeros(3)), mp, moduli_of(0.0, 1.0, mp))
         assert phi == pytest.approx(1.0, abs=1e-12)
 
     def test_phi1_independent_of_v_and_ell(self, rng):
         e1 = e1_of(random_strain(rng, n=16))
         base = MaterialParams(E=1e9, nu=0.2, alpha_m=0.6, phi_m=0.2, ell=0.1)
         other = MaterialParams(E=1e9, nu=0.2, alpha_m=0.6, phi_m=0.2, ell=3.7)
-        ref = law.porosity(e1, base, law.degraded_moduli(1.0, 1.0, base))
+        ref = law.porosity(e1, base, moduli_of(1.0, 1.0, base))
         for v in (0.0, 0.3, 1.0):
             assert np.array_equal(
-                law.porosity(e1, base, law.degraded_moduli(v, 0.0, base)), ref)
+                law.porosity(e1, base, moduli_of(v, 0.0, base)), ref)
         assert np.array_equal(law.porosity(e1, other), ref)
 
 
-def permeability_of(v, width, eps, mp):
-    return law.permeability(v, width, eps, *law.principal_strains(eps), mp)
+def permeability_of(v, width, eps, mp, e1_e2=None):
+    """The permeability tensor at phase field ``v`` (through its
+    ``phase_state``), width and strain."""
+    e1, e2 = law.principal_strains(eps) if e1_e2 is None else e1_e2
+    crack = law.phase_state(v, mp).crack
+    return permeability_tensor(law.permeability(crack, width, eps, e1, e2, mp))
 
 
 class TestPermeability:
@@ -282,7 +290,7 @@ class TestPermeability:
         v = rng.uniform(0.0, 1.0, n)
         width = rng.uniform(0.0, 1e-3, n)
         e1, e2 = law.principal_strains(eps)
-        K = law.permeability(v, width, eps, e1, e2, mp)
+        K = permeability_of(v, width, eps, mp, (e1, e2))
         ref = permeability_from_normal(v, width, crack_normal(eps, e1, e2), mp)
         enh = (1.0 - v) ** mp.xi * width * width / 12.0
         assert np.all(np.abs(K - ref) <= 1e-12 * enh[:, None, None])

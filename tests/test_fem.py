@@ -11,8 +11,8 @@ from thmfrac.fem import (Dirichlet, Factorization, FieldOperator, apply_dirichle
                          assemble_batched, build_tables, gauss_2x2, scatter_vector, shape_q4,
                          solve_bound_constrained, solve_linear)
 from thmfrac.mesh import RefineBand, generate_rect_mesh
-from thmfrac.physics import (build_flow_system, build_heat_system, strain_state,
-                             volumetric_strain_qp)
+from thmfrac.physics import (FieldState, build_flow_system, build_heat_system, phase_state,
+                             scalar_qp, step_state, strain_state)
 
 from element_loop import (assemble, csr, matrix, operator_of, reduced_elimination,
                           reduced_factor)
@@ -166,13 +166,24 @@ class TestPattern:
 
 
 class TestTables:
-    LAZY = ("scalar_layout", "vector_layout")
+    LAZY = ("scalar_layout", "vector_layout", "qp_detJ", "qp_h_e", "qp_grad", "qp_aspect",
+            "qp_half")
 
     def test_build_tables_builds_no_pattern_or_operator_table(self):
         _, tb = _graded_tables()
         assert not set(self.LAZY) & set(vars(tb))
         assert tb.scalar_layout is tb.scalar_layout
         assert set(vars(tb)) & set(self.LAZY) == {"scalar_layout"}
+
+    def test_per_point_factors_repeat_the_element_sizes(self):
+        mesh, tb = _graded_tables()
+        hx, hy = tb.h.T
+        per_point = {"qp_detJ": [tb.detJ], "qp_h_e": [mesh.h_e], "qp_grad": [2 / hx, 2 / hy],
+                     "qp_aspect": [hy / hx, hx / hy], "qp_half": [hy / 2, hx / 2]}
+        for name, factors in per_point.items():
+            # (E, 4) for one factor, (E, 8) with the two interleaved
+            ref = np.stack(factors, axis=-1)[:, None, :].repeat(4, axis=1).reshape(len(hx), -1)
+            assert np.array_equal(getattr(tb, name), ref), name
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_mesh_off_its_tensor_grid_rejected(self, axis):
@@ -454,9 +465,10 @@ class TestFactorization:
         n = mesh.n_nodes
         u, v = rng.normal(scale=1e-4, size=2 * n), rng.uniform(0.2, 1.0, n)
         p, T = rng.uniform(1e5, 1e6, n), mp.T0 + rng.uniform(-10.0, 10.0, n)
-        st = strain_state(tb, mp, u, v)
-        heat = build_heat_system(tb, mp, st, p, T, 0.5)
-        flow = build_flow_system(tb, mp, st, p, T, volumetric_strain_qp(tb, 0.5 * u), p, T, 0.5)
+        st = strain_state(tb, mp, u, phase_state(tb, mp, v))
+        step = step_state(tb, FieldState(u=0.5 * u, p=p, T=T, v=v))
+        heat = build_heat_system(tb, mp, st, p, step, 0.5)
+        flow = build_flow_system(tb, mp, st, p, scalar_qp(tb, T), step, 0.5)
         for system, takes_lu in ((heat, True), (flow, False)):
             A = matrix(system)
             assert (abs(A - A.T).max() > 1e-6 * abs(A).max()) == takes_lu

@@ -10,12 +10,13 @@ from thmfrac.fem import (Dirichlet, Factorization, FieldOperator, apply_dirichle
                          build_tables, gauss_2x2, shape_q4, solve_bound_constrained,
                          solve_linear)
 from thmfrac.mesh import RefineBand, generate_rect_mesh
-from thmfrac.physics import (build_flow_system, build_heat_system,
+from thmfrac.physics import (FieldState, build_flow_system, build_heat_system,
                              build_mechanics_system, build_phasefield_system,
-                             mechanics_branch_flags, scalar_qp,
-                             strain_qp, strain_state, volumetric_strain_qp)
+                             mechanics_branch_flags, phase_state, scalar_qp,
+                             step_state, strain_qp, strain_state)
 
-from element_loop import assemble, csr, isoparametric, matrix, mechanics_residual, operator_of
+from element_loop import (assemble, csr, isoparametric, matrix, mechanics_residual, operator_of,
+                          permeability_tensor)
 
 # ---------------------------------------------------------------------------
 # dense reference assemblies (independent loop-based implementations)
@@ -91,6 +92,35 @@ def _uniform_state(mesh, mp, p=0.0, dT=0.0):
     return (np.zeros(2 * n), np.full(n, p), np.full(n, mp.T0 + dT), np.ones(n))
 
 
+def _strain_state(tb, mp, u, v):
+    """The strain state of nodal (u, v), as an inner pass forms it."""
+    return strain_state(tb, mp, u, phase_state(tb, mp, v))
+
+
+def _previous(tb, u, p, T):
+    """The ``step_state`` of the previous level (u, p, T)."""
+    return step_state(tb, FieldState(u=u, p=p, T=T, v=np.ones_like(p)))
+
+
+def _flow(tb, mp, u, v, p_it, T, u_prev, p_prev, T_prev, dt, source=None):
+    """The flow system of the iterate (u, v, p_it) at the new nodal T."""
+    return build_flow_system(tb, mp, _strain_state(tb, mp, u, v), p_it, scalar_qp(tb, T),
+                             _previous(tb, u_prev, p_prev, T_prev), dt, source=source)
+
+
+def _heat(tb, mp, u, v, p_it, T_prev, dt):
+    """The heat system of the iterate (u, v, p_it) after the nodal T_prev."""
+    return build_heat_system(tb, mp, _strain_state(tb, mp, u, v), p_it,
+                             _previous(tb, u, p_it, T_prev), dt)
+
+
+def _mechanics(tb, mp, u, v, T):
+    """The mechanics operator at v with the branch flags of (u, T)."""
+    phase = phase_state(tb, mp, v)
+    flags = mechanics_branch_flags(tb, mp, strain_state(tb, mp, u, phase), T)
+    return build_mechanics_system(tb, mp, phase, flags)
+
+
 def _random_state(mesh, mp, rng):
     """Strains and temperature changes of similar size, so that Tr eps_e
     takes both signs when alpha_s != 0."""
@@ -150,9 +180,8 @@ class TestTableKernels:
     def test_tensor_laplacian(self, tb, iso, rng):
         A = rng.normal(size=iso.detJw.shape + (2, 2))
         K = np.matmul(A, A.transpose(0, 1, 3, 2)) + 0.1 * np.eye(2)
-        K[..., 0, 1] += 0.3     # a nonsymmetric tensor tells K_xy from K_yx
         ref = np.einsum("eqac,eqcd,eq,eqbd->eab", iso.dNdx, K, iso.detJw, iso.dNdx)
-        self._close(physics._laplacian_tensor(tb, K), ref)
+        self._close(physics._laplacian_tensor(tb, K[..., 0, 0], K[..., 1, 1], K[..., 0, 1]), ref)
 
     def test_advection(self, tb, iso, rng):
         q = rng.normal(size=iso.detJw.shape + (2,))
@@ -166,7 +195,8 @@ class TestTableKernels:
 
     def test_mechanics_stiffness(self, tb, iso, rng, generic_params):
         shape = iso.detJw.shape
-        moduli = law.degraded_moduli(rng.uniform(0.0, 1.0, shape),
+        moduli = law.degraded_moduli(law.degradation(rng.uniform(0.0, 1.0, shape),
+                                                     generic_params.k_res),
                                      rng.integers(0, 2, shape).astype(float), generic_params)
         C = law.effective_stiffness(moduli, generic_params)
         ref = np.einsum("eqsa,eqst,eqtb->eab", iso.B, C * iso.detJw[..., None, None], iso.B)
@@ -181,14 +211,45 @@ class TestTableKernels:
     def test_quadrature_point_interpolation(self, tb, iso, rng):
         f = rng.normal(size=tb.n_nodes)
         u = rng.normal(size=2 * tb.n_nodes)
-        perm = rng.normal(size=iso.detJw.shape + (2, 2))
+        perm = law.Permeability(*rng.normal(size=(3,) + iso.detJw.shape))
         self._close(scalar_qp(tb, f), np.einsum("qi,ei->eq", iso.N, f[tb.conn]))
         grad = np.einsum("eqid,ei->eqd", iso.dNdx, f[tb.conn])
         self._close(physics.grad_qp(tb, f), grad)
         self._close(strain_qp(tb, u), np.einsum("eqsa,ea->eqs", iso.B, u[tb.dofs_vec]))
         mp = MaterialParams(E=1e9, nu=0.2, mu_f=2e-3)
         self._close(physics.darcy_flux_qp(tb, mp, perm, f),
-                    -np.einsum("eqcd,eqd->eqc", perm, grad) / mp.mu_f)
+                    -np.einsum("eqcd,eqd->eqc", permeability_tensor(perm), grad) / mp.mu_f)
+
+
+def test_component_flux_and_tensor_laplacian_match_the_tensor_form(generic_params, rng):
+    # numpy's stacked matmul of (2, 2) by (2, 1) blocks does not always sum
+    # kxx gx + kxy gy as the component form does (on this grid of over 1,000
+    # elements it differs in the last bit at some points), so the two forms
+    # agree to round-off
+    mesh = generate_rect_mesh(2.0, 1.0, 20, 10,
+                              [RefineBand(axis="x", lo=0.5, hi=1.0, h=0.02, ratio=1.3),
+                               RefineBand(axis="y", lo=0.4, hi=0.6, h=0.02, ratio=1.3)])
+    tb = build_tables(mesh)
+    mp = generic_params
+    assert mesh.n_elems >= 1000
+    u, p, _, v = _random_state(mesh, mp, rng)
+    st = _strain_state(tb, mp, u, v)
+    K = permeability_tensor(st.perm)
+    assert (st.perm.xy != 0.0).mean() > 0.5
+
+    q = physics.darcy_flux_qp(tb, mp, st.perm, p)
+    g = physics.grad_qp(tb, p)[..., None]
+    ref = -np.matmul(K, g)[..., 0] / mp.mu_f
+    # relative to the size of the two products summed, since they cancel
+    scale = np.matmul(np.abs(K), np.abs(g))[..., 0] / mp.mu_f
+    assert np.all(np.abs(q - ref) <= 1e-15 * scale)
+
+    mu = mp.mu_f
+    lap = physics._laplacian_tensor(tb, st.perm.xx / mu, st.perm.yy / mu, st.perm.xy / mu)
+    c = (K / mu) * physics._metric(tb)[:, None]
+    ref = (c.reshape(-1, 16) @ physics._TENSOR_LAPLACIAN).reshape(-1, 4, 4)
+    err = np.abs(lap - ref).reshape(len(ref), -1).max(axis=1)
+    assert np.all(err <= 1e-15 * np.abs(ref).reshape(len(ref), -1).max(axis=1))
 
 
 def test_tables_hold_at_most_8_values_per_element(generic_params, rng):
@@ -199,15 +260,18 @@ def test_tables_hold_at_most_8_values_per_element(generic_params, rng):
     mp = generic_params
     assert mp.rho_f * mp.c_pf != 0.0    # the heat kernel runs its advection term
     u, p, T, v = _random_state(mesh, mp, rng)
-    st = strain_state(tb, mp, u, v)
-    op = build_mechanics_system(tb, mp, v, mechanics_branch_flags(tb, mp, st, T))
-    physics.mechanics_rhs(tb, mp, op, p, T, np.zeros(2 * mesh.n_nodes))
-    build_flow_system(tb, mp, st, p, T, volumetric_strain_qp(tb, 0.5 * u), p, T, 0.5)
-    build_heat_system(tb, mp, st, p, T, 0.5)
+    phase = phase_state(tb, mp, v)
+    st = strain_state(tb, mp, u, phase)
+    op = build_mechanics_system(tb, mp, phase, mechanics_branch_flags(tb, mp, st, T))
+    physics.mechanics_rhs(tb, mp, op, p, scalar_qp(tb, T), np.zeros(2 * mesh.n_nodes))
+    step = _previous(tb, 0.5 * u, p, T)
+    build_flow_system(tb, mp, st, p, scalar_qp(tb, T), step, 0.5)
+    build_heat_system(tb, mp, st, p, step, 0.5)
     build_phasefield_system(tb, mp, np.full(mesh.n_elems, mp.Gc), u, p, T)
     physics.grad_qp(tb, p)
     sizes = {k: a.size for k, a in vars(tb).items() if isinstance(a, np.ndarray)}
-    assert {"conn", "dofs_vec"} <= set(sizes)
+    assert {"conn", "dofs_vec", "qp_detJ", "qp_h_e", "qp_grad", "qp_aspect",
+            "qp_half"} <= set(sizes)
     assert max(sizes.values()) <= 8 * mesh.n_elems, sizes
 
 
@@ -221,14 +285,19 @@ class TestQPState:
         mesh = generate_rect_mesh(1.0, 1.0, 4, 4)
         return mesh, build_tables(mesh), generic_params
 
-    def test_branch_flags_are_branch_porosity_tr_sign(self, setup, rng):
+    def test_branch_flags_are_the_thermoelastic_split_flag(self, setup, rng):
         mesh, tb, mp = setup
         assert mp.alpha_s != 0.0
         u, _, T, v = _random_state(mesh, mp, rng)
-        st = strain_state(tb, mp, u, v)
+        st = _strain_state(tb, mp, u, v)
+        dT = scalar_qp(tb, T) - mp.T0
         flags = mechanics_branch_flags(tb, mp, st, T)
-        tr_sign, _ = law.branch_porosity(st, scalar_qp(tb, T) - mp.T0, mp)
+        eps_e, ezz, tr_e, tr_sign = law.thermoelastic_split(strain_qp(tb, u), dT, mp.alpha_s)
         assert np.array_equal(flags, tr_sign)
+        # the trace without the elastic strain is the trace of the formed one
+        assert np.array_equal(law.elastic_trace(st.eps, dT, mp.alpha_s),
+                              law.trace2(eps_e) + ezz)
+        assert np.array_equal(tr_e, law.trace2(eps_e) + ezz)
         assert 0.0 < flags.mean() < 1.0
 
     @pytest.mark.parametrize("variant", ["phi1", "phi0"])
@@ -236,45 +305,60 @@ class TestQPState:
         mesh, tb, mp = setup
         mp = replace(mp, porosity_variant=variant)
         u, _, T, v = _random_state(mesh, mp, rng)
-        st = strain_state(tb, mp, u, v)
-        tr_sign, porosity = law.branch_porosity(st, scalar_qp(tb, T) - mp.T0, mp)
+        st = _strain_state(tb, mp, u, v)
+        dT = scalar_qp(tb, T) - mp.T0
+        porosity = law.state_porosity(st, dT, mp)
         eps = strain_qp(tb, u)
         v_qp = scalar_qp(tb, v)
         e1, e2 = law.principal_strains(eps)
         width = law.fracture_width(e1, mesh.h_e[:, None])
-        phi = law.porosity(e1, mp, law.degraded_moduli(v_qp, tr_sign, mp))
-        perm = law.permeability(v_qp, width, eps, e1, e2, mp)
+        g = law.degradation(v_qp, mp.k_res)
+        tr_sign = law.thermoelastic_split(eps, dT, mp.alpha_s)[3]
+        phi = law.porosity(e1, mp, law.degraded_moduli(g, tr_sign, mp))
+        crack = (1.0 - np.clip(v_qp, 0.0, 1.0)) ** mp.xi
+        perm = law.permeability(crack, width, eps, e1, e2, mp)
         assert np.any(width > 0.0)
         assert np.array_equal(st.width, width)
         assert np.array_equal(porosity, phi)
-        assert np.array_equal(st.perm, perm)
+        assert np.array_equal(st.g, g)
+        for got, ref in zip(st.perm, perm):
+            assert np.array_equal(got, ref)
         assert np.array_equal(st.eps_vol, law.trace2(eps))
-
 
     @pytest.mark.parametrize("variant", ["phi1", "phi0"])
     def test_each_kernel_evaluates_degradation_once(self, setup, rng, monkeypatch, variant):
-        # g(v) with its range check is evaluated once per mechanics and flow
-        # build, and by heat only where its porosity law reads it
+        # g(v) with its range check is evaluated once, by the phase state of
+        # an outer iteration; the mechanics, flow and heat kernels read it.
+        # Mechanics and flow form their branch flags, heat only where its
+        # porosity law reads one
         mesh, tb, mp = setup
         mp = replace(mp, porosity_variant=variant)
-        calls = []
-        degradation = law.degradation
+        calls, flags = [], []
+        degradation, branch_flag = law.degradation, law.branch_flag
 
         def counted(v, k_res):
             calls.append(np.shape(v))
             return degradation(v, k_res)
 
         monkeypatch.setattr(law, "degradation", counted)
+        monkeypatch.setattr(law, "branch_flag",
+                            lambda *args: flags.append(1) or branch_flag(*args))
         u, p, T, v = _random_state(mesh, mp, rng)
-        st = strain_state(tb, mp, u, v)
-        build_mechanics_system(tb, mp, v, mechanics_branch_flags(tb, mp, st, T))
+        phase = phase_state(tb, mp, v)
         assert calls == [(mesh.n_elems, 4)]
         calls.clear()
-        build_flow_system(tb, mp, st, p, T, volumetric_strain_qp(tb, 0.5 * u), p, T, 0.5)
-        assert calls == [(mesh.n_elems, 4)]
-        calls.clear()
-        build_heat_system(tb, mp, st, p, T, 0.5)
-        assert len(calls) == (variant == "phi0")
+        st = strain_state(tb, mp, u, phase)
+        op = build_mechanics_system(tb, mp, phase, mechanics_branch_flags(tb, mp, st, T))
+        assert op.moduli.g is phase.g and st.g is phase.g
+        assert len(flags) == 1
+        T_qp = scalar_qp(tb, T)
+        physics.mechanics_rhs(tb, mp, op, p, T_qp, np.zeros(2 * mesh.n_nodes))
+        step = _previous(tb, 0.5 * u, p, T)
+        build_flow_system(tb, mp, st, p, T_qp, step, 0.5)
+        assert len(flags) == 2
+        build_heat_system(tb, mp, st, p, step, 0.5)
+        assert len(flags) == 2 + (variant == "phi0")
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +404,7 @@ class TestMechanics:
     def test_intact_stiffness_matches_dense_assembly(self, small_setup):
         mesh, tb, mp = small_setup
         u, p, T, v = _uniform_state(mesh, mp)
-        flags = mechanics_branch_flags(tb, mp, strain_state(tb, mp, u, v), T)
-        op = build_mechanics_system(tb, mp, v, flags)
+        op = _mechanics(tb, mp, u, v, T)
         ref = dense_elastic_stiffness(mesh, plane_strain_C(mp))
         scale = np.abs(ref).max()
         assert np.allclose(csr(tb.vector_layout, op.data).toarray(), ref, atol=1e-12 * scale)
@@ -334,8 +417,7 @@ class TestMechanics:
         T = np.full(n, mp.T0) + rng.uniform(0, 5, n)
         v = rng.uniform(0.3, 1.0, n)
         f_ext = np.zeros(2 * n)
-        flags = mechanics_branch_flags(tb, mp, strain_state(tb, mp, u, v), T)
-        J = csr(tb.vector_layout, build_mechanics_system(tb, mp, v, flags).data).toarray()
+        J = csr(tb.vector_layout, _mechanics(tb, mp, u, v, T).data).toarray()
         h = 1e-8
         fd = np.empty_like(J)
         for i in range(2 * n):
@@ -356,8 +438,7 @@ class TestFlow:
         mesh, tb, mp = small_setup
         n = mesh.n_nodes
         u, p, T, v = _uniform_state(mesh, mp, p=2e5)
-        system = build_flow_system(tb, mp, strain_state(tb, mp, u, v), p, T,
-                                   volumetric_strain_qp(tb, u), p, T, dt=1.0)
+        system = _flow(tb, mp, u, v, p, T, u, p, T, dt=1.0)
         assert np.allclose(matrix(system) @ p - system.rhs, 0.0,
                            atol=1e-12 * np.abs(system.rhs).max())
 
@@ -383,10 +464,8 @@ class TestFlow:
         M_p = 1.0 / (phi * mp.c_f)
         expect = 1e4 + Q * dt * M_p           # element volume is 1
         p = p_prev.copy()
-        evol = volumetric_strain_qp(tb, uvec)
         for _ in range(30):                   # iterate lagged terms to the fixed point
-            system = build_flow_system(tb, mp, strain_state(tb, mp, uvec, v), p, T, evol,
-                                       p_prev, T, dt, source=source)
+            system = _flow(tb, mp, uvec, v, p, T, uvec, p_prev, T, dt, source=source)
             op = operator_of(matrix(system))
             p = solve_linear(op.assembled, system.rhs, Factorization(op.layout))
         assert np.allclose(p, expect, rtol=1e-10)
@@ -405,8 +484,7 @@ class TestFlow:
         v = np.ones(n)
         p_prev = rng.uniform(0, 1e5, n)
         dt = 3.0
-        system = build_flow_system(tb, mp, strain_state(tb, mp, uvec, v), p_prev, T,
-                                   volumetric_strain_qp(tb, uvec), p_prev, T, dt)
+        system = _flow(tb, mp, uvec, v, p_prev, T, uvec, p_prev, T, dt)
         phi = eps1
         dense = (dense_scalar_mass(mesh, phi * mp.c_f / dt)
                  + dense_scalar_laplacian(mesh, mp.perm_m / mp.mu_f))
@@ -418,8 +496,7 @@ class TestFlow:
     def test_large_dt_reduces_to_steady_darcy(self, small_setup):
         mesh, tb, mp = small_setup
         u, p, T, v = _uniform_state(mesh, mp)
-        system = build_flow_system(tb, mp, strain_state(tb, mp, u, v), p, T,
-                                   volumetric_strain_qp(tb, u), p, T, dt=1e30)
+        system = _flow(tb, mp, u, v, p, T, u, p, T, dt=1e30)
         dense = dense_scalar_laplacian(mesh, mp.perm_m / mp.mu_f)
         assert np.allclose(matrix(system).toarray(), dense,
                            atol=1e-10 * np.abs(dense).max())
@@ -433,8 +510,7 @@ class TestFlow:
         T = np.full(n, mp.T0) + rng.uniform(-3, 3, n)
         T_prev = np.full(n, mp.T0)
         v = rng.uniform(0.2, 1.0, n)
-        system = build_flow_system(tb, mp, strain_state(tb, mp, u, v), p_it, T,
-                                   volumetric_strain_qp(tb, u * 0.5), p_prev, T_prev, 0.5)
+        system = _flow(tb, mp, u, v, p_it, T, u * 0.5, p_prev, T_prev, 0.5)
         J = matrix(system).toarray()
 
         def residual(p):
@@ -459,7 +535,7 @@ class TestHeat:
         n = mesh.n_nodes
         u, p, T, v = _uniform_state(mesh, mp)  # uniform p: q_f = 0
         dt = 2.0
-        system = build_heat_system(tb, mp, strain_state(tb, mp, u, v), p, T, dt)
+        system = _heat(tb, mp, u, v, p, T, dt)
         phi = mp.phi_m
         lam = law.conductivity_eff(phi, mp)
         rhoc = law.heat_capacity_eff(phi, mp)
@@ -476,7 +552,7 @@ class TestHeat:
         p = 1e6 * mesh.nodes[:, 0]  # linear p: constant q_f
         T = np.full(n, mp.T0 + 25.0)
         v = np.ones(n)
-        system = build_heat_system(tb, mp, strain_state(tb, mp, u, v), p, T, dt=1.0)
+        system = _heat(tb, mp, u, v, p, T, dt=1.0)
         r = matrix(system) @ T - system.rhs
         assert np.abs(r).max() <= 1e-12 * np.abs(system.rhs).max()
 
@@ -488,9 +564,8 @@ class TestHeat:
         T = np.full(n, mp.T0)
         v = np.ones(n)
         assert mp.s_stab > 0.0
-        on = build_heat_system(tb, mp, strain_state(tb, mp, u, v), p, T, 1.0)
-        off = build_heat_system(tb, replace(mp, s_stab=0.0), strain_state(tb, mp, u, v),
-                                p, T, 1.0)
+        on = _heat(tb, mp, u, v, p, T, 1.0)
+        off = _heat(tb, replace(mp, s_stab=0.0), u, v, p, T, 1.0)
         q = mp.perm_m / mp.mu_f * 1e9
         lam_add = 0.5 * mp.s_stab * q * mesh.h_e[0] * mp.rho_f * mp.c_pf
         dense = dense_scalar_laplacian(mesh, lam_add)
@@ -505,7 +580,7 @@ class TestHeat:
         tb = build_tables(mesh)
         n = mesh.n_nodes
         u, p, T, v = _uniform_state(mesh, mp)
-        system = build_heat_system(tb, mp, strain_state(tb, mp, u, v), p, T, dt=10.0)
+        system = _heat(tb, mp, u, v, p, T, dt=10.0)
         A = matrix(system).toarray()
         off = A - np.diag(np.diag(A))
         assert off.max() <= 1e-12 * np.abs(A).max()
@@ -528,7 +603,7 @@ class TestHeat:
         q = mp.perm_m / mp.mu_f * 2e7
         peclet = mp.rho_f * mp.c_pf * q * 0.05 / (2 * 0.5)
         assert peclet > 5.0
-        system = build_heat_system(tb, mp, strain_state(tb, mp, u, v), p, T, dt=1e12)
+        system = _heat(tb, mp, u, v, p, T, dt=1e12)
         left = mesh.boundary_nodes["left"]
         right = mesh.boundary_nodes["right"]
         dofs = np.concatenate([left, right])
@@ -555,8 +630,7 @@ class TestHeat:
         n = mesh.n_nodes
         x, y = mesh.nodes.T
         p = 2e8 * (1.0 - x) * (1.0 + 0.3 * y)
-        st = strain_state(tb, mp, np.zeros(2 * n), np.ones(n))
-        system = build_heat_system(tb, mp, st, p, np.full(n, 300.0), dt=1e12)
+        system = _heat(tb, mp, np.zeros(2 * n), np.ones(n), p, np.full(n, 300.0), dt=1e12)
         left = mesh.boundary_nodes["left"]
         right = mesh.boundary_nodes["right"]
         dofs = np.concatenate([left, right])
@@ -708,7 +782,7 @@ class TestPhaseField:
         p = rng.uniform(0, 1e6, n)
         T_prev = np.full(n, mp.T0) + rng.uniform(-5, 5, n)
         v = rng.uniform(0.2, 1.0, n)
-        system = build_heat_system(tb, mp, strain_state(tb, mp, u, v), p, T_prev, dt=0.7)
+        system = _heat(tb, mp, u, v, p, T_prev, dt=0.7)
         J = matrix(system).toarray()
         T0 = np.full(n, mp.T0)
         h = 1e-4

@@ -6,13 +6,14 @@ import pytest
 import scipy.sparse as sp
 
 from thmfrac import analytic, fem, physics, staggered
+from thmfrac import constitutive as law
 from thmfrac.constitutive import MaterialParams
 from thmfrac.errors import NonConvergence, SolverFailure
 from thmfrac.fem import (Dirichlet, Factorization, FieldOperator, apply_dirichlet, build_tables,
                          solve_linear)
 from thmfrac.mesh import generate_rect_mesh, nodes_on_segment
 from thmfrac.physics import (build_mechanics_system, mechanics_branch_flags, mechanics_rhs,
-                             strain_state)
+                             phase_state, scalar_qp, strain_state)
 from thmfrac.presets import terzaghi, thermal_consolidation
 from thmfrac.scenario import build_simulation
 from thmfrac.staggered import SolverControls, Simulation, _AndersonMixer, run
@@ -103,6 +104,13 @@ class TestThermalDecoupling:
             assert np.allclose(s_on.u, s_off.u, rtol=1e-12, atol=1e-15)
             assert np.allclose(s_on.v, s_off.v, rtol=1e-12, atol=1e-12)
             assert np.allclose(s_on.T, sim_on.params.T0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -1.0])
+def test_time_step_rejects_a_dt_that_is_not_positive_and_finite(dt):
+    sim = make_cracked_strip()
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        sim.time_step(sim.initial_state(), dt, SolverControls(dt_schedule=[(1.0, 1.0)]))
 
 
 class TestHMOracle:
@@ -210,10 +218,10 @@ class TestTerzaghiFromRest:
 
 def _fresh_mechanics_solve(sim, v, p, T, h):
     tb = sim.tables
-    mech = build_mechanics_system(tb, sim.params, v, h)
+    mech = build_mechanics_system(tb, sim.params, phase_state(tb, sim.params, v), h)
     op = FieldOperator(tb.vector_layout, Dirichlet.on(tb.vector_layout, *sim.bc_u))
     apply_dirichlet(op, mech.data)
-    rhs = mechanics_rhs(tb, sim.params, mech, p, T, sim.f_ext)
+    rhs = mechanics_rhs(tb, sim.params, mech, p, scalar_qp(tb, T), sim.f_ext)
     return solve_linear(op.eliminated, op.bc.rhs(rhs, op.lifted),
                         Factorization(tb.vector_layout))
 
@@ -244,21 +252,26 @@ class TestMechanicsOperatorLifetime:
         sim = make_cracked_strip(load=1e4)
         n = sim.mesh.n_nodes
         state = sim.initial_state()
-        st = strain_state(sim.tables, sim.params, state.u, state.v)
+        st = strain_state(sim.tables, sim.params, state.u, self._phase(sim, state.v))
         h = mechanics_branch_flags(sim.tables, sim.params, st, state.T)
         return sim, state, h, rng.uniform(0.0, 1e4, n)
+
+    @staticmethod
+    def _phase(sim, v):
+        return phase_state(sim.tables, sim.params, v)
 
     def test_unchanged_operator_takes_no_new_factorization(self, rng, factorizations,
                                                            monkeypatch):
         sim, state, h, p = self._inputs(rng)
         loads = _record_loads(sim, monkeypatch)
-        u1 = sim._solve_u(state.v, state.p, state.T, h)
+        T_qp = scalar_qp(sim.tables, state.T)
+        u1 = sim._solve_u(self._phase(sim, state.v), state.p, T_qp, h)
         op = sim._ops["u"]
         eliminated, lift, factor = op.eliminated.data, op.lifted, op.factor
         assert loads == ["u"] and len(factorizations) == 1
         # an unchanged operator is neither eliminated, lifted (A @ g) nor
         # factorized again: all three happen only on new operator data
-        u2 = sim._solve_u(state.v.copy(), p, state.T, h.copy())
+        u2 = sim._solve_u(self._phase(sim, state.v.copy()), p, T_qp, h.copy())
         assert loads == ["u"] and len(factorizations) == 1
         assert op.eliminated.data is eliminated and op.lifted is lift and op.factor is factor
         assert not np.array_equal(u1, u2)
@@ -266,11 +279,12 @@ class TestMechanicsOperatorLifetime:
 
     def test_solve_after_a_change_in_v_equals_a_fresh_solve(self, rng, factorizations):
         sim, state, h, p = self._inputs(rng)
-        sim._solve_u(state.v, p, state.T, h)
+        T_qp = scalar_qp(sim.tables, state.T)
+        sim._solve_u(self._phase(sim, state.v), p, T_qp, h)
         v = state.v.copy()
         v[rng.choice(v.size, 10, replace=False)] = 0.3
         factorizations.clear()
-        u = sim._solve_u(v, p, state.T, h)
+        u = sim._solve_u(self._phase(sim, v), p, T_qp, h)
         assert len(factorizations) == 1
         assert np.array_equal(u, _fresh_mechanics_solve(sim, v, p, state.T, h))
 
@@ -328,19 +342,88 @@ class TestSharedStrainState:
         strain_qp = physics.strain_qp
         monkeypatch.setattr(physics, "strain_qp",
                             lambda *args: calls.append(1) or strain_qp(*args))
-        heat, flow = [], []
+        heat, flow, rhs = [], [], []
         monkeypatch.setattr(staggered, "build_heat_system",
                             _recording(staggered.build_heat_system, heat, _strain))
         monkeypatch.setattr(staggered, "build_flow_system",
-                            _recording(staggered.build_flow_system, flow, _strain))
+                            _recording(staggered.build_flow_system, flow,
+                                       lambda tables, params, st, p_it, T_qp, *args: (st, T_qp)))
+        monkeypatch.setattr(staggered, "mechanics_rhs",
+                            _recording(staggered.mechanics_rhs, rhs,
+                                       lambda tables, params, op, p, T_qp, f_ext: T_qp))
         _, report = sim.time_step(sim.initial_state(), dt, cfg.controls)
         n_inner = sum(report.inner_iters)
-        assert n_inner > 1 and len(heat) == len(flow) == n_inner
-        assert all(h is f for h, f in zip(heat, flow))
+        assert report.outer_iters == 1
+        assert n_inner > 1 and len(heat) == len(flow) == len(rhs) == n_inner
+        assert all(h is f for h, (f, _) in zip(heat, flow))
+        # flow and the mechanics rhs of a pass share one new T at the
+        # quadrature points, and every pass's strain state reads the phase
+        # record of its outer iteration
+        assert all(T_qp is r for (_, T_qp), r in zip(flow, rhs))
+        assert len({id(T_qp) for _, T_qp in flow}) == n_inner
+        assert all(h.g is heat[0].g for h in heat)
         # one per inner pass (the first pass of each outer iteration shares
         # its evaluation with the branch flags) and one for the previous
         # step's volumetric strain
         assert len(calls) == n_inner + 1
+
+
+_SETUPS = pytest.mark.parametrize("setup", [_thermal_column, _small_kgd],
+                                  ids=["thermal_column", "small_kgd"])
+
+
+class TestQuadratureStateLevels:
+    """Each nodal field is interpolated to the quadrature points once at the
+    loop level where it changes: the previous level per step, v per outer
+    iteration, and the iterate's T and p per inner pass."""
+
+    @pytest.fixture
+    def interpolated(self, monkeypatch):
+        """The nodal arrays passed to ``scalar_qp`` from here on, one per call."""
+        args = []
+        scalar_qp = physics.scalar_qp
+
+        def recorded(tables, f):
+            args.append(f)
+            return scalar_qp(tables, f)
+
+        monkeypatch.setattr(physics, "scalar_qp", recorded)
+        monkeypatch.setattr(staggered, "scalar_qp", recorded)
+        return args
+
+    @_SETUPS
+    def test_v_state_once_per_outer_iteration(self, setup, interpolated, monkeypatch):
+        cfg, sim, dt = setup()
+        vs, degradations = [], []
+        monkeypatch.setattr(staggered, "phase_state",
+                            _recording(staggered.phase_state, vs,
+                                       lambda tables, params, v: v))
+        degradation = law.degradation
+        monkeypatch.setattr(law, "degradation",
+                            lambda *args: degradations.append(1) or degradation(*args))
+        _, report = sim.time_step(sim.initial_state(), dt, cfg.controls)
+        assert sum(report.inner_iters) > report.outer_iters
+        # g(v) and its range check too: no kernel evaluates it again
+        assert len(vs) == len(degradations) == report.outer_iters
+        assert sum(any(f is v for v in vs) for f in interpolated) == report.outer_iters
+
+    @_SETUPS
+    def test_previous_level_once_per_step(self, setup, interpolated):
+        cfg, sim, dt = setup()
+        state = sim.initial_state()
+        for _ in range(2):
+            interpolated.clear()
+            new, report = sim.time_step(state, dt, cfg.controls)
+            assert [sum(f is a for f in interpolated) for a in (state.p, state.T)] == [1, 1]
+            # per pass p_it (flow), p_new (mechanics rhs) and, where heat is
+            # solved, the new T (flow and the mechanics rhs); per outer
+            # iteration v, the T of the branch flags and the phase-field
+            # kernel's p and T
+            n_inner, n_outer = sum(report.inner_iters), report.outer_iters
+            per_inner = 3 if sim.solve_thermal else 2
+            per_outer = 4 if sim.solve_phasefield else 2
+            assert len(interpolated) == per_inner * n_inner + per_outer * n_outer + 2
+            state = new
 
 
 class TestNoEinsumPlanning:
