@@ -15,12 +15,13 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from functools import cached_property
 from pathlib import Path
 
 from . import __version__
 from .config import ScenarioConfig, config_to_dict
 from .errors import NonConvergence, SolverFailure
-from .io_vtk import write_vtk
+from .io_vtk import VtkGrid, vtk_grid, write_vtk
 from .physics import FieldState
 from .postproc import element_cell_data
 from .scenario import build_simulation, evaluate_probes, locate_probes
@@ -48,15 +49,19 @@ class ScenarioRunner:
 
     # -- output helpers ----------------------------------------------------
 
+    @cached_property
+    def _vtk_grid(self) -> VtkGrid:
+        # the mesh block of every snapshot of the run, formatted on the first
+        return vtk_grid(self.sim.mesh)
+
     def _record(self, t: float, state: FieldState):
         values = evaluate_probes(self.probes, self.sim, state)
         self._rows.append([t] + [values[p.name] for p in self.cfg.probes])
 
     def _snapshot(self, t: float, state: FieldState):
         name = f"snapshot_{self._step:06d}.vtk"
-        mesh = self.sim.mesh
         cell = element_cell_data(self.sim.tables, self.sim.params, state)
-        write_vtk(self.out_dir / name, mesh,
+        write_vtk(self.out_dir / name, self._vtk_grid,
                   point_data={"p": state.p, "T": state.T, "v": state.v},
                   point_vectors={"u": state.u},
                   cell_data=cell,

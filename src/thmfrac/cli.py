@@ -119,7 +119,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_mesh_dump(args) -> int:
-    from .io_vtk import write_vtk
+    from .io_vtk import vtk_grid, write_vtk
     from .scenario import build_simulation
 
     try:
@@ -133,7 +133,7 @@ def _cmd_mesh_dump(args) -> int:
 
     crack = np.zeros(sim.mesh.n_nodes)
     crack[sim.crack_nodes] = 1.0
-    write_vtk(out, sim.mesh, point_data={"crack": crack},
+    write_vtk(out, vtk_grid(sim.mesh), point_data={"crack": crack},
               cell_data={"h_e": sim.mesh.h_e, "Gc": sim.gc_elem},
               title=f"{cfg.name} mesh")
     print(f"mesh written to {out}")

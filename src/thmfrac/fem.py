@@ -29,10 +29,12 @@ numbering when rows are no longer than columns, else its transpose. A Q4
 operator's bandwidth in that ordering is min(len(xs), len(ys)) + 1 for a
 scalar field and twice that plus 1 for the interleaved vector field (4 and
 9 on a column two cells wide), so a factorization costs n w^2 flops and no
-per-call symbolic analysis. Symmetric operators (flow, mechanics, phase
-field) take a Cholesky factorization; the heat operator, which advection
-makes nonsymmetric, and any operator that is not positive definite take
-LU with partial pivoting.
+per-call symbolic analysis. Each ``Factorization`` is told whether its
+field's operators are symmetric, and the matrix is not probed for it:
+flow, mechanics and the phase field are, and take a Cholesky
+factorization, with LU with partial pivoting when one is not positive
+definite; heat, which advection makes nonsymmetric, takes LU. The residual
+gate of ``solve_linear`` checks every solve against the full operator.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ class FieldLayout:
     position ``lu[k]`` of the column-major (3 width + 1, n) band storage of
     LAPACK ``gbtrf``; the slots ``tril`` of the lower triangle go to
     positions ``chol`` of the (width + 1, n) lower band storage of
-    ``pbtrf``, and ``mirror`` holds the slot of each one's transpose.
+    ``pbtrf``.
     """
 
     shape: tuple[int, int]
@@ -103,7 +105,6 @@ class FieldLayout:
     lu: np.ndarray
     tril: np.ndarray
     chol: np.ndarray
-    mirror: np.ndarray
 
     def assemble(self, KE: np.ndarray) -> np.ndarray:
         """Sum element matrices (E, nd, nd) into operator data on this layout."""
@@ -139,8 +140,7 @@ def field_layout(dofs: np.ndarray, node_order: np.ndarray) -> FieldLayout:
         a.flags.writeable = False   # shared by every matrix of the field
     return FieldLayout(shape=(n, n), indptr=indptr, indices=indices, slot=slot, rows=rows,
                        diag=diag, perm=perm, width=k, lu=2 * k + off + j * (3 * k + 1),
-                       tril=tril, chol=off[tril] + j[tril] * (k + 1),
-                       mirror=np.searchsorted(keys, cols[tril] * n + rows[tril]))
+                       tril=tril, chol=off[tril] + j[tril] * (k + 1))
 
 
 @dataclass
@@ -378,11 +378,14 @@ class Factorization:
     through it.
     ``solve_linear`` fills an empty factor and solves with a filled one
     without looking at the operator again, so the owner takes a fresh
-    ``Factorization`` whenever the operator changes.
+    ``Factorization`` whenever the operator changes. ``symmetric`` says
+    whether the operators of the factor's field are symmetric, which
+    selects Cholesky or LU (see ``factorize``).
     """
 
-    def __init__(self, layout: FieldLayout):
+    def __init__(self, layout: FieldLayout, symmetric: bool = True):
         self.layout = layout
+        self.symmetric = symmetric
         self.band: np.ndarray | None = None    # the factor in band storage
         self.ipiv: np.ndarray | None = None    # LU pivots; None for Cholesky
         self.scale: np.ndarray | None = None
@@ -391,12 +394,11 @@ class Factorization:
         """Factor diag(s) A diag(s) in the band layout.
 
         s = diag(A)^-1/2 when that diagonal is positive and finite, else
-        all ones; ``A`` itself is left unchanged. Cholesky (``pbtrf``) is
-        tried when the scaled operator is symmetric: each entry of its
-        lower triangle equals its transpose to 1e-12 of the largest of
-        them. LU with partial pivoting (``gbtrf``) is used when it is not,
-        or when Cholesky meets a non-positive pivot. An exactly singular
-        matrix raises ``SolverFailure``.
+        all ones; ``A`` itself is left unchanged. A symmetric field's
+        operator takes Cholesky (``pbtrf``), which reads its lower triangle
+        only, and LU with partial pivoting (``gbtrf``) when Cholesky meets
+        a non-positive pivot; a nonsymmetric field's takes LU. An exactly
+        singular matrix raises ``SolverFailure``.
         """
         lay = self.layout
         n = A.shape[0]
@@ -407,12 +409,10 @@ class Factorization:
             s = np.ones(n)
         self.scale = s
         data = A.data * (np.take(s, lay.rows) * np.take(s, lay.indices))
-        low = data[lay.tril]
         k = lay.width
-        if (np.abs(low - data[lay.mirror]).max(initial=0.0)
-                <= 1e-12 * np.abs(low).max(initial=0.0)):
+        if self.symmetric:
             ab = np.zeros((k + 1) * n)
-            ab[lay.chol] = low
+            ab[lay.chol] = data[lay.tril]
             band, info = lapack.dpbtrf(ab.reshape(k + 1, n, order="F"), lower=1,
                                        overwrite_ab=1)
             if info == 0:

@@ -10,11 +10,12 @@ data on the field's layout (linear once the lagged quantities are frozen):
   (always added; ``MaterialParams.s_stab = 0`` turns it off);
 * flow         — backward-Euler mass balance with the fixed-stress
   relaxation terms and the lagged volumetric strain increment on the
-  right-hand side. The thermal relaxation term 3 alpha alpha_s
-  (T_new - T_it)/dt is left out: it is not zero within the inner loop,
-  because the lagged strain comes from a displacement computed at the
-  previous iterate's temperature, and it vanishes only at convergence
-  (ROADMAP open item 2);
+  right-hand side. The split is extended to the thermal stress (Kim 2018,
+  CMAME 341): the relaxation also holds 3 alpha alpha_s (T_new - T_it)/dt,
+  the strain that the new temperature adds to the lagged one, which was
+  computed at the previous pass's temperature. It vanishes at the fixed
+  point, so it shortens the iteration without moving its answer, and
+  without heat solves it is not formed;
 * mechanics    — degraded effective stress with pressure and thermal
   contributions moved to the right-hand side. Its operator depends only
   on (v, branch flags) and is built apart from the right-hand side, so a
@@ -295,24 +296,26 @@ def mechanics_rhs(tables: ElementTables, params: MaterialParams, op: MechanicsOp
 
 def build_flow_system(tables: ElementTables, params: MaterialParams,
                       st: law.StrainState, p_it: np.ndarray, T_qp: np.ndarray,
-                      step: StepState, dt: float,
+                      T_it_qp: np.ndarray | None, step: StepState, dt: float,
                       source: np.ndarray | None = None) -> FieldSystem:
-    """Pressure system of the fixed-stress step.
+    """Pressure system of the fixed-stress step, extended to the thermal
+    stress.
 
     Left-hand side: (1/M_p + alpha^2/K_eff)/dt storage + Darcy stiffness.
     Right-hand side: previous-step storage, thermal coupling against M_T,
-    the fixed-stress relaxation history, the lagged volumetric-strain
-    increment and nodal sources. The relaxation history has a pressure
-    term only: its thermal term 3 alpha alpha_s (T_new - T_it)/dt is left
-    out. That term is not zero within the inner loop, because the lagged
-    strain comes from ``it.u``, which was computed at ``it.T``; it is
-    non-zero until T settles and vanishes at convergence, so leaving it
-    out changes the iteration, not the converged answer (ROADMAP open
-    item 2).
+    the fixed-stress relaxation history alpha^2/K_eff p_it/dt, the lagged
+    volumetric-strain increment, the thermal relaxation
+    -3 alpha alpha_s (T_new - T_it)/dt and nodal sources. The lagged strain
+    comes from ``it.u``, which was computed at ``it.T``, and the thermal
+    relaxation adds the strain the new temperature implies, as the
+    pressure term does for the new pressure. Both vanish at the fixed
+    point, so they change the iteration, not the converged answer.
 
     ``st`` is the ``strain_state`` of the (u, v) iterate, evaluated here at
-    the new temperature ``T_qp`` at the quadrature points. ``step`` is the
-    ``step_state`` of the previous time level.
+    the new temperature ``T_qp`` at the quadrature points. ``T_it_qp`` is
+    the previous pass's temperature there, or None when T did not change
+    (no heat solve), which forms no thermal relaxation term. ``step`` is
+    the ``step_state`` of the previous time level.
     """
     tr_sign = law.branch_flag(st.eps, T_qp - params.T0, params.alpha_s)
     moduli = law.degraded_moduli(st.g, tr_sign, params)
@@ -332,6 +335,8 @@ def build_flow_system(tables: ElementTables, params: MaterialParams,
     rhs_qp += (alpha2 / (K_eff * dt)) * scalar_qp(tables, p_it)
     rhs_qp += (inv_MT / dt) * (T_qp - step.T)
     rhs_qp -= alpha * (st.eps_vol - step.eps_vol) / dt
+    if T_it_qp is not None:
+        rhs_qp -= (3.0 * params.alpha_s / dt) * alpha * (T_qp - T_it_qp)
     FE = _load(tables, rhs_qp)
 
     system = assemble_batched(tables, KE, FE, vector=False)

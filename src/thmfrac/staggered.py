@@ -97,12 +97,15 @@ class _AndersonMixer:
     adds differences of admissible iterates.
     """
 
-    def __init__(self):
+    def __init__(self, n: int):
+        # secant differences of the last window, oldest in column 0
+        self._dF = np.empty((n, _ANDERSON_WINDOW))
+        self._dG = np.empty((n, _ANDERSON_WINDOW))
         self.reset()
 
     def reset(self):
-        self._F: list[np.ndarray] = []
-        self._G: list[np.ndarray] = []
+        self._m = 0         # columns of _dF and _dG in use
+        self._last: tuple[np.ndarray, np.ndarray] | None = None    # previous (f, g)
 
     def mix(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         f = g - x
@@ -112,18 +115,19 @@ class _AndersonMixer:
             # (a column loaded from rest returns p = 0 first)
             self.reset()
             return g
-        self._F.append(f)
-        self._G.append(g)
-        if len(self._F) > _ANDERSON_WINDOW + 1:
-            self._F.pop(0)
-            self._G.pop(0)
-        m = len(self._F) - 1
-        if m == 0:
+        last, self._last = self._last, (f, g)
+        if last is None:
             return g
-        dF = np.column_stack([self._F[i + 1] - self._F[i] for i in range(m)])
-        dG = np.column_stack([self._G[i + 1] - self._G[i] for i in range(m)])
-        gamma, *_ = np.linalg.lstsq(dF, f, rcond=1e-12)
-        mixed = g - dG @ gamma
+        dF, dG, m = self._dF, self._dG, self._m
+        if m == _ANDERSON_WINDOW:
+            dF[:, :-1] = dF[:, 1:]
+            dG[:, :-1] = dG[:, 1:]
+            m -= 1
+        np.subtract(f, last[0], out=dF[:, m])
+        np.subtract(g, last[1], out=dG[:, m])
+        m = self._m = m + 1
+        gamma, *_ = np.linalg.lstsq(dF[:, :m], f, rcond=1e-12)
+        mixed = g - dG[:, :m] @ gamma
         if not np.all(np.isfinite(mixed)):
             self.reset()
             return g
@@ -199,11 +203,14 @@ class Simulation:
         """Solve ``field`` (T, p or u) for ``rhs`` with new operator ``data``
         on its layout, or with its last operator and factor when None.
         Only mechanics keeps its factor: heat and flow pass new data on
-        every solve, so theirs would never be reused."""
+        every solve, so theirs would never be reused. Advection makes the
+        heat operator the only nonsymmetric one."""
         op = self._operator(field)
         if data is not None:
             apply_dirichlet(op, data)
-        factor = op.factor if op.factor is not None else Factorization(op.layout)
+        factor = op.factor
+        if factor is None:
+            factor = Factorization(op.layout, symmetric=field != "T")
         if field == "u":
             op.factor = factor
         return solve_linear(op.eliminated, op.bc.rhs(rhs, op.lifted), factor)
@@ -232,9 +239,9 @@ class Simulation:
         system = build_heat_system(self.tables, self.params, st, p_it, step, dt)
         return self._solve_constrained("T", system.data, system.rhs)
 
-    def _solve_p(self, st, p_it, T_qp, step: StepState, dt: float) -> np.ndarray:
-        system = build_flow_system(self.tables, self.params, st, p_it, T_qp, step, dt,
-                                   source=self.q_flow)
+    def _solve_p(self, st, p_it, T_qp, T_it_qp, step: StepState, dt: float) -> np.ndarray:
+        system = build_flow_system(self.tables, self.params, st, p_it, T_qp, T_it_qp, step,
+                                   dt, source=self.q_flow)
         return self._solve_constrained("p", system.data, system.rhs)
 
     def _solve_u(self, phase, p_new, T_qp, tr_sign) -> np.ndarray:
@@ -267,12 +274,13 @@ class Simulation:
         it = prev.copy()
         v_cur = prev.v
         step = step_state(tb, prev)
-        # without heat solves T stays at the previous level
-        T_new, T_qp = it.T, step.T
+        # without heat solves T stays at the previous level, and flow forms
+        # no thermal relaxation term
+        T_new, T_qp, T_it_qp = it.T, step.T, None
         v_incs: list[float] = []
         inner_counts: list[int] = []
         tpu_incs: list[tuple[float, float, float]] = []
-        mixer = _AndersonMixer()
+        mixer = _AndersonMixer(n)
 
         for m in range(1, controls.max_outer + 1):
             if self.solve_phasefield:
@@ -293,9 +301,11 @@ class Simulation:
             for j in range(1, controls.max_inner + 1):
                 if self.solve_thermal:
                     T_new = self._solve_T(st, it.p, step, dt)
-                    # flow and the mechanics rhs share the new T at the quadrature points
-                    T_qp = scalar_qp(tb, T_new)
-                p_raw = self._solve_p(st, it.p, T_qp, step, dt)
+                    # flow and the mechanics rhs share the new T at the
+                    # quadrature points; flow relaxes the strain of its
+                    # change from the previous pass's
+                    T_it_qp, T_qp = T_qp, scalar_qp(tb, T_new)
+                p_raw = self._solve_p(st, it.p, T_qp, T_it_qp, step, dt)
                 p_new = mixer.mix(it.p, p_raw)
                 u_new = self._solve_u(phase, p_new, T_qp, h_mech)
                 inc = (_rel(T_new, it.T), _rel(p_new, it.p), _rel(u_new, it.u))

@@ -118,13 +118,14 @@ def reduced_elimination(layout, data, dofs):
     return sp.csr_matrix((reduced, layout.indices[slots], indptr), shape=(n, n)), slots
 
 
-def reduced_factor(layout, A, slots) -> Factorization:
+def reduced_factor(layout, A, slots, symmetric=True) -> Factorization:
     """The factor the reduced operator ``A`` (holding the layout ``slots``)
     got in its field's layout: its data scattered back onto the full
-    structure, zeros in the slots it lacks, and factorized there."""
+    structure, zeros in the slots it lacks, and factorized there, as a
+    field that is ``symmetric`` or not."""
     full = np.zeros(layout.indices.size)
     full[slots] = A.data
-    return Factorization(layout).factorize(csr(layout, full))
+    return Factorization(layout, symmetric).factorize(csr(layout, full))
 
 
 def effective_stress(eps_e, moduli, params, eps_zz=0.0) -> np.ndarray:

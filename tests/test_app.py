@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from thmfrac import app
 from thmfrac.app import run_scenario
 from thmfrac.cli import main
 from thmfrac.errors import NonConvergence
-from thmfrac.io_vtk import write_vtk
+from thmfrac.io_vtk import vtk_grid, write_vtk
 from thmfrac.mesh import generate_rect_mesh
 from thmfrac.presets import terzaghi
 
@@ -45,12 +46,15 @@ def test_reruns_are_bit_identical(tmp_path, short_terzaghi):
         (tmp_path / "b" / "series.csv").read_bytes()
 
 
-def test_snapshot_cadence(tmp_path, short_terzaghi):
+def test_snapshot_cadence(tmp_path, short_terzaghi, monkeypatch):
+    grids = []
+    monkeypatch.setattr(app, "vtk_grid", lambda mesh: grids.append(mesh) or vtk_grid(mesh))
     run_scenario(short_terzaghi, tmp_path)
     snaps = sorted(p.name for p in tmp_path.glob("snapshot_*.vtk"))
     # t=0, steps 2 and 4 on cadence, final step 5
     assert snaps == ["snapshot_000000.vtk", "snapshot_000002.vtk",
                      "snapshot_000004.vtk", "snapshot_000005.vtk"]
+    assert len(grids) == 1      # the mesh block is formatted once per run
     text = (tmp_path / "snapshot_000004.vtk").read_text()
     for arr in ("SCALARS p", "SCALARS T", "SCALARS v", "VECTORS u",
                 "SCALARS width", "SCALARS porosity", "SCALARS permeability_xx"):
@@ -111,7 +115,7 @@ def test_cli_run_config_file(tmp_path):
 
 def test_vtk_writer_shapes(tmp_path, rng):
     mesh = generate_rect_mesh(1.0, 2.0, 2, 3)
-    path = write_vtk(tmp_path / "m.vtk", mesh,
+    path = write_vtk(tmp_path / "m.vtk", vtk_grid(mesh),
                      point_data={"f": rng.uniform(size=mesh.n_nodes)},
                      cell_data={"g": rng.uniform(size=mesh.n_elems)})
     lines = path.read_text().splitlines()

@@ -295,10 +295,11 @@ class TestDirichlet:
         apply_dirichlet(op, system.data)
         assert np.array_equal(op.eliminated.toarray(), reduced.toarray())
         rhs = op.bc.rhs(system.rhs, op.lifted)
-        factor = Factorization(op.layout)
+        symmetric = kind == "spd"
+        factor = Factorization(op.layout, symmetric)
         x = solve_linear(op.eliminated, rhs, factor)
         ref = solve_linear(reduced, rhs,
-                           reduced_factor(op.layout, reduced, slots))
+                           reduced_factor(op.layout, reduced, slots, symmetric))
         assert (factor.ipiv is None) == (kind == "spd")
         assert x.tobytes() == ref.tobytes()
 
@@ -440,8 +441,6 @@ class TestFactorization:
         assert np.array_equal(full, dense)
         assert np.array_equal(lower, np.tril(dense))
         assert np.array_equal(layout.rows[layout.diag], np.arange(n))
-        assert np.array_equal(A.indices[layout.mirror], layout.rows[layout.tril])
-        assert np.array_equal(layout.rows[layout.mirror], A.indices[layout.tril])
         # a constrained operator keeps the structure and factorizes in its layout
         dofs = rng.choice(n, n // 5, replace=False)
         bc = Dirichlet.on(layout, dofs, np.zeros(dofs.size))
@@ -468,12 +467,12 @@ class TestFactorization:
         st = strain_state(tb, mp, u, phase_state(tb, mp, v))
         step = step_state(tb, FieldState(u=0.5 * u, p=p, T=T, v=v))
         heat = build_heat_system(tb, mp, st, p, step, 0.5)
-        flow = build_flow_system(tb, mp, st, p, scalar_qp(tb, T), step, 0.5)
+        flow = build_flow_system(tb, mp, st, p, scalar_qp(tb, T), step.T, step, 0.5)
         for system, takes_lu in ((heat, True), (flow, False)):
             A = matrix(system)
             assert (abs(A - A.T).max() > 1e-6 * abs(A).max()) == takes_lu
             op = FieldOperator(tb.scalar_layout, None)
-            factor = Factorization(op.layout)
+            factor = Factorization(op.layout, symmetric=not takes_lu)
             x = solve_linear(op.load(system.data), system.rhs, factor)
             assert (factor.ipiv is not None) == takes_lu
             assert np.allclose(x, spla.spsolve(A.tocsc(), system.rhs), rtol=1e-9)

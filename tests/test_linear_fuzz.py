@@ -4,9 +4,9 @@ Each operator has a random symmetric sparsity pattern, stored with all of
 its entries (zeros included), and dof scales spread over six decades, as
 the mobility contrast of a broken cell spreads them. It is SPD, nonsymmetric
 like the advective heat operator, or symmetric indefinite like a phase-field
-block under negative pressure drive. Solutions must match a dense solve and
-pass the solver's residual gate; an operator with an empty row and column
-must raise ``SolverFailure``.
+block under negative pressure drive; its factor is told which, as a field's
+is. Solutions must match a dense solve and pass the solver's residual gate;
+an operator with an empty row and column must raise ``SolverFailure``.
 """
 
 import numpy as np
@@ -61,7 +61,7 @@ def test_solution_matches_a_dense_solve_and_passes_the_gate(op):
         hypothesis.assume(eig.min() > 1e-8 * eig.max())
     b = np.random.default_rng(seed + 1).normal(size=n)
     op = operator_of(A)
-    factor = Factorization(op.layout)
+    factor = Factorization(op.layout, symmetric=kind != "advection")
     x = solve_linear(op.assembled, b, factor)
     ref = np.linalg.solve(dense, b)
     assert np.allclose(x, ref, rtol=1e-6, atol=1e-9 * np.abs(ref).max())
@@ -83,4 +83,5 @@ def test_an_empty_row_and_column_raise_solver_failure(op, data):
     A.data[(rows == i) | (A.indices == i)] = 0.0     # kept as stored zeros
     op = operator_of(A)
     with pytest.raises(SolverFailure):
-        solve_linear(op.assembled, np.ones(n), Factorization(op.layout))
+        solve_linear(op.assembled, np.ones(n),
+                     Factorization(op.layout, symmetric=kind != "advection"))

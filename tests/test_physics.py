@@ -103,9 +103,10 @@ def _previous(tb, u, p, T):
 
 
 def _flow(tb, mp, u, v, p_it, T, u_prev, p_prev, T_prev, dt, source=None):
-    """The flow system of the iterate (u, v, p_it) at the new nodal T."""
+    """The flow system of the iterate (u, v, p_it) at the new nodal T, with
+    no thermal relaxation term (T_it = T)."""
     return build_flow_system(tb, mp, _strain_state(tb, mp, u, v), p_it, scalar_qp(tb, T),
-                             _previous(tb, u_prev, p_prev, T_prev), dt, source=source)
+                             None, _previous(tb, u_prev, p_prev, T_prev), dt, source=source)
 
 
 def _heat(tb, mp, u, v, p_it, T_prev, dt):
@@ -265,7 +266,7 @@ def test_tables_hold_at_most_8_values_per_element(generic_params, rng):
     op = build_mechanics_system(tb, mp, phase, mechanics_branch_flags(tb, mp, st, T))
     physics.mechanics_rhs(tb, mp, op, p, scalar_qp(tb, T), np.zeros(2 * mesh.n_nodes))
     step = _previous(tb, 0.5 * u, p, T)
-    build_flow_system(tb, mp, st, p, scalar_qp(tb, T), step, 0.5)
+    build_flow_system(tb, mp, st, p, scalar_qp(tb, T), step.T, step, 0.5)
     build_heat_system(tb, mp, st, p, step, 0.5)
     build_phasefield_system(tb, mp, np.full(mesh.n_elems, mp.Gc), u, p, T)
     physics.grad_qp(tb, p)
@@ -354,7 +355,7 @@ class TestQPState:
         T_qp = scalar_qp(tb, T)
         physics.mechanics_rhs(tb, mp, op, p, T_qp, np.zeros(2 * mesh.n_nodes))
         step = _previous(tb, 0.5 * u, p, T)
-        build_flow_system(tb, mp, st, p, T_qp, step, 0.5)
+        build_flow_system(tb, mp, st, p, T_qp, step.T, step, 0.5)
         assert len(flags) == 2
         build_heat_system(tb, mp, st, p, step, 0.5)
         assert len(flags) == 2 + (variant == "phi0")
@@ -492,6 +493,31 @@ class TestFlow:
         assert np.allclose(matrix(system).toarray(), dense, atol=1e-12 * scale)
         rhs_ref = dense_scalar_mass(mesh, phi * mp.c_f / dt) @ p_prev
         assert np.allclose(system.rhs, rhs_ref, atol=1e-12 * np.abs(rhs_ref).max())
+
+    def test_thermal_relaxation_is_the_strain_of_the_temperature_change(self, small_setup,
+                                                                        rng):
+        # intact rock (v = 1): alpha = alpha_m on either branch, so the term
+        # adds -3 alpha_m alpha_s/dt M (T - T_it) to the rhs, M the mass matrix
+        mesh, tb, mp = small_setup
+        n = mesh.n_nodes
+        u = rng.normal(scale=1e-4, size=2 * n)
+        p = rng.uniform(0, 1e5, n)
+        T, T_it = mp.T0 + rng.uniform(-5, 5, (2, n))
+        v = np.ones(n)
+        dt = 0.5
+        st = _strain_state(tb, mp, u, v)
+        step = _previous(tb, 0.5 * u, p, mp.T0 + np.zeros(n))
+        without = build_flow_system(tb, mp, st, p, scalar_qp(tb, T), None, step, dt)
+        with_term = build_flow_system(tb, mp, st, p, scalar_qp(tb, T), scalar_qp(tb, T_it),
+                                      step, dt)
+        assert with_term.data.tobytes() == without.data.tobytes()
+        expect = -(3.0 * mp.alpha_m * mp.alpha_s / dt) * dense_scalar_mass(mesh, 1.0) @ (T - T_it)
+        assert np.allclose(with_term.rhs - without.rhs, expect,
+                           rtol=1e-9, atol=1e-12 * np.abs(without.rhs).max())
+        assert np.abs(expect).max() > 1e-6 * np.abs(without.rhs).max()
+        # at the fixed point T_it = T the term vanishes
+        same = build_flow_system(tb, mp, st, p, scalar_qp(tb, T), scalar_qp(tb, T), step, dt)
+        assert same.rhs.tobytes() == without.rhs.tobytes()
 
     def test_large_dt_reduces_to_steady_darcy(self, small_setup):
         mesh, tb, mp = small_setup

@@ -208,13 +208,39 @@ class TestTerzaghiFromRest:
         assert err <= 0.02
 
     def test_mixer_passes_a_zero_residual_through(self):
-        mixer = _AndersonMixer()
+        mixer = _AndersonMixer(3)
         x0 = np.zeros(3)
         assert np.array_equal(mixer.mix(x0, x0), x0)
         g1 = np.array([1.0, 2.0, 3.0])
         # the zero column was dropped: the next call is a plain first step
         assert np.array_equal(mixer.mix(x0, g1), g1)
 
+
+    def test_mixed_iterates_are_bitwise_the_column_stack_formulation(self, rng):
+        # the secant differences of the last four pairs, stacked afresh on
+        # every call from the kept (f, g) history, oldest column first
+        n, window = 50, 4
+        mixer = _AndersonMixer(n)
+        F, G = [], []
+        x = rng.normal(size=n)
+        for k in range(12):
+            if k == 7:
+                mixer.reset()
+                F, G = [], []
+            g = 0.7 * x + rng.normal(scale=0.1, size=n)
+            got = mixer.mix(x, g)
+            F.append(g - x)
+            G.append(g)
+            del F[:-window - 1], G[:-window - 1]
+            m = len(F) - 1
+            ref = g
+            if m:
+                dF = np.column_stack([F[i + 1] - F[i] for i in range(m)])
+                dG = np.column_stack([G[i + 1] - G[i] for i in range(m)])
+                gamma, *_ = np.linalg.lstsq(dF, g - x, rcond=1e-12)
+                ref = g - dG @ gamma
+            assert got.tobytes() == ref.tobytes(), k
+            x = got
 
 def _fresh_mechanics_solve(sim, v, p, T, h):
     tb = sim.tables
@@ -329,6 +355,72 @@ class TestOneConstrainedSolvePath:
         # heat and flow refactorize on every solve, so a kept factor is never reused
         assert sim._ops["T"].factor is None and sim._ops["p"].factor is None
         assert sim._ops["u"].factor is not None
+
+
+class TestThermalFixedStress:
+    """Flow relaxes the thermal strain of the change in T from the previous
+    inner pass; without heat solves T never changes and no term is formed."""
+
+    @staticmethod
+    def _flow_calls(monkeypatch):
+        calls = []
+        build = staggered.build_flow_system
+
+        def recorded(*args, **kwargs):
+            system = build(*args, **kwargs)
+            calls.append((args, kwargs, system))
+            return system
+
+        monkeypatch.setattr(staggered, "build_flow_system", recorded)
+        return calls
+
+    def test_each_pass_relaxes_from_the_previous_pass_temperature(self, monkeypatch):
+        cfg, sim, dt = _thermal_column()
+        calls = self._flow_calls(monkeypatch)
+        prev = sim.initial_state()
+        _, report = sim.time_step(prev, dt, cfg.controls)
+        assert len(calls) == sum(report.inner_iters) > 1
+        T_qp = [args[4] for args, _, _ in calls]
+        T_it_qp = [args[5] for args, _, _ in calls]
+        assert np.array_equal(T_it_qp[0], scalar_qp(sim.tables, prev.T))
+        assert all(T_it_qp[j] is T_qp[j - 1] for j in range(1, len(calls)))
+        assert np.abs(T_qp[0] - T_it_qp[0]).max() > 1.0    # the heated face moves T
+
+    def test_isothermal_step_forms_no_thermal_relaxation_term(self, monkeypatch):
+        cfg, sim, dt = _small_kgd()
+        assert not sim.solve_thermal
+        calls = self._flow_calls(monkeypatch)
+        _, report = sim.time_step(sim.initial_state(), dt, cfg.controls)
+        assert len(calls) == sum(report.inner_iters) > 1
+        for args, kwargs, system in calls:
+            assert args[5] is None
+            # bitwise the system formed without the term from the same state
+            ref = physics.build_flow_system(*args[:5], None, *args[6:], **kwargs)
+            assert system.data.tobytes() == ref.data.tobytes()
+            assert system.rhs.tobytes() == ref.rhs.tobytes()
+
+    def test_heat_factorizes_as_nonsymmetric_and_flow_and_mechanics_as_symmetric(
+            self, monkeypatch):
+        cfg, sim, dt = _thermal_column()
+        factorized = []
+        factorize = fem.Factorization.factorize
+
+        def recorded(self, A):
+            out = factorize(self, A)
+            skew = abs(A - A.T).max() > 1e-12 * abs(A).max()
+            factorized.append((self.symmetric, skew, out.ipiv is None))
+            return out
+
+        monkeypatch.setattr(fem.Factorization, "factorize", recorded)
+        _, report = sim.time_step(sim.initial_state(), dt, cfg.controls)
+        n_inner = sum(report.inner_iters)
+        # heat's advection makes its operator nonsymmetric once the fluid moves
+        assert any(skew for _, skew, _ in factorized)
+        assert all(not symmetric for symmetric, skew, _ in factorized if skew)
+        declared = [symmetric for symmetric, _, _ in factorized]
+        assert declared.count(False) == n_inner
+        # symmetric fields take Cholesky, heat takes LU
+        assert all(cholesky == symmetric for symmetric, _, cholesky in factorized)
 
 
 def _strain(tables, params, st, *args):
