@@ -133,6 +133,7 @@ def _cmd_mesh_dump(args) -> int:
 
     crack = np.zeros(sim.mesh.n_nodes)
     crack[sim.crack_nodes] = 1.0
+    out.parent.mkdir(parents=True, exist_ok=True)
     write_vtk(out, vtk_grid(sim.mesh), point_data={"crack": crack},
               cell_data={"h_e": sim.mesh.h_e, "Gc": sim.gc_elem},
               title=f"{cfg.name} mesh")

@@ -1,9 +1,9 @@
 """Q4 finite-element machinery: shape functions, quadrature, assembly, solves.
 
 Meshes are tensor grids of axis-aligned rectangles, so ``ElementTables``
-holds each element's sizes (hx, hy) and no per-element quadrature or
-operator table: element matrices are produced in bulk as (n_elems, nd, nd)
-arrays, each element term as one matmul of per-element scaled
+reads each element's sizes (hx, hy) from the mesh and holds no per-element
+quadrature or operator table: element matrices are produced in bulk as
+(n_elems, nd, nd) arrays, each element term as one matmul of per-element scaled
 coefficients against a constant reference table (see ``physics``).
 
 Each field kind (scalar or vector) has one ``FieldLayout`` per mesh, built
@@ -145,9 +145,10 @@ def field_layout(dofs: np.ndarray, node_order: np.ndarray) -> FieldLayout:
 
 @dataclass
 class ElementTables:
-    """Per-mesh element sizes, dof maps and field layouts of a tensor grid.
+    """Per-mesh element data and field layouts of a tensor grid.
 
-    Every element is an axis-aligned hx x hy rectangle, so its Jacobian is
+    The element sizes ``h``, the connectivity ``conn`` and the node ids
+    behind ``node_order`` are the mesh's own arrays. Every element is an axis-aligned hx x hy rectangle, so its Jacobian is
     diag(hx/2, hy/2) at every point: physical gradients are the reference
     gradients scaled by 2/hx and 2/hy, and detJ = hx hy / 4. The element
     kernels of ``physics`` need only these sizes and constant reference
@@ -167,22 +168,26 @@ class ElementTables:
     """
 
     mesh: Mesh
-    h: np.ndarray        # (E, 2) element sizes (hx, hy)
     detJ: np.ndarray     # (E,) Jacobian determinants hx hy / 4
-    conn: np.ndarray     # (E, 4) node ids
     dofs_vec: np.ndarray  # (E, 8) interleaved (ux, uy) dofs
 
     @property
-    def n_nodes(self) -> int:
-        return self.mesh.n_nodes
+    def h(self) -> np.ndarray:
+        """(E, 2) element sizes (hx, hy)."""
+        return self.mesh.h
+
+    @property
+    def conn(self) -> np.ndarray:
+        """(E, 4) node ids of each element."""
+        return self.mesh.elems
 
     @property
     def node_order(self) -> np.ndarray:
-        """Node ids numbered across the grid's short side: node (i, j) has
-        id j len(xs) + i, so the ids themselves when len(xs) <= len(ys),
-        else column by column. Every Q4 coupling is then at most
-        min(len(xs), len(ys)) + 1 positions off the diagonal."""
-        ids = np.arange(self.n_nodes).reshape(len(self.mesh.ys), len(self.mesh.xs))
+        """Node ids numbered across the grid's short side: the mesh's ids
+        row by row when len(xs) <= len(ys), else column by column. Every Q4
+        coupling is then at most min(len(xs), len(ys)) + 1 positions off
+        the diagonal."""
+        ids = self.mesh.node_ids
         return ids.ravel() if ids.shape[1] <= ids.shape[0] else ids.T.ravel()
 
     # built on first use, not with the tables, so that setting up a
@@ -222,31 +227,12 @@ class ElementTables:
 
 
 def build_tables(mesh: Mesh) -> ElementTables:
-    """Element data of a mesh on its ``xs`` x ``ys`` tensor grid, numbered
-    as ``generate_rect_mesh`` numbers it: node (i, j) at (xs[i], ys[j]) with
-    id j len(xs) + i, element (i, j) with id j (len(xs) - 1) + i and
-    counter-clockwise nodes from its lower-left corner. Any other mesh, or
-    grid lines that do not strictly increase (which keeps every detJ > 0),
-    raises ValueError."""
-    xs, ys = mesh.xs, mesh.ys
-    dx, dy = np.diff(xs), np.diff(ys)
-    mx, my = dx.size, dy.size
-    gx, gy = np.meshgrid(xs, ys)
-    n0 = np.arange((mx + 1) * my).reshape(my, mx + 1)[:, :-1].ravel()
-    grid_elems = np.column_stack([n0, n0 + 1, n0 + mx + 2, n0 + mx + 1])
-    if not ((dx > 0.0).all() and (dy > 0.0).all()
-            and np.array_equal(mesh.nodes, np.column_stack([gx.ravel(), gy.ravel()]))
-            and np.array_equal(mesh.elems, grid_elems)):
-        raise ValueError("element tables need the mesh's xs x ys tensor grid "
-                         "with strictly increasing grid lines")
-    h = np.column_stack([np.tile(dx, my), np.repeat(dy, mx)])
-
-    conn = mesh.elems
+    """Element data of ``mesh``: detJ and the vector dof map. ``Mesh`` has
+    checked its grid lines, so every detJ is positive."""
     dofs_vec = np.empty((mesh.n_elems, 8), dtype=np.int64)
-    dofs_vec[:, 0::2] = 2 * conn
-    dofs_vec[:, 1::2] = 2 * conn + 1
-    return ElementTables(mesh=mesh, h=h, detJ=0.25 * h[:, 0] * h[:, 1], conn=conn,
-                         dofs_vec=dofs_vec)
+    dofs_vec[:, 0::2] = 2 * mesh.elems
+    dofs_vec[:, 1::2] = 2 * mesh.elems + 1
+    return ElementTables(mesh=mesh, detJ=0.25 * mesh.h[:, 0] * mesh.h[:, 1], dofs_vec=dofs_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +256,7 @@ def assemble_batched(tables: ElementTables, KE: np.ndarray, FE: np.ndarray,
 
 
 def scatter_vector(tables: ElementTables, FE: np.ndarray, vector: bool = False) -> np.ndarray:
-    n = 2 * tables.n_nodes if vector else tables.n_nodes
+    n = 2 * tables.mesh.n_nodes if vector else tables.mesh.n_nodes
     dofs = tables.dofs_vec if vector else tables.conn
     # bincount sums in input order, exactly as np.add.at does
     return np.bincount(dofs.ravel(), weights=FE.ravel(), minlength=n)

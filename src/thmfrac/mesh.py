@@ -1,8 +1,10 @@
-"""Structured quadrilateral meshes with boundary/region bookkeeping.
+"""Structured quadrilateral meshes, each described by its grid lines alone.
 
-Meshes are tensor products of two monotone coordinate arrays, optionally
-graded around refinement bands (fine uniform core, geometric coarsening
-outward). Element size ``h_e`` is defined as sqrt(element area).
+A mesh is the tensor grid of two strictly increasing coordinate arrays,
+optionally graded around refinement bands (fine uniform core, geometric
+coarsening outward). ``Mesh`` holds the lines and derives the rest, so the
+node and element numbering is defined here and nowhere else. Element size
+``h_e`` is sqrt(element area).
 
 ``locate_points`` is the one point locator (grid-line search); probes,
 interpolation and widths all go through it.
@@ -10,7 +12,8 @@ interpolation and widths all go through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,30 +40,38 @@ class RefineBand:
             raise ValueError("refine band requires lo >= 0, h > 0, hi > lo and ratio > 1")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Mesh:
-    """Immutable structured quad mesh (treat as read-only after construction).
-
-    nodes : (n_nodes, 2) coordinates [m]
-    elems : (n_elems, 4) counter-clockwise connectivity
-    h_e   : (n_elems,) characteristic size sqrt(area) [m]
+    """The tensor grid of the grid lines ``xs`` and ``ys`` [m], which are
+    the whole record: each must hold at least two finite, strictly
+    increasing values (so every detJ > 0), else ValueError names the axis.
+    Node (i, j) at (xs[i], ys[j]) has id j len(xs) + i (``node_ids[j, i]``);
+    element (i, j) has id j (len(xs) - 1) + i and its nodes (``elems``)
+    counter-clockwise from its lower-left corner. The lines are kept as
+    read-only copies, and ``nodes``, ``elems``, the element sizes ``h``
+    (hx, hy) and ``h_e``, and the side node ids ``boundary_nodes`` (in
+    increasing coordinate) are derived from them on first use, read-only.
     """
 
-    nodes: np.ndarray
-    elems: np.ndarray
-    h_e: np.ndarray
-    xs: np.ndarray  # grid lines along x
-    ys: np.ndarray  # grid lines along y
-    boundary_nodes: dict[str, np.ndarray] = field(default_factory=dict)
-    boundary_edges: dict[str, np.ndarray] = field(default_factory=dict)
+    xs: np.ndarray
+    ys: np.ndarray
+
+    def __post_init__(self):
+        for axis in ("x", "y"):
+            lines = np.array(getattr(self, axis + "s"), dtype=float)
+            if not (lines.ndim == 1 and lines.size >= 2 and np.isfinite(lines).all()
+                    and (np.diff(lines) > 0.0).all()):
+                raise ValueError(f"grid lines along {axis} must be a 1-D array of at least "
+                                 f"two finite, strictly increasing values, got {lines!r}")
+            object.__setattr__(self, axis + "s", _frozen(lines))
 
     @property
     def n_nodes(self) -> int:
-        return self.nodes.shape[0]
+        return self.xs.size * self.ys.size
 
     @property
     def n_elems(self) -> int:
-        return self.elems.shape[0]
+        return (self.xs.size - 1) * (self.ys.size - 1)
 
     @property
     def width(self) -> float:
@@ -69,6 +80,40 @@ class Mesh:
     @property
     def height(self) -> float:
         return float(self.ys[-1] - self.ys[0])
+
+    @cached_property
+    def node_ids(self) -> np.ndarray:
+        return _frozen(np.arange(self.n_nodes).reshape(self.ys.size, self.xs.size))
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        gx, gy = np.meshgrid(self.xs, self.ys)
+        return _frozen(np.column_stack([gx.ravel(), gy.ravel()]))
+
+    @cached_property
+    def elems(self) -> np.ndarray:
+        ids = self.node_ids
+        return _frozen(np.stack([ids[:-1, :-1], ids[:-1, 1:], ids[1:, 1:], ids[1:, :-1]],
+                                axis=-1).reshape(-1, 4))
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        dx, dy = np.diff(self.xs), np.diff(self.ys)
+        return _frozen(np.column_stack([np.tile(dx, dy.size), np.repeat(dy, dx.size)]))
+
+    @cached_property
+    def h_e(self) -> np.ndarray:
+        return _frozen(np.sqrt(self.h[:, 0] * self.h[:, 1]))
+
+    @cached_property
+    def boundary_nodes(self) -> dict[str, np.ndarray]:
+        ids = self.node_ids
+        return {"left": ids[:, 0], "right": ids[:, -1], "bottom": ids[0, :], "top": ids[-1, :]}
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _graded_sizes(span: float, h0: float, ratio: float) -> np.ndarray:
@@ -119,59 +164,21 @@ def generate_rect_mesh(
     height: float,
     nx: int,
     ny: int,
-    refine_band: RefineBand | list[RefineBand] | None = None,
+    refine_bands: list[RefineBand] | None = None,
 ) -> Mesh:
     """Build an ``nx`` x ``ny`` rectangle mesh on [0,width] x [0,height].
 
-    Without ``refine_band`` the grid is uniform. With bands, the banded
-    axis gets a uniform core at the band resolution and geometric grading
-    outside (``nx``/``ny`` are ignored on that axis).
+    Without ``refine_bands`` the grid is uniform. A banded axis gets a
+    uniform core at the band resolution and geometric grading outside
+    (``nx``/``ny`` are ignored on that axis).
     """
     if not (width > 0.0 and height > 0.0):
         raise ValueError(f"domain dimensions must be positive, got {width} x {height}")
     if nx < 1 or ny < 1:
         raise ValueError(f"nx, ny must be >= 1, got {nx}, {ny}")
-
-    if refine_band is None:
-        bands = []
-    elif isinstance(refine_band, RefineBand):
-        bands = [refine_band]
-    else:
-        bands = list(refine_band)
-
-    xs = _axis_points(width, nx, [b for b in bands if b.axis == "x"])
-    ys = _axis_points(height, ny, [b for b in bands if b.axis == "y"])
-    mx, my = len(xs) - 1, len(ys) - 1
-
-    gx, gy = np.meshgrid(xs, ys)
-    nodes = np.column_stack([gx.ravel(), gy.ravel()])
-
-    i = np.arange(mx)
-    j = np.arange(my)
-    jj, ii = np.meshgrid(j, i, indexing="ij")
-    n0 = (jj * (mx + 1) + ii).ravel()
-    elems = np.column_stack([n0, n0 + 1, n0 + mx + 2, n0 + mx + 1]).astype(np.int64)
-
-    dx = np.diff(xs)
-    dy = np.diff(ys)
-    areas = np.outer(dy, dx).ravel()
-    h_e = np.sqrt(areas)
-
-    node_ids = np.arange(nodes.shape[0]).reshape(my + 1, mx + 1)
-    boundary_nodes = {
-        "left": node_ids[:, 0].copy(),
-        "right": node_ids[:, -1].copy(),
-        "bottom": node_ids[0, :].copy(),
-        "top": node_ids[-1, :].copy(),
-    }
-    boundary_edges = {
-        "left": np.column_stack([node_ids[:-1, 0], node_ids[1:, 0]]),
-        "right": np.column_stack([node_ids[:-1, -1], node_ids[1:, -1]]),
-        "bottom": np.column_stack([node_ids[0, :-1], node_ids[0, 1:]]),
-        "top": np.column_stack([node_ids[-1, :-1], node_ids[-1, 1:]]),
-    }
-    return Mesh(nodes=nodes, elems=elems, h_e=h_e, xs=xs, ys=ys,
-                boundary_nodes=boundary_nodes, boundary_edges=boundary_edges)
+    bands = refine_bands or []
+    return Mesh(_axis_points(width, nx, [b for b in bands if b.axis == "x"]),
+                _axis_points(height, ny, [b for b in bands if b.axis == "y"]))
 
 
 def locate_points(mesh: Mesh, pts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -197,16 +204,14 @@ def locate_points(mesh: Mesh, pts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return j * (len(xs) - 1) + i, xi, eta
 
 
-def nodes_on_segment(mesh: Mesh, p0, p1, tol: float | None = None) -> np.ndarray:
-    """Node ids within ``tol`` of the segment p0-p1 (default tol: 1e-9 of its length)."""
+def nodes_on_segment(mesh: Mesh, p0, p1, tol: float) -> np.ndarray:
+    """Node ids within ``tol`` of the segment p0-p1."""
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     d = p1 - p0
     L = float(np.hypot(*d))
     if L == 0.0:
         raise ValueError("degenerate segment")
-    if tol is None:
-        tol = 1e-9 * max(L, 1.0)
     rel = mesh.nodes - p0
     t = (rel @ d) / (L * L)
     proj = p0 + np.clip(t, 0.0, 1.0)[:, None] * d

@@ -16,15 +16,17 @@ from .staggered import Simulation
 
 
 def _edge_load(mesh: Mesh, edge_set: str, traction) -> np.ndarray:
-    """Consistent nodal forces of a constant traction on a boundary edge set."""
-    f = np.zeros(2 * mesh.n_nodes)
-    tx, ty = traction
-    for n1, n2 in mesh.boundary_edges[edge_set]:
-        L = float(np.hypot(*(mesh.nodes[n2] - mesh.nodes[n1])))
-        for n in (n1, n2):
-            f[2 * n] += 0.5 * tx * L
-            f[2 * n + 1] += 0.5 * ty * L
-    return f
+    """Consistent nodal forces of a constant traction on a boundary side:
+    each edge puts half its load on either end node, and a node adds the
+    share of the edge before it, then of the edge after it."""
+    lines = mesh.xs if edge_set in ("bottom", "top") else mesh.ys
+    share = np.diff(lines)[:, None] * (0.5 * np.asarray(traction, dtype=float))
+    side = np.zeros((lines.size, 2))
+    side[1:] += share
+    side[:-1] += share
+    f = np.zeros((mesh.n_nodes, 2))
+    f[mesh.boundary_nodes[edge_set]] = side
+    return f.ravel()
 
 
 def _merge_dirichlet(entries: list[tuple[np.ndarray, float]]) -> tuple[np.ndarray, np.ndarray]:
@@ -42,8 +44,7 @@ def _merge_dirichlet(entries: list[tuple[np.ndarray, float]]) -> tuple[np.ndarra
 
 
 def build_simulation(cfg: ScenarioConfig) -> Simulation:
-    mesh = generate_rect_mesh(cfg.domain[0], cfg.domain[1], cfg.nx, cfg.ny,
-                              cfg.refine_bands or None)
+    mesh = generate_rect_mesh(cfg.domain[0], cfg.domain[1], cfg.nx, cfg.ny, cfg.refine_bands)
     tables = build_tables(mesh)
     mp = cfg.materials
 
@@ -88,7 +89,7 @@ def build_simulation(cfg: ScenarioConfig) -> Simulation:
     bc_T = _merge_dirichlet(heat_entries)
 
     return Simulation(
-        mesh=mesh, tables=tables, params=mp, gc_elem=gc_elem,
+        tables=tables, params=mp, gc_elem=gc_elem,
         solve_thermal=cfg.solve_thermal, solve_phasefield=cfg.solve_phasefield,
         bc_u=bc_u, bc_p=bc_p, bc_T=bc_T,
         f_ext=f_ext, q_flow=q_flow, crack_nodes=cracks, p_init=cfg.p_init)

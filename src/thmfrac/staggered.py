@@ -136,7 +136,7 @@ class _AndersonMixer:
 
 @dataclass
 class Simulation:
-    """A fully assembled problem: mesh, material, couplings, BCs, sources.
+    """A fully assembled problem: tables (with their mesh), material, couplings, BCs, sources.
 
     The simulation owns the linear-algebra state of its sub-solves, one
     ``FieldOperator`` per field (T, p, u and v), built on the field's first
@@ -158,7 +158,6 @@ class Simulation:
     and dropped before a phase-field solve and before a mechanics build.
     """
 
-    mesh: Mesh
     tables: ElementTables
     params: MaterialParams
     gc_elem: np.ndarray                 # per-element Gc (interface overrides applied)
@@ -171,6 +170,10 @@ class Simulation:
     q_flow: np.ndarray | None = None    # (n_nodes,) nodal fluid sources [m^2/s]
     crack_nodes: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     p_init: float = 0.0
+
+    @property
+    def mesh(self) -> Mesh:
+        return self.tables.mesh
 
     def __post_init__(self):
         n = self.mesh.n_nodes

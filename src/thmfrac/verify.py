@@ -77,8 +77,8 @@ def verify_terzaghi(fast: bool = False) -> dict:
     runtime = time.perf_counter() - start
 
     mesh = sim.mesh
-    row = mesh.boundary_nodes["bottom"]          # nodes along y = 0, ordered in x
-    xs = mesh.nodes[row, 0]
+    row = mesh.boundary_nodes["bottom"]          # nodes along y = 0, at x = xs
+    xs = mesh.xs
     coeffs = analytic.terzaghi_coeffs(cfg.materials, L)
 
     criteria = []

@@ -1,10 +1,11 @@
 """Reference implementations the fast paths are tested against: element-loop
 assembly, general isoparametric element data from the node coordinates,
 Dirichlet elimination as a gather into the reduced structure of the
-constrained operator, the mechanics residual whose Jacobian the mechanics
-operator is, and the fracture permeability from the crack normal. Also
-small helpers that turn operator data on a field layout into scipy
-matrices, and a scipy matrix into operator storage."""
+constrained operator, edge-by-edge boundary loads, the mechanics residual
+whose Jacobian the mechanics operator is, and the fracture permeability
+from the crack normal. Also small helpers that turn operator data on a
+field layout into scipy matrices, and a scipy matrix into operator
+storage."""
 
 from dataclasses import dataclass
 
@@ -71,6 +72,21 @@ def assemble(mesh: Mesh, element_kernel) -> tuple[sp.csr_matrix, np.ndarray]:
     b = np.zeros(n)
     np.add.at(b, mesh.elems.ravel(), FE.ravel())
     return A, b
+
+
+def edge_load(mesh: Mesh, side: str, traction) -> np.ndarray:
+    """Consistent nodal forces of a constant traction on a boundary side,
+    edge by edge: each edge between consecutive side nodes puts half of
+    its load t L on either end node."""
+    f = np.zeros(2 * mesh.n_nodes)
+    tx, ty = traction
+    ids = mesh.boundary_nodes[side]
+    for n1, n2 in zip(ids[:-1], ids[1:]):
+        L = float(np.hypot(*(mesh.nodes[n2] - mesh.nodes[n1])))
+        for n in (n1, n2):
+            f[2 * n] += 0.5 * tx * L
+            f[2 * n + 1] += 0.5 * ty * L
+    return f
 
 
 @dataclass

@@ -301,6 +301,11 @@ class TestCLIHelpers:
         assert "UNSTRUCTURED_GRID" in text
         assert "CELL_TYPES" in text
 
+    def test_mesh_dump_creates_the_parent_directory(self, tmp_path):
+        out = tmp_path / "a" / "b" / "mesh.vtk"
+        assert main(["mesh-dump", "terzaghi", "--out", str(out)]) == 0
+        assert "UNSTRUCTURED_GRID" in out.read_text()
+
     def test_override_applies_before_validation(self, tmp_path, capsys):
         # an override that breaks the config must exit 2
         assert main(["run", "terzaghi", "--override", "materials.E=-5",

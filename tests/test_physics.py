@@ -210,8 +210,8 @@ class TestTableKernels:
         self._close(physics._divergence(tb, s), ref)
 
     def test_quadrature_point_interpolation(self, tb, iso, rng):
-        f = rng.normal(size=tb.n_nodes)
-        u = rng.normal(size=2 * tb.n_nodes)
+        f = rng.normal(size=tb.mesh.n_nodes)
+        u = rng.normal(size=2 * tb.mesh.n_nodes)
         perm = law.Permeability(*rng.normal(size=(3,) + iso.detJw.shape))
         self._close(scalar_qp(tb, f), np.einsum("qi,ei->eq", iso.N, f[tb.conn]))
         grad = np.einsum("eqid,ei->eqd", iso.dNdx, f[tb.conn])
@@ -271,8 +271,8 @@ def test_tables_hold_at_most_8_values_per_element(generic_params, rng):
     build_phasefield_system(tb, mp, np.full(mesh.n_elems, mp.Gc), u, p, T)
     physics.grad_qp(tb, p)
     sizes = {k: a.size for k, a in vars(tb).items() if isinstance(a, np.ndarray)}
-    assert {"conn", "dofs_vec", "qp_detJ", "qp_h_e", "qp_grad", "qp_aspect",
-            "qp_half"} <= set(sizes)
+    assert {"dofs_vec", "qp_detJ", "qp_h_e", "qp_grad", "qp_aspect", "qp_half"} <= set(sizes)
+    assert tb.conn is mesh.elems and tb.h is mesh.h     # the mesh's, not copies
     assert max(sizes.values()) <= 8 * mesh.n_elems, sizes
 
 

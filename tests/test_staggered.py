@@ -40,7 +40,7 @@ def make_cracked_strip(Gc=10.0, load=0.0, k_res=1e-6, solve_thermal=False):
     bc_u = (np.concatenate([2 * bottom, 2 * bottom + 1]),
             np.zeros(2 * bottom.size))
     bc_p = (mesh.boundary_nodes["right"], np.zeros(11))
-    return Simulation(mesh=mesh, tables=tables, params=mp,
+    return Simulation(tables=tables, params=mp,
                       gc_elem=np.full(mesh.n_elems, Gc),
                       solve_thermal=solve_thermal, solve_phasefield=True,
                       bc_u=bc_u, bc_p=bc_p, crack_nodes=crack)
