@@ -40,6 +40,17 @@ def _setup_logging():
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
+def _thread_cap(text: str) -> int:
+    # OpenBLAS reads 0 or a negative count as "every core"
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _pin_threads(n: int):
     # must happen before numpy is first imported
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -145,7 +156,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="thmfrac",
         description="Thermo-hydro-mechanical phase-field hydraulic fracturing")
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=_thread_cap, default=1,
                         help="BLAS/OpenMP thread cap (default 1, reproducible)")
     sub = parser.add_subparsers(dest="command", required=True)
 

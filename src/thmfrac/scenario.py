@@ -30,17 +30,15 @@ def _edge_load(mesh: Mesh, edge_set: str, traction) -> np.ndarray:
 
 
 def _merge_dirichlet(entries: list[tuple[np.ndarray, float]]) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse (dofs, value) pairs into unique arrays; later entries win."""
-    table: dict[int, float] = {}
-    for dofs, value in entries:
-        for d in np.asarray(dofs, dtype=np.int64):
-            table[int(d)] = float(value)
-    if not table:
+    """Collapse (dofs, value) pairs into unique arrays sorted by dof; later
+    entries win."""
+    if not entries:
         return np.empty(0, dtype=np.int64), np.empty(0)
-    dofs = np.fromiter(table.keys(), dtype=np.int64)
-    order = np.argsort(dofs)
-    vals = np.fromiter(table.values(), dtype=float)
-    return dofs[order], vals[order]
+    dofs = np.concatenate([np.asarray(d, dtype=np.int64) for d, _ in entries])
+    vals = np.concatenate([np.full(len(d), float(v)) for d, v in entries])
+    # np.unique indexes the first occurrence, which in reverse is the last entry
+    unique, last = np.unique(dofs[::-1], return_index=True)
+    return unique, vals[::-1][last]
 
 
 def build_simulation(cfg: ScenarioConfig) -> Simulation:

@@ -7,6 +7,16 @@ relative increments drop below ``tol_tpu``; the outer loop stops when the
 phase-field increment drops below ``tol_stag``. Irreversibility enters
 through the upper bound: nodes whose previous-step value sits below
 ``v_ir`` may not heal past it.
+
+The inner pressure iterate is Anderson-mixed. Two consecutive steps with
+the same dt and the same phase field share the linear part of their
+fixed-point map, and the previous step's state only shifts it, a shift
+that cancels in secant differences. So a step that continues a
+simulation's last returned state at the same dt and v starts its mixer
+from the last step's secant pairs instead of from nothing, the reuse
+behind Krylov subspace recycling (Parks et al. 2006, SIAM J. Sci.
+Comput. 28). Mixing changes the path of the iteration, not its fixed
+point.
 """
 
 from __future__ import annotations
@@ -75,6 +85,7 @@ class StepReport:
     inner_iters: list[int]
     v_increments: list[float]
     tpu_increments: list[tuple[float, float, float]]
+    carried_pairs: int      # secant pairs the step's mixer started with
 
 
 def _rel(new: np.ndarray, old: np.ndarray) -> float:
@@ -95,17 +106,41 @@ class _AndersonMixer:
     the iterate history removes that stiff mode without changing the fixed
     point. Dirichlet values are preserved because the extrapolation only
     adds differences of admissible iterates.
+
+    A secant pair is the difference of two successive residuals g - x and
+    of the two iterates g. The mixer fits on the step's own window of the
+    last ``_ANDERSON_WINDOW`` pairs (FIFO) and, beside it, on the pairs
+    that ``restart`` carried over from the previous step, so the first
+    ``mix`` after a restart fits on the carried pairs alone. Carried pairs
+    stay for the whole step: evicting them as the step's own pairs arrive
+    took more inner passes on Terzaghi columns than carrying nothing. A
+    mixer that carries none mixes bit for bit as one with the own window
+    alone. A zero residual or a non-finite mixed iterate resets
+    everything, carried pairs included.
     """
 
     def __init__(self, n: int):
-        # secant differences of the last window, oldest in column 0
-        self._dF = np.empty((n, _ANDERSON_WINDOW))
-        self._dG = np.empty((n, _ANDERSON_WINDOW))
+        # secant differences, oldest in column 0: the carried pairs in the
+        # first ``carried`` columns, then the step's own window
+        self._dF = np.empty((n, 2 * _ANDERSON_WINDOW))
+        self._dG = np.empty((n, 2 * _ANDERSON_WINDOW))
         self.reset()
 
     def reset(self):
-        self._m = 0         # columns of _dF and _dG in use
+        self.carried = 0    # columns of carried pairs
+        self._m = 0         # columns of the own window in use
         self._last: tuple[np.ndarray, np.ndarray] | None = None    # previous (f, g)
+
+    def restart(self):
+        """Carry the last secant pairs, at most ``_ANDERSON_WINDOW`` of them,
+        into a new step's iteration, and drop the previous iterate, so that
+        no pair spans two steps."""
+        total = self.carried + self._m
+        keep = min(total, _ANDERSON_WINDOW)
+        if keep < total:
+            self._dF[:, :keep] = self._dF[:, total - keep:total]
+            self._dG[:, :keep] = self._dG[:, total - keep:total]
+        self.carried, self._m, self._last = keep, 0, None
 
     def mix(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         f = g - x
@@ -116,18 +151,20 @@ class _AndersonMixer:
             self.reset()
             return g
         last, self._last = self._last, (f, g)
-        if last is None:
+        dF, dG, c, m = self._dF, self._dG, self.carried, self._m
+        if last is not None:
+            if m == _ANDERSON_WINDOW:
+                dF[:, c:c + m - 1] = dF[:, c + 1:c + m]
+                dG[:, c:c + m - 1] = dG[:, c + 1:c + m]
+                m -= 1
+            np.subtract(f, last[0], out=dF[:, c + m])
+            np.subtract(g, last[1], out=dG[:, c + m])
+            m = self._m = m + 1
+        k = c + m
+        if k == 0:
             return g
-        dF, dG, m = self._dF, self._dG, self._m
-        if m == _ANDERSON_WINDOW:
-            dF[:, :-1] = dF[:, 1:]
-            dG[:, :-1] = dG[:, 1:]
-            m -= 1
-        np.subtract(f, last[0], out=dF[:, m])
-        np.subtract(g, last[1], out=dG[:, m])
-        m = self._m = m + 1
-        gamma, *_ = np.linalg.lstsq(dF[:, :m], f, rcond=1e-12)
-        mixed = g - dG[:, :m] @ gamma
+        gamma, *_ = np.linalg.lstsq(dF[:, :k], f, rcond=1e-12)
+        mixed = g - dG[:, :k] @ gamma
         if not np.all(np.isfinite(mixed)):
             self.reset()
             return g
@@ -156,6 +193,11 @@ class Simulation:
     (``MechanicsOperator``) only when v or the frozen branch flags differ
     from its last build, so its factor is kept as long as the operator,
     and dropped before a phase-field solve and before a mechanics build.
+
+    The simulation also owns the inner loop's ``_AndersonMixer``, kept
+    across the steps of a run, and remembers the state, dt and v of the
+    last step it returned, so that the next step can carry that step's
+    secant pairs (see ``time_step``).
     """
 
     tables: ElementTables
@@ -185,6 +227,11 @@ class Simulation:
                                        (self.mesh.n_elems,)).copy()
         self._ops: dict[str, FieldOperator] = {}
         self._mech: MechanicsOperator | None = None
+        self._mixer = _AndersonMixer(n)
+        # (state, dt, v) of the last step returned, whose secant pairs the
+        # next step may carry; cleared while a step runs, so a failed step
+        # leaves nothing to carry
+        self._carry: tuple[FieldState, float, np.ndarray] | None = None
 
     def _operator(self, field: str) -> FieldOperator:
         """The operator storage of ``field`` (T, p, u or v)."""
@@ -265,7 +312,16 @@ class Simulation:
         """One step from ``prev``. Each quadrature-point quantity is formed
         at the loop level where it changes: the previous level's once per
         step, v's once per outer iteration, and the strain state and new
-        temperature once per inner pass."""
+        temperature once per inner pass.
+
+        The first outer iteration keeps the mixer's last secant pairs, at
+        most ``_ANDERSON_WINDOW`` of them, when ``prev`` is the state this
+        simulation's last step returned (by identity), ``dt`` is that
+        step's and v is unchanged by value since the pairs were formed;
+        otherwise, and in every later outer iteration, the mixer starts
+        from nothing. Phase-field runs change v in every outer iteration,
+        so they never carry pairs. The report records how many pairs the
+        step started with."""
         if not (dt > 0.0 and math.isfinite(dt)):
             raise ValueError(f"dt must be positive and finite, got {dt}")
         n = self.mesh.n_nodes
@@ -283,7 +339,9 @@ class Simulation:
         v_incs: list[float] = []
         inner_counts: list[int] = []
         tpu_incs: list[tuple[float, float, float]] = []
-        mixer = _AndersonMixer(n)
+        mixer = self._mixer
+        carry, self._carry = self._carry, None
+        continues = carry is not None and carry[0] is prev and carry[1] == dt
 
         for m in range(1, controls.max_outer + 1):
             if self.solve_phasefield:
@@ -291,7 +349,12 @@ class Simulation:
             else:
                 v_new = v_cur
 
-            mixer.reset()
+            if m == 1 and continues and np.array_equal(v_new, carry[2]):
+                mixer.restart()
+            else:
+                mixer.reset()
+            if m == 1:
+                carried = mixer.carried
             # heat and flow share the strain-derived state of the iterate;
             # the first pass's state also gives the stiffness branch flags,
             # frozen across the inner loop: refreshing them per (T, p, u)
@@ -329,7 +392,9 @@ class Simulation:
             v_cur = v_new
             if not self.solve_phasefield or dv < controls.tol_stag:
                 report = StepReport(outer_iters=m, inner_iters=inner_counts,
-                                    v_increments=v_incs, tpu_increments=tpu_incs)
+                                    v_increments=v_incs, tpu_increments=tpu_incs,
+                                    carried_pairs=carried)
+                self._carry = (it, dt, v_new.copy())
                 return it, report
 
         raise NonConvergence(
@@ -370,8 +435,8 @@ def run(sim: Simulation, controls: SolverControls, on_step=None) -> RunResult:
             times.append(t)
             states.append(state)
             reports.append(report)
-            log.debug("t = %.6g s: outer %d, inner %s", t, report.outer_iters,
-                      report.inner_iters)
+            log.debug("t = %.6g s: outer %d, inner %s, carried pairs %d", t,
+                      report.outer_iters, report.inner_iters, report.carried_pairs)
             if on_step is not None:
                 on_step(t, state, report)
     return RunResult(times=times, states=states, reports=reports)

@@ -1,7 +1,8 @@
 """Reference implementations the fast paths are tested against: element-loop
 assembly, general isoparametric element data from the node coordinates,
 Dirichlet elimination as a gather into the reduced structure of the
-constrained operator, edge-by-edge boundary loads, the mechanics residual
+constrained operator, edge-by-edge boundary loads, Dirichlet entries
+merged one dof at a time, the mechanics residual
 whose Jacobian the mechanics operator is, and the fracture permeability
 from the crack normal. Also small helpers that turn operator data on a
 field layout into scipy matrices, and a scipy matrix into operator
@@ -87,6 +88,21 @@ def edge_load(mesh: Mesh, side: str, traction) -> np.ndarray:
             f[2 * n] += 0.5 * tx * L
             f[2 * n + 1] += 0.5 * ty * L
     return f
+
+
+def merge_dirichlet(entries) -> tuple[np.ndarray, np.ndarray]:
+    """(dofs, value) pairs collapsed through a dict, one dof at a time;
+    later entries win, dofs sorted."""
+    table: dict[int, float] = {}
+    for dofs, value in entries:
+        for d in np.asarray(dofs, dtype=np.int64):
+            table[int(d)] = float(value)
+    if not table:
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    dofs = np.fromiter(table.keys(), dtype=np.int64)
+    order = np.argsort(dofs)
+    vals = np.fromiter(table.values(), dtype=float)
+    return dofs[order], vals[order]
 
 
 @dataclass

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -293,6 +294,21 @@ class TestCLIHelpers:
     def test_unknown_benchmark_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
             main(["verify", "nope"])
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_thread_cap_below_one_is_a_usage_error(self, threads, tmp_path, monkeypatch,
+                                                   capsys):
+        # OpenBLAS reads 0 or a negative count as "every core"; the value is
+        # rejected before the cap is written and before any numerical work
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        out = tmp_path / "mesh.vtk"
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", threads, "mesh-dump", "terzaghi", "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"--threads: must be at least 1, got {threads}" in capsys.readouterr().err
+        assert "OPENBLAS_NUM_THREADS" not in os.environ and not out.exists()
 
     def test_mesh_dump_writes_vtk(self, tmp_path):
         out = tmp_path / "mesh.vtk"

@@ -18,6 +18,7 @@ from thmfrac.presets import terzaghi, thermal_consolidation
 from thmfrac.scenario import build_simulation
 from thmfrac.staggered import SolverControls, Simulation, _AndersonMixer, run
 
+from test_heat_guard import column_config
 from test_kgd import small_kgd
 
 
@@ -189,6 +190,21 @@ class TestConvergenceControl:
         assert result.reports == []
 
 
+def _secant_pairs(F, G):
+    """The (dF, dG) columns of successive entries of an (f, g) history."""
+    return [(F[i + 1] - F[i], G[i + 1] - G[i]) for i in range(len(F) - 1)]
+
+
+def _column_stack_mix(pairs, x, g):
+    """Anderson's mixed iterate on the (dF, dG) ``pairs``, stacked afresh."""
+    if not pairs:
+        return g
+    dF = np.column_stack([df for df, _ in pairs])
+    dG = np.column_stack([dg for _, dg in pairs])
+    gamma, *_ = np.linalg.lstsq(dF, g - x, rcond=1e-12)
+    return g - dG @ gamma
+
+
 class TestTerzaghiFromRest:
     def test_column_consolidates_against_series(self):
         # a column loaded from rest returns p = 0 on its first inner pass;
@@ -217,30 +233,138 @@ class TestTerzaghiFromRest:
 
 
     def test_mixed_iterates_are_bitwise_the_column_stack_formulation(self, rng):
-        # the secant differences of the last four pairs, stacked afresh on
-        # every call from the kept (f, g) history, oldest column first
+        # the secant differences of the carried pairs and of the last four
+        # own pairs, stacked afresh on every call from the kept (f, g)
+        # history, oldest column first; a restart carries the last four
+        # differences and starts a new own history, a reset drops both
         n, window = 50, 4
         mixer = _AndersonMixer(n)
-        F, G = [], []
+        carried, F, G = [], [], []
         x = rng.normal(size=n)
-        for k in range(12):
-            if k == 7:
+        for k in range(20):
+            if k == 14:
                 mixer.reset()
+                carried, F, G = [], [], []
+            if k in (3, 5, 11, 14):
+                # at 14 right after the reset, with nothing to carry
+                mixer.restart()
+                carried = (carried + _secant_pairs(F, G))[-window:]
                 F, G = [], []
+                assert mixer.carried == len(carried) <= window, k
             g = 0.7 * x + rng.normal(scale=0.1, size=n)
             got = mixer.mix(x, g)
             F.append(g - x)
             G.append(g)
             del F[:-window - 1], G[:-window - 1]
-            m = len(F) - 1
-            ref = g
-            if m:
-                dF = np.column_stack([F[i + 1] - F[i] for i in range(m)])
-                dG = np.column_stack([G[i + 1] - G[i] for i in range(m)])
-                gamma, *_ = np.linalg.lstsq(dF, g - x, rcond=1e-12)
-                ref = g - dG @ gamma
+            ref = _column_stack_mix(carried + _secant_pairs(F, G), x, g)
             assert got.tobytes() == ref.tobytes(), k
             x = got
+
+
+class TestCarriedSecantPairs:
+    """A step that continues the run at the same dt and v starts its mixer
+    from the last step's secant pairs; any other step starts from nothing."""
+
+    @staticmethod
+    def _mixes(rng, mixer, x, passes):
+        """``passes`` mixes of a contracting map from ``x``: the last
+        iterate and the (f, g) of each pass."""
+        F, G = [], []
+        for _ in range(passes):
+            g = 0.7 * x + rng.normal(scale=0.1, size=x.size)
+            F.append(g - x)
+            G.append(g)
+            x = mixer.mix(x, g)
+        return x, F, G
+
+    def test_restart_carries_the_last_four_pairs_into_the_first_mix(self, rng):
+        mixer = _AndersonMixer(30)
+        x, F, G = self._mixes(rng, mixer, rng.normal(size=30), 7)   # six pairs
+        mixer.restart()
+        assert mixer.carried == 4
+        carried = _secant_pairs(F, G)[-4:]
+        # the first mix fits on the carried pairs alone: no pair joins the
+        # last iterate of one step to the first of the next
+        g = 0.7 * x + rng.normal(scale=0.1, size=30)
+        got = mixer.mix(x, g)
+        assert got.tobytes() == _column_stack_mix(carried, x, g).tobytes()
+        # two own pairs and the two latest carried ones make the next carry
+        _, F, G = self._mixes(rng, mixer, got, 2)
+        own = _secant_pairs([g - x] + F, [g] + G)
+        mixer.restart()
+        assert mixer.carried == 4
+        x, g = rng.normal(size=30), rng.normal(size=30)
+        assert mixer.mix(x, g).tobytes() == _column_stack_mix(carried[2:] + own, x, g).tobytes()
+
+    @pytest.mark.parametrize("drop", ["reset", "zero residual", "non-finite mix"])
+    def test_reset_zero_residual_and_non_finite_mix_drop_the_carried_pairs(self, drop):
+        mixer = _AndersonMixer(3)
+        # one pair whose dF is tiny and whose dG is large
+        mixer.mix(np.array([-1e-300, 0.0, 0.0]), np.zeros(3))
+        mixer.mix(np.array([-2e-300, 1e10, 0.0]), np.array([0.0, 1e10, 0.0]))
+        mixer.restart()
+        assert mixer.carried == 1
+        x, g = np.array([-1.0, 0.0, 0.0]), np.zeros(3)
+        if drop == "reset":
+            mixer.reset()
+        elif drop == "zero residual":
+            assert np.array_equal(mixer.mix(x, x), x)
+        else:
+            # gamma = 1e300 takes the mixed iterate past the float range
+            with np.errstate(over="ignore"):
+                assert np.array_equal(mixer.mix(x, g), g)
+        assert mixer.carried == 0
+        # the next call is a plain first step
+        assert np.array_equal(mixer.mix(x, g), g)
+
+    def test_a_run_of_the_heat_guard_column_carries_after_its_first_step(self):
+        cfg = column_config()
+        result = run(build_simulation(cfg), cfg.controls)
+        carried = [r.carried_pairs for r in result.reports]
+        assert carried[0] == 0 and all(c > 0 for c in carried[1:]), carried
+
+    @pytest.mark.parametrize("case", ["earlier state", "copy of the last state", "other dt"])
+    def test_a_step_that_does_not_continue_the_run_equals_a_fresh_simulations(self, case):
+        cfg = column_config()
+        sim = build_simulation(cfg)
+        states = run(sim, cfg.controls).states
+        dt = cfg.controls.dt_schedule[0][1]
+        prev = {"earlier state": states[2], "copy of the last state": states[-1].copy(),
+                "other dt": states[-1]}[case]
+        if case == "other dt":
+            dt *= 0.5
+        got, report = sim.time_step(prev, dt, cfg.controls)
+        ref, ref_report = build_simulation(cfg).time_step(prev, dt, cfg.controls)
+        for name in ("u", "p", "T", "v"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert report == ref_report and report.carried_pairs == 0
+
+    def test_a_run_on_the_small_kgd_mesh_never_carries(self):
+        # the phase field changes v in every outer iteration
+        cfg = small_kgd()
+        result = run(build_simulation(cfg), cfg.controls)
+        assert [r.carried_pairs for r in result.reports] == [0, 0]
+
+    def test_carried_and_fresh_mixers_reach_the_same_fixed_point(self):
+        # the carried pairs change the path of the inner iteration, not
+        # where it ends: at a tight inner tolerance a run that carries and
+        # one that starts a fresh mixer in every step agree
+        cfg = terzaghi()
+        cfg.nx = 20
+        controls = dataclasses.replace(cfg.controls, dt_schedule=[(10.0, 2.0)],
+                                       tol_tpu=1e-12)
+        carrying = run(build_simulation(cfg), controls)
+        assert all(r.carried_pairs > 0 for r in carrying.reports[1:])
+        sim = build_simulation(cfg)
+        state = sim.initial_state()
+        for _ in carrying.reports:
+            # a copy is never the state the last step returned
+            state, report = sim.time_step(state.copy(), 2.0, controls)
+            assert report.carried_pairs == 0
+        for name in ("u", "p", "T"):
+            x, ref = getattr(carrying.states[-1], name), getattr(state, name)
+            assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max(), name
+
 
 def _fresh_mechanics_solve(sim, v, p, T, h):
     tb = sim.tables
