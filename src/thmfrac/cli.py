@@ -4,7 +4,8 @@ Subcommands: ``run`` (preset name or config file), ``verify`` (benchmark
 harness) and ``mesh-dump`` (VTK of a preset's mesh). ``run --override``
 sets any config value, such as ``controls.dt_schedule=[[0.1,0.01],[3.9,0.1]]``
 (0.1 s at dt = 0.01 s, then 3.9 s at 0.1 s). ``--dT`` and ``--fast`` apply
-only to presets that take them. Exit codes: 0 success, 2 config error
+only to presets that take them, and ``verify --fast`` only to benchmarks
+with a coarse variant. Exit codes: 0 success, 2 config error
 (including a scenario that cannot be set up, such as a probe outside the
 mesh), 3 solver failure, 4 verification failure. The THMFRAC_LOG
 environment variable ({error, info, debug}) controls verbosity.
@@ -110,8 +111,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import format_report, run_verification
+    from .verify import format_report, run_verification, takes_fast
 
+    if args.fast and not takes_fast(args.benchmark):
+        print(f"configuration error: --fast does not apply to benchmark "
+              f"{args.benchmark!r}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         report = run_verification(args.benchmark, fast=args.fast)
     except KeyError as exc:

@@ -95,6 +95,20 @@ class ProbeSpec:
             raise ValueError(f"a {self.kind} probe needs a point")
 
 
+@dataclass(frozen=True)
+class WeakInterface:
+    """A segment whose crossed elements take ``gc_ratio`` times the material's Gc."""
+
+    segment: list[tuple[float, float]]
+    gc_ratio: float
+
+    def __post_init__(self):
+        if len(self.segment) != 2:
+            raise ValueError(f"segment must have two end points, got {self.segment!r}")
+        if not (self.gc_ratio > 0.0 and math.isfinite(self.gc_ratio)):
+            raise ValueError(f"gc_ratio must be positive and finite, got {self.gc_ratio}")
+
+
 @dataclass
 class ScenarioConfig:
     name: str
@@ -105,7 +119,7 @@ class ScenarioConfig:
     controls: SolverControls
     refine_bands: list[RefineBand] = field(default_factory=list)
     cracks: list[list[tuple[float, float]]] = field(default_factory=list)
-    weak_interfaces: list[tuple[list[tuple[float, float]], float]] = field(default_factory=list)
+    weak_interfaces: list[WeakInterface] = field(default_factory=list)
     solve_thermal: bool = True
     solve_phasefield: bool = True
     bcs_mech: list[MechBC] = field(default_factory=list)
@@ -169,7 +183,6 @@ _KINDS = {
     "bool": (bool, _reject, "true/false"),
     "tuple[float, float]": (None, _point, "[x, y]"),
     "list[tuple[float, float]]": (None, _points, "a non-empty list of [x, y]"),
-    "segment": (None, lambda v: _points(v, 2), "[[x0, y0], [x1, y1]]"),
     "segments": (None, _segments, "a list of [[x0, y0], [x1, y1]]"),
     "list": (list, _reject, "a list"),
     "object": (dict, _object, "an object"),
@@ -194,7 +207,7 @@ def _dataclass_schema(cls):
 
 
 _SCHEMAS = {cls: _dataclass_schema(cls) for cls in (
-    MaterialParams, SolverControls, RefineBand, MechBC, Injection, ProbeSpec)}
+    MaterialParams, SolverControls, RefineBand, MechBC, Injection, ProbeSpec, WeakInterface)}
 _SCALAR_BCS = {kind: _schema(("set", key), {key: "value"}, set="str", **{key: "float"})
                for kind, key in (("flow", "pressure"), ("heat", "temperature"))}
 _SCENARIO = _schema(("geometry", "materials", "controls"), name="str",
@@ -204,7 +217,6 @@ _SCENARIO = _schema(("geometry", "materials", "controls"), name="str",
 _GEOMETRY = _schema(("domain", "mesh"), domain="tuple[float, float]", mesh="object",
                     refine_bands="list", cracks="segments", weak_interfaces="list")
 _MESH = _schema(("nx", "ny"), nx="int", ny="int")
-_INTERFACE = _schema(("segment", "gc_ratio"), segment="segment", gc_ratio="float")
 _PHYSICS = _schema(solve_thermal="bool", solve_phasefield="bool")
 _BCS = _schema(mechanics="list", flow="list", heat="list")
 _SOURCES = _schema(injection="object")
@@ -282,13 +294,6 @@ def config_from_dict(raw: dict, name_hint: str = "scenario") -> ScenarioConfig:
     snapshot_every = out.get("snapshot_every", 0)
     if snapshot_every < 0:
         errors.append(f"outputs.snapshot_every: must be >= 0, got {snapshot_every}")
-    interfaces = []
-    for i, w in enumerate(geo.get("weak_interfaces", [])):
-        path = f"geometry.weak_interfaces[{i}]"
-        w = _fields(w, _INTERFACE, path, errors)
-        if not w.get("gc_ratio", 1.0) > 0.0:
-            errors.append(f"{path}.gc_ratio: must be positive, got {w['gc_ratio']}")
-        interfaces.append((w.get("segment"), w.get("gc_ratio")))
 
     injection = src.get("injection")
     cfg = dict(
@@ -297,7 +302,9 @@ def config_from_dict(raw: dict, name_hint: str = "scenario") -> ScenarioConfig:
         controls=_read(SolverControls, top.get("controls", {}), "controls", errors),
         refine_bands=_read_all(RefineBand, geo.get("refine_bands", []),
                                "geometry.refine_bands", errors),
-        cracks=geo.get("cracks", []), weak_interfaces=interfaces,
+        cracks=geo.get("cracks", []),
+        weak_interfaces=_read_all(WeakInterface, geo.get("weak_interfaces", []),
+                                  "geometry.weak_interfaces", errors),
         solve_thermal=phys.get("solve_thermal", True),
         solve_phasefield=phys.get("solve_phasefield", True),
         bcs_mech=_read_all(MechBC, bcs.get("mechanics", []), "bcs.mechanics", errors),
@@ -367,8 +374,7 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
         "name": c["name"],
         "geometry": {"domain": c["domain"], "mesh": {"nx": c["nx"], "ny": c["ny"]},
                      "refine_bands": c["refine_bands"], "cracks": c["cracks"],
-                     "weak_interfaces": [{"segment": s, "gc_ratio": r}
-                                         for s, r in c["weak_interfaces"]]},
+                     "weak_interfaces": c["weak_interfaces"]},
         "materials": c["materials"],
         "physics": {"solve_thermal": c["solve_thermal"],
                     "solve_phasefield": c["solve_phasefield"]},

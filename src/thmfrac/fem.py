@@ -14,14 +14,14 @@ positions of every slot in the grid's own ordering. Assembly is one
 to its factor, and the Dirichlet elimination, the factorization and the
 solve gate all read the same record. A ``FieldOperator`` is the
 linear-algebra state of one field, kept by its owner between solves: its
-layout, its ``Dirichlet`` constraints, its operator as assembled and as
-eliminated (CSR matrices whose data each solve replaces: after a field's
-first solve no sub-solve builds a sparse object), the lift of its
-constraints and its factor. ``apply_dirichlet`` loads new data, eliminates
-the constraints (one multiply by a slot mask, ``eliminate``, as for the
-phase-field active set), forms the lift and drops the factor. Every linear
-solve passes ``solve_linear`` and its gate (a non-finite solution or a
-residual above 1e-10 ||b|| raises ``SolverFailure``).
+layout, Dirichlet constraints, operator as assembled and as eliminated (CSR
+matrices whose data each solve replaces: after a field's first solve no
+sub-solve builds a sparse object), lift and one factor, never older than
+the operator: new data (``load``, and so ``apply_dirichlet``, or an
+elimination, one multiply by a slot mask) empty it, and ``solve_linear``
+fills an empty one. Every linear solve passes ``solve_linear`` and its gate
+(a non-finite solution or a residual above 1e-10 ||b|| raises
+``SolverFailure``).
 
 Every factorization is a dense banded LAPACK factorization in the grid's
 own ordering, numbered across its short side: the tensor-product node
@@ -262,93 +262,69 @@ def scatter_vector(tables: ElementTables, FE: np.ndarray, vector: bool = False) 
     return np.bincount(dofs.ravel(), weights=FE.ravel(), minlength=n)
 
 
-def eliminate(A: sp.csr_matrix, mask: np.ndarray, unit: np.ndarray,
-              out: sp.csr_matrix) -> sp.csr_matrix:
-    """Row and column elimination of ``A`` into ``out`` (on A's structure):
-    A's data times the slot ``mask`` (1 where row and column both stay, else
-    0), 1 on the diagonal slots ``unit``; eliminated entries stay as zeros."""
-    data = A.data * mask
-    data[unit] = 1.0
-    out.data = data
-    return out
-
-
-@dataclass(frozen=True)
-class Dirichlet:
-    """Static Dirichlet constraints of one field, resolved against its layout.
-
-    Row/column elimination preserving symmetry: the entries of constrained
-    rows and columns become zero, constrained diagonals 1 and the rhs of
-    free dofs absorbs -A[:, c] g. Its slot ``mask`` and unit diagonal slots
-    are resolved once on the field's layout, which every matrix passed in
-    must be on, so each elimination is one multiply (see ``eliminate``).
-    """
-
-    dofs: np.ndarray
-    values: np.ndarray
-    lift: np.ndarray | None  # (n,) prescribed values, zero on free dofs; None if all are 0
-    keep: np.ndarray        # (n,) 1 on free dofs, 0 on constrained ones
-    mask: np.ndarray        # (nnz,) 1 on the layout slots of free-free entries
-    unit: np.ndarray        # layout slots of the constrained diagonals
-
-    @classmethod
-    def on(cls, layout: FieldLayout, dofs, values) -> "Dirichlet":
-        dofs = np.asarray(dofs, dtype=np.int64)
-        values = np.broadcast_to(np.asarray(values, dtype=float), dofs.shape).copy()
-        n = layout.shape[0]
-        lift = None
-        if values.any():
-            lift = np.zeros(n)
-            lift[dofs] = values
-        keep = np.ones(n)
-        keep[dofs] = 0.0
-        return cls(dofs=dofs, values=values, lift=lift, keep=keep,
-                   mask=keep[layout.rows] * keep[layout.indices], unit=layout.diag[dofs])
-
-    def rhs(self, b: np.ndarray, lifted: np.ndarray | None) -> np.ndarray:
-        """``b`` eliminated, given the lift product ``lifted`` = A @ lift,
-        None for homogeneous constraints (A @ 0 is +0.0, and b - 0.0 = b)."""
-        out = (b if lifted is None else b - lifted) * self.keep
-        out[self.dofs] = self.values
-        return out
-
-
 class FieldOperator:
-    """Operator storage of one field, kept by its owner between solves.
+    """Linear-algebra state of one field, kept by its owner between solves.
 
-    ``bc`` holds the field's Dirichlet constraints (None for the phase
-    field, whose bounds ``solve_bound_constrained`` eliminates). The
-    operator is kept as assembled and with its constrained rows and
-    columns eliminated, as CSR matrices on the structure of the field's
-    ``layout`` whose data each solve replaces; ``lifted`` is the lift
-    product A @ g of the assembled operator (None when g = 0) and
-    ``factor`` the factor of the eliminated one while its owner keeps one
-    between solves, else None.
+    The Dirichlet constraints ``dofs`` = ``values`` are resolved once on
+    ``layout``, which every operator loaded must be on: ``keep`` (1 on free
+    dofs), the slot ``mask`` of free-free entries, the ``unit`` diagonal
+    slots and the ``lift`` g (None when g = 0). Elimination preserves
+    symmetry: constrained rows and columns become zero with 1 on the
+    diagonal, and the rhs of free dofs absorbs -A[:, c] g. The operator is
+    kept as ``assembled`` and ``eliminated``, CSR matrices whose data each
+    solve replaces, with the lift product ``lifted`` = A @ g. ``factor`` is
+    the field's one ``Factorization`` (``symmetric`` picks Cholesky or LU):
+    new data empty it, and ``solve_linear`` fills it.
     """
 
-    def __init__(self, layout: FieldLayout, bc: Dirichlet | None):
+    def __init__(self, layout: FieldLayout, dofs=(), values=0.0, symmetric: bool = True):
         self.layout = layout
-        self.bc = bc
+        self.dofs = np.asarray(dofs, dtype=np.int64)
+        self.values = np.broadcast_to(np.asarray(values, dtype=float), self.dofs.shape).copy()
+        n = layout.shape[0]
+        lift = np.zeros(n)
+        lift[self.dofs] = self.values
+        self.lift = lift if self.values.any() else None
+        self.keep = np.ones(n)
+        self.keep[self.dofs] = 0.0
+        self.mask = self.keep[layout.rows] * self.keep[layout.indices]
+        self.unit = layout.diag[self.dofs]
         self.assembled, self.eliminated = (
             sp.csr_matrix((np.zeros(layout.indices.size), layout.indices, layout.indptr),
                           shape=layout.shape) for _ in range(2))
         self.lifted: np.ndarray | None = None
-        self.factor: Factorization | None = None
+        self.factor = Factorization(layout, symmetric)
 
     def load(self, data: np.ndarray) -> sp.csr_matrix:
-        """The assembled operator, now holding ``data``."""
+        """The assembled operator, now holding ``data``; the factor is emptied."""
         self.assembled.data = data
+        self.factor.clear()
         return self.assembled
+
+    def eliminate(self, mask: np.ndarray, unit: np.ndarray) -> sp.csr_matrix:
+        """The eliminated operator, now the assembled data times the slot
+        ``mask`` with 1 on the diagonal slots ``unit``; the factor is emptied."""
+        data = self.assembled.data * mask
+        data[unit] = 1.0
+        self.eliminated.data = data
+        self.factor.clear()
+        return self.eliminated
+
+    def rhs(self, b: np.ndarray) -> np.ndarray:
+        """``b`` eliminated with the lift product of the last operator
+        (skipped for g = 0: A @ 0 is +0.0, and b - 0.0 = b)."""
+        out = (b if self.lifted is None else b - self.lifted) * self.keep
+        out[self.dofs] = self.values
+        return out
 
 
 def apply_dirichlet(op: FieldOperator, data: np.ndarray) -> None:
     """Load the operator ``data`` into ``op`` with its constraints
-    eliminated (see ``Dirichlet``), form their lift (None when every
-    prescribed value is zero) and drop the factor."""
+    eliminated, and form their lift product (None when every prescribed
+    value is zero); the factor is left empty."""
     A = op.load(data)
-    eliminate(A, op.bc.mask, op.bc.unit, op.eliminated)
-    op.lifted = None if op.bc.lift is None else A @ op.bc.lift
-    op.factor = None
+    op.eliminate(op.mask, op.unit)
+    op.lifted = None if op.lift is None else A @ op.lift
 
 
 # ---------------------------------------------------------------------------
@@ -356,17 +332,16 @@ def apply_dirichlet(op: FieldOperator, data: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 class Factorization:
-    """Banded factor of a Jacobi-scaled operator, kept by its owner.
+    """Banded factor of a Jacobi-scaled operator.
 
-    ``factorize`` fills it and ``solve`` solves with the unscaled operator.
-    The operator must be on the structure of its field's ``layout``: its
-    data are scattered into LAPACK band storage and its diagonal read
-    through it.
-    ``solve_linear`` fills an empty factor and solves with a filled one
-    without looking at the operator again, so the owner takes a fresh
-    ``Factorization`` whenever the operator changes. ``symmetric`` says
-    whether the operators of the factor's field are symmetric, which
-    selects Cholesky or LU (see ``factorize``).
+    ``factorize`` fills it, ``solve`` solves with the unscaled operator and
+    ``clear`` empties it. The operator must be on the structure of its
+    field's ``layout``: its data are scattered into LAPACK band storage and
+    its diagonal read through it. ``solve_linear`` fills an empty factor
+    and solves with a filled one without looking at the operator again;
+    a field's factor is held by its ``FieldOperator``, which empties it on
+    new data. ``symmetric`` says whether the operators of the factor's
+    field are symmetric, which selects Cholesky or LU (see ``factorize``).
     """
 
     def __init__(self, layout: FieldLayout, symmetric: bool = True):
@@ -375,6 +350,10 @@ class Factorization:
         self.band: np.ndarray | None = None    # the factor in band storage
         self.ipiv: np.ndarray | None = None    # LU pivots; None for Cholesky
         self.scale: np.ndarray | None = None
+
+    def clear(self):
+        """Drop the factor, so that the next ``solve_linear`` factorizes."""
+        self.band = self.ipiv = self.scale = None
 
     def factorize(self, A: sp.csr_matrix) -> "Factorization":
         """Factor diag(s) A diag(s) in the band layout.
@@ -434,7 +413,7 @@ def solve_linear(A: sp.csr_matrix, b: np.ndarray, factor: Factorization) -> np.n
     few iterative-refinement sweeps against the unscaled residual recover
     full accuracy. The factorization is banded Cholesky or banded LU in
     the factor's layout (see ``Factorization``), which ``A`` must be on. A
-    filled ``factor`` is reused; an empty one receives the new factor.
+    filled ``factor`` is reused without looking at ``A``; an empty one is filled.
     """
     n = A.shape[0]
     if factor.band is None:
@@ -480,11 +459,10 @@ def solve_bound_constrained(op: FieldOperator, b: np.ndarray, lower: np.ndarray,
     clamp violating components, release actives whose KKT multiplier has
     the wrong sign. At the solution the gradient r = Ax - b vanishes on
     free components, is >= 0 at lower bounds and <= 0 at upper bounds.
-    A is the operator ``op`` holds as assembled. The free block is A with
-    its active rows and columns eliminated into ``op.eliminated`` (see
-    ``eliminate``; rhs 0 there) and factorized afresh in ``op.layout``. Each free-block solve passes
-    ``solve_linear``, with its residual gate on the free block, refinement
-    and non-finite check.
+    A is the operator ``op`` holds as assembled. Each free block is A with
+    its active rows and columns eliminated by ``op.eliminate`` (rhs 0
+    there), and its solve passes ``solve_linear`` with ``op.factor``, with
+    its residual gate on the free block, refinement and non-finite check.
     """
     A = op.assembled
     n = A.shape[0]
@@ -508,9 +486,9 @@ def solve_bound_constrained(op: FieldOperator, b: np.ndarray, lower: np.ndarray,
         free = ~active
         if np.any(free):
             keep = free.astype(float)
-            Af = eliminate(A, keep[rows] * keep[A.indices], diag[active], op.eliminated)
+            Af = op.eliminate(keep[rows] * keep[A.indices], diag[active])
             rhs_f = (b - A @ np.where(active, x, 0.0)) * keep
-            x_f = solve_linear(Af, rhs_f, Factorization(op.layout))
+            x_f = solve_linear(Af, rhs_f, op.factor)
             x[free] = x_f[free]
             viol_lo = free & (x < lower - 1e-15)
             viol_up = free & (x > upper + 1e-15)

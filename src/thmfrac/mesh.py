@@ -205,18 +205,23 @@ def locate_points(mesh: Mesh, pts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def nodes_on_segment(mesh: Mesh, p0, p1, tol: float) -> np.ndarray:
-    """Node ids within ``tol`` of the segment p0-p1."""
+    """Node ids within ``tol`` of the segment p0-p1: those of its bounding
+    box grown by ``tol`` (and ulps, for rounding) projected onto it."""
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     d = p1 - p0
     L = float(np.hypot(*d))
     if L == 0.0:
         raise ValueError("degenerate segment")
-    rel = mesh.nodes - p0
-    t = (rel @ d) / (L * L)
+    pad = tol + 8.0 * np.spacing(np.maximum(np.abs(p0), np.abs(p1)) + tol)
+    lo, hi = np.minimum(p0, p1) - pad, np.maximum(p0, p1) + pad
+    i = np.arange(np.searchsorted(mesh.xs, lo[0]), np.searchsorted(mesh.xs, hi[0], "right"))
+    j = np.arange(np.searchsorted(mesh.ys, lo[1]), np.searchsorted(mesh.ys, hi[1], "right"))
+    nodes = np.column_stack([np.tile(mesh.xs[i], j.size), np.repeat(mesh.ys[j], i.size)])
+    t = ((nodes - p0) @ d) / (L * L)
     proj = p0 + np.clip(t, 0.0, 1.0)[:, None] * d
-    dist = np.hypot(*(mesh.nodes - proj).T)
-    return np.nonzero(dist <= tol)[0]
+    dist = np.hypot(*(nodes - proj).T)
+    return mesh.node_ids[np.ix_(j, i)].ravel()[dist <= tol]
 
 
 def elems_intersecting_segment(mesh: Mesh, p0, p1) -> np.ndarray:
@@ -248,5 +253,11 @@ def _clip_axis(c0: float, dc: float, lo: np.ndarray, hi: np.ndarray):
 
 
 def nearest_node(mesh: Mesh, x: float, y: float) -> int:
-    d2 = (mesh.nodes[:, 0] - x) ** 2 + (mesh.nodes[:, 1] - y) ** 2
-    return int(np.argmin(d2))
+    """Id of the node nearest to (x, y), a corner of the cell that
+    ``locate_points`` finds (PointNotFound outside the domain); on a tie
+    the lower id."""
+    eid, _, _ = locate_points(mesh, (x, y))
+    j, i = divmod(int(eid[0]), mesh.xs.size - 1)
+    d2 = (mesh.xs[i:i + 2] - x) ** 2 + (mesh.ys[j:j + 2, None] - y) ** 2
+    top, right = divmod(int(np.argmin(d2)), 2)
+    return int(mesh.node_ids[j + top, i + right])

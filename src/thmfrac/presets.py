@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .config import Injection, MechBC, ProbeSpec, ScalarBC, ScenarioConfig
+from .config import Injection, MechBC, ProbeSpec, ScalarBC, ScenarioConfig, WeakInterface
 from .constitutive import MaterialParams
 from .mesh import RefineBand
 from .staggered import SolverControls
@@ -201,7 +201,7 @@ def single_fracture_interface(dT: float = 0.0, h: float = 0.01,
         RefineBand(axis="x", lo=0.0, hi=0.6, h=h, ratio=1.15),
         RefineBand(axis="y", lo=0.12, hi=0.28, h=h, ratio=1.15),
     ]
-    cfg.weak_interfaces = [([(0.04, 0.15), (0.04, 0.25)], 0.5)]
+    cfg.weak_interfaces = [WeakInterface(segment=[(0.04, 0.15), (0.04, 0.25)], gc_ratio=0.5)]
     return cfg
 
 

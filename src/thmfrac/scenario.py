@@ -47,9 +47,9 @@ def build_simulation(cfg: ScenarioConfig) -> Simulation:
     mp = cfg.materials
 
     gc_elem = np.full(mesh.n_elems, mp.Gc)
-    for seg, ratio in cfg.weak_interfaces:
-        ids = elems_intersecting_segment(mesh, seg[0], seg[1])
-        gc_elem[ids] = mp.Gc * ratio
+    for w in cfg.weak_interfaces:
+        ids = elems_intersecting_segment(mesh, *w.segment)
+        gc_elem[ids] = mp.Gc * w.gc_ratio
 
     crack_tol = 1e-3 * float(mesh.h_e.min())
     crack_nodes: list[np.ndarray] = []

@@ -1,8 +1,8 @@
 """Reference implementations the fast paths are tested against: element-loop
 assembly, general isoparametric element data from the node coordinates,
 Dirichlet elimination as a gather into the reduced structure of the
-constrained operator, edge-by-edge boundary loads, Dirichlet entries
-merged one dof at a time, the mechanics residual
+constrained operator, edge-by-edge boundary loads, node searches over
+every node, Dirichlet entries merged one dof at a time, the mechanics residual
 whose Jacobian the mechanics operator is, and the fracture permeability
 from the crack normal. Also small helpers that turn operator data on a
 field layout into scipy matrices, and a scipy matrix into operator
@@ -32,18 +32,18 @@ def matrix(system) -> sp.csr_matrix:
 
 
 def operator_of(A) -> FieldOperator:
-    """Unconstrained operator storage holding the scipy sparse matrix ``A``,
+    """Unconstrained operator state holding the scipy sparse matrix ``A``,
     banded in its own row numbering. Its layout comes from ``field_layout``
     with one two-dof element per stored entry (i, j) and one per diagonal,
     so every stored entry has its transpose and every row its diagonal;
     entries ``A`` does not store are held as zeros. A solve with it takes
-    ``Factorization(op.layout)``."""
+    ``op.factor`` or any ``Factorization`` on ``op.layout``."""
     A = sp.csr_matrix(A)
     n = A.shape[0]
     rows = np.repeat(np.arange(n), np.diff(A.indptr))
     dofs = np.vstack([np.column_stack([rows, A.indices]), np.arange(n).repeat(2).reshape(n, 2)])
     layout = field_layout(dofs, np.arange(n))
-    op = FieldOperator(layout, None)
+    op = FieldOperator(layout)
     op.load(A.toarray()[layout.rows, layout.indices])
     return op
 
@@ -88,6 +88,25 @@ def edge_load(mesh: Mesh, side: str, traction) -> np.ndarray:
             f[2 * n] += 0.5 * tx * L
             f[2 * n + 1] += 0.5 * ty * L
     return f
+
+
+def nodes_on_segment(mesh: Mesh, p0, p1, tol: float) -> np.ndarray:
+    """Node ids within ``tol`` of the segment p0-p1: every node of the mesh
+    projected onto the segment."""
+    p0 = np.asarray(p0, dtype=float)
+    p1 = np.asarray(p1, dtype=float)
+    d = p1 - p0
+    L = float(np.hypot(*d))
+    t = ((mesh.nodes - p0) @ d) / (L * L)
+    proj = p0 + np.clip(t, 0.0, 1.0)[:, None] * d
+    dist = np.hypot(*(mesh.nodes - proj).T)
+    return np.nonzero(dist <= tol)[0]
+
+
+def nearest_node(mesh: Mesh, x: float, y: float) -> int:
+    """Id of the node nearest to (x, y) among all nodes, the lowest on a tie."""
+    d2 = (mesh.nodes[:, 0] - x) ** 2 + (mesh.nodes[:, 1] - y) ** 2
+    return int(np.argmin(d2))
 
 
 def merge_dirichlet(entries) -> tuple[np.ndarray, np.ndarray]:

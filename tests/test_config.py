@@ -7,8 +7,8 @@ import pytest
 
 from thmfrac.cli import _load_config, main
 from thmfrac.constitutive import MaterialParams
-from thmfrac.config import (Injection, MechBC, ProbeSpec, ScalarBC, config_from_dict,
-                            config_to_dict, parse_config)
+from thmfrac.config import (Injection, MechBC, ProbeSpec, ScalarBC, WeakInterface,
+                            config_from_dict, config_to_dict, parse_config)
 from thmfrac.errors import ConfigError
 from thmfrac.mesh import RefineBand
 from thmfrac.presets import (PRESETS, get_preset, kgd, kgd_cold, single_fracture,
@@ -168,6 +168,12 @@ class TestParseConfig:
      "controls.dt_schedule: expected a non-empty list of [x, y], got [[inf, 0.1]]"),
     ("geometry.refine_bands", '[{"axis": "x", "lo": 0.0, "hi": NaN, "h": 0.1}]',
      "geometry.refine_bands[0].hi: expected a finite number, got nan"),
+    ("geometry.weak_interfaces", '[{"segment": [[1.0, 20.0], [1.0, 40.0]], "gc_ratio": -0.5}]',
+     "geometry.weak_interfaces[0]: gc_ratio must be positive and finite, got -0.5"),
+    ("geometry.weak_interfaces", '[{"segment": [[1.0, 20.0], [1.0, 40.0]], "gc_ratio": NaN}]',
+     "geometry.weak_interfaces[0].gc_ratio: expected a finite number, got nan"),
+    ("geometry.weak_interfaces", '[{"segment": [[1.0, 20.0]], "gc_ratio": 0.5}]',
+     "geometry.weak_interfaces[0]: segment must have two end points, got [(1.0, 20.0)]"),
 ])
 def test_non_finite_or_non_physical_number_is_reported_under_its_path(key, value, error):
     # the JSON reader takes NaN and +-Infinity, in a file and in an override
@@ -194,10 +200,12 @@ def test_non_finite_or_non_physical_number_is_reported_under_its_path(key, value
     lambda: SolverControls(dt_schedule=[(1.0, 0.3)]),
     lambda: SolverControls(dt_schedule=[(0.1, 0.01), (3.95, 0.1)]),
     lambda: RefineBand(axis="x", lo=-1.0, hi=1.0, h=0.1),
+    lambda: WeakInterface(segment=[(0.04, 0.15), (0.04, 0.25)], gc_ratio=-0.5),
+    lambda: WeakInterface(segment=[(0.04, 0.15)], gc_ratio=0.5),
 ], ids=["mech-set", "mech-component", "scalar-set", "injection-rate", "probe-name",
         "probe-kind", "probe-field", "probe-point", "width-point", "probe-path",
         "probe-threshold", "controls-v_ir", "controls-dt", "controls-partial-step",
-        "controls-partial-segment", "band-lo"])
+        "controls-partial-segment", "band-lo", "interface-gc_ratio", "interface-segment"])
 def test_each_dataclass_checks_its_own_values(build):
     # the rules hold for objects built in Python, not only for parsed JSON
     with pytest.raises(ValueError):
@@ -373,6 +381,35 @@ class TestCLIHelpers:
         assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"configuration error: {error}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "mesh-dump"])
+    def test_injection_point_outside_the_domain_exits_with_config_error(
+            self, tmp_path, capsys, command):
+        # it was snapped to the nearest boundary node, (0, 30)
+        raw = config_to_dict(kgd(fast=True))
+        raw["sources"]["injection"]["point"] = [-50.0, 30.0]
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(raw))
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
+        assert ("configuration error: point (-50.0, 30.0) outside [0.0, 45.0] x [0.0, 60.0]"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("check", ["terzaghi", "thermal_consolidation"])
+    def test_fast_flag_of_a_benchmark_without_a_fast_variant_exits_with_config_error(
+            self, check, capsys, monkeypatch):
+        from thmfrac import verify
+
+        def started(*args, **kwargs):
+            raise AssertionError("a verification run started")
+
+        monkeypatch.setattr(verify, "build_simulation", started)
+        monkeypatch.setattr(verify, "run", started)
+        assert main(["verify", check, "--fast"]) == 2
+        assert (f"configuration error: --fast does not apply to benchmark {check!r}"
+                in capsys.readouterr().err)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'fast'"):
+            verify.run_verification(check, fast=True)
 
     def test_value_error_during_the_run_is_not_a_config_error(self, tmp_path, monkeypatch):
         from thmfrac import staggered

@@ -6,8 +6,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from thmfrac.errors import SolverFailure
-from thmfrac.fem import (Dirichlet, Factorization, FieldOperator, apply_dirichlet,
-                         assemble_batched, build_tables, gauss_2x2, scatter_vector, shape_q4,
+from thmfrac import fem
+from thmfrac.fem import (Factorization, FieldOperator, apply_dirichlet, assemble_batched,
+                         build_tables, gauss_2x2, scatter_vector, shape_q4,
                          solve_bound_constrained, solve_linear)
 from thmfrac.mesh import Mesh, RefineBand, generate_rect_mesh
 from thmfrac.physics import (FieldState, build_flow_system, build_heat_system, phase_state,
@@ -159,7 +160,7 @@ class TestPattern:
         B = assemble_batched(tb, 2.0 * KE, np.zeros((tb.mesh.n_elems, 4)))
         assert A.layout is B.layout is tb.scalar_layout
         assert not tb.scalar_layout.indices.flags.writeable
-        op = FieldOperator(tb.scalar_layout, None)
+        op = FieldOperator(tb.scalar_layout)
         for M in (op.assembled, op.eliminated):
             assert np.shares_memory(M.indices, tb.scalar_layout.indices)
 
@@ -225,9 +226,9 @@ def _stored(A):
 
 def _constrained_system(rng, vector, kind="random"):
     """A system on the graded mesh with explicit zeros planted and the
-    field's operator storage with twelve Dirichlet constraints. ``kind``
+    field's operator state with twelve Dirichlet constraints. ``kind``
     "spd" and "nonsymmetric" give operators that Cholesky and LU
-    factorize."""
+    factorize, and the operator state is declared of that symmetry."""
     mesh, tb = _graded_tables()
     nd = 8 if vector else 4
     KE = rng.normal(size=(mesh.n_elems, nd, nd))
@@ -242,30 +243,38 @@ def _constrained_system(rng, vector, kind="random"):
     # dofs 0 and 1 stay free: the vector field's only planted zeros
     # couple them, at the corner node that one element holds
     dofs = np.unique(rng.choice(np.arange(2, n), 12, replace=False))
-    bc = Dirichlet.on(layout, dofs, rng.normal(size=dofs.size))
-    return system, FieldOperator(layout, bc)
+    return system, FieldOperator(layout, dofs, rng.normal(size=dofs.size),
+                                 symmetric=kind != "nonsymmetric")
+
+
+def _fill_factor(op):
+    """Fill the factor of ``op`` with that of the identity on its layout."""
+    data = np.zeros(op.layout.indices.size)
+    data[op.layout.diag] = 1.0
+    op.factor.factorize(csr(op.layout, data))
+    assert op.factor.band is not None
 
 
 class TestDirichlet:
     @pytest.mark.parametrize("vector", [False, True])
     def test_mask_equals_rebuilt_elimination(self, rng, vector):
         system, op = _constrained_system(rng, vector)
-        layout, bc = system.layout, op.bc
-        op.factor = Factorization(op.layout)
+        layout = system.layout
+        _fill_factor(op)
         apply_dirichlet(op, system.data)
         fixed = op.eliminated
-        A_ref, rhs_ref = _rebuilt_elimination(matrix(system), system.rhs, bc.dofs, bc.values)
+        A_ref, rhs_ref = _rebuilt_elimination(matrix(system), system.rhs, op.dofs, op.values)
         assert np.array_equal(fixed.toarray(), A_ref.toarray())
-        assert bc.rhs(system.rhs, op.lifted).tobytes() == rhs_ref.tobytes()
-        # new operator data drop the factor of the old
-        assert op.factor is None
+        assert op.rhs(system.rhs).tobytes() == rhs_ref.tobytes()
+        # new operator data empty the factor of the old
+        assert op.factor.band is None
         # the elimination keeps the full structure: the off-diagonal slots
         # of constrained rows and columns stay as explicit zeros
         assert op.assembled.data is system.data
         assert np.array_equal(_stored(fixed), _stored(csr(layout, system.data)))
         n = layout.shape[0]
         constrained = np.zeros(n, dtype=bool)
-        constrained[bc.dofs] = True
+        constrained[op.dofs] = True
         dropped = (constrained[:, None] | constrained[None, :]) & ~np.eye(n, dtype=bool)
         planted = _stored(fixed) & ~dropped & (matrix(system).toarray() == 0.0)
         zeros = np.count_nonzero(planted) + np.count_nonzero(_stored(fixed) & dropped)
@@ -279,27 +288,26 @@ class TestDirichlet:
     @pytest.mark.parametrize("vector", [False, True])
     def test_masked_solve_is_bitwise_the_reduced_structure_solve(self, rng, vector, kind):
         system, op = _constrained_system(rng, vector, kind)
-        reduced, slots = reduced_elimination(system.layout, system.data, op.bc.dofs)
+        reduced, slots = reduced_elimination(system.layout, system.data, op.dofs)
         apply_dirichlet(op, system.data)
         assert np.array_equal(op.eliminated.toarray(), reduced.toarray())
-        rhs = op.bc.rhs(system.rhs, op.lifted)
+        rhs = op.rhs(system.rhs)
         symmetric = kind == "spd"
-        factor = Factorization(op.layout, symmetric)
-        x = solve_linear(op.eliminated, rhs, factor)
+        x = solve_linear(op.eliminated, rhs, op.factor)
         ref = solve_linear(reduced, rhs,
                            reduced_factor(op.layout, reduced, slots, symmetric))
-        assert (factor.ipiv is None) == (kind == "spd")
+        assert (op.factor.ipiv is None) == (kind == "spd")
         assert x.tobytes() == ref.tobytes()
 
     def test_no_constraints_leave_the_system_alone(self, rng):
         _, tb = _graded_tables()
         sys_ = assemble_batched(tb, rng.normal(size=(tb.mesh.n_elems, 4, 4)),
                                 rng.normal(size=(tb.mesh.n_elems, 4)))
-        bc = Dirichlet.on(tb.scalar_layout, np.empty(0, dtype=np.int64), np.empty(0))
-        op = FieldOperator(tb.scalar_layout, bc)
+        op = FieldOperator(tb.scalar_layout)
         apply_dirichlet(op, sys_.data)
+        assert op.lift is None and op.lifted is None
         assert op.eliminated.data.tobytes() == sys_.data.tobytes()
-        assert bc.rhs(sys_.rhs, op.lifted).tobytes() == sys_.rhs.tobytes()
+        assert op.rhs(sys_.rhs).tobytes() == sys_.rhs.tobytes()
 
     def test_rows_and_columns_reduced_to_identity(self, rng):
         m = generate_rect_mesh(1.0, 1.0, 2, 2)
@@ -309,16 +317,66 @@ class TestDirichlet:
         sys_ = assemble_batched(tb, KE, rng.normal(size=(m.n_elems, 4)))
         dofs = np.array([0, 4])
         vals = np.array([2.0, -1.0])
-        op = FieldOperator(tb.scalar_layout, Dirichlet.on(tb.scalar_layout, dofs, vals))
+        op = FieldOperator(tb.scalar_layout, dofs, vals)
         apply_dirichlet(op, sys_.data)
         A = op.eliminated.toarray()
-        rhs = op.bc.rhs(sys_.rhs, op.lifted)
+        rhs = op.rhs(sys_.rhs)
         for d, g in zip(dofs, vals):
             assert np.allclose(A[d], np.eye(9)[d])
             assert np.allclose(A[:, d], np.eye(9)[:, d])
             assert rhs[d] == g
         # symmetry preserved
         assert np.allclose(A, A.T)
+
+
+class TestFactorLifetime:
+    """A field's one factor is never older than its operator: new data
+    empty it, and ``solve_linear`` fills an empty one."""
+
+    def test_load_empties_the_factor(self, rng):
+        system, op = _constrained_system(rng, False)
+        _fill_factor(op)
+        assert op.load(system.data) is op.assembled
+        assert op.factor.band is None and op.factor.scale is None
+
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_apply_dirichlet_empties_the_factor_and_the_solve_fills_it(self, rng, vector):
+        system, op = _constrained_system(rng, vector, "spd")
+        factor = op.factor
+        _fill_factor(op)
+        apply_dirichlet(op, system.data)
+        assert op.factor is factor and factor.band is None
+        solve_linear(op.eliminated, op.rhs(system.rhs), op.factor)
+        assert factor.band is not None
+        # a filled factor serves the next solve with the same operator
+        band, b = factor.band, op.rhs(2.0 * system.rhs)
+        y = solve_linear(op.eliminated, b, op.factor)
+        assert factor.band is band
+        assert np.linalg.norm(op.eliminated @ y - b) <= 1e-10 * np.linalg.norm(b)
+
+    def test_each_free_block_elimination_empties_the_factor(self, rng, monkeypatch):
+        n = 8
+        R = rng.normal(size=(n, n))
+        A = R @ R.T + n * np.eye(n)
+        op = operator_of(A)
+        solves = []
+        solve = fem.solve_linear
+
+        def recorded(M, b, factor):
+            solves.append((M is op.eliminated, factor is op.factor, factor.band is None))
+            return solve(M, b, factor)
+
+        monkeypatch.setattr(fem, "solve_linear", recorded)
+        _fill_factor(op)
+        lo, hi = np.full(n, -0.05), np.full(n, 0.05)
+        x = solve_bound_constrained(op, rng.normal(size=n) * 3, lo, hi, np.zeros(n))
+        assert np.any((x <= lo) | (x >= hi))    # the active set changed at least once
+        assert len(solves) > 1
+        # every free block is eliminated into the operator's storage and
+        # solved with its own factor, emptied by that elimination
+        assert solves == [(True, True, True)] * len(solves)
+        # the last free block's factor stays until the next data
+        assert op.factor.band is not None
 
 
 def _solve(A, b):
@@ -431,9 +489,9 @@ class TestFactorization:
         assert np.array_equal(layout.rows[layout.diag], np.arange(n))
         # a constrained operator keeps the structure and factorizes in its layout
         dofs = rng.choice(n, n // 5, replace=False)
-        bc = Dirichlet.on(layout, dofs, np.zeros(dofs.size))
-        op = FieldOperator(layout, bc)
+        op = FieldOperator(layout, dofs, np.zeros(dofs.size))
         apply_dirichlet(op, A.data)
+        assert op.lift is None
         fixed = op.eliminated
         full, lower = _band_dense(layout, fixed)
         dense = fixed.toarray()[np.ix_(layout.perm, layout.perm)]
@@ -459,10 +517,9 @@ class TestFactorization:
         for system, takes_lu in ((heat, True), (flow, False)):
             A = matrix(system)
             assert (abs(A - A.T).max() > 1e-6 * abs(A).max()) == takes_lu
-            op = FieldOperator(tb.scalar_layout, None)
-            factor = Factorization(op.layout, symmetric=not takes_lu)
-            x = solve_linear(op.load(system.data), system.rhs, factor)
-            assert (factor.ipiv is not None) == takes_lu
+            op = FieldOperator(tb.scalar_layout, symmetric=not takes_lu)
+            x = solve_linear(op.load(system.data), system.rhs, op.factor)
+            assert (op.factor.ipiv is not None) == takes_lu
             assert np.allclose(x, spla.spsolve(A.tocsc(), system.rhs), rtol=1e-9)
 
     def test_indefinite_symmetric_operator_falls_back_to_lu(self):

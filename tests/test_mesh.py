@@ -10,6 +10,7 @@ from thmfrac.mesh import (Mesh, RefineBand, elems_intersecting_segment,
                           nodes_on_segment)
 from thmfrac.scenario import _edge_load
 
+import element_loop as ref
 from element_loop import edge_load, isoparametric
 
 
@@ -113,6 +114,15 @@ def test_nodes_on_segment_picks_the_crack_line():
     nodes = nodes_on_segment(m, (0.0, 0.5), (0.3, 0.5), tol=1e-9)
     assert len(nodes) == 4
     assert np.allclose(m.nodes[nodes, 1], 0.5)
+
+
+def test_nodes_on_segment_finds_a_node_its_projection_rounds_onto():
+    # p0 + (p1 - p0) rounds one ulp past p1, onto a grid line just outside
+    # the segment's bounding box; projecting every node finds that node
+    p0, p1 = (-0.24037843519017682, 0.5), (0.12159760627271081, 0.5)
+    m = Mesh(np.array([0.0, 0.12159760627271082, 1.0]), np.array([0.0, 0.5, 1.0]))
+    assert nodes_on_segment(m, p0, p1, tol=0.0).tolist() == [4]
+    assert ref.nodes_on_segment(m, p0, p1, 0.0).tolist() == [4]
 
 
 def test_elems_intersecting_segment_vertical_line():

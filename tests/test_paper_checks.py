@@ -1,8 +1,11 @@
 """The paper's verification checks run end to end (opt in: ``pytest -m slow``).
 
-Terzaghi consolidation and thermal consolidation are compared against their
-analytic solutions by ``verify.run_verification``; each runs for seconds,
-not milliseconds, so the default run leaves them out.
+``verify.run_verification`` compares Terzaghi consolidation against its
+analytic series solution. Thermal consolidation has no analytic comparison
+yet: it checks qualitative properties only (temperature monotone in x and
+bounded, pressure back to 1 % of its peak, a uniform steady temperature
+and self-convergence in dt). Each runs for seconds, not milliseconds, so
+the default run leaves them out.
 """
 
 import pytest

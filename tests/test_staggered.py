@@ -9,8 +9,7 @@ from thmfrac import analytic, fem, physics, staggered
 from thmfrac import constitutive as law
 from thmfrac.constitutive import MaterialParams
 from thmfrac.errors import NonConvergence, SolverFailure
-from thmfrac.fem import (Dirichlet, Factorization, FieldOperator, apply_dirichlet, build_tables,
-                         solve_linear)
+from thmfrac.fem import FieldOperator, apply_dirichlet, build_tables, solve_linear
 from thmfrac.mesh import generate_rect_mesh, nodes_on_segment
 from thmfrac.physics import (build_mechanics_system, mechanics_branch_flags, mechanics_rhs,
                              phase_state, scalar_qp, strain_state)
@@ -369,11 +368,10 @@ class TestCarriedSecantPairs:
 def _fresh_mechanics_solve(sim, v, p, T, h):
     tb = sim.tables
     mech = build_mechanics_system(tb, sim.params, phase_state(tb, sim.params, v), h)
-    op = FieldOperator(tb.vector_layout, Dirichlet.on(tb.vector_layout, *sim.bc_u))
+    op = FieldOperator(tb.vector_layout, *sim.bc_u)
     apply_dirichlet(op, mech.data)
     rhs = mechanics_rhs(tb, sim.params, mech, p, scalar_qp(tb, T), sim.f_ext)
-    return solve_linear(op.eliminated, op.bc.rhs(rhs, op.lifted),
-                        Factorization(tb.vector_layout))
+    return solve_linear(op.eliminated, op.rhs(rhs), op.factor)
 
 
 def _recording(fn, log, key):
@@ -473,12 +471,53 @@ class TestOneConstrainedSolvePath:
             builds.count(s) for s in ("heat", "flow", "mechanics")]
         assert 1 <= n_mech <= report.outer_iters < n_inner
 
-    def test_only_the_mechanics_factor_outlives_its_solve(self):
-        cfg, sim, dt = _thermal_column()
-        sim.time_step(sim.initial_state(), dt, cfg.controls)
-        # heat and flow refactorize on every solve, so a kept factor is never reused
-        assert sim._ops["T"].factor is None and sim._ops["p"].factor is None
-        assert sim._ops["u"].factor is not None
+    @pytest.mark.parametrize("setup", [_thermal_column, _small_kgd],
+                             ids=["thermal_column", "small_kgd"])
+    def test_no_factor_outlives_new_data(self, setup, monkeypatch):
+        cfg, sim, dt = setup()
+        # the operator data each factor was last filled from, by factor
+        sources = {}
+        factorize = fem.Factorization.factorize
+
+        def recorded(self, A):
+            sources[id(self)] = A.data.copy()
+            return factorize(self, A)
+
+        monkeypatch.setattr(fem.Factorization, "factorize", recorded)
+        solves = []
+
+        def checked(solve):
+            def run(A, b, factor):
+                x = solve(A, b, factor)
+                solves.append(np.array_equal(sources[id(factor)], A.data))
+                return x
+            return run
+
+        # staggered's binding solves T, p and u; fem's own the phase-field free blocks
+        monkeypatch.setattr(staggered, "solve_linear", checked(staggered.solve_linear))
+        monkeypatch.setattr(fem, "solve_linear", checked(fem.solve_linear))
+        mech_emptied = []    # at each phase-field solve
+        box = staggered.solve_bound_constrained
+
+        def box_solve(*args):
+            mech_emptied.append("u" not in sim._ops or sim._ops["u"].factor.band is None)
+            return box(*args)
+
+        monkeypatch.setattr(staggered, "solve_bound_constrained", box_solve)
+        state = sim.initial_state()
+        for _ in range(2):
+            state, report = sim.time_step(state, dt, cfg.controls)
+        assert sum(report.inner_iters) > 1
+        # every solve used a factor of the very operator it was given
+        assert len(solves) > len(sources) and all(solves)
+        # each field keeps the factor of its current operator until new data
+        assert set(sim._ops) == {"p", "u"} | {f for f, on in (("T", sim.solve_thermal),
+                                                             ("v", sim.solve_phasefield)) if on}
+        for op in sim._ops.values():
+            assert op.factor.band is not None
+            assert np.array_equal(sources[id(op.factor)], op.eliminated.data)
+        # the phase-field solve runs with the stale mechanics factor emptied
+        assert all(mech_emptied) and bool(mech_emptied) == sim.solve_phasefield
 
 
 class TestThermalFixedStress:
@@ -668,9 +707,10 @@ class TestSparseStructureDecidedOnce:
             raise AssertionError("a sparse structure was decided again after the first step")
 
         monkeypatch.setattr(fem, "field_layout", rebuilt)
-        # no Dirichlet mask is resolved and no operator storage is built again
-        monkeypatch.setattr(fem.Dirichlet, "on", rebuilt)
+        # no constraint is resolved and no operator state or factor is
+        # built again
         monkeypatch.setattr(fem.FieldOperator, "__init__", rebuilt)
+        monkeypatch.setattr(fem.Factorization, "__init__", rebuilt)
         for cls in (sp.csr_matrix, sp.csc_matrix):
             monkeypatch.setattr(cls, "eliminate_zeros", rebuilt)
         _, report = sim.time_step(state, dt, cfg.controls)
