@@ -44,6 +44,10 @@ class MechBC:
         if self.traction is None and self.component not in ("x", "y", "both"):
             raise ValueError("component must be one of ('x', 'y', 'both') unless a "
                              f"traction is given, got {self.component!r}")
+        if self.traction is not None and self.component is not None:
+            # one entry is either a load or a constraint, never both
+            raise ValueError(f"an entry with a traction takes no component, "
+                             f"got component {self.component!r}")
 
 
 @dataclass

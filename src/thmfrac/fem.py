@@ -7,21 +7,21 @@ quadrature or operator table: element matrices are produced in bulk as
 coefficients against a constant reference table (see ``physics``).
 
 Each field kind (scalar or vector) has one ``FieldLayout`` per mesh, built
-on its first assembly: the CSR structure of its operators, the map from
-element entries to CSR slots, the row and diagonal slots, and the band
-positions of every slot in the grid's own ordering. Assembly is one
-``np.bincount`` into the data of an operator that keeps that structure up
-to its factor, and the Dirichlet elimination, the factorization and the
-solve gate all read the same record. A ``FieldOperator`` is the
-linear-algebra state of one field, kept by its owner between solves: its
-layout, Dirichlet constraints, operator as assembled and as eliminated (CSR
+on its first assembly from the element dofs: the CSR structure of its
+operators, the map from element entries to CSR slots, the row and diagonal
+slots, and the band positions of every slot in the grid's own ordering.
+It sums element matrices (``assemble``) and element vectors (``scatter``),
+each one ``np.bincount``, and the Dirichlet elimination, the factorization
+and the solve gate all read it. A ``FieldOperator`` is the linear-algebra
+state of one field, kept by its owner between solves: its layout,
+Dirichlet constraints, operator as assembled and as eliminated (CSR
 matrices whose data each solve replaces: after a field's first solve no
-sub-solve builds a sparse object), lift and one factor, never older than
-the operator: new data (``load``, and so ``apply_dirichlet``, or an
-elimination, one multiply by a slot mask) empty it, and ``solve_linear``
-fills an empty one. Every linear solve passes ``solve_linear`` and its gate
-(a non-finite solution or a residual above 1e-10 ||b|| raises
-``SolverFailure``).
+sub-solve builds a sparse object), lift and one factor of the eliminated
+operator, never older than it: new data (``load``, and so
+``apply_dirichlet``, or an elimination, one multiply by a slot mask) empty
+it. Every linear solve is ``solve_linear(op, b)``, which fills an empty
+factor, and passes its gate (a non-finite solution or a residual above
+1e-10 ||b|| raises ``SolverFailure``).
 
 Every factorization is a dense banded LAPACK factorization in the grid's
 own ordering, numbered across its short side: the tensor-product node
@@ -29,7 +29,7 @@ numbering when rows are no longer than columns, else its transpose. A Q4
 operator's bandwidth in that ordering is min(len(xs), len(ys)) + 1 for a
 scalar field and twice that plus 1 for the interleaved vector field (4 and
 9 on a column two cells wide), so a factorization costs n w^2 flops and no
-per-call symbolic analysis. Each ``Factorization`` is told whether its
+per-call symbolic analysis. Each ``FieldOperator`` is told whether its
 field's operators are symmetric, and the matrix is not probed for it:
 flow, mechanics and the phase field are, and take a Cholesky
 factorization, with LU with partial pivoting when one is not positive
@@ -79,12 +79,12 @@ def gauss_2x2() -> tuple[np.ndarray, np.ndarray]:
 class FieldLayout:
     """Sparsity, assembly map and band layout of one field.
 
-    Every operator of the field is data on one CSR structure (``indptr``,
-    ``indices``): slot ``k`` lies in row ``rows[k]``, and ``diag`` holds the
-    slot of every diagonal entry, in row order. Flat element entry ``k`` of
-    the (E, nd, nd) element matrices lands in slot ``slot[k]``, and each
-    slot sums its entries in element order, the order ``scatter_vector``
-    sums a load vector in.
+    Element e couples the dofs ``dofs[e]``. Every operator of the field is
+    data on one CSR structure (``indptr``, ``indices``): slot ``k`` lies in
+    row ``rows[k]``, and ``diag`` holds the slot of every diagonal entry, in
+    row order. Flat element entry ``k`` of the (E, nd, nd) element matrices
+    lands in slot ``slot[k]``, and each slot sums its entries in element
+    order, the order ``scatter`` sums the (E, nd) element vectors in.
 
     Band position ``i`` holds dof ``perm[i]``, and in that ordering every
     entry lies at most ``width`` off the diagonal. Slot ``k`` goes to flat
@@ -95,6 +95,7 @@ class FieldLayout:
     """
 
     shape: tuple[int, int]
+    dofs: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
     slot: np.ndarray
@@ -109,6 +110,11 @@ class FieldLayout:
     def assemble(self, KE: np.ndarray) -> np.ndarray:
         """Sum element matrices (E, nd, nd) into operator data on this layout."""
         return np.bincount(self.slot, weights=KE.reshape(-1), minlength=self.indices.size)
+
+    def scatter(self, FE: np.ndarray) -> np.ndarray:
+        """Sum element vectors (E, nd) into a vector of this field's dofs."""
+        # bincount sums in input order, exactly as np.add.at does
+        return np.bincount(self.dofs.ravel(), weights=FE.ravel(), minlength=self.shape[0])
 
 
 def field_layout(dofs: np.ndarray, node_order: np.ndarray) -> FieldLayout:
@@ -140,7 +146,7 @@ def field_layout(dofs: np.ndarray, node_order: np.ndarray) -> FieldLayout:
         a.flags.writeable = False   # shared by every matrix of the field
     return FieldLayout(shape=(n, n), indptr=indptr, indices=indices, slot=slot, rows=rows,
                        diag=diag, perm=perm, width=k, lu=2 * k + off + j * (3 * k + 1),
-                       tril=tril, chol=off[tril] + j[tril] * (k + 1))
+                       tril=tril, chol=off[tril] + j[tril] * (k + 1), dofs=dofs)
 
 
 @dataclass
@@ -243,23 +249,8 @@ def build_tables(mesh: Mesh) -> ElementTables:
 class FieldSystem:
     """Assembled A x = b of one field: A as data on the field's layout."""
 
-    layout: FieldLayout
     data: np.ndarray
     rhs: np.ndarray
-
-
-def assemble_batched(tables: ElementTables, KE: np.ndarray, FE: np.ndarray,
-                     vector: bool = False) -> FieldSystem:
-    """Sum precomputed element matrices/vectors into a global system."""
-    layout = tables.vector_layout if vector else tables.scalar_layout
-    return FieldSystem(layout, layout.assemble(KE), scatter_vector(tables, FE, vector))
-
-
-def scatter_vector(tables: ElementTables, FE: np.ndarray, vector: bool = False) -> np.ndarray:
-    n = 2 * tables.mesh.n_nodes if vector else tables.mesh.n_nodes
-    dofs = tables.dofs_vec if vector else tables.conn
-    # bincount sums in input order, exactly as np.add.at does
-    return np.bincount(dofs.ravel(), weights=FE.ravel(), minlength=n)
 
 
 class FieldOperator:
@@ -272,9 +263,11 @@ class FieldOperator:
     symmetry: constrained rows and columns become zero with 1 on the
     diagonal, and the rhs of free dofs absorbs -A[:, c] g. The operator is
     kept as ``assembled`` and ``eliminated``, CSR matrices whose data each
-    solve replaces, with the lift product ``lifted`` = A @ g. ``factor`` is
-    the field's one ``Factorization`` (``symmetric`` picks Cholesky or LU):
-    new data empty it, and ``solve_linear`` fills it.
+    solve replaces, with the lift product ``lifted`` = A @ g, and one
+    banded factor of the eliminated matrix: ``band``, the LU pivots ``ipiv``
+    (None for Cholesky) and the Jacobi ``scale``, of the kind ``symmetric``
+    picks (see ``factorize``). New data empty the factor, and
+    ``solve_linear`` fills an empty one.
     """
 
     def __init__(self, layout: FieldLayout, dofs=(), values=0.0, symmetric: bool = True):
@@ -293,22 +286,24 @@ class FieldOperator:
             sp.csr_matrix((np.zeros(layout.indices.size), layout.indices, layout.indptr),
                           shape=layout.shape) for _ in range(2))
         self.lifted: np.ndarray | None = None
-        self.factor = Factorization(layout, symmetric)
+        self.symmetric = symmetric
+        self.band: np.ndarray | None = None
+        self.ipiv: np.ndarray | None = None
+        self.scale: np.ndarray | None = None
 
     def load(self, data: np.ndarray) -> sp.csr_matrix:
         """The assembled operator, now holding ``data``; the factor is emptied."""
         self.assembled.data = data
-        self.factor.clear()
+        self.band = self.ipiv = self.scale = None
         return self.assembled
 
-    def eliminate(self, mask: np.ndarray, unit: np.ndarray) -> sp.csr_matrix:
-        """The eliminated operator, now the assembled data times the slot
+    def eliminate(self, mask: np.ndarray, unit: np.ndarray) -> None:
+        """Make the eliminated operator the assembled data times the slot
         ``mask`` with 1 on the diagonal slots ``unit``; the factor is emptied."""
         data = self.assembled.data * mask
         data[unit] = 1.0
         self.eliminated.data = data
-        self.factor.clear()
-        return self.eliminated
+        self.band = self.ipiv = self.scale = None
 
     def rhs(self, b: np.ndarray) -> np.ndarray:
         """``b`` eliminated with the lift product of the last operator
@@ -317,55 +312,19 @@ class FieldOperator:
         out[self.dofs] = self.values
         return out
 
+    def factorize(self) -> "FieldOperator":
+        """Factor diag(s) E diag(s), E the eliminated operator, in the band
+        layout.
 
-def apply_dirichlet(op: FieldOperator, data: np.ndarray) -> None:
-    """Load the operator ``data`` into ``op`` with its constraints
-    eliminated, and form their lift product (None when every prescribed
-    value is zero); the factor is left empty."""
-    A = op.load(data)
-    op.eliminate(op.mask, op.unit)
-    op.lifted = None if op.lift is None else A @ op.lift
-
-
-# ---------------------------------------------------------------------------
-# linear solve
-# ---------------------------------------------------------------------------
-
-class Factorization:
-    """Banded factor of a Jacobi-scaled operator.
-
-    ``factorize`` fills it, ``solve`` solves with the unscaled operator and
-    ``clear`` empties it. The operator must be on the structure of its
-    field's ``layout``: its data are scattered into LAPACK band storage and
-    its diagonal read through it. ``solve_linear`` fills an empty factor
-    and solves with a filled one without looking at the operator again;
-    a field's factor is held by its ``FieldOperator``, which empties it on
-    new data. ``symmetric`` says whether the operators of the factor's
-    field are symmetric, which selects Cholesky or LU (see ``factorize``).
-    """
-
-    def __init__(self, layout: FieldLayout, symmetric: bool = True):
-        self.layout = layout
-        self.symmetric = symmetric
-        self.band: np.ndarray | None = None    # the factor in band storage
-        self.ipiv: np.ndarray | None = None    # LU pivots; None for Cholesky
-        self.scale: np.ndarray | None = None
-
-    def clear(self):
-        """Drop the factor, so that the next ``solve_linear`` factorizes."""
-        self.band = self.ipiv = self.scale = None
-
-    def factorize(self, A: sp.csr_matrix) -> "Factorization":
-        """Factor diag(s) A diag(s) in the band layout.
-
-        s = diag(A)^-1/2 when that diagonal is positive and finite, else
-        all ones; ``A`` itself is left unchanged. A symmetric field's
-        operator takes Cholesky (``pbtrf``), which reads its lower triangle
-        only, and LU with partial pivoting (``gbtrf``) when Cholesky meets
-        a non-positive pivot; a nonsymmetric field's takes LU. An exactly
+        s = diag(E)^-1/2 when that diagonal is positive and finite, else
+        all ones; E itself is left unchanged. A symmetric field's operator
+        takes Cholesky (``pbtrf``), which reads its lower triangle only, and
+        LU with partial pivoting (``gbtrf``) when Cholesky meets a
+        non-positive pivot; a nonsymmetric field's takes LU. An exactly
         singular matrix raises ``SolverFailure``.
         """
         lay = self.layout
+        A = self.eliminated
         n = A.shape[0]
         d = A.data[lay.diag]
         if (d > 0.0).all() and np.isfinite(d).all():
@@ -393,7 +352,8 @@ class Factorization:
         self.band, self.ipiv = band, ipiv
         return self
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
+    def solve_factored(self, b: np.ndarray) -> np.ndarray:
+        """x with E x = ``b`` from the filled factor, unrefined and ungated."""
         lay = self.layout
         y = (self.scale * b)[lay.perm]
         if self.ipiv is None:
@@ -405,20 +365,35 @@ class Factorization:
         return self.scale * x
 
 
-def solve_linear(A: sp.csr_matrix, b: np.ndarray, factor: Factorization) -> np.ndarray:
-    """Direct banded solve with a relative residual gate of 1e-10.
+def apply_dirichlet(op: FieldOperator, data: np.ndarray) -> None:
+    """Load the operator ``data`` into ``op`` with its constraints
+    eliminated, and form their lift product (None when every prescribed
+    value is zero); the factor is left empty."""
+    A = op.load(data)
+    op.eliminate(op.mask, op.unit)
+    op.lifted = None if op.lift is None else A @ op.lift
+
+
+# ---------------------------------------------------------------------------
+# linear solve
+# ---------------------------------------------------------------------------
+
+def solve_linear(op: FieldOperator, b: np.ndarray) -> np.ndarray:
+    """Solve ``op.eliminated`` x = b by a direct banded solve with a
+    relative residual gate of 1e-10.
 
     The operator is symmetrically Jacobi-scaled before factorization (the
     mobility contrast between broken and intact cells reaches 1e8+) and a
     few iterative-refinement sweeps against the unscaled residual recover
-    full accuracy. The factorization is banded Cholesky or banded LU in
-    the factor's layout (see ``Factorization``), which ``A`` must be on. A
-    filled ``factor`` is reused without looking at ``A``; an empty one is filled.
+    full accuracy. The factor is ``op``'s own (see ``FieldOperator``): an
+    empty one is filled by ``op.factorize``, and a filled one is reused
+    without looking at the operator again.
     """
+    A = op.eliminated
     n = A.shape[0]
-    if factor.band is None:
-        factor.factorize(A)
-    x = factor.solve(b)
+    if op.band is None:
+        op.factorize()
+    x = op.solve_factored(b)
     if not np.isfinite(x).all():
         raise SolverFailure("linear solve produced non-finite values",
                             diagnostics={"n": n})
@@ -430,13 +405,13 @@ def solve_linear(A: sp.csr_matrix, b: np.ndarray, factor: Factorization) -> np.n
     for _ in range(5):
         if math.sqrt(resid @ resid) <= gate:
             return x
-        x = x + factor.solve(resid)
+        x = x + op.solve_factored(resid)
         resid = b - A @ x
     # With strong cancellation (||b|| << |A||x|, e.g. source-driven flow in a
     # high-contrast crack) no float64 vector can reach 1e-10*||b||; accept the
     # standard backward-error scale instead, which coincides with the ||b||
     # gate whenever the system is well scaled.
-    absAx = np.bincount(factor.layout.rows, weights=np.abs(A.data) * np.abs(x)[A.indices], minlength=n)
+    absAx = np.bincount(op.layout.rows, weights=np.abs(A.data) * np.abs(x)[A.indices], minlength=n)
     denom = bnorm + math.sqrt(absAx @ absAx)
     rnorm = math.sqrt(resid @ resid)
     if rnorm > 1e-10 * denom:
@@ -461,8 +436,9 @@ def solve_bound_constrained(op: FieldOperator, b: np.ndarray, lower: np.ndarray,
     free components, is >= 0 at lower bounds and <= 0 at upper bounds.
     A is the operator ``op`` holds as assembled. Each free block is A with
     its active rows and columns eliminated by ``op.eliminate`` (rhs 0
-    there), and its solve passes ``solve_linear`` with ``op.factor``, with
-    its residual gate on the free block, refinement and non-finite check.
+    there), which empties ``op``'s factor, and ``solve_linear(op, ...)``
+    solves it with its residual gate on the free block, refinement and
+    non-finite check.
     """
     A = op.assembled
     n = A.shape[0]
@@ -486,9 +462,9 @@ def solve_bound_constrained(op: FieldOperator, b: np.ndarray, lower: np.ndarray,
         free = ~active
         if np.any(free):
             keep = free.astype(float)
-            Af = op.eliminate(keep[rows] * keep[A.indices], diag[active])
+            op.eliminate(keep[rows] * keep[A.indices], diag[active])
             rhs_f = (b - A @ np.where(active, x, 0.0)) * keep
-            x_f = solve_linear(Af, rhs_f, op.factor)
+            x_f = solve_linear(op, rhs_f)
             x[free] = x_f[free]
             viol_lo = free & (x < lower - 1e-15)
             viol_up = free & (x > upper + 1e-15)

@@ -1,7 +1,9 @@
 """Element kernels for the four staggered sub-problems.
 
-Each builder returns the assembled system of one sub-solve, its operator as
-data on the field's layout (linear once the lagged quantities are frozen):
+Each builder returns the assembled system of one sub-solve, a
+``FieldSystem`` whose operator and right-hand side the field's layout sums
+from the element matrices and vectors (``FieldLayout.assemble`` and
+``scatter``); the operator is linear once the lagged quantities are frozen:
 
 * phase field  — bound-constrained quadratic in v, driven by the stored
   tensile energy and the pressure term p^2/2 d(1/M_p)/dv in product form;
@@ -42,7 +44,8 @@ staggered loop where it changes, and the kernels read it:
   g(v) with its range check and the permeability's (1 - v)^xi;
 * per inner pass (``strain_state``): the strain, its principal strain,
   width and permeability, which heat and flow share, and the new T at the
-  quadrature points, which flow and the mechanics right-hand side share.
+  quadrature points, which flow and the mechanics right-hand side share,
+  and the next outer iteration's branch flags and phase-field kernel read.
   Heat and flow each add the porosity at their own temperature, with the
   branch flag where they read it (heat only for the "phi0" porosity).
 """
@@ -56,8 +59,7 @@ import numpy as np
 from . import constitutive as law
 from .constitutive import MaterialParams
 from .errors import InvariantViolation
-from .fem import (ElementTables, FieldSystem, assemble_batched, gauss_2x2, scatter_vector,
-                  shape_q4)
+from .fem import ElementTables, FieldSystem, gauss_2x2, shape_q4
 
 @dataclass
 class FieldState:
@@ -241,10 +243,10 @@ def _stiffness(tables: ElementTables, C: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def mechanics_branch_flags(tables: ElementTables, params: MaterialParams,
-                           st: law.StrainState, T: np.ndarray) -> np.ndarray:
+                           st: law.StrainState, T_qp: np.ndarray) -> np.ndarray:
     """Opening/closing Heaviside flags H(Tr eps_e) at quadrature points of
-    the strain state ``st`` and nodal temperature ``T``."""
-    return law.branch_flag(st.eps, scalar_qp(tables, T) - params.T0, params.alpha_s)
+    the strain state ``st`` and the temperature ``T_qp`` there."""
+    return law.branch_flag(st.eps, T_qp - params.T0, params.alpha_s)
 
 
 @dataclass
@@ -285,7 +287,7 @@ def mechanics_rhs(tables: ElementTables, params: MaterialParams, op: MechanicsOp
     temperature ``T_qp``: pressure and thermal terms plus loads."""
     # the rhs stress is isotropic: (alpha p + 3 K_eff alpha_s dT) I
     s = op.moduli.alpha * scalar_qp(tables, p) + op.thermal * (T_qp - params.T0)
-    rhs = scatter_vector(tables, _divergence(tables, s), vector=True)
+    rhs = tables.vector_layout.scatter(_divergence(tables, s))
     rhs += f_ext
     return rhs
 
@@ -337,9 +339,8 @@ def build_flow_system(tables: ElementTables, params: MaterialParams,
     rhs_qp -= alpha * (st.eps_vol - step.eps_vol) / dt
     if T_it_qp is not None:
         rhs_qp -= (3.0 * params.alpha_s / dt) * alpha * (T_qp - T_it_qp)
-    FE = _load(tables, rhs_qp)
-
-    system = assemble_batched(tables, KE, FE, vector=False)
+    lay = tables.scalar_layout
+    system = FieldSystem(lay.assemble(KE), lay.scatter(_load(tables, rhs_qp)))
     if source is not None:
         system.rhs += source
     return system
@@ -378,8 +379,8 @@ def build_heat_system(tables: ElementTables, params: MaterialParams,
     if adv != 0.0:
         KE += _advection(tables, adv * q_f)
     KE.reshape(-1, 16)[:, ::5] += diag      # the diagonal entries of each element
-    FE = diag * step.T_elem
-    return assemble_batched(tables, KE, FE, vector=False)
+    lay = tables.scalar_layout
+    return FieldSystem(lay.assemble(KE), lay.scatter(diag * step.T_elem))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +389,7 @@ def build_heat_system(tables: ElementTables, params: MaterialParams,
 
 def build_phasefield_system(tables: ElementTables, params: MaterialParams,
                             gc_elem: np.ndarray, u_it: np.ndarray,
-                            p_it: np.ndarray, T_it: np.ndarray) -> FieldSystem:
+                            p_it: np.ndarray, T_qp: np.ndarray) -> FieldSystem:
     """Quadratic phase-field subproblem min 1/2 v'Av - b'v.
 
     Driving terms (frozen at the previous iterate): 2(1-k) psi_plus and the
@@ -396,9 +397,9 @@ def build_phasefield_system(tables: ElementTables, params: MaterialParams,
     multiplying v. Surface energy Gc/(4 c_n) [(1-v)^n / ell + ell |grad v|^2]
     contributes the gradient stiffness for both variants, and for n = 2 an
     extra mass term plus constant source; for n = 1 only a constant source.
+    ``T_qp`` is the iterate's temperature at the quadrature points.
     """
-    dT_qp = scalar_qp(tables, T_it) - params.T0
-    eps_e, ezz, tr_e, h = law.thermoelastic_split(strain_qp(tables, u_it), dT_qp,
+    eps_e, ezz, tr_e, h = law.thermoelastic_split(strain_qp(tables, u_it), T_qp - params.T0,
                                                   params.alpha_s)
     psi_plus, _ = law.energy_split_vd(eps_e, params.K_m, params.mu_shear, eps_zz=ezz)
     drive_p = law.biot_modulus_pressure_drive(tr_e, scalar_qp(tables, p_it), h, params)
@@ -414,5 +415,5 @@ def build_phasefield_system(tables: ElementTables, params: MaterialParams,
 
     KE = _mass(tables, coeff)
     KE += _laplacian(tables, 2.0 * gamma * ell)
-    FE = _load(tables, src)
-    return assemble_batched(tables, KE, FE, vector=False)
+    lay = tables.scalar_layout
+    return FieldSystem(lay.assemble(KE), lay.scatter(_load(tables, src)))

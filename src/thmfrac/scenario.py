@@ -8,7 +8,7 @@ import numpy as np
 
 from .config import ProbeSpec, ScenarioConfig
 from .fem import build_tables
-from .mesh import (Mesh, elems_intersecting_segment, generate_rect_mesh,
+from .mesh import (Mesh, elems_intersecting_segment, generate_rect_mesh, locate_points,
                    nearest_node, nodes_on_segment)
 from .physics import FieldState
 from .postproc import bilinear, fracture_length, locate, nodal_field, width_at
@@ -112,9 +112,14 @@ class Probes:
 def locate_probes(specs: list[ProbeSpec], mesh: Mesh) -> Probes:
     """Locate the points of the field probes among ``specs`` once.
 
-    A point outside the mesh raises ``PointNotFound``; an unknown field
-    raises ``ValueError`` when the probes are evaluated.
+    A point of any probe outside the mesh raises ``PointNotFound``: a field
+    probe's, a width probe's or a vertex of a fracture-length path (the
+    domain is a rectangle, so a path between located vertices stays in it).
+    An unknown field raises ``ValueError`` when the probes are evaluated.
     """
+    for spec in specs:
+        if spec.kind != "field":
+            locate_points(mesh, spec.point if spec.kind == "width" else spec.path)
     field_specs = [spec for spec in specs if spec.kind == "field"]
     fields = tuple(dict.fromkeys(spec.field for spec in field_specs))
     pts = np.array([spec.point for spec in field_specs], dtype=float).reshape(-1, 2)

@@ -182,11 +182,12 @@ class Simulation:
     its CSR structure, assembly map and band ordering across the grid's
     short side (see ``ElementTables.node_order``). It holds the field's
     Dirichlet constraints (static from the first solve on), its assembled
-    and eliminated operator, their lift A @ g and the field's banded
-    factor, which new data empty and the next solve fills.
+    and eliminated operator, their lift A @ g and the banded factor of the
+    eliminated operator, which new data empty and the next solve fills.
 
     T, p and u take one constrained-solve path (``_solve_constrained``):
-    new operator data pass ``apply_dirichlet``, and the solve factorizes.
+    new operator data pass ``apply_dirichlet``, and ``solve_linear`` solves
+    with the field's operator, factorizing it when its factor is empty.
     Heat and flow pass new data on every solve, since their operators
     follow the lagged iterates. Mechanics rebuilds its operator
     (``MechanicsOperator``) only when v or the frozen branch flags differ
@@ -249,7 +250,7 @@ class Simulation:
         op = self._operator(field)
         if data is not None:
             apply_dirichlet(op, data)
-        return solve_linear(op.eliminated, op.rhs(rhs), op.factor)
+        return solve_linear(op, op.rhs(rhs))
 
     def initial_state(self) -> FieldState:
         n = self.mesh.n_nodes
@@ -262,15 +263,16 @@ class Simulation:
 
     # -- single sub-solves -------------------------------------------------
 
-    def _solve_v(self, it: FieldState, lower, upper) -> np.ndarray:
+    def _solve_v(self, it: FieldState, T_qp: np.ndarray, lower, upper) -> np.ndarray:
         if "u" in self._ops:
             # the new v makes the mechanics factor stale in nearly every
             # outer iteration; emptied here, it does not sit beside the
             # phase field's factors: kgd_growth seed 1 peaks at 83.7-85.3 MB
             # RSS with this, 86.4-86.7 MB without (3 runs each, 2-core Xeon)
-            self._ops["u"].factor.clear()
+            mech = self._ops["u"]
+            mech.band = mech.ipiv = mech.scale = None
         system = build_phasefield_system(self.tables, self.params, self.gc_elem,
-                                         it.u, it.p, it.T)
+                                         it.u, it.p, T_qp)
         init = np.clip(it.v, lower, upper)
         op = self._operator("v")
         op.load(system.data)
@@ -322,8 +324,9 @@ class Simulation:
         it = prev.copy()
         v_cur = prev.v
         step = step_state(tb, prev)
-        # without heat solves T stays at the previous level, and flow forms
-        # no thermal relaxation term
+        # T_qp is always it.T at the quadrature points: without heat solves
+        # T stays at the previous level, and flow forms no thermal
+        # relaxation term
         T_new, T_qp, T_it_qp = it.T, step.T, None
         v_incs: list[float] = []
         inner_counts: list[int] = []
@@ -334,7 +337,7 @@ class Simulation:
 
         for m in range(1, controls.max_outer + 1):
             if self.solve_phasefield:
-                v_new = self._solve_v(it, lower, upper)
+                v_new = self._solve_v(it, T_qp, lower, upper)
             else:
                 v_new = v_cur
 
@@ -351,7 +354,7 @@ class Simulation:
             # and the displacement iterate cycles
             phase = phase_state(tb, params, v_new)
             st = strain_state(tb, params, it.u, phase)
-            h_mech = mechanics_branch_flags(tb, params, st, it.T)
+            h_mech = mechanics_branch_flags(tb, params, st, T_qp)
             inner_done = 0
             for j in range(1, controls.max_inner + 1):
                 if self.solve_thermal:

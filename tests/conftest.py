@@ -14,15 +14,15 @@ def rng():
 @pytest.fixture
 def factorizations(monkeypatch):
     """The shapes of the operators factorized from here on, one per
-    ``fem.Factorization.factorize`` call."""
+    ``fem.FieldOperator.factorize`` call."""
     calls = []
-    factorize = fem.Factorization.factorize
+    factorize = fem.FieldOperator.factorize
 
-    def counted(self, A):
-        calls.append(A.shape)
-        return factorize(self, A)
+    def counted(self):
+        calls.append(self.layout.shape)
+        return factorize(self)
 
-    monkeypatch.setattr(fem.Factorization, "factorize", counted)
+    monkeypatch.setattr(fem.FieldOperator, "factorize", counted)
     return calls
 
 

@@ -14,8 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from thmfrac import constitutive as law
-from thmfrac.fem import (Factorization, FieldOperator, field_layout, gauss_2x2,
-                         scatter_vector, shape_q4)
+from thmfrac.fem import FieldOperator, apply_dirichlet, field_layout, gauss_2x2, shape_q4
 from thmfrac.mesh import Mesh
 
 _VOIGT_ID = np.array([1.0, 1.0, 0.0])
@@ -26,25 +25,26 @@ def csr(layout, data) -> sp.csr_matrix:
     return sp.csr_matrix((data, layout.indices, layout.indptr), shape=layout.shape)
 
 
-def matrix(system) -> sp.csr_matrix:
-    """The operator of an assembled ``FieldSystem`` as a new CSR matrix."""
-    return csr(system.layout, system.data)
+def matrix(tables, system) -> sp.csr_matrix:
+    """The operator of an assembled scalar-field ``FieldSystem`` of
+    ``tables`` as a new CSR matrix."""
+    return csr(tables.scalar_layout, system.data)
 
 
-def operator_of(A) -> FieldOperator:
+def operator_of(A, symmetric=True) -> FieldOperator:
     """Unconstrained operator state holding the scipy sparse matrix ``A``,
-    banded in its own row numbering. Its layout comes from ``field_layout``
-    with one two-dof element per stored entry (i, j) and one per diagonal,
-    so every stored entry has its transpose and every row its diagonal;
-    entries ``A`` does not store are held as zeros. A solve with it takes
-    ``op.factor`` or any ``Factorization`` on ``op.layout``."""
+    banded in its own row numbering and loaded through ``apply_dirichlet``,
+    so that ``solve_linear(op, b)`` solves A x = b. Its layout comes from
+    ``field_layout`` with one two-dof element per stored entry (i, j) and
+    one per diagonal, so every stored entry has its transpose and every row
+    its diagonal; entries ``A`` does not store are held as zeros."""
     A = sp.csr_matrix(A)
     n = A.shape[0]
     rows = np.repeat(np.arange(n), np.diff(A.indptr))
     dofs = np.vstack([np.column_stack([rows, A.indices]), np.arange(n).repeat(2).reshape(n, 2)])
     layout = field_layout(dofs, np.arange(n))
-    op = FieldOperator(layout)
-    op.load(A.toarray()[layout.rows, layout.indices])
+    op = FieldOperator(layout, symmetric=symmetric)
+    apply_dirichlet(op, A.toarray()[layout.rows, layout.indices])
     return op
 
 
@@ -169,14 +169,16 @@ def reduced_elimination(layout, data, dofs):
     return sp.csr_matrix((reduced, layout.indices[slots], indptr), shape=(n, n)), slots
 
 
-def reduced_factor(layout, A, slots, symmetric=True) -> Factorization:
+def reduced_factor(layout, A, slots, symmetric=True) -> FieldOperator:
     """The factor the reduced operator ``A`` (holding the layout ``slots``)
-    got in its field's layout: its data scattered back onto the full
-    structure, zeros in the slots it lacks, and factorized there, as a
-    field that is ``symmetric`` or not."""
+    got in its field's layout: an unconstrained, factorized operator of a
+    field that is ``symmetric`` or not, holding the data of ``A`` scattered
+    back onto the full structure, zeros in the slots it lacks."""
     full = np.zeros(layout.indices.size)
     full[slots] = A.data
-    return Factorization(layout, symmetric).factorize(csr(layout, full))
+    op = FieldOperator(layout, symmetric=symmetric)
+    apply_dirichlet(op, full)
+    return op.factorize()
 
 
 def effective_stress(eps_e, moduli, params, eps_zz=0.0) -> np.ndarray:
@@ -204,7 +206,9 @@ def mechanics_residual(tables, params, u, v, p, T, f_ext) -> np.ndarray:
     sig = effective_stress(eps_e, moduli, params, eps_zz=ezz)
     sig = sig - (moduli.alpha * p_qp)[..., None] * _VOIGT_ID
     FE = np.einsum("eqsa,eqs->ea", iso.B, sig * iso.detJw[..., None])
-    return scatter_vector(tables, FE, vector=True) - f_ext
+    f = np.zeros(2 * tables.mesh.n_nodes)
+    np.add.at(f, tables.dofs_vec.ravel(), FE.ravel())
+    return f - f_ext
 
 
 def crack_normal(eps, e1, e2) -> np.ndarray:

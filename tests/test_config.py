@@ -185,6 +185,7 @@ def test_non_finite_or_non_physical_number_is_reported_under_its_path(key, value
 @pytest.mark.parametrize("build", [
     lambda: MechBC(set="north", component="x"),
     lambda: MechBC(set="left"),
+    lambda: MechBC(set="right", component="x", traction=(1.0, 0.0)),
     lambda: ScalarBC(set="north", value=0.0),
     lambda: Injection(point=(0.0, 0.0), rate=-1.0),
     lambda: ProbeSpec(name="", field="p", point=(0.0, 0.0)),
@@ -202,7 +203,7 @@ def test_non_finite_or_non_physical_number_is_reported_under_its_path(key, value
     lambda: RefineBand(axis="x", lo=-1.0, hi=1.0, h=0.1),
     lambda: WeakInterface(segment=[(0.04, 0.15), (0.04, 0.25)], gc_ratio=-0.5),
     lambda: WeakInterface(segment=[(0.04, 0.15)], gc_ratio=0.5),
-], ids=["mech-set", "mech-component", "scalar-set", "injection-rate", "probe-name",
+], ids=["mech-set", "mech-component", "mech-component-and-traction", "scalar-set", "injection-rate", "probe-name",
         "probe-kind", "probe-field", "probe-point", "width-point", "probe-path",
         "probe-threshold", "controls-v_ir", "controls-dt", "controls-partial-step",
         "controls-partial-segment", "band-lo", "interface-gc_ratio", "interface-segment"])
@@ -210,6 +211,17 @@ def test_each_dataclass_checks_its_own_values(build):
     # the rules hold for objects built in Python, not only for parsed JSON
     with pytest.raises(ValueError):
         build()
+
+
+def test_mechanics_entry_with_a_component_and_a_traction_is_reported_under_its_path():
+    # the traction used to win and the constraint at x = L was dropped
+    raw = config_to_dict(terzaghi())
+    assert raw["bcs"]["mechanics"][1]["component"] == "x"
+    raw["bcs"]["mechanics"][1]["traction"] = [1e6, 0.0]
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(raw))
+    assert exc.value.errors == [
+        "bcs.mechanics[1]: an entry with a traction takes no component, got component 'x'"]
 
 
 _NAN, _INF = float("nan"), float("inf")
@@ -370,7 +382,13 @@ class TestCLIHelpers:
           for command in ("run", "mesh-dump")],
         *[(command, "geometry.refine_bands", {"axis": "y", "lo": 5.0, "hi": 6.0, "h": 0.01},
            "refine band [5.0, 6.0] outside axis [0, 0.25]") for command in ("run", "mesh-dump")],
-    ], ids=["run-probe", "run-crack", "mesh-dump-crack", "run-band", "mesh-dump-band"])
+        ("run", "outputs.probes", {"name": "w", "kind": "width", "point": [-5.0, 0.1]},
+         "point (-5.0, 0.1) outside [0.0, 25.0] x [0.0, 0.25]"),
+        ("run", "outputs.probes",
+         {"name": "L", "kind": "fracture_length", "path": [[1.0, 0.1], [30.0, 0.1]]},
+         "point (30.0, 0.1) outside [0.0, 25.0] x [0.0, 0.25]"),
+    ], ids=["run-probe", "run-crack", "mesh-dump-crack", "run-band", "mesh-dump-band",
+            "run-width", "run-fracture-length"])
     def test_scenario_that_cannot_be_set_up_exits_with_config_error(
             self, tmp_path, capsys, command, key, item, error):
         raw = config_to_dict(terzaghi())

@@ -7,15 +7,13 @@ import scipy.sparse.linalg as spla
 
 from thmfrac.errors import SolverFailure
 from thmfrac import fem
-from thmfrac.fem import (Factorization, FieldOperator, apply_dirichlet, assemble_batched,
-                         build_tables, gauss_2x2, scatter_vector, shape_q4,
-                         solve_bound_constrained, solve_linear)
+from thmfrac.fem import (FieldOperator, FieldSystem, apply_dirichlet, build_tables, gauss_2x2,
+                         shape_q4, solve_bound_constrained, solve_linear)
 from thmfrac.mesh import Mesh, RefineBand, generate_rect_mesh
 from thmfrac.physics import (FieldState, build_flow_system, build_heat_system, phase_state,
                              scalar_qp, step_state, strain_state)
 
-from element_loop import (assemble, csr, matrix, operator_of, reduced_elimination,
-                          reduced_factor)
+from element_loop import assemble, csr, operator_of, reduced_elimination, reduced_factor
 
 
 class TestShapeFunctions:
@@ -102,10 +100,10 @@ class TestAssembly:
         tb = build_tables(m)
         KE = rng.normal(size=(m.n_elems, 4, 4))
         FE = rng.normal(size=(m.n_elems, 4))
-        sys_b = assemble_batched(tb, KE, FE)
+        layout = tb.scalar_layout
         A_l, b_l = assemble(m, lambda e: (KE[e], FE[e]))
-        assert np.allclose(matrix(sys_b).toarray(), A_l.toarray(), atol=1e-15)
-        assert np.allclose(sys_b.rhs, b_l)
+        assert np.allclose(csr(layout, layout.assemble(KE)).toarray(), A_l.toarray(), atol=1e-15)
+        assert np.allclose(layout.scatter(FE), b_l)
 
 
 def _graded_tables():
@@ -153,12 +151,17 @@ class TestPattern:
         assert np.array_equal(layout.indices[layout.diag], np.arange(n))
         assert np.array_equal(layout.rows, np.repeat(np.arange(n), np.diff(layout.indptr)))
 
-    def test_pattern_is_built_once_and_shared(self, rng):
+    def test_pattern_is_built_once_and_shared(self, rng, monkeypatch):
         _, tb = _graded_tables()
+        built = []
+        field_layout = fem.field_layout
+        monkeypatch.setattr(fem, "field_layout",
+                            lambda *args: built.append(1) or field_layout(*args))
         KE = rng.normal(size=(tb.mesh.n_elems, 4, 4))
-        A = assemble_batched(tb, KE, np.zeros((tb.mesh.n_elems, 4)))
-        B = assemble_batched(tb, 2.0 * KE, np.zeros((tb.mesh.n_elems, 4)))
-        assert A.layout is B.layout is tb.scalar_layout
+        layout = tb.scalar_layout
+        A, B = (tb.scalar_layout.assemble(k * KE) for k in (1.0, 2.0))
+        assert built == [1] and tb.scalar_layout is layout
+        assert A.size == B.size == layout.indices.size
         assert not tb.scalar_layout.indices.flags.writeable
         op = FieldOperator(tb.scalar_layout)
         for M in (op.assembled, op.eliminated):
@@ -198,7 +201,9 @@ class TestTables:
               * 10.0 ** rng.integers(-8, 9, size=dofs.shape))
         ref = np.zeros(2 * tb.mesh.n_nodes if vector else tb.mesh.n_nodes)
         np.add.at(ref, dofs.ravel(), FE.ravel())
-        assert scatter_vector(tb, FE, vector).tobytes() == ref.tobytes()
+        layout = tb.vector_layout if vector else tb.scalar_layout
+        assert layout.dofs is dofs
+        assert layout.scatter(FE).tobytes() == ref.tobytes()
 
 
 def _rebuilt_elimination(A, b, dofs, values):
@@ -237,8 +242,8 @@ def _constrained_system(rng, vector, kind="random"):
     elif kind == "nonsymmetric":
         KE = KE + 2.0 * nd * np.eye(nd)
     KE[:, 0, 1] = KE[:, 1, 0] = 0.0     # explicit zeros in the assembled operator
-    system = assemble_batched(tb, KE, rng.normal(size=(mesh.n_elems, nd)), vector=vector)
     layout = tb.vector_layout if vector else tb.scalar_layout
+    system = FieldSystem(layout.assemble(KE), layout.scatter(rng.normal(size=(mesh.n_elems, nd))))
     n = layout.shape[0]
     # dofs 0 and 1 stay free: the vector field's only planted zeros
     # couple them, at the corner node that one element holds
@@ -248,26 +253,28 @@ def _constrained_system(rng, vector, kind="random"):
 
 
 def _fill_factor(op):
-    """Fill the factor of ``op`` with that of the identity on its layout."""
+    """Load the identity on its layout into ``op`` and fill its factor."""
     data = np.zeros(op.layout.indices.size)
     data[op.layout.diag] = 1.0
-    op.factor.factorize(csr(op.layout, data))
-    assert op.factor.band is not None
+    apply_dirichlet(op, data)
+    op.factorize()
+    assert op.band is not None
 
 
 class TestDirichlet:
     @pytest.mark.parametrize("vector", [False, True])
     def test_mask_equals_rebuilt_elimination(self, rng, vector):
         system, op = _constrained_system(rng, vector)
-        layout = system.layout
+        layout = op.layout
+        A = csr(layout, system.data)
         _fill_factor(op)
         apply_dirichlet(op, system.data)
         fixed = op.eliminated
-        A_ref, rhs_ref = _rebuilt_elimination(matrix(system), system.rhs, op.dofs, op.values)
+        A_ref, rhs_ref = _rebuilt_elimination(A, system.rhs, op.dofs, op.values)
         assert np.array_equal(fixed.toarray(), A_ref.toarray())
         assert op.rhs(system.rhs).tobytes() == rhs_ref.tobytes()
         # new operator data empty the factor of the old
-        assert op.factor.band is None
+        assert op.band is None
         # the elimination keeps the full structure: the off-diagonal slots
         # of constrained rows and columns stay as explicit zeros
         assert op.assembled.data is system.data
@@ -276,7 +283,7 @@ class TestDirichlet:
         constrained = np.zeros(n, dtype=bool)
         constrained[op.dofs] = True
         dropped = (constrained[:, None] | constrained[None, :]) & ~np.eye(n, dtype=bool)
-        planted = _stored(fixed) & ~dropped & (matrix(system).toarray() == 0.0)
+        planted = _stored(fixed) & ~dropped & (A.toarray() == 0.0)
         zeros = np.count_nonzero(planted) + np.count_nonzero(_stored(fixed) & dropped)
         assert np.count_nonzero(fixed.data == 0.0) == zeros
         assert np.count_nonzero(planted) > 0
@@ -288,22 +295,22 @@ class TestDirichlet:
     @pytest.mark.parametrize("vector", [False, True])
     def test_masked_solve_is_bitwise_the_reduced_structure_solve(self, rng, vector, kind):
         system, op = _constrained_system(rng, vector, kind)
-        reduced, slots = reduced_elimination(system.layout, system.data, op.dofs)
+        reduced, slots = reduced_elimination(op.layout, system.data, op.dofs)
         apply_dirichlet(op, system.data)
         assert np.array_equal(op.eliminated.toarray(), reduced.toarray())
         rhs = op.rhs(system.rhs)
         symmetric = kind == "spd"
-        x = solve_linear(op.eliminated, rhs, op.factor)
-        ref = solve_linear(reduced, rhs,
-                           reduced_factor(op.layout, reduced, slots, symmetric))
-        assert (op.factor.ipiv is None) == (kind == "spd")
+        x = solve_linear(op, rhs)
+        ref = solve_linear(reduced_factor(op.layout, reduced, slots, symmetric), rhs)
+        assert (op.ipiv is None) == (kind == "spd")
         assert x.tobytes() == ref.tobytes()
 
     def test_no_constraints_leave_the_system_alone(self, rng):
         _, tb = _graded_tables()
-        sys_ = assemble_batched(tb, rng.normal(size=(tb.mesh.n_elems, 4, 4)),
-                                rng.normal(size=(tb.mesh.n_elems, 4)))
-        op = FieldOperator(tb.scalar_layout)
+        layout = tb.scalar_layout
+        sys_ = FieldSystem(layout.assemble(rng.normal(size=(tb.mesh.n_elems, 4, 4))),
+                           layout.scatter(rng.normal(size=(tb.mesh.n_elems, 4))))
+        op = FieldOperator(layout)
         apply_dirichlet(op, sys_.data)
         assert op.lift is None and op.lifted is None
         assert op.eliminated.data.tobytes() == sys_.data.tobytes()
@@ -314,7 +321,8 @@ class TestDirichlet:
         tb = build_tables(m)
         KE = rng.normal(size=(m.n_elems, 4, 4))
         KE = KE + KE.transpose(0, 2, 1)
-        sys_ = assemble_batched(tb, KE, rng.normal(size=(m.n_elems, 4)))
+        sys_ = FieldSystem(tb.scalar_layout.assemble(KE),
+                           tb.scalar_layout.scatter(rng.normal(size=(m.n_elems, 4))))
         dofs = np.array([0, 4])
         vals = np.array([2.0, -1.0])
         op = FieldOperator(tb.scalar_layout, dofs, vals)
@@ -337,21 +345,20 @@ class TestFactorLifetime:
         system, op = _constrained_system(rng, False)
         _fill_factor(op)
         assert op.load(system.data) is op.assembled
-        assert op.factor.band is None and op.factor.scale is None
+        assert op.band is None and op.ipiv is None and op.scale is None
 
     @pytest.mark.parametrize("vector", [False, True])
     def test_apply_dirichlet_empties_the_factor_and_the_solve_fills_it(self, rng, vector):
         system, op = _constrained_system(rng, vector, "spd")
-        factor = op.factor
         _fill_factor(op)
         apply_dirichlet(op, system.data)
-        assert op.factor is factor and factor.band is None
-        solve_linear(op.eliminated, op.rhs(system.rhs), op.factor)
-        assert factor.band is not None
+        assert op.band is None
+        solve_linear(op, op.rhs(system.rhs))
+        assert op.band is not None
         # a filled factor serves the next solve with the same operator
-        band, b = factor.band, op.rhs(2.0 * system.rhs)
-        y = solve_linear(op.eliminated, b, op.factor)
-        assert factor.band is band
+        band, b = op.band, op.rhs(2.0 * system.rhs)
+        y = solve_linear(op, b)
+        assert op.band is band
         assert np.linalg.norm(op.eliminated @ y - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_each_free_block_elimination_empties_the_factor(self, rng, monkeypatch):
@@ -362,27 +369,26 @@ class TestFactorLifetime:
         solves = []
         solve = fem.solve_linear
 
-        def recorded(M, b, factor):
-            solves.append((M is op.eliminated, factor is op.factor, factor.band is None))
-            return solve(M, b, factor)
+        def recorded(solved, b):
+            solves.append((solved is op, solved.band is None))
+            return solve(solved, b)
 
         monkeypatch.setattr(fem, "solve_linear", recorded)
-        _fill_factor(op)
+        op.factorize()
         lo, hi = np.full(n, -0.05), np.full(n, 0.05)
         x = solve_bound_constrained(op, rng.normal(size=n) * 3, lo, hi, np.zeros(n))
         assert np.any((x <= lo) | (x >= hi))    # the active set changed at least once
         assert len(solves) > 1
-        # every free block is eliminated into the operator's storage and
-        # solved with its own factor, emptied by that elimination
-        assert solves == [(True, True, True)] * len(solves)
+        # every free block is eliminated into the operator's storage, which
+        # empties its factor, and solved with that operator
+        assert solves == [(True, True)] * len(solves)
         # the last free block's factor stays until the next data
-        assert op.factor.band is not None
+        assert op.band is not None
 
 
 def _solve(A, b):
     """``solve_linear`` of the scipy matrix ``A`` with a fresh factor."""
-    op = operator_of(A)
-    return solve_linear(op.assembled, b, Factorization(op.layout))
+    return solve_linear(operator_of(A), b)
 
 
 class TestSolveLinear:
@@ -399,13 +405,13 @@ class TestSolveLinear:
 
     def test_fresh_factor_takes_a_new_factorization(self, factorizations):
         op = operator_of(np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]))
-        A = op.assembled
-        factor = Factorization(op.layout)
-        x1 = solve_linear(A, np.array([1.0, 0.0, 0.0]), factor)
-        x2 = solve_linear(A, np.array([0.0, 1.0, 0.0]), factor)
+        A = op.assembled.copy()
+        x1 = solve_linear(op, np.array([1.0, 0.0, 0.0]))
+        x2 = solve_linear(op, np.array([0.0, 1.0, 0.0]))
         assert len(factorizations) == 1
         assert np.allclose(A @ x1, [1.0, 0.0, 0.0]) and np.allclose(A @ x2, [0.0, 1.0, 0.0])
-        x3 = solve_linear(2.0 * A, np.ones(3), Factorization(op.layout))
+        apply_dirichlet(op, 2.0 * A.data)
+        x3 = solve_linear(op, np.ones(3))
         assert len(factorizations) == 2
         assert np.allclose(2.0 * A @ x3, np.ones(3), rtol=1e-12)
 
@@ -448,11 +454,10 @@ class TestFactorization:
     def test_grid_laplacian_takes_cholesky_in_its_own_numbering(self, rng):
         m = 30
         A = _laplacian_2d(m)
-        op = operator_of(A)
-        factor = Factorization(op.layout).factorize(op.assembled)
+        op = operator_of(A).factorize()
         assert np.array_equal(op.layout.perm, np.arange(m * m))
-        assert factor.layout.width == m
-        assert factor.ipiv is None          # SPD: Cholesky
+        assert op.layout.width == m
+        assert op.ipiv is None          # SPD: Cholesky
         b = rng.normal(size=A.shape[0])
         x = _solve(A, b)
         assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
@@ -496,10 +501,11 @@ class TestFactorization:
         full, lower = _band_dense(layout, fixed)
         dense = fixed.toarray()[np.ix_(layout.perm, layout.perm)]
         assert np.array_equal(full, dense) and np.array_equal(lower, np.tril(dense))
-        factor = Factorization(layout).factorize(fixed)
-        assert factor.ipiv is None
+        op.factorize()
+        assert op.ipiv is None
         b = rng.normal(size=n)
-        assert np.allclose(factor.solve(b), np.linalg.solve(fixed.toarray(), b), rtol=1e-10)
+        assert np.allclose(op.solve_factored(b), np.linalg.solve(fixed.toarray(), b),
+                           rtol=1e-10)
 
     def test_advective_heat_operator_takes_lu_and_flow_cholesky(self, rng, generic_params):
         # both operators lie on the scalar field's symmetric structure; the
@@ -515,28 +521,28 @@ class TestFactorization:
         heat = build_heat_system(tb, mp, st, p, step, 0.5)
         flow = build_flow_system(tb, mp, st, p, scalar_qp(tb, T), step.T, step, 0.5)
         for system, takes_lu in ((heat, True), (flow, False)):
-            A = matrix(system)
+            A = csr(tb.scalar_layout, system.data)
             assert (abs(A - A.T).max() > 1e-6 * abs(A).max()) == takes_lu
             op = FieldOperator(tb.scalar_layout, symmetric=not takes_lu)
-            x = solve_linear(op.load(system.data), system.rhs, op.factor)
-            assert (op.factor.ipiv is not None) == takes_lu
+            apply_dirichlet(op, system.data)
+            x = solve_linear(op, system.rhs)
+            assert (op.ipiv is not None) == takes_lu
             assert np.allclose(x, spla.spsolve(A.tocsc(), system.rhs), rtol=1e-9)
 
     def test_indefinite_symmetric_operator_falls_back_to_lu(self):
-        op = operator_of(np.array([[2.0, 3.0], [3.0, 2.0]]))
-        A = op.assembled
-        factor = Factorization(op.layout).factorize(A)
-        assert factor.ipiv is not None
-        assert np.allclose(A @ factor.solve(np.array([1.0, -1.0])), [1.0, -1.0], rtol=1e-14)
+        op = operator_of(np.array([[2.0, 3.0], [3.0, 2.0]])).factorize()
+        assert op.ipiv is not None
+        assert np.allclose(op.eliminated @ op.solve_factored(np.array([1.0, -1.0])),
+                           [1.0, -1.0], rtol=1e-14)
 
     def test_operator_is_left_unscaled(self):
         op = operator_of(sp.csc_matrix(np.array([[4.0, 1.0], [1.0, 9.0]])))
-        A = op.assembled
+        A = op.eliminated
         before = A.toarray()
-        factor = Factorization(op.layout).factorize(A)
+        op.factorize()
         assert np.array_equal(A.toarray(), before)
-        assert np.allclose(factor.scale, [0.5, 1.0 / 3.0])
-        assert np.allclose(A @ factor.solve(np.array([1.0, 2.0])), [1.0, 2.0], rtol=1e-14)
+        assert np.allclose(op.scale, [0.5, 1.0 / 3.0])
+        assert np.allclose(A @ op.solve_factored(np.array([1.0, 2.0])), [1.0, 2.0], rtol=1e-14)
 
 
 def _brute_force_box_qp(A, b, lo, hi):

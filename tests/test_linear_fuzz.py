@@ -4,8 +4,8 @@ Each operator has a random symmetric sparsity pattern, stored with all of
 its entries (zeros included), and dof scales spread over six decades, as
 the mobility contrast of a broken cell spreads them. It is SPD, nonsymmetric
 like the advective heat operator, or symmetric indefinite like a phase-field
-block under negative pressure drive; its factor is told which, as a field's
-is. Solutions must match a dense solve and pass the solver's residual gate;
+block under negative pressure drive; its ``FieldOperator`` is told which, as
+a field's is. Solutions must match a dense solve and pass the solver's residual gate;
 an operator with an empty row and column must raise ``SolverFailure``.
 """
 
@@ -14,7 +14,7 @@ import pytest
 import scipy.sparse as sp
 
 from thmfrac.errors import SolverFailure
-from thmfrac.fem import Factorization, solve_linear
+from thmfrac.fem import solve_linear
 
 from element_loop import operator_of
 
@@ -60,17 +60,16 @@ def test_solution_matches_a_dense_solve_and_passes_the_gate(op):
         eig = np.abs(np.linalg.eigvals(dense))
         hypothesis.assume(eig.min() > 1e-8 * eig.max())
     b = np.random.default_rng(seed + 1).normal(size=n)
-    op = operator_of(A)
-    factor = Factorization(op.layout, symmetric=kind != "advection")
-    x = solve_linear(op.assembled, b, factor)
+    op = operator_of(A, symmetric=kind != "advection")
+    x = solve_linear(op, b)
     ref = np.linalg.solve(dense, b)
     assert np.allclose(x, ref, rtol=1e-6, atol=1e-9 * np.abs(ref).max())
     scale = np.linalg.norm(b) + np.linalg.norm(np.abs(dense) @ np.abs(x))
     assert np.linalg.norm(dense @ x - b) <= 1e-10 * scale
     if kind == "spd":
-        assert factor.ipiv is None       # Cholesky
+        assert op.ipiv is None       # Cholesky
     elif kind == "advection" and np.abs(dense - dense.T).max() > 1e-9 * np.abs(dense).max():
-        assert factor.ipiv is not None   # LU
+        assert op.ipiv is not None   # LU
 
 
 @hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
@@ -81,7 +80,6 @@ def test_an_empty_row_and_column_raise_solver_failure(op, data):
     i = data.draw(st.integers(0, n - 1))
     rows = np.repeat(np.arange(n), np.diff(A.indptr))
     A.data[(rows == i) | (A.indices == i)] = 0.0     # kept as stored zeros
-    op = operator_of(A)
+    op = operator_of(A, symmetric=kind != "advection")
     with pytest.raises(SolverFailure):
-        solve_linear(op.assembled, np.ones(n),
-                     Factorization(op.layout, symmetric=kind != "advection"))
+        solve_linear(op, np.ones(n))

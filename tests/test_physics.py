@@ -6,9 +6,8 @@ import pytest
 from thmfrac import constitutive as law
 from thmfrac import physics
 from thmfrac.constitutive import MaterialParams
-from thmfrac.fem import (Factorization, FieldOperator, apply_dirichlet,
-                         build_tables, gauss_2x2, shape_q4, solve_bound_constrained,
-                         solve_linear)
+from thmfrac.fem import (FieldOperator, apply_dirichlet, build_tables, gauss_2x2, shape_q4,
+                         solve_bound_constrained, solve_linear)
 from thmfrac.mesh import RefineBand, generate_rect_mesh
 from thmfrac.physics import (FieldState, build_flow_system, build_heat_system,
                              build_mechanics_system, build_phasefield_system,
@@ -118,7 +117,7 @@ def _heat(tb, mp, u, v, p_it, T_prev, dt):
 def _mechanics(tb, mp, u, v, T):
     """The mechanics operator at v with the branch flags of (u, T)."""
     phase = phase_state(tb, mp, v)
-    flags = mechanics_branch_flags(tb, mp, strain_state(tb, mp, u, phase), T)
+    flags = mechanics_branch_flags(tb, mp, strain_state(tb, mp, u, phase), scalar_qp(tb, T))
     return build_mechanics_system(tb, mp, phase, flags)
 
 
@@ -263,12 +262,13 @@ def test_tables_hold_at_most_8_values_per_element(generic_params, rng):
     u, p, T, v = _random_state(mesh, mp, rng)
     phase = phase_state(tb, mp, v)
     st = strain_state(tb, mp, u, phase)
-    op = build_mechanics_system(tb, mp, phase, mechanics_branch_flags(tb, mp, st, T))
-    physics.mechanics_rhs(tb, mp, op, p, scalar_qp(tb, T), np.zeros(2 * mesh.n_nodes))
+    T_qp = scalar_qp(tb, T)
+    op = build_mechanics_system(tb, mp, phase, mechanics_branch_flags(tb, mp, st, T_qp))
+    physics.mechanics_rhs(tb, mp, op, p, T_qp, np.zeros(2 * mesh.n_nodes))
     step = _previous(tb, 0.5 * u, p, T)
     build_flow_system(tb, mp, st, p, scalar_qp(tb, T), step.T, step, 0.5)
     build_heat_system(tb, mp, st, p, step, 0.5)
-    build_phasefield_system(tb, mp, np.full(mesh.n_elems, mp.Gc), u, p, T)
+    build_phasefield_system(tb, mp, np.full(mesh.n_elems, mp.Gc), u, p, scalar_qp(tb, T))
     physics.grad_qp(tb, p)
     sizes = {k: a.size for k, a in vars(tb).items() if isinstance(a, np.ndarray)}
     assert {"dofs_vec", "qp_detJ", "qp_h_e", "qp_grad", "qp_aspect", "qp_half"} <= set(sizes)
@@ -292,7 +292,7 @@ class TestQPState:
         u, _, T, v = _random_state(mesh, mp, rng)
         st = _strain_state(tb, mp, u, v)
         dT = scalar_qp(tb, T) - mp.T0
-        flags = mechanics_branch_flags(tb, mp, st, T)
+        flags = mechanics_branch_flags(tb, mp, st, scalar_qp(tb, T))
         eps_e, ezz, tr_e, tr_sign = law.thermoelastic_split(strain_qp(tb, u), dT, mp.alpha_s)
         assert np.array_equal(flags, tr_sign)
         # the trace without the elastic strain is the trace of the formed one
@@ -349,10 +349,10 @@ class TestQPState:
         assert calls == [(mesh.n_elems, 4)]
         calls.clear()
         st = strain_state(tb, mp, u, phase)
-        op = build_mechanics_system(tb, mp, phase, mechanics_branch_flags(tb, mp, st, T))
+        T_qp = scalar_qp(tb, T)
+        op = build_mechanics_system(tb, mp, phase, mechanics_branch_flags(tb, mp, st, T_qp))
         assert op.moduli.g is phase.g and st.g is phase.g
         assert len(flags) == 1
-        T_qp = scalar_qp(tb, T)
         physics.mechanics_rhs(tb, mp, op, p, T_qp, np.zeros(2 * mesh.n_nodes))
         step = _previous(tb, 0.5 * u, p, T)
         build_flow_system(tb, mp, st, p, T_qp, step.T, step, 0.5)
@@ -440,7 +440,7 @@ class TestFlow:
         n = mesh.n_nodes
         u, p, T, v = _uniform_state(mesh, mp, p=2e5)
         system = _flow(tb, mp, u, v, p, T, u, p, T, dt=1.0)
-        assert np.allclose(matrix(system) @ p - system.rhs, 0.0,
+        assert np.allclose(matrix(tb, system) @ p - system.rhs, 0.0,
                            atol=1e-12 * np.abs(system.rhs).max())
 
     def test_pure_storage_backward_euler_update(self):
@@ -467,8 +467,7 @@ class TestFlow:
         p = p_prev.copy()
         for _ in range(30):                   # iterate lagged terms to the fixed point
             system = _flow(tb, mp, uvec, v, p, T, uvec, p_prev, T, dt, source=source)
-            op = operator_of(matrix(system))
-            p = solve_linear(op.assembled, system.rhs, Factorization(op.layout))
+            p = solve_linear(operator_of(matrix(tb, system)), system.rhs)
         assert np.allclose(p, expect, rtol=1e-10)
 
     def test_uncoupled_reduces_to_transient_diffusion(self, rng):
@@ -490,7 +489,7 @@ class TestFlow:
         dense = (dense_scalar_mass(mesh, phi * mp.c_f / dt)
                  + dense_scalar_laplacian(mesh, mp.perm_m / mp.mu_f))
         scale = np.abs(dense).max()
-        assert np.allclose(matrix(system).toarray(), dense, atol=1e-12 * scale)
+        assert np.allclose(matrix(tb, system).toarray(), dense, atol=1e-12 * scale)
         rhs_ref = dense_scalar_mass(mesh, phi * mp.c_f / dt) @ p_prev
         assert np.allclose(system.rhs, rhs_ref, atol=1e-12 * np.abs(rhs_ref).max())
 
@@ -524,7 +523,7 @@ class TestFlow:
         u, p, T, v = _uniform_state(mesh, mp)
         system = _flow(tb, mp, u, v, p, T, u, p, T, dt=1e30)
         dense = dense_scalar_laplacian(mesh, mp.perm_m / mp.mu_f)
-        assert np.allclose(matrix(system).toarray(), dense,
+        assert np.allclose(matrix(tb, system).toarray(), dense,
                            atol=1e-10 * np.abs(dense).max())
 
     def test_jacobian_matches_finite_differences(self, small_setup, rng):
@@ -537,10 +536,10 @@ class TestFlow:
         T_prev = np.full(n, mp.T0)
         v = rng.uniform(0.2, 1.0, n)
         system = _flow(tb, mp, u, v, p_it, T, u * 0.5, p_prev, T_prev, 0.5)
-        J = matrix(system).toarray()
+        J = matrix(tb, system).toarray()
 
         def residual(p):
-            return matrix(system) @ p - system.rhs
+            return matrix(tb, system) @ p - system.rhs
 
         h = 1.0
         fd = np.empty_like(J)
@@ -568,7 +567,7 @@ class TestHeat:
         dense = dense_scalar_laplacian(mesh, lam)
         lumped = dense_scalar_mass(mesh, rhoc / dt).sum(axis=1)
         dense[np.arange(n), np.arange(n)] += lumped
-        assert np.allclose(matrix(system).toarray(), dense,
+        assert np.allclose(matrix(tb, system).toarray(), dense,
                            atol=1e-12 * np.abs(dense).max())
 
     def test_uniform_temperature_zero_residual_despite_advection(self, small_setup):
@@ -579,7 +578,7 @@ class TestHeat:
         T = np.full(n, mp.T0 + 25.0)
         v = np.ones(n)
         system = _heat(tb, mp, u, v, p, T, dt=1.0)
-        r = matrix(system) @ T - system.rhs
+        r = matrix(tb, system) @ T - system.rhs
         assert np.abs(r).max() <= 1e-12 * np.abs(system.rhs).max()
 
     def test_stabilization_adds_scaled_isotropic_conductivity(self, small_setup):
@@ -595,7 +594,7 @@ class TestHeat:
         q = mp.perm_m / mp.mu_f * 1e9
         lam_add = 0.5 * mp.s_stab * q * mesh.h_e[0] * mp.rho_f * mp.c_pf
         dense = dense_scalar_laplacian(mesh, lam_add)
-        diff = (matrix(on) - matrix(off)).toarray()
+        diff = (matrix(tb, on) - matrix(tb, off)).toarray()
         assert np.allclose(diff, dense, rtol=1e-10)
 
     def test_conduction_operator_satisfies_max_principle(self, generic_params):
@@ -607,7 +606,7 @@ class TestHeat:
         n = mesh.n_nodes
         u, p, T, v = _uniform_state(mesh, mp)
         system = _heat(tb, mp, u, v, p, T, dt=10.0)
-        A = matrix(system).toarray()
+        A = matrix(tb, system).toarray()
         off = A - np.diag(np.diag(A))
         assert off.max() <= 1e-12 * np.abs(A).max()
         assert np.linalg.inv(A).min() >= -1e-12
@@ -636,8 +635,7 @@ class TestHeat:
         vals = np.concatenate([np.full(left.size, 301.0), np.full(right.size, 300.0)])
         op = FieldOperator(tb.scalar_layout, dofs, vals)
         apply_dirichlet(op, system.data)
-        Tsol = solve_linear(op.eliminated, op.rhs(system.rhs),
-                            Factorization(op.layout))
+        Tsol = solve_linear(op, op.rhs(system.rhs))
         row = mesh.boundary_nodes["bottom"]
         prof = Tsol[row]
         assert np.all(np.diff(prof) <= 1e-10)
@@ -666,8 +664,8 @@ class TestHeat:
         A, b = op.eliminated, op.rhs(system.rhs)
         assert abs(A - A.T).max() > abs(A).max()
         gate = 1e-10 * np.linalg.norm(b)
-        assert np.linalg.norm(A @ Factorization(op.layout).factorize(A).solve(b) - b) <= gate
-        assert np.linalg.norm(A @ solve_linear(A, b, Factorization(op.layout)) - b) <= gate
+        assert np.linalg.norm(A @ op.factorize().solve_factored(b) - b) <= gate
+        assert np.linalg.norm(A @ solve_linear(op, b) - b) <= gate
 
 
 # ---------------------------------------------------------------------------
@@ -680,8 +678,8 @@ class TestPhaseField:
         n = mesh.n_nodes
         u, p, T, v = _uniform_state(mesh, mp)
         gc = np.full(mesh.n_elems, mp.Gc)
-        system = build_phasefield_system(tb, mp, gc, u, p, T)
-        assert np.allclose(matrix(system) @ np.ones(n) - system.rhs, 0.0,
+        system = build_phasefield_system(tb, mp, gc, u, p, scalar_qp(tb, T))
+        assert np.allclose(matrix(tb, system) @ np.ones(n) - system.rhs, 0.0,
                            atol=1e-12 * np.abs(system.rhs).max())
 
     def test_homogeneous_at2_stationary_point(self, generic_params):
@@ -698,9 +696,8 @@ class TestPhaseField:
         p = np.full(n, p_val)
         T = np.full(n, mp.T0)
         gc = np.full(mesh.n_elems, mp.Gc)
-        system = build_phasefield_system(tb, mp, gc, u, p, T)
-        op = operator_of(matrix(system))
-        v_sol = solve_linear(op.assembled, system.rhs, Factorization(op.layout))
+        system = build_phasefield_system(tb, mp, gc, u, p, scalar_qp(tb, T))
+        v_sol = solve_linear(operator_of(matrix(tb, system)), system.rhs)
         psi_plus, _ = law.energy_split_vd(np.array([exx, 0.0, 0.0]),
                                           mp.K_m, mp.mu_shear)
         drive = p_val * exx * (1 - mp.k_res) * (1 - mp.alpha_m)
@@ -719,9 +716,9 @@ class TestPhaseField:
         u[0::2] = exx * mesh.nodes[:, 0]
         T = np.full(n, mp.T0)
         gc = np.full(mesh.n_elems, mp.Gc)
-        sys_p = build_phasefield_system(tb, mp, gc, u, np.full(n, 5e6), T)
-        sys_0 = build_phasefield_system(tb, mp, gc, u, np.zeros(n), T)
-        assert np.allclose(matrix(sys_p).toarray(), matrix(sys_0).toarray())
+        sys_p = build_phasefield_system(tb, mp, gc, u, np.full(n, 5e6), scalar_qp(tb, T))
+        sys_0 = build_phasefield_system(tb, mp, gc, u, np.zeros(n), scalar_qp(tb, T))
+        assert np.allclose(matrix(tb, sys_p).toarray(), matrix(tb, sys_0).toarray())
 
     def test_pressure_drive_is_the_law_coefficient(self, generic_params, rng):
         mp = generic_params
@@ -730,8 +727,8 @@ class TestPhaseField:
         tb = build_tables(mesh)
         u, p, T, _ = _random_state(mesh, mp, rng)
         gc = np.full(mesh.n_elems, mp.Gc)
-        sys_p = build_phasefield_system(tb, mp, gc, u, p, T)
-        sys_0 = build_phasefield_system(tb, mp, gc, u, np.zeros_like(p), T)
+        sys_p = build_phasefield_system(tb, mp, gc, u, p, scalar_qp(tb, T))
+        sys_0 = build_phasefield_system(tb, mp, gc, u, np.zeros_like(p), scalar_qp(tb, T))
         _, _, tr_e, h = law.thermoelastic_split(strain_qp(tb, u), scalar_qp(tb, T) - mp.T0,
                                                 mp.alpha_s)
         drive = law.biot_modulus_pressure_drive(tr_e, scalar_qp(tb, p), h, mp)
@@ -739,7 +736,7 @@ class TestPhaseField:
         iso = isoparametric(mesh)
         ME = np.einsum("eq,qa,qb->eab", drive * iso.detJw, iso.N, iso.N)
         ref = assemble(mesh, lambda e: (ME[e], np.zeros(4)))[0].toarray()
-        diff = (matrix(sys_p) - matrix(sys_0)).toarray()
+        diff = (matrix(tb, sys_p) - matrix(tb, sys_0)).toarray()
         assert np.allclose(diff, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
         assert np.array_equal(sys_p.rhs, sys_0.rhs)
 
@@ -749,15 +746,16 @@ class TestPhaseField:
         tb = build_tables(mesh)
         n = mesh.n_nodes
         u, p, T, _ = _random_state(mesh, mp, rng)
-        system = build_phasefield_system(tb, mp, np.full(mesh.n_elems, mp.Gc), u, p, T)
+        system = build_phasefield_system(tb, mp, np.full(mesh.n_elems, mp.Gc), u, p,
+                                         scalar_qp(tb, T))
         lower, upper = np.zeros(n), np.ones(n)
         upper[mesh.boundary_nodes["left"]] = 0.0
-        x = solve_bound_constrained(operator_of(matrix(system)), system.rhs, lower, upper,
+        x = solve_bound_constrained(operator_of(matrix(tb, system)), system.rhs, lower, upper,
                                     np.full(n, 0.5))
         free = (x > lower) & (x < upper)
         act = ~free
         assert free.sum() > n // 2 and act.any()
-        A = matrix(system).toarray()
+        A = matrix(tb, system).toarray()
         ref = np.linalg.solve(A[np.ix_(free, free)],
                               system.rhs[free] - A[np.ix_(free, act)] @ x[act])
         assert np.allclose(x[free], ref, rtol=1e-10, atol=0.0)
@@ -771,12 +769,12 @@ class TestPhaseField:
         n = mesh.n_nodes
         u, p, T, v = _uniform_state(mesh, mp)
         gc = np.full(mesh.n_elems, mp.Gc)
-        system = build_phasefield_system(tb, mp, gc, u, p, T)
+        system = build_phasefield_system(tb, mp, gc, u, p, scalar_qp(tb, T))
         # with zero driving the matrix is the pure gradient stiffness and the
         # rhs integrates gamma/ell against the shape functions
         gamma = mp.Gc / (4 * mp.c_n)
         dense = dense_scalar_laplacian(mesh, 2 * gamma * mp.ell)
-        assert np.allclose(matrix(system).toarray(), dense,
+        assert np.allclose(matrix(tb, system).toarray(), dense,
                            atol=1e-12 * np.abs(dense).max())
         areas = dense_scalar_mass(mesh, gamma / mp.ell).sum(axis=1)
         assert np.allclose(system.rhs, areas, rtol=1e-12)
@@ -788,16 +786,16 @@ class TestPhaseField:
         p = rng.uniform(0, 1e6, n)
         T = np.full(n, mp.T0)
         gc = np.full(mesh.n_elems, mp.Gc)
-        system = build_phasefield_system(tb, mp, gc, u, p, T)
-        J = matrix(system).toarray()
+        system = build_phasefield_system(tb, mp, gc, u, p, scalar_qp(tb, T))
+        J = matrix(tb, system).toarray()
         v0 = rng.uniform(0.2, 0.9, n)
         h = 1e-6
         fd = np.empty_like(J)
         for i in range(n):
             e = np.zeros(n)
             e[i] = h
-            rp = matrix(system) @ (v0 + e) - system.rhs
-            rm = matrix(system) @ (v0 - e) - system.rhs
+            rp = matrix(tb, system) @ (v0 + e) - system.rhs
+            rm = matrix(tb, system) @ (v0 - e) - system.rhs
             fd[:, i] = (rp - rm) / (2 * h)
         assert np.abs(J - fd).max() <= 1e-5 * np.abs(J).max()
 
@@ -809,14 +807,14 @@ class TestPhaseField:
         T_prev = np.full(n, mp.T0) + rng.uniform(-5, 5, n)
         v = rng.uniform(0.2, 1.0, n)
         system = _heat(tb, mp, u, v, p, T_prev, dt=0.7)
-        J = matrix(system).toarray()
+        J = matrix(tb, system).toarray()
         T0 = np.full(n, mp.T0)
         h = 1e-4
         fd = np.empty_like(J)
         for i in range(n):
             e = np.zeros(n)
             e[i] = h
-            rp = matrix(system) @ (T0 + e) - system.rhs
-            rm = matrix(system) @ (T0 - e) - system.rhs
+            rp = matrix(tb, system) @ (T0 + e) - system.rhs
+            rm = matrix(tb, system) @ (T0 - e) - system.rhs
             fd[:, i] = (rp - rm) / (2 * h)
         assert np.abs(J - fd).max() <= 1e-5 * np.abs(J).max()

@@ -371,7 +371,7 @@ def _fresh_mechanics_solve(sim, v, p, T, h):
     op = FieldOperator(tb.vector_layout, *sim.bc_u)
     apply_dirichlet(op, mech.data)
     rhs = mechanics_rhs(tb, sim.params, mech, p, scalar_qp(tb, T), sim.f_ext)
-    return solve_linear(op.eliminated, op.rhs(rhs), op.factor)
+    return solve_linear(op, op.rhs(rhs))
 
 
 def _recording(fn, log, key):
@@ -401,7 +401,7 @@ class TestMechanicsOperatorLifetime:
         n = sim.mesh.n_nodes
         state = sim.initial_state()
         st = strain_state(sim.tables, sim.params, state.u, self._phase(sim, state.v))
-        h = mechanics_branch_flags(sim.tables, sim.params, st, state.T)
+        h = mechanics_branch_flags(sim.tables, sim.params, st, scalar_qp(sim.tables, state.T))
         return sim, state, h, rng.uniform(0.0, 1e4, n)
 
     @staticmethod
@@ -415,13 +415,13 @@ class TestMechanicsOperatorLifetime:
         T_qp = scalar_qp(sim.tables, state.T)
         u1 = sim._solve_u(self._phase(sim, state.v), state.p, T_qp, h)
         op = sim._ops["u"]
-        eliminated, lift, factor = op.eliminated.data, op.lifted, op.factor
+        eliminated, lift, band = op.eliminated.data, op.lifted, op.band
         assert loads == ["u"] and len(factorizations) == 1
         # an unchanged operator is neither eliminated, lifted (A @ g) nor
         # factorized again: all three happen only on new operator data
         u2 = sim._solve_u(self._phase(sim, state.v.copy()), p, T_qp, h.copy())
         assert loads == ["u"] and len(factorizations) == 1
-        assert op.eliminated.data is eliminated and op.lifted is lift and op.factor is factor
+        assert op.eliminated.data is eliminated and op.lifted is lift and op.band is band
         assert not np.array_equal(u1, u2)
         assert np.array_equal(u2, _fresh_mechanics_solve(sim, state.v, p, state.T, h))
 
@@ -475,21 +475,21 @@ class TestOneConstrainedSolvePath:
                              ids=["thermal_column", "small_kgd"])
     def test_no_factor_outlives_new_data(self, setup, monkeypatch):
         cfg, sim, dt = setup()
-        # the operator data each factor was last filled from, by factor
+        # the operator data each factor was last filled from, by operator
         sources = {}
-        factorize = fem.Factorization.factorize
+        factorize = fem.FieldOperator.factorize
 
-        def recorded(self, A):
-            sources[id(self)] = A.data.copy()
-            return factorize(self, A)
+        def recorded(self):
+            sources[id(self)] = self.eliminated.data.copy()
+            return factorize(self)
 
-        monkeypatch.setattr(fem.Factorization, "factorize", recorded)
+        monkeypatch.setattr(fem.FieldOperator, "factorize", recorded)
         solves = []
 
         def checked(solve):
-            def run(A, b, factor):
-                x = solve(A, b, factor)
-                solves.append(np.array_equal(sources[id(factor)], A.data))
+            def run(op, b):
+                x = solve(op, b)
+                solves.append(np.array_equal(sources[id(op)], op.eliminated.data))
                 return x
             return run
 
@@ -500,7 +500,7 @@ class TestOneConstrainedSolvePath:
         box = staggered.solve_bound_constrained
 
         def box_solve(*args):
-            mech_emptied.append("u" not in sim._ops or sim._ops["u"].factor.band is None)
+            mech_emptied.append("u" not in sim._ops or sim._ops["u"].band is None)
             return box(*args)
 
         monkeypatch.setattr(staggered, "solve_bound_constrained", box_solve)
@@ -508,14 +508,14 @@ class TestOneConstrainedSolvePath:
         for _ in range(2):
             state, report = sim.time_step(state, dt, cfg.controls)
         assert sum(report.inner_iters) > 1
-        # every solve used a factor of the very operator it was given
+        # every solve used a factor of the operator's current data
         assert len(solves) > len(sources) and all(solves)
         # each field keeps the factor of its current operator until new data
         assert set(sim._ops) == {"p", "u"} | {f for f, on in (("T", sim.solve_thermal),
                                                              ("v", sim.solve_phasefield)) if on}
         for op in sim._ops.values():
-            assert op.factor.band is not None
-            assert np.array_equal(sources[id(op.factor)], op.eliminated.data)
+            assert op.band is not None
+            assert np.array_equal(sources[id(op)], op.eliminated.data)
         # the phase-field solve runs with the stale mechanics factor emptied
         assert all(mech_emptied) and bool(mech_emptied) == sim.solve_phasefield
 
@@ -566,15 +566,16 @@ class TestThermalFixedStress:
             self, monkeypatch):
         cfg, sim, dt = _thermal_column()
         factorized = []
-        factorize = fem.Factorization.factorize
+        factorize = fem.FieldOperator.factorize
 
-        def recorded(self, A):
-            out = factorize(self, A)
+        def recorded(self):
+            out = factorize(self)
+            A = self.eliminated
             skew = abs(A - A.T).max() > 1e-12 * abs(A).max()
             factorized.append((self.symmetric, skew, out.ipiv is None))
             return out
 
-        monkeypatch.setattr(fem.Factorization, "factorize", recorded)
+        monkeypatch.setattr(fem.FieldOperator, "factorize", recorded)
         _, report = sim.time_step(sim.initial_state(), dt, cfg.controls)
         n_inner = sum(report.inner_iters)
         # heat's advection makes its operator nonsymmetric once the fluid moves
@@ -672,11 +673,12 @@ class TestQuadratureStateLevels:
             assert [sum(f is a for f in interpolated) for a in (state.p, state.T)] == [1, 1]
             # per pass p_it (flow), p_new (mechanics rhs) and, where heat is
             # solved, the new T (flow and the mechanics rhs); per outer
-            # iteration v, the T of the branch flags and the phase-field
-            # kernel's p and T
+            # iteration v and the phase-field kernel's p (the branch flags
+            # and the phase-field kernel read the loop's T at the
+            # quadrature points)
             n_inner, n_outer = sum(report.inner_iters), report.outer_iters
             per_inner = 3 if sim.solve_thermal else 2
-            per_outer = 4 if sim.solve_phasefield else 2
+            per_outer = 2 if sim.solve_phasefield else 1
             assert len(interpolated) == per_inner * n_inner + per_outer * n_outer + 2
             state = new
 
@@ -707,10 +709,9 @@ class TestSparseStructureDecidedOnce:
             raise AssertionError("a sparse structure was decided again after the first step")
 
         monkeypatch.setattr(fem, "field_layout", rebuilt)
-        # no constraint is resolved and no operator state or factor is
-        # built again
+        # no constraint is resolved and no operator state, factor included,
+        # is built again
         monkeypatch.setattr(fem.FieldOperator, "__init__", rebuilt)
-        monkeypatch.setattr(fem.Factorization, "__init__", rebuilt)
         for cls in (sp.csr_matrix, sp.csc_matrix):
             monkeypatch.setattr(cls, "eliminate_zeros", rebuilt)
         _, report = sim.time_step(state, dt, cfg.controls)
