@@ -34,20 +34,29 @@ def _check_set(name: str):
 
 @dataclass
 class MechBC:
+    """A Dirichlet constraint (``component`` = ``value``, 0 when omitted)
+    or a ``traction`` on a boundary set, never both."""
+
     set: str
     component: str | None = None   # "x", "y" or "both" for Dirichlet
-    value: float = 0.0
+    value: float | None = None
     traction: tuple[float, float] | None = None
 
     def __post_init__(self):
         _check_set(self.set)
-        if self.traction is None and self.component not in ("x", "y", "both"):
-            raise ValueError("component must be one of ('x', 'y', 'both') unless a "
-                             f"traction is given, got {self.component!r}")
-        if self.traction is not None and self.component is not None:
-            # one entry is either a load or a constraint, never both
+        if self.traction is None:
+            if self.component not in ("x", "y", "both"):
+                raise ValueError("component must be one of ('x', 'y', 'both') unless a "
+                                 f"traction is given, got {self.component!r}")
+            if self.value is None:
+                self.value = 0.0
+        # one entry is either a load or a constraint, never both
+        elif self.component is not None:
             raise ValueError(f"an entry with a traction takes no component, "
                              f"got component {self.component!r}")
+        elif self.value is not None:
+            raise ValueError(f"an entry with a traction takes no value, "
+                             f"got value {self.value!r}")
 
 
 @dataclass

@@ -53,6 +53,7 @@ from .mesh import Mesh
 _Q4_LOCAL = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
 _BOX_KKT_TOL = 1e-8     # KKT multiplier tolerance, relative to max(|b|, |diag A|)
 _BOX_MAX_ITER = 200     # active-set iterations of solve_bound_constrained
+_REFINE_SWEEPS = 5      # iterative-refinement sweeps of solve_linear, at most
 
 
 def shape_q4(xi: float | np.ndarray, eta: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -106,6 +107,11 @@ class FieldLayout:
     lu: np.ndarray
     tril: np.ndarray
     chol: np.ndarray
+
+    @cached_property
+    def tril_rc(self) -> tuple[np.ndarray, np.ndarray]:
+        """The row and column of every slot of ``tril``."""
+        return self.rows[self.tril], self.indices[self.tril]
 
     def assemble(self, KE: np.ndarray) -> np.ndarray:
         """Sum element matrices (E, nd, nd) into operator data on this layout."""
@@ -265,9 +271,11 @@ class FieldOperator:
     kept as ``assembled`` and ``eliminated``, CSR matrices whose data each
     solve replaces, with the lift product ``lifted`` = A @ g, and one
     banded factor of the eliminated matrix: ``band``, the LU pivots ``ipiv``
-    (None for Cholesky) and the Jacobi ``scale``, of the kind ``symmetric``
-    picks (see ``factorize``). New data empty the factor, and
-    ``solve_linear`` fills an empty one.
+    (None for Cholesky) and the Jacobi ``scale`` in band order, of the
+    kind ``symmetric`` picks (see ``factorize``). New data empty the
+    factor, and ``solve_linear`` fills an empty one. The band storage is
+    one buffer that every factorization of the operator refills;
+    ``release`` frees it with the factor.
     """
 
     def __init__(self, layout: FieldLayout, dofs=(), values=0.0, symmetric: bool = True):
@@ -287,14 +295,22 @@ class FieldOperator:
                           shape=layout.shape) for _ in range(2))
         self.lifted: np.ndarray | None = None
         self.symmetric = symmetric
-        self.band: np.ndarray | None = None
-        self.ipiv: np.ndarray | None = None
-        self.scale: np.ndarray | None = None
+        self._buffer: np.ndarray | None = None
+        self.empty()
+
+    def empty(self) -> None:
+        """Empty the factor; its band buffer is kept for the next one."""
+        self.band = self.ipiv = self.scale = None
+
+    def release(self) -> None:
+        """Empty the factor and free its band buffer."""
+        self.empty()
+        self._buffer = None
 
     def load(self, data: np.ndarray) -> sp.csr_matrix:
         """The assembled operator, now holding ``data``; the factor is emptied."""
         self.assembled.data = data
-        self.band = self.ipiv = self.scale = None
+        self.empty()
         return self.assembled
 
     def eliminate(self, mask: np.ndarray, unit: np.ndarray) -> None:
@@ -303,7 +319,7 @@ class FieldOperator:
         data = self.assembled.data * mask
         data[unit] = 1.0
         self.eliminated.data = data
-        self.band = self.ipiv = self.scale = None
+        self.empty()
 
     def rhs(self, b: np.ndarray) -> np.ndarray:
         """``b`` eliminated with the lift product of the last operator
@@ -316,34 +332,34 @@ class FieldOperator:
         """Factor diag(s) E diag(s), E the eliminated operator, in the band
         layout.
 
-        s = diag(E)^-1/2 when that diagonal is positive and finite, else
-        all ones; E itself is left unchanged. A symmetric field's operator
-        takes Cholesky (``pbtrf``), which reads its lower triangle only, and
-        LU with partial pivoting (``gbtrf``) when Cholesky meets a
-        non-positive pivot; a nonsymmetric field's takes LU. An exactly
+        s = diag(E)^-1/2 when that diagonal is positive and finite (a test
+        that fails for NaN), else all ones; E itself is left unchanged. A
+        symmetric field's operator takes Cholesky (``pbtrf``), which reads
+        its lower triangle only, so only the slots ``tril`` are scaled and
+        placed, and LU with partial pivoting (``gbtrf``) when Cholesky meets
+        a non-positive pivot; a nonsymmetric field's takes LU. An exactly
         singular matrix raises ``SolverFailure``.
         """
         lay = self.layout
-        A = self.eliminated
-        n = A.shape[0]
-        d = A.data[lay.diag]
-        if (d > 0.0).all() and np.isfinite(d).all():
-            s = 1.0 / np.sqrt(d)
-        else:
-            s = np.ones(n)
-        self.scale = s
-        data = A.data * (np.take(s, lay.rows) * np.take(s, lay.indices))
+        data = self.eliminated.data
+        n = lay.shape[0]
         k = lay.width
+        d = data[lay.diag]
+        s = 1.0 / np.sqrt(d) if d.min() > 0.0 and d.max() < math.inf else np.ones(n)
+        self.scale = s[lay.perm]
         if self.symmetric:
-            ab = np.zeros((k + 1) * n)
-            ab[lay.chol] = data[lay.tril]
+            r, c = lay.tril_rc
+            ab = self._band_buffer((k + 1) * n)
+            ab[lay.chol] = data[lay.tril] * (s[r] * s[c])
             band, info = lapack.dpbtrf(ab.reshape(k + 1, n, order="F"), lower=1,
                                        overwrite_ab=1)
             if info == 0:
                 self.band, self.ipiv = band, None
                 return self
-        ab = np.zeros((3 * k + 1) * n)
-        ab[lay.lu] = data
+            ab = np.zeros((3 * k + 1) * n)
+        else:
+            ab = self._band_buffer((3 * k + 1) * n)
+        ab[lay.lu] = data * (s[lay.rows] * s[lay.indices])
         band, ipiv, info = lapack.dgbtrf(ab.reshape(3 * k + 1, n, order="F"), k, k,
                                          overwrite_ab=1)
         if info > 0:
@@ -352,17 +368,25 @@ class FieldOperator:
         self.band, self.ipiv = band, ipiv
         return self
 
+    def _band_buffer(self, size: int) -> np.ndarray:
+        """The operator's band buffer of ``size`` values, zeroed."""
+        if self._buffer is None:
+            self._buffer = np.zeros(size)
+        else:
+            self._buffer.fill(0.0)
+        return self._buffer
+
     def solve_factored(self, b: np.ndarray) -> np.ndarray:
         """x with E x = ``b`` from the filled factor, unrefined and ungated."""
         lay = self.layout
-        y = (self.scale * b)[lay.perm]
+        y = self.scale * b[lay.perm]
         if self.ipiv is None:
             y, _ = lapack.dpbtrs(self.band, y, lower=1, overwrite_b=1)
         else:
             y, _ = lapack.dgbtrs(self.band, lay.width, lay.width, y, self.ipiv, overwrite_b=1)
         x = np.empty_like(y)
-        x[lay.perm] = y
-        return self.scale * x
+        x[lay.perm] = self.scale * y
+        return x
 
 
 def apply_dirichlet(op: FieldOperator, data: np.ndarray) -> None:
@@ -383,11 +407,15 @@ def solve_linear(op: FieldOperator, b: np.ndarray) -> np.ndarray:
     relative residual gate of 1e-10.
 
     The operator is symmetrically Jacobi-scaled before factorization (the
-    mobility contrast between broken and intact cells reaches 1e8+) and a
-    few iterative-refinement sweeps against the unscaled residual recover
-    full accuracy. The factor is ``op``'s own (see ``FieldOperator``): an
-    empty one is filled by ``op.factorize``, and a filled one is reused
-    without looking at the operator again.
+    mobility contrast between broken and intact cells reaches 1e8+) and up
+    to ``_REFINE_SWEEPS`` iterative-refinement sweeps against the unscaled
+    residual recover full accuracy. Refinement stops at the first sweep
+    that does not lower ||r||, keeping the iterate with the lowest
+    residual: there the residual sits on its round-off floor, and further
+    sweeps only cost a triangular solve and a matvec each. The factor is
+    ``op``'s own (see ``FieldOperator``): an empty one is filled by
+    ``op.factorize``, and a filled one is reused without looking at the
+    operator again.
     """
     A = op.eliminated
     n = A.shape[0]
@@ -401,19 +429,23 @@ def solve_linear(op: FieldOperator, b: np.ndarray) -> np.ndarray:
     if bnorm == 0.0:
         return x
     resid = b - A @ x
+    rnorm = math.sqrt(resid @ resid)
     gate = 1e-10 * bnorm
-    for _ in range(5):
-        if math.sqrt(resid @ resid) <= gate:
+    for _ in range(_REFINE_SWEEPS):
+        if rnorm <= gate:
             return x
-        x = x + op.solve_factored(resid)
-        resid = b - A @ x
+        x_new = x + op.solve_factored(resid)
+        r_new = b - A @ x_new
+        rnorm_new = math.sqrt(r_new @ r_new)
+        if not rnorm_new < rnorm:
+            break
+        x, resid, rnorm = x_new, r_new, rnorm_new
     # With strong cancellation (||b|| << |A||x|, e.g. source-driven flow in a
     # high-contrast crack) no float64 vector can reach 1e-10*||b||; accept the
     # standard backward-error scale instead, which coincides with the ||b||
     # gate whenever the system is well scaled.
     absAx = np.bincount(op.layout.rows, weights=np.abs(A.data) * np.abs(x)[A.indices], minlength=n)
     denom = bnorm + math.sqrt(absAx @ absAx)
-    rnorm = math.sqrt(resid @ resid)
     if rnorm > 1e-10 * denom:
         raise SolverFailure(
             f"linear solve residual {rnorm:.3e} exceeds 1e-10 * backward scale "

@@ -1,7 +1,16 @@
-"""Legacy ASCII VTK (UNSTRUCTURED_GRID) writer for meshes and snapshots.
+"""Legacy binary VTK (UNSTRUCTURED_GRID) writer for meshes and snapshots.
+
+The files are legacy VTK ``BINARY``: the header and every keyword line are
+ASCII text, and each array follows its keyword line as raw big-endian
+values, then a newline. Points and data are float64 (``>f8``); ``CELLS``
+and ``CELL_TYPES`` are int32 (``>i4``), the integer type legacy VTK
+readers take. Every value written is the double the solver holds, so the
+file carries the same numbers as a ``%.17g`` text file would, in about
+two thirds of the bytes and without formatting a number: formatting took
+most of a snapshot's time on the small meshes of a batch run.
 
 A run writes many snapshots of one mesh, so the mesh block (``POINTS``,
-``CELLS`` and ``CELL_TYPES``) is formatted once, by ``vtk_grid``, and every
+``CELLS`` and ``CELL_TYPES``) is encoded once, by ``vtk_grid``, and every
 ``write_vtk`` call of the run reuses it.
 """
 
@@ -14,30 +23,43 @@ import numpy as np
 
 from .mesh import Mesh
 
+_FLOAT = np.dtype(">f8")
+_INT = np.dtype(">i4")
+_VTK_QUAD = 9
 
-def _rows(line: str, table: np.ndarray) -> str:
-    """The rows of ``table`` one per text line, all through one %-format call."""
-    return "\n".join([line] * len(table)) % tuple(table.ravel().tolist())
+
+def _block(line: str, values: np.ndarray) -> bytes:
+    """A keyword line and the big-endian bytes of ``values`` after it."""
+    return line.encode() + b"\n" + values.tobytes() + b"\n"
+
+
+def _xyz(xy: np.ndarray) -> np.ndarray:
+    """(n, 2) points or vectors as big-endian (n, 3) with z = 0."""
+    out = np.zeros((len(xy), 3), dtype=_FLOAT)
+    out[:, :2] = xy
+    return out
 
 
 @dataclass(frozen=True)
 class VtkGrid:
-    """The mesh block of a legacy VTK file, formatted once per mesh."""
+    """The mesh block of a legacy VTK file, encoded once per mesh."""
 
     n_nodes: int
     n_elems: int
-    text: str       # POINTS, CELLS and CELL_TYPES, without a final newline
+    data: bytes     # POINTS, CELLS and CELL_TYPES with their payloads
 
 
 def vtk_grid(mesh: Mesh) -> VtkGrid:
-    """Format the nodes and Q4 cells of ``mesh``."""
-    lines = [f"POINTS {mesh.n_nodes} double",
-             _rows("%.17g %.17g 0", mesh.nodes),
-             f"CELLS {mesh.n_elems} {5 * mesh.n_elems}",
-             _rows("4 %d %d %d %d", mesh.elems),
-             f"CELL_TYPES {mesh.n_elems}"]
-    lines.extend(["9"] * mesh.n_elems)
-    return VtkGrid(n_nodes=mesh.n_nodes, n_elems=mesh.n_elems, text="\n".join(lines))
+    """Encode the nodes and Q4 cells of ``mesh``."""
+    cells = np.empty((mesh.n_elems, 5), dtype=_INT)
+    cells[:, 0] = 4
+    cells[:, 1:] = mesh.elems
+    data = b"".join([
+        _block(f"POINTS {mesh.n_nodes} double", _xyz(mesh.nodes)),
+        _block(f"CELLS {mesh.n_elems} {5 * mesh.n_elems}", cells),
+        _block(f"CELL_TYPES {mesh.n_elems}", np.full(mesh.n_elems, _VTK_QUAD, dtype=_INT)),
+    ])
+    return VtkGrid(n_nodes=mesh.n_nodes, n_elems=mesh.n_elems, data=data)
 
 
 def write_vtk(path: str | Path, grid: VtkGrid,
@@ -51,26 +73,23 @@ def write_vtk(path: str | Path, grid: VtkGrid,
     Vectors are (n_nodes, 2) and padded with a zero z component.
     """
     path = Path(path)
-    lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID",
-             grid.text]
+    parts = [f"# vtk DataFile Version 3.0\n{title}\nBINARY\nDATASET UNSTRUCTURED_GRID\n"
+             .encode(), grid.data]
 
     if point_data or point_vectors:
-        lines.append(f"POINT_DATA {grid.n_nodes}")
+        parts.append(f"POINT_DATA {grid.n_nodes}\n".encode())
         for name, vals in (point_data or {}).items():
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.append(_rows("%.17g", np.asarray(vals, dtype=float)))
+            parts.append(_block(f"SCALARS {name} double 1\nLOOKUP_TABLE default",
+                                np.asarray(vals, dtype=_FLOAT)))
         for name, vec in (point_vectors or {}).items():
-            vec = np.asarray(vec, dtype=float).reshape(grid.n_nodes, 2)
-            lines.append(f"VECTORS {name} double")
-            lines.append(_rows("%.17g %.17g 0", vec))
+            parts.append(_block(f"VECTORS {name} double",
+                                _xyz(np.reshape(vec, (grid.n_nodes, 2)))))
 
     if cell_data:
-        lines.append(f"CELL_DATA {grid.n_elems}")
+        parts.append(f"CELL_DATA {grid.n_elems}\n".encode())
         for name, vals in cell_data.items():
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.append(_rows("%.17g", np.asarray(vals, dtype=float)))
+            parts.append(_block(f"SCALARS {name} double 1\nLOOKUP_TABLE default",
+                                np.asarray(vals, dtype=_FLOAT)))
 
-    path.write_text("\n".join(lines) + "\n")
+    path.write_bytes(b"".join(parts))
     return path

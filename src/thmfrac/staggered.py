@@ -13,8 +13,8 @@ the same dt and the same phase field share the linear part of their
 fixed-point map, and the previous step's state only shifts it, a shift
 that cancels in secant differences. So a step that continues a
 simulation's last returned state at the same dt and v starts its mixer
-from the last step's secant pairs instead of from nothing, the reuse
-behind Krylov subspace recycling (Parks et al. 2006, SIAM J. Sci.
+from the secant pairs of the steps before instead of from nothing, the
+reuse behind Krylov subspace recycling (Parks et al. 2006, SIAM J. Sci.
 Comput. 28). Mixing changes the path of the iteration, not its fixed
 point.
 """
@@ -41,6 +41,7 @@ log = logging.getLogger("thmfrac")
 
 _EMPTY = (np.empty(0, dtype=np.int64), np.empty(0))
 _ANDERSON_WINDOW = 4    # secant pairs of the inner pressure mixing
+_CARRY_CAP = 2 * _ANDERSON_WINDOW   # secant pairs a step may carry into the next
 
 
 @dataclass
@@ -110,20 +111,24 @@ class _AndersonMixer:
     A secant pair is the difference of two successive residuals g - x and
     of the two iterates g. The mixer fits on the step's own window of the
     last ``_ANDERSON_WINDOW`` pairs (FIFO) and, beside it, on the pairs
-    that ``restart`` carried over from the previous step, so the first
-    ``mix`` after a restart fits on the carried pairs alone. Carried pairs
-    stay for the whole step: evicting them as the step's own pairs arrive
-    took more inner passes on Terzaghi columns than carrying nothing. A
-    mixer that carries none mixes bit for bit as one with the own window
-    alone. A zero residual or a non-finite mixed iterate resets
-    everything, carried pairs included.
+    that ``restart`` carried over from the previous steps, at most
+    ``_CARRY_CAP`` = 2 ``_ANDERSON_WINDOW`` of them, so the first ``mix``
+    after a restart fits on the carried pairs alone. Carried pairs stay
+    for the whole step: evicting them as the step's own pairs arrive took
+    more inner passes on Terzaghi columns than carrying nothing. The cap
+    is the measured knee: a poro_batch pass on seeds 1/2/3 takes
+    398/389/415 inner passes carrying 4 pairs, 355/344/349 carrying 8 and
+    347/345/350 carrying 12. A mixer
+    that carries none mixes bit for bit as one with the own window alone.
+    A zero residual or a non-finite mixed iterate resets everything,
+    carried pairs included.
     """
 
     def __init__(self, n: int):
         # secant differences, oldest in column 0: the carried pairs in the
         # first ``carried`` columns, then the step's own window
-        self._dF = np.empty((n, 2 * _ANDERSON_WINDOW))
-        self._dG = np.empty((n, 2 * _ANDERSON_WINDOW))
+        self._dF = np.empty((n, _CARRY_CAP + _ANDERSON_WINDOW))
+        self._dG = np.empty((n, _CARRY_CAP + _ANDERSON_WINDOW))
         self.reset()
 
     def reset(self):
@@ -132,11 +137,11 @@ class _AndersonMixer:
         self._last: tuple[np.ndarray, np.ndarray] | None = None    # previous (f, g)
 
     def restart(self):
-        """Carry the last secant pairs, at most ``_ANDERSON_WINDOW`` of them,
-        into a new step's iteration, and drop the previous iterate, so that
-        no pair spans two steps."""
+        """Carry the last secant pairs, at most ``_CARRY_CAP`` of them, into
+        a new step's iteration, and drop the previous iterate, so that no
+        pair spans two steps."""
         total = self.carried + self._m
-        keep = min(total, _ANDERSON_WINDOW)
+        keep = min(total, _CARRY_CAP)
         if keep < total:
             self._dF[:, :keep] = self._dF[:, total - keep:total]
             self._dG[:, :keep] = self._dG[:, total - keep:total]
@@ -266,11 +271,11 @@ class Simulation:
     def _solve_v(self, it: FieldState, T_qp: np.ndarray, lower, upper) -> np.ndarray:
         if "u" in self._ops:
             # the new v makes the mechanics factor stale in nearly every
-            # outer iteration; emptied here, it does not sit beside the
-            # phase field's factors: kgd_growth seed 1 peaks at 83.7-85.3 MB
-            # RSS with this, 86.4-86.7 MB without (3 runs each, 2-core Xeon)
-            mech = self._ops["u"]
-            mech.band = mech.ipiv = mech.scale = None
+            # outer iteration; released here with its band buffer, it does
+            # not sit beside the phase field's factors: kgd_growth seed 1
+            # peaks at 83.7-85.3 MB RSS with this, 86.4-86.7 MB without
+            # (3 runs each, 2-core Xeon)
+            self._ops["u"].release()
         system = build_phasefield_system(self.tables, self.params, self.gc_elem,
                                          it.u, it.p, T_qp)
         init = np.clip(it.v, lower, upper)
@@ -306,13 +311,15 @@ class Simulation:
         temperature once per inner pass.
 
         The first outer iteration keeps the mixer's last secant pairs, at
-        most ``_ANDERSON_WINDOW`` of them, when ``prev`` is the state this
-        simulation's last step returned (by identity), ``dt`` is that
-        step's and v is unchanged by value since the pairs were formed;
-        otherwise, and in every later outer iteration, the mixer starts
-        from nothing. Phase-field runs change v in every outer iteration,
-        so they never carry pairs. The report records how many pairs the
-        step started with."""
+        most ``_CARRY_CAP`` = 2 ``_ANDERSON_WINDOW`` of them, when ``prev``
+        is the state this simulation's last step returned (by identity),
+        ``dt`` is that step's and v is unchanged by value since the pairs
+        were formed; otherwise, and in every later outer iteration, the
+        mixer starts from nothing. The cap is the measured knee of the
+        inner-pass count (see ``_AndersonMixer``); the carried pairs may
+        come from several earlier steps. Phase-field runs change v in every
+        outer iteration, so they never carry pairs. The report records how
+        many pairs the step started with."""
         if not (dt > 0.0 and math.isfinite(dt)):
             raise ValueError(f"dt must be positive and finite, got {dt}")
         n = self.mesh.n_nodes

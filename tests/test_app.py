@@ -12,6 +12,65 @@ from thmfrac.errors import NonConvergence
 from thmfrac.io_vtk import vtk_grid, write_vtk
 from thmfrac.mesh import generate_rect_mesh
 from thmfrac.presets import terzaghi
+from thmfrac.scenario import build_simulation
+
+
+def read_vtk(path):
+    """The four header lines and the arrays of a legacy binary VTK
+    unstructured grid, each payload read as the big-endian values its
+    keyword line announces and checked to end with a newline: ``POINTS``,
+    ``CELLS`` and ``CELL_TYPES`` by keyword, data arrays by (section,
+    name)."""
+    data = path.read_bytes()
+    pos = 0
+
+    def line():
+        nonlocal pos
+        end = data.index(b"\n", pos)
+        text, pos = data[pos:end].decode(), end + 1
+        return text
+
+    def payload(dtype, count):
+        nonlocal pos
+        values = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
+        pos += values.nbytes
+        assert data[pos:pos + 1] == b"\n"
+        pos += 1
+        return values
+
+    header = [line() for _ in range(4)]
+    arrays, section, size = {}, None, 0
+    while pos < len(data):
+        words = line().split()
+        if words[0] == "POINTS":
+            assert words[2] == "double"
+            arrays["POINTS"] = payload(">f8", 3 * int(words[1])).reshape(-1, 3)
+        elif words[0] == "CELLS":
+            arrays["CELLS"] = payload(">i4", int(words[2])).reshape(int(words[1]), -1)
+        elif words[0] == "CELL_TYPES":
+            arrays["CELL_TYPES"] = payload(">i4", int(words[1]))
+        elif words[0] in ("POINT_DATA", "CELL_DATA"):
+            section, size = words[0], int(words[1])
+        elif words[0] == "SCALARS":
+            assert words[2:] == ["double", "1"] and line() == "LOOKUP_TABLE default"
+            arrays[section, words[1]] = payload(">f8", size)
+        else:
+            assert words[0] == "VECTORS" and words[2] == "double"
+            arrays[section, words[1]] = payload(">f8", 3 * size).reshape(-1, 3)
+    return header, arrays
+
+
+def _assert_grid(arrays, mesh):
+    """The mesh block of ``arrays`` holds ``mesh`` bit for bit."""
+    assert arrays["POINTS"][:, :2].tobytes() == mesh.nodes.astype(">f8").tobytes()
+    assert not arrays["POINTS"][:, 2].any()
+    assert (arrays["CELLS"][:, 0] == 4).all()
+    assert np.array_equal(arrays["CELLS"][:, 1:], mesh.elems)
+    assert (arrays["CELL_TYPES"] == 9).all() and arrays["CELL_TYPES"].size == mesh.n_elems
+
+
+def _same_bits(stored, values):
+    return stored.tobytes() == np.asarray(values, dtype=">f8").tobytes()
 
 
 @pytest.fixture
@@ -54,11 +113,11 @@ def test_snapshot_cadence(tmp_path, short_terzaghi, monkeypatch):
     # t=0, steps 2 and 4 on cadence, final step 5
     assert snaps == ["snapshot_000000.vtk", "snapshot_000002.vtk",
                      "snapshot_000004.vtk", "snapshot_000005.vtk"]
-    assert len(grids) == 1      # the mesh block is formatted once per run
-    text = (tmp_path / "snapshot_000004.vtk").read_text()
-    for arr in ("SCALARS p", "SCALARS T", "SCALARS v", "VECTORS u",
-                "SCALARS width", "SCALARS porosity", "SCALARS permeability_xx"):
-        assert arr in text
+    assert len(grids) == 1      # the mesh block is encoded once per run
+    data = (tmp_path / "snapshot_000004.vtk").read_bytes()
+    for arr in (b"SCALARS p ", b"SCALARS T ", b"SCALARS v ", b"VECTORS u ",
+                b"SCALARS width ", b"SCALARS porosity ", b"SCALARS permeability_xx "):
+        assert arr in data
 
 
 def test_failed_run_records_the_failure(tmp_path, short_terzaghi):
@@ -118,9 +177,43 @@ def test_vtk_writer_shapes(tmp_path, rng):
     path = write_vtk(tmp_path / "m.vtk", vtk_grid(mesh),
                      point_data={"f": rng.uniform(size=mesh.n_nodes)},
                      cell_data={"g": rng.uniform(size=mesh.n_elems)})
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# vtk DataFile")
-    assert f"POINTS {mesh.n_nodes} double" in lines
-    assert f"CELLS {mesh.n_elems} {5 * mesh.n_elems}" in lines
-    assert f"POINT_DATA {mesh.n_nodes}" in lines
-    assert f"CELL_DATA {mesh.n_elems}" in lines
+    lines = path.read_bytes().split(b"\n")
+    assert lines[0].startswith(b"# vtk DataFile") and lines[2] == b"BINARY"
+    assert f"POINTS {mesh.n_nodes} double".encode() in lines
+    assert f"CELLS {mesh.n_elems} {5 * mesh.n_elems}".encode() in lines
+    assert f"POINT_DATA {mesh.n_nodes}".encode() in lines
+    assert f"CELL_DATA {mesh.n_elems}".encode() in lines
+
+
+def test_snapshot_round_trips_every_array_bit_for_bit(tmp_path, rng):
+    mesh = generate_rect_mesh(1.0, 2.0, 3, 4)
+    p = rng.normal(size=mesh.n_nodes)
+    p[[0, 1, 2]] = [np.nan, np.inf, -0.0]
+    u = rng.normal(size=2 * mesh.n_nodes) * 1e-300
+    g = rng.uniform(size=mesh.n_elems)
+    path = write_vtk(tmp_path / "s.vtk", vtk_grid(mesh), point_data={"p": p},
+                     point_vectors={"u": u}, cell_data={"g": g}, title="column t=1 s")
+    header, arrays = read_vtk(path)
+    assert header == ["# vtk DataFile Version 3.0", "column t=1 s", "BINARY",
+                      "DATASET UNSTRUCTURED_GRID"]
+    _assert_grid(arrays, mesh)
+    assert _same_bits(arrays["POINT_DATA", "p"], p)
+    assert _same_bits(arrays["POINT_DATA", "u"][:, :2], u.reshape(-1, 2))
+    assert not arrays["POINT_DATA", "u"][:, 2].any()
+    assert _same_bits(arrays["CELL_DATA", "g"], g)
+    assert set(arrays) == {"POINTS", "CELLS", "CELL_TYPES", ("POINT_DATA", "p"),
+                           ("POINT_DATA", "u"), ("CELL_DATA", "g")}
+
+
+def test_mesh_dump_round_trips_every_array_bit_for_bit(tmp_path):
+    out = tmp_path / "mesh.vtk"
+    assert main(["mesh-dump", "terzaghi", "--out", str(out)]) == 0
+    sim = build_simulation(terzaghi())
+    header, arrays = read_vtk(out)
+    assert header[1:] == ["terzaghi mesh", "BINARY", "DATASET UNSTRUCTURED_GRID"]
+    _assert_grid(arrays, sim.mesh)
+    crack = np.zeros(sim.mesh.n_nodes)
+    crack[sim.crack_nodes] = 1.0
+    assert _same_bits(arrays["POINT_DATA", "crack"], crack)
+    assert _same_bits(arrays["CELL_DATA", "h_e"], sim.mesh.h_e)
+    assert _same_bits(arrays["CELL_DATA", "Gc"], sim.gc_elem)

@@ -186,6 +186,7 @@ def test_non_finite_or_non_physical_number_is_reported_under_its_path(key, value
     lambda: MechBC(set="north", component="x"),
     lambda: MechBC(set="left"),
     lambda: MechBC(set="right", component="x", traction=(1.0, 0.0)),
+    lambda: MechBC(set="left", traction=(1.0, 0.0), value=5.0),
     lambda: ScalarBC(set="north", value=0.0),
     lambda: Injection(point=(0.0, 0.0), rate=-1.0),
     lambda: ProbeSpec(name="", field="p", point=(0.0, 0.0)),
@@ -203,7 +204,8 @@ def test_non_finite_or_non_physical_number_is_reported_under_its_path(key, value
     lambda: RefineBand(axis="x", lo=-1.0, hi=1.0, h=0.1),
     lambda: WeakInterface(segment=[(0.04, 0.15), (0.04, 0.25)], gc_ratio=-0.5),
     lambda: WeakInterface(segment=[(0.04, 0.15)], gc_ratio=0.5),
-], ids=["mech-set", "mech-component", "mech-component-and-traction", "scalar-set", "injection-rate", "probe-name",
+], ids=["mech-set", "mech-component", "mech-component-and-traction",
+        "mech-value-and-traction", "scalar-set", "injection-rate", "probe-name",
         "probe-kind", "probe-field", "probe-point", "width-point", "probe-path",
         "probe-threshold", "controls-v_ir", "controls-dt", "controls-partial-step",
         "controls-partial-segment", "band-lo", "interface-gc_ratio", "interface-segment"])
@@ -222,6 +224,25 @@ def test_mechanics_entry_with_a_component_and_a_traction_is_reported_under_its_p
         parse_config(json.dumps(raw))
     assert exc.value.errors == [
         "bcs.mechanics[1]: an entry with a traction takes no component, got component 'x'"]
+
+
+def test_mechanics_entry_with_a_value_and_a_traction_exits_with_config_error(tmp_path,
+                                                                             capsys):
+    # the value used to be dropped silently: only the traction was applied
+    raw = config_to_dict(terzaghi())
+    assert "traction" in raw["bcs"]["mechanics"][0]
+    assert "value" not in raw["bcs"]["mechanics"][0]
+    raw["bcs"]["mechanics"][0]["value"] = 5.0
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert ("bcs.mechanics[0]: an entry with a traction takes no value, got value 5.0"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_constraint_without_a_value_holds_zero():
+    assert MechBC(set="left", component="x").value == 0.0
 
 
 _NAN, _INF = float("nan"), float("inf")
@@ -333,14 +354,14 @@ class TestCLIHelpers:
     def test_mesh_dump_writes_vtk(self, tmp_path):
         out = tmp_path / "mesh.vtk"
         assert main(["mesh-dump", "terzaghi", "--out", str(out)]) == 0
-        text = out.read_text()
-        assert "UNSTRUCTURED_GRID" in text
-        assert "CELL_TYPES" in text
+        data = out.read_bytes()
+        assert b"UNSTRUCTURED_GRID" in data
+        assert b"CELL_TYPES" in data
 
     def test_mesh_dump_creates_the_parent_directory(self, tmp_path):
         out = tmp_path / "a" / "b" / "mesh.vtk"
         assert main(["mesh-dump", "terzaghi", "--out", str(out)]) == 0
-        assert "UNSTRUCTURED_GRID" in out.read_text()
+        assert b"UNSTRUCTURED_GRID" in out.read_bytes()
 
     def test_override_applies_before_validation(self, tmp_path, capsys):
         # an override that breaks the config must exit 2

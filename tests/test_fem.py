@@ -420,6 +420,66 @@ class TestSolveLinear:
         with pytest.raises(SolverFailure):
             _solve(A, np.array([1.0, 0.0]))
 
+    def test_refinement_stops_when_the_residual_stagnates(self, monkeypatch):
+        # a chain whose middle links are 1e10 times stiffer, loaded at its
+        # soft ends: ||b|| << |A||x|, so the residual floor lies far above
+        # 1e-10 ||b|| and every sweep used to run
+        solves = _count_solves(monkeypatch)
+        rng = np.random.default_rng(0)
+        stiff = np.ones(39)
+        stiff[10:30] = 1e10 * rng.uniform(0.5, 2.0, 20)
+        ground = np.zeros(40)
+        ground[0] = 1e-3
+        A = _chain(stiff, ground)
+        b = np.zeros(40)
+        b[[5, -1]] = -0.5, 1.0
+        x = _solve(A, b)
+        sweeps = len(solves) - 1
+        assert 1 <= sweeps <= 3
+        r = b - A @ x
+        absAx = abs(A) @ np.abs(x)
+        rnorm, bnorm = np.linalg.norm(r), np.linalg.norm(b)
+        assert 1e-10 * bnorm < rnorm <= 1e-10 * (bnorm + np.linalg.norm(absAx))
+
+    @pytest.mark.parametrize("contrast", [1e2, 1e7])
+    def test_a_well_scaled_solve_is_bitwise_the_plain_refinement(self, contrast,
+                                                                monkeypatch):
+        # refinement that reaches 1e-10 ||b|| never stagnates on the way
+        rng = np.random.default_rng(0)
+        A = _chain(np.exp(rng.uniform(0.0, np.log(contrast), 39)), 1.0)
+        b = rng.normal(size=40)
+        op = operator_of(A)
+        op.factorize()
+        x = op.solve_factored(b)
+        sweeps = 0
+        while np.linalg.norm(b - A @ x) > 1e-10 * np.linalg.norm(b):
+            x = x + op.solve_factored(b - A @ x)
+            sweeps += 1
+        assert sweeps == (contrast > 1e6)
+        assert solve_linear(op, b).tobytes() == x.tobytes()
+
+
+def _count_solves(monkeypatch):
+    """The ``solve_factored`` calls from here on, one entry each."""
+    calls = []
+    solve = FieldOperator.solve_factored
+
+    def counted(self, b):
+        calls.append(b.size)
+        return solve(self, b)
+
+    monkeypatch.setattr(FieldOperator, "solve_factored", counted)
+    return calls
+
+
+def _chain(links, ground):
+    """The stiffness matrix of a chain of springs ``links`` whose nodes are
+    tied to the ground by springs ``ground`` (a scalar or one per node)."""
+    diag = np.zeros(links.size + 1) + ground
+    diag[:-1] += links
+    diag[1:] += links
+    return sp.diags([-links, diag, -links], [-1, 0, 1]).tocsr()
+
 
 def _laplacian_2d(m):
     """5-point Laplacian on an m x m grid of nodes, as CSR."""

@@ -12,14 +12,16 @@ for four 1e3 s steps.
 * At the preset's inner tolerance, T, p and u after the last step and the
   outer/inner counts of each step must match ``heat_guard_reference.json``
   to 1e-12 relative (of each field's largest value). The reference was
-  written by ``reference_run`` below on the commit whose steps carry the
-  Anderson secant pairs of the step before. That changes the iteration:
-  the fourth step takes 3 inner passes instead of 4, and T moved by up to
-  1.1e-8 K, p by 1.3e-7 Pa and u by 7e-16 m from the state of a fresh
-  mixer in every step, while the fixed point below did not move. (The
-  reference before that was written on the commit that extended the
-  fixed-stress split to the thermal stress, which moved T by up to
-  1.4e-7 K at the same counts.)
+  written by ``reference_run`` below on the commit whose steps carry up
+  to eight Anderson secant pairs of the steps before. That changes the
+  iteration: the third step takes 3 inner passes instead of 4, and T
+  moved by up to 3.4e-8 K, p by 2.9e-7 Pa and u by 1.5e-15 m from the
+  state of a mixer that carries four pairs, while the fixed point below
+  did not move. (The references before were written on the commit that
+  first carried pairs, whose fourth step took 3 passes instead of 4 and
+  moved T by up to 1.1e-8 K from a fresh mixer in every step, and on the
+  commit that extended the fixed-stress split to the thermal stress,
+  which moved T by up to 1.4e-7 K at the same counts.)
 * At an inner tolerance of 1e-12, T, p and u must match
   ``heat_guard_fixed_point.json`` to 1e-10 relative. That state was written
   by ``fixed_point_run`` below with the source of the commit before the

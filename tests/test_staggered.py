@@ -234,22 +234,24 @@ class TestTerzaghiFromRest:
     def test_mixed_iterates_are_bitwise_the_column_stack_formulation(self, rng):
         # the secant differences of the carried pairs and of the last four
         # own pairs, stacked afresh on every call from the kept (f, g)
-        # history, oldest column first; a restart carries the last four
+        # history, oldest column first; a restart carries the last eight
         # differences and starts a new own history, a reset drops both
-        n, window = 50, 4
+        n, window, cap = 50, 4, 8
         mixer = _AndersonMixer(n)
         carried, F, G = [], [], []
         x = rng.normal(size=n)
-        for k in range(20):
-            if k == 14:
+        for k in range(30):
+            if k == 24:
                 mixer.reset()
                 carried, F, G = [], [], []
-            if k in (3, 5, 11, 14):
-                # at 14 right after the reset, with nothing to carry
+            if k in (3, 5, 11, 17, 22, 24):
+                # the carry reaches the cap at 17; at 24 right after the
+                # reset, with nothing to carry
                 mixer.restart()
-                carried = (carried + _secant_pairs(F, G))[-window:]
+                carried = (carried + _secant_pairs(F, G))[-cap:]
                 F, G = [], []
-                assert mixer.carried == len(carried) <= window, k
+                assert mixer.carried == len(carried) <= cap, k
+                assert k != 17 or len(carried) == cap
             g = 0.7 * x + rng.normal(scale=0.1, size=n)
             got = mixer.mix(x, g)
             F.append(g - x)
@@ -276,22 +278,27 @@ class TestCarriedSecantPairs:
             x = mixer.mix(x, g)
         return x, F, G
 
-    def test_restart_carries_the_last_four_pairs_into_the_first_mix(self, rng):
+    def test_restart_carries_the_last_eight_pairs_into_the_first_mix(self, rng):
+        # a step keeps four own pairs, so the carry fills over two restarts
         mixer = _AndersonMixer(30)
         x, F, G = self._mixes(rng, mixer, rng.normal(size=30), 7)   # six pairs
         mixer.restart()
         assert mixer.carried == 4
         carried = _secant_pairs(F, G)[-4:]
+        x, F, G = self._mixes(rng, mixer, x, 6)     # five own pairs
+        mixer.restart()
+        assert mixer.carried == 8
+        carried += _secant_pairs(F, G)[-4:]
         # the first mix fits on the carried pairs alone: no pair joins the
         # last iterate of one step to the first of the next
         g = 0.7 * x + rng.normal(scale=0.1, size=30)
         got = mixer.mix(x, g)
         assert got.tobytes() == _column_stack_mix(carried, x, g).tobytes()
-        # two own pairs and the two latest carried ones make the next carry
+        # two own pairs and the six latest carried ones make the next carry
         _, F, G = self._mixes(rng, mixer, got, 2)
         own = _secant_pairs([g - x] + F, [g] + G)
         mixer.restart()
-        assert mixer.carried == 4
+        assert mixer.carried == 8
         x, g = rng.normal(size=30), rng.normal(size=30)
         assert mixer.mix(x, g).tobytes() == _column_stack_mix(carried[2:] + own, x, g).tobytes()
 
