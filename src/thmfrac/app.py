@@ -7,7 +7,8 @@ partial outputs are kept next to a ``FAILED`` marker, and the marker and
 the manifest's ``failure`` record name the exception type, its message
 and the time of the step that failed; for a ``NonConvergence`` they also
 hold the increment history of the loop that hit its cap (one line of the
-marker, ``failure.history`` in the manifest).
+marker, ``failure.history`` in the manifest), for the inner loop every
+inner pass of the step.
 """
 
 from __future__ import annotations

@@ -32,7 +32,9 @@ class SolverFailure(ThmfracError, RuntimeError):
 
 
 class NonConvergence(SolverFailure):
-    """An iteration loop hit its cap; carries the increment history."""
+    """An iteration loop hit its cap; carries the increment history. Both
+    staggered loops fail in one message form, and the inner loop's history
+    holds every inner pass of the step, across its outer iterations."""
 
     def __init__(self, message: str, history: list | None = None, **diag):
         super().__init__(message, diagnostics=diag)

@@ -49,6 +49,8 @@ def build_simulation(cfg: ScenarioConfig) -> Simulation:
     gc_elem = np.full(mesh.n_elems, mp.Gc)
     for w in cfg.weak_interfaces:
         ids = elems_intersecting_segment(mesh, *w.segment)
+        if ids.size == 0:
+            raise ValueError(f"weak interface {w.segment} crosses no element")
         gc_elem[ids] = mp.Gc * w.gc_ratio
 
     crack_tol = 1e-3 * float(mesh.h_e.min())

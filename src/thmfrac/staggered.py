@@ -6,7 +6,9 @@ then iterate the (heat, fixed-stress flow, mechanics) trio until their
 relative increments drop below ``tol_tpu``; the outer loop stops when the
 phase-field increment drops below ``tol_stag``. Irreversibility enters
 through the upper bound: nodes whose previous-step value sits below
-``v_ir`` may not heal past it.
+``v_ir`` may not heal past it. Both loops count their passes with
+``_passes``: past its cap a loop raises ``NonConvergence`` with its
+increment history, for the inner loop every pass of the step.
 
 The inner pressure iterate is Anderson-mixed. Two consecutive steps with
 the same dt and the same phase field share the linear part of their
@@ -96,6 +98,16 @@ def _rel(new: np.ndarray, old: np.ndarray) -> float:
     if nn == 0.0:
         return 0.0 if dn == 0.0 else 1.0
     return dn / nn
+
+
+def _passes(loop: str, cap: int, history: list):
+    """The pass numbers 1, ..., ``cap`` of a fixed-point loop whose body
+    appends each pass's increments to ``history`` and leaves the loop once
+    they meet its stop test. A loop that runs past its last pass raises
+    ``NonConvergence`` with the last increments and the whole history."""
+    yield from range(1, cap + 1)
+    raise NonConvergence(f"{loop} loop exceeded {cap} iterations "
+                         f"(last increments {history[-1]})", history=history)
 
 
 class _AndersonMixer:
@@ -329,7 +341,6 @@ class Simulation:
 
         tb, params = self.tables, self.params
         it = prev.copy()
-        v_cur = prev.v
         step = step_state(tb, prev)
         # T_qp is always it.T at the quadrature points: without heat solves
         # T stays at the previous level, and flow forms no thermal
@@ -342,18 +353,15 @@ class Simulation:
         carry, self._carry = self._carry, None
         continues = carry is not None and carry[0] is prev and carry[1] == dt
 
-        for m in range(1, controls.max_outer + 1):
-            if self.solve_phasefield:
-                v_new = self._solve_v(it, T_qp, lower, upper)
-            else:
-                v_new = v_cur
-
+        for m in _passes("outer staggered", controls.max_outer, v_incs):
+            v_new = self._solve_v(it, T_qp, lower, upper) if self.solve_phasefield else it.v
             if m == 1 and continues and np.array_equal(v_new, carry[2]):
                 mixer.restart()
             else:
                 mixer.reset()
             if m == 1:
                 carried = mixer.carried
+            v_incs.append(_rel(v_new, it.v))
             # heat and flow share the strain-derived state of the iterate;
             # the first pass's state also gives the stiffness branch flags,
             # frozen across the inner loop: refreshing them per (T, p, u)
@@ -362,8 +370,7 @@ class Simulation:
             phase = phase_state(tb, params, v_new)
             st = strain_state(tb, params, it.u, phase)
             h_mech = mechanics_branch_flags(tb, params, st, T_qp)
-            inner_done = 0
-            for j in range(1, controls.max_inner + 1):
+            for j in _passes("inner (T-p-u)", controls.max_inner, tpu_incs):
                 if self.solve_thermal:
                     T_new = self._solve_T(st, it.p, step, dt)
                     # flow and the mechanics rhs share the new T at the
@@ -373,32 +380,18 @@ class Simulation:
                 p_raw = self._solve_p(st, it.p, T_qp, T_it_qp, step, dt)
                 p_new = mixer.mix(it.p, p_raw)
                 u_new = self._solve_u(phase, p_new, T_qp, h_mech)
-                inc = (_rel(T_new, it.T), _rel(p_new, it.p), _rel(u_new, it.u))
+                tpu_incs.append((_rel(T_new, it.T), _rel(p_new, it.p), _rel(u_new, it.u)))
                 it = FieldState(u=u_new, p=p_new, T=T_new, v=v_new)
-                tpu_incs.append(inc)
-                inner_done = j
-                if max(inc) < controls.tol_tpu:
+                if max(tpu_incs[-1]) < controls.tol_tpu:
                     break
                 st = strain_state(tb, params, it.u, phase)
-            else:
-                raise NonConvergence(
-                    f"inner (T-p-u) loop exceeded {controls.max_inner} iterations "
-                    f"(last increments {tpu_incs[-1]})", history=tpu_incs)
 
-            inner_counts.append(inner_done)
-            dv = _rel(v_new, v_cur)
-            v_incs.append(dv)
-            v_cur = v_new
-            if not self.solve_phasefield or dv < controls.tol_stag:
-                report = StepReport(outer_iters=m, inner_iters=inner_counts,
-                                    v_increments=v_incs, tpu_increments=tpu_incs,
-                                    carried_pairs=carried)
+            inner_counts.append(j)
+            if not self.solve_phasefield or v_incs[-1] < controls.tol_stag:
                 self._carry = (it, dt, v_new.copy())
-                return it, report
-
-        raise NonConvergence(
-            f"outer staggered loop exceeded {controls.max_outer} iterations "
-            f"(phase-field increments {v_incs})", history=v_incs)
+                return it, StepReport(outer_iters=m, inner_iters=inner_counts,
+                                      v_increments=v_incs, tpu_increments=tpu_incs,
+                                      carried_pairs=carried)
 
 
 @dataclass

@@ -50,8 +50,3 @@ def generic_params():
         c_ps=800.0, c_pf=4200.0, rho_s=2600.0, rho_f=1000.0, Gc=100.0,
         ell=0.02, k_res=1e-6, n_at=2, xi=1.0, s_stab=0.15,
         T0=383.15)
-
-
-def random_strain(rng, scale=1e-3, n=None):
-    shape = (3,) if n is None else (n, 3)
-    return rng.uniform(-scale, scale, size=shape)

@@ -403,13 +403,17 @@ class TestCLIHelpers:
           for command in ("run", "mesh-dump")],
         *[(command, "geometry.refine_bands", {"axis": "y", "lo": 5.0, "hi": 6.0, "h": 0.01},
            "refine band [5.0, 6.0] outside axis [0, 0.25]") for command in ("run", "mesh-dump")],
+        *[(command, "geometry.weak_interfaces",
+           {"segment": [[100.0, 100.0], [200.0, 200.0]], "gc_ratio": 0.5},
+           "weak interface [(100.0, 100.0), (200.0, 200.0)] crosses no element")
+          for command in ("run", "mesh-dump")],
         ("run", "outputs.probes", {"name": "w", "kind": "width", "point": [-5.0, 0.1]},
          "point (-5.0, 0.1) outside [0.0, 25.0] x [0.0, 0.25]"),
         ("run", "outputs.probes",
          {"name": "L", "kind": "fracture_length", "path": [[1.0, 0.1], [30.0, 0.1]]},
          "point (30.0, 0.1) outside [0.0, 25.0] x [0.0, 0.25]"),
     ], ids=["run-probe", "run-crack", "mesh-dump-crack", "run-band", "mesh-dump-band",
-            "run-width", "run-fracture-length"])
+            "run-interface", "mesh-dump-interface", "run-width", "run-fracture-length"])
     def test_scenario_that_cannot_be_set_up_exits_with_config_error(
             self, tmp_path, capsys, command, key, item, error):
         raw = config_to_dict(terzaghi())

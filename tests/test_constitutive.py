@@ -4,11 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_strain
 from element_loop import crack_normal, permeability_from_normal, permeability_tensor
 from thmfrac import constitutive as law
 from thmfrac.constitutive import MaterialParams
 from thmfrac.errors import InvariantViolation
+
+
+def random_strain(rng, scale=1e-3, n=None):
+    shape = (3,) if n is None else (n, 3)
+    return rng.uniform(-scale, scale, size=shape)
 
 
 def dense_stiffness(K_m, mu, g=1.0, K_eff=None):

@@ -1,11 +1,12 @@
 import dataclasses
+import json
 
 import numpy as np
 import numpy._core.einsumfunc as einsumfunc
 import pytest
 import scipy.sparse as sp
 
-from thmfrac import analytic, fem, physics, staggered
+from thmfrac import analytic, app, fem, physics, staggered
 from thmfrac import constitutive as law
 from thmfrac.constitutive import MaterialParams
 from thmfrac.errors import NonConvergence, SolverFailure
@@ -46,6 +47,24 @@ def make_cracked_strip(Gc=10.0, load=0.0, k_res=1e-6, solve_thermal=False):
                       bc_u=bc_u, bc_p=bc_p, crack_nodes=crack)
 
 
+def set_top_load(sim, load):
+    """Nodal forces of a uniform vertical traction ``load`` on the strip's top edge."""
+    top = sim.mesh.boundary_nodes["top"]
+    sim.f_ext[:] = 0.0
+    sim.f_ext[2 * top + 1] = load * 0.1
+    sim.f_ext[2 * top[0] + 1] = load * 0.05
+    sim.f_ext[2 * top[-1] + 1] = load * 0.05
+
+
+def strip_loads(rng):
+    """The top-edge loads of the ten unit load steps of a cracked-strip run."""
+    return [2.5e4 * (k + rng.uniform(0.0, 0.5)) for k in range(10)]
+
+
+def strip_controls():
+    return SolverControls(dt_schedule=[(10.0, 1.0)], v_ir=0.05, max_outer=200)
+
+
 class TestFixedPoint:
     def test_unloaded_homogeneous_state_is_unchanged(self):
         sim = make_cracked_strip(load=0.0)
@@ -63,16 +82,10 @@ class TestFixedPoint:
 class TestIrreversibility:
     def test_monotone_below_threshold_across_random_steps(self, rng):
         sim = make_cracked_strip(Gc=5.0)
-        controls = SolverControls(dt_schedule=[(10.0, 1.0)], v_ir=0.05,
-                                  max_outer=200)
+        controls = strip_controls()
         state = sim.initial_state()
-        top = sim.mesh.boundary_nodes["top"]
-        for k in range(10):
-            load = 2.5e4 * (k + rng.uniform(0.0, 0.5))
-            sim.f_ext[:] = 0.0
-            sim.f_ext[2 * top + 1] = load * 0.1
-            sim.f_ext[2 * top[0] + 1] = load * 0.05
-            sim.f_ext[2 * top[-1] + 1] = load * 0.05
+        for load in strip_loads(rng):
+            set_top_load(sim, load)
             prev_v = state.v.copy()
             state, _ = sim.time_step(state, 1.0, controls)
             locked = prev_v < controls.v_ir
@@ -81,6 +94,35 @@ class TestIrreversibility:
             assert np.all(state.v <= 1.0 + 1e-12)
         # the run must actually have produced locked nodes for the check to bite
         assert np.count_nonzero(state.v < controls.v_ir) >= sim.crack_nodes.size
+
+    @pytest.mark.parametrize("seed", [1, 46, 87])
+    def test_inner_loop_stalls_where_the_crack_grows(self, seed, monkeypatch):
+        """The run above at these seeds: the fixed-stress split stops
+        contracting without heat, in the third load step, where the crack
+        grows. The step fails after 371, 343 and 371 inner passes over its
+        outer iterations, more than the inner cap, and the history holds
+        every one of them. 0.15-0.2 s each on a 2-core Xeon. A cure of the
+        stall (for example a coupled block solve as the split's fallback)
+        turns this into a test that the step converges."""
+        sim = make_cracked_strip(Gc=5.0)
+        controls = strip_controls()
+        passes = []
+        solve_p = sim._solve_p
+        monkeypatch.setattr(sim, "_solve_p", lambda *args: passes.append(1) or solve_p(*args))
+        state = sim.initial_state()
+        loads = strip_loads(np.random.default_rng(seed))
+        for load in loads[:2]:
+            set_top_load(sim, load)
+            state, _ = sim.time_step(state, 1.0, controls)
+        set_top_load(sim, loads[2])
+        passes.clear()
+        with pytest.raises(NonConvergence,
+                           match=r"^inner \(T-p-u\) loop exceeded 300 iterations") as exc:
+            sim.time_step(state, 1.0, controls)
+        history = exc.value.history
+        assert len(history) == len(passes) > controls.max_inner
+        assert all(len(inc) == 3 for inc in history)
+        assert str(exc.value).endswith(f"(last increments {history[-1]})")
 
     def test_crack_nodes_stay_fully_broken(self):
         sim = make_cracked_strip(load=1e4)
@@ -145,6 +187,32 @@ class TestConvergenceControl:
             sim.time_step(sim.initial_state(), 1.0, cfg.controls)
         assert len(exc.value.history) >= 2
 
+    def test_outer_cap_raises_with_the_phase_field_history(self):
+        # the first outer iteration smears the crack into the intact strip
+        sim = make_cracked_strip(Gc=5.0)
+        controls = SolverControls(dt_schedule=[(1.0, 1.0)], max_outer=1)
+        with pytest.raises(NonConvergence) as exc:
+            sim.time_step(sim.initial_state(), 1.0, controls)
+        history = exc.value.history
+        assert history == [pytest.approx(0.2241, abs=1e-4)] and type(history[0]) is float
+        assert str(exc.value) == ("outer staggered loop exceeded 1 iterations "
+                                  f"(last increments {history[0]})")
+
+    def test_run_scenario_records_the_outer_history(self, tmp_path, monkeypatch):
+        cfg = terzaghi()
+        cfg.probes = []
+        cfg.controls = SolverControls(dt_schedule=[(1.0, 1.0)], max_outer=1)
+        monkeypatch.setattr(app, "build_simulation", lambda _: make_cracked_strip(Gc=5.0))
+        with pytest.raises(NonConvergence) as exc:
+            app.run_scenario(cfg, tmp_path)
+        history = exc.value.history
+        assert history == [pytest.approx(0.2241, abs=1e-4)]
+        failure = json.loads((tmp_path / "manifest.json").read_text())["failure"]
+        assert failure["message"] == str(exc.value) and failure["history"] == history
+        marker = (tmp_path / "FAILED").read_text().splitlines()
+        assert marker[1] == f"NonConvergence: {exc.value}"
+        assert marker[2] == f"history: {json.dumps(history)}"
+
     def test_report_records_iterations(self):
         cfg = terzaghi()
         sim = build_simulation(cfg)
@@ -187,6 +255,29 @@ class TestConvergenceControl:
         assert result.times == [0.0]
         assert len(result.states) == 1
         assert result.reports == []
+
+
+class TestPasses:
+    def test_a_contraction_stops_after_a_known_number_of_passes(self):
+        # x -> x / 2 from 1 moves by 2^-j in pass j, first below 1e-3 at j = 10
+        history, x = [], 1.0
+        for j in staggered._passes("halving", 50, history):
+            history.append(abs(x / 2 - x))
+            x /= 2
+            if history[-1] < 1e-3:
+                break
+        assert j == 10 and history == [2.0 ** -k for k in range(1, 11)]
+
+    def test_a_map_that_does_not_contract_raises_with_its_history(self):
+        history, x = [], 1.0
+        with pytest.raises(NonConvergence) as exc:
+            for _ in staggered._passes("doubling", 5, history):
+                history.append(abs(2 * x - x))
+                x *= 2
+                if history[-1] < 1e-3:
+                    break
+        assert exc.value.history is history and history == [1.0, 2.0, 4.0, 8.0, 16.0]
+        assert str(exc.value) == "doubling loop exceeded 5 iterations (last increments 16.0)"
 
 
 def _secant_pairs(F, G):
