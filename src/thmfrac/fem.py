@@ -160,23 +160,23 @@ class ElementTables:
     """Per-mesh element data and field layouts of a tensor grid.
 
     The element sizes ``h``, the connectivity ``conn`` and the node ids
-    behind ``node_order`` are the mesh's own arrays. Every element is an axis-aligned hx x hy rectangle, so its Jacobian is
-    diag(hx/2, hy/2) at every point: physical gradients are the reference
-    gradients scaled by 2/hx and 2/hy, and detJ = hx hy / 4. The element
-    kernels of ``physics`` need only these sizes and constant reference
-    tables on the 2x2 Gauss rule, so no array here holds more than 8 values
-    per element. The kernels scale their quadrature-point coefficients by
-    the per-element factors repeated at the four points (``qp_detJ``,
-    ``qp_h_e``, ``qp_grad``, ``qp_aspect``, ``qp_half``), so each scaling
-    is one product of two (E, 4) or (E, 8) arrays rather than a broadcast
-    whose innermost axis has length 2. These are fixed for the mesh; the
-    quadrature-point quantities that change are formed by ``physics``: the
-    previous level's once per time step (``step_state``), the phase
-    field's once per outer iteration (``phase_state``) and the strain's
-    once per inner pass (``strain_state``). Each
-    field kind, scalar (T, p, v) and vector (u), has one ``FieldLayout``.
-    The layouts and the repeated factors are built on first use, not by
-    ``build_tables``.
+    behind ``node_order`` are the mesh's own arrays. Every element is an
+    axis-aligned hx x hy rectangle, so its Jacobian is diag(hx/2, hy/2) at
+    every point: physical gradients are the reference gradients scaled by
+    2/hx and 2/hy, and detJ = hx hy / 4. The element kernels of ``physics``
+    need only these sizes and constant reference tables on the 2x2 Gauss
+    rule, so no array here holds more than 16 values per element. The
+    kernels scale their quadrature-point coefficients by the per-element
+    factors repeated at the four points (``qp_detJ``, ``qp_h_e``,
+    ``qp_grad``, ``qp_disp_grad``, ``qp_aspect``, ``qp_half``), so each
+    scaling is one product of two (E, 4), (E, 8) or (E, 16) arrays rather
+    than a broadcast over a short innermost axis. These are fixed for the
+    mesh; the quadrature-point quantities that change are formed by
+    ``physics``: the previous level's once per time step (``step_state``),
+    the phase field's once per outer iteration (``phase_state``) and the
+    strain's once per inner pass (``strain_state``). Each field kind, scalar
+    (T, p, v) and vector (u), has one ``FieldLayout``. The layouts and the
+    repeated factors are built on first use, not by ``build_tables``.
     """
 
     mesh: Mesh
@@ -218,6 +218,12 @@ class ElementTables:
     def qp_grad(self) -> np.ndarray:
         """(E, 8) gradient scales (2/hx, 2/hy) at each quadrature point."""
         return np.tile(2.0 / self.h, 4)
+
+    @cached_property
+    def qp_disp_grad(self) -> np.ndarray:
+        """(E, 16) gradient scales 2/h_d of the four displacement gradients
+        du_i/dx_d, m = (i, d), at each quadrature point."""
+        return np.tile(2.0 / self.h, 8)
 
     @cached_property
     def qp_aspect(self) -> np.ndarray:
@@ -273,9 +279,9 @@ class FieldOperator:
     banded factor of the eliminated matrix: ``band``, the LU pivots ``ipiv``
     (None for Cholesky) and the Jacobi ``scale`` in band order, of the
     kind ``symmetric`` picks (see ``factorize``). New data empty the
-    factor, and ``solve_linear`` fills an empty one. The band storage is
-    one buffer that every factorization of the operator refills;
-    ``release`` frees it with the factor.
+    factor, and ``solve_linear`` fills an empty one. Every factorization
+    allocates its own band array, which LAPACK factors in place, so
+    emptying the factor also frees its memory.
     """
 
     def __init__(self, layout: FieldLayout, dofs=(), values=0.0, symmetric: bool = True):
@@ -295,17 +301,11 @@ class FieldOperator:
                           shape=layout.shape) for _ in range(2))
         self.lifted: np.ndarray | None = None
         self.symmetric = symmetric
-        self._buffer: np.ndarray | None = None
         self.empty()
 
     def empty(self) -> None:
-        """Empty the factor; its band buffer is kept for the next one."""
+        """Empty the factor, band array included."""
         self.band = self.ipiv = self.scale = None
-
-    def release(self) -> None:
-        """Empty the factor and free its band buffer."""
-        self.empty()
-        self._buffer = None
 
     def load(self, data: np.ndarray) -> sp.csr_matrix:
         """The assembled operator, now holding ``data``; the factor is emptied."""
@@ -349,16 +349,14 @@ class FieldOperator:
         self.scale = s[lay.perm]
         if self.symmetric:
             r, c = lay.tril_rc
-            ab = self._band_buffer((k + 1) * n)
+            ab = np.zeros((k + 1) * n)
             ab[lay.chol] = data[lay.tril] * (s[r] * s[c])
             band, info = lapack.dpbtrf(ab.reshape(k + 1, n, order="F"), lower=1,
                                        overwrite_ab=1)
             if info == 0:
                 self.band, self.ipiv = band, None
                 return self
-            ab = np.zeros((3 * k + 1) * n)
-        else:
-            ab = self._band_buffer((3 * k + 1) * n)
+        ab = np.zeros((3 * k + 1) * n)
         ab[lay.lu] = data * (s[lay.rows] * s[lay.indices])
         band, ipiv, info = lapack.dgbtrf(ab.reshape(3 * k + 1, n, order="F"), k, k,
                                          overwrite_ab=1)
@@ -367,14 +365,6 @@ class FieldOperator:
                                 f"at band position {info - 1}", diagnostics={"n": n})
         self.band, self.ipiv = band, ipiv
         return self
-
-    def _band_buffer(self, size: int) -> np.ndarray:
-        """The operator's band buffer of ``size`` values, zeroed."""
-        if self._buffer is None:
-            self._buffer = np.zeros(size)
-        else:
-            self._buffer.fill(0.0)
-        return self._buffer
 
     def solve_factored(self, b: np.ndarray) -> np.ndarray:
         """x with E x = ``b`` from the filled factor, unrefined and ungated."""

@@ -124,8 +124,8 @@ def grad_qp(tables: ElementTables, f: np.ndarray) -> np.ndarray:
 def strain_qp(tables: ElementTables, u: np.ndarray, elems=slice(None)) -> np.ndarray:
     """Nodal displacement -> (E, 4, 3) Voigt strains, on the elements
     ``elems`` (an index array or slice of element ids; all by default)."""
-    g = (u[tables.dofs_vec[elems]] @ _DISP_GRAD).reshape(-1, 4, 4)   # (E, q, m)
-    g *= tables.qp_grad[elems, None, :4]        # 2/h_d of m = (i, d)
+    g = u[tables.dofs_vec[elems]] @ _DISP_GRAD      # (E, qm)
+    g *= tables.qp_disp_grad[elems]
     return (g.reshape(-1, 4) @ _TO_VOIGT).reshape(-1, 4, 3)
 
 

@@ -130,34 +130,28 @@ class _AndersonMixer:
     more inner passes on Terzaghi columns than carrying nothing. The cap
     is the measured knee: a poro_batch pass on seeds 1/2/3 takes
     398/389/415 inner passes carrying 4 pairs, 355/344/349 carrying 8 and
-    347/345/350 carrying 12. A mixer
-    that carries none mixes bit for bit as one with the own window alone.
-    A zero residual or a non-finite mixed iterate resets everything,
-    carried pairs included.
+    347/345/350 carrying 12. Each fit stacks the pairs afresh, oldest
+    first. A mixer that carries none mixes bit for bit as one with the own
+    window alone. A zero residual or a non-finite mixed iterate resets
+    everything, carried pairs included.
     """
 
-    def __init__(self, n: int):
-        # secant differences, oldest in column 0: the carried pairs in the
-        # first ``carried`` columns, then the step's own window
-        self._dF = np.empty((n, _CARRY_CAP + _ANDERSON_WINDOW))
-        self._dG = np.empty((n, _CARRY_CAP + _ANDERSON_WINDOW))
+    def __init__(self):
         self.reset()
 
     def reset(self):
-        self.carried = 0    # columns of carried pairs
-        self._m = 0         # columns of the own window in use
+        # secant pairs (dF, dG), oldest first: ``carried`` carried pairs,
+        # then the step's own window
+        self._pairs: list[tuple[np.ndarray, np.ndarray]] = []
+        self.carried = 0
         self._last: tuple[np.ndarray, np.ndarray] | None = None    # previous (f, g)
 
     def restart(self):
         """Carry the last secant pairs, at most ``_CARRY_CAP`` of them, into
         a new step's iteration, and drop the previous iterate, so that no
         pair spans two steps."""
-        total = self.carried + self._m
-        keep = min(total, _CARRY_CAP)
-        if keep < total:
-            self._dF[:, :keep] = self._dF[:, total - keep:total]
-            self._dG[:, :keep] = self._dG[:, total - keep:total]
-        self.carried, self._m, self._last = keep, 0, None
+        del self._pairs[:-_CARRY_CAP]
+        self.carried, self._last = len(self._pairs), None
 
     def mix(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         f = g - x
@@ -168,20 +162,16 @@ class _AndersonMixer:
             self.reset()
             return g
         last, self._last = self._last, (f, g)
-        dF, dG, c, m = self._dF, self._dG, self.carried, self._m
+        pairs = self._pairs
         if last is not None:
-            if m == _ANDERSON_WINDOW:
-                dF[:, c:c + m - 1] = dF[:, c + 1:c + m]
-                dG[:, c:c + m - 1] = dG[:, c + 1:c + m]
-                m -= 1
-            np.subtract(f, last[0], out=dF[:, c + m])
-            np.subtract(g, last[1], out=dG[:, c + m])
-            m = self._m = m + 1
-        k = c + m
-        if k == 0:
+            if len(pairs) - self.carried == _ANDERSON_WINDOW:
+                del pairs[self.carried]
+            pairs.append((f - last[0], g - last[1]))
+        if not pairs:
             return g
-        gamma, *_ = np.linalg.lstsq(dF[:, :k], f, rcond=1e-12)
-        mixed = g - dG[:, :k] @ gamma
+        dF, dG = map(np.column_stack, zip(*pairs))
+        gamma, *_ = np.linalg.lstsq(dF, f, rcond=1e-12)
+        mixed = g - dG @ gamma
         if not np.all(np.isfinite(mixed)):
             self.reset()
             return g
@@ -244,7 +234,7 @@ class Simulation:
                                        (self.mesh.n_elems,)).copy()
         self._ops: dict[str, FieldOperator] = {}
         self._mech: MechanicsOperator | None = None
-        self._mixer = _AndersonMixer(n)
+        self._mixer = _AndersonMixer()
         # (state, dt, v) of the last step returned, whose secant pairs the
         # next step may carry; cleared while a step runs, so a failed step
         # leaves nothing to carry
@@ -283,11 +273,11 @@ class Simulation:
     def _solve_v(self, it: FieldState, T_qp: np.ndarray, lower, upper) -> np.ndarray:
         if "u" in self._ops:
             # the new v makes the mechanics factor stale in nearly every
-            # outer iteration; released here with its band buffer, it does
-            # not sit beside the phase field's factors: kgd_growth seed 1
-            # peaks at 83.7-85.3 MB RSS with this, 86.4-86.7 MB without
-            # (3 runs each, 2-core Xeon)
-            self._ops["u"].release()
+            # outer iteration; emptied here, its band array is freed and
+            # does not sit beside the phase field's factors, each of which
+            # allocates its own: kgd_growth seed 1 peaks at 83.7-85.3 MB RSS
+            # with this, 86.4-86.7 MB without (3 runs each, 2-core Xeon)
+            self._ops["u"].empty()
         system = build_phasefield_system(self.tables, self.params, self.gc_elem,
                                          it.u, it.p, T_qp)
         init = np.clip(it.v, lower, upper)

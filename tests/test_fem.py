@@ -1,4 +1,5 @@
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -169,8 +170,8 @@ class TestPattern:
 
 
 class TestTables:
-    LAZY = ("scalar_layout", "vector_layout", "qp_detJ", "qp_h_e", "qp_grad", "qp_aspect",
-            "qp_half")
+    LAZY = ("scalar_layout", "vector_layout", "qp_detJ", "qp_h_e", "qp_grad", "qp_disp_grad",
+            "qp_aspect", "qp_half")
 
     def test_build_tables_builds_no_pattern_or_operator_table(self):
         _, tb = _graded_tables()
@@ -187,6 +188,8 @@ class TestTables:
             # (E, 4) for one factor, (E, 8) with the two interleaved
             ref = np.stack(factors, axis=-1)[:, None, :].repeat(4, axis=1).reshape(len(hx), -1)
             assert np.array_equal(getattr(tb, name), ref), name
+        # (E, 16): 2/h_d of each displacement gradient m = (i, d) at each point
+        assert np.array_equal(tb.qp_disp_grad, np.tile(tb.qp_grad, 2))
 
     def test_grid_lines_that_do_not_increase_rejected(self):
         mesh = generate_rect_mesh(1.0, 1.0, 3, 2)
@@ -360,6 +363,22 @@ class TestFactorLifetime:
         y = solve_linear(op, b)
         assert op.band is band
         assert np.linalg.norm(op.eliminated @ y - b) <= 1e-10 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("kind", ["spd", "nonsymmetric"])
+    def test_empty_frees_the_band_and_the_next_solve_factorizes_again(self, rng, kind,
+                                                                      factorizations):
+        system, op = _constrained_system(rng, True, kind)
+        apply_dirichlet(op, system.data)
+        b = op.rhs(system.rhs)
+        x = solve_linear(op, b)
+        # the band array the factorization allocated and LAPACK factored in place
+        storage = weakref.ref(op.band if op.band.base is None else op.band.base)
+        op.empty()
+        assert op.band is None and op.ipiv is None and op.scale is None
+        # nothing holds the band any more, the operator included
+        assert storage() is None
+        assert solve_linear(op, b).tobytes() == x.tobytes()
+        assert len(factorizations) == 2 and op.band is not None
 
     def test_each_free_block_elimination_empties_the_factor(self, rng, monkeypatch):
         n = 8

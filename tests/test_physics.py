@@ -252,9 +252,11 @@ def test_component_flux_and_tensor_laplacian_match_the_tensor_form(generic_param
     assert np.all(err <= 1e-15 * np.abs(ref).reshape(len(ref), -1).max(axis=1))
 
 
-def test_tables_hold_at_most_8_values_per_element(generic_params, rng):
+def test_tables_hold_at_most_8_values_per_element_but_the_strain_scales(generic_params, rng):
     # every kernel runs once, so any table a kernel caches on the tables
-    # would show here; the field layouts are not arrays
+    # would show here; the field layouts are not arrays. Only the strain's
+    # gradient scales hold 16 (2/h_d of each du_i/dx_d at each point), so
+    # that strain_qp scales its gradients in one product of equal shapes
     mesh = _kernel_meshes()["graded"]
     tb = build_tables(mesh)
     mp = generic_params
@@ -271,8 +273,10 @@ def test_tables_hold_at_most_8_values_per_element(generic_params, rng):
     build_phasefield_system(tb, mp, np.full(mesh.n_elems, mp.Gc), u, p, scalar_qp(tb, T))
     physics.grad_qp(tb, p)
     sizes = {k: a.size for k, a in vars(tb).items() if isinstance(a, np.ndarray)}
-    assert {"dofs_vec", "qp_detJ", "qp_h_e", "qp_grad", "qp_aspect", "qp_half"} <= set(sizes)
+    assert {"dofs_vec", "qp_detJ", "qp_h_e", "qp_grad", "qp_disp_grad", "qp_aspect",
+            "qp_half"} <= set(sizes)
     assert tb.conn is mesh.elems and tb.h is mesh.h     # the mesh's, not copies
+    assert sizes.pop("qp_disp_grad") == 16 * mesh.n_elems
     assert max(sizes.values()) <= 8 * mesh.n_elems, sizes
 
 
