@@ -278,13 +278,15 @@ class FieldOperator:
     solve replaces, with the lift product ``lifted`` = A @ g, and one
     banded factor of the eliminated matrix: ``band``, the LU pivots ``ipiv``
     (None for Cholesky) and the Jacobi ``scale`` in band order, of the
-    kind ``symmetric`` picks (see ``factorize``). New data empty the
-    factor, and ``solve_linear`` fills an empty one. Every factorization
-    allocates its own band array, which LAPACK factors in place, so
-    emptying the factor also frees its memory.
+    kind ``symmetric`` picks (see ``factorize``). ``symmetric`` has no
+    default, so no caller gets a Cholesky factor of a nonsymmetric operator
+    by leaving it out. New data empty the factor, and ``solve_linear``
+    fills an empty one. Every factorization allocates its own band array,
+    which LAPACK factors in place, so emptying the factor also frees its
+    memory.
     """
 
-    def __init__(self, layout: FieldLayout, dofs=(), values=0.0, symmetric: bool = True):
+    def __init__(self, layout: FieldLayout, dofs=(), values=0.0, *, symmetric: bool):
         self.layout = layout
         self.dofs = np.asarray(dofs, dtype=np.int64)
         self.values = np.broadcast_to(np.asarray(values, dtype=float), self.dofs.shape).copy()

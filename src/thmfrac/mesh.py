@@ -6,8 +6,8 @@ coarsening outward). ``Mesh`` holds the lines and derives the rest, so the
 node and element numbering is defined here and nowhere else. Element size
 ``h_e`` is sqrt(element area).
 
-``locate_points`` is the one point locator (grid-line search); probes,
-interpolation and widths all go through it.
+``locate_points`` is the one point locator (grid-line search); every probe
+is located through it once per run (``scenario.locate_probes``).
 """
 
 from __future__ import annotations
@@ -187,7 +187,7 @@ def locate_points(mesh: Mesh, pts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Raises PointNotFound when a point lies outside the domain. Points on
     element boundaries resolve to one incident element with |xi|,|eta| <= 1.
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
     x, y = pts[:, 0], pts[:, 1]
     xs, ys = mesh.xs, mesh.ys
     tol = 1e-12 * max(mesh.width, mesh.height, 1.0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from . import constitutive as law
@@ -24,12 +26,6 @@ def bilinear(N: np.ndarray, cell_values: np.ndarray) -> np.ndarray:
     return np.einsum("ka,ka->k", N, cell_values)
 
 
-def interpolate(mesh: Mesh, nodal: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of a nodal field at points (k, 2); exact at nodes."""
-    conn, N = locate(mesh, pts)
-    return bilinear(N, nodal[conn])
-
-
 def nodal_field(state: FieldState, field: str) -> np.ndarray:
     """Nodal values of one of {p, T, v, ux, uy}."""
     if field not in FIELDS:
@@ -41,67 +37,75 @@ def nodal_field(state: FieldState, field: str) -> np.ndarray:
     return getattr(state, field)
 
 
-def width_at(tables: ElementTables, state: FieldState, point) -> float:
-    """Smeared fracture width h_e <eps1>+ at the nearest quadrature point."""
-    mesh = tables.mesh
+def nearest_qp(mesh: Mesh, point) -> tuple[int, int]:
+    """The element that contains ``point`` and its quadrature point nearest it."""
     eid = int(locate_points(mesh, point)[0][0])
-    eps = strain_qp(tables, state.u, [eid])[0]
     qp_xy = N_QP @ mesh.nodes[mesh.elems[eid]]          # (4, 2)
     d2 = np.sum((qp_xy - np.asarray(point, dtype=float)) ** 2, axis=1)
-    q = int(np.argmin(d2))
-    e1, _ = law.principal_strains(eps[q])
-    return float(law.fracture_width(e1, mesh.h_e[eid]))
+    return eid, int(np.argmin(d2))
 
 
-def fracture_length(mesh: Mesh, v: np.ndarray, path: np.ndarray,
-                    v_threshold: float = 0.1) -> float:
-    """Arc length of the path portions where interpolated v <= threshold.
+def width_at(tables: ElementTables, u: np.ndarray, eid: int, qp: int) -> float:
+    """Smeared fracture width h_e <eps1>+ at quadrature point ``qp`` of
+    element ``eid``."""
+    e1, _ = law.principal_strains(strain_qp(tables, u, [eid])[0, qp])
+    return float(law.fracture_width(e1, tables.mesh.h_e[eid]))
 
-    Crossings of the threshold are bisected to 1e-4 of the local element
-    size. The path is a polyline (k, 2) inside the domain.
-    """
-    path = np.atleast_2d(np.asarray(path, dtype=float))
-    if path.shape[0] < 2:
-        raise ValueError("path needs at least two points")
-    h_min = float(mesh.h_e.min())
-    total = 0.0
+
+@dataclass(frozen=True)
+class LocatedPath:
+    """A polyline split at the grid lines into n pieces that each lie in
+    one cell. ``conn`` and ``N`` locate the n + 1 piece ends, then the
+    midpoints of the ``oblique`` pieces (along neither axis)."""
+
+    ds: np.ndarray          # (n,) piece lengths
+    oblique: np.ndarray     # (m,) piece ids
+    conn: np.ndarray        # (n + 1 + m, 4)
+    N: np.ndarray           # (n + 1 + m, 4)
+
+
+def locate_path(mesh: Mesh, path) -> LocatedPath:
+    """Split the polyline ``path`` (k, 2) at every grid line it crosses and
+    locate its piece ends and oblique midpoints (PointNotFound outside)."""
+    path = np.asarray(path, dtype=float).reshape(-1, 2)
+    ends, oblique = [path[:1]], []
     for a, b in zip(path[:-1], path[1:]):
-        seg = b - a
-        L = float(np.hypot(*seg))
-        if L == 0.0:
-            continue
-        n = max(2, int(np.ceil(L / (0.25 * h_min))) + 1)
-        s = np.linspace(0.0, 1.0, n)
-        pts = a + s[:, None] * seg
-        vals = interpolate(mesh, v, pts) - v_threshold
+        d = b - a
+        t = np.concatenate([[1.0]] + [(lines - c) / dc for lines, c, dc
+                                      in zip((mesh.xs, mesh.ys), a, d) if dc != 0.0])
+        t = np.unique(t[(t > 0.0) & (t <= 1.0)])
+        ends.append(a + t[:, None] * d)
+        oblique.append(np.full(t.size, bool(d.all())))
+    ends = np.concatenate(ends)
+    oblique = np.flatnonzero(np.concatenate(oblique))
+    conn, N = locate(mesh, np.concatenate([ends, 0.5 * (ends[oblique] + ends[oblique + 1])]))
+    return LocatedPath(ds=np.hypot(*np.diff(ends, axis=0).T), oblique=oblique, conn=conn, N=N)
 
-        def f(t):
-            return float(interpolate(mesh, v, a + t * seg)[0]) - v_threshold
 
-        tol_t = 1e-4 * h_min / L
-        for k in range(n - 1):
-            f0, f1 = vals[k], vals[k + 1]
-            ds = (s[k + 1] - s[k]) * L
-            if f0 <= 0.0 and f1 <= 0.0:
-                total += ds
-            elif f0 > 0.0 and f1 > 0.0:
-                continue
-            else:
-                t0, t1 = s[k], s[k + 1]
-                g0 = f0
-                while (t1 - t0) > tol_t:
-                    tm = 0.5 * (t0 + t1)
-                    gm = f(tm)
-                    if (g0 <= 0.0) == (gm <= 0.0):
-                        t0, g0 = tm, gm
-                    else:
-                        t1 = tm
-                tc = 0.5 * (t0 + t1)
-                if f0 <= 0.0:
-                    total += (tc - s[k]) * L
-                else:
-                    total += (s[k + 1] - tc) * L
-    return total
+def fracture_length(path: LocatedPath, v: np.ndarray, v_threshold: float = 0.1) -> float:
+    """Length of the path where the interpolant of v is at or below
+    ``v_threshold``, exact up to round-off.
+
+    On a piece, g = v - v_threshold is g0 + b s + a s^2 at the fraction s of
+    its length, through its values at the ends and the midpoint (a = 0 on
+    an axis-aligned piece, where g is linear). The roots in (0, 1) split
+    the piece into parts of one sign, which their midpoints tell.
+    """
+    g = bilinear(path.N, v[path.conn]) - v_threshold
+    n, ob = path.ds.size, path.oblique
+    g0, g1 = g[:n], g[1:n + 1]
+    a = np.zeros(n)
+    a[ob] = 2.0 * (g0[ob] + g1[ob]) - 4.0 * g[n + 1:]
+    b = g1 - g0 - a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the roots q / a and g0 / q lose no digits to cancellation, and
+        # a = 0 leaves the one root -g0 / b
+        q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * g0), b))
+        roots = np.clip(np.nan_to_num([q / a, g0 / q]), 0.0, 1.0)
+    s = np.sort(np.vstack([np.zeros(n), roots, np.ones(n)]), axis=0)     # (4, n)
+    m = 0.5 * (s[1:] + s[:-1])
+    below = g0 + (b + a * m) * m <= 0.0
+    return float(np.sum(np.diff(s, axis=0) * below * path.ds))
 
 
 def element_cell_data(tables: ElementTables, params: MaterialParams,

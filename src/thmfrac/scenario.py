@@ -8,10 +8,11 @@ import numpy as np
 
 from .config import ProbeSpec, ScenarioConfig
 from .fem import build_tables
-from .mesh import (Mesh, elems_intersecting_segment, generate_rect_mesh, locate_points,
-                   nearest_node, nodes_on_segment)
+from .mesh import (Mesh, elems_intersecting_segment, generate_rect_mesh, nearest_node,
+                   nodes_on_segment)
 from .physics import FieldState
-from .postproc import bilinear, fracture_length, locate, nodal_field, width_at
+from .postproc import (LocatedPath, bilinear, fracture_length, locate, locate_path,
+                       nearest_qp, nodal_field, width_at)
 from .staggered import Simulation
 
 
@@ -97,53 +98,48 @@ def build_simulation(cfg: ScenarioConfig) -> Simulation:
 
 @dataclass(frozen=True)
 class Probes:
-    """The probes of a configuration with its field-probe points located once.
+    """The probes of a configuration, each located once: field probe
+    ``names[k]`` reads nodal field ``fields[row[k]]`` through the cell nodes
+    ``conn[k]`` and bilinear weights ``N[k]`` of its point. ``widths``
+    holds each width probe's name, element and quadrature point nearest its
+    point, and ``paths`` each fracture-length probe's name, located path and
+    threshold."""
 
-    Field probe ``k`` reads nodal field ``fields[row[k]]`` through the cell
-    nodes ``conn[k]`` and bilinear weights ``N[k]`` of its point.
-    """
-
-    specs: tuple[ProbeSpec, ...]
     names: tuple[str, ...]      # field probes, in configuration order
     fields: tuple[str, ...]     # the nodal fields they read
     row: np.ndarray             # (k,) index into ``fields``
     conn: np.ndarray            # (k, 4)
     N: np.ndarray               # (k, 4)
+    widths: tuple[tuple[str, int, int], ...]
+    paths: tuple[tuple[str, LocatedPath, float], ...]
 
 
 def locate_probes(specs: list[ProbeSpec], mesh: Mesh) -> Probes:
-    """Locate the points of the field probes among ``specs`` once.
-
-    A point of any probe outside the mesh raises ``PointNotFound``: a field
-    probe's, a width probe's or a vertex of a fracture-length path (the
-    domain is a rectangle, so a path between located vertices stays in it).
-    An unknown field raises ``ValueError`` when the probes are evaluated.
-    """
-    for spec in specs:
-        if spec.kind != "field":
-            locate_points(mesh, spec.point if spec.kind == "width" else spec.path)
+    """Locate every probe among ``specs`` once: a point of a field or width
+    probe, or a vertex of a fracture-length path, outside the mesh raises
+    ``PointNotFound``. An unknown field raises ``ValueError`` when the
+    probes are evaluated."""
     field_specs = [spec for spec in specs if spec.kind == "field"]
     fields = tuple(dict.fromkeys(spec.field for spec in field_specs))
-    pts = np.array([spec.point for spec in field_specs], dtype=float).reshape(-1, 2)
-    conn, N = locate(mesh, pts)
-    return Probes(specs=tuple(specs), names=tuple(spec.name for spec in field_specs),
-                  fields=fields,
+    conn, N = locate(mesh, [spec.point for spec in field_specs])
+    return Probes(names=tuple(spec.name for spec in field_specs), fields=fields,
                   row=np.array([fields.index(spec.field) for spec in field_specs], dtype=int),
-                  conn=conn, N=N)
+                  conn=conn, N=N,
+                  widths=tuple((spec.name, *nearest_qp(mesh, spec.point))
+                               for spec in specs if spec.kind == "width"),
+                  paths=tuple((spec.name, locate_path(mesh, spec.path), spec.threshold)
+                              for spec in specs if spec.kind == "fracture_length"))
 
 
 def evaluate_probes(probes: Probes, sim: Simulation, state: FieldState) -> dict[str, float]:
-    """Evaluate every probe on a field snapshot, all field probes in one call."""
+    """Evaluate every probe on a field snapshot through its stored location."""
     out: dict[str, float] = {}
     if probes.names:
         nodal = np.stack([nodal_field(state, f) for f in probes.fields])
         values = bilinear(probes.N, nodal[probes.row[:, None], probes.conn])
         out.update(zip(probes.names, values.tolist()))
-    for spec in probes.specs:
-        if spec.kind == "width":
-            out[spec.name] = width_at(sim.tables, state, spec.point)
-        elif spec.kind == "fracture_length":
-            out[spec.name] = fracture_length(sim.mesh, state.v,
-                                             np.asarray(spec.path, dtype=float),
-                                             v_threshold=spec.threshold)
+    for name, eid, qp in probes.widths:
+        out[name] = width_at(sim.tables, state.u, eid, qp)
+    for name, path, threshold in probes.paths:
+        out[name] = fracture_length(path, state.v, threshold)
     return out

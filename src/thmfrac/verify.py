@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import inspect
 import logging
-import math
 import time
 from dataclasses import asdict, dataclass, replace
 
@@ -18,8 +17,7 @@ import numpy as np
 
 from . import analytic
 from .config import ScenarioConfig
-from .physics import FieldState
-from .postproc import interpolate
+from .postproc import bilinear, locate
 from .presets import kgd, kgd_cold, single_fracture, terzaghi, thermal_consolidation
 from .scenario import build_simulation, evaluate_probes, locate_probes
 from .staggered import RunResult, Simulation, run
@@ -49,14 +47,9 @@ def _report(benchmark: str, criteria: list[Criterion], **extra) -> dict:
 def _run_series(cfg: ScenarioConfig) -> tuple[Simulation, RunResult, dict[str, np.ndarray]]:
     sim = build_simulation(cfg)
     result = run(sim, cfg.controls)
-    names = [p.name for p in cfg.probes]
     probes = locate_probes(cfg.probes, sim.mesh)
-    series: dict[str, list[float]] = {n: [] for n in names}
-    for state in result.states:
-        vals = evaluate_probes(probes, sim, state)
-        for n in names:
-            series[n].append(vals[n])
-    return sim, result, {n: np.asarray(v) for n, v in series.items()}
+    rows = [evaluate_probes(probes, sim, state) for state in result.states]
+    return sim, result, {p.name: np.array([row[p.name] for row in rows]) for p in cfg.probes}
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +232,9 @@ def verify_thermal_consolidation() -> dict:
 
 def _fracture_path_temperatures(sim: Simulation, result: RunResult,
                                 x_max: float) -> np.ndarray:
-    mesh = sim.mesh
-    h = float(mesh.h_e.min())
-    xs = np.arange(0.0, x_max, 0.5 * h)
-    pts = np.column_stack([xs, np.full_like(xs, 30.0)])
-    samples = [interpolate(mesh, state.T, pts) for state in result.states]
-    return np.asarray(samples)
+    xs = np.arange(0.0, x_max, 0.5 * float(sim.mesh.h_e.min()))
+    conn, N = locate(sim.mesh, np.column_stack([xs, np.full_like(xs, 30.0)]))
+    return np.asarray([bilinear(N, state.T[conn]) for state in result.states])
 
 
 def verify_stabilization(fast: bool = True, dT: float = 30.0,

@@ -164,7 +164,7 @@ class TestPattern:
         assert built == [1] and tb.scalar_layout is layout
         assert A.size == B.size == layout.indices.size
         assert not tb.scalar_layout.indices.flags.writeable
-        op = FieldOperator(tb.scalar_layout)
+        op = FieldOperator(tb.scalar_layout, symmetric=True)
         for M in (op.assembled, op.eliminated):
             assert np.shares_memory(M.indices, tb.scalar_layout.indices)
 
@@ -313,7 +313,7 @@ class TestDirichlet:
         layout = tb.scalar_layout
         sys_ = FieldSystem(layout.assemble(rng.normal(size=(tb.mesh.n_elems, 4, 4))),
                            layout.scatter(rng.normal(size=(tb.mesh.n_elems, 4))))
-        op = FieldOperator(layout)
+        op = FieldOperator(layout, symmetric=False)
         apply_dirichlet(op, sys_.data)
         assert op.lift is None and op.lifted is None
         assert op.eliminated.data.tobytes() == sys_.data.tobytes()
@@ -328,7 +328,7 @@ class TestDirichlet:
                            tb.scalar_layout.scatter(rng.normal(size=(m.n_elems, 4))))
         dofs = np.array([0, 4])
         vals = np.array([2.0, -1.0])
-        op = FieldOperator(tb.scalar_layout, dofs, vals)
+        op = FieldOperator(tb.scalar_layout, dofs, vals, symmetric=True)
         apply_dirichlet(op, sys_.data)
         A = op.eliminated.toarray()
         rhs = op.rhs(sys_.rhs)
@@ -573,7 +573,7 @@ class TestFactorization:
         assert np.array_equal(layout.rows[layout.diag], np.arange(n))
         # a constrained operator keeps the structure and factorizes in its layout
         dofs = rng.choice(n, n // 5, replace=False)
-        op = FieldOperator(layout, dofs, np.zeros(dofs.size))
+        op = FieldOperator(layout, dofs, np.zeros(dofs.size), symmetric=True)
         apply_dirichlet(op, A.data)
         assert op.lift is None
         fixed = op.eliminated

@@ -485,7 +485,7 @@ class TestCarriedSecantPairs:
 def _fresh_mechanics_solve(sim, v, p, T, h):
     tb = sim.tables
     mech = build_mechanics_system(tb, sim.params, phase_state(tb, sim.params, v), h)
-    op = FieldOperator(tb.vector_layout, *sim.bc_u)
+    op = FieldOperator(tb.vector_layout, *sim.bc_u, symmetric=True)
     apply_dirichlet(op, mech.data)
     rhs = mechanics_rhs(tb, sim.params, mech, p, scalar_qp(tb, T), sim.f_ext)
     return solve_linear(op, op.rhs(rhs))

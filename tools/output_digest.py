@@ -8,6 +8,9 @@ in, and prints:
 - one line ``<sha256>  <workload>/<request>/<file>`` per output file, the
   ``FAILED`` marker and ``manifest.json`` included, so that a failure's
   message and increment history are digested with the outputs;
+- one line ``<sha256>  <workload>/<request>/series.csv:<column>`` per
+  column of each ``series.csv`` (its header and values as written, one a
+  line), so that a diff names the columns that changed;
 - one line per request with the outer / inner passes of its accepted steps
   and, for a request that raised, the failure type and message;
 - one line per workload with its outer / inner totals.
@@ -25,6 +28,7 @@ workloads take about 6 s on a 2-core Xeon.
 from __future__ import annotations
 
 import copy
+import csv
 import hashlib
 import os
 import sys
@@ -58,8 +62,15 @@ def _counting_steps(counts: list[int]):
     return counted
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _columns(path: Path) -> list[tuple[str, str]]:
+    """(header, digest) of each column of a CSV file."""
+    with open(path, newline="") as fh:
+        columns = list(zip(*csv.reader(fh)))
+    return [(col[0], _digest("\n".join(col).encode())) for col in columns]
 
 
 def main() -> int:
@@ -77,7 +88,10 @@ def main() -> int:
                 except SolverFailure as exc:
                     outcome = f"{type(exc).__name__}: {str(exc)[:200]}"
                 for f in sorted(out_dir.iterdir()):
-                    print(f"{_digest(f)}  {name}/r{i:02d}/{f.name}")
+                    print(f"{_digest(f.read_bytes())}  {name}/r{i:02d}/{f.name}")
+                    if f.name == "series.csv":
+                        for header, digest in _columns(f):
+                            print(f"{digest}  {name}/r{i:02d}/{f.name}:{header}")
                 print(f"{name}/r{i:02d} {req.label}: outer / inner {counts[0]} / {counts[1]}, "
                       f"{outcome}")
                 total = [total[0] + counts[0], total[1] + counts[1]]
