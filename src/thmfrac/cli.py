@@ -6,8 +6,9 @@ sets any config value, such as ``controls.dt_schedule=[[0.1,0.01],[3.9,0.1]]``
 (0.1 s at dt = 0.01 s, then 3.9 s at 0.1 s). ``--dT`` and ``--fast`` apply
 only to presets that take them, and ``verify --fast`` only to benchmarks
 with a coarse variant. Exit codes: 0 success, 2 config error
-(including a scenario that cannot be set up, such as a probe outside the
-mesh), 3 solver failure, 4 verification failure. The THMFRAC_LOG
+(including an unphysical material constant, such as a negative fluid
+compressibility, and a scenario that cannot be set up, such as a probe
+outside the mesh), 3 solver failure, 4 verification failure. The THMFRAC_LOG
 environment variable ({error, info, debug}) controls verbosity.
 """
 
@@ -85,6 +86,7 @@ def _load_config(args):
             raise FileNotFoundError(
                 f"{name!r} is neither a preset ({sorted(PRESETS)}) nor a file")
         text = path.read_text()
+        name = path.stem
     return parse_config(text, name_hint=name, overrides=getattr(args, "override", None) or ())
 
 
@@ -119,9 +121,6 @@ def _cmd_verify(args) -> int:
         return EXIT_CONFIG
     try:
         report = run_verification(args.benchmark, fast=args.fast)
-    except KeyError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except SolverFailure as exc:
         print(f"solver failure during verification: {exc}", file=sys.stderr)
         return EXIT_SOLVER

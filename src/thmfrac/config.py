@@ -307,10 +307,14 @@ def config_from_dict(raw: dict, name_hint: str = "scenario") -> ScenarioConfig:
     snapshot_every = out.get("snapshot_every", 0)
     if snapshot_every < 0:
         errors.append(f"outputs.snapshot_every: must be >= 0, got {snapshot_every}")
+    # the name titles each VTK snapshot and names the run directory out/<name>
+    name = top.get("name", name_hint)
+    if name.splitlines() != [name] or name in (".", "..") or "/" in name or "\\" in name:
+        errors.append(f"name: must be one line and one path component, got {name!r}")
 
     injection = src.get("injection")
     cfg = dict(
-        name=top.get("name", name_hint), domain=domain, nx=mesh.get("nx"), ny=mesh.get("ny"),
+        name=name, domain=domain, nx=mesh.get("nx"), ny=mesh.get("ny"),
         materials=_read(MaterialParams, top.get("materials", {}), "materials", errors),
         controls=_read(SolverControls, top.get("controls", {}), "controls", errors),
         refine_bands=_read_all(RefineBand, geo.get("refine_bands", []),

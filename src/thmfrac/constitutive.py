@@ -4,7 +4,10 @@ Plane strain throughout: strains are Voigt triples [exx, eyy, gxy] with
 eps_zz = 0, traces are taken over the in-plane components, and the
 volumetric/deviatoric projectors are the 3D ones evaluated at eps_zz = 0.
 All functions broadcast over leading array dimensions, so the same code
-serves scalar unit tests and batched quadrature-point evaluation.
+serves scalar unit tests and batched quadrature-point evaluation. The laws
+take float arrays (strains as (..., 3) arrays) or floats and coerce
+nothing; ``MaterialParams`` checks every constant once, so no law checks
+the sign of what it forms from them.
 
 Phase field convention: v = 1 intact, v = 0 fully broken. The Heaviside
 flag ``tr_sign`` is H(Tr eps_e) (1 for opening, 0 for closing), formed by
@@ -29,7 +32,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvariantViolation
+
+# storage, permeability and thermal constants: zero turns a term off
+_NON_NEGATIVE = ("c_f", "perm_m", "lambda_s", "lambda_f", "c_ps", "c_pf", "rho_s", "rho_f")
 
 
 @dataclass(frozen=True)
@@ -44,6 +49,10 @@ class MaterialParams:
     ``K_m``, ``mu_shear``, ``K_s`` and ``c_n`` are derived: K_m from
     (E, nu), K_s from the Biot consistency K_m/K_s = 1 - alpha_m (infinite
     for alpha_m = 1), c_n from n_at.
+
+    ``__post_init__`` holds every admissibility rule on a constant, so the
+    laws formed from them (1/M_p, K_eff, the thermal properties and the
+    balancing dissipation) are non-negative by construction.
     """
 
     E: float
@@ -104,6 +113,11 @@ class MaterialParams:
             errs.append(f"Gc must be positive, got {self.Gc}")
         if not self.mu_f > 0.0:
             errs.append(f"mu_f must be positive, got {self.mu_f}")
+        errs += [f"{name} must be non-negative, got {values[name]}"
+                 for name in _NON_NEGATIVE if not values[name] >= 0.0]
+        # K_eff = frac K_m with frac in [k_res, 1]: positive and finite with K_m
+        if not errs and not (self.K_m < math.inf and self.mu_shear < math.inf):
+            errs.append(f"E = {self.E} with nu = {self.nu} overflows K_m or mu_shear")
         if errs:
             raise ValueError("; ".join(errs))
 
@@ -168,8 +182,8 @@ class StrainState:
 
 def degradation(v, k_res: float):
     """g(v) = (1 - k) v^2 + k, clamping v within 1e-9 of [0, 1]."""
-    v = np.asarray(v, dtype=float)
-    if np.any(v < -1e-9) or np.any(v > 1.0 + 1e-9):
+    # written so that it fails for NaN
+    if not np.all((v >= -1e-9) & (v <= 1.0 + 1e-9)):
         raise ValueError("phase field outside [0, 1] beyond tolerance")
     v = np.clip(v, 0.0, 1.0)
     return (1.0 - k_res) * v * v + k_res
@@ -177,18 +191,16 @@ def degradation(v, k_res: float):
 
 def trace2(eps):
     """In-plane trace of a Voigt strain."""
-    eps = np.asarray(eps, dtype=float)
     return eps[..., 0] + eps[..., 1]
 
 
 def heaviside(x):
     """H(x) = 1 for x >= 0, else 0 (paper convention)."""
-    return np.where(np.asarray(x, dtype=float) >= 0.0, 1.0, 0.0)
+    return np.where(x >= 0.0, 1.0, 0.0)
 
 
 def deviatoric_norm2(eps, eps_zz=0.0):
     """dev(eps):dev(eps) with the 3D deviator (out-of-plane normal eps_zz)."""
-    eps = np.asarray(eps, dtype=float)
     tr = trace2(eps) + eps_zz
     dxx = eps[..., 0] - tr / 3.0
     dyy = eps[..., 1] - tr / 3.0
@@ -205,7 +217,6 @@ def energy_split_vd(eps_e, K_m: float, mu_shear: float, eps_zz=0.0):
     ``eps_zz`` carries the out-of-plane elastic strain (-alpha_s dT in
     plane strain with thermal contraction; the total strain has eps_zz = 0).
     """
-    eps_e = np.asarray(eps_e, dtype=float)
     tr = trace2(eps_e) + eps_zz
     tr_pos = np.maximum(tr, 0.0)
     tr_neg = np.minimum(tr, 0.0)
@@ -232,7 +243,7 @@ def phase_state(v, params: MaterialParams) -> PhaseState:
     """Evaluate g(v), with its range check, and (1 - v)^xi once for the
     phase field ``v`` (clamped to [0, 1] in both)."""
     g = degradation(v, params.k_res)
-    crack = (1.0 - np.clip(np.asarray(v, dtype=float), 0.0, 1.0)) ** params.xi
+    crack = (1.0 - np.clip(v, 0.0, 1.0)) ** params.xi
     return PhaseState(g=g, crack=crack)
 
 
@@ -242,8 +253,7 @@ def degraded_moduli(g, tr_sign, params: MaterialParams) -> DegradedModuli:
     K_eff = [g(v) H(+) + H(-)] K_m, and Biot's coefficient
     alpha(v) = 1 - K_eff / K_s = 1 - [g(v) H(+) + H(-)] (1 - alpha_m).
     """
-    h = np.asarray(tr_sign, dtype=float)
-    frac = g * h + (1.0 - h)
+    frac = g * tr_sign + (1.0 - tr_sign)
     return DegradedModuli(g=g, frac=frac, K_eff=frac * params.K_m,
                           alpha=1.0 - frac * (1.0 - params.alpha_m))
 
@@ -263,14 +273,14 @@ def effective_stiffness(moduli: DegradedModuli, params: MaterialParams) -> np.nd
 def elastic_trace(eps, dT, alpha_s: float):
     """Tr eps_e = (exx - a) + (eyy - a) - a of the elastic strain
     eps - alpha_s dT I (three components), a = alpha_s dT."""
-    a = alpha_s * np.asarray(dT, dtype=float)
+    a = alpha_s * dT
     return (eps[..., 0] - a) + (eps[..., 1] - a) - a
 
 
 def branch_flag(eps, dT, alpha_s: float):
     """H(Tr eps_e) of the total strain ``eps`` at temperature offset ``dT``,
     without forming the elastic strain."""
-    return heaviside(elastic_trace(np.asarray(eps, dtype=float), dT, alpha_s))
+    return heaviside(elastic_trace(eps, dT, alpha_s))
 
 
 def thermoelastic_split(eps, dT, alpha_s: float):
@@ -282,8 +292,6 @@ def thermoelastic_split(eps, dT, alpha_s: float):
     eps_zz = 0 under plane strain), Tr eps_e (``elastic_trace``) and
     H(Tr eps_e). Pass ``ezz`` as ``eps_zz`` to the energy/stress helpers.
     """
-    eps = np.asarray(eps, dtype=float)
-    dT = np.asarray(dT, dtype=float)
     eps_e = eps.copy()
     eps_e[..., 0] -= alpha_s * dT
     eps_e[..., 1] -= alpha_s * dT
@@ -297,7 +305,6 @@ def thermoelastic_split(eps, dT, alpha_s: float):
 
 def principal_strains(eps):
     """Eigenvalues (e1 >= e2) of the 2x2 strain from its Voigt form."""
-    eps = np.asarray(eps, dtype=float)
     c = 0.5 * (eps[..., 0] + eps[..., 1])
     exy = 0.5 * eps[..., 2]
     r = np.hypot(0.5 * (eps[..., 0] - eps[..., 1]), exy)
@@ -306,7 +313,7 @@ def principal_strains(eps):
 
 def fracture_width(e1, h_e):
     """Smeared aperture w = h_e <e1>+ from the largest principal strain."""
-    return np.asarray(h_e, dtype=float) * np.maximum(e1, 0.0)
+    return h_e * np.maximum(e1, 0.0)
 
 
 def porosity(e1, params: MaterialParams, moduli: DegradedModuli | None = None):
@@ -336,9 +343,7 @@ def permeability(crack, width, eps, e1, e2, params: MaterialParams) -> Permeabil
     crack plane. Degenerate (isotropic) states, e1 - e2 <= 1e-12, take
     n = (1, 0).
     """
-    w = np.asarray(width, dtype=float)
-    eps = np.asarray(eps, dtype=float)
-    enh = crack * (w * w / 12.0)
+    enh = crack * (width * width / 12.0)
     gap = e1 - e2
     degen = gap <= 1e-12
     scale = enh / np.where(degen, 1.0, gap)
@@ -354,32 +359,22 @@ def permeability(crack, width, eps, e1, e2, params: MaterialParams) -> Permeabil
 
 def biot_modulus_inv(phi, alpha_v, params: MaterialParams):
     """1/M_p = phi c_f + (alpha - phi)/K_s >= 0 (alpha - phi clamped at 0)."""
-    phi = np.asarray(phi, dtype=float)
-    alpha_v = np.asarray(alpha_v, dtype=float)
-    diff = np.maximum(alpha_v - phi, 0.0)
     inv_Ks = 0.0 if math.isinf(params.K_s) else 1.0 / params.K_s
-    out = phi * params.c_f + diff * inv_Ks
-    if np.any(out < 0.0):
-        raise InvariantViolation("negative storage coefficient 1/M_p")
-    return out
+    return phi * params.c_f + np.maximum(alpha_v - phi, 0.0) * inv_Ks
 
 
 def thermal_storage_inv(phi, alpha_v, params: MaterialParams):
     """1/M_T = phi alpha_f + 3 alpha_s (alpha - phi)."""
-    phi = np.asarray(phi, dtype=float)
-    alpha_v = np.asarray(alpha_v, dtype=float)
     return phi * params.alpha_f + 3.0 * params.alpha_s * np.maximum(alpha_v - phi, 0.0)
 
 
 def heat_capacity_eff(phi, params: MaterialParams):
     """(rho c)_m = phi c_pf rho_f + (1 - phi) c_ps rho_s [J/(m^3 K)]."""
-    phi = np.asarray(phi, dtype=float)
     return phi * params.c_pf * params.rho_f + (1.0 - phi) * params.c_ps * params.rho_s
 
 
 def conductivity_eff(phi, params: MaterialParams):
     """lambda_eff = phi lambda_f + (1 - phi) lambda_s [W/(m K)]."""
-    phi = np.asarray(phi, dtype=float)
     return phi * params.lambda_f + (1.0 - phi) * params.lambda_s
 
 
@@ -391,8 +386,7 @@ def stabilization_conductivity(q_norm, h_e, params: MaterialParams):
     conduction term multiplied by the advecting fluid's volumetric heat
     capacity.
     """
-    return (0.5 * params.s_stab * np.asarray(q_norm, dtype=float)
-            * np.asarray(h_e, dtype=float) * params.rho_f * params.c_pf)
+    return 0.5 * params.s_stab * q_norm * h_e * params.rho_f * params.c_pf
 
 
 def biot_modulus_pressure_drive(eps_vol, p, tr_sign, params: MaterialParams):
@@ -402,9 +396,7 @@ def biot_modulus_pressure_drive(eps_vol, p, tr_sign, params: MaterialParams):
     in product form; finite for all p, unlike the raw derivative
     (2 eps_vol / p) v (1-k) H (1 - alpha_m).
     """
-    h = np.asarray(tr_sign, dtype=float)
-    return (np.asarray(p, dtype=float) * np.asarray(eps_vol, dtype=float)
-            * (1.0 - params.k_res) * h * (1.0 - params.alpha_m))
+    return p * eps_vol * (1.0 - params.k_res) * tr_sign * (1.0 - params.alpha_m)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +406,6 @@ def biot_modulus_pressure_drive(eps_vol, p, tr_sign, params: MaterialParams):
 def strain_state(eps, h_e, phase: PhaseState, params: MaterialParams) -> StrainState:
     """Evaluate the temperature-independent quadrature-point quantities of
     the strain ``eps`` and the ``phase_state`` of v at once."""
-    eps = np.asarray(eps, dtype=float)
     e1, e2 = principal_strains(eps)
     width = fracture_width(e1, h_e)
     perm = permeability(phase.crack, width, eps, e1, e2, params)

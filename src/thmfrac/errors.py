@@ -39,7 +39,3 @@ class NonConvergence(SolverFailure):
     def __init__(self, message: str, history: list | None = None, **diag):
         super().__init__(message, diagnostics=diag)
         self.history = history or []
-
-
-class InvariantViolation(ThmfracError):
-    """A physical invariant (e.g. positive storage) was violated."""

@@ -58,7 +58,6 @@ import numpy as np
 
 from . import constitutive as law
 from .constitutive import MaterialParams
-from .errors import InvariantViolation
 from .fem import ElementTables, FieldSystem, gauss_2x2, shape_q4
 
 @dataclass
@@ -323,8 +322,6 @@ def build_flow_system(tables: ElementTables, params: MaterialParams,
     moduli = law.degraded_moduli(st.g, tr_sign, params)
     phi = law.porosity(st.e1, params, moduli)
     K_eff, alpha = moduli.K_eff, moduli.alpha
-    if np.any(K_eff <= 0.0) or not np.all(np.isfinite(K_eff)):
-        raise InvariantViolation("non-positive effective bulk modulus in flow kernel")
     inv_Mp = law.biot_modulus_inv(phi, alpha, params)
     inv_MT = law.thermal_storage_inv(phi, alpha, params)
 

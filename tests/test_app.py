@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from thmfrac import app
+from thmfrac import app, cli, staggered
 from thmfrac.app import run_scenario
 from thmfrac.cli import main
-from thmfrac.errors import NonConvergence
+from thmfrac.errors import ConfigError, NonConvergence, SolverFailure, ThmfracError
 from thmfrac.io_vtk import vtk_grid, write_vtk
 from thmfrac.mesh import generate_rect_mesh
 from thmfrac.presets import terzaghi
@@ -159,6 +159,35 @@ def test_cli_run_roundtrip(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["scenario"] == "terzaghi"
     assert manifest["config"]["controls"]["dt_schedule"] == [[3.0, 1.0]]
+
+
+def _package_errors(cls=ThmfracError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _package_errors(sub)
+
+
+@pytest.mark.parametrize("cls", list(_package_errors()), ids=lambda c: c.__name__)
+def test_every_package_error_exits_with_a_documented_code(cls, tmp_path, monkeypatch,
+                                                          capsys):
+    # a solver failure is raised by the run and exits 3 after the partial
+    # outputs are written; every other package error is raised while the
+    # scenario is set up and exits 2 before anything is written
+    exc = cls(["boom"]) if issubclass(cls, ConfigError) else cls("boom")
+
+    def raising(*args, **kwargs):
+        raise exc
+
+    if issubclass(cls, SolverFailure):
+        monkeypatch.setattr(staggered.Simulation, "time_step", raising)
+        code, message = cli.EXIT_SOLVER, "3 solver failure"
+    else:
+        monkeypatch.setattr(app, "build_simulation", raising)
+        code, message = cli.EXIT_CONFIG, "2 config error"
+    assert main(["run", "terzaghi", "--out", str(tmp_path / "out")]) == code
+    assert "boom" in capsys.readouterr().err
+    assert message in " ".join(cli.__doc__.split())
+    assert (tmp_path / "out").exists() == (code == cli.EXIT_SOLVER)
 
 
 def test_cli_run_config_file(tmp_path):

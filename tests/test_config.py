@@ -182,6 +182,10 @@ def test_non_finite_or_non_physical_number_is_reported_under_its_path(key, value
     assert exc.value.errors == [error]
 
 
+# the material constants that may be zero but not negative
+_NON_NEGATIVE = ("c_f", "perm_m", "lambda_s", "lambda_f", "c_ps", "c_pf", "rho_s", "rho_f")
+
+
 @pytest.mark.parametrize("build", [
     lambda: MechBC(set="north", component="x"),
     lambda: MechBC(set="left"),
@@ -204,11 +208,15 @@ def test_non_finite_or_non_physical_number_is_reported_under_its_path(key, value
     lambda: RefineBand(axis="x", lo=-1.0, hi=1.0, h=0.1),
     lambda: WeakInterface(segment=[(0.04, 0.15), (0.04, 0.25)], gc_ratio=-0.5),
     lambda: WeakInterface(segment=[(0.04, 0.15)], gc_ratio=0.5),
+    *[lambda name=name: MaterialParams(E=1e9, nu=0.2, **{name: -1e-6})
+      for name in _NON_NEGATIVE],
+    lambda: MaterialParams(E=1e308, nu=0.49),
 ], ids=["mech-set", "mech-component", "mech-component-and-traction",
         "mech-value-and-traction", "scalar-set", "injection-rate", "probe-name",
         "probe-kind", "probe-field", "probe-point", "width-point", "probe-path",
         "probe-threshold", "controls-v_ir", "controls-dt", "controls-partial-step",
-        "controls-partial-segment", "band-lo", "interface-gc_ratio", "interface-segment"])
+        "controls-partial-segment", "band-lo", "interface-gc_ratio", "interface-segment",
+        *[f"materials-{name}" for name in _NON_NEGATIVE], "materials-K_m-overflow"])
 def test_each_dataclass_checks_its_own_values(build):
     # the rules hold for objects built in Python, not only for parsed JSON
     with pytest.raises(ValueError):
@@ -362,6 +370,60 @@ class TestCLIHelpers:
         out = tmp_path / "a" / "b" / "mesh.vtk"
         assert main(["mesh-dump", "terzaghi", "--out", str(out)]) == 0
         assert b"UNSTRUCTURED_GRID" in out.read_bytes()
+
+    @pytest.mark.parametrize("name", _NON_NEGATIVE)
+    def test_negative_material_constant_exits_with_config_error(self, name, tmp_path,
+                                                               monkeypatch, capsys):
+        # c_f < 0 used to end in a traceback after the first snapshot,
+        # perm_m < 0 to complete, rho_f < 0 and lambda_s < 0 to stall
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "thermal_consolidation", "--override",
+                     f"materials.{name}=-1"]) == 2
+        assert (f"configuration error: invalid configuration:\n  "
+                f"materials: {name} must be non-negative, got -1.0"
+                in capsys.readouterr().err)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("name", ["a\nb", "a\r", "", ".", "..", "../escaped",
+                                      "a/b", "a\\b"])
+    def test_name_that_is_not_one_line_and_one_path_component_is_rejected(
+            self, name, tmp_path, monkeypatch, capsys):
+        # a line break split the VTK title line; "../escaped" wrote to ./escaped
+        monkeypatch.chdir(tmp_path)
+        raw = config_to_dict(terzaghi())
+        raw["name"] = name
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path)]) == 2
+        assert (f"name: must be one line and one path component, got {name!r}"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_file_without_a_name_is_named_by_its_stem(self, tmp_path, monkeypatch):
+        # the path as typed was the name, and out/<absolute path> the
+        # directory: mkdir of the file itself failed
+        (tmp_path / "work").mkdir()
+        monkeypatch.chdir(tmp_path / "work")
+        raw = config_to_dict(terzaghi())
+        del raw["name"]
+        raw["controls"]["dt_schedule"] = [[2.0, 1.0]]
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path)]) == 0
+        assert _load_config(argparse.Namespace(scenario=str(path))).name == "scn"
+        manifest = json.loads((tmp_path / "work" / "out" / "scn" / "manifest.json").read_text())
+        assert manifest["scenario"] == "scn"
+
+    def test_key_error_inside_a_check_is_not_a_usage_error(self, monkeypatch):
+        # argparse rejects unknown names; a KeyError inside a check is a bug
+        from thmfrac import verify
+
+        def broken():
+            raise KeyError("p_inj")
+
+        monkeypatch.setitem(verify.BENCHMARKS, "terzaghi", broken)
+        with pytest.raises(KeyError, match="p_inj"):
+            main(["verify", "terzaghi"])
 
     def test_override_applies_before_validation(self, tmp_path, capsys):
         # an override that breaks the config must exit 2

@@ -7,7 +7,6 @@ import pytest
 from element_loop import crack_normal, permeability_from_normal, permeability_tensor
 from thmfrac import constitutive as law
 from thmfrac.constitutive import MaterialParams
-from thmfrac.errors import InvariantViolation
 
 
 def random_strain(rng, scale=1e-3, n=None):
@@ -82,6 +81,14 @@ class TestDegradation:
         assert law.degradation(1.0 + 1e-10, 0.0) == pytest.approx(1.0)
         with pytest.raises(ValueError):
             law.degradation(1.1, 0.0)
+
+    @pytest.mark.parametrize("v", [np.array([np.nan]), np.array([0.5, np.nan]), np.nan],
+                             ids=["nan", "nan-in-batch", "scalar-nan"])
+    def test_nan_phase_field_is_rejected(self, v):
+        # the range check is the last guard of the phase-field path: a NaN
+        # used to pass it and come back as g = NaN
+        with pytest.raises(ValueError, match="phase field outside"):
+            law.degradation(v, 1e-6)
 
     def test_monotone_in_v(self, rng):
         v = np.sort(rng.uniform(0.0, 1.0, 64))
@@ -397,7 +404,8 @@ class TestPressureDrive:
                 pytest.approx(0.5 * p * p * raw, rel=1e-12)
 
 
-def test_biot_modulus_negative_storage_raises():
-    mp = MaterialParams(E=1e9, nu=0.2, alpha_m=0.6, phi_m=0.1, c_f=-1e-9)
-    with pytest.raises(InvariantViolation):
-        law.biot_modulus_inv(0.5, 0.6, mp)
+def test_negative_storage_is_rejected_by_material_params():
+    # 1/M_p = phi c_f + (alpha - phi)/K_s is non-negative once c_f is, so the
+    # law itself checks no sign
+    with pytest.raises(ValueError, match="^c_f must be non-negative, got -1e-09$"):
+        MaterialParams(E=1e9, nu=0.2, alpha_m=0.6, phi_m=0.1, c_f=-1e-9)
