@@ -2,10 +2,11 @@
 
 Outputs per run directory: ``manifest.json`` (resolved config, version,
 declared file list), ``series.csv`` (time column plus every probe) and
-legacy-VTK snapshots at the configured cadence. On solver failure the
+legacy-VTK snapshots at the configured cadence. When a step raises, the
 partial outputs are kept next to a ``FAILED`` marker, and the marker and
 the manifest's ``failure`` record name the exception type, its message
-and the time of the step that failed; for a ``NonConvergence`` they also
+and the time of the step that failed (null unless a ``SolverFailure``),
+and the exception propagates unchanged; for a ``NonConvergence`` they also
 hold the increment history of the loop that hit its cap (one line of the
 marker, ``failure.history`` in the manifest), for the inner loop every
 inner pass of the step.
@@ -107,10 +108,12 @@ class ScenarioRunner:
 
         try:
             result = run(self.sim, self.cfg.controls, on_step=on_step)
-        except SolverFailure as exc:
+        except Exception as exc:
+            solver = isinstance(exc, SolverFailure)
             failure = {"type": type(exc).__name__, "message": str(exc),
-                       "time": exc.diagnostics.get("time")}
-            marker = (f"solver failure at t = {failure['time']!r} s; outputs are partial\n"
+                       "time": exc.diagnostics.get("time") if solver else None}
+            marker = (f"{'solver failure' if solver else 'error'} at t = "
+                      f"{failure['time']!r} s; outputs are partial\n"
                       f"{failure['type']}: {failure['message']}\n")
             if isinstance(exc, NonConvergence):
                 failure["history"] = exc.history

@@ -53,11 +53,15 @@ def _thread_cap(text: str) -> int:
     return n
 
 
-def _pin_threads(n: int):
-    # must happen before numpy is first imported
+def _pin_threads(n: int | None):
+    # must happen before numpy is first imported; a given --threads wins
+    # over the environment, which otherwise wins over the default of 1
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
+        if n is None:
+            os.environ.setdefault(var, "1")
+        else:
+            os.environ[var] = str(n)
 
 
 def _load_config(args):
@@ -160,8 +164,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="thmfrac",
         description="Thermo-hydro-mechanical phase-field hydraulic fracturing")
-    parser.add_argument("--threads", type=_thread_cap, default=1,
-                        help="BLAS/OpenMP thread cap (default 1, reproducible)")
+    parser.add_argument("--threads", type=_thread_cap,
+                        help="BLAS/OpenMP thread cap, over *_NUM_THREADS "
+                             "(default: those, else 1, reproducible)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a preset or a JSON scenario file")

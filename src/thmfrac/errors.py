@@ -36,6 +36,6 @@ class NonConvergence(SolverFailure):
     staggered loops fail in one message form, and the inner loop's history
     holds every inner pass of the step, across its outer iterations."""
 
-    def __init__(self, message: str, history: list | None = None, **diag):
-        super().__init__(message, diagnostics=diag)
+    def __init__(self, message: str, history: list | None = None):
+        super().__init__(message)
         self.history = history or []

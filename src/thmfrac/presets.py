@@ -1,8 +1,12 @@
-"""Built-in scenario presets for the benchmark and experiment geometries."""
+"""Built-in scenario presets for the benchmark and experiment geometries.
+
+A preset's parameters are geometry, resolution and loading only (``fast``,
+``dT``, ``h``, ``t_end``); a model choice is a ``MaterialParams`` field, set
+on the returned config with ``dataclasses.replace`` or, from the command
+line, ``--override materials.<field>=<value>``.
+"""
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 from .config import Injection, MechBC, ProbeSpec, ScalarBC, ScenarioConfig, WeakInterface
 from .constitutive import MaterialParams
@@ -92,8 +96,7 @@ def _kgd_materials(thermal: bool, fast: bool) -> MaterialParams:
     return MaterialParams(**kw)
 
 
-def kgd(fast: bool = True, porosity_variant: str = "phi1",
-        t_end: float = 4.0) -> ScenarioConfig:
+def kgd(fast: bool = True, t_end: float = 4.0) -> ScenarioConfig:
     """Plane-strain fluid-driven fracture, half symmetry at x = 0.
 
     Initial 2 m notch at mid-height, line injection at its mouth; the
@@ -112,8 +115,7 @@ def kgd(fast: bool = True, porosity_variant: str = "phi1",
             RefineBand(axis="y", lo=30.0 - 1.6, hi=30.0 + 1.6, h=h, ratio=1.15),
         ],
         cracks=[[(0.0, 30.0), (2.0, 30.0)]],
-        materials=replace(_kgd_materials(thermal=False, fast=fast),
-                          porosity_variant=porosity_variant),
+        materials=_kgd_materials(thermal=False, fast=fast),
         controls=SolverControls(dt_schedule=schedule),
         solve_thermal=False,
         bcs_mech=[
@@ -136,14 +138,11 @@ def kgd(fast: bool = True, porosity_variant: str = "phi1",
     )
 
 
-def kgd_cold(stabilization: bool = True, dT: float = 30.0, fast: bool = True,
-             t_end: float = 2.0) -> ScenarioConfig:
-    """Cold-fluid KGD variant used for the advection stabilization study;
-    ``stabilization=False`` sets ``s_stab = 0``."""
+def kgd_cold(dT: float = 30.0, fast: bool = True, t_end: float = 2.0) -> ScenarioConfig:
+    """Cold-fluid KGD variant used for the advection stabilization study."""
     cfg = kgd(fast=fast, t_end=t_end)
     cfg.name = "kgd_cold"
-    materials = _kgd_materials(thermal=True, fast=fast)
-    cfg.materials = materials if stabilization else replace(materials, s_stab=0.0)
+    cfg.materials = _kgd_materials(thermal=True, fast=fast)
     cfg.solve_thermal = True
     cfg.injection = Injection(point=(0.0, 30.0), rate=2e-3,
                               temperature=cfg.materials.T0 - dT)

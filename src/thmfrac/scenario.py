@@ -117,8 +117,7 @@ class Probes:
 def locate_probes(specs: list[ProbeSpec], mesh: Mesh) -> Probes:
     """Locate every probe among ``specs`` once: a point of a field or width
     probe, or a vertex of a fracture-length path, outside the mesh raises
-    ``PointNotFound``. An unknown field raises ``ValueError`` when the
-    probes are evaluated."""
+    ``PointNotFound``."""
     field_specs = [spec for spec in specs if spec.kind == "field"]
     fields = tuple(dict.fromkeys(spec.field for spec in field_specs))
     conn, N = locate(mesh, [spec.point for spec in field_specs])

@@ -1,9 +1,10 @@
 """Verification harness: runs scaled benchmarks and scores them.
 
-Each ``verify_*`` function executes the relevant scenario(s), overlays the
+Each ``verify_*`` function runs its scenario(s) through ``_run_series``,
+the one place a check builds, runs and probes a simulation, overlays the
 closed-form references where they exist, and returns a machine-readable
 report: ``{"benchmark", "passed", "criteria": [...]}`` with one entry per
-checked criterion.
+checked criterion. Every check runs its full variant unless ``fast=True``.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import analytic
-from .config import ScenarioConfig
-from .postproc import bilinear, locate
+from .config import ProbeSpec, ScenarioConfig
 from .presets import kgd, kgd_cold, single_fracture, terzaghi, thermal_consolidation
 from .scenario import build_simulation, evaluate_probes, locate_probes
 from .staggered import RunResult, Simulation, run
@@ -66,8 +66,7 @@ def verify_terzaghi() -> dict:
     L = cfg.domain[0]
 
     start = time.perf_counter()
-    sim = build_simulation(cfg)
-    result = run(sim, cfg.controls)
+    sim, result, _ = _run_series(cfg)
     runtime = time.perf_counter() - start
 
     mesh = sim.mesh
@@ -118,12 +117,12 @@ def _kgd_errors(cfg: ScenarioConfig, times, series) -> dict[str, np.ndarray]:
     }
 
 
-def verify_kgd(fast: bool = True, t_end: float = 4.0) -> dict:
+def verify_kgd(fast: bool = False) -> dict:
     """Toughness-regime tracking, growth exponent, regime classifier and
-    the phi1-vs-phi0 porosity comparison on the same mesh."""
+    the phi1-vs-phi0 porosity comparison on the same mesh, to t = 4 s."""
     start = time.perf_counter()
-    cfg1 = kgd(fast=fast, porosity_variant="phi1", t_end=t_end)
-    sim1, res1, series1 = _run_series(cfg1)
+    cfg1 = kgd(fast=fast, t_end=4.0)
+    _, res1, series1 = _run_series(cfg1)
     times = np.asarray(res1.times)
     e1 = _kgd_errors(cfg1, times, series1)
 
@@ -144,7 +143,7 @@ def verify_kgd(fast: bool = True, t_end: float = 4.0) -> dict:
     criteria.append(Criterion("regime_M_order", 1e-8 < M < 1e-6, M, 1e-6,
                               "order 1e-7 anchor"))
 
-    cfg0 = kgd(fast=fast, porosity_variant="phi0", t_end=t_end)
+    cfg0 = replace(cfg1, materials=replace(cfg1.materials, porosity_variant="phi0"))
     _, res0, series0 = _run_series(cfg0)
     e0 = _kgd_errors(cfg0, np.asarray(res0.times), series0)
     avg1 = float(e1["err_p"].mean())
@@ -230,36 +229,26 @@ def verify_thermal_consolidation() -> dict:
 # advection stabilization (cold-injection KGD variant)
 # ---------------------------------------------------------------------------
 
-def _fracture_path_temperatures(sim: Simulation, result: RunResult,
-                                x_max: float) -> np.ndarray:
-    xs = np.arange(0.0, x_max, 0.5 * float(sim.mesh.h_e.min()))
-    conn, N = locate(sim.mesh, np.column_stack([xs, np.full_like(xs, 30.0)]))
-    return np.asarray([bilinear(N, state.T[conn]) for state in result.states])
+def verify_stabilization(fast: bool = False) -> dict:
+    """Criterion: injecting 30 K colder to t = 2 s, stabilized T stays
+    within 1% of dT around [T_inj, T0] on the fracture path (y = 30 m, to
+    the band's end, every h/2); with ``s_stab = 0`` it must not."""
+    dT = 30.0
+    cfg = kgd_cold(dT=dT, fast=fast, t_end=2.0)
+    band = cfg.refine_bands[0]
+    path = [ProbeSpec(name=f"T_path{i}", field="T", point=(float(x), 30.0))
+            for i, x in enumerate(np.arange(0.0, band.hi, 0.5 * band.h))]
+    cfg.probes = cfg.probes + path
+    lo = cfg.injection.temperature - 0.01 * dT
+    hi = cfg.materials.T0 + 0.01 * dT
 
-
-def verify_stabilization(fast: bool = True, dT: float = 30.0,
-                         t_end: float = 2.0) -> dict:
-    """Criterion: stabilized T stays within 1% of dT around [T_inj, T0];
-    the unstabilized run must violate those bounds somewhere."""
-    cfg_on = kgd_cold(stabilization=True, dT=dT, fast=fast, t_end=t_end)
-    T0 = cfg_on.materials.T0
-    T_inj = cfg_on.injection.temperature
-    lo = T_inj - 0.01 * dT
-    hi = T0 + 0.01 * dT
-    x_max = cfg_on.refine_bands[0].hi
-
-    sim_on = build_simulation(cfg_on)
-    res_on = run(sim_on, cfg_on.controls)
-    T_on = _fracture_path_temperatures(sim_on, res_on, x_max)
-    under = float(lo - T_on.min())
-    over = float(T_on.max() - hi)
-    excursion_on = max(under, over, 0.0)
-
-    cfg_off = kgd_cold(stabilization=False, dT=dT, fast=fast, t_end=t_end)
-    sim_off = build_simulation(cfg_off)
-    res_off = run(sim_off, cfg_off.controls)
-    T_off = _fracture_path_temperatures(sim_off, res_off, x_max)
-    excursion_off = max(float(lo - T_off.min()), float(T_off.max() - hi), 0.0)
+    excursions = []
+    for s_stab in (cfg.materials.s_stab, 0.0):
+        _, _, series = _run_series(replace(cfg, materials=replace(cfg.materials,
+                                                                  s_stab=s_stab)))
+        T = np.array([series[spec.name] for spec in path])
+        excursions.append(max(float(lo - T.min()), float(T.max() - hi), 0.0))
+    excursion_on, excursion_off = excursions
 
     criteria = [
         Criterion("stabilized_T_within_bounds", excursion_on == 0.0,
@@ -276,15 +265,16 @@ def verify_stabilization(fast: bool = True, dT: float = 30.0,
 # thermal trend (single fracture, peak pressure vs injection temperature)
 # ---------------------------------------------------------------------------
 
-def verify_thermal_trend(fast: bool = False, t_end: float = 2.0) -> dict:
-    """Peak injection pressure must drop when the injected fluid is colder.
+def verify_thermal_trend(fast: bool = False) -> dict:
+    """Peak injection pressure to t = 2 s must drop when the injected fluid
+    is colder.
 
     ``fast`` coarsens the refined band from h = 0.01 m to h = 0.025 m.
     """
     h = 0.025 if fast else 0.01
     peaks = {}
     for dT in (0.0, 90.0):
-        cfg = single_fracture(dT=dT, h=h, t_end=t_end)
+        cfg = single_fracture(dT=dT, h=h, t_end=2.0)
         _, _, series = _run_series(cfg)
         peaks[dT] = float(series["p_inj"].max())
     ratio = peaks[90.0] / peaks[0.0]
@@ -315,7 +305,7 @@ def run_verification(benchmark: str, fast: bool = False) -> dict:
         raise KeyError(f"unknown benchmark {benchmark!r}; "
                        f"available: {sorted(BENCHMARKS)}")
     check = BENCHMARKS[benchmark]
-    return check(fast=fast) if fast or takes_fast(benchmark) else check()
+    return check(fast=True) if fast else check()
 
 
 def format_report(report: dict) -> str:

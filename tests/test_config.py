@@ -1,11 +1,12 @@
 import argparse
 import dataclasses
+import inspect
 import json
 import os
 
 import pytest
 
-from thmfrac.cli import _load_config, main
+from thmfrac.cli import _load_config, _pin_threads, main
 from thmfrac.constitutive import MaterialParams
 from thmfrac.config import (Injection, MechBC, ProbeSpec, ScalarBC, WeakInterface,
                             config_from_dict, config_to_dict, parse_config)
@@ -61,7 +62,9 @@ class TestParseConfig:
 
     def test_preset_round_trips_through_json(self):
         cfgs = [get_preset(name) for name in PRESETS]
-        cfgs += [kgd(porosity_variant="phi0"), kgd_cold(stabilization=False)]
+        cfgs += [dataclasses.replace(cfg, materials=dataclasses.replace(cfg.materials, **kw))
+                 for cfg, kw in ((kgd(), {"porosity_variant": "phi0"}),
+                                 (kgd_cold(), {"s_stab": 0.0}))]
         for cfg in cfgs:
             text = json.dumps(config_to_dict(cfg))
             parsed = parse_config(text)
@@ -317,6 +320,13 @@ class TestPresets:
         assert (mp.E, mp.nu, mp.alpha_m, mp.phi_m) == (60e6, 0.4, 1.0, 0.4)
         assert (mp.perm_m, mp.alpha_s, mp.c_ps, mp.c_pf) == (1e-16, 3e-7, 800.0, 4200.0)
 
+    def test_preset_parameters_are_geometry_resolution_and_loading_only(self):
+        # a model choice is a MaterialParams field, set with replace or
+        # --override materials.<field>=...; no preset restates one
+        for name, preset in PRESETS.items():
+            assert set(inspect.signature(preset).parameters) <= \
+                {"fast", "dT", "t_end", "h"}, name
+
     def test_unknown_preset(self):
         with pytest.raises(KeyError):
             get_preset("nope")
@@ -358,6 +368,21 @@ class TestCLIHelpers:
         assert exc.value.code == 2
         assert f"--threads: must be at least 1, got {threads}" in capsys.readouterr().err
         assert "OPENBLAS_NUM_THREADS" not in os.environ and not out.exists()
+
+    @pytest.mark.parametrize("threads, exported, expected",
+                             [(1, "2", "1"), (3, "2", "3"), (None, "2", "2"), (None, None, "1")])
+    def test_explicit_thread_cap_wins_over_the_environment(self, monkeypatch, threads,
+                                                           exported, expected):
+        # without --threads an exported cap is kept, else 1; --threads wins
+        names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "NUMEXPR_NUM_THREADS")
+        for var in names:
+            if exported is None:
+                monkeypatch.delenv(var, raising=False)
+            else:
+                monkeypatch.setenv(var, exported)
+        _pin_threads(threads)
+        assert [os.environ[var] for var in names] == [expected] * 4
 
     def test_mesh_dump_writes_vtk(self, tmp_path):
         out = tmp_path / "mesh.vtk"
@@ -523,8 +548,18 @@ class TestCLIHelpers:
             raise ValueError("phase field outside [0, 1]")
 
         monkeypatch.setattr(staggered.Simulation, "time_step", broken)
+        out = tmp_path / "out"
         with pytest.raises(ValueError, match="phase field outside"):
-            main(["run", "terzaghi", "--out", str(tmp_path / "out")])
+            main(["run", "terzaghi", "--out", str(out)])
+        # the run directory still records the failure, with no step time
+        marker = (out / "FAILED").read_text().splitlines()
+        assert marker == ["error at t = None s; outputs are partial",
+                          "ValueError: phase field outside [0, 1]"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and "FAILED" in manifest["files"]
+        assert manifest["failure"] == {"type": "ValueError",
+                                       "message": "phase field outside [0, 1]",
+                                       "time": None}
 
     @pytest.mark.parametrize("argv, flags", [
         (["run", "terzaghi", "--dT", "30"], "--dT"),
