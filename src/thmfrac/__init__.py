@@ -1,19 +1,3 @@
 """Thermo-hydro-mechanical phase-field hydraulic fracturing on quad meshes."""
 
 __version__ = "0.1.0"
-
-_SUBMODULES = ("analytic", "app", "config", "constitutive", "errors", "fem",
-               "io_vtk", "mesh", "physics", "postproc", "presets", "scenario",
-               "staggered", "verify")
-
-
-def __getattr__(name):
-    # Lazy submodule import keeps `import thmfrac` numpy-free so the CLI can
-    # pin thread environment variables before numpy initializes.
-    if name in _SUBMODULES:
-        import importlib
-
-        module = importlib.import_module(f".{name}", __name__)
-        globals()[name] = module
-        return module
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,8 +7,9 @@ sets any config value, such as ``controls.dt_schedule=[[0.1,0.01],[3.9,0.1]]``
 only to presets that take them, and ``verify --fast`` only to benchmarks
 with a coarse variant. Exit codes: 0 success, 2 config error
 (including an unphysical material constant, such as a negative fluid
-compressibility, and a scenario that cannot be set up, such as a probe
-outside the mesh), 3 solver failure, 4 verification failure. The THMFRAC_LOG
+compressibility, a scenario that cannot be set up, such as a probe
+outside the mesh, and an ``--out`` that is an existing path of the wrong
+kind), 3 solver failure, 4 verification failure. The THMFRAC_LOG
 environment variable ({error, info, debug}) controls verbosity.
 """
 
@@ -94,6 +95,16 @@ def _load_config(args):
     return parse_config(text, name_hint=name, overrides=getattr(args, "override", None) or ())
 
 
+def _out_path(out: Path, directory: bool) -> Path:
+    """``out``, checked before any work: ValueError if it exists as a file
+    where a ``directory`` goes, or the reverse, or sits below a file."""
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    must_be_dir = directory or existing != out
+    if existing.is_dir() != must_be_dir:
+        raise ValueError(f"--out {out}: {existing} is {'not ' * must_be_dir}a directory")
+    return out
+
+
 # a scenario that cannot be loaded or set up: a configuration error
 _SETUP_ERRORS = (ConfigError, FileNotFoundError, PointNotFound, ValueError)
 
@@ -103,7 +114,8 @@ def _cmd_run(args) -> int:
 
     try:
         cfg = _load_config(args)
-        runner = ScenarioRunner(cfg, Path(args.out) if args.out else Path("out") / cfg.name)
+        out = _out_path(Path(args.out) if args.out else Path("out") / cfg.name, directory=True)
+        runner = ScenarioRunner(cfg, out)
     except _SETUP_ERRORS as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -119,9 +131,12 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import format_report, run_verification, takes_fast
 
-    if args.fast and not takes_fast(args.benchmark):
-        print(f"configuration error: --fast does not apply to benchmark "
-              f"{args.benchmark!r}", file=sys.stderr)
+    try:
+        if args.fast and not takes_fast(args.benchmark):
+            raise ValueError(f"--fast does not apply to benchmark {args.benchmark!r}")
+        out = _out_path(Path(args.out), directory=False) if args.out else None
+    except ValueError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         report = run_verification(args.benchmark, fast=args.fast)
@@ -129,8 +144,7 @@ def _cmd_verify(args) -> int:
         print(f"solver failure during verification: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     print(format_report(report))
-    if args.out:
-        out = Path(args.out)
+    if out:
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(json.dumps(report, indent=2, sort_keys=True))
         print(f"report written to {out}")
@@ -143,11 +157,12 @@ def _cmd_mesh_dump(args) -> int:
 
     try:
         cfg = _load_config(args)
+        out = _out_path(Path(args.out) if args.out else Path(f"{cfg.name}_mesh.vtk"),
+                        directory=False)
         sim = build_simulation(cfg)
     except _SETUP_ERRORS as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out = Path(args.out) if args.out else Path(f"{cfg.name}_mesh.vtk")
     import numpy as np
 
     crack = np.zeros(sim.mesh.n_nodes)

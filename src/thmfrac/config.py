@@ -312,6 +312,12 @@ def config_from_dict(raw: dict, name_hint: str = "scenario") -> ScenarioConfig:
     if name.splitlines() != [name] or name in (".", "..") or "/" in name or "\\" in name:
         errors.append(f"name: must be one line and one path component, got {name!r}")
 
+    probes = _read_all(ProbeSpec, out.get("probes", []), "outputs.probes", errors)
+    # series.csv has a time_s column, then one per probe, headed by its name
+    columns = ["time_s"] + [spec and spec.name for spec in probes]
+    errors.extend(f"outputs.probes[{i}].name: {name!r} is already a column of series.csv"
+                  for i, name in enumerate(columns[1:]) if name and name in columns[:i + 1])
+
     injection = src.get("injection")
     cfg = dict(
         name=name, domain=domain, nx=mesh.get("nx"), ny=mesh.get("ny"),
@@ -332,7 +338,7 @@ def config_from_dict(raw: dict, name_hint: str = "scenario") -> ScenarioConfig:
         injection=(None if injection is None
                    else _read(Injection, injection, "sources.injection", errors)),
         p_init=init.get("pressure", 0.0),
-        probes=_read_all(ProbeSpec, out.get("probes", []), "outputs.probes", errors),
+        probes=probes,
         snapshot_every=snapshot_every)
     if errors:
         raise ConfigError(errors)

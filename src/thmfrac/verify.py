@@ -1,8 +1,9 @@
 """Verification harness: runs scaled benchmarks and scores them.
 
 Each ``verify_*`` function runs its scenario(s) through ``_run_series``,
-the one place a check builds, runs and probes a simulation, overlays the
-closed-form references where they exist, and returns a machine-readable
+the one place a check builds, runs and probes a simulation, scores only
+the output times and probe series it returns, overlays the closed-form
+references where they exist, and returns a machine-readable
 report: ``{"benchmark", "passed", "criteria": [...]}`` with one entry per
 checked criterion. Every check runs its full variant unless ``fast=True``.
 """
@@ -10,7 +11,6 @@ checked criterion. Every check runs its full variant unless ``fast=True``.
 from __future__ import annotations
 
 import inspect
-import logging
 import time
 from dataclasses import asdict, dataclass, replace
 
@@ -20,9 +20,7 @@ from . import analytic
 from .config import ProbeSpec, ScenarioConfig
 from .presets import kgd, kgd_cold, single_fracture, terzaghi, thermal_consolidation
 from .scenario import build_simulation, evaluate_probes, locate_probes
-from .staggered import RunResult, Simulation, run
-
-log = logging.getLogger("thmfrac")
+from .staggered import run
 
 
 @dataclass
@@ -44,12 +42,28 @@ def _report(benchmark: str, criteria: list[Criterion], **extra) -> dict:
     return rep
 
 
-def _run_series(cfg: ScenarioConfig) -> tuple[Simulation, RunResult, dict[str, np.ndarray]]:
+def _run_series(cfg: ScenarioConfig) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The output times of ``cfg``'s run and each probe's series over them."""
     sim = build_simulation(cfg)
     result = run(sim, cfg.controls)
     probes = locate_probes(cfg.probes, sim.mesh)
     rows = [evaluate_probes(probes, sim, state) for state in result.states]
-    return sim, result, {p.name: np.array([row[p.name] for row in rows]) for p in cfg.probes}
+    return (np.asarray(result.times),
+            {p.name: np.array([row[p.name] for row in rows]) for p in cfg.probes})
+
+
+def _add_row_probes(cfg: ScenarioConfig, fields: tuple[str, ...]) -> np.ndarray:
+    """Probe each of ``fields`` at every node x of the uniform column's
+    y = 0 row (``row_<field><i>``); returns those x."""
+    xs = np.linspace(0.0, cfg.domain[0], cfg.nx + 1)
+    cfg.probes = cfg.probes + [ProbeSpec(name=f"row_{f}{i}", field=f, point=(float(x), 0.0))
+                               for f in fields for i, x in enumerate(xs)]
+    return xs
+
+
+def _row(series: dict[str, np.ndarray], field: str, n: int) -> np.ndarray:
+    """The (time, node) values of ``field``'s ``n`` row probes."""
+    return np.column_stack([series[f"row_{field}{i}"] for i in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -64,22 +78,19 @@ def verify_terzaghi() -> dict:
     cfg.snapshot_every = 0
     sigma_x = cfg.bcs_mech[0].traction[0]
     L = cfg.domain[0]
+    xs = _add_row_probes(cfg, ("p", "ux"))
 
     start = time.perf_counter()
-    sim, result, _ = _run_series(cfg)
+    times, series = _run_series(cfg)
     runtime = time.perf_counter() - start
 
-    mesh = sim.mesh
-    row = mesh.boundary_nodes["bottom"]          # nodes along y = 0, at x = xs
-    xs = mesh.xs
+    p_row, u_row = _row(series, "p", xs.size), _row(series, "ux", xs.size)
     coeffs = analytic.terzaghi_coeffs(cfg.materials, L)
 
     criteria = []
     for t in t_checks:
-        k = result.times.index(t)
-        state = result.states[k]
-        p_num = state.p[row]
-        u_num = state.u[2 * row]
+        k = times.tolist().index(t)
+        p_num, u_num = p_row[k], u_row[k]
         p_ref = analytic.terzaghi_pressure(xs, t, sigma_x, L, coeffs)
         u_ref = analytic.terzaghi_displacement(xs, t, sigma_x, L, coeffs)
         ep = float(np.linalg.norm(p_num - p_ref) / np.linalg.norm(p_ref))
@@ -122,9 +133,7 @@ def verify_kgd(fast: bool = False) -> dict:
     the phi1-vs-phi0 porosity comparison on the same mesh, to t = 4 s."""
     start = time.perf_counter()
     cfg1 = kgd(fast=fast, t_end=4.0)
-    _, res1, series1 = _run_series(cfg1)
-    times = np.asarray(res1.times)
-    e1 = _kgd_errors(cfg1, times, series1)
+    e1 = _kgd_errors(cfg1, *_run_series(cfg1))
 
     criteria = []
     for key, label in (("err_p", "pressure"), ("err_l", "length"), ("err_w", "width")):
@@ -144,8 +153,7 @@ def verify_kgd(fast: bool = False) -> dict:
                               "order 1e-7 anchor"))
 
     cfg0 = replace(cfg1, materials=replace(cfg1.materials, porosity_variant="phi0"))
-    _, res0, series0 = _run_series(cfg0)
-    e0 = _kgd_errors(cfg0, np.asarray(res0.times), series0)
+    e0 = _kgd_errors(cfg0, *_run_series(cfg0))
     avg1 = float(e1["err_p"].mean())
     avg0 = float(e0["err_p"].mean())
     criteria.append(Criterion("phi1_beats_phi0_pressure", avg1 < avg0, avg1, avg0,
@@ -161,31 +169,26 @@ def verify_kgd(fast: bool = False) -> dict:
 # thermal consolidation (property-based)
 # ---------------------------------------------------------------------------
 
-def _halve_schedule(schedule):
-    return [(duration, 0.5 * dt) for duration, dt in schedule]
-
-
 def verify_thermal_consolidation() -> dict:
+    """Qualitative properties of the heated column, whose T and p are read
+    along its y = 0 row: T is monotone in x (``T_monotone_in_x``) and within
+    [T0, T_hot] (``T_bounded``) at every output time, p falls back to 1 % of
+    its peak (``p_returns_to_1pct_of_peak``), the final T is within 0.1 K of
+    T_hot (``T_steady_uniform``), and the preset's ``p_x*`` probes move by at
+    most 2 % of their peak when dt is halved (``p_self_convergence_dt``)."""
     cfg = thermal_consolidation()
     cfg.snapshot_every = 0
-    sim, result, series = _run_series(cfg)
-    mesh = sim.mesh
+    n = _add_row_probes(cfg, ("T", "p")).size
+    times, series = _run_series(cfg)
+    T, p = _row(series, "T", n), _row(series, "p", n)
     T_hot = cfg.bcs_heat[0].value
     T0 = cfg.materials.T0
     span = T_hot - T0
     tol_T = 1e-9 * span
 
-    row = mesh.boundary_nodes["bottom"]
-    mono_ok = True
-    bound_ok = True
-    worst_dT = 0.0
-    for state in result.states:
-        T = state.T[row]
-        worst_dT = max(worst_dT, float(np.max(T - T_hot)), float(np.max(T0 - T)))
-        if np.any(np.diff(T) > tol_T):
-            mono_ok = False
-        if np.any(T > T_hot + tol_T) or np.any(T < T0 - tol_T):
-            bound_ok = False
+    mono_ok = not np.any(np.diff(T, axis=1) > tol_T)
+    bound_ok = not (np.any(T > T_hot + tol_T) or np.any(T < T0 - tol_T))
+    worst_dT = max(0.0, float(np.max(T - T_hot)), float(np.max(T0 - T)))
     criteria = [
         Criterion("T_monotone_in_x", mono_ok, 0.0 if mono_ok else 1.0, 0.0,
                   "checked at every output time"),
@@ -193,33 +196,21 @@ def verify_thermal_consolidation() -> dict:
                   f"max excursion outside [{T0}, {T_hot}] K"),
     ]
 
-    p_peak = max(float(np.abs(s.p).max()) for s in result.states)
-    p_final = float(np.abs(result.states[-1].p).max())
+    p_peak = float(np.abs(p).max())
+    p_final = float(np.abs(p[-1]).max())
     criteria.append(Criterion("p_returns_to_1pct_of_peak",
                               p_final <= 0.01 * p_peak, p_final, 0.01 * p_peak,
                               f"peak {p_peak:.6g} Pa"))
 
-    T_final = result.states[-1].T
-    dev = float(np.max(np.abs(T_final - T_hot)))
+    dev = float(np.max(np.abs(T[-1] - T_hot)))
     criteria.append(Criterion("T_steady_uniform", dev <= 0.1, dev, 0.1,
                               "final T vs 343.15 K"))
 
-    cfg_half = thermal_consolidation()
-    cfg_half.snapshot_every = 0
-    cfg_half.controls = replace(cfg_half.controls,
-                                dt_schedule=_halve_schedule(cfg.controls.dt_schedule))
-    _, res_half, series_half = _run_series(cfg_half)
-    base_times = np.asarray(result.times)
-    half_times = np.asarray(res_half.times)
-    idx = np.searchsorted(half_times, base_times)
-    worst = 0.0
-    for name in series:
-        if not name.startswith("p_"):
-            continue
-        base = series[name]
-        fine = series_half[name][idx]
-        scale = float(np.abs(base).max())
-        worst = max(worst, float(np.abs(base - fine).max()) / scale)
+    half_times, half = _run_series(replace(cfg, controls=replace(
+        cfg.controls, dt_schedule=[(d, 0.5 * dt) for d, dt in cfg.controls.dt_schedule])))
+    idx = np.searchsorted(half_times, times)
+    worst = max(float(np.abs(series[name] - half[name][idx]).max() / np.abs(series[name]).max())
+                for name in series if name.startswith("p_"))
     criteria.append(Criterion("p_self_convergence_dt", worst <= 0.02, worst, 0.02,
                               "max |p(dt) - p(dt/2)| / max|p| over probes"))
     return _report("thermal_consolidation", criteria)
@@ -244,8 +235,8 @@ def verify_stabilization(fast: bool = False) -> dict:
 
     excursions = []
     for s_stab in (cfg.materials.s_stab, 0.0):
-        _, _, series = _run_series(replace(cfg, materials=replace(cfg.materials,
-                                                                  s_stab=s_stab)))
+        _, series = _run_series(replace(cfg, materials=replace(cfg.materials,
+                                                               s_stab=s_stab)))
         T = np.array([series[spec.name] for spec in path])
         excursions.append(max(float(lo - T.min()), float(T.max() - hi), 0.0))
     excursion_on, excursion_off = excursions
@@ -274,8 +265,7 @@ def verify_thermal_trend(fast: bool = False) -> dict:
     h = 0.025 if fast else 0.01
     peaks = {}
     for dT in (0.0, 90.0):
-        cfg = single_fracture(dT=dT, h=h, t_end=2.0)
-        _, _, series = _run_series(cfg)
+        _, series = _run_series(single_fracture(dT=dT, h=h, t_end=2.0))
         peaks[dT] = float(series["p_inj"].max())
     ratio = peaks[90.0] / peaks[0.0]
     crit = Criterion("peak_pressure_drops_with_cooling", peaks[90.0] < peaks[0.0],

@@ -3,6 +3,9 @@ import dataclasses
 import inspect
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -499,8 +502,16 @@ class TestCLIHelpers:
         ("run", "outputs.probes",
          {"name": "L", "kind": "fracture_length", "path": [[1.0, 0.1], [30.0, 0.1]]},
          "point (30.0, 0.1) outside [0.0, 25.0] x [0.0, 0.25]"),
+        # series.csv wrote both columns of a name with the last probe's value
+        ("run", "outputs.probes", {"name": "p_mid", "field": "ux", "point": [0.0, 0.125]},
+         "invalid configuration:\n  outputs.probes[2].name: 'p_mid' is already a column "
+         "of series.csv"),
+        ("run", "outputs.probes", {"name": "time_s", "field": "p", "point": [12.5, 0.125]},
+         "invalid configuration:\n  outputs.probes[2].name: 'time_s' is already a column "
+         "of series.csv"),
     ], ids=["run-probe", "run-crack", "mesh-dump-crack", "run-band", "mesh-dump-band",
-            "run-interface", "mesh-dump-interface", "run-width", "run-fracture-length"])
+            "run-interface", "mesh-dump-interface", "run-width", "run-fracture-length",
+            "run-duplicate-probe-name", "run-time-column-probe-name"])
     def test_scenario_that_cannot_be_set_up_exits_with_config_error(
             self, tmp_path, capsys, command, key, item, error):
         raw = config_to_dict(terzaghi())
@@ -540,6 +551,41 @@ class TestCLIHelpers:
                 in capsys.readouterr().err)
         with pytest.raises(TypeError, match="unexpected keyword argument 'fast'"):
             verify.run_verification(check, fast=True)
+
+    @pytest.mark.parametrize("command, kind, out, error", [
+        ("run", "file", "taken", "--out {out}: {taken} is not a directory"),
+        ("run", "file", "taken/run", "--out {out}: {taken} is not a directory"),
+        ("verify", "directory", "taken", "--out {out}: {taken} is a directory"),
+        ("mesh-dump", "directory", "taken", "--out {out}: {taken} is a directory"),
+    ], ids=["run-file", "run-below-a-file", "verify-directory", "mesh-dump-directory"])
+    def test_out_path_of_the_wrong_kind_exits_before_any_work(
+            self, tmp_path, monkeypatch, capsys, command, kind, out, error):
+        # run built the simulation and verify ran the whole check before the
+        # write failed with a traceback (exit 1)
+        from thmfrac import app, scenario, verify
+
+        def started(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(app, "build_simulation", started)
+        monkeypatch.setattr(scenario, "build_simulation", started)
+        monkeypatch.setitem(verify.BENCHMARKS, "terzaghi", started)
+        taken, out = tmp_path / "taken", tmp_path / out
+        if kind == "directory":
+            taken.mkdir()
+        else:
+            taken.write_text("kept")
+        assert main([command, "terzaghi", "--out", str(out)]) == 2
+        assert (f"configuration error: {error.format(out=out, taken=taken)}"
+                in capsys.readouterr().err)
+        assert taken.is_dir() or taken.read_text() == "kept"
+
+    def test_importing_the_cli_loads_no_numpy(self):
+        # the CLI sets the BLAS thread variables, which numpy reads as it loads
+        src = Path(main.__code__.co_filename).parents[1]
+        subprocess.run([sys.executable, "-c",
+                        "import sys, thmfrac.cli; assert 'numpy' not in sys.modules"],
+                       check=True, env={**os.environ, "PYTHONPATH": str(src)})
 
     def test_value_error_during_the_run_is_not_a_config_error(self, tmp_path, monkeypatch):
         from thmfrac import staggered
